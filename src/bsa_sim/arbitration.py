@@ -42,7 +42,7 @@ from .attestation import (
     MockAttestationAuthority,
     MockKms,
 )
-from .chain import Outpoint, SimTx
+from .chain import Outpoint, SimTx, TxRejected, check_witness
 from .destchain import DestChain, SignedCheckpoint, TO_SIGNER
 from .keys import (
     Keypair,
@@ -50,7 +50,6 @@ from .keys import (
     build_protocol_addresses,
     get_scheme,
     key_address_id,
-    verify_signature,
 )
 from .psbt import (
     PsbtTemplate,
@@ -107,10 +106,6 @@ class VerifiedContext:
     issuer_id: int
 
 
-def registry_outpoint(op: Outpoint) -> str:
-    return str(op)
-
-
 def instance_view(
     tweak_data: TweakData,
     owner: str,
@@ -151,13 +146,11 @@ def _verify_two_party_spend(
     leaf = source_address.leaf("dep_to")
     if leaf is None or inp.path_id != "dep_to":
         return f"path {inp.path_id!r} is not the cooperative leaf"
-    keys = leaf.policy.keys()
-    if len(inp.witness) != len(keys):
-        return f"{len(inp.witness)} signatures for a {len(keys)}-key leaf"
-    digest = tx.sighash(digest_index)
-    for sig, key in zip(inp.witness, keys):
-        if not verify_signature(key, digest, sig):
-            return "signature does not verify against the leaf keys"
+    try:
+        digest = tx.sighash(digest_index)
+        check_witness(leaf.policy.keys(), digest, inp.witness, "cooperative leaf")
+    except TxRejected as exc:
+        return str(exc)
     return None
 
 

@@ -19,6 +19,16 @@ Confirmation rule per block at required feerate ``rate``:
   * parents always confirm before children inside a block, and a spend
     of an output confirmed in the same block sees a zero-block delay
     (relative timelocks never pass same-block).
+
+Validation: one input checker, ``BtcChain.check_input``, holds the
+spending rule: the path exists, the witness has one signature per key
+in key order (``check_witness``, which the arbitration oracle shares),
+and a delay leaf's relative timelock has passed.  It runs at admission
+in ``submit_tx`` (without the timelock, which can mature later), in
+``verify_spend`` at a given height, and in ``mine_block`` for every
+candidate at the new height.  A prevout confirmed in the same block, or
+still in the mempool, has aged zero blocks, so a delay spend never
+confirms in the block of its parent.
 """
 
 from __future__ import annotations
@@ -31,7 +41,6 @@ from .keys import (
     Point,
     ProtocolAddress,
     SingleAfterDelay,
-    TwoOfTwo,
     key_address_id,
     verify_signature,
 )
@@ -80,6 +89,18 @@ class UnknownPath(TxRejected):
 class InvalidValue(TxRejected):
     def __init__(self, detail: str = ""):
         super().__init__("InvalidValue", detail)
+
+
+def check_witness(
+    keys: tuple[Point, ...], digest: bytes, witness: list[bytes], what: str
+) -> None:
+    """The witness rule of every spend path: one signature per key, in key
+    order.  ``what`` names the spend in the error."""
+    if len(witness) != len(keys):
+        raise MalformedWitness(f"{what} needs {len(keys)} signatures, has {len(witness)}")
+    for sig, key in zip(witness, keys):
+        if not verify_signature(key, digest, sig):
+            raise BadSignature(what)
 
 
 class SighashFlag(Enum):
@@ -267,49 +288,41 @@ class BtcChain:
             total_in += prevout.value
         return total_in - tx.output_sum()
 
-    # -- witness validation ------------------------------------------------
+    # -- input validation ---------------------------------------------------
 
-    def _check_input(self, tx: SimTx, index: int, at_height: int | None) -> None:
-        """Validate one input's path, witness, and (when at_height is given)
-        relative timelock."""
+    def check_input(
+        self,
+        tx: SimTx,
+        index: int,
+        prevout: TxOutput,
+        conf_height: int | None,
+        height: int | None,
+    ) -> None:
+        """Validate input ``index`` of ``tx``, which spends ``prevout``: the
+        path exists, the witness passes ``check_witness`` and, unless
+        ``height`` is None (admission), a delay leaf's relative timelock has
+        passed.  An unconfirmed prevout (``conf_height`` None) has aged zero
+        blocks."""
         inp = tx.inputs[index]
-        prevout, conf_height = self.resolve_prevout(inp.outpoint)
         spec = self.addresses.get(prevout.address_id)
         if spec is None:
             raise UnknownPath(f"no spending rules for {prevout.address_id}")
-        digest = tx.sighash(index)
-
         if isinstance(spec, KeyAddress):
             if inp.path_id != "key":
                 raise UnknownPath(f"{inp.path_id!r} on key address")
-            if len(inp.witness) != 1:
-                raise MalformedWitness("key spend needs exactly one signature")
-            if not verify_signature(spec.public, digest, inp.witness[0]):
-                raise BadSignature(f"input {index} key spend")
-            return
-
-        leaf = spec.leaf(inp.path_id)
-        if leaf is None:
-            raise UnknownPath(f"{inp.path_id!r} not in {spec.kind} tree")
-        policy = leaf.policy
-        if isinstance(policy, TwoOfTwo):
-            if len(inp.witness) != 2:
-                raise MalformedWitness("2-of-2 path needs exactly two signatures")
-            for sig, key in zip(inp.witness, policy.keys()):
-                if not verify_signature(key, digest, sig):
-                    raise BadSignature(f"input {index} path {inp.path_id}")
+            keys, policy = (spec.public,), None
         else:
-            if len(inp.witness) != 1:
-                raise MalformedWitness("delay path needs exactly one signature")
-            if not verify_signature(policy.key, digest, inp.witness[0]):
-                raise BadSignature(f"input {index} path {inp.path_id}")
-            if at_height is not None:
-                effective = conf_height if conf_height is not None else at_height
-                if at_height - effective < policy.delay_blocks:
-                    raise TimelockNotExpired(
-                        f"input {index} needs {policy.delay_blocks} blocks, "
-                        f"has {at_height - effective}"
-                    )
+            leaf = spec.leaf(inp.path_id)
+            if leaf is None:
+                raise UnknownPath(f"{inp.path_id!r} not in {spec.kind} tree")
+            keys, policy = leaf.policy.keys(), leaf.policy
+        check_witness(keys, tx.sighash(index), inp.witness, f"input {index} path {inp.path_id}")
+        if isinstance(policy, SingleAfterDelay) and height is not None:
+            age = 0 if conf_height is None else height - conf_height
+            if age < policy.delay_blocks:
+                raise TimelockNotExpired(
+                    f"input {index} needs {policy.delay_blocks} blocks, has {age}"
+                )
 
     # -- mempool -----------------------------------------------------------
 
@@ -333,8 +346,8 @@ class BtcChain:
                     raise DoubleSpend(f"{inp.outpoint} already spent in mempool")
         if self.tx_fee(tx) < 0:
             raise InvalidValue("outputs exceed inputs")
-        for i in range(len(tx.inputs)):
-            self._check_input(tx, i, at_height=None)
+        for i, inp in enumerate(tx.inputs):
+            self.check_input(tx, i, *self.resolve_prevout(inp.outpoint), None)
         self.mempool[tx.txid] = tx
         self.mempool_arrival[tx.txid] = self.height
         return tx.txid
@@ -349,54 +362,22 @@ class BtcChain:
         return None
 
     def _spendable_now(self, tx: SimTx, height: int, in_block: dict[str, SimTx]) -> bool:
+        """Every input spends a UTXO or an output of a tx chosen earlier in
+        this block, and passes ``check_input`` at ``height``."""
         for i, inp in enumerate(tx.inputs):
             utxo = self.utxo_set.get(inp.outpoint)
-            if utxo is None:
+            if utxo is not None:
+                prevout, conf_height = TxOutput(utxo.address_id, utxo.value), utxo.confirmed_height
+            else:
                 parent = in_block.get(inp.outpoint.txid)
                 if parent is None or inp.outpoint.index >= len(parent.outputs):
                     return False
+                prevout, conf_height = parent.outputs[inp.outpoint.index], None
             try:
-                # same-block parents count as confirmed at this height
-                self._check_input_mining(tx, i, height, in_block)
+                self.check_input(tx, i, prevout, conf_height, height)
             except TxRejected:
                 return False
         return True
-
-    def _check_input_mining(
-        self, tx: SimTx, index: int, height: int, in_block: dict[str, SimTx]
-    ) -> None:
-        inp = tx.inputs[index]
-        utxo = self.utxo_set.get(inp.outpoint)
-        if utxo is not None:
-            prevout = TxOutput(utxo.address_id, utxo.value)
-            conf_height = utxo.confirmed_height
-        else:
-            parent = in_block[inp.outpoint.txid]
-            prevout = parent.outputs[inp.outpoint.index]
-            conf_height = height
-        spec = self.addresses.get(prevout.address_id)
-        if spec is None:
-            raise UnknownPath(prevout.address_id)
-        digest = tx.sighash(index)
-        if isinstance(spec, KeyAddress):
-            if len(inp.witness) != 1 or not verify_signature(spec.public, digest, inp.witness[0]):
-                raise BadSignature("key spend")
-            return
-        leaf = spec.leaf(inp.path_id)
-        if leaf is None:
-            raise UnknownPath(inp.path_id)
-        policy = leaf.policy
-        if isinstance(policy, TwoOfTwo):
-            if len(inp.witness) != 2:
-                raise MalformedWitness("arity")
-            for sig, key in zip(inp.witness, policy.keys()):
-                if not verify_signature(key, digest, sig):
-                    raise BadSignature(inp.path_id)
-        else:
-            if len(inp.witness) != 1 or not verify_signature(policy.key, digest, inp.witness[0]):
-                raise BadSignature(inp.path_id)
-            if height - conf_height < policy.delay_blocks:
-                raise TimelockNotExpired(inp.path_id)
 
     def mine_block(self) -> list[str]:
         """Advance one block, confirming every mempool transaction whose
@@ -461,9 +442,6 @@ class BtcChain:
 
         return [tx.txid for tx in chosen]
 
-    def confirmed_at(self, height: int) -> list[SimTx]:
-        return [tx for h, tx in self.history if h == height]
-
     def confirmations(self, txid: str) -> int:
         for h, tx in self.history:
             if tx.txid == txid:
@@ -476,8 +454,8 @@ def verify_spend(tx: SimTx, chain: BtcChain, at_height: int | None = None) -> bo
     given height (default: next block).  Raises a TxRejected subclass on
     the first violated rule; returns True when every input is valid."""
     height = chain.height + 1 if at_height is None else at_height
-    for i in range(len(tx.inputs)):
-        chain._check_input(tx, i, at_height=height)
+    for i, inp in enumerate(tx.inputs):
+        chain.check_input(tx, i, *chain.resolve_prevout(inp.outpoint), height)
     if chain.tx_fee(tx) < 0:
         raise InvalidValue("outputs exceed inputs")
     return True

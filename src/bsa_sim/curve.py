@@ -8,7 +8,6 @@ long simulation runs) stays cheap in pure Python.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 P = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
@@ -175,7 +174,3 @@ def generator_mul(k: int) -> Point | None:
         k >>= 4
         window += 1
     return _from_jac(acc)
-
-
-def tagged_hash(tag: bytes, data: bytes) -> bytes:
-    return hashlib.sha256(tag + data).digest()

@@ -72,24 +72,10 @@ class ScenarioResult:
     world: World
 
 
-@dataclass
-class WorldComponents:
-    chain: BtcChain
-    registry: Registry
-    dest: DestChain
-    authority: MockAttestationAuthority
-    kms: MockKms
-    image: EnclaveImage
-    to_keypair: object
-    dep_keypair: object
-    oracle_actors: list[OracleActor]
-    sources: list
-
-
-def setup_components(config: ScenarioConfig) -> WorldComponents:
-    """Everything a scenario needs up to (but not including) the setup
-    ceremony: chains, registry, a registered oracle version, funded
-    wallets, and synced oracles."""
+def build_world(config: ScenarioConfig, sar_tamper=None) -> World:
+    """Assemble chain, destination chain, registry, a registered oracle
+    version, funded wallets, synced oracles, and actors, and run the
+    deposit setup ceremony."""
     scheme = get_scheme(config.signature_scheme)
     chain = BtcChain(FeeSchedule(config.fee_base, list(config.fee_steps)))
     to_keypair = scheme.keypair_from_seed(b"operator")
@@ -146,27 +132,6 @@ def setup_components(config: ScenarioConfig) -> WorldComponents:
     for actor in oracle_actors:
         addr = chain.ensure_key_address(actor.oracle.keypair.public)
         chain.seed_utxo(addr, config.fee_funds)
-    return WorldComponents(
-        chain=chain,
-        registry=registry,
-        dest=dest,
-        authority=authority,
-        kms=kms,
-        image=image,
-        to_keypair=to_keypair,
-        dep_keypair=dep_keypair,
-        oracle_actors=oracle_actors,
-        sources=sources,
-    )
-
-
-def build_world(config: ScenarioConfig, sar_tamper=None) -> World:
-    """Assemble chain, destination chain, registry, oracles, and actors,
-    and run the deposit setup ceremony."""
-    parts = setup_components(config)
-    chain, registry, dest = parts.chain, parts.registry, parts.dest
-    to_keypair, dep_keypair = parts.to_keypair, parts.dep_keypair
-    oracle_actors = parts.oracle_actors
 
     identities = [
         AoIdentity(a.oracle.keypair.public, a.oracle.produce_attestation())
@@ -176,12 +141,12 @@ def build_world(config: ScenarioConfig, sar_tamper=None) -> World:
         dep_keypair=dep_keypair,
         to_keypair=to_keypair,
         ao_identities=identities,
-        deposits=list(zip(parts.sources, config.amounts)),
+        deposits=list(zip(sources, config.amounts)),
         chain=chain,
         registry=registry,
-        authority=parts.authority,
+        authority=authority,
         owner_account=config.owner,
-        expected_pcr0=parts.image.pcr0,
+        expected_pcr0=image.pcr0,
         base_fee_rate=config.fee_base,
         sar_tamper=sar_tamper,
     )
@@ -249,13 +214,6 @@ def _deposit_index(instance, outpoint: str) -> int | None:
     if txid == instance.funding_txid:
         return int(index)
     return None
-
-
-def _exit_intended(config: ScenarioConfig, index: int | None) -> bool:
-    b = config.depositor
-    if b.exit_at is None or not b.burn_before_exit:
-        return False
-    return b.exit_deposit_index is None or b.exit_deposit_index == index
 
 
 def _deposit_attacked(config: ScenarioConfig, index: int | None) -> bool:
@@ -605,41 +563,20 @@ def legitimate_rebalance_config() -> ScenarioConfig:
 # setup ceremony walkthrough
 
 
-def _run_demo_ceremony(config: ScenarioConfig, sar_tamper=None):
-    parts = setup_components(config)
-    identities = [
-        AoIdentity(a.oracle.keypair.public, a.oracle.produce_attestation())
-        for a in parts.oracle_actors
-    ]
-    instance = run_setup_ceremony(
-        dep_keypair=parts.dep_keypair,
-        to_keypair=parts.to_keypair,
-        ao_identities=identities,
-        deposits=list(zip(parts.sources, config.amounts)),
-        chain=parts.chain,
-        registry=parts.registry,
-        authority=parts.authority,
-        owner_account=config.owner,
-        expected_pcr0=parts.image.pcr0,
-        base_fee_rate=config.fee_base,
-        sar_tamper=sar_tamper,
-    )
-    return parts, instance
-
-
 def ceremony_demo() -> list[str]:
     """Run the deposit setup ceremony twice (honest, then with a tampered
     registry copy) and narrate what happened."""
     lines = []
     config = ScenarioConfig(name="ceremony-demo", amounts=[9_000, 4_000])
 
-    parts, instance = _run_demo_ceremony(config)
+    world = build_world(config)
+    instance, registry = world.instances[0], world.registry
     lines.append("honest ceremony")
     lines.append(f"  funding txid: {instance.funding_txid}")
     for addr in instance.addresses.all():
         lines.append(f"  {addr.kind:<3} {addr.address_id}")
     for i, (outpoint, value) in enumerate(instance.deposits.items()):
-        record = parts.registry.records[outpoint]
+        record = registry.records[outpoint]
         lines.append(
             f"  deposit {i}: {outpoint[:20]}.. value={value}"
             f" status={record.status.name}"
@@ -647,7 +584,7 @@ def ceremony_demo() -> list[str]:
         lines.append(f"    registry holds: {', '.join(sorted(record.psbts))}")
         held = sorted(t.value for t in instance.to_psbts[outpoint])
         lines.append(f"    operator holds: {', '.join(held)}")
-    minted = parts.registry.ledger.balance(config.owner)
+    minted = registry.ledger.balance(config.owner)
     lines.append(f"  tokens minted to {config.owner}: {minted}")
 
     def corrupt(outpoint, texts):
@@ -657,7 +594,7 @@ def ceremony_demo() -> list[str]:
 
     lines.append("tampered ceremony (registry swaps one stored row)")
     try:
-        _run_demo_ceremony(
+        build_world(
             ScenarioConfig(name="ceremony-tamper", amounts=[9_000, 4_000]),
             sar_tamper=corrupt,
         )

@@ -255,12 +255,6 @@ class ProtocolInstance:
     base_fee_rate: int = DEFAULT_BASE_FEE_RATE
     anchor_value: int = DEFAULT_ANCHOR_VALUE
 
-    def address_kind_of(self, address_id: str) -> str | None:
-        for addr in self.addresses.all():
-            if addr.address_id == address_id:
-                return addr.kind
-        return None
-
 
 def _role_pubkeys(tweak_data: TweakData, role: str) -> tuple[Point, ...]:
     if role == "dep":

@@ -254,11 +254,6 @@ class Registry:
         self.tweaks[digest] = tweak_data.to_dict()
         return digest
 
-    def get_tweak_data(self, digest: str) -> TweakData:
-        if digest not in self.tweaks:
-            raise UnknownRecord(f"no tweak data {digest}")
-        return TweakData.from_dict(self.tweaks[digest])
-
     def register_deposit(self, record: UtxoRecord, caller: str = "to") -> None:
         if record.outpoint in self.records:
             raise DuplicateOutpoint(record.outpoint)

@@ -119,6 +119,66 @@ def _range(value: str) -> tuple[int, int] | None:
     return (int(start), int(end))
 
 
+def _keys(convert, *keys: str) -> dict:
+    return {key: (key, convert) for key in keys}
+
+
+# Per section: key -> (attribute it sets, converter of the text value).
+_PARAMS = {
+    **_keys(
+        int, "t1", "t2", "t3", "slots_per_block", "t_op_blocks", "margin_blocks",
+        "horizon_blocks", "fee_base", "finality_interval", "wsp_slots", "n_oracles",
+        "fee_funds",
+    ),
+    **_keys(str, "signature_scheme"),
+    **_keys(_step_list, "fee_steps"),
+    **_keys(_opt_int, "dest_halted_at"),
+}
+_DEPOSIT = {**_keys(str, "owner"), **_keys(_int_list, "amounts")}
+_DEPOSITOR = {
+    **_keys(_opt_int, "exit_at", "exit_deposit_index", "leak_tokens_at"),
+    **_keys(_bool, "burn_before_exit", "use_leaked_key"),
+    **_keys(int, "leak_token_amount"),
+}
+_OPERATOR = {
+    **_keys(
+        _bool, "challenge_thefts", "challenge_legitimate", "claim_expired",
+        "pay_over_seizure", "provide_checkpoints",
+    ),
+    **_keys(_opt_int, "rebalance_at", "false_rebalance_at"),
+}
+_ORACLE = {
+    "offline": ("offline", _range),
+    "refuse": ("refuse_resolutions", _bool),
+    "leak": ("leak_secret", _bool),
+}
+
+
+def _value(section: configparser.SectionProxy, key: str, convert):
+    try:
+        return convert(section[key])
+    except (ValueError, ScenarioError) as exc:
+        raise ScenarioError(f"[{section.name}] {key} = {section[key]!r}: {exc}") from exc
+
+
+def _apply(target, parser: configparser.ConfigParser, name: str, table: dict) -> None:
+    """Set ``target``'s attributes from the keys of section ``name``
+    that ``table`` lists."""
+    if not parser.has_section(name):
+        return
+    section = parser[name]
+    for key, (attr, convert) in table.items():
+        if key in section:
+            setattr(target, attr, _value(section, key, convert))
+
+
+def _oracle_number(section: str) -> int:
+    try:
+        return int(section.removeprefix("oracle."))
+    except ValueError:
+        raise ScenarioError(f"[{section}]: oracle sections are named oracle.N") from None
+
+
 def parse_scenario(text: str) -> ScenarioConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -127,98 +187,34 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raise ScenarioError(f"bad scenario file: {exc}") from exc
 
     config = ScenarioConfig()
-
-    if parser.has_section("scenario"):
-        config.name = parser.get("scenario", "name", fallback=config.name)
-
-    if parser.has_section("params"):
-        p = parser["params"]
-        config.t1 = p.getint("t1", config.t1)
-        config.t2 = p.getint("t2", config.t2)
-        config.t3 = p.getint("t3", config.t3)
-        config.slots_per_block = p.getint("slots_per_block", config.slots_per_block)
-        config.t_op_blocks = p.getint("t_op_blocks", config.t_op_blocks)
-        config.margin_blocks = p.getint("margin_blocks", config.margin_blocks)
-        config.horizon_blocks = p.getint("horizon_blocks", config.horizon_blocks)
-        config.fee_base = p.getint("fee_base", config.fee_base)
-        config.finality_interval = p.getint("finality_interval", config.finality_interval)
-        config.wsp_slots = p.getint("wsp_slots", config.wsp_slots)
-        config.signature_scheme = p.get("signature_scheme", config.signature_scheme)
-        config.n_oracles = p.getint("n_oracles", config.n_oracles)
-        config.fee_funds = p.getint("fee_funds", config.fee_funds)
-        if "fee_steps" in p:
-            config.fee_steps = _step_list(p["fee_steps"])
-        if "dest_halted_at" in p:
-            config.dest_halted_at = _opt_int(p["dest_halted_at"])
-
-    if parser.has_section("deposit"):
-        d = parser["deposit"]
-        config.owner = d.get("owner", config.owner)
-        if "amounts" in d:
-            config.amounts = _int_list(d["amounts"])
-            if not config.amounts or any(a <= 0 for a in config.amounts):
-                raise ScenarioError("deposit amounts must be positive")
-
+    _apply(config, parser, "scenario", {"name": ("name", str)})
+    _apply(config, parser, "params", _PARAMS)
+    _apply(config, parser, "deposit", _DEPOSIT)
+    if not config.amounts or any(a <= 0 for a in config.amounts):
+        raise ScenarioError("deposit amounts must be positive")
     if parser.has_section("depositor"):
-        d = parser["depositor"]
-        behavior = DepositorBehavior()
-        if "exit_at" in d:
-            behavior.exit_at = _opt_int(d["exit_at"])
-        if "exit_deposit_index" in d:
-            behavior.exit_deposit_index = _opt_int(d["exit_deposit_index"])
-        if "burn_before_exit" in d:
-            behavior.burn_before_exit = _bool(d["burn_before_exit"])
-        if "use_leaked_key" in d:
-            behavior.use_leaked_key = _bool(d["use_leaked_key"])
-        if "leak_tokens_at" in d:
-            behavior.leak_tokens_at = _opt_int(d["leak_tokens_at"])
-        if "leak_token_amount" in d:
-            behavior.leak_token_amount = int(d["leak_token_amount"])
-        config.depositor = behavior
-
+        config.depositor = DepositorBehavior()
+        _apply(config.depositor, parser, "depositor", _DEPOSITOR)
     if parser.has_section("operator"):
-        o = parser["operator"]
-        behavior = OperatorBehavior()
-        if "challenge_thefts" in o:
-            behavior.challenge_thefts = _bool(o["challenge_thefts"])
-        if "challenge_legitimate" in o:
-            behavior.challenge_legitimate = _bool(o["challenge_legitimate"])
-        if "claim_expired" in o:
-            behavior.claim_expired = _bool(o["claim_expired"])
-        if "rebalance_at" in o:
-            behavior.rebalance_at = _opt_int(o["rebalance_at"])
-        if "false_rebalance_at" in o:
-            behavior.false_rebalance_at = _opt_int(o["false_rebalance_at"])
-        if "pay_over_seizure" in o:
-            behavior.pay_over_seizure = _bool(o["pay_over_seizure"])
-        if "provide_checkpoints" in o:
-            behavior.provide_checkpoints = _bool(o["provide_checkpoints"])
-        config.operator = behavior
+        config.operator = OperatorBehavior()
+        _apply(config.operator, parser, "operator", _OPERATOR)
 
     oracle_sections = sorted(
-        s for s in parser.sections() if s.startswith("oracle.")
+        (s for s in parser.sections() if s.startswith("oracle.")), key=_oracle_number
     )
     oracles: list[OracleBehavior] = []
     for section in oracle_sections:
-        o = parser[section]
-        behavior = OracleBehavior()
-        if "offline" in o:
-            behavior.offline = _range(o["offline"])
-        if "refuse" in o:
-            behavior.refuse_resolutions = _bool(o["refuse"])
-        if "leak" in o:
-            behavior.leak_secret = _bool(o["leak"])
-        oracles.append(behavior)
+        oracles.append(OracleBehavior())
+        _apply(oracles[-1], parser, section, _ORACLE)
     if oracles:
         config.oracles = oracles
         config.n_oracles = max(config.n_oracles, len(oracles))
 
     if parser.has_section("expect"):
         e = parser["expect"]
-        config.expected_verdicts = (
-            _bool(e.get("depositor_safe", "true")),
-            _bool(e.get("operator_safe", "true")),
-            _bool(e.get("protocol_safe", "true")),
+        config.expected_verdicts = tuple(
+            _value(e, key, _bool) if key in e else True
+            for key in ("depositor_safe", "operator_safe", "protocol_safe")
         )
 
     config.__post_init__()

@@ -20,6 +20,7 @@ from bsa_sim.chain import (
     TxOutput,
     TxRejected,
     UnknownInput,
+    UnknownPath,
     verify_spend,
 )
 from bsa_sim.keys import (
@@ -162,6 +163,59 @@ def test_unknown_path_rejected():
     tx.inputs[0].witness = [sign_digest(a, tx.sighash(0))]
     with pytest.raises(TxRejected):
         chain.submit_tx(tx)
+
+
+def _raised(call):
+    try:
+        call()
+    except TxRejected as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "source, path, signers, admission, verify",
+    [
+        ("script", "no_such_path", "a", UnknownPath, UnknownPath),
+        ("key", "dep_to", "a", UnknownPath, UnknownPath),
+        ("key", "key", "aa", MalformedWitness, MalformedWitness),
+        ("script", "dep_to", "a", MalformedWitness, MalformedWitness),
+        ("script", "dep_delay", "aa", MalformedWitness, MalformedWitness),
+        ("key", "key", "b", BadSignature, BadSignature),
+        ("script", "dep_to", "ba", BadSignature, BadSignature),
+        ("script", "dep_delay", "a", None, TimelockNotExpired),
+    ],
+    ids=[
+        "unknown-leaf",
+        "leaf-path-on-key-address",
+        "key-arity",
+        "two-of-two-arity",
+        "delay-arity",
+        "key-wrong-signature",
+        "two-of-two-wrong-order",
+        "delay-immature",
+    ],
+)
+def test_admission_and_verify_spend_share_one_checker(source, path, signers, admission, verify):
+    """``submit_tx`` and ``verify_spend`` reject the same input with the
+    same class; only ``verify_spend`` checks the relative timelock."""
+    chain = fresh_chain()
+    signer = {"a": keypair("chk-a"), "b": keypair("chk-b")}
+    addr = script_address(
+        "UTA",
+        (
+            SpendPath("dep_to", TwoOfTwo(signer["a"].public, signer["b"].public)),
+            SpendPath("dep_delay", SingleAfterDelay(signer["a"].public, 3)),
+        ),
+    )
+    chain.register_address(addr)
+    key_addr = chain.ensure_key_address(signer["a"].public)
+    utxo = chain.seed_utxo(key_addr if source == "key" else addr.address_id, 400)
+    tx = SimTx(inputs=[TxInput(utxo.outpoint, path)], outputs=[TxOutput(key_addr, 399)])
+    tx.inputs[0].witness = [sign_digest(signer[name], tx.sighash(0)) for name in signers]
+
+    assert _raised(lambda: verify_spend(tx, chain)) is verify
+    assert _raised(lambda: chain.submit_tx(tx)) is admission
 
 
 # -- timelocks ----------------------------------------------------------------

@@ -3,6 +3,7 @@ determinism of traces, the ceremony walkthrough, and the CLI."""
 
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -55,6 +56,10 @@ def test_parse_oracle_sections_and_optionals():
     assert parsed.fee_steps == [(6, 4), (9, 1)]
     assert not parsed.operator.challenge_thefts
     assert parsed.oracles[0].refuse_resolutions
+    # oracle.N sections are ordered by N, not as strings
+    text = "".join(f"[oracle.{i}]\nrefuse = {i == 10}\n" for i in range(11))
+    parsed = parse_scenario(text)
+    assert [o.refuse_resolutions for o in parsed.oracles] == [False] * 10 + [True]
 
 
 def test_parse_rejections():
@@ -64,6 +69,14 @@ def test_parse_rejections():
         parse_scenario("[operator]\nclaim_expired = maybe\n")
     with pytest.raises(ScenarioError):
         parse_scenario("not an ini file [")
+    for text, where in [
+        ("[oracle.0]\noffline = 5\n", "[oracle.0] offline"),
+        ("[params]\nfee_steps = 6-4\n", "[params] fee_steps"),
+        ("[params]\nt1 = six\n", "[params] t1"),
+        ("[oracle.x]\nrefuse = no\n", "[oracle.x]"),
+    ]:
+        with pytest.raises(ScenarioError, match=re.escape(where)):
+            parse_scenario(text)
 
 
 @pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: p.stem)
