@@ -4,11 +4,20 @@ Points are affine (x, y) tuples wrapped in a small frozen dataclass; the
 point at infinity is represented by None.  Scalar multiplication runs in
 Jacobian coordinates internally so that repeated use (signature checks in
 long simulation runs) stays cheap in pure Python.
+
+``decode_point`` is memoised in a bounded LRU cache
+(``DECODE_CACHE_SIZE`` entries) keyed by the encoded bytes: every
+signature check decodes its R point and every snapshot import decodes the
+same public keys again, each costing a modular square root.  The function
+is pure and its results are immutable ``Point`` values, so a cached answer
+is the answer a fresh call would give.  Exceptions are not cached, so a
+malformed encoding raises ``CurveError`` on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 P = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
 N = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
@@ -54,6 +63,10 @@ def lift_x(x: int) -> Point:
     return Point(x, y)
 
 
+DECODE_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=DECODE_CACHE_SIZE)
 def decode_point(data: bytes) -> Point:
     if len(data) != 33 or data[0] not in (2, 3):
         raise CurveError("bad compressed point encoding")
@@ -85,10 +98,11 @@ def _jac_double(j: tuple[int, int, int]) -> tuple[int, int, int]:
     X, Y, Z = j
     if Z == 0 or Y == 0:
         return (0, 1, 0)
-    S = (4 * X * Y * Y) % P
+    YY = (Y * Y) % P
+    S = (4 * X * YY) % P
     M = (3 * X * X) % P
     X2 = (M * M - 2 * S) % P
-    Y2 = (M * (S - X2) - 8 * pow(Y, 4, P)) % P
+    Y2 = (M * (S - X2) - 8 * YY * YY) % P
     Z2 = (2 * Y * Z) % P
     return (X2, Y2, Z2)
 

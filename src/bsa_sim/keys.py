@@ -16,6 +16,30 @@ Two interchangeable backends sit behind the same sign/verify interface:
 Verification dispatches on signature length, so call sites never need to
 know which backend produced a signature.
 
+Memoisation
+-----------
+Every party re-checks what it relies on: the ledger checks witnesses at
+admission and again in each mining pass, and every oracle re-derives the
+instance addresses and re-verifies the pre-signed transactions.  Those
+checks stay, but the pure functions under them are memoised in bounded
+LRU caches, so a repeated check costs a lookup:
+
+* Schnorr verification (``VERIFY_CACHE_SIZE`` entries), keyed by the full
+  ``(public, digest, sig)`` triple.  The result depends on nothing else,
+  so both outcomes are cached; a changed digest, key or signature byte is
+  a different key and is checked afresh.  This is how Bitcoin Core's
+  signature cache works.
+* ``build_protocol_addresses`` (``ADDRESS_CACHE_SIZE`` entries), keyed by
+  the frozen ``TweakData``.  The returned addresses are frozen, so
+  callers can share them.
+
+``MockScheme.verify`` is not cached: it reads the process-wide table of
+generated keys, so a signature for a key that does not exist yet fails
+and passes once the key is created.  Both schemes sign with a
+``Keypair``; Schnorr signing reads the public key from it rather than
+recomputing ``secret * G``, so a signature costs one scalar
+multiplication, not two.
+
 Addresses
 ---------
 Each instance derives four script addresses (vault, unbond timelock,
@@ -31,6 +55,7 @@ from __future__ import annotations
 import hashlib
 import hmac as hmac_mod
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .curve import (
     N,
@@ -76,6 +101,28 @@ class Keypair:
         return self.public.compressed().hex()
 
 
+VERIFY_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=VERIFY_CACHE_SIZE)
+def _schnorr_verify(public: Point, digest: bytes, sig: bytes) -> bool:
+    if len(sig) != 65:
+        return False
+    try:
+        r_point = decode_point(sig[:33])
+    except Exception:
+        return False
+    s = int.from_bytes(sig[33:], "big")
+    if s >= N:
+        return False
+    e = int.from_bytes(
+        _sha(b"challenge" + sig[:33] + public.compressed() + digest), "big"
+    ) % N
+    # s*G == R + e*P  =>  R == s*G - e*P
+    check = point_add(generator_mul(s), point_mul(public, N - e))
+    return check is not None and check == r_point
+
+
 class SchnorrScheme:
     name = "schnorr"
 
@@ -93,7 +140,8 @@ class SchnorrScheme:
             raise InvalidScalar("secret out of range")
         return Keypair(secret, generator_mul(secret), self.name)
 
-    def sign(self, secret: int, digest: bytes) -> bytes:
+    def sign(self, keypair: Keypair, digest: bytes) -> bytes:
+        secret = keypair.secret
         if not (0 < secret < N):
             raise InvalidScalar("secret out of range")
         sk_bytes = secret.to_bytes(32, "big")
@@ -104,29 +152,14 @@ class SchnorrScheme:
                 break
             counter += 1
         r_point = generator_mul(k)
-        public = generator_mul(secret)
         e = int.from_bytes(
-            _sha(b"challenge" + r_point.compressed() + public.compressed() + digest), "big"
+            _sha(b"challenge" + r_point.compressed() + keypair.public.compressed() + digest), "big"
         ) % N
         s = (k + e * secret) % N
         return r_point.compressed() + s.to_bytes(32, "big")
 
     def verify(self, public: Point, digest: bytes, sig: bytes) -> bool:
-        if len(sig) != 65:
-            return False
-        try:
-            r_point = decode_point(sig[:33])
-        except Exception:
-            return False
-        s = int.from_bytes(sig[33:], "big")
-        if s >= N:
-            return False
-        e = int.from_bytes(
-            _sha(b"challenge" + sig[:33] + public.compressed() + digest), "big"
-        ) % N
-        # s*G == R + e*P  =>  R == s*G - e*P
-        check = point_add(generator_mul(s), point_mul(public, N - e))
-        return check is not None and check == r_point
+        return _schnorr_verify(public, digest, sig)
 
 
 class MockScheme:
@@ -156,7 +189,8 @@ class MockScheme:
         MockScheme._registry[public] = secret
         return Keypair(secret, public, self.name)
 
-    def sign(self, secret: int, digest: bytes) -> bytes:
+    def sign(self, keypair: Keypair, digest: bytes) -> bytes:
+        secret = keypair.secret
         if not (0 < secret < N):
             raise InvalidScalar("secret out of range")
         return hmac_mod.new(secret.to_bytes(32, "big"), b"mocksig" + digest, hashlib.sha256).digest()
@@ -181,7 +215,7 @@ def get_scheme(name: str):
 
 
 def sign_digest(keypair: Keypair, digest: bytes) -> bytes:
-    return SCHEMES[keypair.scheme].sign(keypair.secret, digest)
+    return SCHEMES[keypair.scheme].sign(keypair, digest)
 
 
 def verify_signature(public: Point, digest: bytes, sig: bytes) -> bool:
@@ -398,6 +432,10 @@ class InstanceAddresses:
         return (self.va, self.uta, self.uca, self.rca)
 
 
+ADDRESS_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=ADDRESS_CACHE_SIZE)
 def build_protocol_addresses(tweak_data: TweakData) -> InstanceAddresses:
     """Derive the four per-instance script addresses.
 

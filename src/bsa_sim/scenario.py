@@ -33,13 +33,15 @@ smallest valid file is empty.  Example:
     leak = false
 
 Unlisted oracles are honest; ``n_oracles`` in [params] sets how many
-exist (default 3).
+exist (default 3).  An unknown section or key is a ``ScenarioError``
+naming it, so a misspelt key cannot silently fall back to its default.
 """
 
 from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from .actors import DepositorBehavior, OperatorBehavior, OracleBehavior
 
@@ -124,6 +126,7 @@ def _keys(convert, *keys: str) -> dict:
 
 
 # Per section: key -> (attribute it sets, converter of the text value).
+_SCENARIO = _keys(str, "name")
 _PARAMS = {
     **_keys(
         int, "t1", "t2", "t3", "slots_per_block", "t_op_blocks", "margin_blocks",
@@ -152,24 +155,31 @@ _ORACLE = {
     "refuse": ("refuse_resolutions", _bool),
     "leak": ("leak_secret", _bool),
 }
+_EXPECT = _keys(_bool, "depositor_safe", "operator_safe", "protocol_safe")
 
 
-def _value(section: configparser.SectionProxy, key: str, convert):
-    try:
-        return convert(section[key])
-    except (ValueError, ScenarioError) as exc:
-        raise ScenarioError(f"[{section.name}] {key} = {section[key]!r}: {exc}") from exc
+def _reject_unknown_sections(parser: configparser.ConfigParser) -> None:
+    if parser.defaults():
+        raise ScenarioError("[DEFAULT]: unknown section")
+    known = ("scenario", "params", "deposit", "depositor", "operator", "expect")
+    for name in parser.sections():
+        if name not in known and not name.startswith("oracle."):
+            raise ScenarioError(f"[{name}]: unknown section")
 
 
 def _apply(target, parser: configparser.ConfigParser, name: str, table: dict) -> None:
-    """Set ``target``'s attributes from the keys of section ``name``
-    that ``table`` lists."""
+    """Set ``target``'s attributes from the keys of section ``name``;
+    a key that ``table`` does not list is a ``ScenarioError``."""
     if not parser.has_section(name):
         return
-    section = parser[name]
-    for key, (attr, convert) in table.items():
-        if key in section:
-            setattr(target, attr, _value(section, key, convert))
+    for key, text in parser[name].items():
+        if key not in table:
+            raise ScenarioError(f"[{name}] {key}: unknown key")
+        attr, convert = table[key]
+        try:
+            setattr(target, attr, convert(text))
+        except (ValueError, ScenarioError) as exc:
+            raise ScenarioError(f"[{name}] {key} = {text!r}: {exc}") from exc
 
 
 def _oracle_number(section: str) -> int:
@@ -186,8 +196,10 @@ def parse_scenario(text: str) -> ScenarioConfig:
     except configparser.Error as exc:
         raise ScenarioError(f"bad scenario file: {exc}") from exc
 
+    _reject_unknown_sections(parser)
+
     config = ScenarioConfig()
-    _apply(config, parser, "scenario", {"name": ("name", str)})
+    _apply(config, parser, "scenario", _SCENARIO)
     _apply(config, parser, "params", _PARAMS)
     _apply(config, parser, "deposit", _DEPOSIT)
     if not config.amounts or any(a <= 0 for a in config.amounts):
@@ -211,11 +223,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
         config.n_oracles = max(config.n_oracles, len(oracles))
 
     if parser.has_section("expect"):
-        e = parser["expect"]
-        config.expected_verdicts = tuple(
-            _value(e, key, _bool) if key in e else True
-            for key in ("depositor_safe", "operator_safe", "protocol_safe")
-        )
+        verdicts = SimpleNamespace(**dict.fromkeys(_EXPECT, True))
+        _apply(verdicts, parser, "expect", _EXPECT)
+        config.expected_verdicts = tuple(getattr(verdicts, key) for key in _EXPECT)
 
     config.__post_init__()
     return config

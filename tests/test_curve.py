@@ -135,6 +135,19 @@ def test_decode_rejects_garbage():
         decode_point(b"\x02" + b"\x00" * 31)
 
 
+def test_decode_point_memo_keeps_raising_and_keys_on_every_byte():
+    pt = generator_mul(7)
+    good = pt.compressed()
+    flipped_parity = bytes([good[0] ^ 1]) + good[1:]
+    bad = [b"\x02" + (5).to_bytes(32, "big"), b"\x04" + good[1:], good[:-1]]
+    for _ in range(3):  # later passes hit the memo for the good encodings
+        assert decode_point(good) == pt
+        assert decode_point(flipped_parity) == Point(pt.x, P - pt.y)
+        for data in bad:
+            with pytest.raises(CurveError):
+                decode_point(data)
+
+
 def test_unspendable_base_is_hash_of_generator():
     # The internal-key base must be the curve lift of sha256 over the
     # uncompressed generator encoding: verifiably not a chosen key.

@@ -74,6 +74,10 @@ def test_parse_rejections():
         ("[params]\nfee_steps = 6-4\n", "[params] fee_steps"),
         ("[params]\nt1 = six\n", "[params] t1"),
         ("[oracle.x]\nrefuse = no\n", "[oracle.x]"),
+        ("[depositor]\nexit_att = 10\n", "[depositor] exit_att"),
+        ("[depositer]\nexit_at = 10\n", "[depositer]"),
+        ("[expect]\nsafe = yes\n", "[expect] safe"),
+        ("[DEFAULT]\nt1 = 6\n", "[DEFAULT]"),
     ]:
         with pytest.raises(ScenarioError, match=re.escape(where)):
             parse_scenario(text)

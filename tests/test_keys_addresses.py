@@ -19,6 +19,7 @@ from bsa_sim.keys import (
     SpendPath,
     TweakData,
     TwoOfTwo,
+    _schnorr_verify,
     build_protocol_addresses,
     derive_nums_point,
     get_scheme,
@@ -118,6 +119,52 @@ def test_verification_dispatches_on_signature_length():
     assert len(schnorr_sig) != len(mock_sig)
     assert not verify_signature(schnorr.public, digest, mock_sig)
     assert not verify_signature(mock.public, digest, schnorr_sig)
+
+
+def test_cached_schnorr_verdict_covers_only_its_own_triple():
+    scheme = SchnorrScheme()
+    kp = scheme.keypair_from_seed(b"memo-signer")
+    other = scheme.keypair_from_seed(b"memo-other")
+    digest = sha(b"memo message")
+    sig = sign_digest(kp, digest)
+    assert verify_signature(kp.public, digest, sig)
+    hits = _schnorr_verify.cache_info().hits
+    assert verify_signature(kp.public, digest, sig)
+    assert _schnorr_verify.cache_info().hits == hits + 1
+    for _ in range(2):  # the second pass is answered from the memo
+        assert not verify_signature(kp.public, sha(b"other message"), sig)
+        assert not verify_signature(other.public, digest, sig)
+        for i in (0, 1, 32, 33, 64):
+            flipped = sig[:i] + bytes([sig[i] ^ 1]) + sig[i + 1:]
+            assert not verify_signature(kp.public, digest, flipped)
+
+
+def test_mock_verification_is_not_memoised():
+    scheme = MockScheme()
+    kp = scheme.keypair_from_seed(b"mock-late-key")
+    digest = sha(b"late")
+    sig = sign_digest(kp, digest)
+    # Forget the key, as if it had not been created yet.
+    del MockScheme._registry[kp.public]
+    assert not verify_signature(kp.public, digest, sig)
+    scheme.keypair_from_secret(kp.secret)
+    assert verify_signature(kp.public, digest, sig)
+
+
+def test_signatures_match_fixed_vectors():
+    # Deterministic nonces make signatures reproducible; these bytes pin
+    # both schemes' signing against any change in how a signature is made.
+    expected = {
+        "schnorr": "03561cf0f6b5f703afaef9dc306927d59b67283a299e94f6a625827990d40e95ac"
+                   "1afd0bf5d2a0fc932e7ed224cd2d63c6b5e67df3c02a3b8acf359de02f829da7",
+        "mock": "618f7a3d09f7249d40a4c460bcbe65242d0d4c41868109d1e09eccd061c6e638",
+    }
+    for name, sig_hex in expected.items():
+        kp = get_scheme(name).keypair_from_seed(b"signing-vector")
+        digest = sha(b"signing vector")
+        sig = sign_digest(kp, digest)
+        assert sig.hex() == sig_hex
+        assert verify_signature(kp.public, digest, sig)
 
 
 def test_get_scheme():
@@ -271,6 +318,17 @@ def test_any_field_change_moves_all_four_addresses():
     for variant in field_variants(td, rng):
         changed = address_ids(variant)
         assert all(a != b for a, b in zip(base, changed))
+
+
+def test_address_memo_keys_on_tweak_data_value():
+    td = make_tweak_data("memo")
+    twin = make_tweak_data("memo")
+    assert twin == td and twin is not td
+    base = build_protocol_addresses(td)
+    assert build_protocol_addresses(twin) == base
+    for variant in field_variants(td, random.Random(7)):
+        assert build_protocol_addresses(variant) != base
+        assert build_protocol_addresses(td) == base
 
 
 def test_addresses_stable_across_processes():
