@@ -20,7 +20,7 @@ from .harness import (
     run_matrix,
     run_scenario,
 )
-from .keys import build_protocol_addresses, get_scheme
+from .keys import build_protocol_addresses
 from .psbt import (
     ProtocolInstance,
     PsbtTemplate,
@@ -49,7 +49,6 @@ __all__ = [
     "build_world",
     "challenge_uptime_bound",
     "compute_verdicts",
-    "get_scheme",
     "load_scenario",
     "parse_scenario",
     "required_uptime",

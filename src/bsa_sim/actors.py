@@ -20,12 +20,12 @@ Money handling conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arbitration import ArbitrationOracle, Rejection, StaleCheckpoint
 from .chain import BtcChain, Outpoint, SighashFlag, SimTx, TxInput, TxOutput, TxRejected, Utxo
 from .destchain import DestChain, TO_SIGNER, sign_checkpoint
-from .keys import Keypair, key_address_id, sign_digest
+from .keys import Keypair, sign_digest
 from .psbt import (
     ProtocolInstance,
     PsbtTemplate,
@@ -57,20 +57,10 @@ def carve_fee_utxo(chain: BtcChain, keypair: Keypair, amount: int) -> Utxo | Non
     splitting one of its confirmed outputs.  The carving parent sits in
     the mempool, so a child appended in the same tick confirms with it."""
     address_id = chain.ensure_key_address(keypair.public)
-    rate = chain.fee_schedule.rate_at(chain.height + 1)
-    parent_fee = rate * 3
-    for utxo in spendable_utxos(chain, address_id):
-        if utxo.value < amount + parent_fee:
-            continue
-        outputs = [TxOutput(address_id, amount)]
-        change = utxo.value - amount - parent_fee
-        if change > 0:
-            outputs.append(TxOutput(address_id, change))
-        parent = SimTx(inputs=[TxInput(utxo.outpoint, "key", SighashFlag.ALL)], outputs=outputs)
-        parent.inputs[0].witness = [sign_digest(keypair, parent.sighash(0))]
-        chain.submit_tx(parent)
-        return Utxo(Outpoint(parent.txid, 0), amount, address_id, chain.height)
-    return None
+    parent = send_btc(chain, keypair, address_id, amount)
+    if parent is None:
+        return None
+    return Utxo(Outpoint(parent.txid, 0), amount, address_id, chain.height)
 
 
 def send_btc(

@@ -48,8 +48,9 @@ from .keys import (
     Keypair,
     TweakData,
     build_protocol_addresses,
-    get_scheme,
     key_address_id,
+    keypair_from_secret,
+    keypair_from_seed,
 )
 from .psbt import (
     PsbtTemplate,
@@ -165,7 +166,6 @@ class ArbitrationOracle:
         authority: MockAttestationAuthority,
         kms: MockKms,
         seed: bytes,
-        scheme: str = "schnorr",
         default_wsp: int = DEFAULT_WSP_SLOTS,
         base_fee_rate: int = 1,
         anchor_value: int = 330,
@@ -175,7 +175,6 @@ class ArbitrationOracle:
         self.authority = authority
         self.kms = kms
         self.seed = seed
-        self.scheme = scheme
         self.default_wsp = default_wsp
         self.base_fee_rate = base_fee_rate
         self.anchor_value = anchor_value
@@ -194,7 +193,7 @@ class ArbitrationOracle:
     def key_init(self) -> Keypair:
         """Generate the oracle identity inside the enclave and wrap the
         secret under a policy bound to the image signer."""
-        self.keypair = get_scheme(self.scheme).keypair_from_seed(self.seed)
+        self.keypair = keypair_from_seed(self.seed)
         self.key_id = self.kms.create_key(required_pcr8=self.image.pcr8)
         self.encrypted_secret = self.kms.encrypt(
             self.key_id, self.keypair.secret.to_bytes(32, "big")
@@ -230,9 +229,7 @@ class ArbitrationOracle:
         secret_bytes = self.kms.decrypt(
             self.key_id, self.encrypted_secret, att, self.authority.public
         )
-        self.keypair = get_scheme(self.scheme).keypair_from_secret(
-            int.from_bytes(secret_bytes, "big")
-        )
+        self.keypair = keypair_from_secret(int.from_bytes(secret_bytes, "big"))
         return self.keypair
 
     # -- light client -------------------------------------------------------

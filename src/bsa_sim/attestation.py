@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .keys import Keypair, Point, get_scheme, sign_digest, verify_signature
+from .keys import Point, keypair_from_seed, sign_digest, verify_signature
 
 
 class AttestationError(Exception):
@@ -82,8 +82,8 @@ class MockAttestationAuthority:
     """Stands in for the platform attestation PKI: one root keypair whose
     signature every simulated party trusts."""
 
-    def __init__(self, seed: bytes = b"attestation-authority", scheme: str = "schnorr"):
-        self.keypair = get_scheme(scheme).keypair_from_seed(seed)
+    def __init__(self, seed: bytes = b"attestation-authority"):
+        self.keypair = keypair_from_seed(seed)
 
     @property
     def public(self) -> Point:

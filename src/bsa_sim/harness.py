@@ -44,7 +44,7 @@ from .arbitration import ArbitrationOracle
 from .attestation import EnclaveImage, MockAttestationAuthority, MockKms
 from .chain import BtcChain, FeeSchedule, Outpoint
 from .destchain import DestChain, TO_SIGNER, WspSchedule, sign_checkpoint
-from .keys import get_scheme, sign_digest
+from .keys import keypair_from_seed, sign_digest
 from .psbt import AoIdentity, VerificationFailed, run_setup_ceremony
 from .registry import Registry, UtxoStatus
 from .scenario import ScenarioConfig
@@ -76,9 +76,8 @@ def build_world(config: ScenarioConfig, sar_tamper=None) -> World:
     """Assemble chain, destination chain, registry, a registered oracle
     version, funded wallets, synced oracles, and actors, and run the
     deposit setup ceremony."""
-    scheme = get_scheme(config.signature_scheme)
     chain = BtcChain(FeeSchedule(config.fee_base, list(config.fee_steps)))
-    to_keypair = scheme.keypair_from_seed(b"operator")
+    to_keypair = keypair_from_seed(b"operator")
     registry = Registry(
         t1=config.t1,
         t2=config.t2,
@@ -91,7 +90,7 @@ def build_world(config: ScenarioConfig, sar_tamper=None) -> World:
         finality_interval=config.finality_interval,
         wsp_schedule=WspSchedule(base=config.wsp_slots),
     )
-    authority = MockAttestationAuthority(scheme=config.signature_scheme)
+    authority = MockAttestationAuthority()
     kms = MockKms()
     image = EnclaveImage(
         code_id=b"arbiter-v1", config=b"standard", signer_cert=b"oracle-vendor"
@@ -111,7 +110,6 @@ def build_world(config: ScenarioConfig, sar_tamper=None) -> World:
             authority=authority,
             kms=kms,
             seed=f"oracle-seed-{i}".encode(),
-            scheme=config.signature_scheme,
             default_wsp=config.wsp_slots,
             base_fee_rate=config.fee_base,
         )
@@ -119,7 +117,7 @@ def build_world(config: ScenarioConfig, sar_tamper=None) -> World:
         oracle.sync(dest, sign_checkpoint(dest.latest_finalized(), to_keypair, TO_SIGNER))
         oracle_actors.append(OracleActor(oracle.name, oracle, behavior))
 
-    dep_keypair = scheme.keypair_from_seed(b"depositor-" + config.owner.encode())
+    dep_keypair = keypair_from_seed(b"depositor-" + config.owner.encode())
     dep_address = chain.ensure_key_address(dep_keypair.public)
     to_address = chain.ensure_key_address(to_keypair.public)
     funding_margin = 4 * config.fee_base
@@ -217,14 +215,14 @@ def _deposit_index(instance, outpoint: str) -> int | None:
 
 
 def _deposit_attacked(config: ScenarioConfig, index: int | None) -> bool:
-    """True when the scripted depositor behavior makes this deposit's
-    owner dishonest for grading purposes."""
+    """True when the scripted depositor exits this deposit dishonestly
+    (see ``depositor_honest``), so its owner is not graded as honest."""
     b = config.depositor
-    if b.exit_at is None:
-        return False
-    if b.burn_before_exit and not b.use_leaked_key:
-        return False
-    return b.exit_deposit_index is None or b.exit_deposit_index == index
+    return (
+        b.exit_at is not None
+        and not depositor_honest(b)
+        and (b.exit_deposit_index is None or b.exit_deposit_index == index)
+    )
 
 
 def compute_verdicts(world: World, config: ScenarioConfig) -> Verdicts:

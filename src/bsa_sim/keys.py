@@ -1,20 +1,12 @@
 """Keys, signatures, provably unspendable internal keys, and the four
 script addresses every protocol instance derives from its parameters.
 
-Signature backends
-------------------
-Two interchangeable backends sit behind the same sign/verify interface:
-
-* ``SchnorrScheme`` -- deterministic Schnorr-style signatures over
-  secp256k1 (nonce derived from the secret and digest, 65-byte
-  signature = compressed R point plus s scalar).
-* ``MockScheme`` -- a keyed-hash signature for fast property tests.  The
-  scheme keeps an in-process table of public points it generated so that
-  verification can recompute the MAC; any (point, digest, sig) triple it
-  did not produce fails verification.
-
-Verification dispatches on signature length, so call sites never need to
-know which backend produced a signature.
+Signatures
+----------
+Deterministic Schnorr-style signatures over secp256k1, in the spirit of
+BIP-340: the nonce is derived from the secret and the digest, and a
+65-byte signature is the compressed R point plus the s scalar.  Every
+run, test and benchmark signs and verifies with this one scheme.
 
 Memoisation
 -----------
@@ -24,7 +16,7 @@ instance addresses and re-verifies the pre-signed transactions.  Those
 checks stay, but the pure functions under them are memoised in bounded
 LRU caches, so a repeated check costs a lookup:
 
-* Schnorr verification (``VERIFY_CACHE_SIZE`` entries), keyed by the full
+* ``verify_signature`` (``VERIFY_CACHE_SIZE`` entries), keyed by the full
   ``(public, digest, sig)`` triple.  The result depends on nothing else,
   so both outcomes are cached; a changed digest, key or signature byte is
   a different key and is checked afresh.  This is how Bitcoin Core's
@@ -33,10 +25,7 @@ LRU caches, so a repeated check costs a lookup:
   the frozen ``TweakData``.  The returned addresses are frozen, so
   callers can share them.
 
-``MockScheme.verify`` is not cached: it reads the process-wide table of
-generated keys, so a signature for a key that does not exist yet fails
-and passes once the key is created.  Both schemes sign with a
-``Keypair``; Schnorr signing reads the public key from it rather than
+Signing reads the public key from the ``Keypair`` rather than
 recomputing ``secret * G``, so a signature costs one scalar
 multiplication, not two.
 
@@ -53,18 +42,15 @@ targets a named script leaf.
 from __future__ import annotations
 
 import hashlib
-import hmac as hmac_mod
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .curve import (
     N,
     NUMS_BASE,
-    P,
     Point,
     decode_point,
     generator_mul,
-    lift_x,
     point_add,
     point_mul,
 )
@@ -87,25 +73,59 @@ def _encode_bytes(data: bytes) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# signature backends
+# signatures
 
 
 @dataclass(frozen=True)
 class Keypair:
     secret: int
     public: Point
-    scheme: str  # "schnorr" | "mock"
 
     @property
     def public_hex(self) -> str:
         return self.public.compressed().hex()
 
 
+def keypair_from_seed(seed: bytes) -> Keypair:
+    counter = 0
+    while True:
+        secret = int.from_bytes(_sha(b"seckey" + seed + bytes([counter])), "big") % N
+        if secret != 0:
+            break
+        counter += 1
+    return Keypair(secret, generator_mul(secret))
+
+
+def keypair_from_secret(secret: int) -> Keypair:
+    if not (0 < secret < N):
+        raise InvalidScalar("secret out of range")
+    return Keypair(secret, generator_mul(secret))
+
+
+def sign_digest(keypair: Keypair, digest: bytes) -> bytes:
+    secret = keypair.secret
+    if not (0 < secret < N):
+        raise InvalidScalar("secret out of range")
+    sk_bytes = secret.to_bytes(32, "big")
+    counter = 0
+    while True:
+        k = int.from_bytes(_sha(b"nonce" + sk_bytes + digest + bytes([counter])), "big") % N
+        if k != 0:
+            break
+        counter += 1
+    r_point = generator_mul(k)
+    e = int.from_bytes(
+        _sha(b"challenge" + r_point.compressed() + keypair.public.compressed() + digest), "big"
+    ) % N
+    s = (k + e * secret) % N
+    return r_point.compressed() + s.to_bytes(32, "big")
+
+
 VERIFY_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=VERIFY_CACHE_SIZE)
-def _schnorr_verify(public: Point, digest: bytes, sig: bytes) -> bool:
+def verify_signature(public: Point, digest: bytes, sig: bytes) -> bool:
     if len(sig) != 65:
         return False
     try:
@@ -121,110 +141,6 @@ def _schnorr_verify(public: Point, digest: bytes, sig: bytes) -> bool:
     # s*G == R + e*P  =>  R == s*G - e*P
     check = point_add(generator_mul(s), point_mul(public, N - e))
     return check is not None and check == r_point
-
-
-class SchnorrScheme:
-    name = "schnorr"
-
-    def keypair_from_seed(self, seed: bytes) -> Keypair:
-        counter = 0
-        while True:
-            secret = int.from_bytes(_sha(b"seckey" + seed + bytes([counter])), "big") % N
-            if secret != 0:
-                break
-            counter += 1
-        return Keypair(secret, generator_mul(secret), self.name)
-
-    def keypair_from_secret(self, secret: int) -> Keypair:
-        if not (0 < secret < N):
-            raise InvalidScalar("secret out of range")
-        return Keypair(secret, generator_mul(secret), self.name)
-
-    def sign(self, keypair: Keypair, digest: bytes) -> bytes:
-        secret = keypair.secret
-        if not (0 < secret < N):
-            raise InvalidScalar("secret out of range")
-        sk_bytes = secret.to_bytes(32, "big")
-        counter = 0
-        while True:
-            k = int.from_bytes(_sha(b"nonce" + sk_bytes + digest + bytes([counter])), "big") % N
-            if k != 0:
-                break
-            counter += 1
-        r_point = generator_mul(k)
-        e = int.from_bytes(
-            _sha(b"challenge" + r_point.compressed() + keypair.public.compressed() + digest), "big"
-        ) % N
-        s = (k + e * secret) % N
-        return r_point.compressed() + s.to_bytes(32, "big")
-
-    def verify(self, public: Point, digest: bytes, sig: bytes) -> bool:
-        return _schnorr_verify(public, digest, sig)
-
-
-class MockScheme:
-    name = "mock"
-
-    # public point -> secret, filled at keypair generation so that verify
-    # can recompute the MAC without the caller holding the secret
-    _registry: dict[Point, int] = {}
-
-    def keypair_from_seed(self, seed: bytes) -> Keypair:
-        secret = int.from_bytes(_sha(b"mocksec" + seed), "big") % N or 1
-        return self.keypair_from_secret(secret)
-
-    def keypair_from_secret(self, secret: int) -> Keypair:
-        if not (0 < secret < N):
-            raise InvalidScalar("secret out of range")
-        counter = 0
-        while True:
-            x = int.from_bytes(
-                _sha(b"mockpub" + secret.to_bytes(32, "big") + bytes([counter])), "big"
-            ) % P
-            try:
-                public = lift_x(x)
-                break
-            except Exception:
-                counter += 1
-        MockScheme._registry[public] = secret
-        return Keypair(secret, public, self.name)
-
-    def sign(self, keypair: Keypair, digest: bytes) -> bytes:
-        secret = keypair.secret
-        if not (0 < secret < N):
-            raise InvalidScalar("secret out of range")
-        return hmac_mod.new(secret.to_bytes(32, "big"), b"mocksig" + digest, hashlib.sha256).digest()
-
-    def verify(self, public: Point, digest: bytes, sig: bytes) -> bool:
-        if len(sig) != 32:
-            return False
-        secret = MockScheme._registry.get(public)
-        if secret is None:
-            return False
-        expected = hmac_mod.new(
-            secret.to_bytes(32, "big"), b"mocksig" + digest, hashlib.sha256
-        ).digest()
-        return hmac_mod.compare_digest(expected, sig)
-
-
-SCHEMES = {"schnorr": SchnorrScheme(), "mock": MockScheme()}
-
-
-def get_scheme(name: str):
-    return SCHEMES[name]
-
-
-def sign_digest(keypair: Keypair, digest: bytes) -> bytes:
-    return SCHEMES[keypair.scheme].sign(keypair, digest)
-
-
-def verify_signature(public: Point, digest: bytes, sig: bytes) -> bool:
-    """Backend-agnostic verification; dispatches on signature length."""
-    if len(sig) == 65:
-        return SCHEMES["schnorr"].verify(public, digest, sig)
-    if len(sig) == 32:
-        return SCHEMES["mock"].verify(public, digest, sig)
-    return False
 
 
 # ---------------------------------------------------------------------------

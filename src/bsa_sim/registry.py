@@ -92,6 +92,12 @@ _ALLOWED_TRANSITIONS = {
 REQUIRED_PSBT_SLOTS = ("unbond_request", "unbond_resolve", "rebalance_resolve")
 
 
+def _require_psbts(record: UtxoRecord) -> None:
+    missing = [slot for slot in REQUIRED_PSBT_SLOTS if slot not in record.psbts]
+    if missing:
+        raise MissingPsbt(", ".join(missing))
+
+
 @dataclass
 class UtxoRecord:
     outpoint: str  # "txid:index"
@@ -259,9 +265,7 @@ class Registry:
             raise DuplicateOutpoint(record.outpoint)
         if record.status is not UtxoStatus.REGISTERED:
             raise UnauthorizedTransition("new records start as Registered")
-        missing = [slot for slot in REQUIRED_PSBT_SLOTS if slot not in record.psbts]
-        if missing:
-            raise MissingPsbt(", ".join(missing))
+        _require_psbts(record)
         if record.tweak_digest not in self.tweaks:
             raise UnknownRecord("tweak data must be stored before registering")
         record.rebalance_position = self._next_position(record.owner)
@@ -414,7 +418,9 @@ class Registry:
     ) -> None:
         """Replace one active record with records for its split parts
         (cooperative rebalance).  Minted supply is untouched: the deposit
-        merely changed outpoints, so the new records activate directly."""
+        merely changed outpoints, so the new records activate directly.
+        Every new record is checked before anything changes, so a
+        rejected resplit leaves the registry as it was."""
         if caller != "to":
             raise NotTO(caller)
         old = self.get_record(old_outpoint)
@@ -424,14 +430,16 @@ class Registry:
             raise UnauthorizedTransition("no pending cooperative rebalance")
         if sum(r.amount for r in new_records) > old.amount:
             raise RegistryError("split exceeds the original amount")
+        added: set[str] = set()
+        for record in new_records:
+            outpoint = record.outpoint
+            if outpoint in added or (outpoint in self.records and outpoint != old_outpoint):
+                raise DuplicateOutpoint(outpoint)
+            _require_psbts(record)
+            added.add(outpoint)
         del self.records[old_outpoint]
         del self.collaborative_pending[old_outpoint]
         for record in new_records:
-            if record.outpoint in self.records:
-                raise DuplicateOutpoint(record.outpoint)
-            missing = [s for s in REQUIRED_PSBT_SLOTS if s not in record.psbts]
-            if missing:
-                raise MissingPsbt(", ".join(missing))
             record.status = UtxoStatus.ACTIVE
             record.rebalance_position = self._next_position(record.owner)
             self.records[record.outpoint] = record

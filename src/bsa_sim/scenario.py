@@ -64,7 +64,6 @@ class ScenarioConfig:
     fee_steps: list[tuple[int, int]] = field(default_factory=list)
     finality_interval: int = 32
     wsp_slots: int = 1344
-    signature_scheme: str = "schnorr"
     n_oracles: int = 3
     owner: str = "alice"
     amounts: list[int] = field(default_factory=lambda: [10_000])
@@ -133,7 +132,6 @@ _PARAMS = {
         "horizon_blocks", "fee_base", "finality_interval", "wsp_slots", "n_oracles",
         "fee_funds",
     ),
-    **_keys(str, "signature_scheme"),
     **_keys(_step_list, "fee_steps"),
     **_keys(_opt_int, "dest_halted_at"),
 }

@@ -37,7 +37,7 @@ from bsa_sim.harness import (
     run_scenario,
     trust_model_sweep,
 )
-from bsa_sim.keys import build_protocol_addresses, get_scheme, key_address_id
+from bsa_sim.keys import build_protocol_addresses, key_address_id, keypair_from_seed
 from bsa_sim.psbt import (
     PsbtTemplate,
     Transition,
@@ -49,8 +49,6 @@ from bsa_sim.psbt import (
 )
 from bsa_sim.registry import REQUIRED_PSBT_SLOTS, Registry, UtxoRecord, UtxoStatus
 from bsa_sim.scenario import DepositorBehavior
-
-MOCK = get_scheme("mock")
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -313,9 +311,9 @@ def test_c05_selection_exhaustive_and_over_seizure_repaid():
     exhaustive cumulative search, checked at every prefix-sum boundary
     (and its neighbours) plus a random interior delta. A full scripted
     run records the over-seizure and pays the claim out exactly."""
-    to = MOCK.keypair_from_seed(b"reg-to")
-    dep = MOCK.keypair_from_seed(b"reg-dep")
-    ao = MOCK.keypair_from_seed(b"reg-ao")
+    to = keypair_from_seed(b"reg-to")
+    dep = keypair_from_seed(b"reg-dep")
+    ao = keypair_from_seed(b"reg-ao")
     from bsa_sim.keys import TweakData
 
     tweak = TweakData(
@@ -349,7 +347,6 @@ def test_c05_selection_exhaustive_and_over_seizure_repaid():
     elapsed = time.monotonic() - start
 
     config = legitimate_rebalance_config()
-    config.signature_scheme = "mock"
     result = run_scenario(config)
     trace = result.trace
     marked = next(e for e in trace if e["action"] == "rebalance_marked")
@@ -578,7 +575,7 @@ def test_c09_output_mutation_invalidates_presignatures():
             held = inst.to_psbts[outpoint_str][held_slots[rng.randrange(2)]]
             psbt = PsbtTemplate.from_text(held.to_text())
         assert psbt.partial_sigs and verify_partial_sigs(psbt, inst.tweak_data)
-        attacker = key_address_id(MOCK.keypair_from_seed(rng.randbytes(8)).public)
+        attacker = key_address_id(keypair_from_seed(rng.randbytes(8)).public)
         outputs = list(psbt.outputs)
         idx = rng.randrange(len(outputs))
         if rng.random() < 0.75:

@@ -14,10 +14,8 @@ from bsa_sim.actors import (
 )
 from bsa_sim.chain import BtcChain, FeeSchedule, Outpoint
 from bsa_sim.harness import legitimate_rebalance_config, liquidation_spans, run_scenario
-from bsa_sim.keys import get_scheme
+from bsa_sim.keys import keypair_from_seed
 from bsa_sim.scenario import DepositorBehavior, OperatorBehavior, ScenarioConfig
-
-SCHEME = get_scheme("mock")
 
 
 # -- wallet helpers -----------------------------------------------------------
@@ -25,7 +23,7 @@ SCHEME = get_scheme("mock")
 
 def funded_chain(value=10_000):
     chain = BtcChain(FeeSchedule(1))
-    kp = SCHEME.keypair_from_seed(b"wallet")
+    kp = keypair_from_seed(b"wallet")
     addr = chain.ensure_key_address(kp.public)
     chain.seed_utxo(addr, value)
     return chain, kp, addr
@@ -47,7 +45,7 @@ def test_carve_fee_utxo_without_funds():
 
 def test_send_btc_with_change():
     chain, kp, addr = funded_chain()
-    other = chain.ensure_key_address(SCHEME.keypair_from_seed(b"other").public)
+    other = chain.ensure_key_address(keypair_from_seed(b"other").public)
     tx = send_btc(chain, kp, other, 1_000)
     assert tx is not None
     chain.mine_block()
@@ -59,7 +57,7 @@ def test_send_btc_with_change():
 def test_spendable_utxos_excludes_mempool_pending():
     chain, kp, addr = funded_chain()
     assert len(spendable_utxos(chain, addr)) == 1
-    other = chain.ensure_key_address(SCHEME.keypair_from_seed(b"other").public)
+    other = chain.ensure_key_address(keypair_from_seed(b"other").public)
     tx = send_btc(chain, kp, other, 1_000)
     assert spendable_utxos(chain, addr) == []
     found = spender_of(chain, tx.inputs[0].outpoint)
@@ -88,7 +86,6 @@ def conf_heights(world):
 def exit_config(**kw) -> ScenarioConfig:
     base = dict(
         name="exit-timing",
-        signature_scheme="mock",
         horizon_blocks=34,
         depositor=DepositorBehavior(exit_at=8),
     )
@@ -193,7 +190,6 @@ def test_legitimate_rebalance_liquidates_within_bound_and_repays():
 def test_false_rebalance_is_defended_by_oracles():
     config = ScenarioConfig(
         name="false-rebalance",
-        signature_scheme="mock",
         horizon_blocks=30,
         operator=OperatorBehavior(false_rebalance_at=10),
     )

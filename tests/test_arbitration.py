@@ -32,8 +32,8 @@ from bsa_sim.destchain import (
 from bsa_sim.keys import (
     TweakData,
     build_protocol_addresses,
-    get_scheme,
     key_address_id,
+    keypair_from_seed,
     sign_digest,
     verify_signature,
 )
@@ -47,7 +47,6 @@ from bsa_sim.psbt import (
 )
 from bsa_sim.registry import Registry, UtxoStatus
 
-SCHEME = get_scheme("mock")
 IMAGE = EnclaveImage(b"arbiter-v1", b"standard", b"oracle-vendor")
 
 ALL_STATUSES = (
@@ -62,8 +61,8 @@ ALL_STATUSES = (
 class ArbWorld:
     def __init__(self, n_oracles=2, t1=4, t2=6, t3=40, wsp=64, interval=4, version_expiry=4_000):
         self.chain = BtcChain(FeeSchedule(1))
-        self.dep = SCHEME.keypair_from_seed(b"arb-dep")
-        self.to = SCHEME.keypair_from_seed(b"arb-to")
+        self.dep = keypair_from_seed(b"arb-dep")
+        self.to = keypair_from_seed(b"arb-to")
         self.registry = Registry(t1, t2, t3, 1, self.to.public)
         self.dest = DestChain(self.registry, finality_interval=interval, wsp_schedule=WspSchedule(wsp))
         self.authority = MockAttestationAuthority()
@@ -77,7 +76,7 @@ class ArbWorld:
         for i in range(n_oracles):
             oracle = ArbitrationOracle(
                 f"ao-{i}", IMAGE, self.authority, self.kms,
-                seed=f"arb-ao-{i}".encode(), scheme="mock",
+                seed=f"arb-ao-{i}".encode(),
             )
             oracle.key_init()
             self.oracles.append(oracle)
@@ -272,7 +271,7 @@ def _wrong_path(tx: SimTx) -> SimTx:
 
 def rebalance_variants(world):
     valid = world.rebalance_request_tx()
-    attacker = key_address_id(SCHEME.keypair_from_seed(b"arb-thief").public)
+    attacker = key_address_id(keypair_from_seed(b"arb-thief").public)
     deposit = Outpoint(world.outpoint.rsplit(":", 1)[0], int(world.outpoint.rsplit(":", 1)[1]))
     return [
         ("valid", world.outpoint, valid),
@@ -320,7 +319,7 @@ def test_rebalance_version_gate_matches_reference(world):
 
 def unbond_variants(world):
     request, challenge = world.unbond_pair()
-    attacker = key_address_id(SCHEME.keypair_from_seed(b"arb-thief").public)
+    attacker = key_address_id(keypair_from_seed(b"arb-thief").public)
     deposit = Outpoint(world.outpoint.rsplit(":", 1)[0], int(world.outpoint.rsplit(":", 1)[1]))
     addrs = world.instance.addresses
 
@@ -381,7 +380,7 @@ def test_unbond_version_gate_matches_reference(world):
 
 def test_outside_oracle_is_rejected_at_the_record_gate(world):
     outsider = ArbitrationOracle(
-        "outsider", IMAGE, world.authority, world.kms, seed=b"arb-outsider", scheme="mock"
+        "outsider", IMAGE, world.authority, world.kms, seed=b"arb-outsider"
     )
     outsider.key_init()
     outsider.sync(world.dest, sign_checkpoint(world.dest.latest_finalized(), world.to, TO_SIGNER))
@@ -417,7 +416,7 @@ def test_resolution_requires_context_from_same_oracle(world):
 
 def test_unsynced_oracle_refuses_to_verify(world):
     fresh = ArbitrationOracle(
-        "fresh", IMAGE, world.authority, world.kms, seed=b"arb-fresh", scheme="mock"
+        "fresh", IMAGE, world.authority, world.kms, seed=b"arb-fresh"
     )
     fresh.key_init()
     assert not fresh.is_operational()

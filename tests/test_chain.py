@@ -24,21 +24,19 @@ from bsa_sim.chain import (
     verify_spend,
 )
 from bsa_sim.keys import (
-    MockScheme,
     ProtocolAddress,
     SingleAfterDelay,
     SpendPath,
     TwoOfTwo,
+    keypair_from_seed,
     sign_digest,
     taproot_output_key,
 )
 from bsa_sim.curve import generator_mul
 
-SCHEME = MockScheme()
-
 
 def keypair(name: str):
-    return SCHEME.keypair_from_seed(name.encode())
+    return keypair_from_seed(name.encode())
 
 
 def fresh_chain(base_rate=1, steps=()):

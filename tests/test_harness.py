@@ -1,6 +1,7 @@
 """End-to-end runs: scenario file parsing, the scripted failure matrix,
 determinism of traces, the ceremony walkthrough, and the CLI."""
 
+import dataclasses
 import json
 import pathlib
 import re
@@ -14,7 +15,16 @@ from bsa_sim.harness import (
     matrix_scenarios,
     run_scenario,
 )
-from bsa_sim.scenario import ScenarioError, load_scenario, parse_scenario
+from bsa_sim import scenario
+from bsa_sim.scenario import (
+    DepositorBehavior,
+    OperatorBehavior,
+    OracleBehavior,
+    ScenarioConfig,
+    ScenarioError,
+    load_scenario,
+    parse_scenario,
+)
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 SCENARIO_FILES = sorted(SCENARIO_DIR.glob("*.scn"))
@@ -78,9 +88,26 @@ def test_parse_rejections():
         ("[depositer]\nexit_at = 10\n", "[depositer]"),
         ("[expect]\nsafe = yes\n", "[expect] safe"),
         ("[DEFAULT]\nt1 = 6\n", "[DEFAULT]"),
+        ("[params]\nsignature_scheme = mock\n", "[params] signature_scheme"),
     ]:
         with pytest.raises(ScenarioError, match=re.escape(where)):
             parse_scenario(text)
+
+
+def test_parser_key_tables_cover_every_field():
+    def names(cls, *excluded):
+        return sorted(f.name for f in dataclasses.fields(cls) if f.name not in excluded)
+
+    def attributes(*tables):
+        return sorted(attr for table in tables for attr, _ in table.values())
+
+    nested = ("depositor", "operator", "oracles", "expected_verdicts")
+    assert attributes(scenario._SCENARIO, scenario._PARAMS, scenario._DEPOSIT) == names(
+        ScenarioConfig, *nested
+    )
+    assert attributes(scenario._DEPOSITOR) == names(DepositorBehavior)
+    assert attributes(scenario._OPERATOR) == names(OperatorBehavior)
+    assert attributes(scenario._ORACLE) == names(OracleBehavior)
 
 
 @pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: p.stem)
@@ -110,7 +137,6 @@ def test_matrix_row_catalog():
 
 def test_extra_scenarios_run_as_graded():
     for config in extra_scenarios():
-        config.signature_scheme = "mock"
         result = run_scenario(config)
         assert result.verdicts.triple() == config.expected_verdicts, (
             config.name,
@@ -122,7 +148,6 @@ def test_failed_verdicts_carry_reasons():
     config = next(
         c for c in matrix_scenarios() if c.name == "corrupted-operator-oracles-offline"
     )
-    config.signature_scheme = "mock"
     result = run_scenario(config)
     assert result.verdicts.triple() == (False, False, False)
     assert result.verdicts.reasons
@@ -132,7 +157,6 @@ def test_failed_verdicts_carry_reasons():
 def test_runs_are_deterministic():
     first = load_scenario(str(SCENARIO_DIR / "honest_exit.scn"))
     second = load_scenario(str(SCENARIO_DIR / "honest_exit.scn"))
-    first.signature_scheme = second.signature_scheme = "mock"
     a = run_scenario(first)
     b = run_scenario(second)
     c = run_scenario(second)  # same config object reused
@@ -168,7 +192,6 @@ def test_cli_run_graded_ok(capsys):
 def test_cli_run_mismatch_exits_nonzero(tmp_path, capsys):
     text = (SCENARIO_DIR / "honest_exit.scn").read_text()
     text = text.replace("protocol_safe = true", "protocol_safe = false")
-    text = text.replace("[params]", "[params]\nsignature_scheme = mock")
     path = tmp_path / "wrong.scn"
     path.write_text(text)
     code = main(["run", str(path)])
@@ -177,12 +200,8 @@ def test_cli_run_mismatch_exits_nonzero(tmp_path, capsys):
     assert "MISMATCH: expected Y/Y/N, got Y/Y/Y" in out
 
 
-def test_cli_run_trace_prints_json_lines(tmp_path, capsys):
-    text = (SCENARIO_DIR / "honest_exit.scn").read_text()
-    text = text.replace("[params]", "[params]\nsignature_scheme = mock")
-    path = tmp_path / "fast.scn"
-    path.write_text(text)
-    code = main(["run", "--trace", str(path)])
+def test_cli_run_trace_prints_json_lines(capsys):
+    code = main(["run", "--trace", str(SCENARIO_DIR / "honest_exit.scn")])
     out = capsys.readouterr().out
     assert code == 0
     events = [json.loads(line) for line in out.splitlines() if line.startswith("{")]

@@ -1,5 +1,5 @@
 """Address derivation checked against independent recomputation, plus
-signature backend behavior and frozen golden vectors."""
+signature behavior and frozen golden vectors."""
 
 import hashlib
 import itertools
@@ -12,18 +12,15 @@ from bsa_sim.curve import N, NUMS_BASE, generator_mul, point_add
 from bsa_sim.keys import (
     ADDRESS_KINDS,
     InvalidScalar,
-    Keypair,
-    MockScheme,
-    SchnorrScheme,
     SingleAfterDelay,
     SpendPath,
     TweakData,
     TwoOfTwo,
-    _schnorr_verify,
     build_protocol_addresses,
     derive_nums_point,
-    get_scheme,
     key_address_id,
+    keypair_from_secret,
+    keypair_from_seed,
     merkle_root,
     sign_digest,
     taproot_output_key,
@@ -38,13 +35,9 @@ def sha(data: bytes) -> bytes:
 
 
 def make_tweak_data(seed: str = "alpha", n_oracles: int = 3, t1: int = 6, t2: int = 10):
-    scheme = SchnorrScheme()
-    dep = scheme.keypair_from_seed(f"{seed}-dep".encode())
-    to = scheme.keypair_from_seed(f"{seed}-to".encode())
-    aos = tuple(
-        scheme.keypair_from_seed(f"{seed}-ao-{i}".encode()).public
-        for i in range(n_oracles)
-    )
+    dep = keypair_from_seed(f"{seed}-dep".encode())
+    to = keypair_from_seed(f"{seed}-to".encode())
+    aos = tuple(keypair_from_seed(f"{seed}-ao-{i}".encode()).public for i in range(n_oracles))
     return TweakData(
         dep_pk=dep.public,
         to_pk=to.public,
@@ -56,11 +49,11 @@ def make_tweak_data(seed: str = "alpha", n_oracles: int = 3, t1: int = 6, t2: in
     )
 
 
-# -- signature backends ------------------------------------------------------
+# -- signatures --------------------------------------------------------------
 
 
 def test_schnorr_round_trip():
-    kp = SchnorrScheme().keypair_from_seed(b"signer")
+    kp = keypair_from_seed(b"signer")
     digest = sha(b"message")
     sig = sign_digest(kp, digest)
     assert verify_signature(kp.public, digest, sig)
@@ -68,69 +61,50 @@ def test_schnorr_round_trip():
 
 
 def test_schnorr_rejects_wrong_key():
-    scheme = SchnorrScheme()
-    a = scheme.keypair_from_seed(b"a")
-    b = scheme.keypair_from_seed(b"b")
+    a = keypair_from_seed(b"a")
+    b = keypair_from_seed(b"b")
     digest = sha(b"payload")
     assert not verify_signature(b.public, digest, sign_digest(a, digest))
 
 
 def test_schnorr_deterministic():
-    scheme = SchnorrScheme()
-    kp = scheme.keypair_from_seed(b"det")
+    kp = keypair_from_seed(b"det")
     digest = sha(b"x")
     assert sign_digest(kp, digest) == sign_digest(kp, digest)
-    assert scheme.keypair_from_seed(b"det").secret == kp.secret
+    assert keypair_from_seed(b"det").secret == kp.secret
 
 
 def test_keypair_from_secret_matches_seed_derivation():
-    for scheme in (SchnorrScheme(), MockScheme()):
-        kp = scheme.keypair_from_seed(b"restore-me")
-        again = scheme.keypair_from_secret(kp.secret)
-        assert again.public == kp.public
-        digest = sha(b"still works")
-        assert verify_signature(again.public, digest, sign_digest(again, digest))
+    kp = keypair_from_seed(b"restore-me")
+    again = keypair_from_secret(kp.secret)
+    assert again.public == kp.public
+    digest = sha(b"still works")
+    assert verify_signature(again.public, digest, sign_digest(again, digest))
 
 
 def test_schnorr_rejects_out_of_range_secret():
     with pytest.raises(InvalidScalar):
-        SchnorrScheme().keypair_from_secret(0)
+        keypair_from_secret(0)
     with pytest.raises(InvalidScalar):
-        SchnorrScheme().keypair_from_secret(N)
+        keypair_from_secret(N)
 
 
-def test_mock_round_trip_and_foreign_signature():
-    scheme = MockScheme()
-    kp = scheme.keypair_from_seed(b"mock-signer")
-    digest = sha(b"hello")
+def test_short_signature_never_verifies():
+    kp = keypair_from_seed(b"s")
+    digest = sha(b"short")
     sig = sign_digest(kp, digest)
-    assert verify_signature(kp.public, digest, sig)
-    # a point the mock registry never produced cannot verify anything
-    stranger = SchnorrScheme().keypair_from_seed(b"stranger").public
-    assert not verify_signature(stranger, digest, sig)
-
-
-def test_verification_dispatches_on_signature_length():
-    digest = sha(b"dispatch")
-    schnorr = SchnorrScheme().keypair_from_seed(b"s")
-    mock = MockScheme().keypair_from_seed(b"m")
-    schnorr_sig = sign_digest(schnorr, digest)
-    mock_sig = sign_digest(mock, digest)
-    assert len(schnorr_sig) != len(mock_sig)
-    assert not verify_signature(schnorr.public, digest, mock_sig)
-    assert not verify_signature(mock.public, digest, schnorr_sig)
+    assert not verify_signature(kp.public, digest, sig[:32])
 
 
 def test_cached_schnorr_verdict_covers_only_its_own_triple():
-    scheme = SchnorrScheme()
-    kp = scheme.keypair_from_seed(b"memo-signer")
-    other = scheme.keypair_from_seed(b"memo-other")
+    kp = keypair_from_seed(b"memo-signer")
+    other = keypair_from_seed(b"memo-other")
     digest = sha(b"memo message")
     sig = sign_digest(kp, digest)
     assert verify_signature(kp.public, digest, sig)
-    hits = _schnorr_verify.cache_info().hits
+    hits = verify_signature.cache_info().hits
     assert verify_signature(kp.public, digest, sig)
-    assert _schnorr_verify.cache_info().hits == hits + 1
+    assert verify_signature.cache_info().hits == hits + 1
     for _ in range(2):  # the second pass is answered from the memo
         assert not verify_signature(kp.public, sha(b"other message"), sig)
         assert not verify_signature(other.public, digest, sig)
@@ -139,39 +113,18 @@ def test_cached_schnorr_verdict_covers_only_its_own_triple():
             assert not verify_signature(kp.public, digest, flipped)
 
 
-def test_mock_verification_is_not_memoised():
-    scheme = MockScheme()
-    kp = scheme.keypair_from_seed(b"mock-late-key")
-    digest = sha(b"late")
-    sig = sign_digest(kp, digest)
-    # Forget the key, as if it had not been created yet.
-    del MockScheme._registry[kp.public]
-    assert not verify_signature(kp.public, digest, sig)
-    scheme.keypair_from_secret(kp.secret)
-    assert verify_signature(kp.public, digest, sig)
-
-
 def test_signatures_match_fixed_vectors():
     # Deterministic nonces make signatures reproducible; these bytes pin
-    # both schemes' signing against any change in how a signature is made.
-    expected = {
-        "schnorr": "03561cf0f6b5f703afaef9dc306927d59b67283a299e94f6a625827990d40e95ac"
-                   "1afd0bf5d2a0fc932e7ed224cd2d63c6b5e67df3c02a3b8acf359de02f829da7",
-        "mock": "618f7a3d09f7249d40a4c460bcbe65242d0d4c41868109d1e09eccd061c6e638",
-    }
-    for name, sig_hex in expected.items():
-        kp = get_scheme(name).keypair_from_seed(b"signing-vector")
-        digest = sha(b"signing vector")
-        sig = sign_digest(kp, digest)
-        assert sig.hex() == sig_hex
-        assert verify_signature(kp.public, digest, sig)
-
-
-def test_get_scheme():
-    assert get_scheme("schnorr").name == "schnorr"
-    assert get_scheme("mock").name == "mock"
-    with pytest.raises(KeyError):
-        get_scheme("rsa")
+    # signing against any change in how a signature is made.
+    expected = (
+        "03561cf0f6b5f703afaef9dc306927d59b67283a299e94f6a625827990d40e95ac"
+        "1afd0bf5d2a0fc932e7ed224cd2d63c6b5e67df3c02a3b8acf359de02f829da7"
+    )
+    kp = keypair_from_seed(b"signing-vector")
+    digest = sha(b"signing vector")
+    sig = sign_digest(kp, digest)
+    assert sig.hex() == expected
+    assert verify_signature(kp.public, digest, sig)
 
 
 # -- internal key derivation -------------------------------------------------
@@ -210,7 +163,7 @@ def test_serialize_is_injective_on_field_order():
 
 
 def _leaves(n, seed="leaf"):
-    kp = SchnorrScheme().keypair_from_seed(seed.encode())
+    kp = keypair_from_seed(seed.encode())
     out = []
     for i in range(n):
         out.append(SpendPath(f"p{i}", SingleAfterDelay(kp.public, i + 1)))
@@ -288,8 +241,7 @@ def test_delay_leaves_carry_configured_timelocks():
 
 def field_variants(td: TweakData, rng: random.Random):
     """One changed copy of td per field."""
-    scheme = SchnorrScheme()
-    fresh = scheme.keypair_from_seed(rng.randbytes(16)).public
+    fresh = keypair_from_seed(rng.randbytes(16)).public
     yield TweakData(fresh, td.to_pk, td.ao_pks, td.t1, td.t2,
                     td.destination_chain_address, td.return_address)
     yield TweakData(td.dep_pk, fresh, td.ao_pks, td.t1, td.t2,

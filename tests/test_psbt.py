@@ -17,7 +17,7 @@ from bsa_sim.chain import (
     TxOutput,
     verify_spend,
 )
-from bsa_sim.keys import get_scheme, key_address_id
+from bsa_sim.keys import key_address_id, keypair_from_seed
 from bsa_sim.psbt import (
     AoIdentity,
     BadSplit,
@@ -45,7 +45,6 @@ from bsa_sim.psbt import (
 )
 from bsa_sim.registry import Registry, TimelockRelationViolated, UtxoStatus
 
-SCHEME = get_scheme("mock")
 IMAGE = EnclaveImage(b"arbiter-v1", b"standard", b"oracle-vendor")
 
 
@@ -57,10 +56,10 @@ def op(outpoint_str: str) -> Outpoint:
 class World:
     def __init__(self, amounts=(10_000,), n_oracles=2, t1=4, t2=6, t3=30, base_rate=1):
         self.chain = BtcChain(FeeSchedule(base_rate))
-        self.dep = SCHEME.keypair_from_seed(b"unit-dep")
-        self.to = SCHEME.keypair_from_seed(b"unit-to")
+        self.dep = keypair_from_seed(b"unit-dep")
+        self.to = keypair_from_seed(b"unit-to")
         self.oracles = [
-            SCHEME.keypair_from_seed(f"unit-ao-{i}".encode()) for i in range(n_oracles)
+            keypair_from_seed(f"unit-ao-{i}".encode()) for i in range(n_oracles)
         ]
         self.registry = Registry(t1, t2, t3, 1, self.to.public)
         self.authority = MockAttestationAuthority()
@@ -213,7 +212,7 @@ def test_ceremony_aborts_on_tampered_registry_row():
 
 def test_ceremony_rejects_forged_attestation():
     w = World()
-    stranger = SCHEME.keypair_from_seed(b"stranger")
+    stranger = keypair_from_seed(b"stranger")
     w.identities[0] = AoIdentity(
         stranger.public,
         w.authority.issue(IMAGE, w.oracles[0].public_hex, 0, "00" * 32, b""),
@@ -250,7 +249,7 @@ def test_sign_psbt_rejects_outsiders(world):
     outpoint_str, value = next(iter(inst.deposits.items()))
     outpoint = op(outpoint_str)
     psbt = build_psbt(Transition.UNBOND_REQUEST, inst, (outpoint, value))
-    intruder = SCHEME.keypair_from_seed(b"intruder")
+    intruder = keypair_from_seed(b"intruder")
     with pytest.raises(NotASigner):
         sign_psbt(psbt, intruder, inst.tweak_data)
     # oracles are not signers of the request row either
@@ -421,7 +420,7 @@ def mutate_one_output(psbt: PsbtTemplate, rng: random.Random, attacker_addr: str
 def test_output_mutation_invalidates_presignatures(world):
     rng = random.Random(4)
     inst = world.instance
-    attacker = key_address_id(SCHEME.keypair_from_seed(b"thief").public)
+    attacker = key_address_id(keypair_from_seed(b"thief").public)
     outpoint_str, value = next(iter(inst.deposits.items()))
     names = ["unbond_request", "unbond_resolve", "rebalance_resolve"]
     for trial in range(60):
@@ -439,7 +438,7 @@ def test_mutated_request_rejected_on_chain(world):
     psbt = PsbtTemplate.from_text(
         world.registry.get_stored_psbt(outpoint_str, "unbond_request")
     )
-    attacker = key_address_id(SCHEME.keypair_from_seed(b"thief").public)
+    attacker = key_address_id(keypair_from_seed(b"thief").public)
     mutated = mutate_one_output(psbt, random.Random(1), attacker)
     tx = finalize_to_tx(mutated, world.dep, inst)
     with pytest.raises(BadSignature):

@@ -8,7 +8,7 @@ from bisect import bisect_left
 
 import pytest
 
-from bsa_sim.keys import TweakData, get_scheme, key_address_id
+from bsa_sim.keys import TweakData, key_address_id, keypair_from_seed
 from bsa_sim.registry import (
     DuplicateOutpoint,
     LedgerError,
@@ -29,14 +29,13 @@ from bsa_sim.registry import (
     timelock_relation_holds,
 )
 
-SCHEME = get_scheme("mock")
 OWNER = "acct:reg-owner"
 
 
 def make_tweak() -> TweakData:
-    dep = SCHEME.keypair_from_seed(b"reg-dep")
-    to = SCHEME.keypair_from_seed(b"reg-to")
-    ao = SCHEME.keypair_from_seed(b"reg-ao")
+    dep = keypair_from_seed(b"reg-dep")
+    to = keypair_from_seed(b"reg-to")
+    ao = keypair_from_seed(b"reg-ao")
     return TweakData(
         dep_pk=dep.public,
         to_pk=to.public,
@@ -49,7 +48,7 @@ def make_tweak() -> TweakData:
 
 
 def make_registry(t1=4, t2=6, t3=30, spb=2) -> Registry:
-    to = SCHEME.keypair_from_seed(b"reg-to")
+    to = keypair_from_seed(b"reg-to")
     reg = Registry(t1, t2, t3, spb, to.public)
     reg._tweak = make_tweak()
     reg._digest = reg.store_tweak_data(reg._tweak)
@@ -300,8 +299,8 @@ def test_claim_payment_bookkeeping():
 
 def test_version_expiry_requires_operator_signature():
     reg = make_registry()
-    to = SCHEME.keypair_from_seed(b"reg-to")
-    outsider = SCHEME.keypair_from_seed(b"reg-outsider")
+    to = keypair_from_seed(b"reg-to")
+    outsider = keypair_from_seed(b"reg-outsider")
     pcr0 = "ab" * 32
     from bsa_sim.keys import sign_digest
 
@@ -340,6 +339,35 @@ def test_timelock_relation_boundary():
 def test_dispute_window_slots():
     reg = make_registry(t1=4, t2=6, spb=2)
     assert reg.dispute_window_slots() == 20
+
+
+def test_rejected_resplit_leaves_registry_unchanged():
+    reg = make_registry()
+    add_active(reg, "aa:0", 500)
+    add_active(reg, "cc:0", 100)
+    reg.request_collaborative("aa:0", deadline_block=9, caller="to")
+    before = reg.state_digest()
+    unsigned = make_record(reg, "bb:1", 200)
+    del unsigned.psbts["rebalance_resolve"]
+    taken = make_record(reg, "cc:0", 200)
+    twice = [make_record(reg, "bb:0", 200), make_record(reg, "bb:0", 100)]
+    for new_records, error in [
+        ([make_record(reg, "bb:0", 300), unsigned], MissingPsbt),
+        ([make_record(reg, "bb:0", 300), taken], DuplicateOutpoint),
+        (twice, DuplicateOutpoint),
+    ]:
+        with pytest.raises(error):
+            reg.resplit_deposit("aa:0", new_records, caller="to")
+        assert reg.state_digest() == before
+        assert "aa:0" in reg.records and "bb:0" not in reg.records
+        assert "aa:0" in reg.collaborative_pending
+    # the old outpoint may be reused by one of its parts
+    reg.resplit_deposit(
+        "aa:0", [make_record(reg, "aa:0", 300), make_record(reg, "bb:0", 200)], caller="to"
+    )
+    assert reg.get_record("aa:0").amount == 300
+    assert reg.get_record("bb:0").status is UtxoStatus.ACTIVE
+    assert "aa:0" not in reg.collaborative_pending
 
 
 # -- snapshots ----------------------------------------------------------------
