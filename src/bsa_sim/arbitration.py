@@ -17,6 +17,11 @@ snapshot, never from live mutable state.  All checks fail closed: a
 missing record, an unverifiable signature, an address mismatch, a stale
 view, or an expired version each independently block signing.
 
+``view`` is the registry parsed once by ``DestChain.view_at`` and shared
+by every oracle synced to that checkpoint, so it is read-only: nothing
+here writes to it, and only tests that model a corrupted view do.  The
+oracle attests the checkpoint's own digest, kept at sync.
+
 Resolution rules
 ----------------
 * An unbond challenge resolves for the depositor only when the deposit
@@ -43,7 +48,7 @@ from .attestation import (
     MockKms,
 )
 from .chain import Outpoint, SimTx, TxRejected, check_witness
-from .destchain import DestChain, SignedCheckpoint, TO_SIGNER
+from .destchain import DestChain, DestChainError, SignedCheckpoint, TO_SIGNER
 from .keys import (
     Keypair,
     TweakData,
@@ -184,6 +189,7 @@ class ArbitrationOracle:
         self.encrypted_secret: bytes | None = None
 
         self.view: Registry | None = None
+        self._view_digest = "0" * 64  # state digest of the checkpoint synced to
         self.last_synced_slot: int | None = None
         self.last_seen_slot = 0
         self.wsp_known = default_wsp
@@ -203,11 +209,12 @@ class ArbitrationOracle:
     def produce_attestation(self, user_data: bytes = b"") -> Attestation:
         if self.keypair is None:
             raise OracleError("no identity key yet")
-        slot, digest = 0, "0" * 64
-        if self.view is not None and self.last_synced_slot is not None:
-            slot, digest = self.last_synced_slot, self._view_digest
         return self.authority.issue(
-            self.image, self.keypair.public_hex, slot, digest, user_data
+            self.image,
+            self.keypair.public_hex,
+            self.last_synced_slot or 0,
+            self._view_digest,
+            user_data,
         )
 
     def key_restore(self, image: EnclaveImage | None = None) -> Keypair:
@@ -223,7 +230,7 @@ class ArbitrationOracle:
             self.image,
             pub_hint,
             self.last_synced_slot or 0,
-            self._view_digest if self.view is not None else "0" * 64,
+            self._view_digest,
             b"key-restore",
         )
         secret_bytes = self.kms.decrypt(
@@ -233,10 +240,6 @@ class ArbitrationOracle:
         return self.keypair
 
     # -- light client -------------------------------------------------------
-
-    @property
-    def _view_digest(self) -> str:
-        return self.view.state_digest() if self.view is not None else "0" * 64
 
     def sync(
         self,
@@ -249,6 +252,7 @@ class ArbitrationOracle:
         period lets the oracle extend its own prior state.  Anything
         longer requires an operator-signed checkpoint no older than the
         protocol default period; without one the oracle stays unsynced.
+        Both views are the chain's shared parse (``DestChain.view_at``).
         """
         downtime = dest.slot - self.last_seen_slot
         if downtime >= self.wsp_known or self.view is None:
@@ -266,15 +270,18 @@ class ArbitrationOracle:
                     f"checkpoint is {dest.slot - cp.slot} slots old, "
                     f"limit {self.default_wsp}"
                 )
-            snapshot = dest.snapshot_at(cp)
+            try:
+                snapshot = dest.snapshot_at(cp)
+            except DestChainError:
+                raise StaleCheckpoint(f"slot {cp.slot} was never finalized") from None
             if hashlib.sha256(snapshot.encode()).hexdigest() != cp.state_digest:
                 raise StaleCheckpoint("checkpoint digest does not match state")
-            trusted = Registry.import_snapshot(snapshot)
-            if trusted.to_pubkey != to_checkpoint.signer_public:
+            if dest.view_at(cp).to_pubkey != to_checkpoint.signer_public:
                 raise StaleCheckpoint("checkpoint signer is not the operator")
 
         latest = dest.latest_finalized()
-        self.view = Registry.import_snapshot(dest.snapshot_at(latest))
+        self.view = dest.view_at(latest)
+        self._view_digest = latest.state_digest
         self.last_synced_slot = latest.slot
         self.last_seen_slot = dest.slot
         self.wsp_known = dest.wsp_current

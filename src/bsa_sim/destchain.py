@@ -6,6 +6,16 @@ canonical snapshot of registry state; light clients (the arbitration
 oracles) only ever read registry state through one of these snapshots.
 Trusted checkpoints used for light-client resync are the same data
 wrapped with an operator or self-attested signature.
+
+Each finalized state is produced once and parsed once:
+
+* One export per advance.  ``advance`` moves the slot clock before it
+  finalizes, so every checkpoint crossed in one advance has the same
+  state; they share one snapshot string and one digest.
+* One parsed view per checkpoint.  ``view_at`` parses a checkpoint's
+  snapshot and keeps only the most recent parse, so every oracle synced
+  to that checkpoint shares one read-only ``Registry``.  An oracle that
+  goes offline keeps its own reference to its older view.
 """
 
 from __future__ import annotations
@@ -14,6 +24,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .keys import Keypair, Point, sign_digest, verify_signature
+from .registry import Registry
 
 
 class DestChainError(Exception):
@@ -89,20 +100,26 @@ class DestChain:
         self.slot = 0
         self.finalized: list[FinalizedCheckpoint] = []
         self.snapshots: dict[int, str] = {}  # finalized slot -> canonical snapshot
+        self._view: tuple[int, Registry] | None = None  # most recent parse
         registry.current_slot = 0
-        self._finalize_at(0)
+        self._finalize([0])
 
     @property
     def wsp_current(self) -> int:
         return self.wsp_schedule.at(self.slot)
 
-    def _finalize_at(self, slot: int) -> FinalizedCheckpoint:
+    def _finalize(self, slots: list[int]) -> list[FinalizedCheckpoint]:
+        """Finalize ``slots`` with the current state: one export and one
+        digest, shared by every checkpoint."""
+        if not slots:
+            return []
         snapshot = self.registry.export_snapshot()
         digest = hashlib.sha256(snapshot.encode()).hexdigest()
-        cp = FinalizedCheckpoint(slot=slot, state_digest=digest, timestamp=slot)
-        self.finalized.append(cp)
-        self.snapshots[slot] = snapshot
-        return cp
+        new = [FinalizedCheckpoint(slot=s, state_digest=digest, timestamp=s) for s in slots]
+        self.finalized.extend(new)
+        for slot in slots:
+            self.snapshots[slot] = snapshot
+        return new
 
     def advance(self, n_slots: int) -> list[FinalizedCheckpoint]:
         """Move the slot clock forward, emitting one finalized checkpoint
@@ -113,12 +130,8 @@ class DestChain:
         self.slot += n_slots
         self.registry.current_slot = self.slot
         self.registry.apply_due_upgrades()
-        new = []
-        boundary = (start // self.finality_interval + 1) * self.finality_interval
-        while boundary <= self.slot:
-            new.append(self._finalize_at(boundary))
-            boundary += self.finality_interval
-        return new
+        first = (start // self.finality_interval + 1) * self.finality_interval
+        return self._finalize(list(range(first, self.slot + 1, self.finality_interval)))
 
     def latest_finalized(self) -> FinalizedCheckpoint:
         return self.finalized[-1]
@@ -128,3 +141,10 @@ class DestChain:
             return self.snapshots[cp.slot]
         except KeyError:
             raise DestChainError(f"no snapshot for slot {cp.slot}")
+
+    def view_at(self, cp: FinalizedCheckpoint) -> Registry:
+        """The registry state finalized at ``cp``, parsed once and shared
+        by every caller until another slot is parsed.  Read-only."""
+        if self._view is None or self._view[0] != cp.slot:
+            self._view = (cp.slot, Registry.import_snapshot(self.snapshot_at(cp)))
+        return self._view[1]

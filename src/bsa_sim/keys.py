@@ -24,6 +24,9 @@ LRU caches, so a repeated check costs a lookup:
 * ``build_protocol_addresses`` (``ADDRESS_CACHE_SIZE`` entries), keyed by
   the frozen ``TweakData``.  The returned addresses are frozen, so
   callers can share them.
+* ``keypair_from_seed`` (``KEYPAIR_CACHE_SIZE`` entries), keyed by the
+  seed.  Worlds derive their operator, authority, oracle and depositor
+  keys from fixed seeds; the ``Keypair`` is frozen, so callers share it.
 
 Signing reads the public key from the ``Keypair`` rather than
 recomputing ``secret * G``, so a signature costs one scalar
@@ -86,6 +89,10 @@ class Keypair:
         return self.public.compressed().hex()
 
 
+KEYPAIR_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=KEYPAIR_CACHE_SIZE)
 def keypair_from_seed(seed: bytes) -> Keypair:
     counter = 0
     while True:

@@ -498,10 +498,77 @@ def test_checkpoint_with_tampered_digest_rejected():
     oracle = w.oracle
     w.dest.advance(oracle.wsp_known)
     latest = w.dest.latest_finalized()
+    forged_digest = FinalizedCheckpoint(latest.slot, "ab" * 32, latest.timestamp)
+    # a slot the chain never finalized fails closed too, naming the slot
+    forged_slot = FinalizedCheckpoint(latest.slot + 1, latest.state_digest, latest.timestamp + 1)
+    for forged, reason in ((forged_digest, "digest"), (forged_slot, f"slot {latest.slot + 1}")):
+        cp = sign_checkpoint(forged, w.to, TO_SIGNER)
+        with pytest.raises(StaleCheckpoint, match=reason):
+            oracle.sync(w.dest, to_checkpoint=cp)
+    assert oracle.last_seen_slot < w.dest.slot
+
+
+def test_tampered_digest_rejected_after_another_oracle_parsed_the_slot():
+    w = ArbWorld(n_oracles=2, wsp=16, interval=1)
+    late, honest = w.oracles
+    w.dest.advance(late.wsp_known)
+    latest = w.dest.latest_finalized()
+    honest.sync(w.dest, sign_checkpoint(latest, w.to, TO_SIGNER))  # parses latest.slot
     forged = FinalizedCheckpoint(latest.slot, "ab" * 32, latest.timestamp)
-    cp = sign_checkpoint(forged, w.to, TO_SIGNER)
-    with pytest.raises(StaleCheckpoint):
-        oracle.sync(w.dest, to_checkpoint=cp)
+    with pytest.raises(StaleCheckpoint, match="digest"):
+        late.sync(w.dest, to_checkpoint=sign_checkpoint(forged, w.to, TO_SIGNER))
+    assert late.view is not honest.view
+
+
+# -- one export per advance, one parse per checkpoint --------------------------
+
+
+def count_calls(monkeypatch, cls, name) -> list:
+    """Record every call of ``cls.name`` for the rest of the test."""
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_oracles_at_one_checkpoint_share_one_parse(monkeypatch):
+    w = ArbWorld(n_oracles=3)
+    offline = w.oracles[2]
+    old_view = offline.view
+    imports = count_calls(monkeypatch, Registry, "import_snapshot")
+    w.dest.advance(w.dest.finality_interval)
+    for oracle in w.oracles[:2]:
+        oracle.sync(w.dest)
+    assert len(imports) == 1
+    assert w.oracles[0].view is w.oracles[1].view
+    assert w.oracles[0].view is w.dest.view_at(w.dest.latest_finalized())
+    assert len(imports) == 1
+    assert offline.view is old_view and old_view is not w.oracles[0].view
+
+
+def test_advance_across_two_boundaries_exports_once(monkeypatch):
+    w = ArbWorld(n_oracles=1)
+    exports = count_calls(monkeypatch, Registry, "export_snapshot")
+    first, second = w.dest.advance(2 * w.dest.finality_interval)
+    assert len(exports) == 1
+    assert second.slot == first.slot + w.dest.finality_interval
+    assert first.state_digest == second.state_digest == w.registry.state_digest()
+    assert w.dest.snapshot_at(first) is w.dest.snapshot_at(second)
+
+
+def test_attested_digest_is_the_checkpoint_digest():
+    w = ArbWorld(n_oracles=1)
+    oracle = w.oracle
+    w.resync()
+    latest = w.dest.latest_finalized()
+    att = oracle.produce_attestation()
+    assert att.checkpoint_slot == latest.slot
+    assert att.checkpoint_digest == latest.state_digest == oracle.view.state_digest()
 
 
 # -- key custody --------------------------------------------------------------

@@ -113,6 +113,14 @@ def test_cached_schnorr_verdict_covers_only_its_own_triple():
             assert not verify_signature(kp.public, digest, flipped)
 
 
+def test_keypair_memo_returns_one_object_per_seed():
+    kp = keypair_from_seed(b"memo-keypair")
+    assert keypair_from_seed(b"memo-keypair") is kp
+    assert keypair_from_seed.__wrapped__(b"memo-keypair") == kp  # fresh derivation
+    other = keypair_from_seed(b"memo-keypair-2")
+    assert other.secret != kp.secret and other.public != kp.public
+
+
 def test_signatures_match_fixed_vectors():
     # Deterministic nonces make signatures reproducible; these bytes pin
     # signing against any change in how a signature is made.
