@@ -1,9 +1,33 @@
 """secp256k1 arithmetic used for key handling and address derivation.
 
 Points are affine (x, y) tuples wrapped in a small frozen dataclass; the
-point at infinity is represented by None.  Scalar multiplication runs in
-Jacobian coordinates internally so that repeated use (signature checks in
-long simulation runs) stays cheap in pure Python.
+point at infinity is represented by None.  The algorithms are the standard
+ones for pure-Python speed (Hankerson, Menezes and Vanstone, *Guide to
+Elliptic Curve Cryptography*, sections 3.2-3.3; Gallant, Lambert and
+Vanstone, CRYPTO 2001):
+
+* Inversion is ``pow(z, -1, P)``.  Where many points are normalised at
+  once, Montgomery's trick shares one inversion between all of them.
+* Scalar multiplication accumulates in Jacobian coordinates and adds
+  affine table points with mixed Jacobian+affine addition.
+* ``generator_mul`` reads a fixed-base table built at import: row i holds
+  d * 32**i * G for d in 1..16 in affine form.  The scalar is recoded into
+  52 signed 5-bit digits in [-16, 15]; a negative digit adds the negated
+  point (x, P - y).  That is at most 52 additions and no doubling.
+* ``point_mul`` uses the endomorphism phi(x, y) = (BETA * x, y), which
+  multiplies every curve point by LAMBDA.  It splits k = k1 + k2 * LAMBDA
+  (mod N) with |k1|, |k2| of about 128 bits and walks 4-bit windows of
+  both halves over one chain of 128 doublings, adding from the 15
+  multiples of the point and their images under phi.  This needs the point
+  to be on the curve, which every ``Point`` the package makes is: each
+  comes from ``lift_x``, ``decode_point`` or curve arithmetic, and the
+  curve has cofactor 1.
+* ``point_add`` adds in affine coordinates with one inversion.
+
+Every function computes exact group arithmetic, and a curve point has one
+affine representation, so results are byte-identical to any other correct
+implementation; ``tests/test_curve.py`` checks them against a plain affine
+double-and-add.
 
 ``decode_point`` is memoised in a bounded LRU cache
 (``DECODE_CACHE_SIZE`` entries) keyed by the encoded bytes: every
@@ -28,6 +52,16 @@ GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 # for provably unspendable internal keys: sha256 of the uncompressed
 # encoding of G, lifted to the curve with even y.
 NUMS_X = 0x50929B74C1A04954B78B4B6035E97A5E078A5A0F28EC96D547BFEE9ACE803AC0
+
+# The endomorphism phi(x, y) = (BETA * x, y) multiplies every point by
+# LAMBDA: BETA is a cube root of unity mod P, LAMBDA one mod N.
+BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+# Short basis (a1, b1), (a2, b2) of the lattice {(u, v) : u + v * LAMBDA = 0 (mod N)}.
+_GLV_A1 = 0x3086D221A7D46BCDE86C90E49284EB15
+_GLV_B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
+_GLV_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
+_GLV_B2 = _GLV_A1
 
 
 class CurveError(Exception):
@@ -79,25 +113,48 @@ def decode_point(data: bytes) -> Point:
 # Jacobian helpers: (X, Y, Z) with x = X/Z^2, y = Y/Z^3.  Zero Z encodes
 # the point at infinity.
 
-def _to_jac(pt: Point | None) -> tuple[int, int, int]:
-    if pt is None:
-        return (0, 1, 0)
-    return (pt.x, pt.y, 1)
+_INFINITY = (0, 1, 0)
 
 
 def _from_jac(j: tuple[int, int, int]) -> Point | None:
     X, Y, Z = j
     if Z == 0:
         return None
-    z_inv = pow(Z, P - 2, P)
+    z_inv = pow(Z, -1, P)
     z2 = (z_inv * z_inv) % P
     return Point((X * z2) % P, (Y * z2 * z_inv) % P)
+
+
+def _batch_inverse(values: list[int]) -> list[int]:
+    """Inverses mod P of nonzero values with a single ``pow`` (Montgomery's
+    trick: invert the product, then peel each inverse off with two
+    multiplications)."""
+    prefix = []
+    acc = 1
+    for v in values:
+        prefix.append(acc)
+        acc = (acc * v) % P
+    inv = pow(acc, -1, P)
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = (inv * prefix[i]) % P
+        inv = (inv * values[i]) % P
+    return out
+
+
+def _batch_to_affine(points: list[tuple[int, int, int]]) -> list[tuple[int, int]]:
+    """Affine (x, y) of finite Jacobian points, with one inversion."""
+    out = []
+    for (X, Y, _), z_inv in zip(points, _batch_inverse([Z for _, _, Z in points])):
+        z2 = (z_inv * z_inv) % P
+        out.append(((X * z2) % P, (Y * z2 * z_inv) % P))
+    return out
 
 
 def _jac_double(j: tuple[int, int, int]) -> tuple[int, int, int]:
     X, Y, Z = j
     if Z == 0 or Y == 0:
-        return (0, 1, 0)
+        return _INFINITY
     YY = (Y * Y) % P
     S = (4 * X * YY) % P
     M = (3 * X * X) % P
@@ -107,69 +164,111 @@ def _jac_double(j: tuple[int, int, int]) -> tuple[int, int, int]:
     return (X2, Y2, Z2)
 
 
-def _jac_add(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
-    if a[2] == 0:
-        return b
-    if b[2] == 0:
-        return a
-    X1, Y1, Z1 = a
-    X2, Y2, Z2 = b
+def _jac_add_affine(j: tuple[int, int, int], x2: int, y2: int) -> tuple[int, int, int]:
+    """Mixed addition: Jacobian j plus the finite affine point (x2, y2)."""
+    X1, Y1, Z1 = j
+    if Z1 == 0:
+        return (x2, y2, 1)
     Z1Z1 = (Z1 * Z1) % P
-    Z2Z2 = (Z2 * Z2) % P
-    U1 = (X1 * Z2Z2) % P
-    U2 = (X2 * Z1Z1) % P
-    S1 = (Y1 * Z2 * Z2Z2) % P
-    S2 = (Y2 * Z1 * Z1Z1) % P
-    if U1 == U2:
-        if S1 != S2:
-            return (0, 1, 0)
-        return _jac_double(a)
-    H = (U2 - U1) % P
-    R = (S2 - S1) % P
-    H2 = (H * H) % P
-    H3 = (H * H2) % P
-    U1H2 = (U1 * H2) % P
-    X3 = (R * R - H3 - 2 * U1H2) % P
-    Y3 = (R * (U1H2 - X3) - S1 * H3) % P
-    Z3 = (H * Z1 * Z2) % P
-    return (X3, Y3, Z3)
+    H = (x2 * Z1Z1 - X1) % P
+    R = (y2 * Z1 * Z1Z1 - Y1) % P
+    if H == 0:
+        if R != 0:  # j is the negation of (x2, y2)
+            return _INFINITY
+        return _jac_double(j)
+    HH = (H * H) % P
+    HHH = (H * HH) % P
+    V = (X1 * HH) % P
+    X3 = (R * R - HHH - 2 * V) % P
+    Y3 = (R * (V - X3) - Y1 * HHH) % P
+    return (X3, Y3, (Z1 * H) % P)
+
+
+def _chord(x1: int, y1: int, x2: int, lam: int) -> tuple[int, int]:
+    """Affine sum of (x1, y1) and a point with x-coordinate x2, given the
+    slope lam of the line through them (the tangent when they are equal)."""
+    x3 = (lam * lam - x1 - x2) % P
+    return x3, (lam * (x1 - x3) - y1) % P
 
 
 def point_add(a: Point | None, b: Point | None) -> Point | None:
-    return _from_jac(_jac_add(_to_jac(a), _to_jac(b)))
+    if a is None:
+        return b
+    if b is None:
+        return a
+    if a.x == b.x:
+        if (a.y + b.y) % P == 0:
+            return None
+        lam = (3 * a.x * a.x * pow(2 * a.y, -1, P)) % P
+    else:
+        lam = ((b.y - a.y) * pow(b.x - a.x, -1, P)) % P
+    return Point(*_chord(a.x, a.y, b.x, lam))
+
+
+def _split_scalar(k: int) -> tuple[int, int]:
+    """GLV decomposition: k = k1 + k2 * LAMBDA (mod N) with |k1|, |k2| below
+    about 2**128, by rounding k onto the short lattice basis (a1, b1),
+    (a2, b2) of {(u, v) : u + v * LAMBDA = 0 (mod N)}."""
+    c1 = (2 * _GLV_B2 * k + N) // (2 * N)
+    c2 = (-2 * _GLV_B1 * k + N) // (2 * N)
+    return k - c1 * _GLV_A1 - c2 * _GLV_A2, -c1 * _GLV_B1 - c2 * _GLV_B2
 
 
 def point_mul(pt: Point | None, k: int) -> Point | None:
     k %= N
     if k == 0 or pt is None:
         return None
-    acc = (0, 1, 0)
-    base = _to_jac(pt)
-    while k:
-        if k & 1:
-            acc = _jac_add(acc, base)
-        base = _jac_double(base)
-        k >>= 1
+    k1, k2 = _split_scalar(k)
+    # k1 * pt + k2 * phi(pt), phi(x, y) = (BETA * x, y); a negative half
+    # uses the negated point (x, P - y).
+    multiples = [(pt.x, pt.y, 1), _jac_double((pt.x, pt.y, 1))]
+    for _ in range(13):
+        multiples.append(_jac_add_affine(multiples[-1], pt.x, pt.y))
+    table = _batch_to_affine(multiples)  # m * pt for m in 1..15
+    t1 = [(x, y if k1 >= 0 else P - y) for x, y in table]
+    t2 = [((BETA * x) % P, y if k2 >= 0 else P - y) for x, y in table]
+    k1, k2 = abs(k1), abs(k2)
+    windows = (max(k1.bit_length(), k2.bit_length()) + 3) // 4
+    acc = _INFINITY
+    for shift in range(4 * windows - 4, -1, -4):
+        for _ in range(4):
+            acc = _jac_double(acc)
+        d = (k1 >> shift) & 15
+        if d:
+            acc = _jac_add_affine(acc, *t1[d - 1])
+        d = (k2 >> shift) & 15
+        if d:
+            acc = _jac_add_affine(acc, *t2[d - 1])
     return _from_jac(acc)
 
 
 G = Point(GX, GY)
 NUMS_BASE = lift_x(NUMS_X)
 
+# Fixed-base table for G: row i holds d * 32**i * G for d in 1..16, affine.
+# 52 signed 5-bit digits in [-16, 15] cover every scalar below N < 2**256.
+_GEN_ROWS = 52
 
-def _build_gen_table() -> list[list[tuple[int, int, int]]]:
-    """Fixed-base table for G: row w holds d * 2**(4w) * G for d in 1..15,
-    so a 256-bit scalar multiplies with at most 64 additions."""
-    table = []
-    base = _to_jac(G)
-    for _ in range(64):
-        row = [base]
-        for _ in range(14):
-            row.append(_jac_add(row[-1], base))
-        table.append(row)
-        for _ in range(4):
+
+def _build_gen_table() -> list[list[tuple[int, int]]]:
+    """Built in affine coordinates one column at a time, so each of the 16
+    columns costs one inversion shared by all 52 rows."""
+    bases = [(GX, GY, 1)]
+    for _ in range(_GEN_ROWS - 1):
+        base = bases[-1]
+        for _ in range(5):
             base = _jac_double(base)
-    return table
+        bases.append(base)
+    rows = [[b] for b in _batch_to_affine(bases)]
+    for inv, row in zip(_batch_inverse([2 * row[0][1] for row in rows]), rows):
+        x, y = row[0]
+        row.append(_chord(x, y, x, (3 * x * x * inv) % P))
+    for _ in range(14):
+        diffs = [row[-1][0] - row[0][0] for row in rows]
+        for inv, row in zip(_batch_inverse(diffs), rows):
+            (x1, y1), (x2, y2) = row[0], row[-1]
+            row.append(_chord(x1, y1, x2, ((y2 - y1) * inv) % P))
+    return rows
 
 
 _GEN_TABLE = _build_gen_table()
@@ -179,12 +278,16 @@ def generator_mul(k: int) -> Point | None:
     k %= N
     if k == 0:
         return None
-    acc = (0, 1, 0)
-    window = 0
-    while k:
-        digit = k & 0xF
-        if digit:
-            acc = _jac_add(acc, _GEN_TABLE[window][digit - 1])
-        k >>= 4
-        window += 1
+    acc = _INFINITY
+    for row in _GEN_TABLE:
+        d = k & 31
+        k >>= 5
+        if d >= 16:  # digit d - 32: add the negation of (32 - d) * row base
+            k += 1
+            x, y = row[31 - d]
+            acc = _jac_add_affine(acc, x, P - y)
+        elif d:
+            acc = _jac_add_affine(acc, *row[d - 1])
+        if not k:
+            break
     return _from_jac(acc)

@@ -51,6 +51,7 @@ from functools import lru_cache
 from .curve import (
     N,
     NUMS_BASE,
+    CurveError,
     Point,
     decode_point,
     generator_mul,
@@ -137,7 +138,7 @@ def verify_signature(public: Point, digest: bytes, sig: bytes) -> bool:
         return False
     try:
         r_point = decode_point(sig[:33])
-    except Exception:
+    except CurveError:
         return False
     s = int.from_bytes(sig[33:], "big")
     if s >= N:

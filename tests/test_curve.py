@@ -4,16 +4,25 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bsa_sim.curve import (
+    BETA,
     GX,
     GY,
+    LAMBDA,
     N,
     NUMS_BASE,
     NUMS_X,
     P,
+    _INFINITY,
     CurveError,
     Point,
+    _from_jac,
+    _jac_add_affine,
+    _jac_double,
+    _split_scalar,
     decode_point,
     generator_mul,
     is_on_curve,
@@ -36,9 +45,9 @@ def affine_add(a, b):
     if a.x == b.x and (a.y + b.y) % P == 0:
         return None
     if a == b:
-        lam = (3 * a.x * a.x) * pow(2 * a.y, P - 2, P) % P
+        lam = (3 * a.x * a.x) * pow(2 * a.y, -1, P) % P
     else:
-        lam = (b.y - a.y) * pow(b.x - a.x, P - 2, P) % P
+        lam = (b.y - a.y) * pow(b.x - a.x, -1, P) % P
     x = (lam * lam - a.x - b.x) % P
     y = (lam * (a.x - x) - a.y) % P
     return Point(x, y)
@@ -68,20 +77,101 @@ def test_double_matches_reference():
     assert point_add(G, G) == affine_add(G, G)
 
 
+# A base point that is neither G nor NUMS_BASE, derived with the reference.
+DERIVED = affine_mul(0xB5A, NUMS_BASE)
+
+
 def test_scalar_mul_matches_reference():
     rng = random.Random(11)
-    for _ in range(25):
-        k = rng.randrange(1, N)
-        assert point_mul(G, k) == affine_mul(k, G)
+    for base in (G, NUMS_BASE):
+        for _ in range(12):
+            k = rng.randrange(1, N)
+            assert point_mul(base, k) == affine_mul(k, base)
 
 
 def test_generator_table_matches_generic_ladder():
     rng = random.Random(13)
     for k in [0, 1, 2, 15, 16, N - 1, N, N + 1]:
-        assert generator_mul(k) == point_mul(G, k)
-    for _ in range(50):
+        assert generator_mul(k) == affine_mul(k, G)
+    for _ in range(25):
         k = rng.randrange(1, 2 * N)
-        assert generator_mul(k) == point_mul(G, k)
+        assert generator_mul(k) == affine_mul(k, G)
+
+
+def test_published_multiples():
+    assert generator_mul(2).x == 0xC6047F9441ED7D6D3045406E95C07CD85C778E4B8CEF3CA7ABAC09B95C709EE5
+    assert generator_mul(3).x == 0xF9308A019258C31049344F85F89D5229B531C845836F99B08601F113BCE036F9
+    assert generator_mul(N - 1) == Point(GX, P - GY)
+    # LAMBDA * G is phi(G): pins the endomorphism constants point_mul uses.
+    assert point_mul(G, LAMBDA) == Point((BETA * GX) % P, GY)
+    assert generator_mul(LAMBDA) == Point((BETA * GX) % P, GY)
+
+
+# -- properties against the reference ----------------------------------------
+
+SCALARS = st.integers(min_value=0, max_value=2 * N - 1)
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
+# generator_mul reads signed 5-bit digits in [-16, 15]; a chunk of 16 or
+# more becomes a negative digit and carries into the next window.
+ALL_DIGITS_16 = sum(16 << (5 * i) for i in range(51))
+# point_mul splits k = k1 + k2 * LAMBDA (mod N); these scalars are built
+# from chosen halves, negative ones and ones at 4-bit window boundaries.
+GLV_HALVES = [(2**64 + 1, 2**124 - 1), (2**124 - 1, -(2**64 + 1)), (-1, -1), (15, 15)]
+
+
+def from_halves(k1, k2):
+    return (k1 + k2 * LAMBDA) % N
+
+
+def test_glv_examples_split_into_their_halves():
+    for k1, k2 in GLV_HALVES:
+        assert _split_scalar(from_halves(k1, k2)) == (k1, k2)
+    # Scalars whose halves come out negative: k1 only, k2 only, both.
+    signs = [tuple(h < 0 for h in _split_scalar(k)) for k in (N - 1, N // 2, 2**128)]
+    assert signs == [(True, False), (False, True), (True, True)]
+
+
+@PROPERTY_SETTINGS
+@given(k=SCALARS)
+@example(k=2**5 - 1)
+@example(k=2**5 + 1)
+@example(k=2**125 - 1)
+@example(k=2**125 + 1)
+@example(k=2**255 - 1)
+@example(k=2**255 + 1)
+@example(k=16)
+@example(k=16 << 250)
+@example(k=ALL_DIGITS_16)
+@example(k=N - 1)
+@example(k=N)
+@example(k=2 * N - 1)
+def test_generator_mul_matches_reference_property(k):
+    assert generator_mul(k) == affine_mul(k, G)
+
+
+@PROPERTY_SETTINGS
+@given(base=st.sampled_from([G, NUMS_BASE, DERIVED]), k=SCALARS)
+@example(base=DERIVED, k=from_halves(*GLV_HALVES[0]))
+@example(base=NUMS_BASE, k=from_halves(*GLV_HALVES[1]))
+@example(base=G, k=from_halves(*GLV_HALVES[2]))
+@example(base=DERIVED, k=from_halves(*GLV_HALVES[3]))
+@example(base=NUMS_BASE, k=N - 1)
+@example(base=DERIVED, k=N // 2)
+@example(base=G, k=2**128)
+@example(base=DERIVED, k=N)
+@example(base=NUMS_BASE, k=0)
+def test_point_mul_matches_reference_property(base, k):
+    assert point_mul(base, k) == affine_mul(k, base)
+
+
+def test_mixed_addition_handles_equal_and_opposite_points():
+    # Reduced scalars never reach these branches inside the multipliers, so
+    # they are checked on the helper itself.
+    two_g = affine_mul(2, G)
+    jac_two_g = _jac_double((GX, GY, 1))  # Z != 1
+    assert _from_jac(_jac_add_affine(jac_two_g, two_g.x, two_g.y)) == affine_mul(4, G)
+    assert _from_jac(_jac_add_affine(jac_two_g, two_g.x, P - two_g.y)) is None
+    assert _from_jac(_jac_add_affine(_INFINITY, GX, GY)) == G
 
 
 def test_scalar_mul_distributes():

@@ -89,11 +89,21 @@ def test_schnorr_rejects_out_of_range_secret():
         keypair_from_secret(N)
 
 
-def test_short_signature_never_verifies():
+@pytest.mark.parametrize(
+    "malform",
+    [
+        pytest.param(lambda sig: sig[:32], id="short"),
+        pytest.param(lambda sig: b"\x04" + sig[1:], id="r-prefix-04"),
+        pytest.param(lambda sig: b"\x02" + (5).to_bytes(32, "big") + sig[33:], id="r-off-curve"),
+        pytest.param(lambda sig: sig[:33] + N.to_bytes(32, "big"), id="s-equals-n"),
+    ],
+)
+def test_malformed_signature_never_verifies(malform):
     kp = keypair_from_seed(b"s")
     digest = sha(b"short")
     sig = sign_digest(kp, digest)
-    assert not verify_signature(kp.public, digest, sig[:32])
+    assert verify_signature(kp.public, digest, sig)
+    assert verify_signature(kp.public, digest, malform(sig)) is False
 
 
 def test_cached_schnorr_verdict_covers_only_its_own_triple():
