@@ -273,7 +273,9 @@ class ArbitrationOracle:
             try:
                 snapshot = dest.snapshot_at(cp)
             except DestChainError:
-                raise StaleCheckpoint(f"slot {cp.slot} was never finalized") from None
+                raise StaleCheckpoint(
+                    f"slot {cp.slot} was never finalized or is no longer served"
+                ) from None
             if hashlib.sha256(snapshot.encode()).hexdigest() != cp.state_digest:
                 raise StaleCheckpoint("checkpoint digest does not match state")
             if dest.view_at(cp).to_pubkey != to_checkpoint.signer_public:

@@ -16,11 +16,20 @@ Each finalized state is produced once and parsed once:
   snapshot and keeps only the most recent parse, so every oracle synced
   to that checkpoint shares one read-only ``Registry``.  An oracle that
   goes offline keeps its own reference to its older view.
+
+Finalized state is kept only while some oracle could still accept it.
+``sync`` refuses a checkpoint older than the oracle's ``default_wsp``
+before it reads the snapshot, and worlds set that to the chain's
+schedule, so ``_finalize`` drops every snapshot more than
+``WspSchedule.longest()`` slots behind the clock.  The latest checkpoint
+is always kept.  Retention is therefore bounded by the period, not by
+the length of the run.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 
 from .keys import Keypair, Point, sign_digest, verify_signature
@@ -84,6 +93,10 @@ class WspSchedule:
                 wsp = value
         return wsp
 
+    def longest(self) -> int:
+        """The largest period the schedule can take at any slot."""
+        return max([self.base, *(wsp for _, wsp in self.steps)])
+
 
 class DestChain:
     def __init__(
@@ -99,7 +112,7 @@ class DestChain:
         self.wsp_schedule = wsp_schedule or WspSchedule(base=1344)
         self.slot = 0
         self.finalized: list[FinalizedCheckpoint] = []
-        self.snapshots: dict[int, str] = {}  # finalized slot -> canonical snapshot
+        self.snapshots: dict[int, str] = {}  # finalized slot -> snapshot, within the period
         self._view: tuple[int, Registry] | None = None  # most recent parse
         registry.current_slot = 0
         self._finalize([0])
@@ -119,6 +132,10 @@ class DestChain:
         self.finalized.extend(new)
         for slot in slots:
             self.snapshots[slot] = snapshot
+        # Snapshots are inserted in slot order, so the expired ones are a prefix.
+        horizon = min(self.slot - self.wsp_schedule.longest(), slots[-1])
+        for slot in list(itertools.takewhile(lambda s: s < horizon, self.snapshots)):
+            del self.snapshots[slot]
         return new
 
     def advance(self, n_slots: int) -> list[FinalizedCheckpoint]:

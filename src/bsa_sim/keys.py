@@ -27,9 +27,21 @@ LRU caches, so a repeated check costs a lookup:
 * ``keypair_from_seed`` (``KEYPAIR_CACHE_SIZE`` entries), keyed by the
   seed.  Worlds derive their operator, authority, oracle and depositor
   keys from fixed seeds; the ``Keypair`` is frozen, so callers share it.
+* ``sign_digest`` (``SIGN_CACHE_SIZE`` entries), keyed by the whole
+  frozen ``Keypair`` and the digest.  The nonce is derived from the
+  secret and the digest, so a signature is a pure function of
+  ``(secret, public, digest)`` and a cached one is byte for byte the one
+  a fresh call would make.  Keying on the full ``Keypair`` means a pair
+  whose ``public`` does not match its ``secret`` never shares an entry
+  with the correct pair.  The range check is in the function body and
+  exceptions are not cached, so ``InvalidScalar`` is raised on every
+  call.  Worlds re-run the setup ceremony with the same keys and
+  outpoints, so they sign the same templates again and again.  The
+  signer does not seed the verify memo: every signature is still checked
+  on its own at admission, when mining and by the oracles.
 
 Signing reads the public key from the ``Keypair`` rather than
-recomputing ``secret * G``, so a signature costs one scalar
+recomputing ``secret * G``, so a fresh signature costs one scalar
 multiplication, not two.
 
 Addresses
@@ -110,6 +122,10 @@ def keypair_from_secret(secret: int) -> Keypair:
     return Keypair(secret, generator_mul(secret))
 
 
+SIGN_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=SIGN_CACHE_SIZE)
 def sign_digest(keypair: Keypair, digest: bytes) -> bytes:
     secret = keypair.secret
     if not (0 < secret < N):

@@ -520,6 +520,65 @@ def test_tampered_digest_rejected_after_another_oracle_parsed_the_slot():
     assert late.view is not honest.view
 
 
+# -- finalized-state retention ------------------------------------------------
+
+
+def test_snapshots_are_retained_for_the_longest_period_only():
+    w = ArbWorld(n_oracles=1, wsp=16, interval=4)
+    w.dest.wsp_schedule.steps.append((60, 24))  # the longest period is 24 slots
+    window = w.dest.wsp_schedule.longest()
+    assert window == 24
+    bound = window // w.dest.finality_interval + 2
+    for n in (1, 3, 4, 7, 13, 40, 2) * 4:  # single slots, whole intervals, many at once
+        w.dest.advance(n)
+        slots = list(w.dest.snapshots)
+        latest = w.dest.latest_finalized().slot
+        assert len(slots) <= bound
+        assert slots[-1] == latest and slots[0] >= latest - window
+    assert w.dest.slot > 10 * window
+
+
+def test_latest_snapshot_is_kept_when_the_interval_exceeds_the_period():
+    w = ArbWorld(n_oracles=1, wsp=4, interval=8)
+    w.dest.advance(13)  # finalizes one checkpoint and ends 5 slots past it
+    latest = w.dest.latest_finalized()
+    assert w.dest.slot - latest.slot > w.dest.wsp_schedule.longest()
+    assert list(w.dest.snapshots) == [latest.slot]
+    assert w.dest.view_at(latest).state_digest() == latest.state_digest
+
+
+@pytest.mark.parametrize("step", [1, None], ids=["slot-by-slot", "one-advance"])
+@pytest.mark.parametrize("later_wsp", [8, 24], ids=["period-shrinks", "period-grows"])
+def test_checkpoint_default_wsp_old_rebootstraps_and_one_older_is_refused(step, later_wsp):
+    for extra in (0, 1):
+        w = make_sync_world()  # period 16
+        w.dest.wsp_schedule.steps.append((w.dest.slot + 4, later_wsp))
+        oracle = w.oracle
+        oracle.default_wsp = w.dest.wsp_schedule.longest()  # as build_world sets it
+        old = w.dest.latest_finalized()
+        age = oracle.default_wsp + extra
+        for n in [step] * age if step else [age]:
+            w.dest.advance(n)
+        cp = sign_checkpoint(old, w.to, TO_SIGNER)
+        if extra == 0:
+            oracle.sync(w.dest, to_checkpoint=cp)
+            assert oracle.last_seen_slot == w.dest.slot
+        else:
+            assert old.slot not in w.dest.snapshots
+            with pytest.raises(StaleCheckpoint, match=f"{age} slots old"):
+                oracle.sync(w.dest, to_checkpoint=cp)
+
+
+def test_evicted_checkpoint_within_a_longer_oracle_period_is_not_served():
+    w = make_sync_world()
+    oracle = w.oracle
+    assert oracle.default_wsp > w.dest.wsp_schedule.longest()
+    old = w.dest.latest_finalized()
+    w.dest.advance(w.dest.wsp_schedule.longest() + 1)
+    with pytest.raises(StaleCheckpoint, match="no longer served"):
+        oracle.sync(w.dest, to_checkpoint=sign_checkpoint(old, w.to, TO_SIGNER))
+
+
 # -- one export per advance, one parse per checkpoint --------------------------
 
 

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from bsa_sim import curve, keys
 from bsa_sim.curve import N, NUMS_BASE, generator_mul, point_add
 from bsa_sim.keys import (
     ADDRESS_KINDS,
     InvalidScalar,
+    Keypair,
     SingleAfterDelay,
     SpendPath,
     TweakData,
@@ -129,6 +131,72 @@ def test_keypair_memo_returns_one_object_per_seed():
     assert keypair_from_seed.__wrapped__(b"memo-keypair") == kp  # fresh derivation
     other = keypair_from_seed(b"memo-keypair-2")
     assert other.secret != kp.secret and other.public != kp.public
+
+
+def test_sign_memo_returns_one_object_per_keypair_and_digest():
+    kp = keypair_from_seed(b"sign-memo")
+    digest = sha(b"sign memo")
+    sig = sign_digest(kp, digest)
+    assert sign_digest(kp, digest) is sig
+    assert sign_digest(Keypair(kp.secret, kp.public), digest) is sig  # equal key, same entry
+    assert sign_digest.__wrapped__(kp, digest) == sig  # fresh signing agrees
+
+
+def test_sign_memo_signs_a_changed_digest_afresh():
+    kp = keypair_from_seed(b"sign-memo-digest")
+    digest = sha(b"sign memo digest")
+    sig = sign_digest(kp, digest)
+    for i in (0, 31):
+        changed = digest[:i] + bytes([digest[i] ^ 1]) + digest[i + 1:]
+        fresh = sign_digest(kp, changed)
+        assert fresh != sig
+        assert fresh == sign_digest.__wrapped__(kp, changed)
+        assert verify_signature(kp.public, changed, fresh)
+
+
+def test_sign_memo_keys_on_the_public_half_too():
+    kp = keypair_from_seed(b"sign-memo-pair")
+    other = keypair_from_seed(b"sign-memo-other")
+    mismatched = Keypair(kp.secret, other.public)
+    digest = sha(b"sign memo pair")
+    sig = sign_digest(kp, digest)
+    misses = sign_digest.cache_info().misses
+    wrong = sign_digest(mismatched, digest)
+    assert sign_digest.cache_info().misses == misses + 1  # its own entry
+    assert wrong != sig
+    assert wrong == sign_digest.__wrapped__(mismatched, digest)
+    assert sign_digest(kp, digest) is sig
+    assert not verify_signature(other.public, digest, wrong)
+
+
+def test_sign_rejects_out_of_range_secret_on_every_call():
+    public = keypair_from_seed(b"sign-range").public
+    digest = sha(b"sign range")
+    before = sign_digest.cache_info()
+    for secret in (0, N):
+        for _ in range(2):
+            with pytest.raises(InvalidScalar):
+                sign_digest(Keypair(secret, public), digest)
+    after = sign_digest.cache_info()
+    assert (after.hits, after.currsize) == (before.hits, before.currsize)
+
+
+def test_every_memo_is_bounded():
+    # An unbounded cache grows with the run; every memo in the curve and key
+    # layers is an LRU of the size its module names, and these are all of them.
+    memos = {
+        name: obj.cache_info().maxsize
+        for module in (curve, keys)
+        for name, obj in vars(module).items()
+        if hasattr(obj, "cache_info")
+    }
+    assert memos == {
+        "decode_point": curve.DECODE_CACHE_SIZE,
+        "keypair_from_seed": keys.KEYPAIR_CACHE_SIZE,
+        "sign_digest": keys.SIGN_CACHE_SIZE,
+        "verify_signature": keys.VERIFY_CACHE_SIZE,
+        "build_protocol_addresses": keys.ADDRESS_CACHE_SIZE,
+    }  # an unbounded memo reports maxsize None and fails here
 
 
 def test_signatures_match_fixed_vectors():
