@@ -116,7 +116,6 @@ def instance_view(
     tweak_data: TweakData,
     owner: str,
     base_fee_rate: int,
-    anchor_value: int,
 ) -> ProtocolInstance:
     """Reconstruct the public half of a protocol instance from stored
     parameters, enough to recompute addresses and templates."""
@@ -131,7 +130,6 @@ def instance_view(
         deposits={},
         to_psbts={},
         base_fee_rate=base_fee_rate,
-        anchor_value=anchor_value,
     )
 
 
@@ -173,7 +171,6 @@ class ArbitrationOracle:
         seed: bytes,
         default_wsp: int = DEFAULT_WSP_SLOTS,
         base_fee_rate: int = 1,
-        anchor_value: int = 330,
     ):
         self.name = name
         self.image = image
@@ -182,7 +179,6 @@ class ArbitrationOracle:
         self.seed = seed
         self.default_wsp = default_wsp
         self.base_fee_rate = base_fee_rate
-        self.anchor_value = anchor_value
 
         self.keypair: Keypair | None = None
         self.key_id: str | None = None
@@ -481,9 +477,7 @@ class ArbitrationOracle:
         expected = Outpoint(ctx.spend_txid, 0)
         if template.outpoint != expected or template.input_value != ctx.spend_value:
             return None
-        iview = instance_view(
-            tweak, record.owner, self.base_fee_rate, self.anchor_value
-        )
+        iview = instance_view(tweak, record.owner, self.base_fee_rate)
         if not verify_psbt_against_instance(
             template, iview, expected, ctx.spend_value
         ):

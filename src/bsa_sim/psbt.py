@@ -16,11 +16,18 @@ how fees are topped up):
   cooperative_unbond         VA  -> Dep        TO & Dep   exec Dep   anchor
   resplit                    VA  -> VA + VA    Dep & TO   exec TO    none
 
+The setup ceremony pre-signs, for each deposit, the catalog rows that
+have a keeper (``stored_on``): the registry keeps the unbond request and
+the two resolve rows, the operator keeps the challenge and the rebalance
+request.  ``DEPOSIT_ROWS``, ``SAR_ROWS`` and ``TO_ROWS`` are derived from
+the catalog, so it is the one place that says which rows guard a
+deposit, who signs each and who keeps it.
+
 Templates commit the exact input value minus a creator-chosen base fee
 (default 1 sat per weight unit).  Rows executed by an arbitration oracle
 carry ANYONECANPAY|ALL signatures so a fee input can be appended without
-re-signing; multi-party rows carry an anchor output at a configurable
-dust value, spendable by the executor for child-pays-for-parent bumps.
+re-signing; multi-party rows carry an anchor output of ``ANCHOR_VALUE``
+dust, spendable by the executor for child-pays-for-parent bumps.
 A template's transaction id never covers witnesses, which is what lets
 the ceremony chain templates off unbroadcast parents.
 """
@@ -28,7 +35,7 @@ the ceremony chain templates off unbroadcast parents.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .attestation import Attestation, MockAttestationAuthority
@@ -60,7 +67,7 @@ from .registry import (
 )
 
 DEFAULT_BASE_FEE_RATE = 1  # sats per weight unit committed at template time
-DEFAULT_ANCHOR_VALUE = 330  # dust value carried by anchor outputs
+ANCHOR_VALUE = 330  # dust value carried by anchor outputs
 
 
 class PsbtError(Exception):
@@ -165,6 +172,11 @@ TRANSITION_SPECS: dict[Transition, TransitionSpec] = {
     ),
 }
 
+# the rows pre-signed for every deposit, in catalog order, and who keeps them
+DEPOSIT_ROWS = tuple(t for t, s in TRANSITION_SPECS.items() if s.stored_on is not None)
+SAR_ROWS = tuple(t for t in DEPOSIT_ROWS if TRANSITION_SPECS[t].stored_on == "sar")
+TO_ROWS = tuple(t for t in DEPOSIT_ROWS if TRANSITION_SPECS[t].stored_on == "to")
+
 
 @dataclass
 class PsbtTemplate:
@@ -253,7 +265,6 @@ class ProtocolInstance:
     deposits: dict[str, int]  # outpoint str -> value
     to_psbts: dict[str, dict[Transition, PsbtTemplate]]  # operator-held rows
     base_fee_rate: int = DEFAULT_BASE_FEE_RATE
-    anchor_value: int = DEFAULT_ANCHOR_VALUE
 
 
 def _role_pubkeys(tweak_data: TweakData, role: str) -> tuple[Point, ...]:
@@ -316,7 +327,7 @@ def build_psbt(
     weight = 1 + n_main + (1 if has_anchor else 0)
     if fee is None:
         fee = instance.base_fee_rate * weight
-    anchor_value = instance.anchor_value if has_anchor else 0
+    anchor_value = ANCHOR_VALUE if has_anchor else 0
 
     if value_split is not None:
         if sum(value_split) != value - fee - anchor_value:
@@ -434,17 +445,6 @@ def finalize_to_tx(
     return tx
 
 
-def finalize_and_broadcast(
-    psbt: PsbtTemplate,
-    executor: Keypair,
-    instance: ProtocolInstance,
-    chain: BtcChain,
-) -> SimTx:
-    tx = finalize_to_tx(psbt, executor, instance)
-    chain.submit_tx(tx)
-    return tx
-
-
 # ---------------------------------------------------------------------------
 # fee machinery
 
@@ -523,60 +523,55 @@ def build_deposit_psbt_set(
     dep_keypair: Keypair | None,
     to_keypair: Keypair | None,
 ) -> dict[Transition, PsbtTemplate]:
-    """The five pre-signed templates guarding one deposit UTXO.
+    """The templates of ``DEPOSIT_ROWS`` guarding one deposit UTXO.
 
-    The operator pre-signs the unbond request; the depositor pre-signs
-    the challenge row and the three rows that protect them (rebalance
-    request is operator-held, the two resolve rows go to the registry).
+    A row whose source is the vault spends the deposit; any other row
+    spends output 0 of the row that pays to its source.  Each row's
+    creator pre-signs it when that party's keypair is given.
     """
-    tweak = instance.tweak_data
-    unbond_request = build_psbt(Transition.UNBOND_REQUEST, instance, (outpoint, value))
-    uta_out = unbond_request.main_output()
-    unbond_challenge = build_psbt(
-        Transition.UNBOND_CHALLENGE,
-        instance,
-        (Outpoint(unbond_request.txid, 0), uta_out.value),
+    signers = {"dep": dep_keypair, "to": to_keypair}
+    rows: dict[Transition, PsbtTemplate] = {}
+    paid_to: dict[str, PsbtTemplate] = {}  # address kind -> row paying to it
+    for transition in DEPOSIT_ROWS:
+        spec = TRANSITION_SPECS[transition]
+        if spec.source == "VA":
+            spent = (outpoint, value)
+        else:
+            parent = paid_to[spec.source]
+            spent = (Outpoint(parent.txid, 0), parent.main_output().value)
+        template = build_psbt(transition, instance, spent)
+        keypair = signers[spec.creator]
+        if keypair is not None:
+            sign_psbt(template, keypair, instance.tweak_data)
+        rows[transition] = template
+        paid_to[spec.dest.upper()] = template
+    return rows
+
+
+def _registered_record(
+    instance: ProtocolInstance,
+    outpoint: Outpoint,
+    amount: int,
+    rows: dict[Transition, PsbtTemplate],
+) -> UtxoRecord:
+    """The registry record of a new deposit: its ``SAR_ROWS`` as text."""
+    return UtxoRecord(
+        outpoint=str(outpoint),
+        owner=instance.owner,
+        amount=amount,
+        status=UtxoStatus.REGISTERED,
+        tweak_digest=instance.tweak_data.digest_hex(),
+        psbts={t.value: rows[t].to_text() for t in SAR_ROWS},
     )
-    uca_out = unbond_challenge.main_output()
-    unbond_resolve = build_psbt(
-        Transition.UNBOND_RESOLVE,
-        instance,
-        (Outpoint(unbond_challenge.txid, 0), uca_out.value),
-    )
-    rebalance_request = build_psbt(Transition.REBALANCE_REQUEST, instance, (outpoint, value))
-    rca_out = rebalance_request.main_output()
-    rebalance_resolve = build_psbt(
-        Transition.REBALANCE_RESOLVE,
-        instance,
-        (Outpoint(rebalance_request.txid, 0), rca_out.value),
-    )
-    if to_keypair is not None:
-        sign_psbt(unbond_request, to_keypair, tweak)
-    if dep_keypair is not None:
-        for template in (unbond_challenge, unbond_resolve, rebalance_request, rebalance_resolve):
-            sign_psbt(template, dep_keypair, tweak)
-    return {
-        Transition.UNBOND_REQUEST: unbond_request,
-        Transition.UNBOND_CHALLENGE: unbond_challenge,
-        Transition.UNBOND_RESOLVE: unbond_resolve,
-        Transition.REBALANCE_REQUEST: rebalance_request,
-        Transition.REBALANCE_RESOLVE: rebalance_resolve,
-    }
 
 
 def verify_psbt_against_instance(
     psbt: PsbtTemplate, instance: ProtocolInstance, outpoint: Outpoint, value: int
 ) -> bool:
-    """Recompute the template from instance parameters and compare
-    canonically (ignoring signatures), then check the signatures it does
-    carry."""
+    """Recompute the template from instance parameters and compare every
+    field but the signatures, then check the signatures it does carry."""
     rebuilt = build_psbt(psbt.transition, instance, (outpoint, value))
-    a, b = psbt.to_text(), rebuilt.to_text()
-    a = json.loads(a)
-    b = json.loads(b)
-    a.pop("partial_sigs")
-    b.pop("partial_sigs")
-    if a != b:
+    if replace(psbt, partial_sigs={}) != rebuilt:
         return False
     return verify_partial_sigs(psbt, instance.tweak_data)
 
@@ -590,10 +585,8 @@ def run_setup_ceremony(
     registry: Registry,
     authority: MockAttestationAuthority,
     owner_account: str,
-    expected_pcr0: str | None = None,
+    expected_pcr0: str,
     base_fee_rate: int = DEFAULT_BASE_FEE_RATE,
-    anchor_value: int = DEFAULT_ANCHOR_VALUE,
-    confirm_and_mint: bool = True,
     sar_tamper=None,
 ) -> ProtocolInstance:
     """Run the deposit setup end to end.
@@ -628,7 +621,7 @@ def run_setup_ceremony(
             raise VerificationFailed("oracle attestation does not verify")
         if att.ao_pubkey != ident.public.compressed().hex():
             raise VerificationFailed("attestation binds a different oracle key")
-        if expected_pcr0 is not None and att.pcr0 != expected_pcr0:
+        if att.pcr0 != expected_pcr0:
             raise VerificationFailed("oracle image measurement mismatch")
 
     tweak_data = TweakData(
@@ -661,6 +654,7 @@ def run_setup_ceremony(
         inputs=funding_inputs,
         outputs=[TxOutput(addresses.va.address_id, amount) for amount in amounts],
     )
+    outpoints = [Outpoint(funding.txid, index) for index in range(len(amounts))]
 
     instance = ProtocolInstance(
         tweak_data=tweak_data,
@@ -672,62 +666,35 @@ def run_setup_ceremony(
         deposits={},
         to_psbts={},
         base_fee_rate=base_fee_rate,
-        anchor_value=anchor_value,
     )
 
     # step 1: both parties pre-sign their rows
-    psbt_sets: dict[str, dict[Transition, PsbtTemplate]] = {}
-    for index, amount in enumerate(amounts):
-        outpoint = Outpoint(funding.txid, index)
-        psbt_sets[str(outpoint)] = build_deposit_psbt_set(
-            instance, outpoint, amount, dep_keypair, to_keypair
-        )
+    psbt_sets = [
+        build_deposit_psbt_set(instance, outpoint, amount, dep_keypair, to_keypair)
+        for outpoint, amount in zip(outpoints, amounts)
+    ]
 
-    # step 2a: operator checks the depositor's signatures and committed outputs
-    for index, amount in enumerate(amounts):
-        outpoint = Outpoint(funding.txid, index)
-        per = psbt_sets[str(outpoint)]
-        for transition in (Transition.REBALANCE_REQUEST, Transition.UNBOND_CHALLENGE):
-            template = per[transition]
-            if not verify_partial_sigs(template, tweak_data):
+    # step 2a: operator checks the depositor's signatures on the rows it keeps
+    for per in psbt_sets:
+        for transition in TO_ROWS:
+            if not verify_partial_sigs(per[transition], tweak_data):
                 raise VerificationFailed(f"bad depositor signature on {transition.value}")
 
     # step 2b: operator stores the registry rows
     registry.store_tweak_data(tweak_data)
-    for index, amount in enumerate(amounts):
-        outpoint = Outpoint(funding.txid, index)
-        per = psbt_sets[str(outpoint)]
-        stored = {
-            Transition.UNBOND_REQUEST.value: per[Transition.UNBOND_REQUEST].to_text(),
-            Transition.UNBOND_RESOLVE.value: per[Transition.UNBOND_RESOLVE].to_text(),
-            Transition.REBALANCE_RESOLVE.value: per[Transition.REBALANCE_RESOLVE].to_text(),
-        }
+    for outpoint, amount, per in zip(outpoints, amounts, psbt_sets):
+        record = _registered_record(instance, outpoint, amount, per)
         if sar_tamper is not None:
-            stored = sar_tamper(str(outpoint), stored)
-        registry.register_deposit(
-            UtxoRecord(
-                outpoint=str(outpoint),
-                owner=owner_account,
-                amount=amount,
-                status=UtxoStatus.REGISTERED,
-                tweak_digest=tweak_data.digest_hex(),
-                psbts=stored,
-            )
-        )
+            record.psbts = sar_tamper(record.outpoint, record.psbts)
+        registry.register_deposit(record, caller="to")
 
     # step 3: depositor verifies the registry rows byte for byte
-    for index, amount in enumerate(amounts):
-        outpoint = Outpoint(funding.txid, index)
-        per = psbt_sets[str(outpoint)]
-        for transition in (
-            Transition.UNBOND_REQUEST,
-            Transition.UNBOND_RESOLVE,
-            Transition.REBALANCE_RESOLVE,
-        ):
+    for outpoint, per in zip(outpoints, psbt_sets):
+        for transition in SAR_ROWS:
             stored_text = registry.get_stored_psbt(str(outpoint), transition.value)
             if stored_text != per[transition].to_text():
-                for j in range(len(amounts)):
-                    registry.reject_deposit(str(Outpoint(funding.txid, j)), owner_account)
+                for rejected in outpoints:
+                    registry.reject_deposit(str(rejected), owner_account)
                 raise VerificationFailed(
                     f"registry copy of {transition.value} does not match"
                 )
@@ -737,23 +704,16 @@ def run_setup_ceremony(
         funding.inputs[i].witness = [sign_digest(dep_keypair, funding.sighash(i))]
     chain.submit_tx(funding)
 
-    instance.deposits = {
-        str(Outpoint(funding.txid, i)): amount for i, amount in enumerate(amounts)
-    }
+    instance.deposits = {str(op): amount for op, amount in zip(outpoints, amounts)}
     instance.to_psbts = {
-        op: {
-            Transition.UNBOND_CHALLENGE: per[Transition.UNBOND_CHALLENGE],
-            Transition.REBALANCE_REQUEST: per[Transition.REBALANCE_REQUEST],
-        }
-        for op, per in psbt_sets.items()
+        str(op): {t: per[t] for t in TO_ROWS} for op, per in zip(outpoints, psbt_sets)
     }
 
     # step 5: confirmations, activation, mint
-    if confirm_and_mint:
-        for _ in range(6):
-            chain.mine_block()
-        for op in instance.deposits:
-            registry.activate_on_mint(op, caller="to")
+    for _ in range(6):
+        chain.mine_block()
+    for op in instance.deposits:
+        registry.activate_on_mint(op, caller="to")
     return instance
 
 
@@ -778,44 +738,35 @@ def collaborative_resplit(
 ) -> ResplitOutcome | None:
     """Cooperative rebalance: split one vault output into parts so only
     the imbalanced amount moves.  Returns None when the depositor did not
-    sign by the deadline (the caller then rebalances the full UTXO)."""
+    sign by the deadline (the caller then rebalances the full UTXO).
+
+    As in the setup ceremony, the registry accepts the new records before
+    any coins move: a resplit it refuses broadcasts nothing and leaves
+    ``instance`` as it was."""
     if dep_keypair is None or current_block > deadline_block:
         return None
     resplit = build_psbt(
         Transition.RESPLIT, instance, (outpoint, value), value_split=split_amounts, fee=fee
     )
     sign_psbt(resplit, dep_keypair, instance.tweak_data)
-    tx = finalize_and_broadcast(resplit, to_keypair, instance, chain)
+    tx = finalize_to_tx(resplit, to_keypair, instance)
 
-    new_records = []
-    new_deposits = []
-    for i, amount in enumerate(split_amounts):
-        new_op = Outpoint(tx.txid, i)
-        per = build_deposit_psbt_set(instance, new_op, amount, dep_keypair, to_keypair)
-        new_records.append(
-            UtxoRecord(
-                outpoint=str(new_op),
-                owner=instance.owner,
-                amount=amount,
-                status=UtxoStatus.REGISTERED,
-                tweak_digest=instance.tweak_data.digest_hex(),
-                psbts={
-                    Transition.UNBOND_REQUEST.value: per[Transition.UNBOND_REQUEST].to_text(),
-                    Transition.UNBOND_RESOLVE.value: per[Transition.UNBOND_RESOLVE].to_text(),
-                    Transition.REBALANCE_RESOLVE.value: per[
-                        Transition.REBALANCE_RESOLVE
-                    ].to_text(),
-                },
-            )
-        )
-        new_deposits.append((new_op, amount))
-        instance.to_psbts[str(new_op)] = {
-            Transition.UNBOND_CHALLENGE: per[Transition.UNBOND_CHALLENGE],
-            Transition.REBALANCE_REQUEST: per[Transition.REBALANCE_REQUEST],
-        }
+    new_deposits = [(Outpoint(tx.txid, i), amount) for i, amount in enumerate(split_amounts)]
+    psbt_sets = [
+        build_deposit_psbt_set(instance, new_op, amount, dep_keypair, to_keypair)
+        for new_op, amount in new_deposits
+    ]
+    new_records = [
+        _registered_record(instance, new_op, amount, per)
+        for (new_op, amount), per in zip(new_deposits, psbt_sets)
+    ]
+    registry.check_resplit(str(outpoint), new_records, caller="to")
+    chain.submit_tx(tx)
     registry.resplit_deposit(str(outpoint), new_records, caller="to")
+
     del instance.deposits[str(outpoint)]
     instance.to_psbts.pop(str(outpoint), None)
-    for new_op, amount in new_deposits:
+    for (new_op, amount), per in zip(new_deposits, psbt_sets):
         instance.deposits[str(new_op)] = amount
+        instance.to_psbts[str(new_op)] = {t: per[t] for t in TO_ROWS}
     return ResplitOutcome(tx=tx, new_deposits=new_deposits)

@@ -88,7 +88,9 @@ _ALLOWED_TRANSITIONS = {
     (UtxoStatus.ACTIVE, UtxoStatus.WITHDRAWN): "owner",
 }
 
-# the three stored rows that protect the depositor / enable arbitration
+# the three stored rows that protect the depositor / enable arbitration:
+# the values of ``psbt.SAR_ROWS``, spelled out because psbt imports this
+# module (a test pins the two equal)
 REQUIRED_PSBT_SLOTS = ("unbond_request", "unbond_resolve", "rebalance_resolve")
 
 
@@ -260,7 +262,9 @@ class Registry:
         self.tweaks[digest] = tweak_data.to_dict()
         return digest
 
-    def register_deposit(self, record: UtxoRecord, caller: str = "to") -> None:
+    def register_deposit(self, record: UtxoRecord, caller: str) -> None:
+        if caller != "to":
+            raise NotTO(caller)
         if record.outpoint in self.records:
             raise DuplicateOutpoint(record.outpoint)
         if record.status is not UtxoStatus.REGISTERED:
@@ -410,17 +414,14 @@ class Registry:
         self.get_record(outpoint)
         self.collaborative_pending[outpoint] = deadline_block
 
-    def resplit_deposit(
+    def check_resplit(
         self,
         old_outpoint: str,
         new_records: list[UtxoRecord],
         caller: str,
     ) -> None:
-        """Replace one active record with records for its split parts
-        (cooperative rebalance).  Minted supply is untouched: the deposit
-        merely changed outpoints, so the new records activate directly.
-        Every new record is checked before anything changes, so a
-        rejected resplit leaves the registry as it was."""
+        """Raise unless ``resplit_deposit`` would accept these arguments;
+        changes nothing."""
         if caller != "to":
             raise NotTO(caller)
         old = self.get_record(old_outpoint)
@@ -437,6 +438,19 @@ class Registry:
                 raise DuplicateOutpoint(outpoint)
             _require_psbts(record)
             added.add(outpoint)
+
+    def resplit_deposit(
+        self,
+        old_outpoint: str,
+        new_records: list[UtxoRecord],
+        caller: str,
+    ) -> None:
+        """Replace one active record with records for its split parts
+        (cooperative rebalance).  Minted supply is untouched: the deposit
+        merely changed outpoints, so the new records activate directly.
+        ``check_resplit`` runs before anything changes, so a rejected
+        resplit leaves the registry as it was."""
+        self.check_resplit(old_outpoint, new_records, caller)
         del self.records[old_outpoint]
         del self.collaborative_pending[old_outpoint]
         for record in new_records:

@@ -299,7 +299,8 @@ def _selection_registry(values, to_public, tweak, outpoints):
                 status=UtxoStatus.REGISTERED,
                 tweak_digest=digest,
                 psbts={slot: "{}" for slot in REQUIRED_PSBT_SLOTS},
-            )
+            ),
+            caller="to",
         )
         reg.activate_on_mint(outpoints[i], caller="to")
     return reg

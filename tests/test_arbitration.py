@@ -88,6 +88,7 @@ class ArbWorld:
         self.instance = run_setup_ceremony(
             self.dep, self.to, identities, sources,
             self.chain, self.registry, self.authority, owner_account="acct:arb",
+            expected_pcr0=IMAGE.pcr0,
         )
         self.outpoint = next(iter(self.instance.deposits))
         self.value = self.instance.deposits[self.outpoint]

@@ -3,6 +3,7 @@ and the two signature-binding properties the templates rely on:
 ANYONECANPAY inputs can be added without breaking signatures, and any
 output change breaks every prior signature."""
 
+import dataclasses
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from bsa_sim.chain import (
 )
 from bsa_sim.keys import key_address_id, keypair_from_seed
 from bsa_sim.psbt import (
+    ANCHOR_VALUE,
     AoIdentity,
     BadSplit,
     FlagViolation,
@@ -26,6 +28,8 @@ from bsa_sim.psbt import (
     NoAnchor,
     NotASigner,
     PsbtTemplate,
+    SAR_ROWS,
+    TO_ROWS,
     TRANSITION_SPECS,
     Transition,
     VerificationFailed,
@@ -35,7 +39,6 @@ from bsa_sim.psbt import (
     build_deposit_psbt_set,
     build_psbt,
     collaborative_resplit,
-    finalize_and_broadcast,
     finalize_to_tx,
     required_child_fee,
     run_setup_ceremony,
@@ -43,7 +46,13 @@ from bsa_sim.psbt import (
     verify_partial_sigs,
     verify_psbt_against_instance,
 )
-from bsa_sim.registry import Registry, TimelockRelationViolated, UtxoStatus
+from bsa_sim.registry import (
+    REQUIRED_PSBT_SLOTS,
+    Registry,
+    TimelockRelationViolated,
+    UnauthorizedTransition,
+    UtxoStatus,
+)
 
 IMAGE = EnclaveImage(b"arbiter-v1", b"standard", b"oracle-vendor")
 
@@ -85,6 +94,7 @@ class World:
             self.registry,
             self.authority,
             owner_account="acct:unit",
+            expected_pcr0=IMAGE.pcr0,
             **kw,
         )
         return self.instance
@@ -128,7 +138,7 @@ def test_build_psbt_shapes(world):
     assert req.flag is SighashFlag.ALL
     assert req.anchor_index == 1
     assert req.outputs[0].address_id == inst.addresses.uta.address_id
-    assert req.outputs[1].value == inst.anchor_value
+    assert req.outputs[1].value == ANCHOR_VALUE
     assert req.outputs[1].address_id == inst.return_address_id  # executor dep
     assert req.fee == inst.base_fee_rate * 3
 
@@ -221,6 +231,18 @@ def test_ceremony_rejects_forged_attestation():
         w.ceremony()
 
 
+def test_ceremony_rejects_oracle_under_another_image():
+    w = World()
+    other = EnclaveImage(b"arbiter-v2", b"standard", b"oracle-vendor")
+    w.identities[0] = AoIdentity(
+        w.oracles[0].public,
+        w.authority.issue(other, w.oracles[0].public_hex, 0, "00" * 32, b""),
+    )
+    with pytest.raises(VerificationFailed, match="oracle image measurement mismatch"):
+        w.ceremony()
+    assert w.registry.records == {}
+
+
 def test_ceremony_rejects_unattested_oracle():
     w = World()
     w.identities[0] = AoIdentity(w.oracles[0].public, None)
@@ -274,7 +296,8 @@ def test_unbond_request_round_trip(world):
     stored = PsbtTemplate.from_text(
         world.registry.get_stored_psbt(outpoint_str, "unbond_request")
     )
-    tx = finalize_and_broadcast(stored, world.dep, inst, world.chain)
+    tx = finalize_to_tx(stored, world.dep, inst)
+    world.chain.submit_tx(tx)
     assert tx.txid in world.chain.mine_block()
     assert world.chain.balance_of(inst.addresses.uta.address_id) == tx.outputs[0].value
 
@@ -305,7 +328,8 @@ def test_cpfp_bump_confirms_underpaying_request(world):
     stored = PsbtTemplate.from_text(
         world.registry.get_stored_psbt(outpoint_str, "unbond_request")
     )
-    parent = finalize_and_broadcast(stored, world.dep, inst, chain)
+    parent = finalize_to_tx(stored, world.dep, inst)
+    chain.submit_tx(parent)
     assert parent.txid not in chain.mine_block()  # 3 sat fee vs 12 required
 
     fee_utxo = chain.seed_utxo(inst.return_address_id, 200)
@@ -337,7 +361,8 @@ def test_add_fee_input_preserves_acp_signatures(world):
     outpoint_str, _ = next(iter(inst.deposits.items()))
     request = inst.to_psbts[outpoint_str][Transition.REBALANCE_REQUEST]
     sign_psbt(request, world.to, inst.tweak_data)
-    req_tx = finalize_and_broadcast(request, world.to, inst, chain)
+    req_tx = finalize_to_tx(request, world.to, inst)
+    chain.submit_tx(req_tx)
     chain.mine_block()
 
     resolve = PsbtTemplate.from_text(
@@ -503,6 +528,49 @@ def test_collaborative_resplit_times_out_without_depositor():
     ) is None
 
 
+def test_refused_resplit_moves_no_coins():
+    w = World(amounts=(10_000,))
+    inst = w.ceremony()
+    outpoint_str, value = next(iter(inst.deposits.items()))
+    digest = w.registry.state_digest()
+    deposits = dict(inst.deposits)
+    held = {k: dict(v) for k, v in inst.to_psbts.items()}
+    assert w.chain.mempool == {}
+    # no request_collaborative: the registry refuses the resplit
+    with pytest.raises(UnauthorizedTransition):
+        collaborative_resplit(
+            inst,
+            op(outpoint_str),
+            value,
+            [6_000, 3_997],
+            deadline_block=w.chain.height + 3,
+            current_block=w.chain.height,
+            dep_keypair=w.dep,
+            to_keypair=w.to,
+            chain=w.chain,
+            registry=w.registry,
+            fee=3,
+        )
+    assert w.chain.mempool == {}
+    assert w.registry.state_digest() == digest
+    assert inst.deposits == deposits
+    assert inst.to_psbts == held
+
+
+# -- the row table --------------------------------------------------------------
+
+
+def test_row_sets_follow_the_catalog():
+    assert SAR_ROWS == (
+        Transition.UNBOND_REQUEST,
+        Transition.UNBOND_RESOLVE,
+        Transition.REBALANCE_RESOLVE,
+    )
+    assert TO_ROWS == (Transition.UNBOND_CHALLENGE, Transition.REBALANCE_REQUEST)
+    # the registry cannot import psbt (psbt imports it), so it spells them out
+    assert REQUIRED_PSBT_SLOTS == tuple(t.value for t in SAR_ROWS)
+
+
 def test_deposit_set_has_one_presignature_per_row(world):
     inst = world.instance
     outpoint_str, value = next(iter(inst.deposits.items()))
@@ -515,11 +583,55 @@ def test_deposit_set_has_one_presignature_per_row(world):
         Transition.REBALANCE_REQUEST,
         Transition.REBALANCE_RESOLVE,
     }
-    assert list(per[Transition.UNBOND_REQUEST].partial_sigs) == [world.to.public_hex]
-    for t in (
-        Transition.UNBOND_CHALLENGE,
-        Transition.UNBOND_RESOLVE,
-        Transition.REBALANCE_REQUEST,
-        Transition.REBALANCE_RESOLVE,
-    ):
-        assert list(per[t].partial_sigs) == [world.dep.public_hex]
+    keypairs = {"dep": world.dep, "to": world.to}
+    for t, template in per.items():
+        spec = TRANSITION_SPECS[t]
+        assert list(template.partial_sigs) == [keypairs[spec.creator].public_hex], t
+        if spec.source == "VA":
+            assert (template.outpoint, template.input_value) == (outpoint, value), t
+            continue
+        # any other row spends output 0 of the row paying to its source
+        parents = [
+            p for p in per.values() if TRANSITION_SPECS[p.transition].dest == spec.source.lower()
+        ]
+        assert len(parents) == 1, t
+        assert template.outpoint == Outpoint(parents[0].txid, 0), t
+        assert template.input_value == parents[0].outputs[0].value, t
+
+
+# one changed value for each field verify_psbt_against_instance compares
+FIELD_CHANGES = {
+    "transition": lambda p: Transition.COOPERATIVE_UNBOND,
+    "outpoint": lambda p: Outpoint(p.outpoint.txid, p.outpoint.index + 1),
+    "input_value": lambda p: p.input_value + 1,
+    "path_id": lambda p: "dep_delay",
+    "flag": lambda p: SighashFlag.ALL_ANYONECANPAY,
+    "outputs": lambda p: [TxOutput(p.outputs[0].address_id, p.outputs[0].value - 1)]
+    + p.outputs[1:],
+    "anchor_index": lambda p: None,
+    "creator": lambda p: "dep",
+    "intended_executor": lambda p: "to",
+}
+
+
+def test_field_changes_cover_every_compared_field():
+    fields = {f.name for f in dataclasses.fields(PsbtTemplate)}
+    assert set(FIELD_CHANGES) == fields - {"partial_sigs"}
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_CHANGES))
+def test_verify_against_instance_rejects_one_changed_field(world, name):
+    inst = world.instance
+    outpoint_str, value = next(iter(inst.deposits.items()))
+    outpoint = op(outpoint_str)
+    stored = PsbtTemplate.from_text(
+        world.registry.get_stored_psbt(outpoint_str, "unbond_request")
+    )
+    assert verify_psbt_against_instance(stored, inst, outpoint, value)
+    changed = dataclasses.replace(
+        stored, partial_sigs={}, **{name: FIELD_CHANGES[name](stored)}
+    )
+    # re-signed, so only the field comparison can tell the two apart
+    sign_psbt(changed, world.to, inst.tweak_data)
+    assert verify_partial_sigs(changed, inst.tweak_data)
+    assert not verify_psbt_against_instance(changed, inst, outpoint, value)

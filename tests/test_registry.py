@@ -67,7 +67,7 @@ def make_record(reg: Registry, outpoint: str, amount: int, owner=OWNER) -> UtxoR
 
 
 def add_active(reg: Registry, outpoint: str, amount: int, owner=OWNER) -> None:
-    reg.register_deposit(make_record(reg, outpoint, amount, owner))
+    reg.register_deposit(make_record(reg, outpoint, amount, owner), caller="to")
     reg.activate_on_mint(outpoint, caller="to")
 
 
@@ -85,26 +85,29 @@ def test_register_activate_mints():
 def test_register_guards():
     reg = make_registry()
     rec = make_record(reg, "aa:0", 500)
-    reg.register_deposit(rec)
+    reg.register_deposit(rec, caller="to")
     with pytest.raises(DuplicateOutpoint):
-        reg.register_deposit(make_record(reg, "aa:0", 500))
+        reg.register_deposit(make_record(reg, "aa:0", 500), caller="to")
     bad = make_record(reg, "bb:0", 500)
     del bad.psbts["unbond_resolve"]
     with pytest.raises(MissingPsbt):
-        reg.register_deposit(bad)
+        reg.register_deposit(bad, caller="to")
     stranger = make_record(reg, "cc:0", 500)
     stranger.tweak_digest = "00" * 32
     with pytest.raises(UnknownRecord):
-        reg.register_deposit(stranger)
+        reg.register_deposit(stranger, caller="to")
     active = make_record(reg, "dd:0", 500)
     active.status = UtxoStatus.ACTIVE
     with pytest.raises(UnauthorizedTransition):
-        reg.register_deposit(active)
+        reg.register_deposit(active, caller="to")
+    with pytest.raises(NotTO):
+        reg.register_deposit(make_record(reg, "ee:0", 500), caller=OWNER)
+    assert "ee:0" not in reg.records
 
 
 def test_activation_requires_operator():
     reg = make_registry()
-    reg.register_deposit(make_record(reg, "aa:0", 500))
+    reg.register_deposit(make_record(reg, "aa:0", 500), caller="to")
     with pytest.raises(NotTO):
         reg.activate_on_mint("aa:0", caller=OWNER)
     reg.activate_on_mint("aa:0", caller="to")
@@ -127,7 +130,7 @@ def test_burn_for_exit():
 
 def test_reject_before_activation():
     reg = make_registry()
-    reg.register_deposit(make_record(reg, "aa:0", 500))
+    reg.register_deposit(make_record(reg, "aa:0", 500), caller="to")
     with pytest.raises(UnauthorizedTransition):
         reg.reject_deposit("aa:0", caller="to")
     reg.reject_deposit("aa:0", caller=OWNER)
