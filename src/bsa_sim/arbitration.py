@@ -17,10 +17,13 @@ snapshot, never from live mutable state.  All checks fail closed: a
 missing record, an unverifiable signature, an address mismatch, a stale
 view, or an expired version each independently block signing.
 
-``view`` is the registry parsed once by ``DestChain.view_at`` and shared
-by every oracle synced to that checkpoint, so it is read-only: nothing
-here writes to it, and only tests that model a corrupted view do.  The
-oracle attests the checkpoint's own digest, kept at sync.
+``view`` is the checkpoint's registry from ``DestChain.view_at``: the
+chain parses each finalized state once per change and gives every
+checkpoint its own copy, shared by every oracle synced to that
+checkpoint.  It is read-only: nothing here writes to it, and only tests
+that model a corrupted view do, which then reaches no other
+checkpoint.  The oracle attests the checkpoint's own digest, kept at
+sync.
 
 Resolution rules
 ----------------
@@ -248,7 +251,7 @@ class ArbitrationOracle:
         period lets the oracle extend its own prior state.  Anything
         longer requires an operator-signed checkpoint no older than the
         protocol default period; without one the oracle stays unsynced.
-        Both views are the chain's shared parse (``DestChain.view_at``).
+        Both views are the chain's shared view (``DestChain.view_at``).
         """
         downtime = dest.slot - self.last_seen_slot
         if downtime >= self.wsp_known or self.view is None:

@@ -7,20 +7,30 @@ oracles) only ever read registry state through one of these snapshots.
 Trusted checkpoints used for light-client resync are the same data
 wrapped with an operator or self-attested signature.
 
-Each finalized state is produced once and parsed once:
+Each finalized state is rendered and parsed once per change of state:
 
-* One export per advance.  ``advance`` moves the slot clock before it
-  finalizes, so every checkpoint crossed in one advance has the same
-  state; they share one snapshot string and one digest.
-* One parsed view per checkpoint.  ``view_at`` parses a checkpoint's
-  snapshot and keeps only the most recent parse, so every oracle synced
-  to that checkpoint shares one read-only ``Registry``.  An oracle that
-  goes offline keeps its own reference to its older view.
+* One render per change.  The canonical snapshot is
+  ``{...,"current_slot":N,...}`` with sorted keys, so it is a head, the
+  clock and a tail.  Each advance compares ``Registry.body_key()`` (the
+  cached records text and one encode of the small sections) with the
+  key of the last render, and calls ``export_snapshot`` only when it
+  differs.  Change is detected by value, so no mutator marks anything.
+  Every checkpoint stores that body and its clock; its digest is the
+  sha256 of head, clock and tail, the digest of the full text.
+  ``advance`` moves the slot clock before it finalizes, so every
+  checkpoint crossed in one advance has the same text and digest.
+* One parse per change.  ``view_at`` parses a body the first time a
+  checkpoint with it is viewed; each checkpoint's view is a fresh copy
+  of that parse with its own ``current_slot``, so a corrupted view never
+  leaks into another checkpoint.  Only the most recent view is kept, so
+  every oracle synced to one checkpoint shares one read-only
+  ``Registry``.  An oracle that goes offline keeps its own reference to
+  its older view.
 
 Finalized state is kept only while some oracle could still accept it.
 ``sync`` refuses a checkpoint older than the oracle's ``default_wsp``
 before it reads the snapshot, and worlds set that to the chain's
-schedule, so ``_finalize`` drops every snapshot more than
+schedule, so ``_finalize`` drops every checkpoint's state more than
 ``WspSchedule.longest()`` slots behind the clock.  The latest checkpoint
 is always kept.  Retention is therefore bounded by the period, not by
 the length of the run.
@@ -30,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import pickle
 from dataclasses import dataclass, field
 
 from .keys import Keypair, Point, sign_digest, verify_signature
@@ -98,6 +109,27 @@ class WspSchedule:
         return max([self.base, *(wsp for _, wsp in self.steps)])
 
 
+@dataclass
+class _Body:
+    """One finalized state without its clock, shared by every checkpoint
+    finalized while the registry's body was the same: its snapshot is
+    ``head + str(clock) + tail``, kept as ASCII bytes for hashing."""
+
+    key: tuple[str, str]  # Registry.body_key() when it was rendered
+    head: bytes
+    tail: bytes
+    parsed: bytes | None = None  # pickle of the first parse, the template of every view
+
+    def digest(self, clock: int) -> str:
+        hasher = hashlib.sha256(self.head)
+        hasher.update(b"%d" % clock)
+        hasher.update(self.tail)
+        return hasher.hexdigest()
+
+    def text(self, clock: int) -> str:
+        return (self.head + b"%d" % clock + self.tail).decode()
+
+
 class DestChain:
     def __init__(
         self,
@@ -112,8 +144,10 @@ class DestChain:
         self.wsp_schedule = wsp_schedule or WspSchedule(base=1344)
         self.slot = 0
         self.finalized: list[FinalizedCheckpoint] = []
-        self.snapshots: dict[int, str] = {}  # finalized slot -> snapshot, within the period
-        self._view: tuple[int, Registry] | None = None  # most recent parse
+        # finalized slot -> (body, clock), within the period
+        self.snapshots: dict[int, tuple[_Body, int]] = {}
+        self._body: _Body | None = None  # the body last rendered
+        self._view: tuple[int, Registry] | None = None  # most recent view
         registry.current_slot = 0
         self._finalize([0])
 
@@ -122,16 +156,22 @@ class DestChain:
         return self.wsp_schedule.at(self.slot)
 
     def _finalize(self, slots: list[int]) -> list[FinalizedCheckpoint]:
-        """Finalize ``slots`` with the current state: one export and one
-        digest, shared by every checkpoint."""
+        """Finalize ``slots`` with the current state: one digest, shared by
+        every checkpoint, and one render only if the body changed."""
         if not slots:
             return []
-        snapshot = self.registry.export_snapshot()
-        digest = hashlib.sha256(snapshot.encode()).hexdigest()
+        clock = self.registry.current_slot
+        key = self.registry.body_key()
+        if self._body is None or self._body.key != key:
+            snapshot = self.registry.export_snapshot().encode()
+            head = self.registry.snapshot_head().encode()
+            self._body = _Body(key, head, snapshot[len(head) + len(b"%d" % clock):])
+        body = self._body
+        digest = body.digest(clock)
         new = [FinalizedCheckpoint(slot=s, state_digest=digest, timestamp=s) for s in slots]
         self.finalized.extend(new)
         for slot in slots:
-            self.snapshots[slot] = snapshot
+            self.snapshots[slot] = (body, clock)
         # Snapshots are inserted in slot order, so the expired ones are a prefix.
         horizon = min(self.slot - self.wsp_schedule.longest(), slots[-1])
         for slot in list(itertools.takewhile(lambda s: s < horizon, self.snapshots)):
@@ -153,15 +193,28 @@ class DestChain:
     def latest_finalized(self) -> FinalizedCheckpoint:
         return self.finalized[-1]
 
-    def snapshot_at(self, cp: FinalizedCheckpoint) -> str:
+    def _state_at(self, cp: FinalizedCheckpoint) -> tuple[_Body, int]:
         try:
             return self.snapshots[cp.slot]
         except KeyError:
             raise DestChainError(f"no snapshot for slot {cp.slot}")
 
+    def snapshot_at(self, cp: FinalizedCheckpoint) -> str:
+        body, clock = self._state_at(cp)
+        return body.text(clock)
+
     def view_at(self, cp: FinalizedCheckpoint) -> Registry:
-        """The registry state finalized at ``cp``, parsed once and shared
-        by every caller until another slot is parsed.  Read-only."""
+        """The registry state finalized at ``cp``, shared by every caller
+        until another slot is viewed.  Read-only.  A body is parsed once;
+        each checkpoint's view is a fresh copy of that parse with its own
+        clock, so views of different checkpoints share no mutable object.
+        The copy is a pickle round trip, about a quarter of the cost of a
+        parse or of ``copy.deepcopy``."""
         if self._view is None or self._view[0] != cp.slot:
-            self._view = (cp.slot, Registry.import_snapshot(self.snapshot_at(cp)))
+            body, clock = self._state_at(cp)
+            if body.parsed is None:
+                body.parsed = pickle.dumps(Registry.import_snapshot(body.text(clock)))
+            view = pickle.loads(body.parsed)
+            view.current_slot = clock
+            self._view = (cp.slot, view)
         return self._view[1]

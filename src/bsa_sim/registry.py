@@ -28,6 +28,10 @@ from enum import Enum
 
 from .keys import Point, TweakData, decode_point, verify_signature
 
+# one canonical encoder for every snapshot text: ``json.dumps`` with
+# arguments builds a new encoder on each call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 class RegistryError(Exception):
     pass
@@ -249,6 +253,7 @@ class Registry:
         self.rebalance_events: list[RebalanceEvent] = []
         self.collaborative_pending: dict[str, int] = {}  # outpoint -> deadline block
         self._position_counter: dict[str, int] = {}  # owner -> next registration index
+        self._records_json: tuple[list, str] | None = None  # (field values, records text)
 
     # -- parameter helpers -------------------------------------------------
 
@@ -521,7 +526,10 @@ class Registry:
 
     # -- canonical snapshot ---------------------------------------------------
 
-    def to_state_dict(self) -> dict:
+    def _sections(self) -> dict:
+        """Every section of the canonical state but ``records`` and
+        ``current_slot``.  The encoder sorts every key, so these are the
+        live containers wherever their JSON form is the same."""
         return {
             "params": {
                 "t1": self.t1,
@@ -530,35 +538,68 @@ class Registry:
                 "slots_per_block": self.slots_per_block,
             },
             "to_pubkey": self.to_pubkey.compressed().hex(),
-            "current_slot": self.current_slot,
-            "records": {k: self.records[k].to_dict() for k in sorted(self.records)},
-            "tweaks": {k: self.tweaks[k] for k in sorted(self.tweaks)},
-            "orders": {k: self.orders[k] for k in sorted(self.orders)},
+            "tweaks": self.tweaks,
+            "orders": self.orders,
             "adapters": {
                 k: {
                     "adapter_id": a.adapter_id,
                     "registered_at": a.registered_at,
                     "removal_effective_at": a.removal_effective_at,
-                    "balances": dict(sorted(a.balances.items())),
+                    "balances": a.balances,
                 }
-                for k, a in sorted(self.adapters.items())
+                for k, a in self.adapters.items()
             },
-            "versions": {k: list(self.versions[k]) for k in sorted(self.versions)},
+            "versions": self.versions,
             "pending_upgrades": self.pending_upgrades,
             "ledger": {
-                "balances": dict(sorted(self.ledger.balances.items())),
+                "balances": self.ledger.balances,
                 "total_minted": self.ledger.total_minted,
                 "total_burned": self.ledger.total_burned,
                 "log": self.ledger.log,
             },
-            "claimable": dict(sorted(self.claimable.items())),
-            "claim_paid": dict(sorted(self.claim_paid.items())),
+            "claimable": self.claimable,
+            "claim_paid": self.claim_paid,
             "rebalance_events": [e.to_dict() for e in self.rebalance_events],
-            "collaborative_pending": dict(sorted(self.collaborative_pending.items())),
+            "collaborative_pending": self.collaborative_pending,
         }
 
+    def _records_text(self) -> str:
+        """The records section as canonical JSON.  It is rendered again
+        only when some record's field values differ from the last render,
+        so no mutator has to say that it changed a record.  The values
+        are a list: ``tuple()`` over a generator resizes its result, and
+        CPython then keeps every dropped key on its tuple free list."""
+        values = [
+            (k, r.outpoint, r.owner, r.amount, r.status, r.tweak_digest,
+             tuple(r.psbts.items()), r.rebalance_position)
+            for k, r in self.records.items()
+        ]
+        if self._records_json is None or self._records_json[0] != values:
+            text = _ENCODER.encode({k: r.to_dict() for k, r in self.records.items()})
+            self._records_json = (values, text)
+        return self._records_json[1]
+
+    def body_key(self) -> tuple[str, str]:
+        """Everything the canonical snapshot holds but its clock, cheap to
+        build and compare: the records text and one encode of the other
+        sections.  Equal keys give equal snapshots at equal
+        ``current_slot``."""
+        return self._records_text(), _ENCODER.encode(self._sections())
+
     def export_snapshot(self) -> str:
-        return json.dumps(self.to_state_dict(), sort_keys=True, separators=(",", ":"))
+        """The canonical state: sorted keys, no whitespace, records from
+        ``_records_text``."""
+        texts = {name: _ENCODER.encode(value) for name, value in self._sections().items()}
+        texts["current_slot"] = str(self.current_slot)
+        texts["records"] = self._records_text()
+        return "{" + ",".join(f'"{name}":{texts[name]}' for name in sorted(texts)) + "}"
+
+    def snapshot_head(self) -> str:
+        """The text of ``export_snapshot()`` up to the value of
+        ``current_slot``: the sections that sort before it, which always
+        exist, without their closing brace."""
+        head = {name: v for name, v in self._sections().items() if name < "current_slot"}
+        return _ENCODER.encode(head)[:-1] + ',"current_slot":'
 
     def state_digest(self) -> str:
         return hashlib.sha256(self.export_snapshot().encode()).hexdigest()

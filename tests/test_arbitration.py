@@ -3,6 +3,8 @@ against an independently written decision function, the status-based
 signing rules, light-client resync boundaries, key custody, and version
 governance gates."""
 
+import hashlib
+
 import pytest
 
 from bsa_sim.arbitration import (
@@ -580,7 +582,7 @@ def test_evicted_checkpoint_within_a_longer_oracle_period_is_not_served():
         oracle.sync(w.dest, to_checkpoint=sign_checkpoint(old, w.to, TO_SIGNER))
 
 
-# -- one export per advance, one parse per checkpoint --------------------------
+# -- one render and one parse per change of state -----------------------------
 
 
 def count_calls(monkeypatch, cls, name) -> list:
@@ -601,24 +603,38 @@ def test_oracles_at_one_checkpoint_share_one_parse(monkeypatch):
     offline = w.oracles[2]
     old_view = offline.view
     imports = count_calls(monkeypatch, Registry, "import_snapshot")
+    w.registry.ledger.mint("acct:other", 5)  # the state changes
     w.dest.advance(w.dest.finality_interval)
     for oracle in w.oracles[:2]:
         oracle.sync(w.dest)
     assert len(imports) == 1
     assert w.oracles[0].view is w.oracles[1].view
     assert w.oracles[0].view is w.dest.view_at(w.dest.latest_finalized())
+    changed = w.oracles[0].view
+    w.dest.advance(w.dest.finality_interval)  # only the clock moves
+    for oracle in w.oracles[:2]:
+        oracle.sync(w.dest)
     assert len(imports) == 1
-    assert offline.view is old_view and old_view is not w.oracles[0].view
+    assert w.oracles[0].view is w.oracles[1].view
+    assert w.oracles[0].view is not changed
+    assert w.oracles[0].view.current_slot == w.dest.slot == changed.current_slot + w.dest.finality_interval
+    assert offline.view is old_view and old_view is not changed
 
 
 def test_advance_across_two_boundaries_exports_once(monkeypatch):
     w = ArbWorld(n_oracles=1)
     exports = count_calls(monkeypatch, Registry, "export_snapshot")
+    w.registry.ledger.mint("acct:other", 5)  # the state changes
     first, second = w.dest.advance(2 * w.dest.finality_interval)
     assert len(exports) == 1
     assert second.slot == first.slot + w.dest.finality_interval
-    assert first.state_digest == second.state_digest == w.registry.state_digest()
-    assert w.dest.snapshot_at(first) is w.dest.snapshot_at(second)
+    assert w.dest.snapshot_at(first) == w.dest.snapshot_at(second)
+    (third,) = w.dest.advance(w.dest.finality_interval)  # only the clock moves
+    assert len(exports) == 1
+    fresh = w.registry.export_snapshot()
+    assert third.state_digest == hashlib.sha256(fresh.encode()).hexdigest()
+    assert w.dest.snapshot_at(third) == fresh
+    assert first.state_digest == second.state_digest != third.state_digest
 
 
 def test_attested_digest_is_the_checkpoint_digest():

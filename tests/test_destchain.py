@@ -1,0 +1,191 @@
+"""Finalized state on the destination chain: whatever the registry does
+between advances, every retained checkpoint carries the digest, the text
+and the parsed view of a full export taken when it was finalized, and
+views of different checkpoints share nothing mutable."""
+
+import hashlib
+import itertools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bsa_sim.destchain import DestChain, WspSchedule
+from bsa_sim.keys import TweakData, key_address_id, keypair_from_seed, sign_digest
+from bsa_sim.registry import (
+    REQUIRED_PSBT_SLOTS,
+    Registry,
+    RegistryError,
+    UtxoRecord,
+    UtxoStatus,
+)
+
+# The example count comes from the Hypothesis profile (tests/conftest.py).
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None)
+
+INTERVAL = 4
+WSP = 3 * INTERVAL  # a few checkpoints are retained, older ones are evicted
+OWNERS = ("acct:a", "acct:b", "acct:c")
+TO = keypair_from_seed(b"fin-to")
+DEP = keypair_from_seed(b"fin-dep")
+AO = keypair_from_seed(b"fin-ao")
+TWEAKS = [
+    TweakData(
+        dep_pk=DEP.public,
+        to_pk=TO.public,
+        ao_pks=(AO.public,),
+        t1=t1,
+        t2=6,
+        destination_chain_address=OWNERS[0].encode(),
+        return_address=key_address_id(DEP.public).encode(),
+    )
+    for t1 in (4, 5, 6)
+]
+PCR0S = ("aa" * 48, "bb" * 48)
+
+
+def outpoint(i: int) -> str:
+    return f"{i:02x}:0"
+
+
+def nth_record(reg: Registry, i: int, *statuses: UtxoStatus) -> UtxoRecord:
+    """The ``i``-th record (counted round) in one of ``statuses``, or in
+    any status when none is given."""
+    records = [r for r in reg.records.values() if not statuses or r.status in statuses]
+    if not records:
+        raise RegistryError("no such record yet")
+    return records[i % len(records)]
+
+
+def register(reg: Registry, i: int, owner: str, amount: int) -> None:
+    reg.register_deposit(
+        UtxoRecord(
+            outpoint=outpoint(i),
+            owner=owner,
+            amount=amount,
+            status=UtxoStatus.REGISTERED,
+            tweak_digest=TWEAKS[0].digest_hex(),
+            psbts={slot: f'{{"row":"{slot}","deposit":{i}}}' for slot in REQUIRED_PSBT_SLOTS},
+        ),
+        caller="to",
+    )
+
+
+def set_expiry(reg: Registry, pcr0: str, expiry: int) -> None:
+    reg.set_version_expiry(pcr0, expiry, sign_digest(TO, Registry.version_payload(pcr0, expiry)))
+
+
+def activate(reg: Registry, i: int) -> None:
+    reg.activate_on_mint(nth_record(reg, i, UtxoStatus.REGISTERED).outpoint, caller="to")
+
+
+def withdraw(reg: Registry, i: int) -> None:
+    record = nth_record(reg, i, UtxoStatus.ACTIVE)
+    reg.burn_deposit(record.outpoint, caller=record.owner)
+
+
+def held(reg: Registry, account: str, amount: int) -> int:
+    """``amount``, cut to what ``account`` holds when it holds anything."""
+    return max(1, min(amount, reg.ledger.balance(account)))
+
+
+def rebalance(reg: Registry, owner: str, moved: int) -> None:
+    """``owner`` sends tokens out of the perimeter, then the operator
+    seizes what the registry sees missing."""
+    if reg.ledger.balance(owner):
+        reg.ledger.transfer(owner, "acct:pool", held(reg, owner, moved))
+    reg.mark_rebalance(owner, reg.detect_imbalance(owner), caller="to")
+
+
+def rewrite_row(reg: Registry, i: int, slot: str) -> None:
+    """A stored row rewritten in place, as a tampered record would be."""
+    nth_record(reg, i).psbts[slot] = f'{{"row":"rewritten","step":{i}}}'
+
+
+OPERATIONS = {
+    "register": (register, st.integers(0, 7), st.sampled_from(OWNERS), st.integers(1, 900)),
+    "activate": (activate, st.integers(0, 7)),
+    "withdraw": (withdraw, st.integers(0, 7)),
+    "mint": (lambda reg, a, n: reg.ledger.mint(a, n), st.sampled_from(OWNERS), st.integers(1, 500)),
+    "burn": (lambda reg, a, n: reg.ledger.burn(a, held(reg, a, n)), st.sampled_from(OWNERS), st.integers(1, 500)),
+    "transfer": (
+        lambda reg, a, b, n: reg.ledger.transfer(a, b, held(reg, a, n)),
+        st.sampled_from(OWNERS),
+        st.sampled_from(OWNERS + ("acct:pool",)),
+        st.integers(1, 500),
+    ),
+    "store_tweak": (lambda reg, t: reg.store_tweak_data(TWEAKS[t]), st.integers(0, 2)),
+    "version_expiry": (set_expiry, st.sampled_from(PCR0S), st.integers(100, 102)),
+    "upgrade": (lambda reg, t3: reg.schedule_upgrade({"t3": t3}, caller="to"), st.integers(31, 33)),
+    "mark_rebalance": (rebalance, st.sampled_from(OWNERS), st.integers(1, 500)),
+    "rewrite_row": (rewrite_row, st.integers(0, 7), st.sampled_from(REQUIRED_PSBT_SLOTS)),
+}
+
+# One step: a registry operation, then an advance of 0 to 3 intervals in slots.
+STEPS = st.lists(
+    st.tuples(
+        st.one_of([st.tuples(st.just(name), *args) for name, (_, *args) in OPERATIONS.items()]),
+        st.integers(0, 3 * INTERVAL),
+    ),
+    min_size=12,
+    max_size=60,
+)
+
+
+def fresh_export(reg: Registry) -> str:
+    """The canonical text rendered from the registry's fields alone: the
+    cached records text is dropped first, so a stale cache cannot hide."""
+    reg._records_json = None
+    return reg.export_snapshot()
+
+
+def corrupt(view: Registry) -> None:
+    """Write to every mutable part of a view that a snapshot holds."""
+    view.current_slot += 1
+    for record in view.records.values():
+        record.status = UtxoStatus.REJECTED
+        record.psbts[REQUIRED_PSBT_SLOTS[0]] = "{}"
+    for tweak in view.tweaks.values():
+        tweak["t1"] = 99
+    for entry in view.ledger.log:
+        entry["amount"] = -1
+    view.ledger.balances["acct:corrupt"] = 1
+    view.versions["cc" * 48] = (1, "00")
+
+
+def run_steps(steps) -> tuple[DestChain, dict[int, str]]:
+    """Apply ``steps``, returning the chain and the fresh export of the
+    registry at every checkpoint, taken when it was finalized."""
+    reg = Registry(4, 6, 30, 2, TO.public)
+    reg.store_tweak_data(TWEAKS[0])
+    dest = DestChain(reg, finality_interval=INTERVAL, wsp_schedule=WspSchedule(WSP))
+    exported = {0: fresh_export(reg)}
+    for (name, *args), slots in steps:
+        try:
+            OPERATIONS[name][0](reg, *args)
+        except RegistryError:
+            pass  # refused
+        if slots:
+            new = dest.advance(slots)
+            if new:
+                text = fresh_export(reg)
+                exported.update((cp.slot, text) for cp in new)
+    return dest, exported
+
+
+@PROPERTY_SETTINGS
+@given(steps=STEPS)
+def test_every_retained_checkpoint_is_its_fresh_export(steps):
+    dest, exported = run_steps(steps)
+    retained = [cp for cp in dest.finalized if cp.slot in dest.snapshots]
+    assert retained[-1] == dest.latest_finalized()
+    for cp in retained:
+        text = exported[cp.slot]
+        assert cp.state_digest == hashlib.sha256(text.encode()).hexdigest()
+        assert dest.snapshot_at(cp) == text
+        assert dest.view_at(cp).export_snapshot() == text
+    # A corrupted view reaches no later checkpoint's view.
+    for earlier, later in itertools.pairwise(retained):
+        corrupt(dest.view_at(earlier))
+        view = dest.view_at(later)
+        assert view.export_snapshot() == exported[later.slot]
+        assert view.state_digest() == later.state_digest

@@ -18,7 +18,8 @@ from bsa_sim.chain import (
     TxOutput,
     verify_spend,
 )
-from bsa_sim.keys import key_address_id, keypair_from_seed
+from bsa_sim import psbt as psbt_module
+from bsa_sim.keys import key_address_id, keypair_from_seed, sign_digest
 from bsa_sim.psbt import (
     ANCHOR_VALUE,
     AoIdentity,
@@ -218,6 +219,24 @@ def test_ceremony_aborts_on_tampered_registry_row():
     # abort happened before funding: nothing sits at any vault address
     assert all(u.value == 10_050 for u in w.chain.utxo_set.values())
     assert w.registry.ledger.balance("acct:unit") == 0
+
+
+def test_ceremony_rejects_operator_row_signed_by_another_key(monkeypatch):
+    w = World()
+    stranger = keypair_from_seed(b"stranger")
+    build = psbt_module.build_deposit_psbt_set
+    row = TO_ROWS[0]
+
+    def forged(instance, outpoint, value, dep_keypair, to_keypair):
+        rows = build(instance, outpoint, value, dep_keypair, to_keypair)
+        sigs = rows[row].partial_sigs
+        sigs[dep_keypair.public_hex] = sign_digest(stranger, rows[row].sighash())
+        return rows
+
+    monkeypatch.setattr(psbt_module, "build_deposit_psbt_set", forged)
+    with pytest.raises(VerificationFailed, match=f"bad depositor signature on {row.value}$"):
+        w.ceremony()
+    assert w.registry.records == {}
 
 
 def test_ceremony_rejects_forged_attestation():
