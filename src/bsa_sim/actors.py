@@ -206,9 +206,8 @@ class DepositorActor:
                     flow["challenge_txid"] = spender.txid
                     world.log(self.name, "saw_challenge", outpoint=outpoint)
                     return
-                if height >= utxo.confirmed_height + world.params.t1 - 1 and not flow.get(
-                    "finalize_txid"
-                ):
+                t1 = instance.tweak_data.t1
+                if height >= utxo.confirmed_height + t1 - 1 and not flow.get("finalize_txid"):
                     template = build_psbt(
                         Transition.UNBOND_FINALIZE,
                         instance,
@@ -382,7 +381,7 @@ class TokenOperatorActor:
                     continue
                 if spender_of(chain, ch_op) is not None:
                     continue
-                if chain.height < utxo.confirmed_height + world.params.t2 - 1:
+                if chain.height < utxo.confirmed_height + instance.tweak_data.t2 - 1:
                     continue
                 transition = (
                     Transition.UNBOND_RESOLVE_EXPIRED
@@ -420,10 +419,17 @@ class TokenOperatorActor:
 
 
 class OracleActor:
-    def __init__(self, name: str, oracle: ArbitrationOracle, behavior: OracleBehavior):
+    def __init__(
+        self,
+        name: str,
+        oracle: ArbitrationOracle,
+        behavior: OracleBehavior,
+        t_op_blocks: int,
+    ):
         self.name = name
         self.oracle = oracle
         self.behavior = behavior
+        self.t_op_blocks = t_op_blocks  # blocks a challenge waits before arbitration
         self.first_seen: dict[str, int] = {}  # challenge txid -> height noticed
 
     def is_online(self, height: int) -> bool:
@@ -465,7 +471,7 @@ class OracleActor:
                 if spender_of(chain, utxo.outpoint) is not None:
                     continue
                 seen = self.first_seen.setdefault(utxo.outpoint.txid, chain.height)
-                if chain.height - seen < world.params.t_op_blocks - 1:
+                if chain.height - seen < self.t_op_blocks - 1:
                     continue
                 self._arbitrate(world, instance, kind, utxo)
 
@@ -513,23 +519,12 @@ class OracleActor:
 # the world
 
 
-@dataclass
-class WorldParams:
-    t1: int
-    t2: int
-    t3: int
-    slots_per_block: int = 50
-    t_op_blocks: int = 1
-    margin_blocks: int = 6  # grace period on exit deadlines
-
-
 class World:
     def __init__(
         self,
         chain: BtcChain,
         dest: DestChain,
         registry: Registry,
-        params: WorldParams,
         operator: TokenOperatorActor,
         depositors: list[DepositorActor],
         oracles: list[OracleActor],
@@ -538,7 +533,6 @@ class World:
         self.chain = chain
         self.dest = dest
         self.registry = registry
-        self.params = params
         self.operator = operator
         self.depositors = depositors
         self.oracles = oracles
@@ -623,7 +617,7 @@ class World:
         if confirmed:
             self.log("chain", "block", confirmed=confirmed)
         if self.dest_halted_at is None or self.chain.height <= self.dest_halted_at:
-            self.dest.advance(self.params.slots_per_block)
+            self.dest.advance(self.registry.slots_per_block)
 
     def run(self, n_blocks: int) -> None:
         for _ in range(n_blocks):

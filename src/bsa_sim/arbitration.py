@@ -51,12 +51,17 @@ from .attestation import (
     MockKms,
 )
 from .chain import Outpoint, SimTx, TxRejected, check_witness
-from .destchain import DestChain, DestChainError, SignedCheckpoint, TO_SIGNER
+from .destchain import (
+    DEFAULT_WSP_SLOTS,
+    DestChain,
+    DestChainError,
+    SignedCheckpoint,
+    TO_SIGNER,
+)
 from .keys import (
     Keypair,
     TweakData,
     build_protocol_addresses,
-    key_address_id,
     keypair_from_secret,
     keypair_from_seed,
 )
@@ -68,8 +73,6 @@ from .psbt import (
     verify_psbt_against_instance,
 )
 from .registry import Registry, UtxoStatus
-
-DEFAULT_WSP_SLOTS = 1344
 
 
 class OracleError(Exception):
@@ -115,27 +118,6 @@ class VerifiedContext:
     issuer_id: int
 
 
-def instance_view(
-    tweak_data: TweakData,
-    owner: str,
-    base_fee_rate: int,
-) -> ProtocolInstance:
-    """Reconstruct the public half of a protocol instance from stored
-    parameters, enough to recompute addresses and templates."""
-    addresses = build_protocol_addresses(tweak_data)
-    return ProtocolInstance(
-        tweak_data=tweak_data,
-        addresses=addresses,
-        owner=owner,
-        return_address_id=tweak_data.return_address.decode(),
-        to_key_address_id=key_address_id(tweak_data.to_pk),
-        funding_txid="",
-        deposits={},
-        to_psbts={},
-        base_fee_rate=base_fee_rate,
-    )
-
-
 def _verify_two_party_spend(
     tx: SimTx,
     expected_outpoint: Outpoint,
@@ -173,7 +155,6 @@ class ArbitrationOracle:
         kms: MockKms,
         seed: bytes,
         default_wsp: int = DEFAULT_WSP_SLOTS,
-        base_fee_rate: int = 1,
     ):
         self.name = name
         self.image = image
@@ -181,7 +162,6 @@ class ArbitrationOracle:
         self.kms = kms
         self.seed = seed
         self.default_wsp = default_wsp
-        self.base_fee_rate = base_fee_rate
 
         self.keypair: Keypair | None = None
         self.key_id: str | None = None
@@ -480,9 +460,8 @@ class ArbitrationOracle:
         expected = Outpoint(ctx.spend_txid, 0)
         if template.outpoint != expected or template.input_value != ctx.spend_value:
             return None
-        iview = instance_view(tweak, record.owner, self.base_fee_rate)
         if not verify_psbt_against_instance(
-            template, iview, expected, ctx.spend_value
+            template, ProtocolInstance(tweak), expected, ctx.spend_value
         ):
             return None
         if tweak.dep_pk.compressed().hex() not in template.partial_sigs:

@@ -47,6 +47,10 @@ from .keys import Keypair, Point, sign_digest, verify_signature
 from .registry import Registry
 
 
+# protocol default weak subjectivity period, in slots
+DEFAULT_WSP_SLOTS = 1344
+
+
 class DestChainError(Exception):
     pass
 
@@ -141,7 +145,7 @@ class DestChain:
             raise DestChainError("finality interval must be positive")
         self.registry = registry
         self.finality_interval = finality_interval
-        self.wsp_schedule = wsp_schedule or WspSchedule(base=1344)
+        self.wsp_schedule = wsp_schedule or WspSchedule(base=DEFAULT_WSP_SLOTS)
         self.slot = 0
         self.finalized: list[FinalizedCheckpoint] = []
         # finalized slot -> (body, clock), within the period

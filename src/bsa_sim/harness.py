@@ -38,7 +38,6 @@ from .actors import (
     OracleBehavior,
     TokenOperatorActor,
     World,
-    WorldParams,
 )
 from .arbitration import ArbitrationOracle
 from .attestation import EnclaveImage, MockAttestationAuthority, MockKms
@@ -111,11 +110,10 @@ def build_world(config: ScenarioConfig, sar_tamper=None) -> World:
             kms=kms,
             seed=f"oracle-seed-{i}".encode(),
             default_wsp=config.wsp_slots,
-            base_fee_rate=config.fee_base,
         )
         oracle.key_init()
         oracle.sync(dest, sign_checkpoint(dest.latest_finalized(), to_keypair, TO_SIGNER))
-        oracle_actors.append(OracleActor(oracle.name, oracle, behavior))
+        oracle_actors.append(OracleActor(oracle.name, oracle, behavior, config.t_op_blocks))
 
     dep_keypair = keypair_from_seed(b"depositor-" + config.owner.encode())
     dep_address = chain.ensure_key_address(dep_keypair.public)
@@ -145,24 +143,14 @@ def build_world(config: ScenarioConfig, sar_tamper=None) -> World:
         authority=authority,
         owner_account=config.owner,
         expected_pcr0=image.pcr0,
-        base_fee_rate=config.fee_base,
         sar_tamper=sar_tamper,
     )
     dest.advance(6 * config.slots_per_block)
 
-    params = WorldParams(
-        t1=config.t1,
-        t2=config.t2,
-        t3=config.t3,
-        slots_per_block=config.slots_per_block,
-        t_op_blocks=config.t_op_blocks,
-        margin_blocks=config.margin_blocks,
-    )
     world = World(
         chain=chain,
         dest=dest,
         registry=registry,
-        params=params,
         operator=TokenOperatorActor("operator", to_keypair, config.operator),
         depositors=[
             DepositorActor("depositor", dep_keypair, config.owner, config.depositor)
@@ -257,12 +245,8 @@ def compute_verdicts(world: World, config: ScenarioConfig) -> Verdicts:
         exit_started = world.depositors[0].exit_started_at.get(outpoint)
         deadline = None
         if exit_started is not None:
-            deadline = (
-                exit_started
-                + world.params.t1
-                + world.params.t2
-                + world.params.margin_blocks
-            )
+            tweak = instance.tweak_data
+            deadline = exit_started + tweak.t1 + tweak.t2 + config.margin_blocks
         if location == "instance":
             if deadline is not None and chain.height >= deadline:
                 dep_safe = False

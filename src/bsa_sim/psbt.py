@@ -23,11 +23,14 @@ request.  ``DEPOSIT_ROWS``, ``SAR_ROWS`` and ``TO_ROWS`` are derived from
 the catalog, so it is the one place that says which rows guard a
 deposit, who signs each and who keeps it.
 
-Templates commit the exact input value minus a creator-chosen base fee
-(default 1 sat per weight unit).  Rows executed by an arbitration oracle
-carry ANYONECANPAY|ALL signatures so a fee input can be appended without
-re-signing; multi-party rows carry an anchor output of ``ANCHOR_VALUE``
-dust, spendable by the executor for child-pays-for-parent bumps.
+Templates commit the exact input value minus a base fee of
+``BASE_FEE_RATE`` sat per weight unit, a protocol constant like
+``ANCHOR_VALUE``: the ceremony and every oracle rebuild templates at the
+same rate, and the executor tops up whatever the network asks beyond
+it.  Rows executed by an arbitration oracle carry ANYONECANPAY|ALL
+signatures so a fee input can be appended without re-signing;
+multi-party rows carry an anchor output of ``ANCHOR_VALUE`` dust,
+spendable by the executor for child-pays-for-parent bumps.
 A template's transaction id never covers witnesses, which is what lets
 the ceremony chain templates off unbroadcast parents.
 """
@@ -58,15 +61,9 @@ from .keys import (
     sign_digest,
     verify_signature,
 )
-from .registry import (
-    Registry,
-    TimelockRelationViolated,
-    UtxoRecord,
-    UtxoStatus,
-    timelock_relation_holds,
-)
+from .registry import Registry, UtxoRecord, UtxoStatus, check_timelocks
 
-DEFAULT_BASE_FEE_RATE = 1  # sats per weight unit committed at template time
+BASE_FEE_RATE = 1  # sats per weight unit committed at template time
 ANCHOR_VALUE = 330  # dust value carried by anchor outputs
 
 
@@ -254,17 +251,28 @@ class PsbtTemplate:
 
 @dataclass
 class ProtocolInstance:
-    """Everything public about one live deposit arrangement."""
+    """Everything public about one live deposit arrangement.
+
+    The addresses and account identifiers are functions of the tweak
+    data, derived once here; ``build_psbt`` reads them for every
+    template."""
 
     tweak_data: TweakData
-    addresses: InstanceAddresses
-    owner: str  # depositor's destination-chain account
-    return_address_id: str
-    to_key_address_id: str
-    funding_txid: str
-    deposits: dict[str, int]  # outpoint str -> value
-    to_psbts: dict[str, dict[Transition, PsbtTemplate]]  # operator-held rows
-    base_fee_rate: int = DEFAULT_BASE_FEE_RATE
+    funding_txid: str = ""
+    deposits: dict[str, int] = field(default_factory=dict)  # outpoint str -> value
+    # operator-held rows
+    to_psbts: dict[str, dict[Transition, PsbtTemplate]] = field(default_factory=dict)
+    addresses: InstanceAddresses = field(init=False)
+    owner: str = field(init=False)  # depositor's destination-chain account
+    return_address_id: str = field(init=False)
+    to_key_address_id: str = field(init=False)
+
+    def __post_init__(self):
+        tweak = self.tweak_data
+        self.addresses = build_protocol_addresses(tweak)
+        self.owner = tweak.destination_chain_address.decode()
+        self.return_address_id = tweak.return_address.decode()
+        self.to_key_address_id = key_address_id(tweak.to_pk)
 
 
 def _role_pubkeys(tweak_data: TweakData, role: str) -> tuple[Point, ...]:
@@ -326,7 +334,7 @@ def build_psbt(
     n_main = len(value_split) if value_split else 1
     weight = 1 + n_main + (1 if has_anchor else 0)
     if fee is None:
-        fee = instance.base_fee_rate * weight
+        fee = BASE_FEE_RATE * weight
     anchor_value = ANCHOR_VALUE if has_anchor else 0
 
     if value_split is not None:
@@ -586,7 +594,6 @@ def run_setup_ceremony(
     authority: MockAttestationAuthority,
     owner_account: str,
     expected_pcr0: str,
-    base_fee_rate: int = DEFAULT_BASE_FEE_RATE,
     sar_tamper=None,
 ) -> ProtocolInstance:
     """Run the deposit setup end to end.
@@ -608,10 +615,7 @@ def run_setup_ceremony(
     Any verification failure aborts before step 4, so an aborted ceremony
     leaves nothing spendable at the vault.
     """
-    if min(registry.t1, registry.t2, registry.t3) <= 0 or not timelock_relation_holds(
-        registry.t1, registry.t2, registry.t3, registry.slots_per_block
-    ):
-        raise TimelockRelationViolated("governance delay must exceed the dispute window")
+    check_timelocks(registry.t1, registry.t2, registry.t3, registry.slots_per_block)
 
     for ident in ao_identities:
         att = ident.attestation
@@ -633,11 +637,12 @@ def run_setup_ceremony(
         destination_chain_address=owner_account.encode(),
         return_address=key_address_id(dep_keypair.public).encode(),
     )
-    addresses = build_protocol_addresses(tweak_data)
+    instance = ProtocolInstance(tweak_data)
+    addresses = instance.addresses
     for addr in addresses.all():
         chain.register_address(addr)
     return_addr = chain.ensure_key_address(dep_keypair.public)
-    to_addr = chain.ensure_key_address(to_keypair.public)
+    chain.ensure_key_address(to_keypair.public)
 
     # step 0: the funding transaction (unsigned) fixes the vault outpoints
     source_total = 0
@@ -655,18 +660,7 @@ def run_setup_ceremony(
         outputs=[TxOutput(addresses.va.address_id, amount) for amount in amounts],
     )
     outpoints = [Outpoint(funding.txid, index) for index in range(len(amounts))]
-
-    instance = ProtocolInstance(
-        tweak_data=tweak_data,
-        addresses=addresses,
-        owner=owner_account,
-        return_address_id=return_addr,
-        to_key_address_id=to_addr,
-        funding_txid=funding.txid,
-        deposits={},
-        to_psbts={},
-        base_fee_rate=base_fee_rate,
-    )
+    instance.funding_txid = funding.txid
 
     # step 1: both parties pre-sign their rows
     psbt_sets = [

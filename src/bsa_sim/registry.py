@@ -218,6 +218,24 @@ def timelock_relation_holds(t1_blocks: int, t2_blocks: int, t3_slots: int, slots
     return t3_slots > (t1_blocks + t2_blocks) * slots_per_block
 
 
+def check_timelocks(t1: int, t2: int, t3: int, slots_per_block: int) -> None:
+    """Raise ``TimelockRelationViolated`` unless every parameter is
+    positive and the governance delay dominates the dispute window."""
+    if min(t1, t2, t3, slots_per_block) <= 0:
+        raise TimelockRelationViolated("timelock parameters must be positive")
+    if not timelock_relation_holds(t1, t2, t3, slots_per_block):
+        raise TimelockRelationViolated(
+            f"t3={t3} slots must exceed (t1+t2)={t1 + t2} blocks "
+            f"* {slots_per_block} slots/block"
+        )
+
+
+def _in_effect_order(upgrades: list[tuple[dict, int]]) -> list[tuple[dict, int]]:
+    """Queued upgrades in the order they take effect: by effective slot,
+    ties in the order they were scheduled."""
+    return sorted(upgrades, key=lambda upgrade: upgrade[1])
+
+
 class Registry:
     def __init__(
         self,
@@ -228,13 +246,9 @@ class Registry:
         to_pubkey: Point,
         enforce_timelock_relation: bool = True,
     ):
-        if min(t1, t2, t3, slots_per_block) <= 0:
-            raise TimelockRelationViolated("timelock parameters must be positive")
-        if enforce_timelock_relation and not timelock_relation_holds(t1, t2, t3, slots_per_block):
-            raise TimelockRelationViolated(
-                f"t3={t3} slots must exceed (t1+t2)={t1 + t2} blocks "
-                f"* {slots_per_block} slots/block"
-            )
+        # non-positive parameters are refused even when the relation is not enforced
+        if enforce_timelock_relation or min(t1, t2, t3, slots_per_block) <= 0:
+            check_timelocks(t1, t2, t3, slots_per_block)
         self.t1 = t1
         self.t2 = t2
         self.t3 = t3
@@ -501,28 +515,30 @@ class Registry:
 
     def schedule_upgrade(self, change: dict, caller: str) -> int:
         """Queue a parameter change; it becomes effective t3 slots from now.
-        Timelock changes must keep the dispute/governance relation valid."""
+        The parameters after every queued change, taken in the order they
+        will apply, must keep the dispute/governance relation valid."""
         if caller != "to":
             raise NotTO(caller)
-        t1 = change.get("t1", self.t1)
-        t2 = change.get("t2", self.t2)
-        t3 = change.get("t3", self.t3)
-        if min(t1, t2, t3) <= 0 or not timelock_relation_holds(t1, t2, t3, self.slots_per_block):
-            raise TimelockRelationViolated(str(change))
         effective_at = self.current_slot + self.t3
-        self.pending_upgrades.append((dict(change), effective_at))
+        queued = [*self.pending_upgrades, (dict(change), effective_at)]
+        t1, t2, t3 = self.t1, self.t2, self.t3
+        for pending, _ in _in_effect_order(queued):
+            t1 = pending.get("t1", t1)
+            t2 = pending.get("t2", t2)
+            t3 = pending.get("t3", t3)
+            check_timelocks(t1, t2, t3, self.slots_per_block)
+        self.pending_upgrades = queued
         return effective_at
 
     def apply_due_upgrades(self) -> None:
-        still_pending = []
-        for change, effective_at in self.pending_upgrades:
-            if self.current_slot >= effective_at:
-                self.t1 = change.get("t1", self.t1)
-                self.t2 = change.get("t2", self.t2)
-                self.t3 = change.get("t3", self.t3)
-            else:
-                still_pending.append((change, effective_at))
-        self.pending_upgrades = still_pending
+        due = [u for u in self.pending_upgrades if self.current_slot >= u[1]]
+        for change, _ in _in_effect_order(due):
+            self.t1 = change.get("t1", self.t1)
+            self.t2 = change.get("t2", self.t2)
+            self.t3 = change.get("t3", self.t3)
+        self.pending_upgrades = [
+            u for u in self.pending_upgrades if self.current_slot < u[1]
+        ]
 
     # -- canonical snapshot ---------------------------------------------------
 

@@ -32,18 +32,26 @@ smallest valid file is empty.  Example:
     refuse = false
     leak = false
 
-Unlisted oracles are honest; ``n_oracles`` in [params] sets how many
-exist (default 3).  An unknown section or key is a ``ScenarioError``
-naming it, so a misspelt key cannot silently fall back to its default.
+``fee_base`` is the Bitcoin network's base feerate (sat per weight
+unit) before any ``fee_steps``; it also sizes the depositor's funding
+margin.  It does not change the fee that pre-signed templates commit,
+which is the protocol constant ``psbt.BASE_FEE_RATE``: when the network
+rate is above it, executors top up with anchor children or fee inputs.
+
+Section ``[oracle.N]`` sets oracle N (N is a decimal number; each N
+may appear once).  There are max(``n_oracles``, highest N + 1) oracles,
+at least one, ``n_oracles`` defaulting to 3, and every oracle without a
+section is honest.  An unknown section or key is a ``ScenarioError`` naming it, so
+a misspelt key cannot silently fall back to its default.
 """
 
 from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 from .actors import DepositorBehavior, OperatorBehavior, OracleBehavior
+from .destchain import DEFAULT_WSP_SLOTS
 
 
 class ScenarioError(Exception):
@@ -63,7 +71,7 @@ class ScenarioConfig:
     fee_base: int = 1
     fee_steps: list[tuple[int, int]] = field(default_factory=list)
     finality_interval: int = 32
-    wsp_slots: int = 1344
+    wsp_slots: int = DEFAULT_WSP_SLOTS
     n_oracles: int = 3
     owner: str = "alice"
     amounts: list[int] = field(default_factory=lambda: [10_000])
@@ -75,6 +83,7 @@ class ScenarioConfig:
     expected_verdicts: tuple[bool, bool, bool] | None = None
 
     def __post_init__(self):
+        # n_oracles is a floor: oracles beyond the list are honest
         while len(self.oracles) < self.n_oracles:
             self.oracles.append(OracleBehavior())
         if len(self.oracles) > self.n_oracles:
@@ -165,26 +174,45 @@ def _reject_unknown_sections(parser: configparser.ConfigParser) -> None:
             raise ScenarioError(f"[{name}]: unknown section")
 
 
-def _apply(target, parser: configparser.ConfigParser, name: str, table: dict) -> None:
-    """Set ``target``'s attributes from the keys of section ``name``;
+def _values(parser: configparser.ConfigParser, name: str, table: dict) -> dict:
+    """The attributes that the keys of section ``name`` set, converted;
     a key that ``table`` does not list is a ``ScenarioError``."""
     if not parser.has_section(name):
-        return
+        return {}
+    values = {}
     for key, text in parser[name].items():
         if key not in table:
             raise ScenarioError(f"[{name}] {key}: unknown key")
         attr, convert = table[key]
         try:
-            setattr(target, attr, convert(text))
+            values[attr] = convert(text)
         except (ValueError, ScenarioError) as exc:
             raise ScenarioError(f"[{name}] {key} = {text!r}: {exc}") from exc
+    return values
 
 
 def _oracle_number(section: str) -> int:
-    try:
-        return int(section.removeprefix("oracle."))
-    except ValueError:
-        raise ScenarioError(f"[{section}]: oracle sections are named oracle.N") from None
+    number = section.removeprefix("oracle.")
+    if not (number.isascii() and number.isdigit()):
+        raise ScenarioError(f"[{section}]: oracle sections are named oracle.N")
+    return int(number)
+
+
+def _oracles(parser: configparser.ConfigParser) -> list[OracleBehavior]:
+    """Oracle N as section [oracle.N] sets it, up to the highest N listed;
+    unlisted oracles are honest."""
+    sections: dict[int, str] = {}
+    for section in parser.sections():
+        if not section.startswith("oracle."):
+            continue
+        number = _oracle_number(section)
+        if number in sections:
+            raise ScenarioError(f"[{section}]: oracle {number} is also [{sections[number]}]")
+        sections[number] = section
+    oracles = [OracleBehavior() for _ in range(max(sections, default=-1) + 1)]
+    for number, section in sections.items():
+        oracles[number] = OracleBehavior(**_values(parser, section, _ORACLE))
+    return oracles
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -196,36 +224,24 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
     _reject_unknown_sections(parser)
 
-    config = ScenarioConfig()
-    _apply(config, parser, "scenario", _SCENARIO)
-    _apply(config, parser, "params", _PARAMS)
-    _apply(config, parser, "deposit", _DEPOSIT)
+    expected_verdicts = None
+    if parser.has_section("expect"):
+        verdicts = {**dict.fromkeys(_EXPECT, True), **_values(parser, "expect", _EXPECT)}
+        expected_verdicts = tuple(verdicts[key] for key in _EXPECT)
+
+    config = ScenarioConfig(
+        **_values(parser, "scenario", _SCENARIO),
+        **_values(parser, "params", _PARAMS),
+        **_values(parser, "deposit", _DEPOSIT),
+        depositor=DepositorBehavior(**_values(parser, "depositor", _DEPOSITOR)),
+        operator=OperatorBehavior(**_values(parser, "operator", _OPERATOR)),
+        oracles=_oracles(parser),
+        expected_verdicts=expected_verdicts,
+    )
     if not config.amounts or any(a <= 0 for a in config.amounts):
         raise ScenarioError("deposit amounts must be positive")
-    if parser.has_section("depositor"):
-        config.depositor = DepositorBehavior()
-        _apply(config.depositor, parser, "depositor", _DEPOSITOR)
-    if parser.has_section("operator"):
-        config.operator = OperatorBehavior()
-        _apply(config.operator, parser, "operator", _OPERATOR)
-
-    oracle_sections = sorted(
-        (s for s in parser.sections() if s.startswith("oracle.")), key=_oracle_number
-    )
-    oracles: list[OracleBehavior] = []
-    for section in oracle_sections:
-        oracles.append(OracleBehavior())
-        _apply(oracles[-1], parser, section, _ORACLE)
-    if oracles:
-        config.oracles = oracles
-        config.n_oracles = max(config.n_oracles, len(oracles))
-
-    if parser.has_section("expect"):
-        verdicts = SimpleNamespace(**dict.fromkeys(_EXPECT, True))
-        _apply(verdicts, parser, "expect", _EXPECT)
-        config.expected_verdicts = tuple(getattr(verdicts, key) for key in _EXPECT)
-
-    config.__post_init__()
+    if not config.oracles:
+        raise ScenarioError("[params] n_oracles: a scenario needs at least one oracle")
     return config
 
 

@@ -68,12 +68,14 @@ def test_spendable_utxos_excludes_mempool_pending():
 
 
 def test_oracle_online_window_is_half_open():
-    actor = OracleActor("o", oracle=None, behavior=OracleBehavior(offline=(5, 8)))
+    actor = OracleActor(
+        "o", oracle=None, behavior=OracleBehavior(offline=(5, 8)), t_op_blocks=1
+    )
     assert actor.is_online(4)
     assert not actor.is_online(5)
     assert not actor.is_online(7)
     assert actor.is_online(8)
-    assert OracleActor("p", None, OracleBehavior()).is_online(123)
+    assert OracleActor("p", None, OracleBehavior(), 1).is_online(123)
 
 
 # -- exit timing --------------------------------------------------------------
@@ -95,7 +97,8 @@ def exit_config(**kw) -> ScenarioConfig:
 
 @pytest.mark.parametrize("t1", [4, 6, 9])
 def test_honest_exit_confirms_exactly_after_t1(t1):
-    result = run_scenario(exit_config(t1=t1))
+    config = exit_config(t1=t1)
+    result = run_scenario(config)
     world = result.world
     conf = conf_heights(world)
     request = next(e for e in world.trace if e["action"] == "unbond_request")
@@ -110,7 +113,7 @@ def test_honest_exit_confirms_exactly_after_t1(t1):
     assert result.verdicts.triple() == (True, True, True)
     # started at exit_at, done within t1 plus the reaction margin
     done = next(e for e in world.trace if e["action"] == "exit_complete")
-    assert done["height"] <= 8 + t1 + world.params.margin_blocks
+    assert done["height"] <= 8 + t1 + config.margin_blocks
 
 
 def test_unfairly_challenged_exit_resolved_by_oracles():
@@ -134,7 +137,7 @@ def test_unfairly_challenged_exit_resolved_by_oracles():
     assert any(e["action"] == "unbond_resolved" for e in world.trace)
     # resolved well before the operator's timeout leaf would unlock
     assert conf[resolve_txid] - conf[challenge_txid] < t2
-    assert conf[resolve_txid] <= request["height"] + t1 + t2 + world.params.margin_blocks
+    assert conf[resolve_txid] <= request["height"] + t1 + t2 + config.margin_blocks
     assert result.verdicts.depositor_safe
 
 

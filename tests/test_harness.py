@@ -72,6 +72,39 @@ def test_parse_oracle_sections_and_optionals():
     assert [o.refuse_resolutions for o in parsed.oracles] == [False] * 10 + [True]
 
 
+def test_oracle_count_and_placement():
+    assert len(parse_scenario("[params]\nn_oracles = 1\n").oracles) == 1
+    assert len(parse_scenario("[params]\nn_oracles = 2\n").oracles) == 2
+    assert len(parse_scenario("").oracles) == 3
+    # [oracle.N] sets oracle N; the ones between are honest
+    parsed = parse_scenario("[oracle.0]\nrefuse = yes\n[oracle.2]\nleak = yes\n")
+    assert parsed.oracles == [
+        OracleBehavior(refuse_resolutions=True),
+        OracleBehavior(),
+        OracleBehavior(leak_secret=True),
+    ]
+    assert parsed.n_oracles == 3
+    parsed = parse_scenario("[params]\nn_oracles = 5\n[oracle.1]\nrefuse = yes\n")
+    assert [o.refuse_resolutions for o in parsed.oracles] == [False, True, False, False, False]
+    parsed = parse_scenario("[params]\nn_oracles = 1\n[oracle.3]\nrefuse = yes\n")
+    assert [o.refuse_resolutions for o in parsed.oracles] == [False, False, False, True]
+    with pytest.raises(ScenarioError, match=re.escape("[oracle.01]")):
+        parse_scenario("[oracle.1]\nrefuse = yes\n[oracle.01]\nrefuse = no\n")
+    with pytest.raises(ScenarioError, match=re.escape("[oracle.-1]")):
+        parse_scenario("[oracle.-1]\nrefuse = yes\n")
+    with pytest.raises(ScenarioError, match=re.escape("[params] n_oracles")):
+        parse_scenario("[params]\nn_oracles = 0\n")
+
+
+def test_one_oracle_scenario_runs_as_graded():
+    text = (SCENARIO_DIR / "honest_exit.scn").read_text()
+    config = parse_scenario(text.replace("[params]\n", "[params]\nn_oracles = 1\n"))
+    result = run_scenario(config)
+    assert len(result.world.oracles) == 1
+    assert len(result.world.instances[0].tweak_data.ao_pks) == 1
+    assert result.verdicts.triple() == config.expected_verdicts
+
+
 def test_parse_rejections():
     with pytest.raises(ScenarioError):
         parse_scenario("[deposit]\namounts = 10, -3\n")
@@ -142,6 +175,22 @@ def test_extra_scenarios_run_as_graded():
             config.name,
             result.verdicts.reasons,
         )
+
+
+def test_network_fee_base_leaves_scripted_verdicts():
+    """``fee_base`` sets the network's rate only: templates still commit
+    ``BASE_FEE_RATE``, so at a higher network rate every row keeps its
+    verdicts and executors top up what the templates commit."""
+    for config in matrix_scenarios() + extra_scenarios():
+        pricier = dataclasses.replace(config, fee_base=2, oracles=list(config.oracles))
+        result = run_scenario(pricier)
+        assert result.verdicts.triple() == config.expected_verdicts, (
+            config.name,
+            result.verdicts.reasons,
+        )
+        if config.name == "griefing-challenge-defended":
+            actions = {entry["action"] for entry in result.trace}
+            assert {"cpfp_child", "broadcast_with_fee"} <= actions
 
 
 def test_failed_verdicts_carry_reasons():

@@ -22,12 +22,14 @@ from bsa_sim import psbt as psbt_module
 from bsa_sim.keys import key_address_id, keypair_from_seed, sign_digest
 from bsa_sim.psbt import (
     ANCHOR_VALUE,
+    BASE_FEE_RATE,
     AoIdentity,
     BadSplit,
     FlagViolation,
     InsufficientFunds,
     NoAnchor,
     NotASigner,
+    ProtocolInstance,
     PsbtTemplate,
     SAR_ROWS,
     TO_ROWS,
@@ -130,6 +132,18 @@ def test_transition_catalog():
     }
 
 
+def test_instance_public_half_derives_from_tweak_data(world):
+    inst = world.instance
+    view = ProtocolInstance(inst.tweak_data)
+    assert [a.address_id for a in view.addresses.all()] == [
+        a.address_id for a in inst.addresses.all()
+    ]
+    assert view.owner == inst.owner == "acct:unit"
+    assert view.return_address_id == inst.return_address_id == key_address_id(world.dep.public)
+    assert view.to_key_address_id == inst.to_key_address_id == key_address_id(world.to.public)
+    assert (view.funding_txid, view.deposits, view.to_psbts) == ("", {}, {})
+
+
 def test_build_psbt_shapes(world):
     inst = world.instance
     outpoint_str, value = next(iter(inst.deposits.items()))
@@ -141,7 +155,7 @@ def test_build_psbt_shapes(world):
     assert req.outputs[0].address_id == inst.addresses.uta.address_id
     assert req.outputs[1].value == ANCHOR_VALUE
     assert req.outputs[1].address_id == inst.return_address_id  # executor dep
-    assert req.fee == inst.base_fee_rate * 3
+    assert req.fee == BASE_FEE_RATE * 3
 
     resolve = build_psbt(
         Transition.REBALANCE_RESOLVE,
@@ -151,7 +165,7 @@ def test_build_psbt_shapes(world):
     assert resolve.flag is SighashFlag.ALL_ANYONECANPAY
     assert resolve.anchor_index is None
     assert resolve.outputs[0].address_id == inst.return_address_id
-    assert resolve.fee == inst.base_fee_rate * 2
+    assert resolve.fee == BASE_FEE_RATE * 2
 
     with pytest.raises(WrongSourceAddress):
         build_psbt(

@@ -26,6 +26,7 @@ from bsa_sim.registry import (
     UnknownRecord,
     UtxoRecord,
     UtxoStatus,
+    check_timelocks,
     timelock_relation_holds,
 )
 
@@ -332,11 +333,56 @@ def test_upgrades_take_effect_after_governance_delay():
     assert reg.pending_upgrades == []
 
 
+def test_upgrade_checked_against_the_queued_parameters():
+    to = keypair_from_seed(b"reg-to")
+    reg = Registry(6, 10, 900, 50, to.public)
+    reg.schedule_upgrade({"t3": 850}, caller="to")
+    queued = list(reg.pending_upgrades)
+    # 7 + 10 blocks of 50 slots is 850, which the queued t3 does not exceed
+    with pytest.raises(TimelockRelationViolated):
+        reg.schedule_upgrade({"t1": 7}, caller="to")
+    assert reg.pending_upgrades == queued
+    # and a change valid only after a queued one is accepted
+    reg.schedule_upgrade({"t3": 2000}, caller="to")
+    reg.schedule_upgrade({"t1": 20}, caller="to")
+    reg.current_slot = 900
+    reg.apply_due_upgrades()
+    assert (reg.t1, reg.t2, reg.t3) == (20, 10, 2000)
+
+
+def test_upgrades_apply_in_effective_order():
+    """A later-scheduled change can take effect first once t3 shrinks; it
+    applies first however far one advance moves the clock."""
+
+    def queue() -> Registry:
+        reg = Registry(4, 6, 2000, 50, keypair_from_seed(b"reg-to").public)
+        reg.schedule_upgrade({"t3": 900}, caller="to")  # effective at 2000
+        reg.current_slot = 1000
+        assert reg.schedule_upgrade({"t1": 5}, caller="to") == 3000
+        reg.current_slot = 2000
+        reg.apply_due_upgrades()
+        assert reg.schedule_upgrade({"t1": 7}, caller="to") == 2900
+        return reg
+
+    stepped, jumped = queue(), queue()
+    for slot in (2900, 3000):
+        stepped.current_slot = slot
+        stepped.apply_due_upgrades()
+    jumped.current_slot = 3000
+    jumped.apply_due_upgrades()
+    assert stepped.t1 == jumped.t1 == 5
+    assert stepped.pending_upgrades == jumped.pending_upgrades == []
+
+
 def test_timelock_relation_boundary():
     assert not timelock_relation_holds(4, 6, 20, 2)
     assert timelock_relation_holds(4, 6, 21, 2)
     assert timelock_relation_holds(4, 6, 11, 1)
     assert not timelock_relation_holds(4, 6, 10, 1)
+    check_timelocks(4, 6, 21, 2)
+    for params in [(4, 6, 20, 2), (0, 6, 100, 2), (4, 6, 21, 0)]:
+        with pytest.raises(TimelockRelationViolated):
+            check_timelocks(*params)
 
 
 def test_dispute_window_slots():
