@@ -3,25 +3,34 @@
 Points are affine (x, y) tuples wrapped in a small frozen dataclass; the
 point at infinity is represented by None.  The algorithms are the standard
 ones for pure-Python speed (Hankerson, Menezes and Vanstone, *Guide to
-Elliptic Curve Cryptography*, sections 3.2-3.3; Gallant, Lambert and
+Elliptic Curve Cryptography*, sections 3.2, 3.3 and 3.5; Gallant, Lambert and
 Vanstone, CRYPTO 2001):
 
 * Inversion is ``pow(z, -1, P)``.  Where many points are normalised at
   once, Montgomery's trick shares one inversion between all of them.
 * Scalar multiplication accumulates in Jacobian coordinates and adds
   affine table points with mixed Jacobian+affine addition.
-* ``generator_mul`` reads a fixed-base table built at import: row i holds
-  d * 32**i * G for d in 1..16 in affine form.  The scalar is recoded into
-  52 signed 5-bit digits in [-16, 15]; a negative digit adds the negated
-  point (x, P - y).  That is at most 52 additions and no doubling.
-* ``point_mul`` uses the endomorphism phi(x, y) = (BETA * x, y), which
-  multiplies every curve point by LAMBDA.  It splits k = k1 + k2 * LAMBDA
-  (mod N) with |k1|, |k2| of about 128 bits and walks 4-bit windows of
-  both halves over one chain of 128 doublings, adding from the 15
-  multiples of the point and their images under phi.  This needs the point
-  to be on the curve, which every ``Point`` the package makes is: each
-  comes from ``lift_x``, ``decode_point`` or curve arithmetic, and the
-  curve has cofactor 1.
+* Both multiplications use the endomorphism phi(x, y) = (BETA * x, y),
+  which multiplies every curve point by LAMBDA: ``_split_scalar`` writes
+  k = k1 + k2 * LAMBDA (mod N) with |k1|, |k2| below 2**128, and
+  k1 * Q + k2 * phi(Q) is summed in one pass.  A negative half or digit
+  adds the negated point (x, P - y).
+* ``_add_gen_mul`` is the one fixed-base routine: Jacobian acc + k * G.
+  It reads a table built at import, where row i holds d * 128**i * G for
+  d in 1..64 in affine form (19 rows, 1,216 points).  Each half is
+  recoded into 19 signed 7-bit digits in [-64, 63]; the second half
+  reads the same table through phi.  That is at most 38 additions and no
+  doubling.
+* ``_mul_jac`` is the one variable-base chain: Jacobian k * Q from the
+  width-5 NAFs of both halves over one run of about 128 doublings,
+  adding from the odd multiples (1, 3, ..., 15) * Q and their images
+  under phi.  This needs Q to be on the curve, which every ``Point`` the
+  package makes is: each comes from ``lift_x``, ``decode_point`` or
+  curve arithmetic, and the curve has cofactor 1.
+* ``generator_mul`` and ``point_mul`` make one of these affine, and
+  ``mul_add(s, Q, k)`` = s * G + k * Q runs the chain, then the
+  fixed-base routine into the same accumulator, then one inversion.
+  A Schnorr check is one ``mul_add``.
 * ``point_add`` adds in affine coordinates with one inversion.
 
 Every function computes exact group arithmetic, and a curve point has one
@@ -31,11 +40,11 @@ double-and-add.
 
 ``decode_point`` is memoised in a bounded LRU cache
 (``DECODE_CACHE_SIZE`` entries) keyed by the encoded bytes: every
-signature check decodes its R point and every snapshot import decodes the
-same public keys again, each costing a modular square root.  The function
-is pure and its results are immutable ``Point`` values, so a cached answer
-is the answer a fresh call would give.  Exceptions are not cached, so a
-malformed encoding raises ``CurveError`` on every call.
+snapshot import decodes the same few public keys again, each costing a
+modular square root.  The function is pure and its
+results are immutable ``Point`` values, so a cached answer is the answer
+a fresh call would give.  Exceptions are not cached, so a malformed
+encoding raises ``CurveError`` on every call.
 """
 
 from __future__ import annotations
@@ -97,7 +106,7 @@ def lift_x(x: int) -> Point:
     return Point(x, y)
 
 
-DECODE_CACHE_SIZE = 1024
+DECODE_CACHE_SIZE = 64
 
 
 @lru_cache(maxsize=DECODE_CACHE_SIZE)
@@ -214,56 +223,85 @@ def _split_scalar(k: int) -> tuple[int, int]:
     return k - c1 * _GLV_A1 - c2 * _GLV_A2, -c1 * _GLV_B1 - c2 * _GLV_B2
 
 
-def point_mul(pt: Point | None, k: int) -> Point | None:
-    k %= N
-    if k == 0 or pt is None:
-        return None
+def _wnaf(k: int) -> list[int]:
+    """Width-5 NAF of k, least significant digit first: every digit is 0
+    or odd in [-15, 15], and any two nonzero digits are at least five
+    places apart.  A negative k gives the negated digits of -k."""
+    digits = []
+    while k:
+        d = 0
+        if k & 1:
+            d = k & 31
+            if d >= 16:
+                d -= 32
+            k -= d
+        digits.append(d)
+        k >>= 1
+    return digits
+
+
+def _mul_jac(pt: Point | None, k: int) -> tuple[int, int, int]:
+    """Jacobian k * pt for 0 <= k < N, the one variable-base chain.
+
+    k = k1 + k2 * LAMBDA (mod N), and k1 * pt + k2 * phi(pt) is read from
+    the width-5 NAFs of both halves over one run of about 128 doublings,
+    adding from the odd multiples (1, 3, ..., 15) * pt and their images
+    under phi(x, y) = (BETA * x, y).  A negative digit adds the negated
+    point (x, P - y)."""
+    if pt is None or not k:
+        return _INFINITY
+    x, y = pt.x, pt.y
+    # 2 * pt in affine form, so each next odd multiple is a mixed addition.
+    x2, y2 = _chord(x, y, x, (3 * x * x * pow(2 * y, -1, P)) % P)
+    odd = [(x, y, 1)]
+    for _ in range(7):
+        odd.append(_jac_add_affine(odd[-1], x2, y2))
+    t1 = _batch_to_affine(odd)
+    t2 = [((BETA * x) % P, y) for x, y in t1]
     k1, k2 = _split_scalar(k)
-    # k1 * pt + k2 * phi(pt), phi(x, y) = (BETA * x, y); a negative half
-    # uses the negated point (x, P - y).
-    multiples = [(pt.x, pt.y, 1), _jac_double((pt.x, pt.y, 1))]
-    for _ in range(13):
-        multiples.append(_jac_add_affine(multiples[-1], pt.x, pt.y))
-    table = _batch_to_affine(multiples)  # m * pt for m in 1..15
-    t1 = [(x, y if k1 >= 0 else P - y) for x, y in table]
-    t2 = [((BETA * x) % P, y if k2 >= 0 else P - y) for x, y in table]
-    k1, k2 = abs(k1), abs(k2)
-    windows = (max(k1.bit_length(), k2.bit_length()) + 3) // 4
+    naf1, naf2 = _wnaf(k1), _wnaf(k2)
+    width = max(len(naf1), len(naf2))
+    naf1 += [0] * (width - len(naf1))
+    naf2 += [0] * (width - len(naf2))
     acc = _INFINITY
-    for shift in range(4 * windows - 4, -1, -4):
-        for _ in range(4):
-            acc = _jac_double(acc)
-        d = (k1 >> shift) & 15
-        if d:
-            acc = _jac_add_affine(acc, *t1[d - 1])
-        d = (k2 >> shift) & 15
-        if d:
-            acc = _jac_add_affine(acc, *t2[d - 1])
-    return _from_jac(acc)
+    for d1, d2 in zip(reversed(naf1), reversed(naf2)):
+        acc = _jac_double(acc)
+        if d1:
+            x, y = t1[abs(d1) >> 1]
+            acc = _jac_add_affine(acc, x, y if d1 > 0 else P - y)
+        if d2:
+            x, y = t2[abs(d2) >> 1]
+            acc = _jac_add_affine(acc, x, y if d2 > 0 else P - y)
+    return acc
+
+
+def point_mul(pt: Point | None, k: int) -> Point | None:
+    return _from_jac(_mul_jac(pt, k % N))
 
 
 G = Point(GX, GY)
 NUMS_BASE = lift_x(NUMS_X)
 
-# Fixed-base table for G: row i holds d * 32**i * G for d in 1..16, affine.
-# 52 signed 5-bit digits in [-16, 15] cover every scalar below N < 2**256.
-_GEN_ROWS = 52
+# Fixed-base table for G: row i holds d * 128**i * G for d in 1..64, affine.
+# A GLV half is below 2**128 in magnitude, so 19 signed 7-bit digits in
+# [-64, 63] cover it, carry included.
+_GEN_ROWS = 19
 
 
 def _build_gen_table() -> list[list[tuple[int, int]]]:
-    """Built in affine coordinates one column at a time, so each of the 16
-    columns costs one inversion shared by all 52 rows."""
+    """Built in affine coordinates one column at a time, so each of the 64
+    columns costs one inversion shared by all 19 rows."""
     bases = [(GX, GY, 1)]
     for _ in range(_GEN_ROWS - 1):
         base = bases[-1]
-        for _ in range(5):
+        for _ in range(7):
             base = _jac_double(base)
         bases.append(base)
     rows = [[b] for b in _batch_to_affine(bases)]
     for inv, row in zip(_batch_inverse([2 * row[0][1] for row in rows]), rows):
         x, y = row[0]
         row.append(_chord(x, y, x, (3 * x * x * inv) % P))
-    for _ in range(14):
+    for _ in range(62):
         diffs = [row[-1][0] - row[0][0] for row in rows]
         for inv, row in zip(_batch_inverse(diffs), rows):
             (x1, y1), (x2, y2) = row[0], row[-1]
@@ -274,20 +312,40 @@ def _build_gen_table() -> list[list[tuple[int, int]]]:
 _GEN_TABLE = _build_gen_table()
 
 
+def _add_gen_mul(acc: tuple[int, int, int], k: int) -> tuple[int, int, int]:
+    """Jacobian acc + k * G for 0 <= k < N, the one fixed-base routine.
+
+    Each GLV half of k is recoded into signed 7-bit digits in [-64, 63]; a
+    chunk of 64 or more becomes a negative digit and carries into the next.
+    The first half reads the table as it is, the second through phi.  That
+    is at most 38 mixed additions and no doubling."""
+    for half, beta in zip(_split_scalar(k), (1, BETA)):
+        negate = half < 0
+        half = abs(half)
+        for row in _GEN_TABLE:
+            if not half:
+                break
+            d = half & 127
+            half >>= 7
+            if d >= 64:  # digit d - 128: add the negation of (128 - d) * row base
+                half += 1
+                x, y = row[127 - d]
+                flip = not negate
+            elif d:
+                x, y = row[d - 1]
+                flip = negate
+            else:
+                continue
+            acc = _jac_add_affine(acc, (beta * x) % P, P - y if flip else y)
+    return acc
+
+
 def generator_mul(k: int) -> Point | None:
-    k %= N
-    if k == 0:
-        return None
-    acc = _INFINITY
-    for row in _GEN_TABLE:
-        d = k & 31
-        k >>= 5
-        if d >= 16:  # digit d - 32: add the negation of (32 - d) * row base
-            k += 1
-            x, y = row[31 - d]
-            acc = _jac_add_affine(acc, x, P - y)
-        elif d:
-            acc = _jac_add_affine(acc, *row[d - 1])
-        if not k:
-            break
-    return _from_jac(acc)
+    return _from_jac(_add_gen_mul(_INFINITY, k % N))
+
+
+def mul_add(s: int, pt: Point | None, k: int) -> Point | None:
+    """s * G + k * pt: the variable-base chain for k * pt, then the
+    fixed-base routine adds s * G into the same accumulator, and one
+    inversion makes the sum affine."""
+    return _from_jac(_add_gen_mul(_mul_jac(pt, k % N), s % N))

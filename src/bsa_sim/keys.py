@@ -8,6 +8,14 @@ BIP-340: the nonce is derived from the secret and the digest, and a
 65-byte signature is the compressed R point plus the s scalar.  Every
 run, test and benchmark signs and verifies with this one scheme.
 
+A check is one pass, s*G - e*P = ``curve.mul_add(s, public, N - e)``:
+one variable-base chain, the fixed-base table added into the same
+accumulator, and one inversion.  R is never decoded: the check accepts
+when the result's x equals R's x and its y has the parity that R's
+02/03 prefix names, and an x with no curve point can equal no result.
+The explicit rejections (length, prefix, x outside (0, P), s >= N) give
+every triple the verdict a decode-then-compare check would.
+
 Memoisation
 -----------
 Every party re-checks what it relies on: the ledger checks witnesses at
@@ -66,12 +74,12 @@ from functools import lru_cache
 from .curve import (
     N,
     NUMS_BASE,
-    CurveError,
+    P,
     Point,
     decode_point,
     generator_mul,
+    mul_add,
     point_add,
-    point_mul,
 )
 
 
@@ -153,21 +161,19 @@ VERIFY_CACHE_SIZE = 1024
 
 @lru_cache(maxsize=VERIFY_CACHE_SIZE)
 def verify_signature(public: Point, digest: bytes, sig: bytes) -> bool:
-    if len(sig) != 65:
+    if len(sig) != 65 or sig[0] not in (2, 3):
         return False
-    try:
-        r_point = decode_point(sig[:33])
-    except CurveError:
-        return False
+    r_x = int.from_bytes(sig[1:33], "big")
     s = int.from_bytes(sig[33:], "big")
-    if s >= N:
+    if not (0 < r_x < P) or s >= N:
         return False
     e = int.from_bytes(
         _sha(b"challenge" + sig[:33] + public.compressed() + digest), "big"
     ) % N
-    # s*G == R + e*P  =>  R == s*G - e*P
-    check = point_add(generator_mul(s), point_mul(public, N - e))
-    return check is not None and check == r_point
+    # s*G == R + e*P  <=>  R == s*G - e*P.  R is never decoded: an x with
+    # no curve point can never equal check.x, and the prefix names y's parity.
+    check = mul_add(s, public, N - e)
+    return check is not None and check.x == r_x and check.y % 2 == sig[0] - 2
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from bsa_sim.curve import (
     generator_mul,
     is_on_curve,
     lift_x,
+    mul_add,
     point_add,
     point_mul,
 )
@@ -111,12 +112,25 @@ def test_published_multiples():
 
 SCALARS = st.integers(min_value=0, max_value=2 * N - 1)
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
-# generator_mul reads signed 5-bit digits in [-16, 15]; a chunk of 16 or
-# more becomes a negative digit and carries into the next window.
+# Both multiplications split k = k1 + k2 * LAMBDA (mod N); these scalars
+# are built from chosen halves.  point_mul reads each half as a width-5
+# NAF, whose digits are odd in [-15, 15]: a 5-bit chunk of 16 or more
+# becomes a negative digit.
+GLV_HALVES = [(2**64 + 1, 2**124 - 1), (2**124 - 1, -(2**64 + 1)), (-1, -1), (15, 15), (31, -17)]
+# generator_mul reads each half in signed 7-bit digits in [-64, 63]: a
+# chunk of 64 or more becomes a negative digit and carries into the next
+# row.  2**126 - 1 carries through all 18 lower rows into the top one.
+ALL_CHUNKS_64 = sum(64 << (7 * i) for i in range(18))
+GEN_HALVES = [
+    (63, 64),
+    (64, -63),
+    (127, -127),
+    (ALL_CHUNKS_64, -ALL_CHUNKS_64),
+    (-(2**126 - 1), 2**126 - 1),
+    (2**126, -(2**126)),
+]
+# Every 5-bit chunk at 16: a scalar dense in small chunks.
 ALL_DIGITS_16 = sum(16 << (5 * i) for i in range(51))
-# point_mul splits k = k1 + k2 * LAMBDA (mod N); these scalars are built
-# from chosen halves, negative ones and ones at 4-bit window boundaries.
-GLV_HALVES = [(2**64 + 1, 2**124 - 1), (2**124 - 1, -(2**64 + 1)), (-1, -1), (15, 15)]
 
 
 def from_halves(k1, k2):
@@ -124,7 +138,7 @@ def from_halves(k1, k2):
 
 
 def test_glv_examples_split_into_their_halves():
-    for k1, k2 in GLV_HALVES:
+    for k1, k2 in GLV_HALVES + GEN_HALVES:
         assert _split_scalar(from_halves(k1, k2)) == (k1, k2)
     # Scalars whose halves come out negative: k1 only, k2 only, both.
     signs = [tuple(h < 0 for h in _split_scalar(k)) for k in (N - 1, N // 2, 2**128)]
@@ -145,6 +159,17 @@ def test_glv_examples_split_into_their_halves():
 @example(k=N - 1)
 @example(k=N)
 @example(k=2 * N - 1)
+@example(k=63)
+@example(k=64)
+@example(k=127)
+@example(k=128)
+@example(k=2**126 - 1)
+@example(k=from_halves(*GEN_HALVES[0]))
+@example(k=from_halves(*GEN_HALVES[1]))
+@example(k=from_halves(*GEN_HALVES[2]))
+@example(k=from_halves(*GEN_HALVES[3]))
+@example(k=from_halves(*GEN_HALVES[4]))
+@example(k=from_halves(*GEN_HALVES[5]))
 def test_generator_mul_matches_reference_property(k):
     assert generator_mul(k) == affine_mul(k, G)
 
@@ -160,13 +185,31 @@ def test_generator_mul_matches_reference_property(k):
 @example(base=G, k=2**128)
 @example(base=DERIVED, k=N)
 @example(base=NUMS_BASE, k=0)
+@example(base=G, k=from_halves(*GLV_HALVES[4]))
 def test_point_mul_matches_reference_property(base, k):
     assert point_mul(base, k) == affine_mul(k, base)
 
 
+@PROPERTY_SETTINGS
+@given(s=SCALARS, base=st.sampled_from([G, NUMS_BASE, DERIVED]), k=SCALARS)
+@example(s=0, base=DERIVED, k=from_halves(*GLV_HALVES[0]))
+@example(s=from_halves(*GEN_HALVES[3]), base=NUMS_BASE, k=0)
+@example(s=0, base=G, k=0)
+@example(s=from_halves(*GEN_HALVES[4]), base=None, k=5)
+# s * G == -(k * G): the sum is the point at infinity.
+@example(s=N - from_halves(*GLV_HALVES[1]), base=G, k=from_halves(*GLV_HALVES[1]))
+@example(s=from_halves(*GEN_HALVES[5]), base=DERIVED, k=from_halves(*GLV_HALVES[4]))
+@example(s=from_halves(*GEN_HALVES[2]), base=NUMS_BASE, k=from_halves(*GLV_HALVES[2]))
+@example(s=2 * N - 1, base=DERIVED, k=N)
+def test_mul_add_matches_reference_property(s, base, k):
+    expected = affine_add(affine_mul(s, G), affine_mul(k, base))
+    assert mul_add(s, base, k) == expected
+
+
 def test_mixed_addition_handles_equal_and_opposite_points():
-    # Reduced scalars never reach these branches inside the multipliers, so
-    # they are checked on the helper itself.
+    # A single multiplication by a reduced scalar never reaches these
+    # branches, so they are checked on the helper itself; mul_add reaches
+    # the opposite-point one when s * G == -(k * pt).
     two_g = affine_mul(2, G)
     jac_two_g = _jac_double((GX, GY, 1))  # Z != 1
     assert _from_jac(_jac_add_affine(jac_two_g, two_g.x, two_g.y)) == affine_mul(4, G)

@@ -7,9 +7,20 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsa_sim import curve, keys
-from bsa_sim.curve import N, NUMS_BASE, generator_mul, point_add
+from bsa_sim.curve import (
+    N,
+    NUMS_BASE,
+    P,
+    CurveError,
+    decode_point,
+    generator_mul,
+    point_add,
+    point_mul,
+)
 from bsa_sim.keys import (
     ADDRESS_KINDS,
     InvalidScalar,
@@ -123,6 +134,77 @@ def test_cached_schnorr_verdict_covers_only_its_own_triple():
         for i in (0, 1, 32, 33, 64):
             flipped = sig[:i] + bytes([sig[i] ^ 1]) + sig[i + 1:]
             assert not verify_signature(kp.public, digest, flipped)
+
+
+def decode_based_verify(public, digest, sig):
+    """Reference check: decode R in full, then compare it with s*G - e*P
+    computed as two multiplications and an addition."""
+    if len(sig) != 65:
+        return False
+    try:
+        r_point = decode_point(sig[:33])
+    except CurveError:
+        return False
+    s = int.from_bytes(sig[33:], "big")
+    if s >= N:
+        return False
+    e = int.from_bytes(sha(b"challenge" + sig[:33] + public.compressed() + digest), "big") % N
+    check = point_add(generator_mul(s), point_mul(public, N - e))
+    return check is not None and check == r_point
+
+
+def sign_for_other_parity(kp, digest):
+    """A signature made for R's x under the other prefix: the challenge
+    hashes that encoding, so s*G - e*P is R itself, whose y has the parity
+    the prefix denies.  Only the parity comparison rejects it."""
+    k = int.from_bytes(sha(b"other parity" + digest), "big") % N or 1
+    r_point = generator_mul(k)
+    encoded = bytes([3 - r_point.y % 2]) + r_point.x.to_bytes(32, "big")
+    e = int.from_bytes(sha(b"challenge" + encoded + kp.public.compressed() + digest), "big") % N
+    return encoded + ((k + e * kp.secret) % N).to_bytes(32, "big")
+
+
+def _with_x(sig, x):
+    return sig[:1] + x.to_bytes(32, "big") + sig[33:]
+
+
+def _with_s(sig, s):
+    return sig[:33] + s.to_bytes(32, "big")
+
+
+SIGNATURE_MUTATIONS = {
+    "flipped-prefix": lambda sig: bytes([sig[0] ^ 1]) + sig[1:],
+    "prefix-04": lambda sig: b"\x04" + sig[1:],
+    "x-zero": lambda sig: _with_x(sig, 0),
+    "x-p": lambda sig: _with_x(sig, P),
+    "x-max": lambda sig: _with_x(sig, 2**256 - 1),
+    "x-off-curve": lambda sig: _with_x(sig, 5),
+    "s-zero": lambda sig: _with_s(sig, 0),
+    "s-n-minus-1": lambda sig: _with_s(sig, N - 1),
+    "s-n": lambda sig: _with_s(sig, N),
+}
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(
+    secret=st.integers(min_value=1, max_value=N - 1),
+    other=st.integers(min_value=1, max_value=N - 1),
+    digest=st.binary(min_size=32, max_size=32),
+)
+def test_one_pass_verify_agrees_with_decoding_r(secret, other, digest):
+    kp = keypair_from_secret(secret)
+    sig = sign_digest(kp, digest)
+    cases = {
+        "valid": (kp.public, digest, sig),
+        "wrong-key": (keypair_from_secret(other).public, digest, sig),
+        "wrong-digest": (kp.public, sha(digest), sig),
+        "other-parity": (kp.public, digest, sign_for_other_parity(kp, digest)),
+    }
+    for name, mutate in SIGNATURE_MUTATIONS.items():
+        cases[name] = (kp.public, digest, mutate(sig))
+    verdicts = {name: verify_signature.__wrapped__(*case) for name, case in cases.items()}
+    assert verdicts == {name: decode_based_verify(*case) for name, case in cases.items()}
+    assert verdicts["valid"] and not verdicts["other-parity"]
 
 
 def test_keypair_memo_returns_one_object_per_seed():
