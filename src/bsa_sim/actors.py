@@ -37,7 +37,7 @@ from .psbt import (
     required_child_fee,
     sign_psbt,
 )
-from .registry import Registry, UtxoStatus
+from .registry import EXIT_STATUSES, Registry, UtxoStatus
 
 # ---------------------------------------------------------------------------
 # wallet helpers
@@ -294,7 +294,7 @@ class TokenOperatorActor:
                 record = world.registry.records.get(outpoint)
                 if (
                     record is not None
-                    and record.status in (UtxoStatus.WITHDRAWN, UtxoStatus.REJECTED)
+                    and record.status in EXIT_STATUSES
                     and not self.behavior.challenge_legitimate
                 ):
                     continue  # legitimate exit, nothing to dispute
@@ -414,7 +414,7 @@ class TokenOperatorActor:
                 continue
             tx = send_btc(world.chain, self.keypair, instance.return_address_id, owed)
             if tx is not None:
-                registry.record_claim_paid(owner, owed)
+                registry.record_claim_paid(owner, owed, caller="to")
                 world.log(self.name, "over_seizure_repaid", owner=owner, amount=owed)
 
 

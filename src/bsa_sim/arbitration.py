@@ -72,7 +72,7 @@ from .psbt import (
     sign_psbt,
     verify_psbt_against_instance,
 )
-from .registry import Registry, UtxoStatus
+from .registry import EXIT_STATUSES, Registry, UtxoStatus
 
 
 class OracleError(Exception):
@@ -431,7 +431,7 @@ class ArbitrationOracle:
         but only when the record shows the tokens were burned (or the
         deposit was rejected before activation)."""
         self._require_context(ctx, "unbond")
-        if ctx.status not in (UtxoStatus.WITHDRAWN, UtxoStatus.REJECTED):
+        if ctx.status not in EXIT_STATUSES:
             return None
         return self._sign_stored(ctx, Transition.UNBOND_RESOLVE)
 

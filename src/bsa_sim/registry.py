@@ -5,18 +5,24 @@ ledger for the wrapped asset, perimeter adapters used for imbalance
 detection, approved enclave version expiries, and timelock parameters
 with delayed governance upgrades.
 
-Status lifecycle (any other transition is refused):
+Status lifecycle: the rows of ``_TRANSITIONS``; any other move is
+refused.  Each row has one entry point, which checks the row
+(``_check_move``) and then applies the row's ledger effect:
 
-    Registered --(operator, on mint)--> Active
-    Registered --(owner, pre-mint exit)--> Rejected
-    Active     --(owner, full burn)--> Withdrawn
-    Active     --(operator, imbalance > 0 via mark_rebalance)--> SpentOnRebalance
+    Registered --(operator, activate_on_mint: mints the amount)--> Active
+    Registered --(owner, reject_deposit: no ledger effect)--> Rejected
+    Active     --(owner, burn_deposit: burns the amount)--> Withdrawn
+    Active     --(operator, mark_rebalance: no ledger effect)--> SpentOnRebalance
 
-``mark_rebalance`` is the only path into SpentOnRebalance: the contract
-itself checks the claimed imbalance against balances it can see, so the
-status is trustworthy for third parties.  Timelock units: t1 and t2 are
-Bitcoin blocks, t3 is destination-chain slots; ``slots_per_block``
-converts when the three are compared.
+``mark_rebalance`` checks the claimed imbalance against balances the
+contract can see, so SpentOnRebalance is trustworthy for third parties.
+An exit is authorised only in ``EXIT_STATUSES`` (Withdrawn, Rejected).
+The one move outside the table is ``resplit_deposit``, gated by
+``check_resplit``: its parts enter Active without a mint because they
+replace an Active record and carry its supply.
+
+Timelock units: t1 and t2 are Bitcoin blocks, t3 is destination-chain
+slots; ``slots_per_block`` converts when the three are compared.
 """
 
 from __future__ import annotations
@@ -28,9 +34,19 @@ from enum import Enum
 
 from .keys import Point, TweakData, decode_point, verify_signature
 
-# one canonical encoder for every snapshot text: ``json.dumps`` with
-# arguments builds a new encoder on each call
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# one canonical encoder for every snapshot text (``json.dumps`` with
+# arguments builds a new encoder on each call); a stored object is
+# encoded as its dataclass fields, read with getattr because asking for
+# an instance's ``__dict__`` makes later attribute reads slower on
+# CPython 3.11
+_ENCODER = json.JSONEncoder(
+    sort_keys=True,
+    separators=(",", ":"),
+    default=lambda o: (
+        o.value if isinstance(o, Enum)
+        else {name: getattr(o, name) for name in o.__dataclass_fields__}
+    ),
+)
 
 
 class RegistryError(Exception):
@@ -85,12 +101,17 @@ class UtxoStatus(Enum):
     SPENT_ON_REBALANCE = "spent_on_rebalance"
 
 
-# transitions the generic status setter accepts: (from, to) -> caller rule
-_ALLOWED_TRANSITIONS = {
+# the status table: (from, to) -> who may make the move, the operator
+# ("to") or the record's owner ("owner")
+_TRANSITIONS = {
     (UtxoStatus.REGISTERED, UtxoStatus.ACTIVE): "to",
     (UtxoStatus.REGISTERED, UtxoStatus.REJECTED): "owner",
     (UtxoStatus.ACTIVE, UtxoStatus.WITHDRAWN): "owner",
+    (UtxoStatus.ACTIVE, UtxoStatus.SPENT_ON_REBALANCE): "to",
 }
+
+# the statuses under which the contract authorises a depositor's exit
+EXIT_STATUSES = frozenset({UtxoStatus.WITHDRAWN, UtxoStatus.REJECTED})
 
 # the three stored rows that protect the depositor / enable arbitration:
 # the values of ``psbt.SAR_ROWS``, spelled out because psbt imports this
@@ -104,6 +125,18 @@ def _require_psbts(record: UtxoRecord) -> None:
         raise MissingPsbt(", ".join(missing))
 
 
+def _check_move(record: UtxoRecord, new_status: UtxoStatus, caller: str) -> None:
+    """Raise unless ``_TRANSITIONS`` lets ``caller`` move ``record`` to
+    ``new_status``."""
+    rule = _TRANSITIONS.get((record.status, new_status))
+    if rule is None:
+        raise UnauthorizedTransition(f"{record.status.value} -> {new_status.value}")
+    if rule == "to" and caller != "to":
+        raise NotTO(caller)
+    if rule == "owner" and caller != record.owner:
+        raise UnauthorizedTransition(f"{new_status.value} requires the owner")
+
+
 @dataclass
 class UtxoRecord:
     outpoint: str  # "txid:index"
@@ -113,29 +146,6 @@ class UtxoRecord:
     tweak_digest: str
     psbts: dict[str, str] = field(default_factory=dict)  # transition -> canonical text
     rebalance_position: int = 0  # registration order within the owner's records
-
-    def to_dict(self) -> dict:
-        return {
-            "outpoint": self.outpoint,
-            "owner": self.owner,
-            "amount": self.amount,
-            "status": self.status.value,
-            "tweak_digest": self.tweak_digest,
-            "psbts": dict(sorted(self.psbts.items())),
-            "rebalance_position": self.rebalance_position,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "UtxoRecord":
-        return cls(
-            outpoint=d["outpoint"],
-            owner=d["owner"],
-            amount=d["amount"],
-            status=UtxoStatus(d["status"]),
-            tweak_digest=d["tweak_digest"],
-            psbts=dict(d["psbts"]),
-            rebalance_position=d["rebalance_position"],
-        )
 
 
 @dataclass
@@ -162,24 +172,15 @@ class RebalanceEvent:
     selected: list[tuple[str, int]]  # (outpoint, amount)
     over_seizure: int
 
-    def to_dict(self) -> dict:
-        return {
-            "slot": self.slot,
-            "owner": self.owner,
-            "delta": self.delta,
-            "selected": [list(s) for s in self.selected],
-            "over_seizure": self.over_seizure,
-        }
 
-
+@dataclass
 class TokenLedger:
     """Account-model ledger for the wrapped token."""
 
-    def __init__(self):
-        self.balances: dict[str, int] = {}
-        self.total_minted = 0
-        self.total_burned = 0
-        self.log: list[dict] = []
+    balances: dict[str, int] = field(default_factory=dict)
+    total_minted: int = 0
+    total_burned: int = 0
+    log: list[dict] = field(default_factory=list)
 
     def balance(self, account: str) -> int:
         return self.balances.get(account, 0)
@@ -237,18 +238,8 @@ def _in_effect_order(upgrades: list[tuple[dict, int]]) -> list[tuple[dict, int]]
 
 
 class Registry:
-    def __init__(
-        self,
-        t1: int,
-        t2: int,
-        t3: int,
-        slots_per_block: int,
-        to_pubkey: Point,
-        enforce_timelock_relation: bool = True,
-    ):
-        # non-positive parameters are refused even when the relation is not enforced
-        if enforce_timelock_relation or min(t1, t2, t3, slots_per_block) <= 0:
-            check_timelocks(t1, t2, t3, slots_per_block)
+    def __init__(self, t1: int, t2: int, t3: int, slots_per_block: int, to_pubkey: Point):
+        check_timelocks(t1, t2, t3, slots_per_block)
         self.t1 = t1
         self.t2 = t2
         self.t3 = t3
@@ -268,11 +259,6 @@ class Registry:
         self.collaborative_pending: dict[str, int] = {}  # outpoint -> deadline block
         self._position_counter: dict[str, int] = {}  # owner -> next registration index
         self._records_json: tuple[list, str] | None = None  # (field values, records text)
-
-    # -- parameter helpers -------------------------------------------------
-
-    def dispute_window_slots(self) -> int:
-        return (self.t1 + self.t2) * self.slots_per_block
 
     # -- deposits ------------------------------------------------------------
 
@@ -310,39 +296,25 @@ class Registry:
     def activate_on_mint(self, outpoint: str, caller: str) -> None:
         """Operator flips Registered -> Active and mints the wrapped amount
         to the owner's destination account."""
-        if caller != "to":
-            raise NotTO(caller)
         record = self.get_record(outpoint)
-        if record.status is not UtxoStatus.REGISTERED:
-            raise UnauthorizedTransition(f"{record.status.value} -> active")
-        record.status = UtxoStatus.ACTIVE
+        _check_move(record, UtxoStatus.ACTIVE, caller)
         self.ledger.mint(record.owner, record.amount)
-
-    def set_utxo_status(self, outpoint: str, new_status: UtxoStatus, caller: str) -> None:
-        record = self.get_record(outpoint)
-        rule = _ALLOWED_TRANSITIONS.get((record.status, new_status))
-        if rule is None:
-            raise UnauthorizedTransition(f"{record.status.value} -> {new_status.value}")
-        if rule == "to" and caller != "to":
-            raise UnauthorizedTransition(f"{new_status.value} requires the operator")
-        if rule == "owner" and caller != record.owner:
-            raise UnauthorizedTransition(f"{new_status.value} requires the owner")
-        record.status = new_status
+        record.status = UtxoStatus.ACTIVE
 
     def burn_deposit(self, outpoint: str, caller: str) -> None:
         """Full per-UTXO burn: burns exactly the record amount and flips the
         record to Withdrawn.  Smaller burns via the ledger never change
         status."""
         record = self.get_record(outpoint)
-        if caller != record.owner:
-            raise UnauthorizedTransition("only the owner can burn for exit")
-        if record.status is not UtxoStatus.ACTIVE:
-            raise UnauthorizedTransition(f"burn on {record.status.value} record")
+        _check_move(record, UtxoStatus.WITHDRAWN, caller)
         self.ledger.burn(record.owner, record.amount)
         record.status = UtxoStatus.WITHDRAWN
 
     def reject_deposit(self, outpoint: str, caller: str) -> None:
-        self.set_utxo_status(outpoint, UtxoStatus.REJECTED, caller)
+        """Owner exits before activation; nothing was minted."""
+        record = self.get_record(outpoint)
+        _check_move(record, UtxoStatus.REJECTED, caller)
+        record.status = UtxoStatus.REJECTED
 
     # -- imbalance and rebalancing ------------------------------------------
 
@@ -397,13 +369,13 @@ class Registry:
         return selected
 
     def mark_rebalance(self, owner: str, delta: int, caller: str) -> RebalanceEvent:
-        if caller != "to":
-            raise NotTO(caller)
         if delta <= 0:
             raise NoImbalance("delta must be positive")
         if delta > self.detect_imbalance(owner):
             raise NoImbalance(f"claimed {delta}, observed {self.detect_imbalance(owner)}")
         selected = self.select_for_rebalance(owner, delta)
+        for record in selected:
+            _check_move(record, UtxoStatus.SPENT_ON_REBALANCE, caller)
         total = sum(r.amount for r in selected)
         for record in selected:
             record.status = UtxoStatus.SPENT_ON_REBALANCE
@@ -420,7 +392,10 @@ class Registry:
         self.rebalance_events.append(event)
         return event
 
-    def record_claim_paid(self, owner: str, amount: int) -> None:
+    def record_claim_paid(self, owner: str, amount: int, caller: str) -> None:
+        """Operator books a repayment of over-seized value to ``owner``."""
+        if caller != "to":
+            raise NotTO(caller)
         owed = self.claimable.get(owner, 0)
         if amount <= 0 or amount > owed:
             raise RegistryError(f"claim payment {amount} vs owed {owed}")
@@ -544,8 +519,8 @@ class Registry:
 
     def _sections(self) -> dict:
         """Every section of the canonical state but ``records`` and
-        ``current_slot``.  The encoder sorts every key, so these are the
-        live containers wherever their JSON form is the same."""
+        ``current_slot``, as the live objects: the encoder sorts every
+        key and encodes an object as its fields."""
         return {
             "params": {
                 "t1": self.t1,
@@ -556,26 +531,13 @@ class Registry:
             "to_pubkey": self.to_pubkey.compressed().hex(),
             "tweaks": self.tweaks,
             "orders": self.orders,
-            "adapters": {
-                k: {
-                    "adapter_id": a.adapter_id,
-                    "registered_at": a.registered_at,
-                    "removal_effective_at": a.removal_effective_at,
-                    "balances": a.balances,
-                }
-                for k, a in self.adapters.items()
-            },
+            "adapters": self.adapters,
             "versions": self.versions,
             "pending_upgrades": self.pending_upgrades,
-            "ledger": {
-                "balances": self.ledger.balances,
-                "total_minted": self.ledger.total_minted,
-                "total_burned": self.ledger.total_burned,
-                "log": self.ledger.log,
-            },
+            "ledger": self.ledger,
             "claimable": self.claimable,
             "claim_paid": self.claim_paid,
-            "rebalance_events": [e.to_dict() for e in self.rebalance_events],
+            "rebalance_events": self.rebalance_events,
             "collaborative_pending": self.collaborative_pending,
         }
 
@@ -591,7 +553,7 @@ class Registry:
             for k, r in self.records.items()
         ]
         if self._records_json is None or self._records_json[0] != values:
-            text = _ENCODER.encode({k: r.to_dict() for k, r in self.records.items()})
+            text = _ENCODER.encode(self.records)
             self._records_json = (values, text)
         return self._records_json[1]
 
@@ -630,39 +592,26 @@ class Registry:
             t3=params["t3"],
             slots_per_block=params["slots_per_block"],
             to_pubkey=decode_point(bytes.fromhex(d["to_pubkey"])),
-            enforce_timelock_relation=False,
         )
         reg.current_slot = d["current_slot"]
-        reg.records = {k: UtxoRecord.from_dict(v) for k, v in d["records"].items()}
+        reg.records = {
+            k: UtxoRecord(**{**v, "status": UtxoStatus(v["status"])})
+            for k, v in d["records"].items()
+        }
         for rec in reg.records.values():
             nxt = reg._position_counter.get(rec.owner, 0)
             reg._position_counter[rec.owner] = max(nxt, rec.rebalance_position + 1)
-        reg.tweaks = dict(d["tweaks"])
-        reg.orders = {k: list(v) for k, v in d["orders"].items()}
-        for k, a in d["adapters"].items():
-            reg.adapters[k] = Adapter(
-                adapter_id=a["adapter_id"],
-                registered_at=a["registered_at"],
-                removal_effective_at=a["removal_effective_at"],
-                balances=dict(a["balances"]),
-            )
+        reg.tweaks = d["tweaks"]
+        reg.orders = d["orders"]
+        reg.adapters = {k: Adapter(**a) for k, a in d["adapters"].items()}
         reg.versions = {k: (v[0], v[1]) for k, v in d["versions"].items()}
-        reg.pending_upgrades = [(dict(c), e) for c, e in d["pending_upgrades"]]
-        reg.ledger.balances = dict(d["ledger"]["balances"])
-        reg.ledger.total_minted = d["ledger"]["total_minted"]
-        reg.ledger.total_burned = d["ledger"]["total_burned"]
-        reg.ledger.log = list(d["ledger"]["log"])
-        reg.claimable = dict(d["claimable"])
-        reg.claim_paid = dict(d["claim_paid"])
+        reg.pending_upgrades = [(c, e) for c, e in d["pending_upgrades"]]
+        reg.ledger = TokenLedger(**d["ledger"])
+        reg.claimable = d["claimable"]
+        reg.claim_paid = d["claim_paid"]
         reg.rebalance_events = [
-            RebalanceEvent(
-                slot=e["slot"],
-                owner=e["owner"],
-                delta=e["delta"],
-                selected=[tuple(s) for s in e["selected"]],
-                over_seizure=e["over_seizure"],
-            )
+            RebalanceEvent(**{**e, "selected": [tuple(s) for s in e["selected"]]})
             for e in d["rebalance_events"]
         ]
-        reg.collaborative_pending = dict(d["collaborative_pending"])
+        reg.collaborative_pending = d["collaborative_pending"]
         return reg

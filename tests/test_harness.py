@@ -230,6 +230,28 @@ def test_ceremony_demo_narrative():
 # -- command line -------------------------------------------------------------
 
 
+README = SCENARIO_DIR.parent / "README.md"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "scenarios/honest_exit.scn"],
+        ["matrix"],
+        ["avail", "--t1", "24", "--t2", "48", "--t3", "720",
+         "--t-op", "1", "--t-check", "4", "--wsp", "1344"],
+    ],
+    ids=["run", "matrix", "avail"],
+)
+def test_readme_transcripts_match_the_cli(argv, monkeypatch, capsys):
+    """Each command's output is, verbatim, a ``text`` block of README.md."""
+    monkeypatch.chdir(SCENARIO_DIR.parent)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    block = f"```text\n$ bsa-sim {' '.join(argv)}\n{out}```\n"
+    assert block in README.read_text()
+
+
 def test_cli_run_graded_ok(capsys):
     code = main(["run", str(SCENARIO_DIR / "honest_exit.scn")])
     out = capsys.readouterr().out

@@ -285,7 +285,8 @@ def test_ceremony_rejects_unattested_oracle():
 
 def test_ceremony_requires_governance_delay_dominance():
     w = World()
-    w.registry = Registry(4, 6, 10, 1, w.to.public, enforce_timelock_relation=False)
+    w.registry = Registry(4, 6, 11, 1, w.to.public)
+    w.registry.t3 = 10  # t3 no longer exceeds (t1 + t2) * slots_per_block
     with pytest.raises(TimelockRelationViolated):
         w.ceremony()
 

@@ -7,6 +7,8 @@ import random
 from bisect import bisect_left
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsa_sim.keys import TweakData, key_address_id, keypair_from_seed
 from bsa_sim.registry import (
@@ -26,6 +28,7 @@ from bsa_sim.registry import (
     UnknownRecord,
     UtxoRecord,
     UtxoStatus,
+    _TRANSITIONS,
     check_timelocks,
     timelock_relation_holds,
 )
@@ -138,15 +141,66 @@ def test_reject_before_activation():
     assert reg.get_record("aa:0").status is UtxoStatus.REJECTED
 
 
-def test_status_transition_table_is_closed():
+STRANGER = "acct:stranger"
+
+
+def registry_with(status: UtxoStatus) -> Registry:
+    """A registry holding the one record "aa:0" (500 tokens), brought to
+    ``status`` through the public entry points."""
     reg = make_registry()
-    add_active(reg, "aa:0", 500)
-    for target in (UtxoStatus.REGISTERED, UtxoStatus.REJECTED):
-        with pytest.raises(UnauthorizedTransition):
-            reg.set_utxo_status("aa:0", target, caller="to")
-    # rebalance marking is not reachable through the generic setter
-    with pytest.raises(UnauthorizedTransition):
-        reg.set_utxo_status("aa:0", UtxoStatus.SPENT_ON_REBALANCE, caller="to")
+    reg.register_deposit(make_record(reg, "aa:0", 500), caller="to")
+    if status is UtxoStatus.REJECTED:
+        reg.reject_deposit("aa:0", caller=OWNER)
+    elif status is not UtxoStatus.REGISTERED:
+        reg.activate_on_mint("aa:0", caller="to")
+    if status is UtxoStatus.WITHDRAWN:
+        reg.burn_deposit("aa:0", caller=OWNER)
+    elif status is UtxoStatus.SPENT_ON_REBALANCE:
+        reg.ledger.transfer(OWNER, "thief", 500)
+        reg.mark_rebalance(OWNER, 500, caller="to")
+    assert reg.get_record("aa:0").status is status
+    return reg
+
+
+# the public way into each status, if there is one; rebalancing claims
+# the whole observed imbalance (at least 1)
+ENTRY_POINTS = {
+    UtxoStatus.REGISTERED: lambda reg, c: reg.register_deposit(make_record(reg, "aa:0", 500), c),
+    UtxoStatus.ACTIVE: lambda reg, c: reg.activate_on_mint("aa:0", c),
+    UtxoStatus.REJECTED: lambda reg, c: reg.reject_deposit("aa:0", c),
+    UtxoStatus.WITHDRAWN: lambda reg, c: reg.burn_deposit("aa:0", c),
+    UtxoStatus.SPENT_ON_REBALANCE: lambda reg, c: reg.mark_rebalance(
+        OWNER, max(1, reg.detect_imbalance(OWNER)), c
+    ),
+}
+
+
+def test_status_transition_table_is_closed():
+    """Every (from, to, caller) driven through the public entry points:
+    exactly the four table rows succeed, each with its ledger effect, and
+    a refused move changes nothing."""
+    succeeded = set()
+    for source, target in itertools.product(UtxoStatus, repeat=2):
+        for caller in ("to", OWNER, STRANGER):
+            reg = registry_with(source)
+            # a rebalance needs the owner's tokens out of the perimeter
+            if target is UtxoStatus.SPENT_ON_REBALANCE and reg.ledger.balance(OWNER):
+                reg.ledger.transfer(OWNER, "thief", reg.ledger.balance(OWNER))
+            minted, burned = reg.ledger.total_minted, reg.ledger.total_burned
+            before = reg.state_digest()
+            try:
+                ENTRY_POINTS[target](reg, caller)
+            except RegistryError:
+                assert reg.state_digest() == before, (source, target, caller)
+                continue
+            succeeded.add((source, target, caller))
+            assert reg.get_record("aa:0").status is target
+            assert reg.ledger.total_minted - minted == (500 if target is UtxoStatus.ACTIVE else 0)
+            assert reg.ledger.total_burned - burned == (500 if target is UtxoStatus.WITHDRAWN else 0)
+    assert succeeded == {
+        (source, target, "to" if rule == "to" else OWNER)
+        for (source, target), rule in _TRANSITIONS.items()
+    }
 
 
 # -- token ledger -------------------------------------------------------------
@@ -290,12 +344,16 @@ def test_claim_payment_bookkeeping():
     reg.mark_rebalance(OWNER, 4, caller="to")
     assert reg.claimable[OWNER] == 6
     with pytest.raises(RegistryError):
-        reg.record_claim_paid(OWNER, 7)
-    reg.record_claim_paid(OWNER, 6)
+        reg.record_claim_paid(OWNER, 7, caller="to")
+    for caller in (OWNER, STRANGER):
+        with pytest.raises(NotTO):
+            reg.record_claim_paid(OWNER, 6, caller=caller)
+    assert reg.claimable[OWNER] == 6 and OWNER not in reg.claim_paid
+    reg.record_claim_paid(OWNER, 6, caller="to")
     assert reg.claimable[OWNER] == 0
     assert reg.claim_paid[OWNER] == 6
     with pytest.raises(RegistryError):
-        reg.record_claim_paid(OWNER, 1)
+        reg.record_claim_paid(OWNER, 1, caller="to")
 
 
 # -- versions and governance --------------------------------------------------
@@ -385,11 +443,6 @@ def test_timelock_relation_boundary():
             check_timelocks(*params)
 
 
-def test_dispute_window_slots():
-    reg = make_registry(t1=4, t2=6, spb=2)
-    assert reg.dispute_window_slots() == 20
-
-
 def test_rejected_resplit_leaves_registry_unchanged():
     reg = make_registry()
     add_active(reg, "aa:0", 500)
@@ -440,3 +493,114 @@ def test_snapshot_round_trip():
     # digest is order-insensitive on insertion but sensitive to content
     clone.ledger.mint(OWNER, 1)
     assert clone.state_digest() != reg.state_digest()
+
+
+# -- status machine property ----------------------------------------------------
+
+# The example count comes from the Hypothesis profile (tests/conftest.py).
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None)
+
+OWNERS = (OWNER, "acct:reg-other")
+ACCOUNTS = (*OWNERS, "acct:pool")
+# half the time None: the caller the table names for the move
+CALLERS = st.one_of(st.none(), st.sampled_from(("to", *OWNERS, STRANGER)))
+
+
+def nth_outpoint(reg: Registry, i: int, status: UtxoStatus | None) -> str:
+    """The ``i``-th record's outpoint (counted round) among the records
+    in ``status``, or among all records when ``status`` is None."""
+    records = [k for k, r in reg.records.items() if status in (None, r.status)]
+    if not records:
+        raise UnknownRecord("no such record yet")
+    return records[i % len(records)]
+
+
+def move(entry_point: str, source: UtxoStatus, by: str):
+    """An operation calling ``entry_point`` on a record taken from the
+    records in ``source``, or from all records; ``by`` ("to" or "owner")
+    is the caller the table names for it."""
+
+    def run(reg: Registry, i: int, anywhere: bool, caller: str | None) -> str:
+        outpoint = nth_outpoint(reg, i, None if anywhere else source)
+        if caller is None:
+            caller = "to" if by == "to" else reg.records[outpoint].owner
+        getattr(reg, entry_point)(outpoint, caller)
+        return caller
+
+    return (run, st.integers(0, 7), st.booleans(), CALLERS)
+
+
+def transfer(reg: Registry, i: int, dst: str, amount: int) -> None:
+    """The ``i``-th account holding tokens (counted round) sends up to
+    ``amount`` of them to ``dst``."""
+    funded = sorted(a for a, balance in reg.ledger.balances.items() if balance)
+    if not funded:
+        raise LedgerError("no account holds tokens yet")
+    src = funded[i % len(funded)]
+    reg.ledger.transfer(src, dst, min(amount, reg.ledger.balance(src)))
+
+
+def rebalance(reg: Registry, owner: str, delta: int, caller: str | None) -> str:
+    """Claim ``delta``, cut to the imbalance the registry sees (at least 1)."""
+    caller = "to" if caller is None else caller
+    reg.mark_rebalance(owner, max(1, min(delta, reg.detect_imbalance(owner))), caller)
+    return caller
+
+
+OPERATIONS = {
+    "register": (
+        lambda reg, i, owner, amount: reg.register_deposit(
+            make_record(reg, f"{i:02x}:0", amount, owner), caller="to"
+        ),
+        st.integers(0, 7),
+        st.sampled_from(OWNERS),
+        st.integers(1, 900),
+    ),
+    "activate": move("activate_on_mint", UtxoStatus.REGISTERED, by="to"),
+    "reject": move("reject_deposit", UtxoStatus.REGISTERED, by="owner"),
+    "burn": move("burn_deposit", UtxoStatus.ACTIVE, by="owner"),
+    "mark_rebalance": (rebalance, st.sampled_from(OWNERS), st.integers(1, 900), CALLERS),
+    "transfer": (transfer, st.integers(0, 2), st.sampled_from(ACCOUNTS), st.integers(1, 900)),
+}
+
+STEPS = st.lists(
+    st.one_of([st.tuples(st.just(name), *args) for name, (_, *args) in OPERATIONS.items()]),
+    min_size=12,
+    max_size=60,
+)
+
+
+@PROPERTY_SETTINGS
+@given(steps=STEPS)
+def test_status_machine_keeps_supply_with_its_moves(steps):
+    """Random status moves and transfers by random callers: every status
+    change is a table row made by the caller the row names, a refused
+    operation changes nothing, supply follows the moves, and the snapshot
+    round-trips byte for byte."""
+    reg = make_registry()
+    reached_active = withdrawn = 0
+    for name, *args in steps:
+        before = {k: r.status for k, r in reg.records.items()}
+        snapshot = reg.export_snapshot()
+        try:
+            caller = OPERATIONS[name][0](reg, *args)
+        except RegistryError:
+            assert reg.export_snapshot() == snapshot, name
+            continue
+        for outpoint, record in reg.records.items():
+            old = before.get(outpoint, UtxoStatus.REGISTERED)
+            if record.status is old:
+                continue
+            rule = _TRANSITIONS.get((old, record.status))
+            assert rule is not None, (name, old, record.status)
+            assert caller == ("to" if rule == "to" else record.owner), (name, caller)
+            if record.status is UtxoStatus.ACTIVE:
+                reached_active += record.amount
+            elif record.status is UtxoStatus.WITHDRAWN:
+                withdrawn += record.amount
+        ledger = reg.ledger
+        assert ledger.total_minted == reached_active
+        assert ledger.total_burned == withdrawn
+        assert sum(ledger.balances.values()) == ledger.total_minted - ledger.total_burned
+    text = reg.export_snapshot()
+    assert Registry.import_snapshot(text).export_snapshot() == text
