@@ -3,8 +3,10 @@
 Four subcommands:
 
 * ``run <file>`` parses a scenario file, simulates it, and prints the
-  graded verdicts; exits nonzero when an ``[expect]`` section is present
-  and the verdicts disagree with it.
+  graded verdicts; exits 1 when an ``[expect]`` section is present and
+  the verdicts disagree with it, and 2, with one line on stderr naming
+  the problem (its section and key, where it has one), when the file is
+  malformed.
 * ``matrix`` replays the scripted failure matrix and exits nonzero on
   any mismatch.
 * ``avail`` prints the duty-cycle bounds an arbitration oracle must
@@ -21,7 +23,7 @@ import sys
 
 from .availability import availability_report
 from .harness import ceremony_demo, run_matrix, run_scenario
-from .scenario import load_scenario
+from .scenario import ScenarioError, load_scenario
 
 
 def _fmt_triple(triple: tuple[bool, bool, bool]) -> str:
@@ -29,7 +31,11 @@ def _fmt_triple(triple: tuple[bool, bool, bool]) -> str:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = load_scenario(args.scenario)
+    try:
+        config = load_scenario(args.scenario)
+    except ScenarioError as exc:
+        print(f"bsa-sim: {args.scenario}: {exc}", file=sys.stderr)
+        return 2
     result = run_scenario(config)
     verdicts = result.verdicts
     print(f"scenario: {result.name}")

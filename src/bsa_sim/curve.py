@@ -21,16 +21,21 @@ Vanstone, CRYPTO 2001):
   recoded into 19 signed 7-bit digits in [-64, 63]; the second half
   reads the same table through phi.  That is at most 38 additions and no
   doubling.
-* ``_mul_jac`` is the one variable-base chain: Jacobian k * Q from the
-  width-5 NAFs of both halves over one run of about 128 doublings,
-  adding from the odd multiples (1, 3, ..., 15) * Q and their images
-  under phi.  This needs Q to be on the curve, which every ``Point`` the
-  package makes is: each comes from ``lift_x``, ``decode_point`` or
+* ``_mul_jac`` is the one variable-base chain, Straus's method: the
+  Jacobian sum of k * Q over any number of (Q, k) pairs, with one shared
+  run of about 128 doublings.  A scalar below 2**128 is read as it is; a
+  larger one is GLV-split, its second half reading Q through phi.  Each
+  is read as a width-5 NAF, adding from the odd multiples
+  (1, 3, ..., 15) * Q, which two inversions make affine for all points
+  at once.  This needs each Q to be on the curve, which every ``Point``
+  the package makes is: each comes from ``lift_x``, ``decode_point`` or
   curve arithmetic, and the curve has cofactor 1.
-* ``generator_mul`` and ``point_mul`` make one of these affine, and
-  ``mul_add(s, Q, k)`` = s * G + k * Q runs the chain, then the
-  fixed-base routine into the same accumulator, then one inversion.
-  A Schnorr check is one ``mul_add``.
+* ``generator_mul`` makes the fixed-base routine affine and
+  ``point_mul`` a one-pair chain.  ``multi_mul_add(s, pairs)`` = s * G +
+  the sum of k * Q runs the chain, then the fixed-base routine into the
+  same accumulator, then one inversion; ``mul_add(s, Q, k)`` is its
+  one-pair case.  A Schnorr check, alone or a batch of them, is one
+  ``multi_mul_add`` (see ``keys``).
 * ``point_add`` adds in affine coordinates with one inversion.
 
 Every function computes exact group arithmetic, and a curve point has one
@@ -41,7 +46,9 @@ double-and-add.
 ``decode_point`` is memoised in a bounded LRU cache
 (``DECODE_CACHE_SIZE`` entries) keyed by the encoded bytes: every
 snapshot import decodes the same few public keys again, each costing a
-modular square root.  The function is pure and its
+modular square root.  A batch signature check decodes every nonce point
+but the first through it too; those are seen once, and the LRU order
+keeps the keys that imports reuse.  The function is pure and its
 results are immutable ``Point`` values, so a cached answer is the answer
 a fresh call would give.  Exceptions are not cached, so a malformed
 encoding raises ``CurveError`` on every call.
@@ -223,60 +230,83 @@ def _split_scalar(k: int) -> tuple[int, int]:
     return k - c1 * _GLV_A1 - c2 * _GLV_A2, -c1 * _GLV_B1 - c2 * _GLV_B2
 
 
-def _wnaf(k: int) -> list[int]:
-    """Width-5 NAF of k, least significant digit first: every digit is 0
-    or odd in [-15, 15], and any two nonzero digits are at least five
-    places apart.  A negative k gives the negated digits of -k."""
+def _wnaf(k: int) -> list[tuple[int, int]]:
+    """The nonzero digits of the width-5 NAF of k as (place, digit), least
+    significant first: every digit is odd in [-15, 15], and any two are at
+    least five places apart.  A negative k gives the negated digits of -k.
+    Each step skips the run of zeros below the next digit at once."""
     digits = []
+    place = 0
     while k:
-        d = 0
-        if k & 1:
-            d = k & 31
-            if d >= 16:
-                d -= 32
-            k -= d
-        digits.append(d)
-        k >>= 1
+        zeros = (k & -k).bit_length() - 1
+        k >>= zeros
+        place += zeros
+        d = k & 31
+        if d >= 16:
+            d -= 32
+        digits.append((place, d))
+        k -= d
     return digits
 
 
-def _mul_jac(pt: Point | None, k: int) -> tuple[int, int, int]:
-    """Jacobian k * pt for 0 <= k < N, the one variable-base chain.
+def _odd_multiples(points: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """For each finite affine point Q, its odd multiples 1 * Q, 3 * Q, ...,
+    15 * Q in affine form.  Two inversions serve every point: one for the
+    tangent slopes of the doubles 2 * Q, one to make the multiples affine."""
+    jac = []
+    for (x, y), inv in zip(points, _batch_inverse([2 * y for _, y in points])):
+        # 2 * Q in affine form, so each next odd multiple is a mixed addition.
+        x2, y2 = _chord(x, y, x, (3 * x * x * inv) % P)
+        odd = [(x, y, 1)]
+        for _ in range(7):
+            odd.append(_jac_add_affine(odd[-1], x2, y2))
+        jac.extend(odd)
+    flat = _batch_to_affine(jac)
+    return [flat[i:i + 8] for i in range(0, len(flat), 8)]
 
-    k = k1 + k2 * LAMBDA (mod N), and k1 * pt + k2 * phi(pt) is read from
-    the width-5 NAFs of both halves over one run of about 128 doublings,
-    adding from the odd multiples (1, 3, ..., 15) * pt and their images
-    under phi(x, y) = (BETA * x, y).  A negative digit adds the negated
-    point (x, P - y)."""
-    if pt is None or not k:
+
+_HALF = 1 << 128
+
+
+def _mul_jac(pairs: list[tuple[Point | None, int]]) -> tuple[int, int, int]:
+    """Jacobian sum of k * pt over (pt, k) pairs with 0 <= k < N, the one
+    variable-base chain (Straus's method).
+
+    A scalar below 2**128 is read as it is; a larger one is split as
+    k1 + k2 * LAMBDA (mod N) and read as k1 * pt + k2 * phi(pt), with
+    phi(x, y) = (BETA * x, y).  Every scalar is read as a width-5 NAF,
+    adding from the odd multiples (1, 3, ..., 15) * pt or their images
+    under phi, and all of them share one run of about 128 doublings.  A
+    negative digit adds the negated point (x, P - y)."""
+    live = [(pt, k) for pt, k in pairs if pt is not None and k]
+    if not live:
         return _INFINITY
-    x, y = pt.x, pt.y
-    # 2 * pt in affine form, so each next odd multiple is a mixed addition.
-    x2, y2 = _chord(x, y, x, (3 * x * x * pow(2 * y, -1, P)) % P)
-    odd = [(x, y, 1)]
-    for _ in range(7):
-        odd.append(_jac_add_affine(odd[-1], x2, y2))
-    t1 = _batch_to_affine(odd)
-    t2 = [((BETA * x) % P, y) for x, y in t1]
-    k1, k2 = _split_scalar(k)
-    naf1, naf2 = _wnaf(k1), _wnaf(k2)
-    width = max(len(naf1), len(naf2))
-    naf1 += [0] * (width - len(naf1))
-    naf2 += [0] * (width - len(naf2))
+    columns = []  # (odd multiples, NAF digits)
+    for (_, k), table in zip(live, _odd_multiples([(pt.x, pt.y) for pt, _ in live])):
+        if k < _HALF:
+            columns.append((table, _wnaf(k)))
+        else:
+            k1, k2 = _split_scalar(k)
+            columns.append((table, _wnaf(k1)))
+            columns.append(([((BETA * x) % P, y) for x, y in table], _wnaf(k2)))
+    # adds[i]: the signed table points added after the doubling for place i
+    adds: list[list[tuple[int, int]]] = [
+        [] for _ in range(max(naf[-1][0] for _, naf in columns if naf) + 1)
+    ]
+    for table, naf in columns:
+        for place, d in naf:
+            x, y = table[abs(d) >> 1]
+            adds[place].append((x, y if d > 0 else P - y))
     acc = _INFINITY
-    for d1, d2 in zip(reversed(naf1), reversed(naf2)):
+    for step in reversed(adds):
         acc = _jac_double(acc)
-        if d1:
-            x, y = t1[abs(d1) >> 1]
-            acc = _jac_add_affine(acc, x, y if d1 > 0 else P - y)
-        if d2:
-            x, y = t2[abs(d2) >> 1]
-            acc = _jac_add_affine(acc, x, y if d2 > 0 else P - y)
+        for x, y in step:
+            acc = _jac_add_affine(acc, x, y)
     return acc
 
 
 def point_mul(pt: Point | None, k: int) -> Point | None:
-    return _from_jac(_mul_jac(pt, k % N))
+    return _from_jac(_mul_jac([(pt, k % N)]))
 
 
 G = Point(GX, GY)
@@ -344,8 +374,13 @@ def generator_mul(k: int) -> Point | None:
     return _from_jac(_add_gen_mul(_INFINITY, k % N))
 
 
+def multi_mul_add(s: int, pairs: list[tuple[Point | None, int]]) -> Point | None:
+    """s * G + the sum of k * pt over ``pairs``: the variable-base chain for
+    the sum, then the fixed-base routine adds s * G into the same
+    accumulator, and one inversion makes the result affine."""
+    return _from_jac(_add_gen_mul(_mul_jac([(pt, k % N) for pt, k in pairs]), s % N))
+
+
 def mul_add(s: int, pt: Point | None, k: int) -> Point | None:
-    """s * G + k * pt: the variable-base chain for k * pt, then the
-    fixed-base routine adds s * G into the same accumulator, and one
-    inversion makes the sum affine."""
-    return _from_jac(_add_gen_mul(_mul_jac(pt, k % N), s % N))
+    """s * G + k * pt, the one-pair case of ``multi_mul_add``."""
+    return multi_mul_add(s, [(pt, k)])

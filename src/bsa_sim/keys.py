@@ -8,13 +8,31 @@ BIP-340: the nonce is derived from the secret and the digest, and a
 65-byte signature is the compressed R point plus the s scalar.  Every
 run, test and benchmark signs and verifies with this one scheme.
 
-A check is one pass, s*G - e*P = ``curve.mul_add(s, public, N - e)``:
-one variable-base chain, the fixed-base table added into the same
-accumulator, and one inversion.  R is never decoded: the check accepts
-when the result's x equals R's x and its y has the parity that R's
-02/03 prefix names, and an x with no curve point can equal no result.
+A check is one pass, s*G - e*P = ``curve.multi_mul_add(s, [(public,
+-e)])``: one variable-base chain, the fixed-base table added into the
+same accumulator, and one inversion.  R is never decoded: the check
+accepts when the result's x equals R's x and its y has the parity that
+R's 02/03 prefix names, and an x with no curve point can equal no result.
 The explicit rejections (length, prefix, x outside (0, P), s >= N) give
 every triple the verdict a decode-then-compare check would.
+
+``verify_signatures`` checks a batch of triples at once with a random
+linear combination (BIP-340's batch check; Bernstein et al., "High-speed
+high-security signatures", 2012).  It accepts iff
+
+    (sum a_i s_i) * G - sum_k (sum over P_i = k of a_i e_i) * k - sum_{i>=2} a_i R_i
+
+has R_1's x and the parity of y that R_1's prefix names.  a_1 = 1 and
+each later a_i is 128 bits of sha256 over a domain tag and every triple
+of the batch, so runs stay deterministic and a forged triple cannot pick
+its weight without defeating the hash.  It is one ``multi_mul_add``: the
+s terms fold into one fixed-base scalar, each distinct key is one
+GLV-split term, and each later R_i (decoded, so an x with no curve point
+rejects) is one 128-bit term, all over one shared run of doublings.  A
+batch of one is the single check above, exactly: both are the one
+uncached core ``_verify``, and the per-triple rejections are written
+once.  A batch that fails says only that some triple is bad; a caller
+that must name it re-checks one by one.
 
 Memoisation
 -----------
@@ -29,6 +47,13 @@ LRU caches, so a repeated check costs a lookup:
   so both outcomes are cached; a changed digest, key or signature byte is
   a different key and is checked afresh.  This is how Bitcoin Core's
   signature cache works.
+* ``verify_signatures`` (``BATCH_VERIFY_CACHE_SIZE`` entries), keyed by
+  the tuple of triples, which is all its verdict depends on.  The setup
+  ceremony checks the depositor's signatures on all the operator's rows
+  as one batch; worlds that re-run an identical ceremony check the same
+  batch again (3 distinct batches in 1,008 sweep scenarios, and 3 in the
+  200-scenario trust-model sweep), while a ceremony with fresh keys
+  never repeats one, so a small memo holds every batch that recurs.
 * ``build_protocol_addresses`` (``ADDRESS_CACHE_SIZE`` entries), keyed by
   the frozen ``TweakData``.  The returned addresses are frozen, so
   callers can share them.
@@ -75,10 +100,11 @@ from .curve import (
     N,
     NUMS_BASE,
     P,
+    CurveError,
     Point,
     decode_point,
     generator_mul,
-    mul_add,
+    multi_mul_add,
     point_add,
 )
 
@@ -156,24 +182,79 @@ def sign_digest(keypair: Keypair, digest: bytes) -> bytes:
     return r_point.compressed() + s.to_bytes(32, "big")
 
 
+def _challenge(public: Point, digest: bytes, sig: bytes) -> tuple[int, int, int] | None:
+    """(R's x, s, e) of one triple, or None when its signature is malformed:
+    not 65 bytes, a prefix other than 02/03, an x outside (0, P) or s >= N."""
+    if len(sig) != 65 or sig[0] not in (2, 3):
+        return None
+    r_x = int.from_bytes(sig[1:33], "big")
+    s = int.from_bytes(sig[33:], "big")
+    if not (0 < r_x < P) or s >= N:
+        return None
+    e = int.from_bytes(
+        _sha(b"challenge" + sig[:33] + public.compressed() + digest), "big"
+    ) % N
+    return r_x, s, e
+
+
+def _coefficients(triples: tuple[tuple[Point, bytes, bytes], ...]) -> list[int]:
+    """a_1 = 1, and for i >= 2 a 128-bit a_i from sha256 over a domain tag
+    and every triple of the batch, so a batch's check is reproducible and a
+    forged triple cannot choose the weight it is checked with."""
+    seed = _sha(b"batch" + b"".join(
+        public.compressed() + _encode_bytes(digest) + _encode_bytes(sig)
+        for public, digest, sig in triples
+    ))
+    return [1] + [
+        int.from_bytes(_sha(seed + i.to_bytes(4, "big"))[:16], "big")
+        for i in range(1, len(triples))
+    ]
+
+
+def _verify(triples: tuple[tuple[Point, bytes, bytes], ...]) -> bool:
+    """Whether every (public, digest, sig) triple verifies, by the one
+    multi-scalar check the module docstring gives; with one triple it is
+    s*G - e*P compared with R.  R_1 is never decoded, and every later R_i
+    is, so one with no curve point rejects the batch."""
+    parsed = [_challenge(*triple) for triple in triples]
+    if not parsed or None in parsed:
+        return False
+    s_sum = 0
+    key_scalars: dict[Point, int] = {}
+    pairs = []
+    for i, ((public, _, sig), (_, s, e), a) in enumerate(
+        zip(triples, parsed, _coefficients(triples))
+    ):
+        s_sum += a * s
+        key_scalars[public] = key_scalars.get(public, 0) + a * e
+        if i:
+            try:
+                r_point = decode_point(sig[:33])
+            except CurveError:
+                return False
+            pairs.append((Point(r_point.x, P - r_point.y), a))
+    pairs.extend((public, -k) for public, k in key_scalars.items())
+    check = multi_mul_add(s_sum, pairs)
+    r_x, prefix = parsed[0][0], triples[0][2][0]
+    return check is not None and check.x == r_x and check.y % 2 == prefix - 2
+
+
 VERIFY_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=VERIFY_CACHE_SIZE)
 def verify_signature(public: Point, digest: bytes, sig: bytes) -> bool:
-    if len(sig) != 65 or sig[0] not in (2, 3):
-        return False
-    r_x = int.from_bytes(sig[1:33], "big")
-    s = int.from_bytes(sig[33:], "big")
-    if not (0 < r_x < P) or s >= N:
-        return False
-    e = int.from_bytes(
-        _sha(b"challenge" + sig[:33] + public.compressed() + digest), "big"
-    ) % N
-    # s*G == R + e*P  <=>  R == s*G - e*P.  R is never decoded: an x with
-    # no curve point can never equal check.x, and the prefix names y's parity.
-    check = mul_add(s, public, N - e)
-    return check is not None and check.x == r_x and check.y % 2 == sig[0] - 2
+    return _verify(((public, digest, sig),))
+
+
+BATCH_VERIFY_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=BATCH_VERIFY_CACHE_SIZE)
+def verify_signatures(triples: tuple[tuple[Point, bytes, bytes], ...]) -> bool:
+    """Whether every ``(public, digest, sig)`` triple verifies, checked as
+    one batch; False for an empty batch."""
+    return _verify(triples)
 
 
 # ---------------------------------------------------------------------------

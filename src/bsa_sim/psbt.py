@@ -60,6 +60,7 @@ from .keys import (
     key_address_id,
     sign_digest,
     verify_signature,
+    verify_signatures,
 )
 from .registry import Registry, UtxoRecord, UtxoStatus, check_timelocks
 
@@ -384,17 +385,23 @@ def sign_psbt(psbt: PsbtTemplate, keypair: Keypair, tweak_data: TweakData) -> No
     psbt.partial_sigs[keypair.public_hex] = sign_digest(keypair, psbt.sighash())
 
 
+def _signed_triples(
+    psbt: PsbtTemplate, tweak_data: TweakData
+) -> list[tuple[Point, bytes, bytes]] | None:
+    """``(key, sighash, signature)`` for each stored partial signature, or
+    None when there is none or one is stored under a key that may not sign
+    the row."""
+    allowed = {pk.compressed().hex(): pk for pk in allowed_signers(psbt, tweak_data)}
+    if not psbt.partial_sigs or any(pub_hex not in allowed for pub_hex in psbt.partial_sigs):
+        return None
+    digest = psbt.sighash()
+    return [(allowed[pub_hex], digest, sig) for pub_hex, sig in psbt.partial_sigs.items()]
+
+
 def verify_partial_sigs(psbt: PsbtTemplate, tweak_data: TweakData) -> bool:
     """Every stored partial signature must verify against a signer key."""
-    digest = psbt.sighash()
-    allowed = {pk.compressed().hex(): pk for pk in allowed_signers(psbt, tweak_data)}
-    if not psbt.partial_sigs:
-        return False
-    for pub_hex, sig in psbt.partial_sigs.items():
-        pk = allowed.get(pub_hex)
-        if pk is None or not verify_signature(pk, digest, sig):
-            return False
-    return True
+    triples = _signed_triples(psbt, tweak_data)
+    return triples is not None and all(verify_signature(*t) for t in triples)
 
 
 def _resolve_leaf(psbt: PsbtTemplate, executor: Keypair, tweak_data: TweakData) -> str:
@@ -668,11 +675,15 @@ def run_setup_ceremony(
         for outpoint, amount in zip(outpoints, amounts)
     ]
 
-    # step 2a: operator checks the depositor's signatures on the rows it keeps
-    for per in psbt_sets:
-        for transition in TO_ROWS:
-            if not verify_partial_sigs(per[transition], tweak_data):
-                raise VerificationFailed(f"bad depositor signature on {transition.value}")
+    # step 2a: operator checks the depositor's signatures on the rows it
+    # keeps, all of them in one batch; when the batch fails, row by row
+    # names the first bad row
+    signed = [_signed_triples(per[t], tweak_data) for per in psbt_sets for t in TO_ROWS]
+    if None in signed or not verify_signatures(tuple(t for row in signed for t in row)):
+        for per in psbt_sets:
+            for transition in TO_ROWS:
+                if not verify_partial_sigs(per[transition], tweak_data):
+                    raise VerificationFailed(f"bad depositor signature on {transition.value}")
 
     # step 2b: operator stores the registry rows
     registry.store_tweak_data(tweak_data)

@@ -42,7 +42,10 @@ Section ``[oracle.N]`` sets oracle N (N is a decimal number; each N
 may appear once).  There are max(``n_oracles``, highest N + 1) oracles,
 at least one, ``n_oracles`` defaulting to 3, and every oracle without a
 section is honest.  An unknown section or key is a ``ScenarioError`` naming it, so
-a misspelt key cannot silently fall back to its default.
+a misspelt key cannot silently fall back to its default.  So is a value
+out of its range: ``horizon_blocks`` below 1, a negative height or rate
+in ``fee_steps``, an ``offline`` window that does not end after it
+starts, and an ``exit_deposit_index`` that names no deposit.
 """
 
 from __future__ import annotations
@@ -110,6 +113,13 @@ def _int_list(value: str) -> list[int]:
     return [int(part.strip()) for part in value.split(",") if part.strip()]
 
 
+def _positive_int(value: str) -> int:
+    number = int(value)
+    if number < 1:
+        raise ValueError("must be at least 1")
+    return number
+
+
 def _step_list(value: str) -> list[tuple[int, int]]:
     steps = []
     for part in value.split(","):
@@ -117,7 +127,10 @@ def _step_list(value: str) -> list[tuple[int, int]]:
         if not part:
             continue
         left, right = part.split(":")
-        steps.append((int(left), int(right)))
+        height, rate = int(left), int(right)
+        if height < 0 or rate < 0:
+            raise ValueError("heights and rates must not be negative")
+        steps.append((height, rate))
     return steps
 
 
@@ -126,7 +139,10 @@ def _range(value: str) -> tuple[int, int] | None:
     if value in ("", "none", "-"):
         return None
     start, end = value.split("..")
-    return (int(start), int(end))
+    start, end = int(start), int(end)
+    if end <= start:
+        raise ValueError("a window must end after it starts")
+    return (start, end)
 
 
 def _keys(convert, *keys: str) -> dict:
@@ -138,9 +154,9 @@ _SCENARIO = _keys(str, "name")
 _PARAMS = {
     **_keys(
         int, "t1", "t2", "t3", "slots_per_block", "t_op_blocks", "margin_blocks",
-        "horizon_blocks", "fee_base", "finality_interval", "wsp_slots", "n_oracles",
-        "fee_funds",
+        "fee_base", "finality_interval", "wsp_slots", "n_oracles", "fee_funds",
     ),
+    **_keys(_positive_int, "horizon_blocks"),
     **_keys(_step_list, "fee_steps"),
     **_keys(_opt_int, "dest_halted_at"),
 }
@@ -240,6 +256,11 @@ def parse_scenario(text: str) -> ScenarioConfig:
     )
     if not config.amounts or any(a <= 0 for a in config.amounts):
         raise ScenarioError("deposit amounts must be positive")
+    index = config.depositor.exit_deposit_index
+    if index is not None and not 0 <= index < len(config.amounts):
+        raise ScenarioError(
+            f"[depositor] exit_deposit_index = {index}: there are {len(config.amounts)} deposits"
+        )
     if not config.oracles:
         raise ScenarioError("[params] n_oracles: a scenario needs at least one oracle")
     return config

@@ -28,6 +28,7 @@ from bsa_sim.curve import (
     is_on_curve,
     lift_x,
     mul_add,
+    multi_mul_add,
     point_add,
     point_mul,
 )
@@ -204,6 +205,34 @@ def test_point_mul_matches_reference_property(base, k):
 def test_mul_add_matches_reference_property(s, base, k):
     expected = affine_add(affine_mul(s, G), affine_mul(k, base))
     assert mul_add(s, base, k) == expected
+
+
+NEG_G = Point(GX, P - GY)
+# Scalars of both kinds the chain reads: below 2**128 as they are, others split.
+CHAIN_SCALARS = st.one_of(st.integers(min_value=0, max_value=2**128 - 1), SCALARS)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    s=SCALARS,
+    pairs=st.lists(
+        st.tuples(st.sampled_from([G, NEG_G, NUMS_BASE, DERIVED, None]), CHAIN_SCALARS),
+        min_size=0,
+        max_size=4,
+    ),
+)
+@example(s=0, pairs=[])
+@example(s=0, pairs=[(G, 2**128 - 1), (NUMS_BASE, 2**128)])
+# equal and opposite points in one chain: the accumulator meets a table point
+@example(s=0, pairs=[(G, 5), (G, 5)])
+@example(s=0, pairs=[(G, 2**100 + 7), (NEG_G, 2**100 + 7)])
+@example(s=3, pairs=[(G, N - 3)])
+@example(s=1, pairs=[(DERIVED, from_halves(*GLV_HALVES[0])), (NUMS_BASE, 15), (None, 9), (G, 0)])
+def test_multi_scalar_chain_matches_reference_sum(s, pairs):
+    expected = affine_mul(s, G)
+    for base, k in pairs:
+        expected = affine_add(expected, affine_mul(k, base) if base is not None else None)
+    assert multi_mul_add(s, pairs) == expected
 
 
 def test_mixed_addition_handles_equal_and_opposite_points():

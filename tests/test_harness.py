@@ -127,6 +127,28 @@ def test_parse_rejections():
             parse_scenario(text)
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("[deposit]\namounts = 7000, 3000\n[depositor]\nexit_deposit_index = 2\n",
+         "[depositor] exit_deposit_index"),
+        ("[depositor]\nexit_deposit_index = -1\n", "[depositor] exit_deposit_index"),
+        ("[oracle.1]\noffline = 12..12\n", "[oracle.1] offline"),
+        ("[oracle.0]\noffline = 20..12\n", "[oracle.0] offline"),
+        ("[params]\nfee_steps = 20:-3\n", "[params] fee_steps"),
+        ("[params]\nfee_steps = 20:3, -1:1\n", "[params] fee_steps"),
+        ("[params]\nhorizon_blocks = 0\n", "[params] horizon_blocks"),
+    ],
+    ids=[
+        "exit-index-past-end", "exit-index-negative", "empty-window", "reversed-window",
+        "negative-rate", "negative-height", "zero-horizon",
+    ],
+)
+def test_parse_rejects_out_of_range_values(text, where):
+    with pytest.raises(ScenarioError, match=re.escape(where)):
+        parse_scenario(text)
+
+
 def test_parser_key_tables_cover_every_field():
     def names(cls, *excluded):
         return sorted(f.name for f in dataclasses.fields(cls) if f.name not in excluded)
@@ -269,6 +291,15 @@ def test_cli_run_mismatch_exits_nonzero(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "MISMATCH: expected Y/Y/N, got Y/Y/Y" in out
+
+
+def test_cli_run_malformed_file_exits_two_naming_the_key(tmp_path, capsys):
+    path = tmp_path / "misspelt.scn"
+    path.write_text("[params]\nt_one = 6\n")
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"bsa-sim: {path}: [params] t_one: unknown key\n"
 
 
 def test_cli_run_trace_prints_json_lines(capsys):

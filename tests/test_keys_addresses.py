@@ -7,7 +7,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bsa_sim import curve, keys
@@ -38,6 +38,7 @@ from bsa_sim.keys import (
     sign_digest,
     taproot_output_key,
     verify_signature,
+    verify_signatures,
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "addresses.txt"
@@ -207,6 +208,63 @@ def test_one_pass_verify_agrees_with_decoding_r(secret, other, digest):
     assert verdicts["valid"] and not verdicts["other-parity"]
 
 
+# Ways to spoil one (public, digest, sig) triple of a batch.
+BATCH_CORRUPTIONS = {
+    "flipped-s": lambda pk, digest, sig: (pk, digest, sig[:64] + bytes([sig[64] ^ 1])),
+    "wrong-digest": lambda pk, digest, sig: (pk, sha(digest), sig),
+    "flipped-prefix": lambda pk, digest, sig: (pk, digest, bytes([sig[0] ^ 1]) + sig[1:]),
+    "x-off-curve": lambda pk, digest, sig: (pk, digest, _with_x(sig, 5)),
+    "s-at-least-n": lambda pk, digest, sig: (pk, digest, _with_s(sig, N)),
+    "64-bytes": lambda pk, digest, sig: (pk, digest, sig[:64]),
+}
+BATCH_ROWS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=2),  # which key signs
+        st.binary(min_size=32, max_size=32),
+        st.sampled_from([None, *BATCH_CORRUPTIONS]),
+    ),
+    min_size=1,
+    max_size=6,
+)
+ONE_KEY = [0xB47C4]
+VALID_ROW = (0, b"\x11" * 32, None)
+
+
+def _each_corruption_first_and_later(test):
+    """One example per corruption on the first triple, whose R is compared
+    and never decoded, and one on a later triple, whose R is decoded."""
+    for name in BATCH_CORRUPTIONS:
+        spoiled = (0, b"\x22" * 32, name)
+        test = example(secrets=ONE_KEY, rows=[spoiled, VALID_ROW])(test)
+        test = example(secrets=ONE_KEY, rows=[VALID_ROW, spoiled])(test)
+    return test
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(secrets=st.lists(st.integers(min_value=1, max_value=N - 1), min_size=1, max_size=3), rows=BATCH_ROWS)
+@example(secrets=ONE_KEY, rows=[VALID_ROW] * 6)
+@example(secrets=ONE_KEY, rows=[(0, bytes([i]) * 32, None) for i in range(6)])
+@example(secrets=[5, 7], rows=[(i % 2, bytes([i]) * 32, None) for i in range(5)])
+@_each_corruption_first_and_later
+def test_batch_verify_agrees_with_single_checks(secrets, rows):
+    kps = [keypair_from_secret(secret) for secret in secrets]
+    triples = []
+    for key_index, digest, corruption in rows:
+        kp = kps[key_index % len(kps)]
+        triple = (kp.public, digest, sign_digest(kp, digest))
+        if corruption is not None:
+            triple = BATCH_CORRUPTIONS[corruption](*triple)
+        triples.append(triple)
+    triples = tuple(triples)
+    expected = all(verify_signature.__wrapped__(*triple) for triple in triples)
+    assert verify_signatures.__wrapped__(triples) is expected
+    assert verify_signatures(triples) is expected
+
+
+def test_empty_batch_verifies_nothing():
+    assert verify_signatures(()) is False
+
+
 def test_keypair_memo_returns_one_object_per_seed():
     kp = keypair_from_seed(b"memo-keypair")
     assert keypair_from_seed(b"memo-keypair") is kp
@@ -277,6 +335,7 @@ def test_every_memo_is_bounded():
         "keypair_from_seed": keys.KEYPAIR_CACHE_SIZE,
         "sign_digest": keys.SIGN_CACHE_SIZE,
         "verify_signature": keys.VERIFY_CACHE_SIZE,
+        "verify_signatures": keys.BATCH_VERIFY_CACHE_SIZE,
         "build_protocol_addresses": keys.ADDRESS_CACHE_SIZE,
     }  # an unbounded memo reports maxsize None and fails here
 

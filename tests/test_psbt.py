@@ -253,6 +253,44 @@ def test_ceremony_rejects_operator_row_signed_by_another_key(monkeypatch):
     assert w.registry.records == {}
 
 
+def _forge_flip_s(row, dep, stranger):
+    sig = row.partial_sigs[dep.public_hex]
+    row.partial_sigs[dep.public_hex] = sig[:64] + bytes([sig[64] ^ 1])
+
+
+def _forge_drop(row, dep, stranger):
+    row.partial_sigs.clear()
+
+
+def _forge_stranger(row, dep, stranger):
+    row.partial_sigs.clear()
+    row.partial_sigs[stranger.public_hex] = sign_digest(stranger, row.sighash())
+
+
+@pytest.mark.parametrize("forge", [_forge_flip_s, _forge_drop, _forge_stranger], ids=["forged", "dropped", "stranger"])
+def test_ceremony_batch_failure_names_the_bad_row(monkeypatch, forge):
+    # Step 2a checks every operator row in one batch; when that fails it
+    # re-checks row by row, so the error still names the bad row and the
+    # ceremony stops before anything is registered or funded.
+    w = World(amounts=(10_000, 7_000, 3_000))
+    stranger = keypair_from_seed(b"stranger")
+    build = psbt_module.build_deposit_psbt_set
+    row = TO_ROWS[1]
+
+    def spoiled(instance, outpoint, value, dep_keypair, to_keypair):
+        rows = build(instance, outpoint, value, dep_keypair, to_keypair)
+        if outpoint.index == 2:  # the last deposit
+            forge(rows[row], dep_keypair, stranger)
+        return rows
+
+    monkeypatch.setattr(psbt_module, "build_deposit_psbt_set", spoiled)
+    with pytest.raises(VerificationFailed, match=f"^bad depositor signature on {row.value}$"):
+        w.ceremony()
+    assert w.registry.records == {}
+    dep_addr = key_address_id(w.dep.public)
+    assert {u.address_id for u in w.chain.utxo_set.values()} == {dep_addr}
+
+
 def test_ceremony_rejects_forged_attestation():
     w = World()
     stranger = keypair_from_seed(b"stranger")
