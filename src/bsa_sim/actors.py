@@ -482,26 +482,18 @@ class OracleActor:
             request_tx = challenge_tx
             deposit_op = request_tx.inputs[0].outpoint
             outcome = self.oracle.verify_rebalance_inputs(str(deposit_op), request_tx)
-            if isinstance(outcome, Rejection):
-                world.log(
-                    self.name, "verify_rejected", step=outcome.step, check=outcome.check
-                )
-                return
-            template = self.oracle.resolve_rebalance(outcome)
-            action = "rebalance_resolved"
+            resolve, action = self.oracle.resolve_rebalance, "rebalance_resolved"
         else:
             request_tx = chain.tx_index[challenge_tx.inputs[0].outpoint.txid]
             deposit_op = request_tx.inputs[0].outpoint
             outcome = self.oracle.verify_unbond_inputs(
                 str(deposit_op), request_tx, challenge_tx
             )
-            if isinstance(outcome, Rejection):
-                world.log(
-                    self.name, "verify_rejected", step=outcome.step, check=outcome.check
-                )
-                return
-            template = self.oracle.resolve_unbond_challenge(outcome)
-            action = "unbond_resolved"
+            resolve, action = self.oracle.resolve_unbond_challenge, "unbond_resolved"
+        if isinstance(outcome, Rejection):
+            world.log(self.name, "verify_rejected", step=outcome.step, check=outcome.check)
+            return
+        template = resolve(outcome)
         if template is None:
             world.log(
                 self.name,

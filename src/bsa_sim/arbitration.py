@@ -25,6 +25,29 @@ that model a corrupted view do, which then reaches no other
 checkpoint.  The oracle attests the checkpoint's own digest, kept at
 sync.
 
+Dispute check
+-------------
+``verify_rebalance_inputs`` and ``verify_unbond_inputs`` name the
+broadcast rows of a dispute, from the vault onward: the rebalance
+request, or the unbond request and the unbond challenge.  One walk,
+``_verify_dispute``, reads each row's source address, leaf and
+destination from ``psbt.TRANSITION_SPECS`` and stops at the first gate
+that fails, returning a ``Rejection`` with the gate's number.  The
+gates, in order:
+
+* record: the view holds a record for the deposit, its instance
+  parameters match their digest, and this oracle is a member;
+* signatures, one gate per row: input 0 spends the deposit (the first
+  row) or output 0 of the row before, through the row's leaf, with a
+  valid signature for every key of that leaf;
+* address, one gate per row: output 0 pays the row's destination;
+* version: the running image has an unexpired registered version.
+
+So a rebalance has gates 1 record, 2 request signatures, 3 request
+address, 4 version, and an unbond has 1 record, 2 request signatures,
+3 challenge signatures, 4 request address, 5 challenge address,
+6 version.
+
 Resolution rules
 ----------------
 * An unbond challenge resolves for the depositor only when the deposit
@@ -66,6 +89,7 @@ from .keys import (
     keypair_from_seed,
 )
 from .psbt import (
+    TRANSITION_SPECS,
     PsbtTemplate,
     ProtocolInstance,
     Transition,
@@ -93,7 +117,7 @@ class NotVerified(OracleError):
 
 @dataclass(frozen=True)
 class Rejection:
-    """A verification pipeline stopped at a named gate."""
+    """The dispute check stopped at a numbered, named gate."""
 
     step: int
     check: str
@@ -102,10 +126,10 @@ class Rejection:
 
 @dataclass(frozen=True)
 class VerifiedContext:
-    """Proof that a verification pipeline ran to completion.
+    """Proof that the dispute check ran to completion.
 
-    Only ``verify_rebalance_inputs`` / ``verify_unbond_inputs`` construct
-    these; the resolve methods refuse any context issued by a different
+    Only ``ArbitrationOracle._verify_dispute`` constructs these; the
+    resolve methods refuse any context issued by a different
     oracle instance, so signing is impossible without verification.
     """
 
@@ -118,34 +142,9 @@ class VerifiedContext:
     issuer_id: int
 
 
-def _verify_two_party_spend(
-    tx: SimTx,
-    expected_outpoint: Outpoint,
-    source_address,
-    digest_index: int = 0,
-) -> str | None:
-    """Check that input 0 spends the expected outpoint through the
-    cooperative leaf with two valid signatures.  Returns an error string
-    or None."""
-    if not tx.inputs:
-        return "transaction has no inputs"
-    inp = tx.inputs[digest_index]
-    if inp.outpoint != expected_outpoint:
-        return f"spends {inp.outpoint}, expected {expected_outpoint}"
-    leaf = source_address.leaf("dep_to")
-    if leaf is None or inp.path_id != "dep_to":
-        return f"path {inp.path_id!r} is not the cooperative leaf"
-    try:
-        digest = tx.sighash(digest_index)
-        check_witness(leaf.policy.keys(), digest, inp.witness, "cooperative leaf")
-    except TxRejected as exc:
-        return str(exc)
-    return None
-
-
 class ArbitrationOracle:
-    """One arbitration oracle: enclave identity, light-client view, and
-    the two verification/resolution pipelines."""
+    """One arbitration oracle: enclave identity, light-client view, the
+    dispute check, and the two resolutions."""
 
     def __init__(
         self,
@@ -198,15 +197,16 @@ class ArbitrationOracle:
 
     def key_restore(self, image: EnclaveImage | None = None) -> Keypair:
         """Unwrap the identity secret from a (possibly patched) image.
-        The KMS releases it only when the running image carries the same
-        signer measurement the key was created under."""
+        The KMS releases it only when the image carries the same signer
+        measurement the key was created under; the oracle switches to
+        ``image`` only once the key is released, so a refusal leaves it
+        as it was."""
         if self.key_id is None or self.encrypted_secret is None:
             raise OracleError("key was never initialized")
-        if image is not None:
-            self.image = image
+        candidate = self.image if image is None else image
         pub_hint = self.keypair.public_hex if self.keypair else "0" * 66
         att = self.authority.issue(
-            self.image,
+            candidate,
             pub_hint,
             self.last_synced_slot or 0,
             self._view_digest,
@@ -215,6 +215,7 @@ class ArbitrationOracle:
         secret_bytes = self.kms.decrypt(
             self.key_id, self.encrypted_secret, att, self.authority.public
         )
+        self.image = candidate
         self.keypair = keypair_from_secret(int.from_bytes(secret_bytes, "big"))
         return self.keypair
 
@@ -305,69 +306,81 @@ class ArbitrationOracle:
         new = self.view.get_version_expiry(new_image.pcr0)
         return old is not None and new is not None and new > old
 
-    # -- shared pipeline pieces ---------------------------------------------
+    # -- the dispute check ------------------------------------------------------
 
-    def _load_record(self, outpoint: str):
+    def _verify_dispute(
+        self, kind: str, outpoint: str, rows: tuple[tuple[Transition, SimTx], ...]
+    ) -> VerifiedContext | Rejection:
+        """Walk the broadcast ``rows`` from the vault onward through the
+        gates listed in the module docstring: record, one signature gate
+        per row, one address gate per row, version."""
+        if not self.is_operational():
+            raise NotSynced(self.name)
+
         record = self.view.records.get(outpoint)
         if record is None:
-            return None, None, "no registry record for this outpoint"
+            return Rejection(1, "record", "no registry record for this outpoint")
         tweak_dict = self.view.tweaks.get(record.tweak_digest)
         if tweak_dict is None:
-            return None, None, "record references unknown instance parameters"
+            return Rejection(1, "record", "record references unknown instance parameters")
         tweak = TweakData.from_dict(tweak_dict)
         if tweak.digest_hex() != record.tweak_digest:
-            return None, None, "instance parameters fail their own digest"
-        if self.keypair is None or all(
-            self.keypair.public != pk for pk in tweak.ao_pks
-        ):
-            return None, None, "this oracle is not a member of the instance"
-        return record, tweak, None
+            return Rejection(1, "record", "instance parameters fail their own digest")
+        if all(self.keypair.public != pk for pk in tweak.ao_pks):
+            return Rejection(1, "record", "this oracle is not a member of the instance")
+        addresses = build_protocol_addresses(tweak)
 
-    def _issue(self, kind, outpoint, record, spend_txid, spend_value) -> VerifiedContext:
+        txid, index = outpoint.rsplit(":", 1)
+        spent = Outpoint(txid, int(index))
+        for step, (transition, tx) in enumerate(rows, start=2):
+            spec = TRANSITION_SPECS[transition]
+            inp = tx.inputs[0] if tx.inputs else None
+            err = None
+            if inp is None:
+                err = "transaction has no inputs"
+            elif inp.outpoint != spent:
+                err = f"spends {inp.outpoint}, expected {spent}"
+            elif inp.path_id != spec.path:
+                err = f"path {inp.path_id!r} is not the {spec.path} leaf"
+            else:
+                leaf = addresses.by_kind(spec.source).leaf(spec.path)
+                try:
+                    check_witness(leaf.policy.keys(), tx.sighash(0), inp.witness, spec.path)
+                except TxRejected as exc:
+                    err = str(exc)
+            if err:
+                return Rejection(step, f"{transition.value}_signatures", err)
+            spent = Outpoint(tx.txid, 0)
+
+        for step, (transition, tx) in enumerate(rows, start=2 + len(rows)):
+            dest = TRANSITION_SPECS[transition].dest.upper()
+            if not tx.outputs or tx.outputs[0].address_id != addresses.by_kind(dest).address_id:
+                return Rejection(step, f"{transition.value}_address", f"output 0 is not the {dest}")
+
+        if not self.version_ok():
+            return Rejection(2 + 2 * len(rows), "version", "running version expired or unknown")
+
+        last = rows[-1][1]
         return VerifiedContext(
             kind=kind,
             outpoint=outpoint,
             status=record.status,
             tweak_digest=record.tweak_digest,
-            spend_txid=spend_txid,
-            spend_value=spend_value,
+            spend_txid=last.txid,
+            spend_value=last.outputs[0].value,
             issuer_id=id(self),
         )
 
-    # -- rebalance pipeline ---------------------------------------------------
+    # -- rebalance ----------------------------------------------------------------
 
     def verify_rebalance_inputs(
         self, outpoint: str, request_tx: SimTx
     ) -> VerifiedContext | Rejection:
-        """Gate sequence for a rebalance dispute: record, signatures,
-        addresses, version.  Any failure rejects with the gate index."""
-        if not self.is_operational():
-            raise NotSynced(self.name)
-
-        record, tweak, err = self._load_record(outpoint)
-        if err:
-            return Rejection(1, "record", err)
-        addresses = build_protocol_addresses(tweak)
-
-        txid, index = outpoint.rsplit(":", 1)
-        err = _verify_two_party_spend(
-            request_tx, Outpoint(txid, int(index)), addresses.va
+        """Gates 1 record, 2 request signatures, 3 request address,
+        4 version."""
+        return self._verify_dispute(
+            "rebalance", outpoint, ((Transition.REBALANCE_REQUEST, request_tx),)
         )
-        if err:
-            return Rejection(2, "signatures", err)
-        if all(tweak.to_pk != k for k in addresses.va.leaf("dep_to").policy.keys()):
-            return Rejection(2, "signatures", "operator key absent from the leaf")
-
-        if not request_tx.outputs:
-            return Rejection(3, "address", "no outputs")
-        main = request_tx.outputs[0]
-        if main.address_id != addresses.rca.address_id:
-            return Rejection(3, "address", "output is not the rebalance challenge")
-
-        if not self.version_ok():
-            return Rejection(4, "version", "running version expired or unknown")
-
-        return self._issue("rebalance", outpoint, record, request_tx.txid, main.value)
 
     def resolve_rebalance(self, ctx: VerifiedContext) -> PsbtTemplate | None:
         """Sign the stored resolution returning funds to the depositor,
@@ -377,53 +390,20 @@ class ArbitrationOracle:
             return None
         return self._sign_stored(ctx, Transition.REBALANCE_RESOLVE)
 
-    # -- unbond pipeline --------------------------------------------------------
+    # -- unbond -------------------------------------------------------------------
 
     def verify_unbond_inputs(
         self, outpoint: str, request_tx: SimTx, challenge_tx: SimTx
     ) -> VerifiedContext | Rejection:
-        """Gate sequence for an unbond dispute: record, request
-        signatures, challenge signatures, chain link, both intermediate
-        addresses, version."""
-        if not self.is_operational():
-            raise NotSynced(self.name)
-
-        record, tweak, err = self._load_record(outpoint)
-        if err:
-            return Rejection(1, "record", err)
-        addresses = build_protocol_addresses(tweak)
-
-        txid, index = outpoint.rsplit(":", 1)
-        err = _verify_two_party_spend(
-            request_tx, Outpoint(txid, int(index)), addresses.va
-        )
-        if err:
-            return Rejection(2, "request_signatures", err)
-
-        err = _verify_two_party_spend(
-            challenge_tx, Outpoint(request_tx.txid, 0), addresses.uta
-        )
-        if err:
-            return Rejection(3, "challenge_signatures", err)
-
-        if challenge_tx.inputs[0].outpoint.txid != request_tx.txid:
-            return Rejection(4, "chain_link", "challenge does not spend the request")
-
-        if not request_tx.outputs or request_tx.outputs[0].address_id != (
-            addresses.uta.address_id
-        ):
-            return Rejection(5, "uta_address", "request output is not the timelock address")
-
-        if not challenge_tx.outputs or challenge_tx.outputs[0].address_id != (
-            addresses.uca.address_id
-        ):
-            return Rejection(6, "uca_address", "challenge output is not the dispute address")
-
-        if not self.version_ok():
-            return Rejection(7, "version", "running version expired or unknown")
-
-        return self._issue(
-            "unbond", outpoint, record, challenge_tx.txid, challenge_tx.outputs[0].value
+        """Gates 1 record, 2 request signatures, 3 challenge signatures,
+        4 request address, 5 challenge address, 6 version."""
+        return self._verify_dispute(
+            "unbond",
+            outpoint,
+            (
+                (Transition.UNBOND_REQUEST, request_tx),
+                (Transition.UNBOND_CHALLENGE, challenge_tx),
+            ),
         )
 
     def resolve_unbond_challenge(self, ctx: VerifiedContext) -> PsbtTemplate | None:

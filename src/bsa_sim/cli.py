@@ -6,7 +6,7 @@ Four subcommands:
   graded verdicts; exits 1 when an ``[expect]`` section is present and
   the verdicts disagree with it, and 2, with one line on stderr naming
   the problem (its section and key, where it has one), when the file is
-  malformed.
+  malformed or cannot be read.
 * ``matrix`` replays the scripted failure matrix and exits nonzero on
   any mismatch.
 * ``avail`` prints the duty-cycle bounds an arbitration oracle must
@@ -33,6 +33,9 @@ def _fmt_triple(triple: tuple[bool, bool, bool]) -> str:
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         config = load_scenario(args.scenario)
+    except OSError as exc:
+        print(f"bsa-sim: {args.scenario}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     except ScenarioError as exc:
         print(f"bsa-sim: {args.scenario}: {exc}", file=sys.stderr)
         return 2

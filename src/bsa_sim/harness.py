@@ -529,18 +529,6 @@ def run_matrix() -> list[MatrixRow]:
     return rows
 
 
-def legitimate_rebalance_config() -> ScenarioConfig:
-    """Tokens leave the tracked perimeter, the operator detects the
-    imbalance, marks the registry, and seizes with over-seizure repaid."""
-    return ScenarioConfig(
-        name="legitimate-rebalance",
-        amounts=[7000, 3000],
-        horizon_blocks=36,
-        depositor=DepositorBehavior(leak_tokens_at=8, leak_token_amount=6000),
-        operator=OperatorBehavior(rebalance_at=10),
-    )
-
-
 # ---------------------------------------------------------------------------
 # setup ceremony walkthrough
 

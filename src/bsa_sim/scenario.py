@@ -43,9 +43,13 @@ may appear once).  There are max(``n_oracles``, highest N + 1) oracles,
 at least one, ``n_oracles`` defaulting to 3, and every oracle without a
 section is honest.  An unknown section or key is a ``ScenarioError`` naming it, so
 a misspelt key cannot silently fall back to its default.  So is a value
-out of its range: ``horizon_blocks`` below 1, a negative height or rate
-in ``fee_steps``, an ``offline`` window that does not end after it
-starts, and an ``exit_deposit_index`` that names no deposit.
+out of its range: ``t1``, ``t2``, ``t3``, ``slots_per_block``,
+``finality_interval``, ``fee_funds`` or ``horizon_blocks`` below 1, a
+negative ``fee_base``, a ``t3`` that does not exceed (``t1`` + ``t2``)
+blocks of ``slots_per_block`` slots (``registry.check_timelocks``), a
+negative height or rate in ``fee_steps``, an ``offline`` window that
+does not end after it starts, and an ``exit_deposit_index`` that names
+no deposit.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from dataclasses import dataclass, field
 
 from .actors import DepositorBehavior, OperatorBehavior, OracleBehavior
 from .destchain import DEFAULT_WSP_SLOTS
+from .registry import TimelockRelationViolated, check_timelocks
 
 
 class ScenarioError(Exception):
@@ -120,6 +125,13 @@ def _positive_int(value: str) -> int:
     return number
 
 
+def _non_negative_int(value: str) -> int:
+    number = int(value)
+    if number < 0:
+        raise ValueError("must not be negative")
+    return number
+
+
 def _step_list(value: str) -> list[tuple[int, int]]:
     steps = []
     for part in value.split(","):
@@ -152,11 +164,12 @@ def _keys(convert, *keys: str) -> dict:
 # Per section: key -> (attribute it sets, converter of the text value).
 _SCENARIO = _keys(str, "name")
 _PARAMS = {
+    **_keys(int, "t_op_blocks", "margin_blocks", "wsp_slots", "n_oracles"),
     **_keys(
-        int, "t1", "t2", "t3", "slots_per_block", "t_op_blocks", "margin_blocks",
-        "fee_base", "finality_interval", "wsp_slots", "n_oracles", "fee_funds",
+        _positive_int, "t1", "t2", "t3", "slots_per_block", "finality_interval",
+        "fee_funds", "horizon_blocks",
     ),
-    **_keys(_positive_int, "horizon_blocks"),
+    **_keys(_non_negative_int, "fee_base"),
     **_keys(_step_list, "fee_steps"),
     **_keys(_opt_int, "dest_halted_at"),
 }
@@ -254,6 +267,10 @@ def parse_scenario(text: str) -> ScenarioConfig:
         oracles=_oracles(parser),
         expected_verdicts=expected_verdicts,
     )
+    try:
+        check_timelocks(config.t1, config.t2, config.t3, config.slots_per_block)
+    except TimelockRelationViolated as exc:
+        raise ScenarioError(f"[params] t3: {exc}") from exc
     if not config.amounts or any(a <= 0 for a in config.amounts):
         raise ScenarioError("deposit amounts must be positive")
     index = config.depositor.exit_deposit_index

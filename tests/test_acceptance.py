@@ -7,6 +7,7 @@ spelled out in the asserts.
 """
 
 import itertools
+import pathlib
 import random
 import time
 from bisect import bisect_left
@@ -31,12 +32,7 @@ from bsa_sim.availability import (
 from bsa_sim.chain import Outpoint
 from bsa_sim.curve import NUMS_BASE, NUMS_X
 from bsa_sim.destchain import TO_SIGNER, sign_checkpoint
-from bsa_sim.harness import (
-    legitimate_rebalance_config,
-    run_matrix,
-    run_scenario,
-    trust_model_sweep,
-)
+from bsa_sim.harness import run_matrix, run_scenario, trust_model_sweep
 from bsa_sim.keys import build_protocol_addresses, key_address_id, keypair_from_seed
 from bsa_sim.psbt import (
     PsbtTemplate,
@@ -48,7 +44,9 @@ from bsa_sim.psbt import (
     verify_partial_sigs,
 )
 from bsa_sim.registry import REQUIRED_PSBT_SLOTS, Registry, UtxoRecord, UtxoStatus
-from bsa_sim.scenario import DepositorBehavior
+from bsa_sim.scenario import DepositorBehavior, load_scenario
+
+SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -123,7 +121,7 @@ def test_c02_arbiter_matches_reference_decision_table(arbworld):
         (kind == "sign") == (status in (UtxoStatus.WITHDRAWN, UtxoStatus.REJECTED))
         for status, kind in sign_kind["unbond"].items()
     )
-    ok = cases == 60 and mismatches == 0 and rebalance_rule and unbond_rule
+    ok = cases == 70 and mismatches == 0 and rebalance_rule and unbond_rule
     _report(
         2,
         ok,
@@ -347,7 +345,7 @@ def test_c05_selection_exhaustive_and_over_seizure_repaid():
                     mismatches += 1
     elapsed = time.monotonic() - start
 
-    config = legitimate_rebalance_config()
+    config = load_scenario(str(SCENARIO_DIR / "legitimate_rebalance.scn"))
     result = run_scenario(config)
     trace = result.trace
     marked = next(e for e in trace if e["action"] == "rebalance_marked")

@@ -2,6 +2,8 @@
 exit state machine with exact timelock timing, oracle-defended disputes,
 and operator liquidation/repayment duties."""
 
+import pathlib
+
 import pytest
 
 from bsa_sim.actors import (
@@ -13,9 +15,11 @@ from bsa_sim.actors import (
     spender_of,
 )
 from bsa_sim.chain import BtcChain, FeeSchedule, Outpoint
-from bsa_sim.harness import legitimate_rebalance_config, liquidation_spans, run_scenario
+from bsa_sim.harness import liquidation_spans, run_scenario
 from bsa_sim.keys import keypair_from_seed
-from bsa_sim.scenario import DepositorBehavior, OperatorBehavior, ScenarioConfig
+from bsa_sim.scenario import DepositorBehavior, OperatorBehavior, ScenarioConfig, load_scenario
+
+SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 # -- wallet helpers -----------------------------------------------------------
@@ -170,7 +174,7 @@ def test_theft_is_challenged_and_liquidated_on_timeout():
 
 
 def test_legitimate_rebalance_liquidates_within_bound_and_repays():
-    config = legitimate_rebalance_config()
+    config = load_scenario(str(SCENARIO_DIR / "legitimate_rebalance.scn"))
     result = run_scenario(config)
     world = result.world
     registry = world.registry

@@ -232,14 +232,12 @@ def expect_unbond(view, oracle_pub, pcr0, now, outpoint, request_tx, challenge_t
         return ("reject", 2)
     if not _sigs_ok(challenge_tx, Outpoint(request_tx.txid, 0), addrs.uta):
         return ("reject", 3)
-    if challenge_tx.inputs[0].outpoint.txid != request_tx.txid:
-        return ("reject", 4)
     if not request_tx.outputs or request_tx.outputs[0].address_id != addrs.uta.address_id:
-        return ("reject", 5)
+        return ("reject", 4)
     if not challenge_tx.outputs or challenge_tx.outputs[0].address_id != addrs.uca.address_id:
-        return ("reject", 6)
+        return ("reject", 5)
     if not _version_live(view, pcr0, now):
-        return ("reject", 7)
+        return ("reject", 6)
     if record.status in (UtxoStatus.WITHDRAWN, UtxoStatus.REJECTED):
         return ("sign",)
     return ("refuse",)
@@ -340,6 +338,8 @@ def unbond_variants(world):
         ("unknown-record", "ff" * 32 + ":0", request, challenge),
         ("tampered-request-sig", world.outpoint, flip_byte(request), challenge),
         ("tampered-challenge-sig", world.outpoint, request, flip_byte(challenge)),
+        ("wrong-path-request", world.outpoint, _wrong_path(request), challenge),
+        ("wrong-path-challenge", world.outpoint, request, _wrong_path(challenge)),
         ("request-diverted", world.outpoint, stray_request, chained_challenge),
         ("challenge-diverted", world.outpoint, request, stray_challenge),
         ("unlinked-challenge", world.outpoint, request,
@@ -662,10 +662,12 @@ def test_key_restore_under_same_signer(world):
 def test_key_restore_denied_for_foreign_signer(world):
     oracle = world.oracle
     foreign = EnclaveImage(b"arbiter-v2", b"standard", b"someone-else")
+    keypair, version_ok = oracle.keypair, oracle.version_ok()
     with pytest.raises(KmsPolicyDenied):
         oracle.key_restore(image=foreign)
-    oracle.image = IMAGE
-    oracle.key_restore()
+    assert oracle.image == IMAGE
+    assert oracle.keypair is keypair
+    assert version_ok and oracle.version_ok()
 
 
 def test_kms_policy_is_write_once(world):

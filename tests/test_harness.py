@@ -138,10 +138,18 @@ def test_parse_rejections():
         ("[params]\nfee_steps = 20:-3\n", "[params] fee_steps"),
         ("[params]\nfee_steps = 20:3, -1:1\n", "[params] fee_steps"),
         ("[params]\nhorizon_blocks = 0\n", "[params] horizon_blocks"),
+        ("[params]\nt1 = 0\n", "[params] t1"),
+        ("[params]\nslots_per_block = 0\n", "[params] slots_per_block"),
+        ("[params]\nt3 = 100\n", "[params] t3"),
+        ("[params]\nfinality_interval = 0\n", "[params] finality_interval"),
+        ("[params]\nfee_funds = 0\n", "[params] fee_funds"),
+        ("[params]\nfee_base = -1\n", "[params] fee_base"),
     ],
     ids=[
         "exit-index-past-end", "exit-index-negative", "empty-window", "reversed-window",
-        "negative-rate", "negative-height", "zero-horizon",
+        "negative-rate", "negative-height", "zero-horizon", "zero-t1",
+        "zero-slots-per-block", "t3-within-dispute-window", "zero-finality-interval",
+        "zero-fee-funds", "negative-fee-base",
     ],
 )
 def test_parse_rejects_out_of_range_values(text, where):
@@ -300,6 +308,14 @@ def test_cli_run_malformed_file_exits_two_naming_the_key(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"bsa-sim: {path}: [params] t_one: unknown key\n"
+
+
+def test_cli_run_missing_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "no-such.scn"
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"bsa-sim: {path}: No such file or directory\n"
 
 
 def test_cli_run_trace_prints_json_lines(capsys):
