@@ -46,10 +46,7 @@ from .registry import EXIT_STATUSES, Registry, UtxoStatus
 def spendable_utxos(chain: BtcChain, address_id: str) -> list[Utxo]:
     """Confirmed outputs at an address not already spent by anything in
     the mempool."""
-    pending = {
-        inp.outpoint for tx in chain.mempool.values() for inp in tx.inputs
-    }
-    return [u for u in chain.utxos_at(address_id) if u.outpoint not in pending]
+    return [u for u in chain.utxos_at(address_id) if chain.spender(u.outpoint) is None]
 
 
 def carve_fee_utxo(chain: BtcChain, keypair: Keypair, amount: int) -> Utxo | None:
@@ -81,17 +78,6 @@ def send_btc(
         tx.inputs[0].witness = [sign_digest(keypair, tx.sighash(0))]
         chain.submit_tx(tx)
         return tx
-    return None
-
-
-def spender_of(chain: BtcChain, outpoint: Outpoint) -> SimTx | None:
-    """The confirmed or pending transaction consuming an outpoint."""
-    txid = chain.spent_by.get(outpoint)
-    if txid is not None:
-        return chain.tx_index[txid]
-    for tx in chain.mempool.values():
-        if any(inp.outpoint == outpoint for inp in tx.inputs):
-            return tx
     return None
 
 
@@ -200,7 +186,7 @@ class DepositorActor:
             uta_op = Outpoint(flow["request_txid"], 0)
             utxo = chain.utxo_set.get(uta_op)
             if utxo is not None:
-                spender = spender_of(chain, uta_op)
+                spender = chain.spender(uta_op)
                 if spender is not None and spender.txid != flow.get("finalize_txid"):
                     flow["state"] = "challenged"
                     flow["challenge_txid"] = spender.txid
@@ -235,7 +221,7 @@ class DepositorActor:
                 return
             ch_op = Outpoint(flow["challenge_txid"], 0)
             utxo = chain.utxo_set.get(ch_op)
-            if utxo is None or spender_of(chain, ch_op) is not None:
+            if utxo is None or chain.spender(ch_op) is not None:
                 return
             text = world.registry.get_stored_psbt(outpoint, Transition.UNBOND_RESOLVE.value)
             template = PsbtTemplate.from_text(text)
@@ -379,7 +365,7 @@ class TokenOperatorActor:
                 utxo = chain.utxo_set.get(ch_op)
                 if utxo is None:
                     continue
-                if spender_of(chain, ch_op) is not None:
+                if chain.spender(ch_op) is not None:
                     continue
                 if chain.height < utxo.confirmed_height + instance.tweak_data.t2 - 1:
                     continue
@@ -468,7 +454,7 @@ class OracleActor:
         for kind in ("uca", "rca"):
             address = getattr(instance.addresses, kind)
             for utxo in chain.utxos_at(address.address_id):
-                if spender_of(chain, utxo.outpoint) is not None:
+                if chain.spender(utxo.outpoint) is not None:
                     continue
                 seen = self.first_seen.setdefault(utxo.outpoint.txid, chain.height)
                 if chain.height - seen < self.t_op_blocks - 1:

@@ -13,7 +13,7 @@ always refused, mirroring a write-once key policy.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .keys import Point, keypair_from_seed, sign_digest, verify_signature
 
@@ -106,16 +106,7 @@ class MockAttestationAuthority:
             user_data=hashlib.sha256(user_data).hexdigest(),
             signature=b"",
         )
-        sig = sign_digest(self.keypair, doc.payload())
-        return Attestation(
-            pcr0=doc.pcr0,
-            pcr8=doc.pcr8,
-            ao_pubkey=doc.ao_pubkey,
-            checkpoint_slot=doc.checkpoint_slot,
-            checkpoint_digest=doc.checkpoint_digest,
-            user_data=doc.user_data,
-            signature=sig,
-        )
+        return replace(doc, signature=sign_digest(self.keypair, doc.payload()))
 
 
 @dataclass

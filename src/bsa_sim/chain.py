@@ -29,6 +29,12 @@ in ``submit_tx`` (without the timelock, which can mature later), in
 candidate at the new height.  A prevout confirmed in the same block, or
 still in the mempool, has aged zero blocks, so a delay spend never
 confirms in the block of its parent.
+
+Spend facts have one source each.  ``BtcChain.spender`` returns the
+transaction spending an outpoint: the confirmed one, else the mempool
+one, else None; admission's double-spend check, the anchor-package rule
+and the actors' wallet ask it.  ``confirmed_at`` maps each confirmed
+txid to its height, in confirmation order, for the grader.
 """
 
 from __future__ import annotations
@@ -232,7 +238,7 @@ class BtcChain:
         self.mempool: dict[str, SimTx] = {}
         self.mempool_arrival: dict[str, int] = {}
         self.addresses: dict[str, ProtocolAddress | KeyAddress] = {}
-        self.history: list[tuple[int, SimTx]] = []
+        self.confirmed_at: dict[str, int] = {}  # txid -> height, in confirmation order
         self.tx_index: dict[str, SimTx] = {}
         self.spent_by: dict[Outpoint, str] = {}  # outpoint -> spending txid (confirmed)
         self._seed_counter = 0
@@ -339,11 +345,9 @@ class BtcChain:
             if inp.outpoint in spends:
                 raise DoubleSpend("transaction spends an outpoint twice")
             spends.add(inp.outpoint)
-            if inp.outpoint in self.spent_by:
-                raise DoubleSpend(str(inp.outpoint))
-            for other in self.mempool.values():
-                if any(o.outpoint == inp.outpoint for o in other.inputs):
-                    raise DoubleSpend(f"{inp.outpoint} already spent in mempool")
+            other = self.spender(inp.outpoint)
+            if other is not None:
+                raise DoubleSpend(f"{inp.outpoint} already spent by {other.txid}")
         if self.tx_fee(tx) < 0:
             raise InvalidValue("outputs exceed inputs")
         for i, inp in enumerate(tx.inputs):
@@ -352,13 +356,15 @@ class BtcChain:
         self.mempool_arrival[tx.txid] = self.height
         return tx.txid
 
-    def _anchor_child(self, tx: SimTx) -> SimTx | None:
-        if tx.anchor_index is None:
-            return None
-        anchor_op = Outpoint(tx.txid, tx.anchor_index)
-        for cand in self.mempool.values():
-            if any(inp.outpoint == anchor_op for inp in cand.inputs):
-                return cand
+    def spender(self, outpoint: Outpoint) -> SimTx | None:
+        """The confirmed transaction that spent ``outpoint``, else the
+        mempool transaction spending it, else None."""
+        txid = self.spent_by.get(outpoint)
+        if txid is not None:
+            return self.tx_index[txid]
+        for tx in self.mempool.values():
+            if any(inp.outpoint == outpoint for inp in tx.inputs):
+                return tx
         return None
 
     def _spendable_now(self, tx: SimTx, height: int, in_block: dict[str, SimTx]) -> bool:
@@ -404,7 +410,8 @@ class BtcChain:
                     chosen_map[txid] = tx
                     changed = True
                     continue
-                child = self._anchor_child(tx)
+                anchor = None if tx.anchor_index is None else Outpoint(txid, tx.anchor_index)
+                child = None if anchor is None else self.spender(anchor)
                 if child is not None and child.txid not in chosen_map:
                     trial = dict(chosen_map)
                     trial[txid] = tx
@@ -427,7 +434,7 @@ class BtcChain:
                 self.utxo_set[op] = Utxo(op, out.value, out.address_id, height)
             del self.mempool[tx.txid]
             del self.mempool_arrival[tx.txid]
-            self.history.append((height, tx))
+            self.confirmed_at[tx.txid] = height
             self.tx_index[tx.txid] = tx
 
         # drop mempool entries that now conflict with a confirmed spend
@@ -441,12 +448,6 @@ class BtcChain:
             del self.mempool_arrival[txid]
 
         return [tx.txid for tx in chosen]
-
-    def confirmations(self, txid: str) -> int:
-        for h, tx in self.history:
-            if tx.txid == txid:
-                return self.height - h + 1
-        return 0
 
 
 def verify_spend(tx: SimTx, chain: BtcChain, at_height: int | None = None) -> bool:

@@ -81,16 +81,19 @@ class SignedCheckpoint:
     signature: bytes
 
     def verify(self) -> bool:
-        digest = hashlib.sha256(
-            b"checkpoint" + self.signer_kind.encode() + self.checkpoint.encode()
-        ).digest()
+        digest = _checkpoint_digest(self.checkpoint, self.signer_kind)
         return verify_signature(self.signer_public, digest, self.signature)
+
+
+def _checkpoint_digest(cp: FinalizedCheckpoint, signer_kind: str) -> bytes:
+    """What a checkpoint signer signs: the checkpoint under its kind."""
+    return hashlib.sha256(b"checkpoint" + signer_kind.encode() + cp.encode()).digest()
 
 
 def sign_checkpoint(cp: FinalizedCheckpoint, keypair: Keypair, signer_kind: str) -> SignedCheckpoint:
     if signer_kind not in (TO_SIGNER, AO_SELF_SIGNER):
         raise DestChainError(f"unknown signer kind {signer_kind!r}")
-    digest = hashlib.sha256(b"checkpoint" + signer_kind.encode() + cp.encode()).digest()
+    digest = _checkpoint_digest(cp, signer_kind)
     return SignedCheckpoint(cp, signer_kind, keypair.public, sign_digest(keypair, digest))
 
 

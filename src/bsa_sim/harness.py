@@ -166,7 +166,7 @@ def build_world(config: ScenarioConfig, sar_tamper=None) -> World:
 # verdict accounting
 
 
-def _terminal(chain: BtcChain, start: Outpoint, conf_height: dict[str, int]):
+def _terminal(chain: BtcChain, start: Outpoint):
     """Follow the output-0 spine of confirmed spends; returns the resting
     outpoint and the height of the last hop."""
     current, moved_at = start, None
@@ -175,7 +175,7 @@ def _terminal(chain: BtcChain, start: Outpoint, conf_height: dict[str, int]):
         if txid is None:
             return current, moved_at
         current = Outpoint(txid, 0)
-        moved_at = conf_height.get(txid)
+        moved_at = chain.confirmed_at[txid]
 
 
 def _location(world: World, instance, address_id: str) -> str:
@@ -216,7 +216,6 @@ def _deposit_attacked(config: ScenarioConfig, index: int | None) -> bool:
 def compute_verdicts(world: World, config: ScenarioConfig) -> Verdicts:
     chain = world.chain
     registry = world.registry
-    conf_height = {tx.txid: h for h, tx in chain.history}
     reasons: list[str] = []
 
     dep_safe = True
@@ -228,7 +227,7 @@ def compute_verdicts(world: World, config: ScenarioConfig) -> Verdicts:
         if instance is None:
             continue
         txid, index = outpoint.rsplit(":", 1)
-        terminal, moved_at = _terminal(chain, Outpoint(txid, int(index)), conf_height)
+        terminal, moved_at = _terminal(chain, Outpoint(txid, int(index)))
         utxo = chain.utxo_set.get(terminal)
         if utxo is None:
             locations[outpoint] = "other"
@@ -288,11 +287,7 @@ def compute_verdicts(world: World, config: ScenarioConfig) -> Verdicts:
         for outpoint, record in registry.records.items()
         if locations.get(outpoint) == "operator"
     )
-    repaid = sum(
-        entry.get("amount", 0)
-        for entry in world.trace
-        if entry["action"] == "over_seizure_repaid"
-    )
+    repaid = sum(registry.claim_paid.values())
     to_safe = perimeter <= live_locked + to_gain - repaid
     if not to_safe:
         reasons.append(
@@ -311,17 +306,17 @@ def compute_verdicts(world: World, config: ScenarioConfig) -> Verdicts:
 def liquidation_spans(world: World) -> list[tuple[int, int]]:
     """(request confirmed, seizure claim confirmed) height pairs for
     every rebalance that went through the challenge timeout."""
-    conf_height = {tx.txid: h for h, tx in world.chain.history}
+    chain = world.chain
     spans = []
     for entry in world.trace:
         if entry["action"] != "rebalance_request":
             continue
         request_txid = entry.get("txid")
-        start = conf_height.get(request_txid)
+        start = chain.confirmed_at.get(request_txid)
         if start is None:
             continue
-        claim_txid = world.chain.spent_by.get(Outpoint(request_txid, 0))
-        end = conf_height.get(claim_txid)
+        claim_txid = chain.spent_by.get(Outpoint(request_txid, 0))
+        end = chain.confirmed_at.get(claim_txid)
         if end is not None:
             spans.append((start, end))
     return spans

@@ -2,26 +2,31 @@
 setup ceremony, and the fee machinery (anchor children, appended fee
 inputs).
 
-Transition catalog (source -> destination, who signs, who executes,
-how fees are topped up):
+Transition catalog (source -> destination, leaf spent and its keys,
+who executes, how fees are topped up):
 
-  unbond_request             VA  -> UTA        TO & Dep   exec Dep   anchor
-  unbond_finalize            UTA -> Dep        Dep alone (after t1)  self
-  unbond_challenge           UTA -> UCA        Dep & TO   exec TO    anchor
-  unbond_resolve             UCA -> Dep        Dep & AO   exec AO    acp fee input
-  unbond_resolve_expired     UCA -> TO         TO alone (after t2)   self
-  rebalance_request          VA  -> RCA        Dep & TO   exec TO    anchor
-  rebalance_resolve          RCA -> Dep        Dep & AO   exec AO    acp fee input
-  rebalance_resolve_expired  RCA -> TO         TO alone (after t2)   self
-  cooperative_unbond         VA  -> Dep        TO & Dep   exec Dep   anchor
-  resplit                    VA  -> VA + VA    Dep & TO   exec TO    none
+  unbond_request             VA  -> UTA     dep_to    Dep & TO     exec Dep anchor
+  unbond_finalize            UTA -> Dep     dep_delay Dep after t1          self
+  unbond_challenge           UTA -> UCA     dep_to    Dep & TO     exec TO  anchor
+  unbond_resolve             UCA -> Dep     dep_ao_*  Dep & AO     exec AO  acp fee input
+  unbond_resolve_expired     UCA -> TO      to_delay  TO after t2           self
+  rebalance_request          VA  -> RCA     dep_to    Dep & TO     exec TO  anchor
+  rebalance_resolve          RCA -> Dep     dep_ao_*  Dep & AO     exec AO  acp fee input
+  rebalance_resolve_expired  RCA -> TO      to_delay  TO after t2           self
+  cooperative_unbond         VA  -> Dep     dep_to    Dep & TO     exec Dep anchor
+  resplit                    VA  -> VA + VA dep_to    Dep & TO     exec TO  none
+
+The keys that may sign a row are those of the leaf its ``path`` names
+on its source address (``allowed_signers``; ``dep_ao_*`` names every
+oracle's leaf, and a spend goes through one of them): the address tree
+the chain checks witnesses against is the one statement of that rule.
 
 The setup ceremony pre-signs, for each deposit, the catalog rows that
 have a keeper (``stored_on``): the registry keeps the unbond request and
 the two resolve rows, the operator keeps the challenge and the rebalance
 request.  ``DEPOSIT_ROWS``, ``SAR_ROWS`` and ``TO_ROWS`` are derived from
 the catalog, so it is the one place that says which rows guard a
-deposit, who signs each and who keeps it.
+deposit, who pre-signs each and who keeps it.
 
 Templates commit the exact input value minus a base fee of
 ``BASE_FEE_RATE`` sat per weight unit, a protocol constant like
@@ -40,6 +45,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from fnmatch import fnmatchcase
 
 from .attestation import Attestation, MockAttestationAuthority
 from .chain import (
@@ -69,10 +75,6 @@ ANCHOR_VALUE = 330  # dust value carried by anchor outputs
 
 
 class PsbtError(Exception):
-    pass
-
-
-class UnknownTransition(PsbtError):
     pass
 
 
@@ -129,8 +131,7 @@ class Transition(Enum):
 class TransitionSpec:
     source: str  # address kind the spent output must sit on
     dest: str  # "uta"|"uca"|"rca"|"va"|"dep_return"|"to_key"
-    path: str  # leaf id; "dep_ao_*" resolves to the executing oracle's leaf
-    signers: tuple[str, ...]  # roles that must sign ("dep"|"to"|"ao")
+    path: str  # leaf id; "dep_ao_*" names every oracle leaf, and a spend takes one
     creator: str | None
     stored_on: str | None  # "sar" | "to" | None
     executor: str  # "dep"|"to"|"ao"
@@ -139,34 +140,34 @@ class TransitionSpec:
 
 TRANSITION_SPECS: dict[Transition, TransitionSpec] = {
     Transition.UNBOND_REQUEST: TransitionSpec(
-        "VA", "uta", "dep_to", ("to", "dep"), "to", "sar", "dep", "anchor"
+        "VA", "uta", "dep_to", "to", "sar", "dep", "anchor"
     ),
     Transition.UNBOND_FINALIZE: TransitionSpec(
-        "UTA", "dep_return", "dep_delay", ("dep",), None, None, "dep", "self"
+        "UTA", "dep_return", "dep_delay", None, None, "dep", "self"
     ),
     Transition.UNBOND_CHALLENGE: TransitionSpec(
-        "UTA", "uca", "dep_to", ("dep", "to"), "dep", "to", "to", "anchor"
+        "UTA", "uca", "dep_to", "dep", "to", "to", "anchor"
     ),
     Transition.UNBOND_RESOLVE: TransitionSpec(
-        "UCA", "dep_return", "dep_ao_*", ("dep", "ao"), "dep", "sar", "ao", "acp"
+        "UCA", "dep_return", "dep_ao_*", "dep", "sar", "ao", "acp"
     ),
     Transition.UNBOND_RESOLVE_EXPIRED: TransitionSpec(
-        "UCA", "to_key", "to_delay", ("to",), None, None, "to", "self"
+        "UCA", "to_key", "to_delay", None, None, "to", "self"
     ),
     Transition.REBALANCE_REQUEST: TransitionSpec(
-        "VA", "rca", "dep_to", ("dep", "to"), "dep", "to", "to", "anchor"
+        "VA", "rca", "dep_to", "dep", "to", "to", "anchor"
     ),
     Transition.REBALANCE_RESOLVE: TransitionSpec(
-        "RCA", "dep_return", "dep_ao_*", ("dep", "ao"), "dep", "sar", "ao", "acp"
+        "RCA", "dep_return", "dep_ao_*", "dep", "sar", "ao", "acp"
     ),
     Transition.REBALANCE_RESOLVE_EXPIRED: TransitionSpec(
-        "RCA", "to_key", "to_delay", ("to",), None, None, "to", "self"
+        "RCA", "to_key", "to_delay", None, None, "to", "self"
     ),
     Transition.COOPERATIVE_UNBOND: TransitionSpec(
-        "VA", "dep_return", "dep_to", ("to", "dep"), "to", None, "dep", "anchor"
+        "VA", "dep_return", "dep_to", "to", None, "dep", "anchor"
     ),
     Transition.RESPLIT: TransitionSpec(
-        "VA", "va", "dep_to", ("dep", "to"), "to", None, "to", "none"
+        "VA", "va", "dep_to", "to", None, "to", "none"
     ),
 }
 
@@ -276,16 +277,6 @@ class ProtocolInstance:
         self.to_key_address_id = key_address_id(tweak.to_pk)
 
 
-def _role_pubkeys(tweak_data: TweakData, role: str) -> tuple[Point, ...]:
-    if role == "dep":
-        return (tweak_data.dep_pk,)
-    if role == "to":
-        return (tweak_data.to_pk,)
-    if role == "ao":
-        return tweak_data.ao_pks
-    raise UnknownTransition(f"unknown role {role!r}")
-
-
 def _dest_address_id(spec: TransitionSpec, instance_like) -> str:
     mapping = {
         "uta": instance_like.addresses.uta.address_id,
@@ -307,29 +298,20 @@ def _executor_key_address(spec: TransitionSpec, instance_like) -> str:
 def build_psbt(
     transition: Transition,
     instance: ProtocolInstance,
-    utxo: Utxo | tuple[Outpoint, int],
+    spent: tuple[Outpoint, int],
     value_split: list[int] | None = None,
     fee: int | None = None,
 ) -> PsbtTemplate:
-    """Construct an unsigned template for one transition spending ``utxo``.
+    """Construct an unsigned template for one transition spending
+    ``spent``, an ``(outpoint, value)`` pair on the row's source address.
 
     The committed outputs are the transition's destination address for
     the full input value minus the base fee (and minus the anchor dust
     when the row carries an anchor).  ``value_split`` puts several main
     outputs at the destination address instead of one.
     """
-    spec = TRANSITION_SPECS.get(transition)
-    if spec is None:
-        raise UnknownTransition(str(transition))
-    if isinstance(utxo, Utxo):
-        outpoint, value, source_addr = utxo.outpoint, utxo.value, utxo.address_id
-    else:
-        outpoint, value = utxo
-        source_addr = instance.addresses.by_kind(spec.source).address_id
-    expected_source = instance.addresses.by_kind(spec.source).address_id
-    if source_addr != expected_source:
-        raise WrongSourceAddress(f"{transition.value} must spend the {spec.source}")
-
+    spec = TRANSITION_SPECS[transition]
+    outpoint, value = spent
     dest = _dest_address_id(spec, instance)
     has_anchor = spec.fee_mode == "anchor"
     n_main = len(value_split) if value_split else 1
@@ -370,11 +352,13 @@ def build_psbt(
 
 
 def allowed_signers(psbt: PsbtTemplate, tweak_data: TweakData) -> list[Point]:
+    """The keys of the leaves the row's catalogue ``path`` names on its
+    source address; the catalogue, not the template's ``path_id``, names
+    them, so a tampered template cannot widen the signer set."""
     spec = TRANSITION_SPECS[psbt.transition]
-    keys: list[Point] = []
-    for role in spec.signers:
-        keys.extend(_role_pubkeys(tweak_data, role))
-    return keys
+    source = build_protocol_addresses(tweak_data).by_kind(spec.source)
+    leaves = [leaf for leaf in source.leaves if fnmatchcase(leaf.path_id, spec.path)]
+    return list(dict.fromkeys(pk for leaf in leaves for pk in leaf.policy.keys()))
 
 
 def sign_psbt(psbt: PsbtTemplate, keypair: Keypair, tweak_data: TweakData) -> None:
@@ -423,41 +407,31 @@ def finalize_to_tx(
     instance: ProtocolInstance,
 ) -> SimTx:
     """Countersign as the executor, assemble the witness for the right
-    leaf, and return the broadcastable transaction."""
+    leaf, and return the broadcastable transaction.  Every check runs
+    before the executor signs, so a refused call leaves ``partial_sigs``
+    as it was."""
     tweak_data = instance.tweak_data
     spec = TRANSITION_SPECS[psbt.transition]
     if all(executor.public != pk for pk in allowed_signers(psbt, tweak_data)):
         raise NotASigner("executor is not a signer of this transition")
 
-    # every required role other than the executor must already have signed
-    for role in spec.signers:
-        role_keys = _role_pubkeys(tweak_data, role)
-        if any(executor.public == pk for pk in role_keys):
-            continue
-        if not any(pk.compressed().hex() in psbt.partial_sigs for pk in role_keys):
-            raise MissingCounterpartySig(f"missing {role} signature")
+    path_id = _resolve_leaf(psbt, executor, tweak_data)
+    leaf = instance.addresses.by_kind(spec.source).leaf(path_id)
+    if leaf is None:
+        raise PsbtError(f"leaf {path_id} missing on {spec.source}")
+    leaf_keys = [pk.compressed().hex() for pk in leaf.policy.keys()]
+    # every leaf key but the executor's must already have signed
+    if any(k != executor.public_hex and k not in psbt.partial_sigs for k in leaf_keys):
+        raise MissingCounterpartySig(f"no signature for a leaf key on {path_id}")
 
     if executor.public_hex not in psbt.partial_sigs:
         psbt.partial_sigs[executor.public_hex] = sign_digest(executor, psbt.sighash())
-
-    path_id = _resolve_leaf(psbt, executor, tweak_data)
-    source = instance.addresses.by_kind(spec.source)
-    leaf = source.leaf(path_id)
-    if leaf is None:
-        raise PsbtError(f"leaf {path_id} missing on {spec.source}")
-    witness = []
-    for pk in leaf.policy.keys():
-        sig = psbt.partial_sigs.get(pk.compressed().hex())
-        if sig is None:
-            raise MissingCounterpartySig(f"no signature for leaf key on {path_id}")
-        witness.append(sig)
-
-    tx = SimTx(
+    witness = [psbt.partial_sigs[k] for k in leaf_keys]
+    return SimTx(
         inputs=[TxInput(psbt.outpoint, path_id, psbt.flag, witness)],
         outputs=list(psbt.outputs),
         anchor_index=psbt.anchor_index,
     )
-    return tx
 
 
 # ---------------------------------------------------------------------------

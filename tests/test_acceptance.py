@@ -379,7 +379,7 @@ def test_c06_lifecycle_timing_exact():
     for t1 in (4, 6, 9):
         result = run_scenario(actors.exit_config(t1=t1))
         world = result.world
-        conf = actors.conf_heights(world)
+        conf = world.chain.confirmed_at
         request = next(e for e in world.trace if e["action"] == "unbond_request")
         finalize_txid = world.chain.spent_by[Outpoint(request["txid"], 0)]
         cases += 1
@@ -394,7 +394,7 @@ def test_c06_lifecycle_timing_exact():
         )
         result = run_scenario(config)
         world = result.world
-        conf = actors.conf_heights(world)
+        conf = world.chain.confirmed_at
         request = next(e for e in world.trace if e["action"] == "unbond_request")
         challenge_txid = world.chain.spent_by[Outpoint(request["txid"], 0)]
         claim_txid = world.chain.spent_by[Outpoint(challenge_txid, 0)]

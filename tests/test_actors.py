@@ -12,10 +12,9 @@ from bsa_sim.actors import (
     carve_fee_utxo,
     send_btc,
     spendable_utxos,
-    spender_of,
 )
 from bsa_sim.chain import BtcChain, FeeSchedule, Outpoint
-from bsa_sim.harness import liquidation_spans, run_scenario
+from bsa_sim.harness import compute_verdicts, liquidation_spans, run_scenario
 from bsa_sim.keys import keypair_from_seed
 from bsa_sim.scenario import DepositorBehavior, OperatorBehavior, ScenarioConfig, load_scenario
 
@@ -64,11 +63,14 @@ def test_spendable_utxos_excludes_mempool_pending():
     other = chain.ensure_key_address(keypair_from_seed(b"other").public)
     tx = send_btc(chain, kp, other, 1_000)
     assert spendable_utxos(chain, addr) == []
-    found = spender_of(chain, tx.inputs[0].outpoint)
-    assert found is tx  # still in the mempool
+    assert chain.spender(tx.inputs[0].outpoint) is tx  # still in the mempool
     chain.mine_block()
-    assert spender_of(chain, tx.inputs[0].outpoint).txid == tx.txid
-    assert spender_of(chain, Outpoint(tx.txid, 0)) is None
+    assert chain.spender(tx.inputs[0].outpoint) is tx  # confirmed
+    assert chain.spender(Outpoint(tx.txid, 0)) is None
+    change = Outpoint(tx.txid, 1)
+    assert [u.outpoint for u in spendable_utxos(chain, addr)] == [change]
+    send_btc(chain, kp, other, 1_000)
+    assert spendable_utxos(chain, addr) == []
 
 
 def test_oracle_online_window_is_half_open():
@@ -83,10 +85,6 @@ def test_oracle_online_window_is_half_open():
 
 
 # -- exit timing --------------------------------------------------------------
-
-
-def conf_heights(world):
-    return {tx.txid: h for h, tx in world.chain.history}
 
 
 def exit_config(**kw) -> ScenarioConfig:
@@ -104,7 +102,7 @@ def test_honest_exit_confirms_exactly_after_t1(t1):
     config = exit_config(t1=t1)
     result = run_scenario(config)
     world = result.world
-    conf = conf_heights(world)
+    conf = world.chain.confirmed_at
     request = next(e for e in world.trace if e["action"] == "unbond_request")
     request_conf = conf[request["txid"]]
     finalize_txid = world.chain.spent_by[Outpoint(request["txid"], 0)]
@@ -129,7 +127,7 @@ def test_unfairly_challenged_exit_resolved_by_oracles():
     )
     result = run_scenario(config)
     world = result.world
-    conf = conf_heights(world)
+    conf = world.chain.confirmed_at
     request = next(e for e in world.trace if e["action"] == "unbond_request")
     challenge_txid = world.chain.spent_by[Outpoint(request["txid"], 0)]
     resolve_txid = world.chain.spent_by[Outpoint(challenge_txid, 0)]
@@ -153,7 +151,7 @@ def test_theft_is_challenged_and_liquidated_on_timeout():
     )
     result = run_scenario(config)
     world = result.world
-    conf = conf_heights(world)
+    conf = world.chain.confirmed_at
     request = next(e for e in world.trace if e["action"] == "unbond_request")
     challenge_txid = world.chain.spent_by[Outpoint(request["txid"], 0)]
     claim_txid = world.chain.spent_by[Outpoint(challenge_txid, 0)]
@@ -192,6 +190,12 @@ def test_legitimate_rebalance_liquidates_within_bound_and_repays():
     assert registry.claimable.get(config.owner, 0) == 0
     assert registry.claim_paid[config.owner] == 1_000
     assert result.verdicts.triple() == (True, True, True)
+
+    # the grade reads repayments from the registry, not from the operator's log
+    world.trace[:] = [e for e in world.trace if e["action"] != "over_seizure_repaid"]
+    assert compute_verdicts(world, config).triple() == (True, True, True)
+    registry.claim_paid[config.owner] = 10**9
+    assert not compute_verdicts(world, config).operator_safe
 
 
 def test_false_rebalance_is_defended_by_oracles():

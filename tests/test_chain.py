@@ -76,7 +76,7 @@ def test_key_spend_round_trip():
     assert chain.balance_of(b_addr) == 998
     assert chain.balance_of(a_addr) == 0
     assert chain.spent_by[utxo.outpoint] == tx.txid
-    assert chain.confirmations(tx.txid) == 1
+    assert chain.confirmed_at == {tx.txid: 1}
 
 
 def test_rejects_wrong_signature():
@@ -120,6 +120,27 @@ def test_rejects_unknown_input_and_double_spend():
     chain.mine_block()
     with pytest.raises((DoubleSpend, TxRejected)):
         chain.submit_tx(second)
+
+
+def test_spender_is_confirmed_else_pending_else_none():
+    chain = fresh_chain()
+    kp = keypair("spender")
+    addr = chain.ensure_key_address(kp.public)
+    utxo = chain.seed_utxo(addr, 500)
+    assert chain.spender(utxo.outpoint) is None
+
+    first = key_spend(chain, utxo, [TxOutput(addr, 498)], kp)
+    chain.submit_tx(first)
+    assert chain.spender(utxo.outpoint) is first  # pending in the mempool
+    chain.mine_block()
+    assert chain.spender(utxo.outpoint) is first  # confirmed
+    assert chain.spender(Outpoint(first.txid, 0)) is None
+
+    change = chain.utxo_set[Outpoint(first.txid, 0)]
+    second = key_spend(chain, change, [TxOutput(addr, 496)], kp)
+    chain.submit_tx(second)
+    assert chain.spender(Outpoint(first.txid, 0)) is second
+    assert chain.spender(utxo.outpoint) is first
 
 
 def test_two_of_two_path_needs_both_signatures_in_order():
@@ -409,6 +430,19 @@ def test_self_sufficient_parent_does_not_carry_underpaying_child():
     mined = set(chain.mine_block())
     assert parent.txid in mined
     assert child.txid not in mined
+
+
+def test_confirmed_at_records_package_block_in_order():
+    kp = keypair("confirmed-at")
+    chain = fresh_chain(base_rate=1)
+    addr = chain.ensure_key_address(kp.public)
+    chain.mine_block()
+    # the parent alone underpays, the package covers both weights
+    parent, child = build_anchor_package(chain, kp, addr, parent_fee=1, child_fee=8)
+    mined = chain.mine_block()
+    assert mined == [parent.txid, child.txid]
+    assert list(chain.confirmed_at.items()) == [(txid, 2) for txid in mined]
+    assert chain.spender(Outpoint(parent.txid, 1)) is child
 
 
 def test_verify_spend_helper():

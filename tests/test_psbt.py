@@ -19,7 +19,14 @@ from bsa_sim.chain import (
     verify_spend,
 )
 from bsa_sim import psbt as psbt_module
-from bsa_sim.keys import key_address_id, keypair_from_seed, sign_digest
+from bsa_sim.keys import (
+    Keypair,
+    TweakData,
+    build_protocol_addresses,
+    key_address_id,
+    keypair_from_seed,
+    sign_digest,
+)
 from bsa_sim.psbt import (
     ANCHOR_VALUE,
     BASE_FEE_RATE,
@@ -27,6 +34,7 @@ from bsa_sim.psbt import (
     BadSplit,
     FlagViolation,
     InsufficientFunds,
+    MissingCounterpartySig,
     NoAnchor,
     NotASigner,
     ProtocolInstance,
@@ -36,8 +44,8 @@ from bsa_sim.psbt import (
     TRANSITION_SPECS,
     Transition,
     VerificationFailed,
-    WrongSourceAddress,
     add_fee_input,
+    allowed_signers,
     attach_cpfp_child,
     build_deposit_psbt_set,
     build_psbt,
@@ -115,20 +123,20 @@ def world():
 
 def test_transition_catalog():
     rows = {
-        t.value: (s.source, s.dest, s.path, s.signers, s.creator, s.stored_on, s.executor, s.fee_mode)
+        t.value: (s.source, s.dest, s.path, s.creator, s.stored_on, s.executor, s.fee_mode)
         for t, s in TRANSITION_SPECS.items()
     }
     assert rows == {
-        "unbond_request": ("VA", "uta", "dep_to", ("to", "dep"), "to", "sar", "dep", "anchor"),
-        "unbond_finalize": ("UTA", "dep_return", "dep_delay", ("dep",), None, None, "dep", "self"),
-        "unbond_challenge": ("UTA", "uca", "dep_to", ("dep", "to"), "dep", "to", "to", "anchor"),
-        "unbond_resolve": ("UCA", "dep_return", "dep_ao_*", ("dep", "ao"), "dep", "sar", "ao", "acp"),
-        "unbond_resolve_expired": ("UCA", "to_key", "to_delay", ("to",), None, None, "to", "self"),
-        "rebalance_request": ("VA", "rca", "dep_to", ("dep", "to"), "dep", "to", "to", "anchor"),
-        "rebalance_resolve": ("RCA", "dep_return", "dep_ao_*", ("dep", "ao"), "dep", "sar", "ao", "acp"),
-        "rebalance_resolve_expired": ("RCA", "to_key", "to_delay", ("to",), None, None, "to", "self"),
-        "cooperative_unbond": ("VA", "dep_return", "dep_to", ("to", "dep"), "to", None, "dep", "anchor"),
-        "resplit": ("VA", "va", "dep_to", ("dep", "to"), "to", None, "to", "none"),
+        "unbond_request": ("VA", "uta", "dep_to", "to", "sar", "dep", "anchor"),
+        "unbond_finalize": ("UTA", "dep_return", "dep_delay", None, None, "dep", "self"),
+        "unbond_challenge": ("UTA", "uca", "dep_to", "dep", "to", "to", "anchor"),
+        "unbond_resolve": ("UCA", "dep_return", "dep_ao_*", "dep", "sar", "ao", "acp"),
+        "unbond_resolve_expired": ("UCA", "to_key", "to_delay", None, None, "to", "self"),
+        "rebalance_request": ("VA", "rca", "dep_to", "dep", "to", "to", "anchor"),
+        "rebalance_resolve": ("RCA", "dep_return", "dep_ao_*", "dep", "sar", "ao", "acp"),
+        "rebalance_resolve_expired": ("RCA", "to_key", "to_delay", None, None, "to", "self"),
+        "cooperative_unbond": ("VA", "dep_return", "dep_to", "to", None, "dep", "anchor"),
+        "resplit": ("VA", "va", "dep_to", "to", None, "to", "none"),
     }
 
 
@@ -167,12 +175,6 @@ def test_build_psbt_shapes(world):
     assert resolve.outputs[0].address_id == inst.return_address_id
     assert resolve.fee == BASE_FEE_RATE * 2
 
-    with pytest.raises(WrongSourceAddress):
-        build_psbt(
-            Transition.UNBOND_REQUEST,
-            inst,
-            world.chain.seed_utxo(inst.return_address_id, 100),
-        )
     with pytest.raises(InsufficientFunds):
         build_psbt(Transition.UNBOND_REQUEST, inst, (outpoint, 3))
     with pytest.raises(BadSplit):
@@ -356,10 +358,80 @@ def test_finalize_requires_counterparty_signature(world):
     outpoint_str, value = next(iter(inst.deposits.items()))
     outpoint = op(outpoint_str)
     bare = build_psbt(Transition.UNBOND_REQUEST, inst, (outpoint, value))
-    from bsa_sim.psbt import MissingCounterpartySig
-
     with pytest.raises(MissingCounterpartySig):
         finalize_to_tx(bare, world.dep, inst)
+
+
+def leaf_instance(n_oracles: int) -> tuple[ProtocolInstance, dict[str, Keypair]]:
+    """An instance with ``n_oracles`` oracle keys, and every party's
+    keypair by role ("dep", "to", "ao") and by public key."""
+    dep, to = keypair_from_seed(b"leaf-dep"), keypair_from_seed(b"leaf-to")
+    oracles = [keypair_from_seed(f"leaf-ao-{i}".encode()) for i in range(n_oracles)]
+    tweak = TweakData(
+        dep_pk=dep.public,
+        to_pk=to.public,
+        ao_pks=tuple(kp.public for kp in oracles),
+        t1=4,
+        t2=6,
+        destination_chain_address=b"acct:leaf",
+        return_address=key_address_id(dep.public).encode(),
+    )
+    parties = {"dep": dep, "to": to, "ao": oracles[-1]}
+    parties.update((kp.public_hex, kp) for kp in [dep, to, *oracles])
+    return ProtocolInstance(tweak), parties
+
+
+def row_leaf_ids(transition: Transition, n_oracles: int) -> list[str]:
+    path = TRANSITION_SPECS[transition].path
+    if path == "dep_ao_*":
+        return [f"dep_ao_{i}" for i in range(n_oracles)]
+    return [path]
+
+
+@pytest.mark.parametrize("n_oracles", range(1, 6))
+@pytest.mark.parametrize("transition", list(Transition))
+def test_allowed_signers_are_the_row_leaf_keys(transition, n_oracles):
+    inst, _ = leaf_instance(n_oracles)
+    spec = TRANSITION_SPECS[transition]
+    source = build_protocol_addresses(inst.tweak_data).by_kind(spec.source)
+    expected = {
+        pk
+        for path_id in row_leaf_ids(transition, n_oracles)
+        for pk in source.leaf(path_id).policy.keys()
+    }
+    template = build_psbt(transition, inst, (Outpoint("ab" * 32, 0), 10_000))
+    signers = allowed_signers(template, inst.tweak_data)
+    assert len(signers) == len(set(signers))
+    assert set(signers) == expected
+
+
+@pytest.mark.parametrize("n_oracles", range(1, 6))
+@pytest.mark.parametrize("transition", list(Transition))
+def test_finalize_refuses_each_missing_leaf_key(transition, n_oracles):
+    inst, parties = leaf_instance(n_oracles)
+    spec = TRANSITION_SPECS[transition]
+    executor = parties[spec.executor]
+    # an oracle executes through its own leaf
+    path_id = row_leaf_ids(transition, n_oracles)[-1]
+    leaf = inst.addresses.by_kind(spec.source).leaf(path_id)
+    others = [pk.compressed().hex() for pk in leaf.policy.keys()]
+    others.remove(executor.public_hex)
+    spent = (Outpoint("ab" * 32, 0), 10_000)
+    for missing in others:
+        template = build_psbt(transition, inst, spent)
+        for pub_hex in others:
+            if pub_hex != missing:
+                sign_psbt(template, parties[pub_hex], inst.tweak_data)
+        before = dict(template.partial_sigs)
+        with pytest.raises(MissingCounterpartySig):
+            finalize_to_tx(template, executor, inst)
+        assert template.partial_sigs == before
+    template = build_psbt(transition, inst, spent)
+    for pub_hex in others:
+        sign_psbt(template, parties[pub_hex], inst.tweak_data)
+    tx = finalize_to_tx(template, executor, inst)
+    assert tx.inputs[0].path_id == path_id
+    assert len(tx.inputs[0].witness) == len(others) + 1
 
 
 def test_unbond_request_round_trip(world):
