@@ -200,7 +200,7 @@ class DepositorActor:
                         (uta_op, utxo.value),
                         fee=chain.fee_schedule.rate_at(height + 1) * 2,
                     )
-                    sign_psbt(template, self.keypair, instance.tweak_data)
+                    sign_psbt(template, self.keypair, instance)
                     tx = finalize_to_tx(template, self.keypair, instance)
                     if world.safe_submit(tx, self.name, "unbond_finalize"):
                         flow["finalize_txid"] = tx.txid
@@ -227,7 +227,7 @@ class DepositorActor:
             template = PsbtTemplate.from_text(text)
             if template.outpoint != ch_op:
                 return
-            sign_psbt(template, leaked, instance.tweak_data)
+            sign_psbt(template, leaked, instance)
             tx = finalize_to_tx(template, leaked, instance)
             world.broadcast_with_fee_input(tx, template.fee, self.keypair, self.name)
             world.log(self.name, "self_resolved_with_leaked_key", outpoint=outpoint)
@@ -292,7 +292,7 @@ class TokenOperatorActor:
                     continue  # request was not the pre-agreed chain
                 world.broadcast_anchor_row(template, self.keypair, instance, self.name)
                 dispute["challenge_txid"] = template.txid
-                dispute["kind"] = "uca"
+                dispute["kind"] = "UCA"
                 world.log(self.name, "unbond_challenge", outpoint=outpoint)
 
     # -- duty and attack: rebalance --------------------------------------------
@@ -305,7 +305,7 @@ class TokenOperatorActor:
         world.broadcast_anchor_row(template, self.keypair, instance, self.name)
         dispute = self.disputes.setdefault(outpoint, {})
         dispute["challenge_txid"] = template.txid
-        dispute["kind"] = "rca"
+        dispute["kind"] = "RCA"
         return template
 
     def _false_rebalance(self, world: "World") -> None:
@@ -371,7 +371,7 @@ class TokenOperatorActor:
                     continue
                 transition = (
                     Transition.UNBOND_RESOLVE_EXPIRED
-                    if dispute["kind"] == "uca"
+                    if dispute["kind"] == "UCA"
                     else Transition.REBALANCE_RESOLVE_EXPIRED
                 )
                 template = build_psbt(
@@ -380,7 +380,7 @@ class TokenOperatorActor:
                     (ch_op, utxo.value),
                     fee=chain.fee_schedule.rate_at(chain.height + 1) * 2,
                 )
-                sign_psbt(template, self.keypair, instance.tweak_data)
+                sign_psbt(template, self.keypair, instance)
                 tx = finalize_to_tx(template, self.keypair, instance)
                 if world.safe_submit(tx, self.name, transition.value):
                     dispute["claim_txid"] = tx.txid
@@ -451,9 +451,8 @@ class OracleActor:
 
     def _scan_challenges(self, world: "World", instance: ProtocolInstance) -> None:
         chain = world.chain
-        for kind in ("uca", "rca"):
-            address = getattr(instance.addresses, kind)
-            for utxo in chain.utxos_at(address.address_id):
+        for kind in ("UCA", "RCA"):
+            for utxo in chain.utxos_at(instance.address_ids[kind]):
                 if chain.spender(utxo.outpoint) is not None:
                     continue
                 seen = self.first_seen.setdefault(utxo.outpoint.txid, chain.height)
@@ -464,7 +463,7 @@ class OracleActor:
     def _arbitrate(self, world: "World", instance: ProtocolInstance, kind: str, utxo: Utxo):
         chain = world.chain
         challenge_tx = chain.tx_index[utxo.outpoint.txid]
-        if kind == "rca":
+        if kind == "RCA":
             request_tx = challenge_tx
             deposit_op = request_tx.inputs[0].outpoint
             outcome = self.oracle.verify_rebalance_inputs(str(deposit_op), request_tx)

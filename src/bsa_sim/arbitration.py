@@ -84,7 +84,6 @@ from .destchain import (
 from .keys import (
     Keypair,
     TweakData,
-    build_protocol_addresses,
     keypair_from_secret,
     keypair_from_seed,
 )
@@ -323,12 +322,11 @@ class ArbitrationOracle:
         tweak_dict = self.view.tweaks.get(record.tweak_digest)
         if tweak_dict is None:
             return Rejection(1, "record", "record references unknown instance parameters")
-        tweak = TweakData.from_dict(tweak_dict)
-        if tweak.digest_hex() != record.tweak_digest:
+        instance = ProtocolInstance(TweakData.from_dict(tweak_dict))
+        if instance.tweak_digest != record.tweak_digest:
             return Rejection(1, "record", "instance parameters fail their own digest")
-        if all(self.keypair.public != pk for pk in tweak.ao_pks):
+        if all(self.keypair.public != pk for pk in instance.tweak_data.ao_pks):
             return Rejection(1, "record", "this oracle is not a member of the instance")
-        addresses = build_protocol_addresses(tweak)
 
         txid, index = outpoint.rsplit(":", 1)
         spent = Outpoint(txid, int(index))
@@ -343,7 +341,7 @@ class ArbitrationOracle:
             elif inp.path_id != spec.path:
                 err = f"path {inp.path_id!r} is not the {spec.path} leaf"
             else:
-                leaf = addresses.by_kind(spec.source).leaf(spec.path)
+                leaf = instance.addresses.by_kind(spec.source).leaf(spec.path)
                 try:
                     check_witness(leaf.policy.keys(), tx.sighash(0), inp.witness, spec.path)
                 except TxRejected as exc:
@@ -353,8 +351,8 @@ class ArbitrationOracle:
             spent = Outpoint(tx.txid, 0)
 
         for step, (transition, tx) in enumerate(rows, start=2 + len(rows)):
-            dest = TRANSITION_SPECS[transition].dest.upper()
-            if not tx.outputs or tx.outputs[0].address_id != addresses.by_kind(dest).address_id:
+            dest = TRANSITION_SPECS[transition].dest
+            if not tx.outputs or tx.outputs[0].address_id != instance.address_ids[dest]:
                 return Rejection(step, f"{transition.value}_address", f"output 0 is not the {dest}")
 
         if not self.version_ok():
@@ -427,7 +425,7 @@ class ArbitrationOracle:
         self, ctx: VerifiedContext, transition: Transition
     ) -> PsbtTemplate | None:
         record = self.view.records.get(ctx.outpoint)
-        tweak = TweakData.from_dict(self.view.tweaks[record.tweak_digest])
+        instance = ProtocolInstance(TweakData.from_dict(self.view.tweaks[record.tweak_digest]))
         text = record.psbts.get(transition.value)
         if text is None:
             return None
@@ -437,14 +435,11 @@ class ArbitrationOracle:
             return None
         if template.transition is not transition:
             return None
-        expected = Outpoint(ctx.spend_txid, 0)
-        if template.outpoint != expected or template.input_value != ctx.spend_value:
-            return None
         if not verify_psbt_against_instance(
-            template, ProtocolInstance(tweak), expected, ctx.spend_value
+            template, instance, Outpoint(ctx.spend_txid, 0), ctx.spend_value
         ):
             return None
-        if tweak.dep_pk.compressed().hex() not in template.partial_sigs:
+        if instance.tweak_data.dep_pk.compressed().hex() not in template.partial_sigs:
             return None
-        sign_psbt(template, self.keypair, tweak)
+        sign_psbt(template, self.keypair, instance)
         return template

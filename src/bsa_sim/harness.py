@@ -178,7 +178,7 @@ def _terminal(chain: BtcChain, start: Outpoint):
         moved_at = chain.confirmed_at[txid]
 
 
-def _location(world: World, instance, address_id: str) -> str:
+def _location(instance, address_id: str) -> str:
     if any(address_id == a.address_id for a in instance.addresses.all()):
         return "instance"
     if address_id == instance.return_address_id:
@@ -190,7 +190,7 @@ def _location(world: World, instance, address_id: str) -> str:
 
 def _instance_for(world: World, record) -> object | None:
     for instance in world.instances:
-        if instance.tweak_data.digest_hex() == record.tweak_digest:
+        if instance.tweak_digest == record.tweak_digest:
             return instance
     return None
 
@@ -235,7 +235,7 @@ def compute_verdicts(world: World, config: ScenarioConfig) -> Verdicts:
                 dep_safe = False
                 reasons.append(f"{outpoint}: value untracked at horizon")
             continue
-        location = _location(world, instance, utxo.address_id)
+        location = _location(instance, utxo.address_id)
         locations[outpoint] = location
         deposit_index = _deposit_index(instance, outpoint)
         if _deposit_attacked(config, deposit_index):

@@ -56,7 +56,11 @@ LRU caches, so a repeated check costs a lookup:
   never repeats one, so a small memo holds every batch that recurs.
 * ``build_protocol_addresses`` (``ADDRESS_CACHE_SIZE`` entries), keyed by
   the frozen ``TweakData``.  The returned addresses are frozen, so
-  callers can share them.
+  callers can share them.  Its one caller is ``psbt.ProtocolInstance``:
+  the setup ceremony builds one instance, and an oracle builds one from
+  its view's parameters for each dispute check and each resolution it
+  signs.  Every step on a template reads the instance's addresses
+  instead of deriving them again.
 * ``keypair_from_seed`` (``KEYPAIR_CACHE_SIZE`` entries), keyed by the
   seed.  Worlds derive their operator, authority, oracle and depositor
   keys from fixed seeds; the ``Keypair`` is frozen, so callers share it.

@@ -16,10 +16,21 @@ who executes, how fees are topped up):
   cooperative_unbond         VA  -> Dep     dep_to    Dep & TO     exec Dep anchor
   resplit                    VA  -> VA + VA dep_to    Dep & TO     exec TO  none
 
-The keys that may sign a row are those of the leaf its ``path`` names
-on its source address (``allowed_signers``; ``dep_ao_*`` names every
-oracle's leaf, and a spend goes through one of them): the address tree
-the chain checks witnesses against is the one statement of that rule.
+Address kinds have one spelling: the four script addresses are ``VA``,
+``UTA``, ``UCA`` and ``RCA`` (``ProtocolAddress.kind``), and the two key
+addresses are ``dep_return`` and ``to_key``.  Both catalogue columns
+name them that way, and ``ProtocolInstance.address_ids`` maps each kind
+to its address id.
+
+Every step on a template (build, sign, verify, finalize) takes the
+``ProtocolInstance`` and reads the addresses it derived once; none
+derives them again from the ``TweakData``.  One leaf rule serves all of
+them: a row's leaves are those its catalogue ``path`` names on its
+source address (``dep_ao_*`` names every oracle's leaf).  The keys of
+those leaves may sign the row (``allowed_signers``), and the executor
+spends through the first of them that holds its key and whose other
+keys have all signed (``finalize_to_tx``): the address tree the chain
+checks witnesses against is the one statement of that rule.
 
 The setup ceremony pre-signs, for each deposit, the catalog rows that
 have a keeper (``stored_on``): the registry keeps the unbond request and
@@ -61,6 +72,7 @@ from .keys import (
     InstanceAddresses,
     Keypair,
     Point,
+    SpendPath,
     TweakData,
     build_protocol_addresses,
     key_address_id,
@@ -130,7 +142,7 @@ class Transition(Enum):
 @dataclass(frozen=True)
 class TransitionSpec:
     source: str  # address kind the spent output must sit on
-    dest: str  # "uta"|"uca"|"rca"|"va"|"dep_return"|"to_key"
+    dest: str  # address kind the main outputs pay to
     path: str  # leaf id; "dep_ao_*" names every oracle leaf, and a spend takes one
     creator: str | None
     stored_on: str | None  # "sar" | "to" | None
@@ -140,13 +152,13 @@ class TransitionSpec:
 
 TRANSITION_SPECS: dict[Transition, TransitionSpec] = {
     Transition.UNBOND_REQUEST: TransitionSpec(
-        "VA", "uta", "dep_to", "to", "sar", "dep", "anchor"
+        "VA", "UTA", "dep_to", "to", "sar", "dep", "anchor"
     ),
     Transition.UNBOND_FINALIZE: TransitionSpec(
         "UTA", "dep_return", "dep_delay", None, None, "dep", "self"
     ),
     Transition.UNBOND_CHALLENGE: TransitionSpec(
-        "UTA", "uca", "dep_to", "dep", "to", "to", "anchor"
+        "UTA", "UCA", "dep_to", "dep", "to", "to", "anchor"
     ),
     Transition.UNBOND_RESOLVE: TransitionSpec(
         "UCA", "dep_return", "dep_ao_*", "dep", "sar", "ao", "acp"
@@ -155,7 +167,7 @@ TRANSITION_SPECS: dict[Transition, TransitionSpec] = {
         "UCA", "to_key", "to_delay", None, None, "to", "self"
     ),
     Transition.REBALANCE_REQUEST: TransitionSpec(
-        "VA", "rca", "dep_to", "dep", "to", "to", "anchor"
+        "VA", "RCA", "dep_to", "dep", "to", "to", "anchor"
     ),
     Transition.REBALANCE_RESOLVE: TransitionSpec(
         "RCA", "dep_return", "dep_ao_*", "dep", "sar", "ao", "acp"
@@ -167,7 +179,7 @@ TRANSITION_SPECS: dict[Transition, TransitionSpec] = {
         "VA", "dep_return", "dep_to", "to", None, "dep", "anchor"
     ),
     Transition.RESPLIT: TransitionSpec(
-        "VA", "va", "dep_to", "to", None, "to", "none"
+        "VA", "VA", "dep_to", "to", None, "to", "none"
     ),
 }
 
@@ -255,9 +267,9 @@ class PsbtTemplate:
 class ProtocolInstance:
     """Everything public about one live deposit arrangement.
 
-    The addresses and account identifiers are functions of the tweak
-    data, derived once here; ``build_psbt`` reads them for every
-    template."""
+    The addresses, account identifiers and parameter digest are
+    functions of the tweak data, derived once here; every step on a
+    template reads them from the instance."""
 
     tweak_data: TweakData
     funding_txid: str = ""
@@ -265,34 +277,22 @@ class ProtocolInstance:
     # operator-held rows
     to_psbts: dict[str, dict[Transition, PsbtTemplate]] = field(default_factory=dict)
     addresses: InstanceAddresses = field(init=False)
+    tweak_digest: str = field(init=False)
     owner: str = field(init=False)  # depositor's destination-chain account
     return_address_id: str = field(init=False)
     to_key_address_id: str = field(init=False)
+    address_ids: dict[str, str] = field(init=False)  # catalogue address kind -> id
 
     def __post_init__(self):
         tweak = self.tweak_data
         self.addresses = build_protocol_addresses(tweak)
+        self.tweak_digest = tweak.digest_hex()
         self.owner = tweak.destination_chain_address.decode()
         self.return_address_id = tweak.return_address.decode()
         self.to_key_address_id = key_address_id(tweak.to_pk)
-
-
-def _dest_address_id(spec: TransitionSpec, instance_like) -> str:
-    mapping = {
-        "uta": instance_like.addresses.uta.address_id,
-        "uca": instance_like.addresses.uca.address_id,
-        "rca": instance_like.addresses.rca.address_id,
-        "va": instance_like.addresses.va.address_id,
-        "dep_return": instance_like.return_address_id,
-        "to_key": instance_like.to_key_address_id,
-    }
-    return mapping[spec.dest]
-
-
-def _executor_key_address(spec: TransitionSpec, instance_like) -> str:
-    if spec.executor == "dep":
-        return instance_like.return_address_id
-    return instance_like.to_key_address_id
+        self.address_ids = {addr.kind: addr.address_id for addr in self.addresses.all()}
+        self.address_ids["dep_return"] = self.return_address_id
+        self.address_ids["to_key"] = self.to_key_address_id
 
 
 def build_psbt(
@@ -312,7 +312,7 @@ def build_psbt(
     """
     spec = TRANSITION_SPECS[transition]
     outpoint, value = spent
-    dest = _dest_address_id(spec, instance)
+    dest = instance.address_ids[spec.dest]
     has_anchor = spec.fee_mode == "anchor"
     n_main = len(value_split) if value_split else 1
     weight = 1 + n_main + (1 if has_anchor else 0)
@@ -334,7 +334,8 @@ def build_psbt(
     outputs = [TxOutput(dest, v) for v in main_values]
     anchor_index = None
     if has_anchor:
-        outputs.append(TxOutput(_executor_key_address(spec, instance), anchor_value))
+        anchor_kind = "dep_return" if spec.executor == "dep" else "to_key"
+        outputs.append(TxOutput(instance.address_ids[anchor_kind], anchor_value))
         anchor_index = len(outputs) - 1
 
     flag = SighashFlag.ALL_ANYONECANPAY if spec.fee_mode == "acp" else SighashFlag.ALL
@@ -351,18 +352,23 @@ def build_psbt(
     )
 
 
-def allowed_signers(psbt: PsbtTemplate, tweak_data: TweakData) -> list[Point]:
-    """The keys of the leaves the row's catalogue ``path`` names on its
-    source address; the catalogue, not the template's ``path_id``, names
-    them, so a tampered template cannot widen the signer set."""
+def _row_leaves(psbt: PsbtTemplate, instance: ProtocolInstance) -> list[SpendPath]:
+    """The leaves the row's catalogue ``path`` names on its source
+    address; the catalogue, not the template's ``path_id``, names them,
+    so a tampered template cannot widen the signer set."""
     spec = TRANSITION_SPECS[psbt.transition]
-    source = build_protocol_addresses(tweak_data).by_kind(spec.source)
-    leaves = [leaf for leaf in source.leaves if fnmatchcase(leaf.path_id, spec.path)]
+    source = instance.addresses.by_kind(spec.source)
+    return [leaf for leaf in source.leaves if fnmatchcase(leaf.path_id, spec.path)]
+
+
+def allowed_signers(psbt: PsbtTemplate, instance: ProtocolInstance) -> list[Point]:
+    """The keys of the row's leaves, each once."""
+    leaves = _row_leaves(psbt, instance)
     return list(dict.fromkeys(pk for leaf in leaves for pk in leaf.policy.keys()))
 
 
-def sign_psbt(psbt: PsbtTemplate, keypair: Keypair, tweak_data: TweakData) -> None:
-    if all(keypair.public != pk for pk in allowed_signers(psbt, tweak_data)):
+def sign_psbt(psbt: PsbtTemplate, keypair: Keypair, instance: ProtocolInstance) -> None:
+    if all(keypair.public != pk for pk in allowed_signers(psbt, instance)):
         raise NotASigner(f"{keypair.public_hex[:16]}... on {psbt.transition.value}")
     if keypair.public_hex in psbt.partial_sigs:
         raise AlreadySigned(psbt.transition.value)
@@ -370,35 +376,22 @@ def sign_psbt(psbt: PsbtTemplate, keypair: Keypair, tweak_data: TweakData) -> No
 
 
 def _signed_triples(
-    psbt: PsbtTemplate, tweak_data: TweakData
+    psbt: PsbtTemplate, instance: ProtocolInstance
 ) -> list[tuple[Point, bytes, bytes]] | None:
     """``(key, sighash, signature)`` for each stored partial signature, or
     None when there is none or one is stored under a key that may not sign
     the row."""
-    allowed = {pk.compressed().hex(): pk for pk in allowed_signers(psbt, tweak_data)}
+    allowed = {pk.compressed().hex(): pk for pk in allowed_signers(psbt, instance)}
     if not psbt.partial_sigs or any(pub_hex not in allowed for pub_hex in psbt.partial_sigs):
         return None
     digest = psbt.sighash()
     return [(allowed[pub_hex], digest, sig) for pub_hex, sig in psbt.partial_sigs.items()]
 
 
-def verify_partial_sigs(psbt: PsbtTemplate, tweak_data: TweakData) -> bool:
+def verify_partial_sigs(psbt: PsbtTemplate, instance: ProtocolInstance) -> bool:
     """Every stored partial signature must verify against a signer key."""
-    triples = _signed_triples(psbt, tweak_data)
+    triples = _signed_triples(psbt, instance)
     return triples is not None and all(verify_signature(*t) for t in triples)
-
-
-def _resolve_leaf(psbt: PsbtTemplate, executor: Keypair, tweak_data: TweakData) -> str:
-    if psbt.path_id != "dep_ao_*":
-        return psbt.path_id
-    for i, ao_pk in enumerate(tweak_data.ao_pks):
-        if executor.public == ao_pk:
-            return f"dep_ao_{i}"
-    # executor is not an oracle key: pick the leaf of whichever oracle signed
-    for i, ao_pk in enumerate(tweak_data.ao_pks):
-        if ao_pk.compressed().hex() in psbt.partial_sigs:
-            return f"dep_ao_{i}"
-    raise MissingCounterpartySig("no oracle signature to select a leaf")
 
 
 def finalize_to_tx(
@@ -406,29 +399,28 @@ def finalize_to_tx(
     executor: Keypair,
     instance: ProtocolInstance,
 ) -> SimTx:
-    """Countersign as the executor, assemble the witness for the right
-    leaf, and return the broadcastable transaction.  Every check runs
+    """Countersign as the executor and spend through the first of the
+    row's leaves that holds the executor's key and whose other keys have
+    all signed; return the broadcastable transaction.  Every check runs
     before the executor signs, so a refused call leaves ``partial_sigs``
     as it was."""
-    tweak_data = instance.tweak_data
-    spec = TRANSITION_SPECS[psbt.transition]
-    if all(executor.public != pk for pk in allowed_signers(psbt, tweak_data)):
+    leaves = [
+        leaf for leaf in _row_leaves(psbt, instance) if executor.public in leaf.policy.keys()
+    ]
+    if not leaves:
         raise NotASigner("executor is not a signer of this transition")
-
-    path_id = _resolve_leaf(psbt, executor, tweak_data)
-    leaf = instance.addresses.by_kind(spec.source).leaf(path_id)
-    if leaf is None:
-        raise PsbtError(f"leaf {path_id} missing on {spec.source}")
-    leaf_keys = [pk.compressed().hex() for pk in leaf.policy.keys()]
-    # every leaf key but the executor's must already have signed
-    if any(k != executor.public_hex and k not in psbt.partial_sigs for k in leaf_keys):
-        raise MissingCounterpartySig(f"no signature for a leaf key on {path_id}")
+    for leaf in leaves:
+        leaf_keys = [pk.compressed().hex() for pk in leaf.policy.keys()]
+        if all(k == executor.public_hex or k in psbt.partial_sigs for k in leaf_keys):
+            break
+    else:
+        raise MissingCounterpartySig(f"no signature for a leaf key on {psbt.transition.value}")
 
     if executor.public_hex not in psbt.partial_sigs:
         psbt.partial_sigs[executor.public_hex] = sign_digest(executor, psbt.sighash())
     witness = [psbt.partial_sigs[k] for k in leaf_keys]
     return SimTx(
-        inputs=[TxInput(psbt.outpoint, path_id, psbt.flag, witness)],
+        inputs=[TxInput(psbt.outpoint, leaf.path_id, psbt.flag, witness)],
         outputs=list(psbt.outputs),
         anchor_index=psbt.anchor_index,
     )
@@ -531,9 +523,9 @@ def build_deposit_psbt_set(
         template = build_psbt(transition, instance, spent)
         keypair = signers[spec.creator]
         if keypair is not None:
-            sign_psbt(template, keypair, instance.tweak_data)
+            sign_psbt(template, keypair, instance)
         rows[transition] = template
-        paid_to[spec.dest.upper()] = template
+        paid_to[spec.dest] = template
     return rows
 
 
@@ -549,7 +541,7 @@ def _registered_record(
         owner=instance.owner,
         amount=amount,
         status=UtxoStatus.REGISTERED,
-        tweak_digest=instance.tweak_data.digest_hex(),
+        tweak_digest=instance.tweak_digest,
         psbts={t.value: rows[t].to_text() for t in SAR_ROWS},
     )
 
@@ -562,7 +554,7 @@ def verify_psbt_against_instance(
     rebuilt = build_psbt(psbt.transition, instance, (outpoint, value))
     if replace(psbt, partial_sigs={}) != rebuilt:
         return False
-    return verify_partial_sigs(psbt, instance.tweak_data)
+    return verify_partial_sigs(psbt, instance)
 
 
 def run_setup_ceremony(
@@ -652,11 +644,11 @@ def run_setup_ceremony(
     # step 2a: operator checks the depositor's signatures on the rows it
     # keeps, all of them in one batch; when the batch fails, row by row
     # names the first bad row
-    signed = [_signed_triples(per[t], tweak_data) for per in psbt_sets for t in TO_ROWS]
+    signed = [_signed_triples(per[t], instance) for per in psbt_sets for t in TO_ROWS]
     if None in signed or not verify_signatures(tuple(t for row in signed for t in row)):
         for per in psbt_sets:
             for transition in TO_ROWS:
-                if not verify_partial_sigs(per[transition], tweak_data):
+                if not verify_partial_sigs(per[transition], instance):
                     raise VerificationFailed(f"bad depositor signature on {transition.value}")
 
     # step 2b: operator stores the registry rows
@@ -727,7 +719,7 @@ def collaborative_resplit(
     resplit = build_psbt(
         Transition.RESPLIT, instance, (outpoint, value), value_split=split_amounts, fee=fee
     )
-    sign_psbt(resplit, dep_keypair, instance.tweak_data)
+    sign_psbt(resplit, dep_keypair, instance)
     tx = finalize_to_tx(resplit, to_keypair, instance)
 
     new_deposits = [(Outpoint(tx.txid, i), amount) for i, amount in enumerate(split_amounts)]

@@ -44,12 +44,16 @@ at least one, ``n_oracles`` defaulting to 3, and every oracle without a
 section is honest.  An unknown section or key is a ``ScenarioError`` naming it, so
 a misspelt key cannot silently fall back to its default.  So is a value
 out of its range: ``t1``, ``t2``, ``t3``, ``slots_per_block``,
-``finality_interval``, ``fee_funds`` or ``horizon_blocks`` below 1, a
-negative ``fee_base``, a ``t3`` that does not exceed (``t1`` + ``t2``)
-blocks of ``slots_per_block`` slots (``registry.check_timelocks``), a
-negative height or rate in ``fee_steps``, an ``offline`` window that
-does not end after it starts, and an ``exit_deposit_index`` that names
-no deposit.
+``finality_interval``, ``fee_funds``, ``horizon_blocks``,
+``t_op_blocks``, ``wsp_slots`` or ``leak_token_amount`` below 1, a
+negative ``fee_base``, ``margin_blocks`` or ``n_oracles``, a ``t3``
+that does not exceed (``t1`` + ``t2``) blocks of ``slots_per_block``
+slots (``registry.check_timelocks``), a negative height (``exit_at``,
+``leak_tokens_at``, ``rebalance_at``, ``false_rebalance_at``,
+``dest_halted_at``, or one in ``fee_steps``) or rate in ``fee_steps``,
+an ``offline`` window that does not end after it starts, and an
+``exit_deposit_index`` that names no deposit.  So is a file that is not
+UTF-8 text.
 """
 
 from __future__ import annotations
@@ -98,11 +102,11 @@ class ScenarioConfig:
             self.n_oracles = len(self.oracles)
 
 
-def _opt_int(value: str) -> int | None:
+def _opt_non_negative_int(value: str) -> int | None:
     value = value.strip().lower()
     if value in ("", "none", "never", "-"):
         return None
-    return int(value)
+    return _non_negative_int(value)
 
 
 def _bool(value: str) -> bool:
@@ -164,27 +168,26 @@ def _keys(convert, *keys: str) -> dict:
 # Per section: key -> (attribute it sets, converter of the text value).
 _SCENARIO = _keys(str, "name")
 _PARAMS = {
-    **_keys(int, "t_op_blocks", "margin_blocks", "wsp_slots", "n_oracles"),
     **_keys(
         _positive_int, "t1", "t2", "t3", "slots_per_block", "finality_interval",
-        "fee_funds", "horizon_blocks",
+        "fee_funds", "horizon_blocks", "t_op_blocks", "wsp_slots",
     ),
-    **_keys(_non_negative_int, "fee_base"),
+    **_keys(_non_negative_int, "fee_base", "margin_blocks", "n_oracles"),
     **_keys(_step_list, "fee_steps"),
-    **_keys(_opt_int, "dest_halted_at"),
+    **_keys(_opt_non_negative_int, "dest_halted_at"),
 }
 _DEPOSIT = {**_keys(str, "owner"), **_keys(_int_list, "amounts")}
 _DEPOSITOR = {
-    **_keys(_opt_int, "exit_at", "exit_deposit_index", "leak_tokens_at"),
+    **_keys(_opt_non_negative_int, "exit_at", "exit_deposit_index", "leak_tokens_at"),
     **_keys(_bool, "burn_before_exit", "use_leaked_key"),
-    **_keys(int, "leak_token_amount"),
+    **_keys(_positive_int, "leak_token_amount"),
 }
 _OPERATOR = {
     **_keys(
         _bool, "challenge_thefts", "challenge_legitimate", "claim_expired",
         "pay_over_seizure", "provide_checkpoints",
     ),
-    **_keys(_opt_int, "rebalance_at", "false_rebalance_at"),
+    **_keys(_opt_non_negative_int, "rebalance_at", "false_rebalance_at"),
 }
 _ORACLE = {
     "offline": ("offline", _range),
@@ -284,5 +287,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
 
 def load_scenario(path: str) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"not UTF-8 text ({exc.reason})") from exc
+    return parse_scenario(text)

@@ -573,7 +573,7 @@ def test_c09_output_mutation_invalidates_presignatures():
         else:
             held = inst.to_psbts[outpoint_str][held_slots[rng.randrange(2)]]
             psbt = PsbtTemplate.from_text(held.to_text())
-        assert psbt.partial_sigs and verify_partial_sigs(psbt, inst.tweak_data)
+        assert psbt.partial_sigs and verify_partial_sigs(psbt, inst)
         attacker = key_address_id(keypair_from_seed(rng.randbytes(8)).public)
         outputs = list(psbt.outputs)
         idx = rng.randrange(len(outputs))
@@ -596,7 +596,7 @@ def test_c09_output_mutation_invalidates_presignatures():
             partial_sigs=dict(psbt.partial_sigs),
         )
         trials += 1
-        if not verify_partial_sigs(mutated, inst.tweak_data):
+        if not verify_partial_sigs(mutated, inst):
             invalidated += 1
     ok = invalidated == trials == 1000
     _report(9, ok, f"{invalidated}/1000 output mutations invalidated a pre-signature")

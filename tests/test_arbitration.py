@@ -127,7 +127,7 @@ class ArbWorld:
     def rebalance_request_tx(self) -> SimTx:
         template = self.instance.to_psbts[self.outpoint][Transition.REBALANCE_REQUEST]
         template = type(template).from_text(template.to_text())  # private copy
-        sign_psbt(template, self.to, self.instance.tweak_data)
+        sign_psbt(template, self.to, self.instance)
         return finalize_to_tx(template, self.to, self.instance)
 
     def unbond_pair(self) -> tuple[SimTx, SimTx]:
@@ -139,7 +139,7 @@ class ArbWorld:
         request_tx = finalize_to_tx(request, self.dep, self.instance)
         challenge = self.instance.to_psbts[self.outpoint][Transition.UNBOND_CHALLENGE]
         challenge = PsbtTemplate.from_text(challenge.to_text())
-        sign_psbt(challenge, self.to, self.instance.tweak_data)
+        sign_psbt(challenge, self.to, self.instance)
         challenge_tx = finalize_to_tx(challenge, self.to, self.instance)
         return request_tx, challenge_tx
 
@@ -298,7 +298,7 @@ def test_rebalance_pipeline_matches_reference_for_all_statuses(world):
                 assert got[1] == want[1], (status, name)
             if got[0] == "sign":
                 template = got[1]
-                assert verify_partial_sigs(template, world.instance.tweak_data)
+                assert verify_partial_sigs(template, world.instance)
                 assert oracle.keypair.public_hex in template.partial_sigs
     world.set_status(UtxoStatus.ACTIVE)
 
@@ -361,7 +361,7 @@ def test_unbond_pipeline_matches_reference_for_all_statuses(world):
             if want[0] == "reject":
                 assert got[1] == want[1], (status, name)
             if got[0] == "sign":
-                assert verify_partial_sigs(got[1], world.instance.tweak_data)
+                assert verify_partial_sigs(got[1], world.instance)
     world.set_status(UtxoStatus.ACTIVE)
 
 

@@ -144,12 +144,30 @@ def test_parse_rejections():
         ("[params]\nfinality_interval = 0\n", "[params] finality_interval"),
         ("[params]\nfee_funds = 0\n", "[params] fee_funds"),
         ("[params]\nfee_base = -1\n", "[params] fee_base"),
+        ("[params]\nwsp_slots = 0\n", "[params] wsp_slots"),
+        ("[params]\nwsp_slots = -3\n", "[params] wsp_slots"),
+        ("[params]\nt_op_blocks = -2\n", "[params] t_op_blocks"),
+        ("[params]\nmargin_blocks = -50\n", "[params] margin_blocks"),
+        ("[params]\nn_oracles = -1\n", "[params] n_oracles"),
+        ("[params]\ndest_halted_at = -1\n", "[params] dest_halted_at"),
+        ("[depositor]\nleak_tokens_at = 8\nleak_token_amount = -5\n",
+         "[depositor] leak_token_amount"),
+        ("[depositor]\nleak_tokens_at = 8\nleak_token_amount = 0\n",
+         "[depositor] leak_token_amount"),
+        ("[depositor]\nexit_at = -3\n", "[depositor] exit_at"),
+        ("[depositor]\nleak_tokens_at = -1\n", "[depositor] leak_tokens_at"),
+        ("[operator]\nrebalance_at = -1\n", "[operator] rebalance_at"),
+        ("[operator]\nfalse_rebalance_at = -1\n", "[operator] false_rebalance_at"),
     ],
     ids=[
         "exit-index-past-end", "exit-index-negative", "empty-window", "reversed-window",
         "negative-rate", "negative-height", "zero-horizon", "zero-t1",
         "zero-slots-per-block", "t3-within-dispute-window", "zero-finality-interval",
-        "zero-fee-funds", "negative-fee-base",
+        "zero-fee-funds", "negative-fee-base", "zero-wsp-slots", "negative-wsp-slots",
+        "negative-t-op-blocks", "negative-margin-blocks", "negative-n-oracles",
+        "negative-dest-halted-at", "negative-leak-amount", "zero-leak-amount",
+        "negative-exit-at", "negative-leak-tokens-at", "negative-rebalance-at",
+        "negative-false-rebalance-at",
     ],
 )
 def test_parse_rejects_out_of_range_values(text, where):
@@ -316,6 +334,15 @@ def test_cli_run_missing_file_exits_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"bsa-sim: {path}: No such file or directory\n"
+
+
+def test_cli_run_non_utf8_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "utf16.scn"
+    path.write_bytes(b"\xff\xfe[\x00p\x00")
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"bsa-sim: {path}: not UTF-8 text (invalid start byte)\n"
 
 
 def test_cli_run_trace_prints_json_lines(capsys):

@@ -127,16 +127,16 @@ def test_transition_catalog():
         for t, s in TRANSITION_SPECS.items()
     }
     assert rows == {
-        "unbond_request": ("VA", "uta", "dep_to", "to", "sar", "dep", "anchor"),
+        "unbond_request": ("VA", "UTA", "dep_to", "to", "sar", "dep", "anchor"),
         "unbond_finalize": ("UTA", "dep_return", "dep_delay", None, None, "dep", "self"),
-        "unbond_challenge": ("UTA", "uca", "dep_to", "dep", "to", "to", "anchor"),
+        "unbond_challenge": ("UTA", "UCA", "dep_to", "dep", "to", "to", "anchor"),
         "unbond_resolve": ("UCA", "dep_return", "dep_ao_*", "dep", "sar", "ao", "acp"),
         "unbond_resolve_expired": ("UCA", "to_key", "to_delay", None, None, "to", "self"),
-        "rebalance_request": ("VA", "rca", "dep_to", "dep", "to", "to", "anchor"),
+        "rebalance_request": ("VA", "RCA", "dep_to", "dep", "to", "to", "anchor"),
         "rebalance_resolve": ("RCA", "dep_return", "dep_ao_*", "dep", "sar", "ao", "acp"),
         "rebalance_resolve_expired": ("RCA", "to_key", "to_delay", None, None, "to", "self"),
         "cooperative_unbond": ("VA", "dep_return", "dep_to", "to", None, "dep", "anchor"),
-        "resplit": ("VA", "va", "dep_to", "to", None, "to", "none"),
+        "resplit": ("VA", "VA", "dep_to", "to", None, "to", "none"),
     }
 
 
@@ -188,7 +188,7 @@ def test_template_text_round_trip(world):
     psbt = PsbtTemplate.from_text(stored)
     assert psbt.to_text() == stored
     assert psbt.transition is Transition.UNBOND_RESOLVE
-    assert verify_partial_sigs(psbt, inst.tweak_data)
+    assert verify_partial_sigs(psbt, inst)
 
 
 # -- ceremony -----------------------------------------------------------------
@@ -217,7 +217,7 @@ def test_ceremony_funds_and_registers(world):
             stored = PsbtTemplate.from_text(world.registry.get_stored_psbt(outpoint_str, name))
             expect = rebuilt[transition]
             assert stored.skeleton().txid == expect.skeleton().txid
-            assert verify_partial_sigs(stored, inst.tweak_data)
+            assert verify_partial_sigs(stored, inst)
         held = inst.to_psbts[outpoint_str]
         assert set(held) == {Transition.UNBOND_CHALLENGE, Transition.REBALANCE_REQUEST}
 
@@ -347,10 +347,10 @@ def test_sign_psbt_rejects_outsiders(world):
     psbt = build_psbt(Transition.UNBOND_REQUEST, inst, (outpoint, value))
     intruder = keypair_from_seed(b"intruder")
     with pytest.raises(NotASigner):
-        sign_psbt(psbt, intruder, inst.tweak_data)
+        sign_psbt(psbt, intruder, inst)
     # oracles are not signers of the request row either
     with pytest.raises(NotASigner):
-        sign_psbt(psbt, world.oracles[0], inst.tweak_data)
+        sign_psbt(psbt, world.oracles[0], inst)
 
 
 def test_finalize_requires_counterparty_signature(world):
@@ -400,7 +400,7 @@ def test_allowed_signers_are_the_row_leaf_keys(transition, n_oracles):
         for pk in source.leaf(path_id).policy.keys()
     }
     template = build_psbt(transition, inst, (Outpoint("ab" * 32, 0), 10_000))
-    signers = allowed_signers(template, inst.tweak_data)
+    signers = allowed_signers(template, inst)
     assert len(signers) == len(set(signers))
     assert set(signers) == expected
 
@@ -421,17 +421,69 @@ def test_finalize_refuses_each_missing_leaf_key(transition, n_oracles):
         template = build_psbt(transition, inst, spent)
         for pub_hex in others:
             if pub_hex != missing:
-                sign_psbt(template, parties[pub_hex], inst.tweak_data)
+                sign_psbt(template, parties[pub_hex], inst)
         before = dict(template.partial_sigs)
         with pytest.raises(MissingCounterpartySig):
             finalize_to_tx(template, executor, inst)
         assert template.partial_sigs == before
     template = build_psbt(transition, inst, spent)
     for pub_hex in others:
-        sign_psbt(template, parties[pub_hex], inst.tweak_data)
+        sign_psbt(template, parties[pub_hex], inst)
     tx = finalize_to_tx(template, executor, inst)
     assert tx.inputs[0].path_id == path_id
     assert len(tx.inputs[0].witness) == len(others) + 1
+
+
+RESOLVE_ROWS = [Transition.UNBOND_RESOLVE, Transition.REBALANCE_RESOLVE]
+
+
+@pytest.mark.parametrize("transition", RESOLVE_ROWS, ids=lambda t: t.value)
+def test_depositor_resolves_through_lowest_signed_oracle_leaf(transition):
+    inst, parties = leaf_instance(3)
+    dep = parties["dep"]
+    oracles = [parties[pk.compressed().hex()] for pk in inst.tweak_data.ao_pks]
+    template = build_psbt(transition, inst, (Outpoint("ab" * 32, 0), 10_000))
+    sign_psbt(template, dep, inst)
+    for oracle in (oracles[2], oracles[1]):
+        sign_psbt(template, oracle, inst)
+    tx = finalize_to_tx(template, dep, inst)
+    assert tx.inputs[0].path_id == "dep_ao_1"
+    assert tx.inputs[0].witness == [
+        template.partial_sigs[dep.public_hex],
+        template.partial_sigs[oracles[1].public_hex],
+    ]
+
+
+@pytest.mark.parametrize("transition", RESOLVE_ROWS, ids=lambda t: t.value)
+def test_depositor_resolve_refusals_leave_signatures_unchanged(transition):
+    inst, parties = leaf_instance(3)
+    template = build_psbt(transition, inst, (Outpoint("ab" * 32, 0), 10_000))
+    sign_psbt(template, parties["dep"], inst)
+    before = dict(template.partial_sigs)
+    with pytest.raises(MissingCounterpartySig):
+        finalize_to_tx(template, parties["dep"], inst)
+    assert template.partial_sigs == before
+    with pytest.raises(NotASigner):
+        finalize_to_tx(template, keypair_from_seed(b"intruder"), inst)
+    assert template.partial_sigs == before
+
+
+def test_psbt_steps_derive_no_addresses(monkeypatch):
+    inst, parties = leaf_instance(2)
+
+    def refuse(tweak_data):
+        raise AssertionError("a PSBT step derived the instance addresses again")
+
+    monkeypatch.setattr(psbt_module, "build_protocol_addresses", refuse)
+    spent = (Outpoint("ab" * 32, 0), 10_000)
+    template = build_psbt(Transition.UNBOND_RESOLVE, inst, spent)
+    sign_psbt(template, parties["dep"], inst)
+    sign_psbt(template, parties["ao"], inst)
+    assert allowed_signers(template, inst)
+    assert verify_partial_sigs(template, inst)
+    assert verify_psbt_against_instance(template, inst, *spent)
+    tx = finalize_to_tx(template, parties["ao"], inst)
+    assert tx.inputs[0].path_id == "dep_ao_1"
 
 
 def test_unbond_request_round_trip(world):
@@ -504,7 +556,7 @@ def test_add_fee_input_preserves_acp_signatures(world):
     chain = world.chain
     outpoint_str, _ = next(iter(inst.deposits.items()))
     request = inst.to_psbts[outpoint_str][Transition.REBALANCE_REQUEST]
-    sign_psbt(request, world.to, inst.tweak_data)
+    sign_psbt(request, world.to, inst)
     req_tx = finalize_to_tx(request, world.to, inst)
     chain.submit_tx(req_tx)
     chain.mine_block()
@@ -595,9 +647,9 @@ def test_output_mutation_invalidates_presignatures(world):
     for trial in range(60):
         name = names[trial % len(names)]
         psbt = PsbtTemplate.from_text(world.registry.get_stored_psbt(outpoint_str, name))
-        assert verify_partial_sigs(psbt, inst.tweak_data)
+        assert verify_partial_sigs(psbt, inst)
         mutated = mutate_one_output(psbt, rng, attacker)
-        assert not verify_partial_sigs(mutated, inst.tweak_data), (trial, name)
+        assert not verify_partial_sigs(mutated, inst), (trial, name)
 
 
 def test_mutated_request_rejected_on_chain(world):
@@ -736,7 +788,7 @@ def test_deposit_set_has_one_presignature_per_row(world):
             continue
         # any other row spends output 0 of the row paying to its source
         parents = [
-            p for p in per.values() if TRANSITION_SPECS[p.transition].dest == spec.source.lower()
+            p for p in per.values() if TRANSITION_SPECS[p.transition].dest == spec.source
         ]
         assert len(parents) == 1, t
         assert template.outpoint == Outpoint(parents[0].txid, 0), t
@@ -776,6 +828,6 @@ def test_verify_against_instance_rejects_one_changed_field(world, name):
         stored, partial_sigs={}, **{name: FIELD_CHANGES[name](stored)}
     )
     # re-signed, so only the field comparison can tell the two apart
-    sign_psbt(changed, world.to, inst.tweak_data)
-    assert verify_partial_sigs(changed, inst.tweak_data)
+    sign_psbt(changed, world.to, inst)
+    assert verify_partial_sigs(changed, inst)
     assert not verify_psbt_against_instance(changed, inst, outpoint, value)
