@@ -6,16 +6,23 @@ advances a fixed number of slots.  All behavior is deterministic; attack
 and failure scenarios are expressed as behavior flags with trigger
 heights, never as random events.
 
-Money handling conventions:
+Every row an actor broadcasts goes through ``World.execute``, which
+countersigns it as the executor and, when the committed fee is below the
+next block's rate, tops it up as the row's catalogue ``fee_mode`` says:
+an ``anchor`` row (requests, challenges, cooperative exits) gets a child
+spending its anchor; an ``acp`` row (oracle resolutions) gets a fee
+input carved to the exact missing amount, whose carving parent confirms
+in the same block; a ``self`` row (finalizes, timelocked claims) goes
+out as it is, matures in the mempool and confirms at the first legal
+height.
 
-* anchor rows (requests, challenges, cooperative exits) are broadcast
-  together with a child spending the anchor whenever the committed fee
-  is below the current feerate,
-* oracle resolutions extend the transaction with a fee input carved to
-  the exact missing amount (the carving parent confirms in the same
-  block),
-* timelocked claims are submitted as soon as the signer is willing; they
-  mature in the mempool and confirm at the first legal height.
+The token operator keeps no dispute records.  Each block it follows
+every moved deposit's spine (``BtcChain.spine_end``) to the output the
+deposit now rests on: an unbonding output whose record still holds
+tokens is a theft to challenge, and a challenge output older than t2 is
+the operator's to claim.  Its ``_rebalanced`` flag and
+``_false_rebalanced`` set record attempts, not outcomes: a rebalance
+request the mempool refused leaves nothing on the chain to read.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from .chain import BtcChain, Outpoint, SighashFlag, SimTx, TxInput, TxOutput, Tx
 from .destchain import DestChain, TO_SIGNER, sign_checkpoint
 from .keys import Keypair, sign_digest
 from .psbt import (
+    TRANSITION_SPECS,
     ProtocolInstance,
     PsbtTemplate,
     Transition,
@@ -35,7 +43,6 @@ from .psbt import (
     build_psbt,
     finalize_to_tx,
     required_child_fee,
-    sign_psbt,
 )
 from .registry import EXIT_STATUSES, Registry, UtxoStatus
 
@@ -65,8 +72,7 @@ def send_btc(
 ) -> SimTx | None:
     """Plain key-spend payment with change."""
     address_id = chain.ensure_key_address(keypair.public)
-    rate = chain.fee_schedule.rate_at(chain.height + 1)
-    fee = rate * 3
+    fee = chain.next_rate() * 3
     for utxo in spendable_utxos(chain, address_id):
         if utxo.value < amount + fee:
             continue
@@ -169,7 +175,7 @@ class DepositorActor:
                 world.registry.burn_deposit(outpoint, self.owner)
             text = world.registry.get_stored_psbt(outpoint, Transition.UNBOND_REQUEST.value)
             template = PsbtTemplate.from_text(text)
-            world.broadcast_anchor_row(template, self.keypair, instance, self.name)
+            world.execute(template, self.keypair, instance, self.name)
             flow["state"] = "requested"
             flow["request_txid"] = template.txid
             self.exit_started_at[outpoint] = height
@@ -198,11 +204,10 @@ class DepositorActor:
                         Transition.UNBOND_FINALIZE,
                         instance,
                         (uta_op, utxo.value),
-                        fee=chain.fee_schedule.rate_at(height + 1) * 2,
+                        fee=chain.next_rate() * 2,
                     )
-                    sign_psbt(template, self.keypair, instance)
-                    tx = finalize_to_tx(template, self.keypair, instance)
-                    if world.safe_submit(tx, self.name, "unbond_finalize"):
+                    tx = world.execute(template, self.keypair, instance, self.name)
+                    if tx is not None:
                         flow["finalize_txid"] = tx.txid
                 return
             if chain.spent_by.get(uta_op):
@@ -227,11 +232,18 @@ class DepositorActor:
             template = PsbtTemplate.from_text(text)
             if template.outpoint != ch_op:
                 return
-            sign_psbt(template, leaked, instance)
-            tx = finalize_to_tx(template, leaked, instance)
-            world.broadcast_with_fee_input(tx, template.fee, self.keypair, self.name)
+            world.execute(template, leaked, instance, self.name, fee_payer=self.keypair)
             world.log(self.name, "self_resolved_with_leaked_key", outpoint=outpoint)
             flow["state"] = "stolen"
+
+
+# the row the operator executes on a challenge output that outlived t2,
+# by the address kind the output sits on
+_CLAIM_ROWS = {
+    spec.source: transition
+    for transition, spec in TRANSITION_SPECS.items()
+    if spec.executor == "to" and spec.source in ("UCA", "RCA")
+}
 
 
 class TokenOperatorActor:
@@ -239,74 +251,61 @@ class TokenOperatorActor:
         self.name = name
         self.keypair = keypair
         self.behavior = behavior
-        self.disputes: dict[str, dict] = {}  # deposit outpoint -> challenge progress
         self._rebalanced = False
-        self._false_rebalanced: set[str] = set()
+        self._false_rebalanced: set[str] = set()  # seizure attempts, admitted or not
 
     def signed_checkpoint(self, dest: DestChain):
         return sign_checkpoint(dest.latest_finalized(), self.keypair, TO_SIGNER)
 
     def step(self, world: "World") -> None:
-        self._watch_vaults(world)
+        resting = self._resting_outputs(world)
+        if self.behavior.challenge_thefts:
+            self._challenge_thefts(world, resting)
         if self.behavior.false_rebalance_at is not None:
             self._false_rebalance(world)
         if self.behavior.rebalance_at is not None:
             self._rebalance_duty(world)
         if self.behavior.claim_expired:
-            self._claim_expired(world)
+            self._claim_expired(world, resting)
         if self.behavior.pay_over_seizure:
             self._pay_claims(world)
 
-    # -- duty: challenge unbond requests that keep tokens alive -------------
-
-    def _watch_vaults(self, world: "World") -> None:
-        if not self.behavior.challenge_thefts:
-            return
+    @staticmethod
+    def _resting_outputs(world: "World") -> list[tuple[ProtocolInstance, str, Utxo]]:
+        """``(instance, deposit, utxo)`` for each deposit whose vault output
+        has a confirmed spend: the unspent output at the end of its spine."""
         chain = world.chain
+        resting = []
         for instance in world.instances:
             for outpoint in instance.deposits:
-                dispute = self.disputes.setdefault(outpoint, {})
-                if "challenge_txid" in dispute:
-                    continue
-                txid, index = outpoint.rsplit(":", 1)
-                spender = chain.spent_by.get(Outpoint(txid, int(index)))
-                if spender is None:
-                    continue
-                request = chain.tx_index[spender]
-                if not request.outputs:
-                    continue
-                if request.outputs[0].address_id != instance.addresses.uta.address_id:
-                    continue  # not an unbond request (rebalance or cooperative)
-                record = world.registry.records.get(outpoint)
-                if (
-                    record is not None
-                    and record.status in EXIT_STATUSES
-                    and not self.behavior.challenge_legitimate
-                ):
-                    continue  # legitimate exit, nothing to dispute
-                templates = instance.to_psbts.get(outpoint)
-                if templates is None:
-                    continue
-                template = templates[Transition.UNBOND_CHALLENGE]
-                if template.outpoint.txid != request.txid:
-                    continue  # request was not the pre-agreed chain
-                world.broadcast_anchor_row(template, self.keypair, instance, self.name)
-                dispute["challenge_txid"] = template.txid
-                dispute["kind"] = "UCA"
-                world.log(self.name, "unbond_challenge", outpoint=outpoint)
+                end, moved_at = chain.spine_end(Outpoint.parse(outpoint))
+                utxo = None if moved_at is None else chain.utxo_set.get(end)
+                if utxo is not None:
+                    resting.append((instance, outpoint, utxo))
+        return resting
+
+    # -- duty: challenge unbond requests that keep tokens alive -------------
+
+    def _challenge_thefts(self, world: "World", resting: list) -> None:
+        for instance, outpoint, utxo in resting:
+            if utxo.address_id != instance.address_ids["UTA"]:
+                continue
+            record = world.registry.records.get(outpoint)
+            if (
+                record is not None
+                and record.status in EXIT_STATUSES
+                and not self.behavior.challenge_legitimate
+            ):
+                continue  # legitimate exit, nothing to dispute
+            template = instance.to_psbts[outpoint][Transition.UNBOND_CHALLENGE]
+            if template.outpoint != utxo.outpoint:
+                continue  # the request was not the pre-agreed row
+            if world.chain.spender(utxo.outpoint) is not None:
+                continue
+            world.execute(template, self.keypair, instance, self.name)
+            world.log(self.name, "unbond_challenge", outpoint=outpoint)
 
     # -- duty and attack: rebalance --------------------------------------------
-
-    def _broadcast_rebalance(self, world: "World", instance: ProtocolInstance, outpoint: str):
-        templates = instance.to_psbts.get(outpoint)
-        if templates is None:
-            return None
-        template = templates[Transition.REBALANCE_REQUEST]
-        world.broadcast_anchor_row(template, self.keypair, instance, self.name)
-        dispute = self.disputes.setdefault(outpoint, {})
-        dispute["challenge_txid"] = template.txid
-        dispute["kind"] = "RCA"
-        return template
 
     def _false_rebalance(self, world: "World") -> None:
         if world.chain.height < self.behavior.false_rebalance_at:
@@ -318,13 +317,13 @@ class TokenOperatorActor:
                 record = world.registry.records.get(outpoint)
                 if record is None or record.status is not UtxoStatus.ACTIVE:
                     continue
-                utxo_txid, index = outpoint.rsplit(":", 1)
-                if Outpoint(utxo_txid, int(index)) not in world.chain.utxo_set:
+                if Outpoint.parse(outpoint) not in world.chain.utxo_set:
                     continue
-                if self._broadcast_rebalance(world, instance, outpoint) is not None:
-                    self._false_rebalanced.add(outpoint)
-                    world.log(self.name, "false_rebalance_request", outpoint=outpoint)
-                    return  # one seizure attempt per scenario
+                template = instance.to_psbts[outpoint][Transition.REBALANCE_REQUEST]
+                world.execute(template, self.keypair, instance, self.name)
+                self._false_rebalanced.add(outpoint)
+                world.log(self.name, "false_rebalance_request", outpoint=outpoint)
+                return  # one seizure attempt per block
 
     def _rebalance_duty(self, world: "World") -> None:
         if self._rebalanced or world.chain.height < self.behavior.rebalance_at:
@@ -348,42 +347,29 @@ class TokenOperatorActor:
             for outpoint, _amount in event.selected:
                 for instance in world.instances:
                     if outpoint in instance.deposits:
-                        self._broadcast_rebalance(world, instance, outpoint)
+                        template = instance.to_psbts[outpoint][Transition.REBALANCE_REQUEST]
+                        world.execute(template, self.keypair, instance, self.name)
                         break
 
     # -- duty: collect expired challenge outputs -----------------------------
 
-    def _claim_expired(self, world: "World") -> None:
+    def _claim_expired(self, world: "World", resting: list) -> None:
         chain = world.chain
-        for instance in world.instances:
-            for outpoint, dispute in self.disputes.items():
-                if "challenge_txid" not in dispute or dispute.get("claim_txid"):
-                    continue
-                if outpoint not in instance.deposits:
-                    continue
-                ch_op = Outpoint(dispute["challenge_txid"], 0)
-                utxo = chain.utxo_set.get(ch_op)
-                if utxo is None:
-                    continue
-                if chain.spender(ch_op) is not None:
-                    continue
-                if chain.height < utxo.confirmed_height + instance.tweak_data.t2 - 1:
-                    continue
-                transition = (
-                    Transition.UNBOND_RESOLVE_EXPIRED
-                    if dispute["kind"] == "UCA"
-                    else Transition.REBALANCE_RESOLVE_EXPIRED
-                )
-                template = build_psbt(
-                    transition,
-                    instance,
-                    (ch_op, utxo.value),
-                    fee=chain.fee_schedule.rate_at(chain.height + 1) * 2,
-                )
-                sign_psbt(template, self.keypair, instance)
-                tx = finalize_to_tx(template, self.keypair, instance)
-                if world.safe_submit(tx, self.name, transition.value):
-                    dispute["claim_txid"] = tx.txid
+        for instance, _outpoint, utxo in resting:
+            kind = next(
+                (k for k in _CLAIM_ROWS if instance.address_ids[k] == utxo.address_id), None
+            )
+            if kind is None or chain.height < utxo.confirmed_height + instance.tweak_data.t2 - 1:
+                continue
+            if chain.spender(utxo.outpoint) is not None:
+                continue
+            template = build_psbt(
+                _CLAIM_ROWS[kind],
+                instance,
+                (utxo.outpoint, utxo.value),
+                fee=chain.next_rate() * 2,
+            )
+            world.execute(template, self.keypair, instance, self.name)
 
     # -- duty: repay over-seized value ----------------------------------------
 
@@ -487,8 +473,8 @@ class OracleActor:
                 status=outcome.status.value,
             )
             return
-        tx = finalize_to_tx(template, self.oracle.keypair, instance)
-        if world.broadcast_with_fee_input(tx, template.fee, self.oracle.keypair, self.name):
+        tx = world.execute(template, self.oracle.keypair, instance, self.name)
+        if tx is not None:
             world.log(self.name, action, outpoint=str(deposit_op), txid=tx.txid)
 
 
@@ -528,32 +514,42 @@ class World:
         entry.update(fields)
         self.trace.append(entry)
 
-    # -- shared broadcast plumbing -----------------------------------------
+    # -- the one broadcast path ---------------------------------------------
 
-    def safe_submit(self, tx: SimTx, actor: str, action: str) -> bool:
-        try:
-            self.chain.submit_tx(tx)
-        except TxRejected as exc:
-            self.log(actor, f"{action}_rejected", reason=type(exc).__name__)
-            return False
-        self.log(actor, action, txid=tx.txid)
-        return True
-
-    def broadcast_anchor_row(
+    def execute(
         self,
         template: PsbtTemplate,
         executor: Keypair,
         instance: ProtocolInstance,
         actor: str,
+        fee_payer: Keypair | None = None,
     ) -> SimTx | None:
+        """Countersign ``template`` as ``executor`` and broadcast it with the
+        fee top-up its ``fee_mode`` asks for (see the module docstring);
+        ``fee_payer``, when given, pays an ``acp`` fee input instead of the
+        executor.  Returns the countersigned row without any fee input, or
+        None when it was not admitted."""
         tx = finalize_to_tx(template, executor, instance)
-        if not self.safe_submit(tx, actor, template.transition.value):
+        mode = TRANSITION_SPECS[template.transition].fee_mode
+        rate = self.chain.next_rate()
+        short = template.fee < rate * tx.weight
+        sent, action = tx, "broadcast" if mode == "acp" else template.transition.value
+        if mode == "acp" and short:
+            payer = fee_payer or executor
+            fee_utxo = carve_fee_utxo(self.chain, payer, rate * (tx.weight + 1) - template.fee)
+            if fee_utxo is None:
+                self.log(actor, "fee_input_no_funds", txid=tx.txid)
+                return None
+            sent, action = add_fee_input(tx, fee_utxo, payer), "broadcast_with_fee"
+        try:
+            self.chain.submit_tx(sent)
+        except TxRejected as exc:
+            self.log(actor, f"{action}_rejected", reason=type(exc).__name__)
             return None
-        rate = self.chain.fee_schedule.rate_at(self.chain.height + 1)
-        f0 = template.fee
-        if f0 >= rate * tx.weight:
+        self.log(actor, action, txid=sent.txid)
+        if mode != "anchor" or not short:
             return tx
-        target = required_child_fee(f0, rate * tx.weight, rate * 3)
+        target = required_child_fee(template.fee, rate * tx.weight, rate * 3)
         address_id = self.chain.ensure_key_address(executor.public)
         anchor_value = tx.outputs[tx.anchor_index].value if tx.anchor_index is not None else 0
         for utxo in spendable_utxos(self.chain, address_id):
@@ -567,20 +563,6 @@ class World:
                 return tx
         self.log(actor, "cpfp_no_funds", parent=tx.txid)
         return tx
-
-    def broadcast_with_fee_input(
-        self, tx: SimTx, committed_fee: int, fee_payer: Keypair, actor: str
-    ) -> bool:
-        rate = self.chain.fee_schedule.rate_at(self.chain.height + 1)
-        if committed_fee >= rate * tx.weight:
-            return self.safe_submit(tx, actor, "broadcast")
-        needed = rate * (tx.weight + 1) - committed_fee
-        fee_utxo = carve_fee_utxo(self.chain, fee_payer, needed)
-        if fee_utxo is None:
-            self.log(actor, "fee_input_no_funds", txid=tx.txid)
-            return False
-        bumped = add_fee_input(tx, fee_utxo, fee_payer)
-        return self.safe_submit(bumped, actor, "broadcast_with_fee")
 
     # -- the clock ---------------------------------------------------------
 

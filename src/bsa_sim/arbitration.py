@@ -328,8 +328,7 @@ class ArbitrationOracle:
         if all(self.keypair.public != pk for pk in instance.tweak_data.ao_pks):
             return Rejection(1, "record", "this oracle is not a member of the instance")
 
-        txid, index = outpoint.rsplit(":", 1)
-        spent = Outpoint(txid, int(index))
+        spent = Outpoint.parse(outpoint)
         for step, (transition, tx) in enumerate(rows, start=2):
             spec = TRANSITION_SPECS[transition]
             inp = tx.inputs[0] if tx.inputs else None

@@ -23,18 +23,24 @@ Confirmation rule per block at required feerate ``rate``:
 Validation: one input checker, ``BtcChain.check_input``, holds the
 spending rule: the path exists, the witness has one signature per key
 in key order (``check_witness``, which the arbitration oracle shares),
-and a delay leaf's relative timelock has passed.  It runs at admission
-in ``submit_tx`` (without the timelock, which can mature later), in
-``verify_spend`` at a given height, and in ``mine_block`` for every
-candidate at the new height.  A prevout confirmed in the same block, or
-still in the mempool, has aged zero blocks, so a delay spend never
-confirms in the block of its parent.
+and a delay leaf's relative timelock has passed.  One routine,
+``BtcChain._check_tx``, checks and prices a transaction: it resolves
+each input from the UTXO set or from unconfirmed parents (the mempool
+at admission and in ``verify_spend``, the transactions already chosen
+when ``mine_block`` assembles a block), rejects a negative fee and runs
+``check_input`` on every input.  Admission skips the timelock, which
+can mature later; an unconfirmed prevout has aged zero blocks, so a
+delay spend never confirms in the block of its parent.
 
 Spend facts have one source each.  ``BtcChain.spender`` returns the
 transaction spending an outpoint: the confirmed one, else the mempool
 one, else None; admission's double-spend check, the anchor-package rule
 and the actors' wallet ask it.  ``confirmed_at`` maps each confirmed
-txid to its height, in confirmation order, for the grader.
+txid to its height, in confirmation order.  ``BtcChain.spine_end``
+follows a deposit's spine, its confirmed spends through output 0, to
+the outpoint its value rests on, for the grader and the operator.
+``Outpoint.parse`` reads the ``txid:index`` spelling, and
+``BtcChain.next_rate`` is the feerate the next block asks for.
 """
 
 from __future__ import annotations
@@ -124,6 +130,12 @@ class Outpoint:
 
     def __str__(self) -> str:
         return f"{self.txid}:{self.index}"
+
+    @classmethod
+    def parse(cls, text: str) -> "Outpoint":
+        """Read the ``txid:index`` spelling that ``str`` writes."""
+        txid, index = text.rsplit(":", 1)
+        return cls(txid, int(index))
 
 
 @dataclass
@@ -273,26 +285,19 @@ class BtcChain:
         out.sort(key=lambda u: (u.confirmed_height, str(u.outpoint)))
         return out
 
-    # -- input resolution -------------------------------------------------
+    def spine_end(self, outpoint: Outpoint) -> tuple[Outpoint, int | None]:
+        """Follow the output-0 spine of confirmed spends from ``outpoint``;
+        return the outpoint it rests on and the height of the last hop
+        (None when ``outpoint`` itself is unspent)."""
+        moved_at = None
+        while (txid := self.spent_by.get(outpoint)) is not None:
+            outpoint = Outpoint(txid, 0)
+            moved_at = self.confirmed_at[txid]
+        return outpoint, moved_at
 
-    def resolve_prevout(self, outpoint: Outpoint) -> tuple[TxOutput, int | None]:
-        """Return (prev output, confirmed height or None if in mempool)."""
-        utxo = self.utxo_set.get(outpoint)
-        if utxo is not None:
-            return TxOutput(utxo.address_id, utxo.value), utxo.confirmed_height
-        parent = self.mempool.get(outpoint.txid)
-        if parent is not None and outpoint.index < len(parent.outputs):
-            return parent.outputs[outpoint.index], None
-        if outpoint in self.spent_by:
-            raise DoubleSpend(f"{outpoint} already spent by {self.spent_by[outpoint]}")
-        raise UnknownInput(str(outpoint))
-
-    def tx_fee(self, tx: SimTx) -> int:
-        total_in = 0
-        for inp in tx.inputs:
-            prevout, _ = self.resolve_prevout(inp.outpoint)
-            total_in += prevout.value
-        return total_in - tx.output_sum()
+    def next_rate(self) -> int:
+        """The feerate the next block asks for."""
+        return self.fee_schedule.rate_at(self.height + 1)
 
     # -- input validation ---------------------------------------------------
 
@@ -330,6 +335,31 @@ class BtcChain:
                     f"input {index} needs {policy.delay_blocks} blocks, has {age}"
                 )
 
+    def _check_tx(self, tx: SimTx, parents: dict[str, SimTx], height: int | None) -> int:
+        """Resolve the inputs of ``tx`` from the UTXO set or from unconfirmed
+        ``parents``, reject a negative fee, run ``check_input`` on every
+        input at ``height`` and return the fee."""
+        prevouts: list[tuple[TxOutput, int | None]] = []
+        for inp in tx.inputs:
+            op = inp.outpoint
+            utxo = self.utxo_set.get(op)
+            if utxo is not None:
+                prevouts.append((TxOutput(utxo.address_id, utxo.value), utxo.confirmed_height))
+                continue
+            parent = parents.get(op.txid)
+            if parent is not None and op.index < len(parent.outputs):
+                prevouts.append((parent.outputs[op.index], None))
+            elif op in self.spent_by:
+                raise DoubleSpend(f"{op} already spent by {self.spent_by[op]}")
+            else:
+                raise UnknownInput(str(op))
+        fee = sum(prevout.value for prevout, _ in prevouts) - tx.output_sum()
+        if fee < 0:
+            raise InvalidValue("outputs exceed inputs")
+        for i, (prevout, conf_height) in enumerate(prevouts):
+            self.check_input(tx, i, prevout, conf_height, height)
+        return fee
+
     # -- mempool -----------------------------------------------------------
 
     def submit_tx(self, tx: SimTx) -> str:
@@ -348,10 +378,7 @@ class BtcChain:
             other = self.spender(inp.outpoint)
             if other is not None:
                 raise DoubleSpend(f"{inp.outpoint} already spent by {other.txid}")
-        if self.tx_fee(tx) < 0:
-            raise InvalidValue("outputs exceed inputs")
-        for i, inp in enumerate(tx.inputs):
-            self.check_input(tx, i, *self.resolve_prevout(inp.outpoint), None)
+        self._check_tx(tx, self.mempool, None)
         self.mempool[tx.txid] = tx
         self.mempool_arrival[tx.txid] = self.height
         return tx.txid
@@ -367,65 +394,44 @@ class BtcChain:
                 return tx
         return None
 
-    def _spendable_now(self, tx: SimTx, height: int, in_block: dict[str, SimTx]) -> bool:
-        """Every input spends a UTXO or an output of a tx chosen earlier in
-        this block, and passes ``check_input`` at ``height``."""
-        for i, inp in enumerate(tx.inputs):
-            utxo = self.utxo_set.get(inp.outpoint)
-            if utxo is not None:
-                prevout, conf_height = TxOutput(utxo.address_id, utxo.value), utxo.confirmed_height
-            else:
-                parent = in_block.get(inp.outpoint.txid)
-                if parent is None or inp.outpoint.index >= len(parent.outputs):
-                    return False
-                prevout, conf_height = parent.outputs[inp.outpoint.index], None
-            try:
-                self.check_input(tx, i, prevout, conf_height, height)
-            except TxRejected:
-                return False
-        return True
-
     def mine_block(self) -> list[str]:
         """Advance one block, confirming every mempool transaction whose
         own or anchor-package feerate meets the schedule."""
         self.height += 1
         height = self.height
         rate = self.fee_schedule.rate_at(height)
-        chosen: list[SimTx] = []
-        chosen_map: dict[str, SimTx] = {}
+        chosen: dict[str, SimTx] = {}  # in confirmation order
         order = sorted(self.mempool, key=lambda t: (self.mempool_arrival[t], t))
 
         changed = True
         while changed:
             changed = False
             for txid in order:
-                if txid in chosen_map:
+                if txid in chosen:
                     continue
                 tx = self.mempool[txid]
-                if not self._spendable_now(tx, height, chosen_map):
+                try:
+                    fee = self._check_tx(tx, chosen, height)
+                except TxRejected:
                     continue
-                fee = self.tx_fee(tx)
-                if fee >= rate * tx.weight:
-                    chosen.append(tx)
-                    chosen_map[txid] = tx
-                    changed = True
-                    continue
-                anchor = None if tx.anchor_index is None else Outpoint(txid, tx.anchor_index)
-                child = None if anchor is None else self.spender(anchor)
-                if child is not None and child.txid not in chosen_map:
-                    trial = dict(chosen_map)
-                    trial[txid] = tx
-                    if self._spendable_now(child, height, trial):
-                        pkg_fee = fee + self.tx_fee(child)
-                        pkg_weight = tx.weight + child.weight
-                        if pkg_fee >= rate * pkg_weight:
-                            chosen.append(tx)
-                            chosen_map[txid] = tx
-                            chosen.append(child)
-                            chosen_map[child.txid] = child
-                            changed = True
+                package = [tx]
+                if fee < rate * tx.weight:
+                    anchor = None if tx.anchor_index is None else Outpoint(txid, tx.anchor_index)
+                    child = None if anchor is None else self.spender(anchor)
+                    if child is None or child.txid in chosen:
+                        continue
+                    try:
+                        fee += self._check_tx(child, {**chosen, txid: tx}, height)
+                    except TxRejected:
+                        continue
+                    if fee < rate * (tx.weight + child.weight):
+                        continue
+                    package.append(child)
+                for member in package:
+                    chosen[member.txid] = member
+                changed = True
 
-        for tx in chosen:
+        for tx in chosen.values():
             for inp in tx.inputs:
                 self.utxo_set.pop(inp.outpoint, None)
                 self.spent_by[inp.outpoint] = tx.txid
@@ -447,7 +453,7 @@ class BtcChain:
             del self.mempool[txid]
             del self.mempool_arrival[txid]
 
-        return [tx.txid for tx in chosen]
+        return list(chosen)
 
 
 def verify_spend(tx: SimTx, chain: BtcChain, at_height: int | None = None) -> bool:
@@ -455,8 +461,5 @@ def verify_spend(tx: SimTx, chain: BtcChain, at_height: int | None = None) -> bo
     given height (default: next block).  Raises a TxRejected subclass on
     the first violated rule; returns True when every input is valid."""
     height = chain.height + 1 if at_height is None else at_height
-    for i, inp in enumerate(tx.inputs):
-        chain.check_input(tx, i, *chain.resolve_prevout(inp.outpoint), height)
-    if chain.tx_fee(tx) < 0:
-        raise InvalidValue("outputs exceed inputs")
+    chain._check_tx(tx, chain.mempool, height)
     return True

@@ -13,8 +13,9 @@ state rather than from the actors' own claims:
   legitimately gained on-chain, net of over-seizure repayments.
 * protocol safety: both of the above.
 
-Deposits are traced at face value through the output-0 spine of their
-spending chain, which makes the verdicts independent of fee noise.
+Deposits are traced at face value to the end of their spine, the chain
+of confirmed spends through output 0 that ``BtcChain.spine_end`` walks,
+which makes the verdicts independent of fee noise.
 
 The failure matrix re-runs eight scripted scenarios spanning honest
 operation, a lying operator, depositor theft (with and without a leaked
@@ -166,18 +167,6 @@ def build_world(config: ScenarioConfig, sar_tamper=None) -> World:
 # verdict accounting
 
 
-def _terminal(chain: BtcChain, start: Outpoint):
-    """Follow the output-0 spine of confirmed spends; returns the resting
-    outpoint and the height of the last hop."""
-    current, moved_at = start, None
-    while True:
-        txid = chain.spent_by.get(current)
-        if txid is None:
-            return current, moved_at
-        current = Outpoint(txid, 0)
-        moved_at = chain.confirmed_at[txid]
-
-
 def _location(instance, address_id: str) -> str:
     if any(address_id == a.address_id for a in instance.addresses.all()):
         return "instance"
@@ -196,10 +185,8 @@ def _instance_for(world: World, record) -> object | None:
 
 
 def _deposit_index(instance, outpoint: str) -> int | None:
-    txid, index = outpoint.rsplit(":", 1)
-    if txid == instance.funding_txid:
-        return int(index)
-    return None
+    vault = Outpoint.parse(outpoint)
+    return vault.index if vault.txid == instance.funding_txid else None
 
 
 def _deposit_attacked(config: ScenarioConfig, index: int | None) -> bool:
@@ -226,8 +213,7 @@ def compute_verdicts(world: World, config: ScenarioConfig) -> Verdicts:
         instance = _instance_for(world, record)
         if instance is None:
             continue
-        txid, index = outpoint.rsplit(":", 1)
-        terminal, moved_at = _terminal(chain, Outpoint(txid, int(index)))
+        terminal, moved_at = chain.spine_end(Outpoint.parse(outpoint))
         utxo = chain.utxo_set.get(terminal)
         if utxo is None:
             locations[outpoint] = "other"

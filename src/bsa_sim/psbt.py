@@ -189,6 +189,28 @@ SAR_ROWS = tuple(t for t in DEPOSIT_ROWS if TRANSITION_SPECS[t].stored_on == "sa
 TO_ROWS = tuple(t for t in DEPOSIT_ROWS if TRANSITION_SPECS[t].stored_on == "to")
 
 
+def _base_cost(spec: TransitionSpec, n_main: int = 1) -> tuple[int, int]:
+    """The base fee and the anchor dust a row with ``n_main`` main outputs
+    takes off its input value."""
+    has_anchor = spec.fee_mode == "anchor"
+    return BASE_FEE_RATE * (1 + n_main + has_anchor), ANCHOR_VALUE * has_anchor
+
+
+def _min_deposit() -> int:
+    """The smallest deposit on which every row of ``DEPOSIT_ROWS`` keeps a
+    main output, each row taking its base cost off what its parent pays."""
+    taken = {"VA": 0}  # address kind -> value the rows up to it have taken
+    most = 0
+    for transition in DEPOSIT_ROWS:
+        spec = TRANSITION_SPECS[transition]
+        taken[spec.dest] = taken[spec.source] + sum(_base_cost(spec))
+        most = max(most, taken[spec.dest])
+    return most + 1
+
+
+MIN_DEPOSIT = _min_deposit()  # sat; a smaller deposit cannot build its rows
+
+
 @dataclass
 class PsbtTemplate:
     transition: Transition
@@ -313,12 +335,9 @@ def build_psbt(
     spec = TRANSITION_SPECS[transition]
     outpoint, value = spent
     dest = instance.address_ids[spec.dest]
-    has_anchor = spec.fee_mode == "anchor"
-    n_main = len(value_split) if value_split else 1
-    weight = 1 + n_main + (1 if has_anchor else 0)
+    base_fee, anchor_value = _base_cost(spec, len(value_split) if value_split else 1)
     if fee is None:
-        fee = BASE_FEE_RATE * weight
-    anchor_value = ANCHOR_VALUE if has_anchor else 0
+        fee = base_fee
 
     if value_split is not None:
         if sum(value_split) != value - fee - anchor_value:
@@ -333,7 +352,7 @@ def build_psbt(
 
     outputs = [TxOutput(dest, v) for v in main_values]
     anchor_index = None
-    if has_anchor:
+    if anchor_value:
         anchor_kind = "dep_return" if spec.executor == "dep" else "to_key"
         outputs.append(TxOutput(instance.address_ids[anchor_kind], anchor_value))
         anchor_index = len(outputs) - 1

@@ -51,9 +51,11 @@ that does not exceed (``t1`` + ``t2``) blocks of ``slots_per_block``
 slots (``registry.check_timelocks``), a negative height (``exit_at``,
 ``leak_tokens_at``, ``rebalance_at``, ``false_rebalance_at``,
 ``dest_halted_at``, or one in ``fee_steps``) or rate in ``fee_steps``,
-an ``offline`` window that does not end after it starts, and an
-``exit_deposit_index`` that names no deposit.  So is a file that is not
-UTF-8 text.
+an ``offline`` window that does not end after it starts, an
+``exit_deposit_index`` that names no deposit, and ``amounts`` that are
+empty or hold one below ``psbt.MIN_DEPOSIT``, too small to pay the base
+fees and anchors of its pre-signed rows.  So is a file that is not UTF-8
+text.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ from dataclasses import dataclass, field
 
 from .actors import DepositorBehavior, OperatorBehavior, OracleBehavior
 from .destchain import DEFAULT_WSP_SLOTS
+from .psbt import MIN_DEPOSIT
 from .registry import TimelockRelationViolated, check_timelocks
 
 
@@ -118,8 +121,13 @@ def _bool(value: str) -> bool:
     raise ScenarioError(f"not a boolean: {value!r}")
 
 
-def _int_list(value: str) -> list[int]:
-    return [int(part.strip()) for part in value.split(",") if part.strip()]
+def _amounts(value: str) -> list[int]:
+    amounts = [int(part.strip()) for part in value.split(",") if part.strip()]
+    if not amounts or min(amounts) <= 0:
+        raise ValueError("deposit amounts must be positive")
+    if min(amounts) < MIN_DEPOSIT:
+        raise ValueError(f"a deposit below {MIN_DEPOSIT} cannot pay its pre-signed rows")
+    return amounts
 
 
 def _positive_int(value: str) -> int:
@@ -176,7 +184,7 @@ _PARAMS = {
     **_keys(_step_list, "fee_steps"),
     **_keys(_opt_non_negative_int, "dest_halted_at"),
 }
-_DEPOSIT = {**_keys(str, "owner"), **_keys(_int_list, "amounts")}
+_DEPOSIT = {**_keys(str, "owner"), **_keys(_amounts, "amounts")}
 _DEPOSITOR = {
     **_keys(_opt_non_negative_int, "exit_at", "exit_deposit_index", "leak_tokens_at"),
     **_keys(_bool, "burn_before_exit", "use_leaked_key"),
@@ -274,8 +282,6 @@ def parse_scenario(text: str) -> ScenarioConfig:
         check_timelocks(config.t1, config.t2, config.t3, config.slots_per_block)
     except TimelockRelationViolated as exc:
         raise ScenarioError(f"[params] t3: {exc}") from exc
-    if not config.amounts or any(a <= 0 for a in config.amounts):
-        raise ScenarioError("deposit amounts must be positive")
     index = config.depositor.exit_deposit_index
     if index is not None and not 0 <= index < len(config.amounts):
         raise ScenarioError(

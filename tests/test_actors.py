@@ -14,8 +14,9 @@ from bsa_sim.actors import (
     spendable_utxos,
 )
 from bsa_sim.chain import BtcChain, FeeSchedule, Outpoint
-from bsa_sim.harness import compute_verdicts, liquidation_spans, run_scenario
+from bsa_sim.harness import build_world, compute_verdicts, liquidation_spans, run_scenario
 from bsa_sim.keys import keypair_from_seed
+from bsa_sim.psbt import PsbtTemplate, Transition, finalize_to_tx
 from bsa_sim.scenario import DepositorBehavior, OperatorBehavior, ScenarioConfig, load_scenario
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -223,3 +224,51 @@ def test_fee_spike_is_absorbed_by_cpfp():
     assert any(e["action"] == "cpfp_child" for e in world.trace)
     assert any(e["action"] == "exit_complete" for e in world.trace)
     assert result.verdicts.depositor_safe
+
+
+# -- World.execute when the fee cannot be topped up ---------------------------
+
+
+def short_of_fees_world():
+    """A world whose next block asks 500 sat per weight unit, far above the
+    rate the templates commit, and whose parties hold 100 sat each."""
+    return build_world(ScenarioConfig(fee_funds=100, fee_steps=[(7, 500)]))
+
+
+def stored_row(world, transition: Transition) -> PsbtTemplate:
+    outpoint = next(iter(world.instances[0].deposits))
+    return PsbtTemplate.from_text(world.registry.get_stored_psbt(outpoint, transition.value))
+
+
+def test_execute_anchor_row_without_cpfp_funds_stays_in_mempool():
+    world = short_of_fees_world()
+    depositor = world.depositors[0]
+    template = stored_row(world, Transition.UNBOND_REQUEST)
+    tx = world.execute(template, depositor.keypair, world.instances[0], depositor.name)
+    assert tx is not None and tx.txid == template.txid
+    assert list(world.chain.mempool) == [tx.txid]  # admitted, with no child
+    assert world.trace[-1] == {
+        "height": world.chain.height,
+        "actor": depositor.name,
+        "action": "cpfp_no_funds",
+        "parent": tx.txid,
+    }
+
+
+def test_execute_acp_row_without_fee_funds_leaves_mempool_unchanged():
+    world = short_of_fees_world()
+    oracle = world.oracles[0]
+    template = stored_row(world, Transition.UNBOND_RESOLVE)
+    row = finalize_to_tx(
+        PsbtTemplate.from_text(template.to_text()), oracle.oracle.keypair, world.instances[0]
+    )
+    mempool = dict(world.chain.mempool)
+    tx = world.execute(template, oracle.oracle.keypair, world.instances[0], oracle.name)
+    assert tx is None
+    assert world.chain.mempool == mempool
+    assert world.trace[-1] == {
+        "height": world.chain.height,
+        "actor": oracle.name,
+        "action": "fee_input_no_funds",
+        "txid": row.txid,
+    }

@@ -273,7 +273,7 @@ def _wrong_path(tx: SimTx) -> SimTx:
 def rebalance_variants(world):
     valid = world.rebalance_request_tx()
     attacker = key_address_id(keypair_from_seed(b"arb-thief").public)
-    deposit = Outpoint(world.outpoint.rsplit(":", 1)[0], int(world.outpoint.rsplit(":", 1)[1]))
+    deposit = Outpoint.parse(world.outpoint)
     return [
         ("valid", world.outpoint, valid),
         ("unknown-record", "ff" * 32 + ":0", valid),
@@ -321,7 +321,7 @@ def test_rebalance_version_gate_matches_reference(world):
 def unbond_variants(world):
     request, challenge = world.unbond_pair()
     attacker = key_address_id(keypair_from_seed(b"arb-thief").public)
-    deposit = Outpoint(world.outpoint.rsplit(":", 1)[0], int(world.outpoint.rsplit(":", 1)[1]))
+    deposit = Outpoint.parse(world.outpoint)
     addrs = world.instance.addresses
 
     # request valid but paying the wrong place; challenge re-signed on top

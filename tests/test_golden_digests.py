@@ -28,6 +28,11 @@ GOLDEN = [
         "b4485703566a529c660fc0147b221090dbf43f6c4a7645c8da7ecc058cf20454",
     ),
     (
+        "rebalance-races-theft",
+        "923b04642a78deff80a396d854ad06e0d54092594cb8d1f5f1232c93b4ec2de7",
+        "7c40c3dfee27863cb2d4060aa70765a2573369057fdfb8bff6d863835fead56b",
+    ),
+    (
         "theft-defeated",
         "91b196114bf4ed32f1aa5ae9d2614c94966920cf53dd0676359b9c6af7cd71ae",
         "5c4ff55f7248f7479ab90ab53939d8aa64ae35a5b6c61a5f07f6137c6466499b",

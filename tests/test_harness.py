@@ -16,6 +16,7 @@ from bsa_sim.harness import (
     run_scenario,
 )
 from bsa_sim import scenario
+from bsa_sim.psbt import MIN_DEPOSIT
 from bsa_sim.scenario import (
     DepositorBehavior,
     OperatorBehavior,
@@ -34,6 +35,7 @@ def test_scenario_files_present():
     assert [p.name for p in SCENARIO_FILES] == [
         "honest_exit.scn",
         "legitimate_rebalance.scn",
+        "rebalance_races_theft.scn",
         "theft_defeated.scn",
     ]
 
@@ -158,6 +160,9 @@ def test_parse_rejections():
         ("[depositor]\nleak_tokens_at = -1\n", "[depositor] leak_tokens_at"),
         ("[operator]\nrebalance_at = -1\n", "[operator] rebalance_at"),
         ("[operator]\nfalse_rebalance_at = -1\n", "[operator] false_rebalance_at"),
+        ("[deposit]\namounts = 10, -3\n",
+         "[deposit] amounts = '10, -3': deposit amounts must be positive"),
+        ("[deposit]\namounts = 7000, 668\n", "[deposit] amounts = '7000, 668': "),
     ],
     ids=[
         "exit-index-past-end", "exit-index-negative", "empty-window", "reversed-window",
@@ -167,12 +172,21 @@ def test_parse_rejections():
         "negative-t-op-blocks", "negative-margin-blocks", "negative-n-oracles",
         "negative-dest-halted-at", "negative-leak-amount", "zero-leak-amount",
         "negative-exit-at", "negative-leak-tokens-at", "negative-rebalance-at",
-        "negative-false-rebalance-at",
+        "negative-false-rebalance-at", "negative-amount", "amount-below-min-deposit",
     ],
 )
 def test_parse_rejects_out_of_range_values(text, where):
     with pytest.raises(ScenarioError, match=re.escape(where)):
         parse_scenario(text)
+
+
+def test_smallest_deposit_builds_every_row():
+    """``MIN_DEPOSIT`` is the first amount the parser accepts, and a
+    deposit of exactly that amount builds, pre-signs and runs."""
+    assert MIN_DEPOSIT == 669  # BASE_FEE_RATE 1 and ANCHOR_VALUE 330
+    config = parse_scenario(f"[deposit]\namounts = {MIN_DEPOSIT}\n")
+    assert config.amounts == [MIN_DEPOSIT]
+    assert run_scenario(config).verdicts.triple() == (True, True, True)
 
 
 def test_parser_key_tables_cover_every_field():
