@@ -17,13 +17,16 @@ snapshot, never from live mutable state.  All checks fail closed: a
 missing record, an unverifiable signature, an address mismatch, a stale
 view, or an expired version each independently block signing.
 
-``view`` is the checkpoint's registry from ``DestChain.view_at``: the
-chain parses each finalized state once per change and gives every
-checkpoint its own copy, shared by every oracle synced to that
-checkpoint.  It is read-only: nothing here writes to it, and only tests
-that model a corrupted view do, which then reaches no other
-checkpoint.  The oracle attests the checkpoint's own digest, kept at
-sync.
+``sync`` keeps the checkpoint it synced to and a handle on that
+checkpoint's finalized state (``DestChain.state_at``), and copies
+nothing.  ``view`` is the checkpoint's registry, read on first use
+through ``DestChain.view_at``: the chain parses each finalized state
+once per change and gives every checkpoint its own copy, shared by every
+oracle that reads that checkpoint.  The handle lets the view be read
+after the chain has dropped the checkpoint.  The view is read-only:
+nothing here writes to it, and only tests that model a corrupted view
+do, which then reaches no other checkpoint.  The oracle attests the
+checkpoint's own digest.
 
 Dispute check
 -------------
@@ -78,6 +81,7 @@ from .destchain import (
     DEFAULT_WSP_SLOTS,
     DestChain,
     DestChainError,
+    FinalizedCheckpoint,
     SignedCheckpoint,
     TO_SIGNER,
 )
@@ -165,9 +169,10 @@ class ArbitrationOracle:
         self.key_id: str | None = None
         self.encrypted_secret: bytes | None = None
 
-        self.view: Registry | None = None
-        self._view_digest = "0" * 64  # state digest of the checkpoint synced to
-        self.last_synced_slot: int | None = None
+        self.checkpoint: FinalizedCheckpoint | None = None  # the checkpoint synced to
+        self._dest: DestChain | None = None
+        self._state = None  # the checkpoint's finalized state, from DestChain.state_at
+        self._view: Registry | None = None  # read from it on first use
         self.last_seen_slot = 0
         self.wsp_known = default_wsp
 
@@ -187,12 +192,14 @@ class ArbitrationOracle:
         if self.keypair is None:
             raise OracleError("no identity key yet")
         return self.authority.issue(
-            self.image,
-            self.keypair.public_hex,
-            self.last_synced_slot or 0,
-            self._view_digest,
-            user_data,
+            self.image, self.keypair.public_hex, *self._attested_checkpoint(), user_data
         )
+
+    def _attested_checkpoint(self) -> tuple[int, str]:
+        """The slot and state digest an attestation names."""
+        if self.checkpoint is None:
+            return 0, "0" * 64
+        return self.checkpoint.slot, self.checkpoint.state_digest
 
     def key_restore(self, image: EnclaveImage | None = None) -> Keypair:
         """Unwrap the identity secret from a (possibly patched) image.
@@ -205,11 +212,7 @@ class ArbitrationOracle:
         candidate = self.image if image is None else image
         pub_hint = self.keypair.public_hex if self.keypair else "0" * 66
         att = self.authority.issue(
-            candidate,
-            pub_hint,
-            self.last_synced_slot or 0,
-            self._view_digest,
-            b"key-restore",
+            candidate, pub_hint, *self._attested_checkpoint(), b"key-restore"
         )
         secret_bytes = self.kms.decrypt(
             self.key_id, self.encrypted_secret, att, self.authority.public
@@ -225,16 +228,16 @@ class ArbitrationOracle:
         dest: DestChain,
         to_checkpoint: SignedCheckpoint | None = None,
     ) -> None:
-        """Refresh the finalized view.
+        """Move to the latest finalized checkpoint.
 
         Downtime strictly shorter than the last known weak subjectivity
         period lets the oracle extend its own prior state.  Anything
         longer requires an operator-signed checkpoint no older than the
         protocol default period; without one the oracle stays unsynced.
-        Both views are the chain's shared view (``DestChain.view_at``).
+        The view of the new checkpoint is read only when ``view`` is.
         """
         downtime = dest.slot - self.last_seen_slot
-        if downtime >= self.wsp_known or self.view is None:
+        if downtime >= self.wsp_known or self.checkpoint is None:
             if to_checkpoint is None:
                 raise StaleCheckpoint(
                     f"offline {downtime} slots with period {self.wsp_known}"
@@ -261,14 +264,26 @@ class ArbitrationOracle:
                 raise StaleCheckpoint("checkpoint signer is not the operator")
 
         latest = dest.latest_finalized()
-        self.view = dest.view_at(latest)
-        self._view_digest = latest.state_digest
-        self.last_synced_slot = latest.slot
+        if latest is not self.checkpoint:
+            self.checkpoint, self._dest, self._state = latest, dest, dest.state_at(latest)
+            self._view = None
         self.last_seen_slot = dest.slot
         self.wsp_known = dest.wsp_current
 
+    @property
+    def view(self) -> Registry | None:
+        """The registry finalized at the synced checkpoint, or ``None``
+        before the first sync."""
+        if self._view is None and self.checkpoint is not None:
+            self._view = self._dest.view_at(self.checkpoint, self._state)
+        return self._view
+
+    @property
+    def last_synced_slot(self) -> int | None:
+        return None if self.checkpoint is None else self.checkpoint.slot
+
     def is_operational(self) -> bool:
-        return self.keypair is not None and self.view is not None
+        return self.keypair is not None and self.checkpoint is not None
 
     @property
     def now_slot(self) -> int:

@@ -7,25 +7,29 @@ oracles) only ever read registry state through one of these snapshots.
 Trusted checkpoints used for light-client resync are the same data
 wrapped with an operator or self-attested signature.
 
-Each finalized state is rendered and parsed once per change of state:
+Each finalized state is rendered once per change of state, and parsed
+at most once per change:
 
 * One render per change.  The canonical snapshot is
   ``{...,"current_slot":N,...}`` with sorted keys, so it is a head, the
   clock and a tail.  Each advance compares ``Registry.body_key()`` (the
-  cached records text and one encode of the small sections) with the
-  key of the last render, and calls ``export_snapshot`` only when it
-  differs.  Change is detected by value, so no mutator marks anything.
-  Every checkpoint stores that body and its clock; its digest is the
-  sha256 of head, clock and tail, the digest of the full text.
-  ``advance`` moves the slot clock before it finalizes, so every
-  checkpoint crossed in one advance has the same text and digest.
-* One parse per change.  ``view_at`` parses a body the first time a
-  checkpoint with it is viewed; each checkpoint's view is a fresh copy
-  of that parse with its own ``current_slot``, so a corrupted view never
-  leaks into another checkpoint.  Only the most recent view is kept, so
-  every oracle synced to one checkpoint shares one read-only
-  ``Registry``.  An oracle that goes offline keeps its own reference to
-  its older view.
+  live field values of everything but the clock) with a copy of the
+  key taken at the last render, and calls ``export_snapshot`` only when
+  they differ.  Change is detected by value, so no mutator marks
+  anything, and a clock-only advance encodes nothing.  Every checkpoint
+  stores that body and its clock; its digest is the sha256 of head,
+  clock and tail, the digest of the full text.  ``advance`` moves the
+  slot clock before it finalizes, so every checkpoint crossed in one
+  advance has the same text and digest.
+* One parse per change, and only when read.  ``view_at`` parses a body
+  the first time a checkpoint with it is viewed; each checkpoint's view
+  is a fresh copy of that parse with its own ``current_slot``, so a
+  corrupted view never leaks into another checkpoint.  Only the most
+  recent view is kept, so every oracle that reads one checkpoint shares
+  one read-only ``Registry``.  An oracle keeps the checkpoint's state
+  (``state_at``) when it syncs and reads its view only when it has a
+  dispute to judge, so a clock-only checkpoint costs it no copy, and it
+  can still read that view after the chain has dropped the state.
 
 Finalized state is kept only while some oracle could still accept it.
 ``sync`` refuses a checkpoint older than the oracle's ``default_wsp``
@@ -122,7 +126,7 @@ class _Body:
     finalized while the registry's body was the same: its snapshot is
     ``head + str(clock) + tail``, kept as ASCII bytes for hashing."""
 
-    key: tuple[str, str]  # Registry.body_key() when it was rendered
+    key: tuple[list, dict]  # a copy of Registry.body_key() when it was rendered
     head: bytes
     tail: bytes
     parsed: bytes | None = None  # pickle of the first parse, the template of every view
@@ -172,7 +176,17 @@ class DestChain:
         if self._body is None or self._body.key != key:
             snapshot = self.registry.export_snapshot().encode()
             head = self.registry.snapshot_head().encode()
-            self._body = _Body(key, head, snapshot[len(head) + len(b"%d" % clock):])
+            records, sections = key
+            # The sections are the registry's own objects, so keep a copy:
+            # a pickle round trip keeps each value's type and is faster
+            # than ``copy.deepcopy``.  The record tuples are new and
+            # immutable; kept as they are, they share their strings with
+            # later keys, which then compare by identity.
+            self._body = _Body(
+                (records, pickle.loads(pickle.dumps(sections))),
+                head,
+                snapshot[len(head) + len(b"%d" % clock):],
+            )
         body = self._body
         digest = body.digest(clock)
         new = [FinalizedCheckpoint(slot=s, state_digest=digest, timestamp=s) for s in slots]
@@ -200,25 +214,28 @@ class DestChain:
     def latest_finalized(self) -> FinalizedCheckpoint:
         return self.finalized[-1]
 
-    def _state_at(self, cp: FinalizedCheckpoint) -> tuple[_Body, int]:
+    def state_at(self, cp: FinalizedCheckpoint) -> tuple[_Body, int]:
+        """The finalized state of ``cp`` while the chain retains it."""
         try:
             return self.snapshots[cp.slot]
         except KeyError:
             raise DestChainError(f"no snapshot for slot {cp.slot}")
 
     def snapshot_at(self, cp: FinalizedCheckpoint) -> str:
-        body, clock = self._state_at(cp)
+        body, clock = self.state_at(cp)
         return body.text(clock)
 
-    def view_at(self, cp: FinalizedCheckpoint) -> Registry:
+    def view_at(self, cp: FinalizedCheckpoint, state: tuple[_Body, int] | None = None) -> Registry:
         """The registry state finalized at ``cp``, shared by every caller
         until another slot is viewed.  Read-only.  A body is parsed once;
         each checkpoint's view is a fresh copy of that parse with its own
         clock, so views of different checkpoints share no mutable object.
         The copy is a pickle round trip, about a quarter of the cost of a
-        parse or of ``copy.deepcopy``."""
+        parse or of ``copy.deepcopy``.  ``state`` is ``cp``'s state as
+        ``state_at`` gave it, for a reader that kept it and may come after
+        the chain has dropped it."""
         if self._view is None or self._view[0] != cp.slot:
-            body, clock = self._state_at(cp)
+            body, clock = self.state_at(cp) if state is None else state
             if body.parsed is None:
                 body.parsed = pickle.dumps(Registry.import_snapshot(body.text(clock)))
             view = pickle.loads(body.parsed)

@@ -258,7 +258,6 @@ class Registry:
         self.rebalance_events: list[RebalanceEvent] = []
         self.collaborative_pending: dict[str, int] = {}  # outpoint -> deadline block
         self._position_counter: dict[str, int] = {}  # owner -> next registration index
-        self._records_json: tuple[list, str] | None = None  # (field values, records text)
 
     # -- deposits ------------------------------------------------------------
 
@@ -541,35 +540,28 @@ class Registry:
             "collaborative_pending": self.collaborative_pending,
         }
 
-    def _records_text(self) -> str:
-        """The records section as canonical JSON.  It is rendered again
-        only when some record's field values differ from the last render,
-        so no mutator has to say that it changed a record.  The values
-        are a list: ``tuple()`` over a generator resizes its result, and
-        CPython then keeps every dropped key on its tuple free list."""
-        values = [
+    def body_key(self) -> tuple[list, dict]:
+        """Everything the canonical snapshot holds but its clock, as field
+        values that are cheap to build and compare: one tuple of each
+        record's fields, and ``_sections()``.  Equal keys give equal
+        snapshots at equal ``current_slot``.  The record tuples are new
+        and hold only immutable values, but the sections are the
+        registry's own objects, so a caller that keeps a key must copy
+        them.  The records are a list: ``tuple()`` over a generator
+        resizes its result, and CPython then keeps every dropped key on
+        its tuple free list."""
+        records = [
             (k, r.outpoint, r.owner, r.amount, r.status, r.tweak_digest,
              tuple(r.psbts.items()), r.rebalance_position)
             for k, r in self.records.items()
         ]
-        if self._records_json is None or self._records_json[0] != values:
-            text = _ENCODER.encode(self.records)
-            self._records_json = (values, text)
-        return self._records_json[1]
-
-    def body_key(self) -> tuple[str, str]:
-        """Everything the canonical snapshot holds but its clock, cheap to
-        build and compare: the records text and one encode of the other
-        sections.  Equal keys give equal snapshots at equal
-        ``current_slot``."""
-        return self._records_text(), _ENCODER.encode(self._sections())
+        return records, self._sections()
 
     def export_snapshot(self) -> str:
-        """The canonical state: sorted keys, no whitespace, records from
-        ``_records_text``."""
+        """The canonical state: sorted keys, no whitespace."""
         texts = {name: _ENCODER.encode(value) for name, value in self._sections().items()}
         texts["current_slot"] = str(self.current_slot)
-        texts["records"] = self._records_text()
+        texts["records"] = _ENCODER.encode(self.records)
         return "{" + ",".join(f'"{name}":{texts[name]}' for name in sorted(texts)) + "}"
 
     def snapshot_head(self) -> str:

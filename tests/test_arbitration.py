@@ -100,7 +100,7 @@ class ArbWorld:
         self.dest.advance(self.dest.finality_interval)
         bootstrap = sign_checkpoint(self.dest.latest_finalized(), self.to, TO_SIGNER)
         for oracle in self.oracles:
-            if oracle.view is None:
+            if oracle.checkpoint is None:
                 oracle.sync(self.dest, bootstrap)
             else:
                 oracle.sync(self.dest)
@@ -607,18 +607,49 @@ def test_oracles_at_one_checkpoint_share_one_parse(monkeypatch):
     w.dest.advance(w.dest.finality_interval)
     for oracle in w.oracles[:2]:
         oracle.sync(w.dest)
-    assert len(imports) == 1
+    assert len(imports) == 0  # sync alone parses nothing
     assert w.oracles[0].view is w.oracles[1].view
+    assert len(imports) == 1
     assert w.oracles[0].view is w.dest.view_at(w.dest.latest_finalized())
     changed = w.oracles[0].view
     w.dest.advance(w.dest.finality_interval)  # only the clock moves
     for oracle in w.oracles[:2]:
         oracle.sync(w.dest)
-    assert len(imports) == 1
     assert w.oracles[0].view is w.oracles[1].view
+    assert len(imports) == 1
     assert w.oracles[0].view is not changed
     assert w.oracles[0].view.current_slot == w.dest.slot == changed.current_slot + w.dest.finality_interval
     assert offline.view is old_view and old_view is not changed
+
+
+def test_clock_only_checkpoints_copy_nothing(monkeypatch):
+    w = ArbWorld(n_oracles=3)
+    calls = [
+        count_calls(monkeypatch, Registry, "export_snapshot"),
+        count_calls(monkeypatch, Registry, "import_snapshot"),
+        count_calls(monkeypatch, DestChain, "view_at"),
+    ]
+    start = w.dest.latest_finalized().slot
+    for n in (w.dest.finality_interval, 1, 3 * w.dest.finality_interval):
+        w.dest.advance(n)
+        for oracle in w.oracles:
+            oracle.sync(w.dest)
+    latest = w.dest.latest_finalized().slot
+    assert latest > start and {o.last_synced_slot for o in w.oracles} == {latest}
+    assert [len(c) for c in calls] == [0, 0, 0]
+
+
+def test_view_is_read_after_the_chain_dropped_its_checkpoint():
+    w = make_sync_world()
+    oracle = w.oracle
+    w.registry.ledger.mint("acct:other", 5)  # a body no view has parsed
+    w.dest.advance(1)
+    oracle.sync(w.dest)  # the view is not read
+    synced = w.dest.latest_finalized()
+    w.dest.advance(w.dest.wsp_schedule.longest() + 1)
+    assert synced.slot not in w.dest.snapshots
+    assert oracle.view.state_digest() == synced.state_digest
+    assert oracle.view.current_slot == synced.slot
 
 
 def test_advance_across_two_boundaries_exports_once(monkeypatch):

@@ -13,6 +13,8 @@ from bsa_sim.destchain import DestChain, WspSchedule
 from bsa_sim.keys import TweakData, key_address_id, keypair_from_seed, sign_digest
 from bsa_sim.registry import (
     REQUIRED_PSBT_SLOTS,
+    Adapter,
+    RebalanceEvent,
     Registry,
     RegistryError,
     UtxoRecord,
@@ -41,6 +43,7 @@ TWEAKS = [
     for t1 in (4, 5, 6)
 ]
 PCR0S = ("aa" * 48, "bb" * 48)
+ADAPTERS = ("pool-1", "pool-2")
 
 
 def outpoint(i: int) -> str:
@@ -101,6 +104,34 @@ def rewrite_row(reg: Registry, i: int, slot: str) -> None:
     nth_record(reg, i).psbts[slot] = f'{{"row":"rewritten","step":{i}}}'
 
 
+def pay_claim(reg: Registry, owner: str, amount: int) -> None:
+    """The operator books a repayment of part of what ``owner`` is owed."""
+    reg.record_claim_paid(owner, max(1, min(amount, reg.claimable.get(owner, 0))), caller="to")
+
+
+def reorder(reg: Registry, owner: str, shift: int) -> None:
+    """``owner`` orders their active records, rotated by ``shift``."""
+    positions = list(range(len(reg.active_records(owner))))
+    reg.set_rebalance_order(owner, positions[shift:] + positions[:shift], caller=owner)
+
+
+def request_collaborative(reg: Registry, i: int, deadline: int) -> None:
+    reg.request_collaborative(nth_record(reg, i).outpoint, deadline, caller="to")
+
+
+# sections that no registry method writes alone, each rewritten in place
+REWRITES = {
+    "params": lambda reg, n: setattr(reg, "t3", 20 + n),  # keeps t3 > (t1 + t2) * 2
+    "to_pubkey": lambda reg, n: setattr(reg, "to_pubkey", (TO, AO)[n % 2].public),
+    "claimable": lambda reg, n: reg.claimable.update({OWNERS[n % 3]: n}),
+    "claim_paid": lambda reg, n: reg.claim_paid.update({OWNERS[n % 3]: n}),
+    "rebalance_events": lambda reg, n: reg.rebalance_events.append(
+        RebalanceEvent(n, OWNERS[n % 3], n, [], 0)
+    ),
+    "collaborative_pending": lambda reg, n: reg.collaborative_pending.update({outpoint(n % 8): n}),
+}
+
+
 OPERATIONS = {
     "register": (register, st.integers(0, 7), st.sampled_from(OWNERS), st.integers(1, 900)),
     "activate": (activate, st.integers(0, 7)),
@@ -118,6 +149,19 @@ OPERATIONS = {
     "upgrade": (lambda reg, t3: reg.schedule_upgrade({"t3": t3}, caller="to"), st.integers(31, 33)),
     "mark_rebalance": (rebalance, st.sampled_from(OWNERS), st.integers(1, 500)),
     "rewrite_row": (rewrite_row, st.integers(0, 7), st.sampled_from(REQUIRED_PSBT_SLOTS)),
+    "claim_paid": (pay_claim, st.sampled_from(OWNERS), st.integers(1, 500)),
+    "rebalance_order": (reorder, st.sampled_from(OWNERS), st.integers(0, 3)),
+    "adapter": (
+        lambda reg, action, a: reg.adapter_admin(action, a, caller="to"),
+        st.sampled_from(("add", "remove")),
+        st.sampled_from(ADAPTERS),
+    ),
+    "collaborative": (request_collaborative, st.integers(0, 7), st.integers(10, 12)),
+    "rewrite": (
+        lambda reg, section, n: REWRITES[section](reg, n),
+        st.sampled_from(sorted(REWRITES)),
+        st.integers(1, 40),
+    ),
 }
 
 # One step: a registry operation, then an advance of 0 to 3 intervals in slots.
@@ -131,34 +175,48 @@ STEPS = st.lists(
 )
 
 
-def fresh_export(reg: Registry) -> str:
-    """The canonical text rendered from the registry's fields alone: the
-    cached records text is dropped first, so a stale cache cannot hide."""
-    reg._records_json = None
-    return reg.export_snapshot()
-
-
 def corrupt(view: Registry) -> None:
-    """Write to every mutable part of a view that a snapshot holds."""
+    """Write to every section of a view that a snapshot holds, both to
+    the objects it already has and by adding new ones."""
     view.current_slot += 1
+    view.t1, view.t2, view.t3, view.slots_per_block = 99, 99, 99, 99
+    view.to_pubkey = DEP.public
     for record in view.records.values():
         record.status = UtxoStatus.REJECTED
         record.psbts[REQUIRED_PSBT_SLOTS[0]] = "{}"
     for tweak in view.tweaks.values():
         tweak["t1"] = 99
+    for order in view.orders.values():
+        order.append(99)
+    view.orders["acct:corrupt"] = [0]
+    for adapter in view.adapters.values():
+        adapter.removal_effective_at = 0
+        adapter.balances["acct:corrupt"] = 1
+    view.adapters["corrupt"] = Adapter("corrupt", registered_at=0)
+    view.versions["cc" * 48] = (1, "00")
+    for change, _ in view.pending_upgrades:
+        change["t3"] = 0
+    view.pending_upgrades.append(({"t1": 0}, 0))
     for entry in view.ledger.log:
         entry["amount"] = -1
     view.ledger.balances["acct:corrupt"] = 1
-    view.versions["cc" * 48] = (1, "00")
+    view.ledger.total_minted += 1
+    view.ledger.total_burned += 1
+    view.claimable["acct:corrupt"] = 1
+    view.claim_paid["acct:corrupt"] = 1
+    for event in view.rebalance_events:
+        event.selected.append(("corrupt:0", 1))
+    view.rebalance_events.append(RebalanceEvent(0, "acct:corrupt", 1, [], 0))
+    view.collaborative_pending["corrupt:0"] = 1
 
 
 def run_steps(steps) -> tuple[DestChain, dict[int, str]]:
-    """Apply ``steps``, returning the chain and the fresh export of the
+    """Apply ``steps``, returning the chain and a fresh export of the
     registry at every checkpoint, taken when it was finalized."""
     reg = Registry(4, 6, 30, 2, TO.public)
     reg.store_tweak_data(TWEAKS[0])
     dest = DestChain(reg, finality_interval=INTERVAL, wsp_schedule=WspSchedule(WSP))
-    exported = {0: fresh_export(reg)}
+    exported = {0: reg.export_snapshot()}
     for (name, *args), slots in steps:
         try:
             OPERATIONS[name][0](reg, *args)
@@ -167,7 +225,7 @@ def run_steps(steps) -> tuple[DestChain, dict[int, str]]:
         if slots:
             new = dest.advance(slots)
             if new:
-                text = fresh_export(reg)
+                text = reg.export_snapshot()
                 exported.update((cp.slot, text) for cp in new)
     return dest, exported
 
