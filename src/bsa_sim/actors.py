@@ -16,13 +16,17 @@ in the same block; a ``self`` row (finalizes, timelocked claims) goes
 out as it is, matures in the mempool and confirms at the first legal
 height.
 
-The token operator keeps no dispute records.  Each block it follows
-every moved deposit's spine (``BtcChain.spine_end``) to the output the
-deposit now rests on: an unbonding output whose record still holds
-tokens is a theft to challenge, and a challenge output older than t2 is
-the operator's to claim.  Its ``_rebalanced`` flag and
-``_false_rebalanced`` set record attempts, not outcomes: a rebalance
-request the mempool refused leaves nothing on the chain to read.
+No actor keeps a record of where a deposit stands.  Each tick, before
+the actors step, ``World.resting`` reads the ledger once: every moved
+deposit's spine (``BtcChain.spine_end``) to the output it rests on, and
+that output's address kind (``ProtocolInstance.address_kinds``).  The
+operator challenges an unbonding output whose record still holds tokens
+and claims a challenge output older than t2, the oracles arbitrate
+challenge outputs, and the depositor finalizes or watches its exit.
+What actors keep records attempts, not outcomes, since a request the
+mempool refused leaves nothing on the chain to read: the depositor's
+``exit_started_at`` and leak flag, the operator's ``_rebalanced`` and
+``_false_rebalanced``.
 """
 
 from __future__ import annotations
@@ -123,118 +127,94 @@ class OracleBehavior:
 # actors
 
 
+# the leaf of the depositor's own spend of its unbonding output after t1
+_FINALIZE_PATH = TRANSITION_SPECS[Transition.UNBOND_FINALIZE].path
+
+
 class DepositorActor:
     def __init__(self, name: str, keypair: Keypair, owner: str, behavior: DepositorBehavior):
         self.name = name
         self.keypair = keypair
         self.owner = owner
         self.behavior = behavior
-        self.flows: dict[str, dict] = {}  # deposit outpoint -> progress
-        self.exit_started_at: dict[str, int] = {}
-
-    def _flow(self, outpoint: str) -> dict:
-        return self.flows.setdefault(outpoint, {"state": "idle"})
+        self.exit_started_at: dict[str, int] = {}  # deposit outpoint -> height of the request
+        self._leaked = False
 
     def step(self, world: "World") -> None:
         b = self.behavior
-        if (
-            b.leak_tokens_at is not None
-            and world.chain.height >= b.leak_tokens_at
-            and not self.flows.get("_leaked")
-        ):
-            world.registry.ledger.transfer(
-                self.owner, "outside-perimeter", b.leak_token_amount
-            )
-            self.flows["_leaked"] = True
+        height = world.chain.height
+        if not self._leaked and b.leak_tokens_at is not None and height >= b.leak_tokens_at:
+            world.registry.ledger.transfer(self.owner, "outside-perimeter", b.leak_token_amount)
+            self._leaked = True
             world.log(self.name, "tokens_left_perimeter", amount=b.leak_token_amount)
+        resting = {outpoint: (utxo, kind) for _, outpoint, utxo, kind in world.resting}
         for instance in world.instances:
             if instance.owner != self.owner:
                 continue
-            for index, outpoint in enumerate(list(instance.deposits)):
-                if (
-                    b.exit_deposit_index is not None
-                    and index != b.exit_deposit_index
-                ):
+            for index, outpoint in enumerate(instance.deposits):
+                if b.exit_deposit_index is not None and index != b.exit_deposit_index:
                     continue
-                self._step_deposit(world, instance, outpoint)
+                if outpoint not in self.exit_started_at:
+                    self._start_exit(world, instance, outpoint)
+                elif outpoint in resting:
+                    self._follow_exit(world, instance, outpoint, *resting[outpoint])
 
-    def _step_deposit(self, world: "World", instance: ProtocolInstance, outpoint: str) -> None:
-        flow = self._flow(outpoint)
+    def _start_exit(self, world: "World", instance: ProtocolInstance, outpoint: str) -> None:
         b = self.behavior
+        height = world.chain.height
+        if b.exit_at is None or height < b.exit_at:
+            return
+        record = world.registry.records.get(outpoint)
+        if record is None or record.status not in (UtxoStatus.ACTIVE, UtxoStatus.REGISTERED):
+            return
+        if b.burn_before_exit:
+            world.registry.burn_deposit(outpoint, self.owner)
+        text = world.registry.get_stored_psbt(outpoint, Transition.UNBOND_REQUEST.value)
+        template = PsbtTemplate.from_text(text)
+        world.execute(template, self.keypair, instance, self.name)
+        self.exit_started_at[outpoint] = height
+        world.log(
+            self.name,
+            "unbond_request",
+            outpoint=outpoint,
+            burned=b.burn_before_exit,
+            txid=template.txid,
+        )
+
+    def _follow_exit(
+        self, world: "World", instance: ProtocolInstance, outpoint: str, utxo: Utxo, kind: str
+    ) -> None:
+        """Act on where an exiting deposit rests: on the unbonding output,
+        finalize after t1 unless a challenge spends it (noted the block
+        after it arrives); on the return address, note a finalize that has
+        just confirmed; on a challenge output, resolve it with a leaked
+        oracle key from the block after it confirms."""
         chain = world.chain
         height = chain.height
-
-        if flow["state"] == "idle" and b.exit_at is not None and height >= b.exit_at:
-            record = world.registry.records.get(outpoint)
-            if record is None or record.status not in (
-                UtxoStatus.ACTIVE,
-                UtxoStatus.REGISTERED,
-            ):
-                return
-            if b.burn_before_exit:
-                world.registry.burn_deposit(outpoint, self.owner)
-            text = world.registry.get_stored_psbt(outpoint, Transition.UNBOND_REQUEST.value)
-            template = PsbtTemplate.from_text(text)
-            world.execute(template, self.keypair, instance, self.name)
-            flow["state"] = "requested"
-            flow["request_txid"] = template.txid
-            self.exit_started_at[outpoint] = height
-            world.log(
-                self.name,
-                "unbond_request",
-                outpoint=outpoint,
-                burned=b.burn_before_exit,
-                txid=template.txid,
-            )
-            return
-
-        if flow["state"] == "requested":
-            uta_op = Outpoint(flow["request_txid"], 0)
-            utxo = chain.utxo_set.get(uta_op)
-            if utxo is not None:
-                spender = chain.spender(uta_op)
-                if spender is not None and spender.txid != flow.get("finalize_txid"):
-                    flow["state"] = "challenged"
-                    flow["challenge_txid"] = spender.txid
+        if kind == "UTA":
+            spender = chain.spender(utxo.outpoint)
+            if spender is None and height >= utxo.confirmed_height + instance.tweak_data.t1 - 1:
+                spent = (utxo.outpoint, utxo.value)
+                fee = chain.next_rate() * 2
+                template = build_psbt(Transition.UNBOND_FINALIZE, instance, spent, fee=fee)
+                world.execute(template, self.keypair, instance, self.name)
+            elif spender is not None and spender.inputs[0].path_id != _FINALIZE_PATH:
+                if chain.mempool_arrival[spender.txid] == height - 1:
                     world.log(self.name, "saw_challenge", outpoint=outpoint)
-                    return
-                t1 = instance.tweak_data.t1
-                if height >= utxo.confirmed_height + t1 - 1 and not flow.get("finalize_txid"):
-                    template = build_psbt(
-                        Transition.UNBOND_FINALIZE,
-                        instance,
-                        (uta_op, utxo.value),
-                        fee=chain.next_rate() * 2,
-                    )
-                    tx = world.execute(template, self.keypair, instance, self.name)
-                    if tx is not None:
-                        flow["finalize_txid"] = tx.txid
-                return
-            if chain.spent_by.get(uta_op):
-                spender = chain.tx_index[chain.spent_by[uta_op]]
-                if spender.txid == flow.get("finalize_txid"):
-                    flow["state"] = "done"
-                    world.log(self.name, "exit_complete", outpoint=outpoint, height=height)
-                else:
-                    flow["state"] = "challenged"
-                    flow["challenge_txid"] = spender.txid
-            return
-
-        if flow["state"] == "challenged" and b.use_leaked_key:
+        elif kind == "dep_return":
+            finalize = chain.tx_index[utxo.outpoint.txid]
+            if utxo.confirmed_height == height and finalize.inputs[0].path_id == _FINALIZE_PATH:
+                world.log(self.name, "exit_complete", outpoint=outpoint, height=height)
+        elif kind == "UCA" and self.behavior.use_leaked_key:
             leaked = world.leaked_oracle_keypair
-            if leaked is None:
-                return
-            ch_op = Outpoint(flow["challenge_txid"], 0)
-            utxo = chain.utxo_set.get(ch_op)
-            if utxo is None or chain.spender(ch_op) is not None:
+            if leaked is None or height <= utxo.confirmed_height or chain.spender(utxo.outpoint):
                 return
             text = world.registry.get_stored_psbt(outpoint, Transition.UNBOND_RESOLVE.value)
             template = PsbtTemplate.from_text(text)
-            if template.outpoint != ch_op:
-                return
-            world.execute(template, leaked, instance, self.name, fee_payer=self.keypair)
-            world.log(self.name, "self_resolved_with_leaked_key", outpoint=outpoint)
-            flow["state"] = "stolen"
+            if template.outpoint != utxo.outpoint:
+                return  # not the pre-agreed challenge
+            if world.execute(template, leaked, instance, self.name, fee_payer=self.keypair):
+                world.log(self.name, "self_resolved_with_leaked_key", outpoint=outpoint)
 
 
 # the row the operator executes on a challenge output that outlived t2,
@@ -258,37 +238,22 @@ class TokenOperatorActor:
         return sign_checkpoint(dest.latest_finalized(), self.keypair, TO_SIGNER)
 
     def step(self, world: "World") -> None:
-        resting = self._resting_outputs(world)
         if self.behavior.challenge_thefts:
-            self._challenge_thefts(world, resting)
+            self._challenge_thefts(world)
         if self.behavior.false_rebalance_at is not None:
             self._false_rebalance(world)
         if self.behavior.rebalance_at is not None:
             self._rebalance_duty(world)
         if self.behavior.claim_expired:
-            self._claim_expired(world, resting)
+            self._claim_expired(world)
         if self.behavior.pay_over_seizure:
             self._pay_claims(world)
 
-    @staticmethod
-    def _resting_outputs(world: "World") -> list[tuple[ProtocolInstance, str, Utxo]]:
-        """``(instance, deposit, utxo)`` for each deposit whose vault output
-        has a confirmed spend: the unspent output at the end of its spine."""
-        chain = world.chain
-        resting = []
-        for instance in world.instances:
-            for outpoint in instance.deposits:
-                end, moved_at = chain.spine_end(Outpoint.parse(outpoint))
-                utxo = None if moved_at is None else chain.utxo_set.get(end)
-                if utxo is not None:
-                    resting.append((instance, outpoint, utxo))
-        return resting
-
     # -- duty: challenge unbond requests that keep tokens alive -------------
 
-    def _challenge_thefts(self, world: "World", resting: list) -> None:
-        for instance, outpoint, utxo in resting:
-            if utxo.address_id != instance.address_ids["UTA"]:
+    def _challenge_thefts(self, world: "World") -> None:
+        for instance, outpoint, utxo, kind in world.resting:
+            if kind != "UTA":
                 continue
             record = world.registry.records.get(outpoint)
             if (
@@ -353,13 +318,11 @@ class TokenOperatorActor:
 
     # -- duty: collect expired challenge outputs -----------------------------
 
-    def _claim_expired(self, world: "World", resting: list) -> None:
+    def _claim_expired(self, world: "World") -> None:
         chain = world.chain
-        for instance, _outpoint, utxo in resting:
-            kind = next(
-                (k for k in _CLAIM_ROWS if instance.address_ids[k] == utxo.address_id), None
-            )
-            if kind is None or chain.height < utxo.confirmed_height + instance.tweak_data.t2 - 1:
+        for instance, _outpoint, utxo, kind in world.resting:
+            expiry = utxo.confirmed_height + instance.tweak_data.t2 - 1
+            if kind not in _CLAIM_ROWS or chain.height < expiry:
                 continue
             if chain.spender(utxo.outpoint) is not None:
                 continue
@@ -431,20 +394,26 @@ class OracleActor:
         if self.behavior.refuse_resolutions:
             return
         for instance in world.instances:
-            if all(self.oracle.keypair.public != pk for pk in instance.tweak_data.ao_pks):
-                continue
-            self._scan_challenges(world, instance)
+            if self.oracle.keypair.public in instance.tweak_data.ao_pks:
+                self._scan_challenges(world, instance)
 
     def _scan_challenges(self, world: "World", instance: ProtocolInstance) -> None:
+        """Arbitrate the instance's unspent challenge outputs, UCA before
+        RCA, each kind oldest first."""
         chain = world.chain
-        for kind in ("UCA", "RCA"):
-            for utxo in chain.utxos_at(instance.address_ids[kind]):
-                if chain.spender(utxo.outpoint) is not None:
-                    continue
-                seen = self.first_seen.setdefault(utxo.outpoint.txid, chain.height)
-                if chain.height - seen < self.t_op_blocks - 1:
-                    continue
-                self._arbitrate(world, instance, kind, utxo)
+        challenges = [
+            (kind, utxo)
+            for owner, _, utxo, kind in world.resting
+            if owner is instance and kind in ("UCA", "RCA")
+        ]
+        challenges.sort(key=lambda c: (c[0] == "RCA", c[1].confirmed_height, str(c[1].outpoint)))
+        for kind, utxo in challenges:
+            if chain.spender(utxo.outpoint) is not None:
+                continue
+            seen = self.first_seen.setdefault(utxo.outpoint.txid, chain.height)
+            if chain.height - seen < self.t_op_blocks - 1:
+                continue
+            self._arbitrate(world, instance, kind, utxo)
 
     def _arbitrate(self, world: "World", instance: ProtocolInstance, kind: str, utxo: Utxo):
         chain = world.chain
@@ -501,6 +470,8 @@ class World:
         self.oracles = oracles
         self.instances = instances
         self.trace: list[dict] = []
+        # (instance, deposit, utxo, kind) per moved deposit, read once a tick
+        self.resting: list[tuple[ProtocolInstance, str, Utxo, str | None]] = []
         self.dest_halted_at: int | None = None  # height after which finality stalls
         self.leaked_oracle_keypair: Keypair | None = None
         for actor in oracles:
@@ -566,7 +537,24 @@ class World:
 
     # -- the clock ---------------------------------------------------------
 
+    def _resting_outputs(self) -> list[tuple[ProtocolInstance, str, Utxo, str | None]]:
+        """``(instance, deposit, utxo, kind)`` for each deposit whose vault
+        output has a confirmed spend: the unspent output at the end of its
+        spine and that output's catalogue address kind (None for an
+        address outside the instance's catalogue)."""
+        chain = self.chain
+        resting = []
+        for instance in self.instances:
+            for outpoint in instance.deposits:
+                end, moved_at = chain.spine_end(Outpoint.parse(outpoint))
+                utxo = None if moved_at is None else chain.utxo_set.get(end)
+                if utxo is not None:
+                    kind = instance.address_kinds.get(utxo.address_id)
+                    resting.append((instance, outpoint, utxo, kind))
+        return resting
+
     def tick(self) -> None:
+        self.resting = self._resting_outputs()
         for depositor in self.depositors:
             depositor.step(self)
         self.operator.step(self)

@@ -168,13 +168,10 @@ def build_world(config: ScenarioConfig, sar_tamper=None) -> World:
 
 
 def _location(instance, address_id: str) -> str:
-    if any(address_id == a.address_id for a in instance.addresses.all()):
-        return "instance"
-    if address_id == instance.return_address_id:
-        return "depositor"
-    if address_id == instance.to_key_address_id:
-        return "operator"
-    return "other"
+    kind = instance.address_kinds.get(address_id)
+    if kind is None:
+        return "other"
+    return {"dep_return": "depositor", "to_key": "operator"}.get(kind, "instance")
 
 
 def _instance_for(world: World, record) -> object | None:

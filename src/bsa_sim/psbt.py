@@ -19,8 +19,8 @@ who executes, how fees are topped up):
 Address kinds have one spelling: the four script addresses are ``VA``,
 ``UTA``, ``UCA`` and ``RCA`` (``ProtocolAddress.kind``), and the two key
 addresses are ``dep_return`` and ``to_key``.  Both catalogue columns
-name them that way, and ``ProtocolInstance.address_ids`` maps each kind
-to its address id.
+name them that way, ``ProtocolInstance.address_ids`` maps each kind
+to its address id and ``ProtocolInstance.address_kinds`` maps back.
 
 Every step on a template (build, sign, verify, finalize) takes the
 ``ProtocolInstance`` and reads the addresses it derived once; none
@@ -304,6 +304,7 @@ class ProtocolInstance:
     return_address_id: str = field(init=False)
     to_key_address_id: str = field(init=False)
     address_ids: dict[str, str] = field(init=False)  # catalogue address kind -> id
+    address_kinds: dict[str, str] = field(init=False)  # id -> catalogue address kind
 
     def __post_init__(self):
         tweak = self.tweak_data
@@ -315,6 +316,7 @@ class ProtocolInstance:
         self.address_ids = {addr.kind: addr.address_id for addr in self.addresses.all()}
         self.address_ids["dep_return"] = self.return_address_id
         self.address_ids["to_key"] = self.to_key_address_id
+        self.address_kinds = {aid: kind for kind, aid in self.address_ids.items()}
 
 
 def build_psbt(

@@ -51,11 +51,11 @@ that does not exceed (``t1`` + ``t2``) blocks of ``slots_per_block``
 slots (``registry.check_timelocks``), a negative height (``exit_at``,
 ``leak_tokens_at``, ``rebalance_at``, ``false_rebalance_at``,
 ``dest_halted_at``, or one in ``fee_steps``) or rate in ``fee_steps``,
-an ``offline`` window that does not end after it starts, an
-``exit_deposit_index`` that names no deposit, and ``amounts`` that are
-empty or hold one below ``psbt.MIN_DEPOSIT``, too small to pay the base
-fees and anchors of its pre-signed rows.  So is a file that is not UTF-8
-text.
+a ``fee_steps`` height given twice, an empty ``owner``, an ``offline``
+window that does not end after it starts, an ``exit_deposit_index``
+that names no deposit, and ``amounts`` that are empty or hold one below
+``psbt.MIN_DEPOSIT``, too small to pay the base fees and anchors of its
+pre-signed rows.  So is a file that is not UTF-8 text.
 """
 
 from __future__ import annotations
@@ -130,6 +130,12 @@ def _amounts(value: str) -> list[int]:
     return amounts
 
 
+def _nonempty(value: str) -> str:
+    if not value:
+        raise ValueError("must not be empty")
+    return value
+
+
 def _positive_int(value: str) -> int:
     number = int(value)
     if number < 1:
@@ -154,6 +160,8 @@ def _step_list(value: str) -> list[tuple[int, int]]:
         height, rate = int(left), int(right)
         if height < 0 or rate < 0:
             raise ValueError("heights and rates must not be negative")
+        if any(height == h for h, _ in steps):
+            raise ValueError(f"height {height} is given twice")
         steps.append((height, rate))
     return steps
 
@@ -184,7 +192,7 @@ _PARAMS = {
     **_keys(_step_list, "fee_steps"),
     **_keys(_opt_non_negative_int, "dest_halted_at"),
 }
-_DEPOSIT = {**_keys(str, "owner"), **_keys(_amounts, "amounts")}
+_DEPOSIT = {**_keys(_nonempty, "owner"), **_keys(_amounts, "amounts")}
 _DEPOSITOR = {
     **_keys(_opt_non_negative_int, "exit_at", "exit_deposit_index", "leak_tokens_at"),
     **_keys(_bool, "burn_before_exit", "use_leaked_key"),

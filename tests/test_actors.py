@@ -2,19 +2,29 @@
 exit state machine with exact timelock timing, oracle-defended disputes,
 and operator liquidation/repayment duties."""
 
+import collections
 import pathlib
 
 import pytest
 
 from bsa_sim.actors import (
+    DepositorActor,
     OracleActor,
     OracleBehavior,
+    TokenOperatorActor,
     carve_fee_utxo,
     send_btc,
     spendable_utxos,
 )
 from bsa_sim.chain import BtcChain, FeeSchedule, Outpoint
-from bsa_sim.harness import build_world, compute_verdicts, liquidation_spans, run_scenario
+from bsa_sim.harness import (
+    build_world,
+    compute_verdicts,
+    extra_scenarios,
+    liquidation_spans,
+    matrix_scenarios,
+    run_scenario,
+)
 from bsa_sim.keys import keypair_from_seed
 from bsa_sim.psbt import PsbtTemplate, Transition, finalize_to_tx
 from bsa_sim.scenario import DepositorBehavior, OperatorBehavior, ScenarioConfig, load_scenario
@@ -272,3 +282,128 @@ def test_execute_acp_row_without_fee_funds_leaves_mempool_unchanged():
         "action": "fee_input_no_funds",
         "txid": row.txid,
     }
+
+
+# -- one reading of the ledger per block --------------------------------------
+
+
+def test_stuck_challenge_is_seen_the_block_after_it_arrives():
+    """Two griefing challenges go out without a CPFP child at height 9
+    and wait in the mempool until the fee rate falls at 13; the depositor
+    notes each once, at height 10."""
+    result = run_scenario(load_scenario(str(SCENARIO_DIR / "stuck_challenge.scn")))
+    chain, trace = result.world.chain, result.world.trace
+    stuck = [e for e in trace if e["action"] == "cpfp_no_funds"]
+    assert [e["height"] for e in stuck] == [9, 9]
+    assert [chain.confirmed_at[e["parent"]] for e in stuck] == [13, 13]
+    seen = [e for e in trace if e["action"] == "saw_challenge"]
+    assert [e["height"] for e in seen] == [10, 10]
+    # each note names the deposit its stuck challenge disputes
+    requests = [chain.tx_index[e["parent"]].inputs[0].outpoint.txid for e in stuck]
+    deposits = [str(chain.tx_index[txid].inputs[0].outpoint) for txid in requests]
+    assert [e["outpoint"] for e in seen] == deposits
+
+
+SCRIPTED = [load_scenario(str(p)) for p in sorted(SCENARIO_DIR.glob("*.scn"))]
+SCRIPTED += matrix_scenarios() + extra_scenarios()
+
+
+def swap_in_fresh_actors(world) -> None:
+    """Replace the depositor and the operator with new actors that carry
+    only their attempt records."""
+    old = world.depositors[0]
+    depositor = DepositorActor(old.name, old.keypair, old.owner, old.behavior)
+    depositor.exit_started_at = dict(old.exit_started_at)
+    depositor._leaked = old._leaked
+    world.depositors = [depositor]
+    old = world.operator
+    world.operator = TokenOperatorActor(old.name, old.keypair, old.behavior)
+    world.operator._rebalanced = old._rebalanced
+    world.operator._false_rebalanced = set(old._false_rebalanced)
+
+
+@pytest.mark.parametrize("config", SCRIPTED, ids=lambda c: c.name)
+def test_fresh_depositor_and_operator_continue_the_same_run(config):
+    """The chain and the registry are the actors' memory: fresh actors
+    swapped in mid-run finish it exactly as the originals would."""
+    reference = run_scenario(config)
+    world = build_world(config)
+    for _ in range(config.horizon_blocks):
+        if world.chain.height in (9, 11, 13, 17):
+            swap_in_fresh_actors(world)
+        world.tick()
+    assert world.trace == reference.trace
+    assert world.registry.state_digest() == reference.snapshot_digest
+    verdicts = compute_verdicts(world, config)
+    assert (verdicts.triple(), verdicts.reasons) == (
+        reference.verdicts.triple(),
+        reference.verdicts.reasons,
+    )
+
+
+def test_the_ledger_is_read_once_a_block(monkeypatch):
+    """In a dispute-free world of 16 deposits and 5 oracles, each tick
+    follows every deposit's spine once and never scans the UTXO set."""
+    config = ScenarioConfig(
+        amounts=[2_000] * 16,
+        n_oracles=5,
+        depositor=DepositorBehavior(exit_at=8, exit_deposit_index=0),
+    )
+    world = build_world(config)
+    calls = collections.Counter()
+    for name in ("utxos_at", "spine_end"):
+        method = getattr(BtcChain, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(BtcChain, name, counted)
+    for _ in range(24):
+        calls.clear()
+        world.tick()
+        assert (calls["utxos_at"], calls["spine_end"]) == (0, 16)
+    # the reading saw the one exit through to the depositor's key
+    deposit = next(iter(world.instances[0].deposits))
+    assert [(op, kind) for _, op, _, kind in world.resting] == [(deposit, "dep_return")]
+    assert any(e["action"] == "exit_complete" for e in world.trace)
+
+
+def test_oracles_take_challenges_in_utxo_set_order(monkeypatch):
+    """Every scan arbitrates an instance's unspent challenge outputs in
+    the order a scan of the UTXO set gives: UCA before RCA, each kind by
+    confirmed height, then outpoint.  In this world (owner ``victor``),
+    the three outputs the oracles find on waking sort differently by
+    deposit, by outpoint alone and by height ignoring kind."""
+    scans = []
+    scan, arbitrate = OracleActor._scan_challenges, OracleActor._arbitrate
+
+    def recording_scan(self, world, instance):
+        chain = world.chain
+        expected = [
+            (kind, utxo)
+            for kind in ("UCA", "RCA")
+            for utxo in chain.utxos_at(instance.address_ids[kind])
+            if chain.spender(utxo.outpoint) is None
+        ]
+        scans.append((expected, []))
+        scan(self, world, instance)
+
+    def recording_arbitrate(self, world, instance, kind, utxo):
+        scans[-1][1].append((kind, utxo))
+        return arbitrate(self, world, instance, kind, utxo)
+
+    monkeypatch.setattr(OracleActor, "_scan_challenges", recording_scan)
+    monkeypatch.setattr(OracleActor, "_arbitrate", recording_arbitrate)
+    run_scenario(
+        ScenarioConfig(
+            owner="victor",
+            amounts=[5000, 2500, 2500],
+            depositor=DepositorBehavior(exit_at=8, exit_deposit_index=2),
+            operator=OperatorBehavior(challenge_legitimate=True, false_rebalance_at=9),
+            oracles=[OracleBehavior(offline=(0, 15)) for _ in range(3)],
+        )
+    )
+    assert max(len(expected) for expected, _ in scans) == 3
+    for expected, arbitrated in scans:
+        assert arbitrated == expected

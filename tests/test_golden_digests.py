@@ -33,6 +33,11 @@ GOLDEN = [
         "7c40c3dfee27863cb2d4060aa70765a2573369057fdfb8bff6d863835fead56b",
     ),
     (
+        "stuck-challenge",
+        "cf1d624a24a3e4b8d7e17f382bc0318c3d29335cbb2c97bcc968ad42c9d0b2bf",
+        "e0a5a3b66400a5314d066faf249f294cefad0b01c274928366815b9aef77da1b",
+    ),
+    (
         "theft-defeated",
         "91b196114bf4ed32f1aa5ae9d2614c94966920cf53dd0676359b9c6af7cd71ae",
         "5c4ff55f7248f7479ab90ab53939d8aa64ae35a5b6c61a5f07f6137c6466499b",

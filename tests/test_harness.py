@@ -36,6 +36,7 @@ def test_scenario_files_present():
         "honest_exit.scn",
         "legitimate_rebalance.scn",
         "rebalance_races_theft.scn",
+        "stuck_challenge.scn",
         "theft_defeated.scn",
     ]
 
@@ -139,6 +140,8 @@ def test_parse_rejections():
         ("[oracle.0]\noffline = 20..12\n", "[oracle.0] offline"),
         ("[params]\nfee_steps = 20:-3\n", "[params] fee_steps"),
         ("[params]\nfee_steps = 20:3, -1:1\n", "[params] fee_steps"),
+        ("[params]\nfee_steps = 20:1, 20:3\n", "[params] fee_steps = '20:1, 20:3': height 20"),
+        ("[params]\nfee_steps = 20:3, 20:1\n", "[params] fee_steps = '20:3, 20:1': height 20"),
         ("[params]\nhorizon_blocks = 0\n", "[params] horizon_blocks"),
         ("[params]\nt1 = 0\n", "[params] t1"),
         ("[params]\nslots_per_block = 0\n", "[params] slots_per_block"),
@@ -163,16 +166,19 @@ def test_parse_rejections():
         ("[deposit]\namounts = 10, -3\n",
          "[deposit] amounts = '10, -3': deposit amounts must be positive"),
         ("[deposit]\namounts = 7000, 668\n", "[deposit] amounts = '7000, 668': "),
+        ("[deposit]\nowner =\n", "[deposit] owner = '': must not be empty"),
     ],
     ids=[
         "exit-index-past-end", "exit-index-negative", "empty-window", "reversed-window",
-        "negative-rate", "negative-height", "zero-horizon", "zero-t1",
+        "negative-rate", "negative-height", "repeated-height-rising",
+        "repeated-height-falling", "zero-horizon", "zero-t1",
         "zero-slots-per-block", "t3-within-dispute-window", "zero-finality-interval",
         "zero-fee-funds", "negative-fee-base", "zero-wsp-slots", "negative-wsp-slots",
         "negative-t-op-blocks", "negative-margin-blocks", "negative-n-oracles",
         "negative-dest-halted-at", "negative-leak-amount", "zero-leak-amount",
         "negative-exit-at", "negative-leak-tokens-at", "negative-rebalance-at",
         "negative-false-rebalance-at", "negative-amount", "amount-below-min-deposit",
+        "empty-owner",
     ],
 )
 def test_parse_rejects_out_of_range_values(text, where):
