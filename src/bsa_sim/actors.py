@@ -26,7 +26,8 @@ challenge outputs, and the depositor finalizes or watches its exit.
 What actors keep records attempts, not outcomes, since a request the
 mempool refused leaves nothing on the chain to read: the depositor's
 ``exit_started_at`` and leak flag, the operator's ``_rebalanced`` and
-``_false_rebalanced``.
+``_false_rebalanced``; and each oracle keeps its own sight of each
+challenge (``OracleActor.first_seen``).
 """
 
 from __future__ import annotations
@@ -354,6 +355,12 @@ class TokenOperatorActor:
 
 
 class OracleActor:
+    """Runs one ``ArbitrationOracle`` in the world.  Its one record kept
+    between blocks is ``first_seen``, its own sight of each challenge (the
+    height it first saw it): ``t_op_blocks`` runs from when the oracle
+    wakes and sees a challenge, not from when the challenge confirmed, as
+    in ``availability.response_time``, so the chain cannot stand in."""
+
     def __init__(
         self,
         name: str,

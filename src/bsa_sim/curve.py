@@ -33,9 +33,8 @@ Vanstone, CRYPTO 2001):
 * ``generator_mul`` makes the fixed-base routine affine and
   ``point_mul`` a one-pair chain.  ``multi_mul_add(s, pairs)`` = s * G +
   the sum of k * Q runs the chain, then the fixed-base routine into the
-  same accumulator, then one inversion; ``mul_add(s, Q, k)`` is its
-  one-pair case.  A Schnorr check, alone or a batch of them, is one
-  ``multi_mul_add`` (see ``keys``).
+  same accumulator, then one inversion.  A Schnorr check, alone or a
+  batch of them, is one ``multi_mul_add`` (see ``keys``).
 * ``point_add`` adds in affine coordinates with one inversion.
 
 Every function computes exact group arithmetic, and a curve point has one
@@ -379,8 +378,3 @@ def multi_mul_add(s: int, pairs: list[tuple[Point | None, int]]) -> Point | None
     the sum, then the fixed-base routine adds s * G into the same
     accumulator, and one inversion makes the result affine."""
     return _from_jac(_add_gen_mul(_mul_jac([(pt, k % N) for pt, k in pairs]), s % N))
-
-
-def mul_add(s: int, pt: Point | None, k: int) -> Point | None:
-    """s * G + k * pt, the one-pair case of ``multi_mul_add``."""
-    return multi_mul_add(s, [(pt, k)])

@@ -308,6 +308,8 @@ class SpendPath:
 # ---------------------------------------------------------------------------
 # instance parameters
 
+MAX_ORACLES = 0xFFFF  # ``TweakData.serialize`` writes the oracle count in two bytes
+
 
 @dataclass(frozen=True)
 class TweakData:
@@ -324,6 +326,8 @@ class TweakData:
     def __post_init__(self):
         if len(self.ao_pks) < 1:
             raise ValueError("need at least one arbitration key")
+        if len(self.ao_pks) > MAX_ORACLES:
+            raise ValueError(f"at most {MAX_ORACLES} arbitration keys")
         if self.t1 <= 0 or self.t2 <= 0:
             raise ValueError("timelocks must be positive")
 

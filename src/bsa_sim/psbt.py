@@ -14,7 +14,6 @@ who executes, how fees are topped up):
   rebalance_resolve          RCA -> Dep     dep_ao_*  Dep & AO     exec AO  acp fee input
   rebalance_resolve_expired  RCA -> TO      to_delay  TO after t2           self
   cooperative_unbond         VA  -> Dep     dep_to    Dep & TO     exec Dep anchor
-  resplit                    VA  -> VA + VA dep_to    Dep & TO     exec TO  none
 
 Address kinds have one spelling: the four script addresses are ``VA``,
 ``UTA``, ``UCA`` and ``RCA`` (``ProtocolAddress.kind``), and the two key
@@ -122,10 +121,6 @@ class VerificationFailed(PsbtError):
     pass
 
 
-class BadSplit(PsbtError):
-    pass
-
-
 class Transition(Enum):
     UNBOND_REQUEST = "unbond_request"
     UNBOND_FINALIZE = "unbond_finalize"
@@ -136,7 +131,6 @@ class Transition(Enum):
     REBALANCE_RESOLVE = "rebalance_resolve"
     REBALANCE_RESOLVE_EXPIRED = "rebalance_resolve_expired"
     COOPERATIVE_UNBOND = "cooperative_unbond"
-    RESPLIT = "resplit"
 
 
 @dataclass(frozen=True)
@@ -147,7 +141,7 @@ class TransitionSpec:
     creator: str | None
     stored_on: str | None  # "sar" | "to" | None
     executor: str  # "dep"|"to"|"ao"
-    fee_mode: str  # "anchor"|"acp"|"self"|"none"
+    fee_mode: str  # "anchor"|"acp"|"self"
 
 
 TRANSITION_SPECS: dict[Transition, TransitionSpec] = {
@@ -178,9 +172,6 @@ TRANSITION_SPECS: dict[Transition, TransitionSpec] = {
     Transition.COOPERATIVE_UNBOND: TransitionSpec(
         "VA", "dep_return", "dep_to", "to", None, "dep", "anchor"
     ),
-    Transition.RESPLIT: TransitionSpec(
-        "VA", "VA", "dep_to", "to", None, "to", "none"
-    ),
 }
 
 # the rows pre-signed for every deposit, in catalog order, and who keeps them
@@ -189,11 +180,11 @@ SAR_ROWS = tuple(t for t in DEPOSIT_ROWS if TRANSITION_SPECS[t].stored_on == "sa
 TO_ROWS = tuple(t for t in DEPOSIT_ROWS if TRANSITION_SPECS[t].stored_on == "to")
 
 
-def _base_cost(spec: TransitionSpec, n_main: int = 1) -> tuple[int, int]:
-    """The base fee and the anchor dust a row with ``n_main`` main outputs
-    takes off its input value."""
+def _base_cost(spec: TransitionSpec) -> tuple[int, int]:
+    """The base fee and the anchor dust a row takes off its input value:
+    the fee pays for one input, one main output and the anchor if any."""
     has_anchor = spec.fee_mode == "anchor"
-    return BASE_FEE_RATE * (1 + n_main + has_anchor), ANCHOR_VALUE * has_anchor
+    return BASE_FEE_RATE * (2 + has_anchor), ANCHOR_VALUE * has_anchor
 
 
 def _min_deposit() -> int:
@@ -323,7 +314,6 @@ def build_psbt(
     transition: Transition,
     instance: ProtocolInstance,
     spent: tuple[Outpoint, int],
-    value_split: list[int] | None = None,
     fee: int | None = None,
 ) -> PsbtTemplate:
     """Construct an unsigned template for one transition spending
@@ -331,28 +321,18 @@ def build_psbt(
 
     The committed outputs are the transition's destination address for
     the full input value minus the base fee (and minus the anchor dust
-    when the row carries an anchor).  ``value_split`` puts several main
-    outputs at the destination address instead of one.
+    when the row carries an anchor).
     """
     spec = TRANSITION_SPECS[transition]
     outpoint, value = spent
-    dest = instance.address_ids[spec.dest]
-    base_fee, anchor_value = _base_cost(spec, len(value_split) if value_split else 1)
+    base_fee, anchor_value = _base_cost(spec)
     if fee is None:
         fee = base_fee
-
-    if value_split is not None:
-        if sum(value_split) != value - fee - anchor_value:
-            raise BadSplit(
-                f"split {value_split} must sum to {value - fee - anchor_value}"
-            )
-        main_values = list(value_split)
-    else:
-        main_values = [value - fee - anchor_value]
-    if any(v <= 0 for v in main_values):
+    main_value = value - fee - anchor_value
+    if main_value <= 0:
         raise InsufficientFunds(f"{transition.value} on value {value} leaves no output")
 
-    outputs = [TxOutput(dest, v) for v in main_values]
+    outputs = [TxOutput(instance.address_ids[spec.dest], main_value)]
     anchor_index = None
     if anchor_value:
         anchor_kind = "dep_return" if spec.executor == "dep" else "to_key"
@@ -550,23 +530,6 @@ def build_deposit_psbt_set(
     return rows
 
 
-def _registered_record(
-    instance: ProtocolInstance,
-    outpoint: Outpoint,
-    amount: int,
-    rows: dict[Transition, PsbtTemplate],
-) -> UtxoRecord:
-    """The registry record of a new deposit: its ``SAR_ROWS`` as text."""
-    return UtxoRecord(
-        outpoint=str(outpoint),
-        owner=instance.owner,
-        amount=amount,
-        status=UtxoStatus.REGISTERED,
-        tweak_digest=instance.tweak_digest,
-        psbts={t.value: rows[t].to_text() for t in SAR_ROWS},
-    )
-
-
 def verify_psbt_against_instance(
     psbt: PsbtTemplate, instance: ProtocolInstance, outpoint: Outpoint, value: int
 ) -> bool:
@@ -675,7 +638,14 @@ def run_setup_ceremony(
     # step 2b: operator stores the registry rows
     registry.store_tweak_data(tweak_data)
     for outpoint, amount, per in zip(outpoints, amounts, psbt_sets):
-        record = _registered_record(instance, outpoint, amount, per)
+        record = UtxoRecord(
+            outpoint=str(outpoint),
+            owner=instance.owner,
+            amount=amount,
+            status=UtxoStatus.REGISTERED,
+            tweak_digest=instance.tweak_digest,
+            psbts={t.value: per[t].to_text() for t in SAR_ROWS},
+        )
         if sar_tamper is not None:
             record.psbts = sar_tamper(record.outpoint, record.psbts)
         registry.register_deposit(record, caller="to")
@@ -708,57 +678,3 @@ def run_setup_ceremony(
         registry.activate_on_mint(op, caller="to")
     return instance
 
-
-@dataclass
-class ResplitOutcome:
-    tx: SimTx
-    new_deposits: list[tuple[Outpoint, int]]
-
-
-def collaborative_resplit(
-    instance: ProtocolInstance,
-    outpoint: Outpoint,
-    value: int,
-    split_amounts: list[int],
-    deadline_block: int,
-    current_block: int,
-    dep_keypair: Keypair | None,
-    to_keypair: Keypair,
-    chain: BtcChain,
-    registry: Registry,
-    fee: int = 0,
-) -> ResplitOutcome | None:
-    """Cooperative rebalance: split one vault output into parts so only
-    the imbalanced amount moves.  Returns None when the depositor did not
-    sign by the deadline (the caller then rebalances the full UTXO).
-
-    As in the setup ceremony, the registry accepts the new records before
-    any coins move: a resplit it refuses broadcasts nothing and leaves
-    ``instance`` as it was."""
-    if dep_keypair is None or current_block > deadline_block:
-        return None
-    resplit = build_psbt(
-        Transition.RESPLIT, instance, (outpoint, value), value_split=split_amounts, fee=fee
-    )
-    sign_psbt(resplit, dep_keypair, instance)
-    tx = finalize_to_tx(resplit, to_keypair, instance)
-
-    new_deposits = [(Outpoint(tx.txid, i), amount) for i, amount in enumerate(split_amounts)]
-    psbt_sets = [
-        build_deposit_psbt_set(instance, new_op, amount, dep_keypair, to_keypair)
-        for new_op, amount in new_deposits
-    ]
-    new_records = [
-        _registered_record(instance, new_op, amount, per)
-        for (new_op, amount), per in zip(new_deposits, psbt_sets)
-    ]
-    registry.check_resplit(str(outpoint), new_records, caller="to")
-    chain.submit_tx(tx)
-    registry.resplit_deposit(str(outpoint), new_records, caller="to")
-
-    del instance.deposits[str(outpoint)]
-    instance.to_psbts.pop(str(outpoint), None)
-    for (new_op, amount), per in zip(new_deposits, psbt_sets):
-        instance.deposits[str(new_op)] = amount
-        instance.to_psbts[str(new_op)] = {t: per[t] for t in TO_ROWS}
-    return ResplitOutcome(tx=tx, new_deposits=new_deposits)

@@ -6,8 +6,10 @@ detection, approved enclave version expiries, and timelock parameters
 with delayed governance upgrades.
 
 Status lifecycle: the rows of ``_TRANSITIONS``; any other move is
-refused.  Each row has one entry point, which checks the row
-(``_check_move``) and then applies the row's ledger effect:
+refused.  A record enters as Registered through ``register_deposit`` and
+is never removed.  Each row has one entry point, the only place a
+status changes, which checks the row (``_check_move``) and then applies
+the row's ledger effect:
 
     Registered --(operator, activate_on_mint: mints the amount)--> Active
     Registered --(owner, reject_deposit: no ledger effect)--> Rejected
@@ -17,9 +19,6 @@ refused.  Each row has one entry point, which checks the row
 ``mark_rebalance`` checks the claimed imbalance against balances the
 contract can see, so SpentOnRebalance is trustworthy for third parties.
 An exit is authorised only in ``EXIT_STATUSES`` (Withdrawn, Rejected).
-The one move outside the table is ``resplit_deposit``, gated by
-``check_resplit``: its parts enter Active without a mint because they
-replace an Active record and carry its supply.
 
 Timelock units: t1 and t2 are Bitcoin blocks, t3 is destination-chain
 slots; ``slots_per_block`` converts when the three are compared.
@@ -117,12 +116,6 @@ EXIT_STATUSES = frozenset({UtxoStatus.WITHDRAWN, UtxoStatus.REJECTED})
 # the values of ``psbt.SAR_ROWS``, spelled out because psbt imports this
 # module (a test pins the two equal)
 REQUIRED_PSBT_SLOTS = ("unbond_request", "unbond_resolve", "rebalance_resolve")
-
-
-def _require_psbts(record: UtxoRecord) -> None:
-    missing = [slot for slot in REQUIRED_PSBT_SLOTS if slot not in record.psbts]
-    if missing:
-        raise MissingPsbt(", ".join(missing))
 
 
 def _check_move(record: UtxoRecord, new_status: UtxoStatus, caller: str) -> None:
@@ -256,7 +249,6 @@ class Registry:
         self.claimable: dict[str, int] = {}  # owner -> over-seizure owed
         self.claim_paid: dict[str, int] = {}
         self.rebalance_events: list[RebalanceEvent] = []
-        self.collaborative_pending: dict[str, int] = {}  # outpoint -> deadline block
         self._position_counter: dict[str, int] = {}  # owner -> next registration index
 
     # -- deposits ------------------------------------------------------------
@@ -273,16 +265,14 @@ class Registry:
             raise DuplicateOutpoint(record.outpoint)
         if record.status is not UtxoStatus.REGISTERED:
             raise UnauthorizedTransition("new records start as Registered")
-        _require_psbts(record)
+        missing = [slot for slot in REQUIRED_PSBT_SLOTS if slot not in record.psbts]
+        if missing:
+            raise MissingPsbt(", ".join(missing))
         if record.tweak_digest not in self.tweaks:
             raise UnknownRecord("tweak data must be stored before registering")
-        record.rebalance_position = self._next_position(record.owner)
+        record.rebalance_position = self._position_counter.get(record.owner, 0)
+        self._position_counter[record.owner] = record.rebalance_position + 1
         self.records[record.outpoint] = record
-
-    def _next_position(self, owner: str) -> int:
-        position = self._position_counter.get(owner, 0)
-        self._position_counter[owner] = position + 1
-        return position
 
     def get_record(self, outpoint: str) -> UtxoRecord:
         if outpoint not in self.records:
@@ -401,56 +391,6 @@ class Registry:
         self.claimable[owner] = owed - amount
         self.claim_paid[owner] = self.claim_paid.get(owner, 0) + amount
 
-    def request_collaborative(self, outpoint: str, deadline_block: int, caller: str) -> None:
-        if caller != "to":
-            raise NotTO(caller)
-        self.get_record(outpoint)
-        self.collaborative_pending[outpoint] = deadline_block
-
-    def check_resplit(
-        self,
-        old_outpoint: str,
-        new_records: list[UtxoRecord],
-        caller: str,
-    ) -> None:
-        """Raise unless ``resplit_deposit`` would accept these arguments;
-        changes nothing."""
-        if caller != "to":
-            raise NotTO(caller)
-        old = self.get_record(old_outpoint)
-        if old.status is not UtxoStatus.ACTIVE:
-            raise UnauthorizedTransition("only active records can be resplit")
-        if old_outpoint not in self.collaborative_pending:
-            raise UnauthorizedTransition("no pending cooperative rebalance")
-        if sum(r.amount for r in new_records) > old.amount:
-            raise RegistryError("split exceeds the original amount")
-        added: set[str] = set()
-        for record in new_records:
-            outpoint = record.outpoint
-            if outpoint in added or (outpoint in self.records and outpoint != old_outpoint):
-                raise DuplicateOutpoint(outpoint)
-            _require_psbts(record)
-            added.add(outpoint)
-
-    def resplit_deposit(
-        self,
-        old_outpoint: str,
-        new_records: list[UtxoRecord],
-        caller: str,
-    ) -> None:
-        """Replace one active record with records for its split parts
-        (cooperative rebalance).  Minted supply is untouched: the deposit
-        merely changed outpoints, so the new records activate directly.
-        ``check_resplit`` runs before anything changes, so a rejected
-        resplit leaves the registry as it was."""
-        self.check_resplit(old_outpoint, new_records, caller)
-        del self.records[old_outpoint]
-        del self.collaborative_pending[old_outpoint]
-        for record in new_records:
-            record.status = UtxoStatus.ACTIVE
-            record.rebalance_position = self._next_position(record.owner)
-            self.records[record.outpoint] = record
-
     # -- adapters --------------------------------------------------------------
 
     def adapter_admin(self, action: str, adapter_id: str, caller: str) -> None:
@@ -537,7 +477,8 @@ class Registry:
             "claimable": self.claimable,
             "claim_paid": self.claim_paid,
             "rebalance_events": self.rebalance_events,
-            "collaborative_pending": self.collaborative_pending,
+            # a retired section, kept empty so every digest stays as it was
+            "collaborative_pending": {},
         }
 
     def body_key(self) -> tuple[list, dict]:
@@ -605,5 +546,4 @@ class Registry:
             RebalanceEvent(**{**e, "selected": [tuple(s) for s in e["selected"]]})
             for e in d["rebalance_events"]
         ]
-        reg.collaborative_pending = d["collaborative_pending"]
         return reg

@@ -41,21 +41,25 @@ rate is above it, executors top up with anchor children or fee inputs.
 Section ``[oracle.N]`` sets oracle N (N is a decimal number; each N
 may appear once).  There are max(``n_oracles``, highest N + 1) oracles,
 at least one, ``n_oracles`` defaulting to 3, and every oracle without a
-section is honest.  An unknown section or key is a ``ScenarioError`` naming it, so
-a misspelt key cannot silently fall back to its default.  So is a value
-out of its range: ``t1``, ``t2``, ``t3``, ``slots_per_block``,
-``finality_interval``, ``fee_funds``, ``horizon_blocks``,
-``t_op_blocks``, ``wsp_slots`` or ``leak_token_amount`` below 1, a
-negative ``fee_base``, ``margin_blocks`` or ``n_oracles``, a ``t3``
-that does not exceed (``t1`` + ``t2``) blocks of ``slots_per_block``
-slots (``registry.check_timelocks``), a negative height (``exit_at``,
+section is honest.  An unknown section or key is a ``ScenarioError``
+naming it, so a misspelt key cannot silently fall back to its default.
+So is a value out of its range: ``t1``, ``t2``, ``t3``,
+``slots_per_block``, ``finality_interval``, ``fee_funds``,
+``horizon_blocks``, ``t_op_blocks``, ``wsp_slots`` or
+``leak_token_amount`` below 1, a negative ``fee_base``,
+``margin_blocks`` or ``n_oracles``, more than ``keys.MAX_ORACLES``
+(65,535) oracles by ``n_oracles`` or by an ``[oracle.N]`` section (the
+tweak data stores the count in two bytes), a ``t3`` that does not exceed
+(``t1`` + ``t2``) blocks of ``slots_per_block`` slots
+(``registry.check_timelocks``), a negative height (``exit_at``,
 ``leak_tokens_at``, ``rebalance_at``, ``false_rebalance_at``,
 ``dest_halted_at``, or one in ``fee_steps``) or rate in ``fee_steps``,
 a ``fee_steps`` height given twice, an empty ``owner``, an ``offline``
-window that does not end after it starts, an ``exit_deposit_index``
-that names no deposit, and ``amounts`` that are empty or hold one below
-``psbt.MIN_DEPOSIT``, too small to pay the base fees and anchors of its
-pre-signed rows.  So is a file that is not UTF-8 text.
+window that starts below 0 or does not end after it starts, an
+``exit_deposit_index`` that names no deposit, and ``amounts`` that are
+empty or hold one below ``psbt.MIN_DEPOSIT``, too small to pay the base
+fees and anchors of its pre-signed rows.  So is a file that is not
+UTF-8 text.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ from dataclasses import dataclass, field
 
 from .actors import DepositorBehavior, OperatorBehavior, OracleBehavior
 from .destchain import DEFAULT_WSP_SLOTS
+from .keys import MAX_ORACLES
 from .psbt import MIN_DEPOSIT
 from .registry import TimelockRelationViolated, check_timelocks
 
@@ -150,6 +155,13 @@ def _non_negative_int(value: str) -> int:
     return number
 
 
+def _oracle_count(value: str) -> int:
+    number = _non_negative_int(value)
+    if number > MAX_ORACLES:
+        raise ValueError(f"at most {MAX_ORACLES} oracles")
+    return number
+
+
 def _step_list(value: str) -> list[tuple[int, int]]:
     steps = []
     for part in value.split(","):
@@ -172,6 +184,8 @@ def _range(value: str) -> tuple[int, int] | None:
         return None
     start, end = value.split("..")
     start, end = int(start), int(end)
+    if start < 0:
+        raise ValueError("a window must not start below 0")
     if end <= start:
         raise ValueError("a window must end after it starts")
     return (start, end)
@@ -188,7 +202,8 @@ _PARAMS = {
         _positive_int, "t1", "t2", "t3", "slots_per_block", "finality_interval",
         "fee_funds", "horizon_blocks", "t_op_blocks", "wsp_slots",
     ),
-    **_keys(_non_negative_int, "fee_base", "margin_blocks", "n_oracles"),
+    **_keys(_non_negative_int, "fee_base", "margin_blocks"),
+    **_keys(_oracle_count, "n_oracles"),
     **_keys(_step_list, "fee_steps"),
     **_keys(_opt_non_negative_int, "dest_halted_at"),
 }
@@ -243,6 +258,8 @@ def _oracle_number(section: str) -> int:
     number = section.removeprefix("oracle.")
     if not (number.isascii() and number.isdigit()):
         raise ScenarioError(f"[{section}]: oracle sections are named oracle.N")
+    if int(number) >= MAX_ORACLES:
+        raise ScenarioError(f"[{section}]: at most {MAX_ORACLES} oracles, numbered from 0")
     return int(number)
 
 

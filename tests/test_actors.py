@@ -304,13 +304,24 @@ def test_stuck_challenge_is_seen_the_block_after_it_arrives():
     assert [e["outpoint"] for e in seen] == deposits
 
 
+def slow_arbitration_theft() -> ScenarioConfig:
+    """``theft-defeated`` with oracles that wait 3 blocks before they
+    arbitrate, so a challenge is pending in their own records across a
+    swap; with the default wait of 1 they act the block they see it."""
+    config = load_scenario(str(SCENARIO_DIR / "theft_defeated.scn"))
+    config.name, config.t_op_blocks = "theft-defeated-t-op-3", 3
+    return config
+
+
 SCRIPTED = [load_scenario(str(p)) for p in sorted(SCENARIO_DIR.glob("*.scn"))]
-SCRIPTED += matrix_scenarios() + extra_scenarios()
+SCRIPTED += matrix_scenarios() + extra_scenarios() + [slow_arbitration_theft()]
 
 
 def swap_in_fresh_actors(world) -> None:
-    """Replace the depositor and the operator with new actors that carry
-    only their attempt records."""
+    """Replace the depositor, the operator and every oracle actor with new
+    actors that carry only their own records: the depositor's and the
+    operator's attempts, and when each oracle first saw each challenge.
+    A fresh oracle actor wraps the same ``ArbitrationOracle``."""
     old = world.depositors[0]
     depositor = DepositorActor(old.name, old.keypair, old.owner, old.behavior)
     depositor.exit_started_at = dict(old.exit_started_at)
@@ -320,6 +331,12 @@ def swap_in_fresh_actors(world) -> None:
     world.operator = TokenOperatorActor(old.name, old.keypair, old.behavior)
     world.operator._rebalanced = old._rebalanced
     world.operator._false_rebalanced = set(old._false_rebalanced)
+    fresh = []
+    for old in world.oracles:
+        oracle = OracleActor(old.name, old.oracle, old.behavior, old.t_op_blocks)
+        oracle.first_seen = dict(old.first_seen)
+        fresh.append(oracle)
+    world.oracles = fresh
 
 
 @pytest.mark.parametrize("config", SCRIPTED, ids=lambda c: c.name)

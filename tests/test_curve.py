@@ -27,7 +27,6 @@ from bsa_sim.curve import (
     generator_mul,
     is_on_curve,
     lift_x,
-    mul_add,
     multi_mul_add,
     point_add,
     point_mul,
@@ -204,7 +203,7 @@ def test_point_mul_matches_reference_property(base, k):
 @example(s=2 * N - 1, base=DERIVED, k=N)
 def test_mul_add_matches_reference_property(s, base, k):
     expected = affine_add(affine_mul(s, G), affine_mul(k, base))
-    assert mul_add(s, base, k) == expected
+    assert multi_mul_add(s, [(base, k)]) == expected
 
 
 NEG_G = Point(GX, P - GY)
@@ -237,8 +236,8 @@ def test_multi_scalar_chain_matches_reference_sum(s, pairs):
 
 def test_mixed_addition_handles_equal_and_opposite_points():
     # A single multiplication by a reduced scalar never reaches these
-    # branches, so they are checked on the helper itself; mul_add reaches
-    # the opposite-point one when s * G == -(k * pt).
+    # branches, so they are checked on the helper itself; multi_mul_add
+    # reaches the opposite-point one when s * G == -(k * pt).
     two_g = affine_mul(2, G)
     jac_two_g = _jac_double((GX, GY, 1))  # Z != 1
     assert _from_jac(_jac_add_affine(jac_two_g, two_g.x, two_g.y)) == affine_mul(4, G)

@@ -115,10 +115,6 @@ def reorder(reg: Registry, owner: str, shift: int) -> None:
     reg.set_rebalance_order(owner, positions[shift:] + positions[:shift], caller=owner)
 
 
-def request_collaborative(reg: Registry, i: int, deadline: int) -> None:
-    reg.request_collaborative(nth_record(reg, i).outpoint, deadline, caller="to")
-
-
 # sections that no registry method writes alone, each rewritten in place
 REWRITES = {
     "params": lambda reg, n: setattr(reg, "t3", 20 + n),  # keeps t3 > (t1 + t2) * 2
@@ -128,7 +124,6 @@ REWRITES = {
     "rebalance_events": lambda reg, n: reg.rebalance_events.append(
         RebalanceEvent(n, OWNERS[n % 3], n, [], 0)
     ),
-    "collaborative_pending": lambda reg, n: reg.collaborative_pending.update({outpoint(n % 8): n}),
 }
 
 
@@ -156,7 +151,6 @@ OPERATIONS = {
         st.sampled_from(("add", "remove")),
         st.sampled_from(ADAPTERS),
     ),
-    "collaborative": (request_collaborative, st.integers(0, 7), st.integers(10, 12)),
     "rewrite": (
         lambda reg, section, n: REWRITES[section](reg, n),
         st.sampled_from(sorted(REWRITES)),
@@ -207,7 +201,6 @@ def corrupt(view: Registry) -> None:
     for event in view.rebalance_events:
         event.selected.append(("corrupt:0", 1))
     view.rebalance_events.append(RebalanceEvent(0, "acct:corrupt", 1, [], 0))
-    view.collaborative_pending["corrupt:0"] = 1
 
 
 def run_steps(steps) -> tuple[DestChain, dict[int, str]]:

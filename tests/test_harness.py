@@ -16,6 +16,7 @@ from bsa_sim.harness import (
     run_scenario,
 )
 from bsa_sim import scenario
+from bsa_sim.keys import MAX_ORACLES
 from bsa_sim.psbt import MIN_DEPOSIT
 from bsa_sim.scenario import (
     DepositorBehavior,
@@ -138,6 +139,8 @@ def test_parse_rejections():
         ("[depositor]\nexit_deposit_index = -1\n", "[depositor] exit_deposit_index"),
         ("[oracle.1]\noffline = 12..12\n", "[oracle.1] offline"),
         ("[oracle.0]\noffline = 20..12\n", "[oracle.0] offline"),
+        ("[oracle.0]\noffline = -3..5\n",
+         "[oracle.0] offline = '-3..5': a window must not start below 0"),
         ("[params]\nfee_steps = 20:-3\n", "[params] fee_steps"),
         ("[params]\nfee_steps = 20:3, -1:1\n", "[params] fee_steps"),
         ("[params]\nfee_steps = 20:1, 20:3\n", "[params] fee_steps = '20:1, 20:3': height 20"),
@@ -154,6 +157,9 @@ def test_parse_rejections():
         ("[params]\nt_op_blocks = -2\n", "[params] t_op_blocks"),
         ("[params]\nmargin_blocks = -50\n", "[params] margin_blocks"),
         ("[params]\nn_oracles = -1\n", "[params] n_oracles"),
+        ("[params]\nn_oracles = 65536\n", "[params] n_oracles = '65536': at most 65535 oracles"),
+        ("[oracle.65535]\nrefuse = true\n", "[oracle.65535]: at most 65535 oracles"),
+        ("[oracle.70000]\n", "[oracle.70000]: at most 65535 oracles"),
         ("[params]\ndest_halted_at = -1\n", "[params] dest_halted_at"),
         ("[depositor]\nleak_tokens_at = 8\nleak_token_amount = -5\n",
          "[depositor] leak_token_amount"),
@@ -170,11 +176,14 @@ def test_parse_rejections():
     ],
     ids=[
         "exit-index-past-end", "exit-index-negative", "empty-window", "reversed-window",
+        "window-starts-below-zero",
         "negative-rate", "negative-height", "repeated-height-rising",
         "repeated-height-falling", "zero-horizon", "zero-t1",
         "zero-slots-per-block", "t3-within-dispute-window", "zero-finality-interval",
         "zero-fee-funds", "negative-fee-base", "zero-wsp-slots", "negative-wsp-slots",
         "negative-t-op-blocks", "negative-margin-blocks", "negative-n-oracles",
+        "n-oracles-past-two-bytes", "oracle-section-past-two-bytes",
+        "oracle-section-far-past-two-bytes",
         "negative-dest-halted-at", "negative-leak-amount", "zero-leak-amount",
         "negative-exit-at", "negative-leak-tokens-at", "negative-rebalance-at",
         "negative-false-rebalance-at", "negative-amount", "amount-below-min-deposit",
@@ -184,6 +193,13 @@ def test_parse_rejections():
 def test_parse_rejects_out_of_range_values(text, where):
     with pytest.raises(ScenarioError, match=re.escape(where)):
         parse_scenario(text)
+
+
+def test_parse_accepts_as_many_oracles_as_tweak_data_holds():
+    # parsed only: no world is built with this many oracles
+    for text in ("[params]\nn_oracles = 65535\n", "[oracle.65534]\nrefuse = true\n"):
+        assert len(parse_scenario(text).oracles) == MAX_ORACLES == 65535
+    assert parse_scenario("[oracle.0]\noffline = 0..5\n").oracles[0].offline == (0, 5)
 
 
 def test_smallest_deposit_builds_every_row():

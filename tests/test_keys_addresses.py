@@ -1,6 +1,7 @@
 """Address derivation checked against independent recomputation, plus
 signature behavior and frozen golden vectors."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -23,6 +24,7 @@ from bsa_sim.curve import (
 )
 from bsa_sim.keys import (
     ADDRESS_KINDS,
+    MAX_ORACLES,
     InvalidScalar,
     Keypair,
     SingleAfterDelay,
@@ -384,6 +386,17 @@ def test_serialize_is_injective_on_field_order():
         return_address=td.return_address,
     )
     assert td.serialize() != swapped.serialize()
+
+
+def test_tweak_data_bounds_the_oracle_count_by_its_two_bytes():
+    # one key repeated: only the count is under test, no oracle is derived
+    td = make_tweak_data("count", n_oracles=1)
+    widest = dataclasses.replace(td, ao_pks=td.ao_pks * MAX_ORACLES)
+    count_at = 2 * (4 + 33)  # after dep_pk and to_pk, each with a 4-byte length
+    assert widest.serialize()[count_at:count_at + 2] == b"\xff\xff"
+    for count in (0, MAX_ORACLES + 1):
+        with pytest.raises(ValueError):
+            dataclasses.replace(td, ao_pks=td.ao_pks * count)
 
 
 # -- script tree -------------------------------------------------------------

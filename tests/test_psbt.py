@@ -31,7 +31,6 @@ from bsa_sim.psbt import (
     ANCHOR_VALUE,
     BASE_FEE_RATE,
     AoIdentity,
-    BadSplit,
     FlagViolation,
     InsufficientFunds,
     MissingCounterpartySig,
@@ -49,7 +48,6 @@ from bsa_sim.psbt import (
     attach_cpfp_child,
     build_deposit_psbt_set,
     build_psbt,
-    collaborative_resplit,
     finalize_to_tx,
     required_child_fee,
     run_setup_ceremony,
@@ -61,7 +59,6 @@ from bsa_sim.registry import (
     REQUIRED_PSBT_SLOTS,
     Registry,
     TimelockRelationViolated,
-    UnauthorizedTransition,
     UtxoStatus,
 )
 
@@ -136,7 +133,6 @@ def test_transition_catalog():
         "rebalance_resolve": ("RCA", "dep_return", "dep_ao_*", "dep", "sar", "ao", "acp"),
         "rebalance_resolve_expired": ("RCA", "to_key", "to_delay", None, None, "to", "self"),
         "cooperative_unbond": ("VA", "dep_return", "dep_to", "to", None, "dep", "anchor"),
-        "resplit": ("VA", "VA", "dep_to", "to", None, "to", "none"),
     }
 
 
@@ -177,8 +173,6 @@ def test_build_psbt_shapes(world):
 
     with pytest.raises(InsufficientFunds):
         build_psbt(Transition.UNBOND_REQUEST, inst, (outpoint, 3))
-    with pytest.raises(BadSplit):
-        build_psbt(Transition.RESPLIT, inst, (outpoint, value), value_split=[1, 2], fee=0)
 
 
 def test_template_text_round_trip(world):
@@ -664,93 +658,6 @@ def test_mutated_request_rejected_on_chain(world):
     tx = finalize_to_tx(mutated, world.dep, inst)
     with pytest.raises(BadSignature):
         chain.submit_tx(tx)
-
-
-# -- cooperative resplit ------------------------------------------------------
-
-
-def test_collaborative_resplit_replaces_deposit():
-    w = World(amounts=(10_000,))
-    inst = w.ceremony()
-    outpoint_str, value = next(iter(inst.deposits.items()))
-    outpoint = op(outpoint_str)
-    w.registry.request_collaborative(outpoint_str, deadline_block=w.chain.height + 3, caller="to")
-    outcome = collaborative_resplit(
-        inst,
-        outpoint,
-        value,
-        [6_000, 3_997],
-        deadline_block=w.chain.height + 3,
-        current_block=w.chain.height,
-        dep_keypair=w.dep,
-        to_keypair=w.to,
-        chain=w.chain,
-        registry=w.registry,
-        fee=3,
-    )
-    assert outcome is not None
-    assert [v for _, v in outcome.new_deposits] == [6_000, 3_997]
-    assert outcome.tx.txid in w.chain.mine_block()
-    assert outpoint_str not in w.registry.records
-    assert w.registry.ledger.balance("acct:unit") == 10_000
-    for new_op, amount in outcome.new_deposits:
-        rec = w.registry.get_record(str(new_op))
-        assert rec.amount == amount
-        held = inst.to_psbts[str(new_op)]
-        assert set(held) == {Transition.UNBOND_CHALLENGE, Transition.REBALANCE_REQUEST}
-    assert w.chain.balance_of(inst.addresses.va.address_id) == 9_997
-
-
-def test_collaborative_resplit_times_out_without_depositor():
-    w = World(amounts=(10_000,))
-    inst = w.ceremony()
-    outpoint_str, value = next(iter(inst.deposits.items()))
-    outpoint = op(outpoint_str)
-    outcome = collaborative_resplit(
-        inst,
-        outpoint,
-        value,
-        [6_000, 4_000],
-        deadline_block=w.chain.height - 1,
-        current_block=w.chain.height,
-        dep_keypair=w.dep,
-        to_keypair=w.to,
-        chain=w.chain,
-        registry=w.registry,
-    )
-    assert outcome is None
-    assert collaborative_resplit(
-        inst, outpoint, value, [6_000, 4_000], 99, 0, None, w.to, w.chain, w.registry
-    ) is None
-
-
-def test_refused_resplit_moves_no_coins():
-    w = World(amounts=(10_000,))
-    inst = w.ceremony()
-    outpoint_str, value = next(iter(inst.deposits.items()))
-    digest = w.registry.state_digest()
-    deposits = dict(inst.deposits)
-    held = {k: dict(v) for k, v in inst.to_psbts.items()}
-    assert w.chain.mempool == {}
-    # no request_collaborative: the registry refuses the resplit
-    with pytest.raises(UnauthorizedTransition):
-        collaborative_resplit(
-            inst,
-            op(outpoint_str),
-            value,
-            [6_000, 3_997],
-            deadline_block=w.chain.height + 3,
-            current_block=w.chain.height,
-            dep_keypair=w.dep,
-            to_keypair=w.to,
-            chain=w.chain,
-            registry=w.registry,
-            fee=3,
-        )
-    assert w.chain.mempool == {}
-    assert w.registry.state_digest() == digest
-    assert inst.deposits == deposits
-    assert inst.to_psbts == held
 
 
 # -- the row table --------------------------------------------------------------
