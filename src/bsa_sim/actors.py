@@ -16,13 +16,18 @@ in the same block; a ``self`` row (finalizes, timelocked claims) goes
 out as it is, matures in the mempool and confirms at the first legal
 height.
 
-No actor keeps a record of where a deposit stands.  Each tick, before
-the actors step, ``World.resting`` reads the ledger once: every moved
-deposit's spine (``BtcChain.spine_end``) to the output it rests on, and
-that output's address kind (``ProtocolInstance.address_kinds``).  The
-operator challenges an unbonding output whose record still holds tokens
-and claims a challenge output older than t2, the oracles arbitrate
-challenge outputs, and the depositor finalizes or watches its exit.
+No actor keeps a record of where a deposit stands.  ``World.vaults``
+holds each deposit's instance and vault ``Outpoint``, parsed once.
+Each tick, before the actors step, ``World.read_resting`` reads the
+ledger once into ``World.resting``: each moved deposit's spine
+(``BtcChain.spine_end``) to the output it rests on, and that output's
+address kind (``ProtocolInstance.address_kinds``); the grader makes the
+same reading after the last block.  The operator challenges an
+unbonding output whose record still holds tokens and claims a challenge
+output older than t2, the oracles arbitrate challenge outputs, and the
+depositor finalizes or watches its exit.  A burn or token leak that
+the ledger refuses moves nothing: the depositor logs ``burn_refused``
+or ``leak_refused`` and tries again the next block.
 What actors keep records attempts, not outcomes, since a request the
 mempool refused leaves nothing on the chain to read: the depositor's
 ``exit_started_at`` and leak flag, the operator's ``_rebalanced`` and
@@ -49,7 +54,7 @@ from .psbt import (
     finalize_to_tx,
     required_child_fee,
 )
-from .registry import EXIT_STATUSES, Registry, UtxoStatus
+from .registry import EXIT_STATUSES, LedgerError, Registry, UtxoStatus
 
 # ---------------------------------------------------------------------------
 # wallet helpers
@@ -145,20 +150,22 @@ class DepositorActor:
         b = self.behavior
         height = world.chain.height
         if not self._leaked and b.leak_tokens_at is not None and height >= b.leak_tokens_at:
-            world.registry.ledger.transfer(self.owner, "outside-perimeter", b.leak_token_amount)
-            self._leaked = True
-            world.log(self.name, "tokens_left_perimeter", amount=b.leak_token_amount)
-        resting = {outpoint: (utxo, kind) for _, outpoint, utxo, kind in world.resting}
-        for instance in world.instances:
+            try:
+                world.registry.ledger.transfer(self.owner, "outside-perimeter", b.leak_token_amount)
+            except LedgerError as exc:
+                world.log(self.name, "leak_refused", amount=b.leak_token_amount, reason=str(exc))
+            else:
+                self._leaked = True
+                world.log(self.name, "tokens_left_perimeter", amount=b.leak_token_amount)
+        for deposit, (instance, vault) in world.vaults.items():
             if instance.owner != self.owner:
                 continue
-            for index, outpoint in enumerate(instance.deposits):
-                if b.exit_deposit_index is not None and index != b.exit_deposit_index:
-                    continue
-                if outpoint not in self.exit_started_at:
-                    self._start_exit(world, instance, outpoint)
-                elif outpoint in resting:
-                    self._follow_exit(world, instance, outpoint, *resting[outpoint])
+            if b.exit_deposit_index is not None and vault.index != b.exit_deposit_index:
+                continue
+            if deposit not in self.exit_started_at:
+                self._start_exit(world, instance, deposit)
+            elif deposit in world.resting:
+                self._follow_exit(world, deposit, *world.resting[deposit])
 
     def _start_exit(self, world: "World", instance: ProtocolInstance, outpoint: str) -> None:
         b = self.behavior
@@ -169,7 +176,11 @@ class DepositorActor:
         if record is None or record.status not in (UtxoStatus.ACTIVE, UtxoStatus.REGISTERED):
             return
         if b.burn_before_exit:
-            world.registry.burn_deposit(outpoint, self.owner)
+            try:
+                world.registry.burn_deposit(outpoint, self.owner)
+            except LedgerError as exc:
+                world.log(self.name, "burn_refused", outpoint=outpoint, reason=str(exc))
+                return
         text = world.registry.get_stored_psbt(outpoint, Transition.UNBOND_REQUEST.value)
         template = PsbtTemplate.from_text(text)
         world.execute(template, self.keypair, instance, self.name)
@@ -183,7 +194,7 @@ class DepositorActor:
         )
 
     def _follow_exit(
-        self, world: "World", instance: ProtocolInstance, outpoint: str, utxo: Utxo, kind: str
+        self, world: "World", outpoint: str, instance: ProtocolInstance, utxo: Utxo, kind: str
     ) -> None:
         """Act on where an exiting deposit rests: on the unbonding output,
         finalize after t1 unless a challenge spends it (noted the block
@@ -253,7 +264,7 @@ class TokenOperatorActor:
     # -- duty: challenge unbond requests that keep tokens alive -------------
 
     def _challenge_thefts(self, world: "World") -> None:
-        for instance, outpoint, utxo, kind in world.resting:
+        for outpoint, (instance, utxo, kind) in world.resting.items():
             if kind != "UTA":
                 continue
             record = world.registry.records.get(outpoint)
@@ -276,20 +287,19 @@ class TokenOperatorActor:
     def _false_rebalance(self, world: "World") -> None:
         if world.chain.height < self.behavior.false_rebalance_at:
             return
-        for instance in world.instances:
-            for outpoint in instance.deposits:
-                if outpoint in self._false_rebalanced:
-                    continue
-                record = world.registry.records.get(outpoint)
-                if record is None or record.status is not UtxoStatus.ACTIVE:
-                    continue
-                if Outpoint.parse(outpoint) not in world.chain.utxo_set:
-                    continue
-                template = instance.to_psbts[outpoint][Transition.REBALANCE_REQUEST]
-                world.execute(template, self.keypair, instance, self.name)
-                self._false_rebalanced.add(outpoint)
-                world.log(self.name, "false_rebalance_request", outpoint=outpoint)
-                return  # one seizure attempt per block
+        for outpoint, (instance, vault) in world.vaults.items():
+            if outpoint in self._false_rebalanced:
+                continue
+            record = world.registry.records.get(outpoint)
+            if record is None or record.status is not UtxoStatus.ACTIVE:
+                continue
+            if vault not in world.chain.utxo_set:
+                continue
+            template = instance.to_psbts[outpoint][Transition.REBALANCE_REQUEST]
+            world.execute(template, self.keypair, instance, self.name)
+            self._false_rebalanced.add(outpoint)
+            world.log(self.name, "false_rebalance_request", outpoint=outpoint)
+            return  # one seizure attempt per block
 
     def _rebalance_duty(self, world: "World") -> None:
         if self._rebalanced or world.chain.height < self.behavior.rebalance_at:
@@ -311,17 +321,15 @@ class TokenOperatorActor:
                 over_seizure=event.over_seizure,
             )
             for outpoint, _amount in event.selected:
-                for instance in world.instances:
-                    if outpoint in instance.deposits:
-                        template = instance.to_psbts[outpoint][Transition.REBALANCE_REQUEST]
-                        world.execute(template, self.keypair, instance, self.name)
-                        break
+                instance = world.vaults[outpoint][0]
+                template = instance.to_psbts[outpoint][Transition.REBALANCE_REQUEST]
+                world.execute(template, self.keypair, instance, self.name)
 
     # -- duty: collect expired challenge outputs -----------------------------
 
     def _claim_expired(self, world: "World") -> None:
         chain = world.chain
-        for instance, _outpoint, utxo, kind in world.resting:
+        for instance, utxo, kind in world.resting.values():
             expiry = utxo.confirmed_height + instance.tweak_data.t2 - 1
             if kind not in _CLAIM_ROWS or chain.height < expiry:
                 continue
@@ -410,7 +418,7 @@ class OracleActor:
         chain = world.chain
         challenges = [
             (kind, utxo)
-            for owner, _, utxo, kind in world.resting
+            for owner, utxo, kind in world.resting.values()
             if owner is instance and kind in ("UCA", "RCA")
         ]
         challenges.sort(key=lambda c: (c[0] == "RCA", c[1].confirmed_height, str(c[1].outpoint)))
@@ -477,8 +485,14 @@ class World:
         self.oracles = oracles
         self.instances = instances
         self.trace: list[dict] = []
-        # (instance, deposit, utxo, kind) per moved deposit, read once a tick
-        self.resting: list[tuple[ProtocolInstance, str, Utxo, str | None]] = []
+        # deposit -> (instance, vault), in instance and deposit order
+        self.vaults: dict[str, tuple[ProtocolInstance, Outpoint]] = {
+            deposit: (instance, Outpoint.parse(deposit))
+            for instance in instances
+            for deposit in instance.deposits
+        }
+        # deposit -> (instance, utxo, kind) per moved deposit, read once a tick
+        self.resting: dict[str, tuple[ProtocolInstance, Utxo, str | None]] = {}
         self.dest_halted_at: int | None = None  # height after which finality stalls
         self.leaked_oracle_keypair: Keypair | None = None
         for actor in oracles:
@@ -544,24 +558,22 @@ class World:
 
     # -- the clock ---------------------------------------------------------
 
-    def _resting_outputs(self) -> list[tuple[ProtocolInstance, str, Utxo, str | None]]:
-        """``(instance, deposit, utxo, kind)`` for each deposit whose vault
+    def read_resting(self) -> dict[str, tuple[ProtocolInstance, Utxo, str | None]]:
+        """``deposit -> (instance, utxo, kind)`` for each deposit whose vault
         output has a confirmed spend: the unspent output at the end of its
         spine and that output's catalogue address kind (None for an
         address outside the instance's catalogue)."""
         chain = self.chain
-        resting = []
-        for instance in self.instances:
-            for outpoint in instance.deposits:
-                end, moved_at = chain.spine_end(Outpoint.parse(outpoint))
-                utxo = None if moved_at is None else chain.utxo_set.get(end)
-                if utxo is not None:
-                    kind = instance.address_kinds.get(utxo.address_id)
-                    resting.append((instance, outpoint, utxo, kind))
+        resting = {}
+        for deposit, (instance, vault) in self.vaults.items():
+            end, moved_at = chain.spine_end(vault)
+            utxo = None if moved_at is None else chain.utxo_set.get(end)
+            if utxo is not None:
+                resting[deposit] = (instance, utxo, instance.address_kinds.get(utxo.address_id))
         return resting
 
     def tick(self) -> None:
-        self.resting = self._resting_outputs()
+        self.resting = self.read_resting()
         for depositor in self.depositors:
             depositor.step(self)
         self.operator.step(self)

@@ -15,7 +15,12 @@ state rather than from the actors' own claims:
 
 Deposits are traced at face value to the end of their spine, the chain
 of confirmed spends through output 0 that ``BtcChain.spine_end`` walks,
-which makes the verdicts independent of fee noise.
+which makes the verdicts independent of fee noise.  The grader reads
+where each deposit rests as the actors do: ``World.vaults`` for the
+deposits and one ``World.read_resting()`` after the last block.  A moved
+deposit is graded by the address kind it rests on, and its exit
+completed at that output's confirmed height; a deposit the reading
+leaves out rests on its vault; one that does neither is untracked.
 
 The failure matrix re-runs eight scripted scenarios spanning honest
 operation, a lying operator, depositor theft (with and without a leaked
@@ -167,23 +172,10 @@ def build_world(config: ScenarioConfig, sar_tamper=None) -> World:
 # verdict accounting
 
 
-def _location(instance, address_id: str) -> str:
-    kind = instance.address_kinds.get(address_id)
+def _location(kind: str | None) -> str:
     if kind is None:
         return "other"
     return {"dep_return": "depositor", "to_key": "operator"}.get(kind, "instance")
-
-
-def _instance_for(world: World, record) -> object | None:
-    for instance in world.instances:
-        if instance.tweak_digest == record.tweak_digest:
-            return instance
-    return None
-
-
-def _deposit_index(instance, outpoint: str) -> int | None:
-    vault = Outpoint.parse(outpoint)
-    return vault.index if vault.txid == instance.funding_txid else None
 
 
 def _deposit_attacked(config: ScenarioConfig, index: int | None) -> bool:
@@ -204,24 +196,23 @@ def compute_verdicts(world: World, config: ScenarioConfig) -> Verdicts:
 
     dep_safe = True
     locations: dict[str, str] = {}
-    for outpoint, record in sorted(registry.records.items()):
+    resting = world.read_resting()
+    for outpoint, (instance, vault) in sorted(world.vaults.items()):
+        record = registry.records[outpoint]
         if record.status is UtxoStatus.REJECTED:
             continue
-        instance = _instance_for(world, record)
-        if instance is None:
-            continue
-        terminal, moved_at = chain.spine_end(Outpoint.parse(outpoint))
-        utxo = chain.utxo_set.get(terminal)
+        # a deposit not in the reading rests on its vault, if that is unspent
+        _, utxo, kind = resting.get(outpoint) or (instance, chain.utxo_set.get(vault), "VA")
+        attacked = _deposit_attacked(config, vault.index)
         if utxo is None:
             locations[outpoint] = "other"
-            if not _deposit_attacked(config, _deposit_index(instance, outpoint)):
+            if not attacked:
                 dep_safe = False
                 reasons.append(f"{outpoint}: value untracked at horizon")
             continue
-        location = _location(instance, utxo.address_id)
+        location = _location(kind)
         locations[outpoint] = location
-        deposit_index = _deposit_index(instance, outpoint)
-        if _deposit_attacked(config, deposit_index):
+        if attacked:
             continue
 
         exit_started = world.depositors[0].exit_started_at.get(outpoint)
@@ -234,7 +225,8 @@ def compute_verdicts(world: World, config: ScenarioConfig) -> Verdicts:
                 dep_safe = False
                 reasons.append(f"{outpoint}: exit not finished by height {deadline}")
         elif location == "depositor":
-            if deadline is not None and moved_at is not None and moved_at > deadline:
+            moved_at = utxo.confirmed_height
+            if deadline is not None and moved_at > deadline:
                 dep_safe = False
                 reasons.append(
                     f"{outpoint}: exit completed at {moved_at}, deadline {deadline}"
@@ -287,21 +279,20 @@ def compute_verdicts(world: World, config: ScenarioConfig) -> Verdicts:
 
 
 def liquidation_spans(world: World) -> list[tuple[int, int]]:
-    """(request confirmed, seizure claim confirmed) height pairs for
-    every rebalance that went through the challenge timeout."""
+    """(request confirmed, challenge output spent) height pairs for every
+    rebalance request that confirmed and whose RCA output was then spent,
+    by the operator's claim after the challenge timeout or by an oracle's
+    resolution."""
     chain = world.chain
     spans = []
-    for entry in world.trace:
-        if entry["action"] != "rebalance_request":
+    for instance, vault in world.vaults.values():
+        request = chain.spent_by.get(vault)
+        rca = instance.address_ids["RCA"]
+        if request is None or chain.tx_index[request].outputs[0].address_id != rca:
             continue
-        request_txid = entry.get("txid")
-        start = chain.confirmed_at.get(request_txid)
-        if start is None:
-            continue
-        claim_txid = chain.spent_by.get(Outpoint(request_txid, 0))
-        end = chain.confirmed_at.get(claim_txid)
-        if end is not None:
-            spans.append((start, end))
+        claim = chain.spent_by.get(Outpoint(request, 0))
+        if claim is not None:
+            spans.append((chain.confirmed_at[request], chain.confirmed_at[claim]))
     return spans
 
 

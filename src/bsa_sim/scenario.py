@@ -54,7 +54,8 @@ tweak data stores the count in two bytes), a ``t3`` that does not exceed
 (``registry.check_timelocks``), a negative height (``exit_at``,
 ``leak_tokens_at``, ``rebalance_at``, ``false_rebalance_at``,
 ``dest_halted_at``, or one in ``fee_steps``) or rate in ``fee_steps``,
-a ``fee_steps`` height given twice, an empty ``owner``, an ``offline``
+a ``fee_steps`` height given twice, a ``leak_tokens_at`` without a
+``leak_token_amount``, an empty ``owner``, an ``offline``
 window that starts below 0 or does not end after it starts, an
 ``exit_deposit_index`` that names no deposit, and ``amounts`` that are
 empty or hold one below ``psbt.MIN_DEPOSIT``, too small to pay the base
@@ -312,6 +313,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raise ScenarioError(
             f"[depositor] exit_deposit_index = {index}: there are {len(config.amounts)} deposits"
         )
+    leak_at = config.depositor.leak_tokens_at
+    if leak_at is not None and config.depositor.leak_token_amount == 0:
+        raise ScenarioError(f"[depositor] leak_tokens_at = {leak_at}: no leak_token_amount is set")
     if not config.oracles:
         raise ScenarioError("[params] n_oracles: a scenario needs at least one oracle")
     return config

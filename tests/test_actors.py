@@ -3,7 +3,11 @@ exit state machine with exact timelock timing, oracle-defended disputes,
 and operator liquidation/repayment duties."""
 
 import collections
+import importlib.util
+import itertools
+import json
 import pathlib
+import sys
 
 import pytest
 
@@ -27,7 +31,13 @@ from bsa_sim.harness import (
 )
 from bsa_sim.keys import keypair_from_seed
 from bsa_sim.psbt import PsbtTemplate, Transition, finalize_to_tx
-from bsa_sim.scenario import DepositorBehavior, OperatorBehavior, ScenarioConfig, load_scenario
+from bsa_sim.scenario import (
+    DepositorBehavior,
+    OperatorBehavior,
+    ScenarioConfig,
+    load_scenario,
+    parse_scenario,
+)
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -209,6 +219,48 @@ def test_legitimate_rebalance_liquidates_within_bound_and_repays():
     assert not compute_verdicts(world, config).operator_safe
 
 
+def run_refusing(text: str, refused: str, first: int):
+    """Run a scenario whose token ledger refuses the depositor from height
+    ``first`` on; check that the refusal is logged each block to the
+    horizon and that the run grades clean."""
+    config = parse_scenario(text)
+    result = run_scenario(config)
+    refusals = [e for e in result.trace if e["action"] == refused]
+    assert [e["height"] for e in refusals] == list(range(first, result.final_height))
+    assert result.final_height == 6 + config.horizon_blocks  # the ceremony mines 6
+    assert (result.verdicts.triple(), result.verdicts.reasons) == ((True, True, True), [])
+    return result, refusals
+
+
+def test_a_refused_burn_moves_nothing_and_the_exit_waits():
+    """The leak leaves 4,000 tokens, too few to burn the 7,000 deposit:
+    that burn is refused each block, the deposit stays active on its
+    vault with no exit for the grader to time, and the 3,000 one exits."""
+    text = (
+        "[deposit]\namounts = 7000, 3000\n[depositor]\nexit_at = 10\n"
+        "leak_tokens_at = 8\nleak_token_amount = 6000\n"
+    )
+    result, refusals = run_refusing(text, "burn_refused", 10)
+    world = result.world
+    vault = next(iter(world.instances[0].deposits))
+    assert {e["outpoint"] for e in refusals} == {vault}
+    assert vault not in world.depositors[0].exit_started_at
+    assert vault not in world.resting
+    assert world.registry.records[vault].status.value == "active"
+    assert world.registry.ledger.balance("alice") == 10_000 - 6_000 - 3_000
+    assert any(e["action"] == "exit_complete" for e in result.trace)
+
+
+def test_a_refused_leak_moves_nothing():
+    """The burn leaves no tokens to leak: the leak is refused each block
+    and the exit completes."""
+    text = "[depositor]\nexit_at = 8\nleak_tokens_at = 12\nleak_token_amount = 3000\n"
+    result, _ = run_refusing(text, "leak_refused", 12)
+    assert not any(e["action"] == "tokens_left_perimeter" for e in result.trace)
+    assert result.world.registry.ledger.balance("outside-perimeter") == 0
+    assert any(e["action"] == "exit_complete" for e in result.trace)
+
+
 def test_false_rebalance_is_defended_by_oracles():
     config = ScenarioConfig(
         name="false-rebalance",
@@ -360,7 +412,8 @@ def test_fresh_depositor_and_operator_continue_the_same_run(config):
 
 def test_the_ledger_is_read_once_a_block(monkeypatch):
     """In a dispute-free world of 16 deposits and 5 oracles, each tick
-    follows every deposit's spine once and never scans the UTXO set."""
+    follows every deposit's spine once, never scans the UTXO set and
+    parses no outpoint text; the grader makes the same one reading."""
     config = ScenarioConfig(
         amounts=[2_000] * 16,
         n_oracles=5,
@@ -376,14 +429,73 @@ def test_the_ledger_is_read_once_a_block(monkeypatch):
             return _method(self, *args)
 
         monkeypatch.setattr(BtcChain, name, counted)
+    parse = Outpoint.parse
+
+    def counted_parse(cls, text):
+        calls["parse"] += 1
+        return parse(text)
+
+    monkeypatch.setattr(Outpoint, "parse", classmethod(counted_parse))
     for _ in range(24):
         calls.clear()
         world.tick()
-        assert (calls["utxos_at"], calls["spine_end"]) == (0, 16)
+        assert (calls["utxos_at"], calls["spine_end"], calls["parse"]) == (0, 16, 0)
     # the reading saw the one exit through to the depositor's key
     deposit = next(iter(world.instances[0].deposits))
-    assert [(op, kind) for _, op, _, kind in world.resting] == [(deposit, "dep_return")]
+    assert [(op, kind) for op, (_, _, kind) in world.resting.items()] == [
+        (deposit, "dep_return")
+    ]
     assert any(e["action"] == "exit_complete" for e in world.trace)
+    calls.clear()
+    assert compute_verdicts(world, config).triple() == (True, True, True)
+    assert (calls["utxos_at"], calls["spine_end"], calls["parse"]) == (0, 16, 0)
+
+
+def trace_liquidation_spans(world) -> list[tuple[int, int]]:
+    """The reference reading of ``liquidation_spans`` from the operator's
+    own log: each ``rebalance_request`` entry's transaction, if it
+    confirmed, and the spend of its output 0, if that confirmed."""
+    chain = world.chain
+    spans = []
+    for entry in world.trace:
+        if entry["action"] != "rebalance_request":
+            continue
+        request_txid = entry.get("txid")
+        start = chain.confirmed_at.get(request_txid)
+        if start is None:
+            continue
+        claim_txid = chain.spent_by.get(Outpoint(request_txid, 0))
+        end = chain.confirmed_at.get(claim_txid)
+        if end is not None:
+            spans.append((start, end))
+    return spans
+
+
+def _sweep_stream_configs(seed: int, n: int) -> list[ScenarioConfig]:
+    """The first ``n`` scenarios of the benchmark's sweep stream."""
+    root = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    params = json.loads((root / "spec.json").read_text())["workloads"]["sweep"]["params"]
+    stream = itertools.chain.from_iterable(workloads.sweep_stream(seed, params))
+    return list(itertools.islice(stream, n))
+
+
+@pytest.mark.parametrize(
+    "configs",
+    [SCRIPTED, _sweep_stream_configs(1, 48)],
+    ids=["graded-runs", "sweep-stream-seed-1"],
+)
+def test_liquidation_spans_read_from_the_chain_match_the_trace(configs):
+    """The chain alone gives the rebalance spans that the operator's log
+    names, in the same order, on runs where some and none happened."""
+    with_spans = 0
+    for config in configs:
+        world = run_scenario(config).world
+        assert liquidation_spans(world) == trace_liquidation_spans(world), config.name
+        with_spans += bool(liquidation_spans(world))
+    assert 0 < with_spans < len(configs)
 
 
 def test_oracles_take_challenges_in_utxo_set_order(monkeypatch):

@@ -167,6 +167,8 @@ def test_parse_rejections():
          "[depositor] leak_token_amount"),
         ("[depositor]\nexit_at = -3\n", "[depositor] exit_at"),
         ("[depositor]\nleak_tokens_at = -1\n", "[depositor] leak_tokens_at"),
+        ("[depositor]\nleak_tokens_at = 5\n",
+         "[depositor] leak_tokens_at = 5: no leak_token_amount is set"),
         ("[operator]\nrebalance_at = -1\n", "[operator] rebalance_at"),
         ("[operator]\nfalse_rebalance_at = -1\n", "[operator] false_rebalance_at"),
         ("[deposit]\namounts = 10, -3\n",
@@ -185,7 +187,8 @@ def test_parse_rejections():
         "n-oracles-past-two-bytes", "oracle-section-past-two-bytes",
         "oracle-section-far-past-two-bytes",
         "negative-dest-halted-at", "negative-leak-amount", "zero-leak-amount",
-        "negative-exit-at", "negative-leak-tokens-at", "negative-rebalance-at",
+        "negative-exit-at", "negative-leak-tokens-at", "leak-without-amount",
+        "negative-rebalance-at",
         "negative-false-rebalance-at", "negative-amount", "amount-below-min-deposit",
         "empty-owner",
     ],
