@@ -110,6 +110,13 @@ class DepositorBehavior:
     leak_tokens_at: int | None = None  # move tokens outside the tracked perimeter
     leak_token_amount: int = 0
 
+    def __post_init__(self):
+        # a leak of nothing is one the ledger refuses every block
+        if self.leak_tokens_at is not None and self.leak_token_amount == 0:
+            raise ValueError(
+                f"leak_tokens_at = {self.leak_tokens_at}: no leak_token_amount is set"
+            )
+
 
 @dataclass
 class OperatorBehavior:

@@ -7,8 +7,9 @@ Four subcommands:
   the verdicts disagree with it, and 2, with one line on stderr naming
   the problem (its section and key, where it has one), when the file is
   malformed or cannot be read.
-* ``matrix`` replays the scripted failure matrix and exits nonzero on
-  any mismatch.
+* ``matrix`` replays the scripted failure matrix, the scenario files
+  shipped in the package as ``bsa_sim/matrix/NN_<name>.scn``, and exits
+  nonzero on any mismatch.
 * ``avail`` prints the duty-cycle bounds an arbitration oracle must
   meet for the given timing parameters.
 * ``ceremony --demo`` narrates the deposit setup ceremony, including

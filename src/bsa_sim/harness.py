@@ -26,7 +26,9 @@ The failure matrix re-runs eight scripted scenarios spanning honest
 operation, a lying operator, depositor theft (with and without a leaked
 oracle key), a halted destination chain, a corrupted oracle quorum, and
 a combined attack, and compares each verdict triple with the documented
-expectation.
+expectation.  Its rows are scenario files shipped with the package,
+``matrix/NN_<name>.scn``, read in name order through the same
+``parse_scenario`` as any other file.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
+from importlib import resources
 
 from .actors import (
     DepositorActor,
@@ -52,7 +55,7 @@ from .destchain import DestChain, TO_SIGNER, WspSchedule, sign_checkpoint
 from .keys import keypair_from_seed, sign_digest
 from .psbt import AoIdentity, VerificationFailed, run_setup_ceremony
 from .registry import Registry, UtxoStatus
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, parse_scenario
 
 
 @dataclass
@@ -316,159 +319,17 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 # the failure matrix
 
 
-def _offline_all(horizon: int) -> list[OracleBehavior]:
-    return [OracleBehavior(offline=(0, horizon)) for _ in range(3)]
-
-
-def _no_consensus() -> OperatorBehavior:
-    """An operator whose signing quorum is down: it can neither
-    challenge, claim, rebalance, nor issue checkpoints."""
-    return OperatorBehavior(
-        challenge_thefts=False,
-        claim_expired=False,
-        pay_over_seizure=False,
-        provide_checkpoints=False,
-    )
+MATRIX_DIR = resources.files(__package__) / "matrix"
 
 
 def matrix_scenarios() -> list[ScenarioConfig]:
-    """Eight scripted runs covering the failure space: each row names a
-    failure condition and carries the expected verdict triple."""
-    base = dict(horizon_blocks=32)
-    horizon = base["horizon_blocks"]
-    rows = [
-        # One oracle dark, the rest honest; the depositor burns and exits.
-        ScenarioConfig(
-            name="one-oracle-offline",
-            depositor=DepositorBehavior(exit_at=10),
-            oracles=[
-                OracleBehavior(offline=(0, horizon)),
-                OracleBehavior(),
-                OracleBehavior(),
-            ],
-            expected_verdicts=(True, True, True),
-            **base,
-        ),
-        # Every oracle dark, honest operator: a theft attempt is
-        # challenged and recovered through the timeout path alone.
-        ScenarioConfig(
-            name="all-oracles-offline-honest-operator",
-            depositor=DepositorBehavior(exit_at=10, burn_before_exit=False),
-            oracles=_offline_all(horizon),
-            expected_verdicts=(True, True, True),
-            **base,
-        ),
-        # Every oracle dark, malicious operator: an unmarked seizure of a
-        # passive depositor's vault goes unopposed.
-        ScenarioConfig(
-            name="all-oracles-offline-malicious-operator",
-            operator=OperatorBehavior(false_rebalance_at=12),
-            oracles=_offline_all(horizon),
-            expected_verdicts=(False, True, False),
-            **base,
-        ),
-        # An oracle key leaks to a thieving depositor, who uses it to
-        # resolve the operator's challenge in their own favor.
-        ScenarioConfig(
-            name="oracle-key-leak",
-            depositor=DepositorBehavior(
-                exit_at=10, burn_before_exit=False, use_leaked_key=True
-            ),
-            oracles=[
-                OracleBehavior(leak_secret=True),
-                OracleBehavior(),
-                OracleBehavior(),
-            ],
-            expected_verdicts=(True, False, False),
-            **base,
-        ),
-        # The operator's signing quorum is down, so a theft goes
-        # unchallenged even though the oracles are fine.
-        ScenarioConfig(
-            name="operator-no-consensus",
-            depositor=DepositorBehavior(exit_at=10, burn_before_exit=False),
-            operator=_no_consensus(),
-            expected_verdicts=(True, False, False),
-            **base,
-        ),
-        # Signing quorum down and every oracle dark.
-        ScenarioConfig(
-            name="operator-no-consensus-oracles-offline",
-            depositor=DepositorBehavior(exit_at=10, burn_before_exit=False),
-            operator=_no_consensus(),
-            oracles=_offline_all(horizon),
-            expected_verdicts=(True, False, False),
-            **base,
-        ),
-        # A corrupted operator quorum attempts an unmarked seizure; a
-        # correct oracle resolves it back to the depositor, so the
-        # operator's own perimeter accounting breaks.
-        ScenarioConfig(
-            name="corrupted-operator-oracles-correct",
-            operator=OperatorBehavior(false_rebalance_at=12),
-            expected_verdicts=(True, False, False),
-            **base,
-        ),
-        # Corrupted operator quorum with every oracle dark: it both
-        # ignores a theft and seizes the remaining vault unopposed.
-        ScenarioConfig(
-            name="corrupted-operator-oracles-offline",
-            amounts=[7000, 3000],
-            depositor=DepositorBehavior(
-                exit_at=10, exit_deposit_index=0, burn_before_exit=False
-            ),
-            operator=OperatorBehavior(
-                challenge_thefts=False, false_rebalance_at=12
-            ),
-            oracles=_offline_all(horizon),
-            expected_verdicts=(False, False, False),
-            **base,
-        ),
-    ]
-    return rows
-
-
-def extra_scenarios() -> list[ScenarioConfig]:
-    """Additional scripted runs used by tests: paths the matrix rows do
-    not cover (destination-chain halt, griefing challenges with and
-    without oracle protection, a do-nothing baseline)."""
-    base = dict(horizon_blocks=32)
-    return [
-        ScenarioConfig(
-            name="honest-hold",
-            expected_verdicts=(True, True, True),
-            **base,
-        ),
-        # Theft attempted while the destination chain stops finalizing:
-        # oracles keep their frozen view and the timeout path still
-        # protects the operator.
-        ScenarioConfig(
-            name="theft-during-halt",
-            depositor=DepositorBehavior(exit_at=10, burn_before_exit=False),
-            dest_halted_at=9,
-            expected_verdicts=(True, True, True),
-            **base,
-        ),
-        # Operator challenges a legitimate burned exit; a correct oracle
-        # verifies the burn and releases the funds to the depositor.
-        ScenarioConfig(
-            name="griefing-challenge-defended",
-            depositor=DepositorBehavior(exit_at=10),
-            operator=OperatorBehavior(challenge_legitimate=True),
-            expected_verdicts=(True, True, True),
-            **base,
-        ),
-        # Same griefing challenge, but every oracle refuses to arbitrate,
-        # so the operator takes the honest depositor's funds at timeout.
-        ScenarioConfig(
-            name="griefing-challenge-unprotected",
-            depositor=DepositorBehavior(exit_at=10),
-            operator=OperatorBehavior(challenge_legitimate=True),
-            oracles=[OracleBehavior(refuse_resolutions=True) for _ in range(3)],
-            expected_verdicts=(False, True, False),
-            **base,
-        ),
-    ]
+    """The failure matrix: one packaged ``matrix/NN_<name>.scn`` file per
+    row, parsed in name order.  Each row names a failure condition and
+    carries the verdict triple it expects in its ``[expect]`` section."""
+    files = sorted(
+        (f for f in MATRIX_DIR.iterdir() if f.name.endswith(".scn")), key=lambda f: f.name
+    )
+    return [parse_scenario(f.read_text(encoding="utf-8")) for f in files]
 
 
 @dataclass

@@ -295,11 +295,15 @@ def parse_scenario(text: str) -> ScenarioConfig:
         verdicts = {**dict.fromkeys(_EXPECT, True), **_values(parser, "expect", _EXPECT)}
         expected_verdicts = tuple(verdicts[key] for key in _EXPECT)
 
+    try:
+        depositor = DepositorBehavior(**_values(parser, "depositor", _DEPOSITOR))
+    except ValueError as exc:
+        raise ScenarioError(f"[depositor] {exc}") from exc
     config = ScenarioConfig(
         **_values(parser, "scenario", _SCENARIO),
         **_values(parser, "params", _PARAMS),
         **_values(parser, "deposit", _DEPOSIT),
-        depositor=DepositorBehavior(**_values(parser, "depositor", _DEPOSITOR)),
+        depositor=depositor,
         operator=OperatorBehavior(**_values(parser, "operator", _OPERATOR)),
         oracles=_oracles(parser),
         expected_verdicts=expected_verdicts,
@@ -313,9 +317,6 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raise ScenarioError(
             f"[depositor] exit_deposit_index = {index}: there are {len(config.amounts)} deposits"
         )
-    leak_at = config.depositor.leak_tokens_at
-    if leak_at is not None and config.depositor.leak_token_amount == 0:
-        raise ScenarioError(f"[depositor] leak_tokens_at = {leak_at}: no leak_token_amount is set")
     if not config.oracles:
         raise ScenarioError("[params] n_oracles: a scenario needs at least one oracle")
     return config

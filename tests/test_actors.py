@@ -22,11 +22,10 @@ from bsa_sim.actors import (
 )
 from bsa_sim.chain import BtcChain, FeeSchedule, Outpoint
 from bsa_sim.harness import (
+    MATRIX_DIR,
     build_world,
     compute_verdicts,
-    extra_scenarios,
     liquidation_spans,
-    matrix_scenarios,
     run_scenario,
 )
 from bsa_sim.keys import keypair_from_seed
@@ -365,8 +364,11 @@ def slow_arbitration_theft() -> ScenarioConfig:
     return config
 
 
-SCRIPTED = [load_scenario(str(p)) for p in sorted(SCENARIO_DIR.glob("*.scn"))]
-SCRIPTED += matrix_scenarios() + extra_scenarios() + [slow_arbitration_theft()]
+SCRIPTED = [
+    load_scenario(str(path))
+    for directory in (SCENARIO_DIR, MATRIX_DIR)
+    for path in sorted(directory.glob("*.scn"))
+] + [slow_arbitration_theft()]
 
 
 def swap_in_fresh_actors(world) -> None:

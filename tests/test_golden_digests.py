@@ -11,7 +11,7 @@ import pathlib
 
 import pytest
 
-from bsa_sim.harness import extra_scenarios, matrix_scenarios, run_scenario
+from bsa_sim.harness import MATRIX_DIR, run_scenario
 from bsa_sim.scenario import load_scenario
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -19,9 +19,33 @@ SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 # (config name, trace_digest, snapshot_digest, verdict triple, reasons)
 GOLDEN = [
     (
+        "griefing-challenge-defended",
+        "bb370b0b3cfc6e986225f9ccc3f535dc9841a999eab8debb06fcc0af8ed9e7cf",
+        "7a6e8e40a73375af1784de3d768e89f897093d58d653b0ebb335b15ef80117a7",
+        (True, True, True),
+        [],
+    ),
+    (
+        "griefing-challenge-unprotected",
+        "b8afd8c9e043c828dba94354e7a7381c133f9d8bd305c7f8b6c83c1d2042cb72",
+        "7a6e8e40a73375af1784de3d768e89f897093d58d653b0ebb335b15ef80117a7",
+        (False, True, False),
+        [
+            "3143e48292b6aa77f712e2b135daad65b359b0735bab7bb3e675298290732582:0:"
+            " seized by the operator with status withdrawn",
+        ],
+    ),
+    (
         "honest-exit",
         "53ee25d91042251f741284412df35cae4b9fdcd60b3d02f0449c49900bfa1084",
         "643a9a4d345431c14ca27b19fdf832393342082b8a82e79afc4cbabb44abe425",
+        (True, True, True),
+        [],
+    ),
+    (
+        "honest-hold",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "290bb70e823474a785eb6ad716bebc3c07266f366f47184b6922c8eba8ef4daf",
         (True, True, True),
         [],
     ),
@@ -50,6 +74,13 @@ GOLDEN = [
         "theft-defeated",
         "91b196114bf4ed32f1aa5ae9d2614c94966920cf53dd0676359b9c6af7cd71ae",
         "5c4ff55f7248f7479ab90ab53939d8aa64ae35a5b6c61a5f07f6137c6466499b",
+        (True, True, True),
+        [],
+    ),
+    (
+        "theft-during-halt",
+        "8552abaebe121bcf8e138ae58e367b2fa7184822efaba1927af7d48f6084ce32",
+        "991e709209052f754887545b27bddafcbcb69f0121f27cdeb80d0a3591f5bd59",
         (True, True, True),
         [],
     ),
@@ -124,47 +155,17 @@ GOLDEN = [
             "perimeter supply 10000 exceeds backing 0 locked + 3000 gained - 0 repaid",
         ],
     ),
-    (
-        "honest-hold",
-        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-        "290bb70e823474a785eb6ad716bebc3c07266f366f47184b6922c8eba8ef4daf",
-        (True, True, True),
-        [],
-    ),
-    (
-        "theft-during-halt",
-        "8552abaebe121bcf8e138ae58e367b2fa7184822efaba1927af7d48f6084ce32",
-        "991e709209052f754887545b27bddafcbcb69f0121f27cdeb80d0a3591f5bd59",
-        (True, True, True),
-        [],
-    ),
-    (
-        "griefing-challenge-defended",
-        "bb370b0b3cfc6e986225f9ccc3f535dc9841a999eab8debb06fcc0af8ed9e7cf",
-        "7a6e8e40a73375af1784de3d768e89f897093d58d653b0ebb335b15ef80117a7",
-        (True, True, True),
-        [],
-    ),
-    (
-        "griefing-challenge-unprotected",
-        "b8afd8c9e043c828dba94354e7a7381c133f9d8bd305c7f8b6c83c1d2042cb72",
-        "7a6e8e40a73375af1784de3d768e89f897093d58d653b0ebb335b15ef80117a7",
-        (False, True, False),
-        [
-            "3143e48292b6aa77f712e2b135daad65b359b0735bab7bb3e675298290732582:0:"
-            " seized by the operator with status withdrawn",
-        ],
-    ),
 ]
 
 
-def _configs():
-    configs = [load_scenario(str(p)) for p in sorted(SCENARIO_DIR.glob("*.scn"))]
-    configs += matrix_scenarios() + extra_scenarios()
-    return {config.name: config for config in configs}
-
-
-CONFIGS = _configs()
+CONFIGS = {
+    config.name: config
+    for config in (
+        load_scenario(str(path))
+        for directory in (SCENARIO_DIR, MATRIX_DIR)
+        for path in sorted(directory.glob("*.scn"))
+    )
+}
 
 
 def test_golden_covers_every_scripted_run():

@@ -10,8 +10,8 @@ import pytest
 
 from bsa_sim.cli import main
 from bsa_sim.harness import (
+    MATRIX_DIR,
     ceremony_demo,
-    extra_scenarios,
     matrix_scenarios,
     run_scenario,
 )
@@ -30,16 +30,30 @@ from bsa_sim.scenario import (
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 SCENARIO_FILES = sorted(SCENARIO_DIR.glob("*.scn"))
+# every graded run: the scenario files, then the failure matrix rows
+GRADED_FILES = SCENARIO_FILES + sorted(MATRIX_DIR.glob("*.scn"))
 
 
 def test_scenario_files_present():
     assert [p.name for p in SCENARIO_FILES] == [
+        "griefing_challenge_defended.scn",
+        "griefing_challenge_unprotected.scn",
         "honest_exit.scn",
+        "honest_hold.scn",
         "legitimate_rebalance.scn",
         "rebalance_races_theft.scn",
         "stuck_challenge.scn",
         "theft_defeated.scn",
+        "theft_during_halt.scn",
     ]
+
+
+def test_every_graded_file_expects_verdicts_under_its_own_name():
+    configs = [load_scenario(str(path)) for path in GRADED_FILES]
+    assert all(config.expected_verdicts is not None for config in configs)
+    names = [config.name for config in configs]
+    assert len(set(names)) == len(names)
+    assert ScenarioConfig().name not in names
 
 
 def test_parse_honest_exit_file():
@@ -198,6 +212,13 @@ def test_parse_rejects_out_of_range_values(text, where):
         parse_scenario(text)
 
 
+def test_a_leak_of_nothing_is_refused_when_built():
+    """The rule the parser reports as ``leak-without-amount`` holds for a
+    behaviour built in code too, where it would leak nothing."""
+    with pytest.raises(ValueError, match="leak_tokens_at = 5: no leak_token_amount is set"):
+        DepositorBehavior(leak_tokens_at=5)
+
+
 def test_parse_accepts_as_many_oracles_as_tweak_data_holds():
     # parsed only: no world is built with this many oracles
     for text in ("[params]\nn_oracles = 65535\n", "[oracle.65534]\nrefuse = true\n"):
@@ -255,21 +276,13 @@ def test_matrix_row_catalog():
     assert patterns == ["YYY", "YYY", "NYN", "YNN", "YNN", "YNN", "YNN", "NNN"]
 
 
-def test_extra_scenarios_run_as_graded():
-    for config in extra_scenarios():
-        result = run_scenario(config)
-        assert result.verdicts.triple() == config.expected_verdicts, (
-            config.name,
-            result.verdicts.reasons,
-        )
-
-
 def test_network_fee_base_leaves_scripted_verdicts():
     """``fee_base`` sets the network's rate only: templates still commit
-    ``BASE_FEE_RATE``, so at a higher network rate every row keeps its
-    verdicts and executors top up what the templates commit."""
-    for config in matrix_scenarios() + extra_scenarios():
-        pricier = dataclasses.replace(config, fee_base=2, oracles=list(config.oracles))
+    ``BASE_FEE_RATE``, so at a higher network rate every graded run keeps
+    its verdicts and executors top up what the templates commit."""
+    for path in GRADED_FILES:
+        config = load_scenario(str(path))
+        pricier = dataclasses.replace(config, fee_base=2)
         result = run_scenario(pricier)
         assert result.verdicts.triple() == config.expected_verdicts, (
             config.name,
@@ -281,9 +294,7 @@ def test_network_fee_base_leaves_scripted_verdicts():
 
 
 def test_failed_verdicts_carry_reasons():
-    config = next(
-        c for c in matrix_scenarios() if c.name == "corrupted-operator-oracles-offline"
-    )
+    config = load_scenario(str(MATRIX_DIR / "08_corrupted_operator_oracles_offline.scn"))
     result = run_scenario(config)
     assert result.verdicts.triple() == (False, False, False)
     assert result.verdicts.reasons
@@ -337,6 +348,14 @@ def test_readme_transcripts_match_the_cli(argv, monkeypatch, capsys):
     out = capsys.readouterr().out
     block = f"```text\n$ bsa-sim {' '.join(argv)}\n{out}```\n"
     assert block in README.read_text()
+
+
+def test_cli_matrix_reads_the_rows_shipped_with_the_package(tmp_path, monkeypatch, capsys):
+    """The matrix rows are package data, not files found through the
+    working directory."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["matrix"]) == 0
+    assert capsys.readouterr().out.endswith("\n8/8 rows matched\n")
 
 
 def test_cli_run_graded_ok(capsys):

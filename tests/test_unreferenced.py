@@ -33,7 +33,6 @@ ALLOWED = {
     "curve.is_on_curve": "ROADMAP item 5; the curve tests call it",
     "curve.point_mul": "perfbench/tracer.py TARGETS; the key and curve tests call it",
     "harness.SweepRow.consistent": "test_c10 and perfbench's run_sweep read it",
-    "harness.extra_scenarios": "graded runs of the golden-digest and actor tests",
     "harness.liquidation_spans": "ROADMAP items 9 and 16 propose to grade it; tests call it",
     "harness.trust_model_sweep": "test_c10 runs it",
     "registry.Registry.adapter_admin": "ROADMAP item 5; registry and destchain tests call it",
