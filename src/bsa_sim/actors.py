@@ -164,6 +164,8 @@ class DepositorActor:
             else:
                 self._leaked = True
                 world.log(self.name, "tokens_left_perimeter", amount=b.leak_token_amount)
+        if not self.exit_started_at and (b.exit_at is None or height < b.exit_at):
+            return  # no exit started and none due yet; past here exit_at has come
         for deposit, (instance, vault) in world.vaults.items():
             if instance.owner != self.owner:
                 continue
@@ -176,9 +178,6 @@ class DepositorActor:
 
     def _start_exit(self, world: "World", instance: ProtocolInstance, outpoint: str) -> None:
         b = self.behavior
-        height = world.chain.height
-        if b.exit_at is None or height < b.exit_at:
-            return
         record = world.registry.records.get(outpoint)
         if record is None or record.status not in (UtxoStatus.ACTIVE, UtxoStatus.REGISTERED):
             return
@@ -191,7 +190,7 @@ class DepositorActor:
         text = world.registry.get_stored_psbt(outpoint, Transition.UNBOND_REQUEST.value)
         template = PsbtTemplate.from_text(text)
         world.execute(template, self.keypair, instance, self.name)
-        self.exit_started_at[outpoint] = height
+        self.exit_started_at[outpoint] = world.chain.height
         world.log(
             self.name,
             "unbond_request",

@@ -17,16 +17,17 @@ snapshot, never from live mutable state.  All checks fail closed: a
 missing record, an unverifiable signature, an address mismatch, a stale
 view, or an expired version each independently block signing.
 
-``sync`` keeps the checkpoint it synced to and a handle on that
-checkpoint's finalized state (``DestChain.state_at``), and copies
-nothing.  ``view`` is the checkpoint's registry, read on first use
+``sync`` keeps the checkpoint it synced to, and copies and hashes
+nothing: the checkpoint holds its finalized state and is the oracle's
+handle on it.  ``view`` is the checkpoint's registry, read on first use
 through ``DestChain.view_at``: the chain parses each finalized state
 once per change and gives every checkpoint its own copy, shared by every
-oracle that reads that checkpoint.  The handle lets the view be read
-after the chain has dropped the checkpoint.  The view is read-only:
-nothing here writes to it, and only tests that model a corrupted view
-do, which then reaches no other checkpoint.  The oracle attests the
-checkpoint's own digest.
+oracle that reads that checkpoint.  Because the checkpoint holds its
+state, the view can be read, and its digest attested, after the chain
+has dropped the checkpoint.  The view is read-only: nothing here writes
+to it, and only tests that model a corrupted view do, which then
+reaches no other checkpoint.  The oracle attests the checkpoint's own
+digest, which the checkpoint hashes the first time it is read.
 
 Dispute check
 -------------
@@ -67,7 +68,6 @@ dispute delay.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from .attestation import (
@@ -171,8 +171,7 @@ class ArbitrationOracle:
 
         self.checkpoint: FinalizedCheckpoint | None = None  # the checkpoint synced to
         self._dest: DestChain | None = None
-        self._state = None  # the checkpoint's finalized state, from DestChain.state_at
-        self._view: Registry | None = None  # read from it on first use
+        self._view: Registry | None = None  # read from the checkpoint on first use
         self.last_seen_slot = 0
         self.wsp_known = default_wsp
 
@@ -253,20 +252,19 @@ class ArbitrationOracle:
                     f"limit {self.default_wsp}"
                 )
             try:
-                snapshot = dest.snapshot_at(cp)
+                served = dest.checkpoint_at(cp.slot)
             except DestChainError:
                 raise StaleCheckpoint(
                     f"slot {cp.slot} was never finalized or is no longer served"
                 ) from None
-            if hashlib.sha256(snapshot.encode()).hexdigest() != cp.state_digest:
+            if served.state_digest != cp.state_digest:
                 raise StaleCheckpoint("checkpoint digest does not match state")
-            if dest.view_at(cp).to_pubkey != to_checkpoint.signer_public:
+            if dest.view_at(served).to_pubkey != to_checkpoint.signer_public:
                 raise StaleCheckpoint("checkpoint signer is not the operator")
 
         latest = dest.latest_finalized()
         if latest is not self.checkpoint:
-            self.checkpoint, self._dest, self._state = latest, dest, dest.state_at(latest)
-            self._view = None
+            self.checkpoint, self._dest, self._view = latest, dest, None
         self.last_seen_slot = dest.slot
         self.wsp_known = dest.wsp_current
 
@@ -275,7 +273,7 @@ class ArbitrationOracle:
         """The registry finalized at the synced checkpoint, or ``None``
         before the first sync."""
         if self._view is None and self.checkpoint is not None:
-            self._view = self._dest.view_at(self.checkpoint, self._state)
+            self._view = self._dest.view_at(self.checkpoint)
         return self._view
 
     @property

@@ -7,8 +7,8 @@ oracles) only ever read registry state through one of these snapshots.
 Trusted checkpoints used for light-client resync are the same data
 wrapped with an operator or self-attested signature.
 
-Each finalized state is rendered once per change of state, and parsed
-at most once per change:
+Each finalized state is rendered once per change of state, hashed only
+when its digest is read, and parsed at most once per change:
 
 * One render per change.  The canonical snapshot is
   ``{...,"current_slot":N,...}`` with sorted keys, so it is a head, the
@@ -17,27 +17,34 @@ at most once per change:
   key taken at the last render, and calls ``export_snapshot`` only when
   they differ.  Change is detected by value, so no mutator marks
   anything, and a clock-only advance encodes nothing.  Every checkpoint
-  stores that body and its clock; its digest is the sha256 of head,
-  clock and tail, the digest of the full text.  ``advance`` moves the
-  slot clock before it finalizes, so every checkpoint crossed in one
-  advance has the same text and digest.
+  holds that body and its clock.  ``advance`` moves the slot clock
+  before it finalizes, so every checkpoint crossed in one advance has
+  the same text.
+* One hash per checkpoint, and only when read.  A checkpoint's digest
+  is the sha256 of head, clock and tail, the digest of the full text.
+  It is computed the first time ``state_digest`` is read, when an
+  oracle attests it or an operator signs the checkpoint, and then kept.
+  The bytes it hashes were captured at finalization, never the live
+  registry, so a late read gives the digest of the state finalized then.
 * One parse per change, and only when read.  ``view_at`` parses a body
   the first time a checkpoint with it is viewed; each checkpoint's view
   is a fresh copy of that parse with its own ``current_slot``, so a
   corrupted view never leaks into another checkpoint.  Only the most
   recent view is kept, so every oracle that reads one checkpoint shares
-  one read-only ``Registry``.  An oracle keeps the checkpoint's state
-  (``state_at``) when it syncs and reads its view only when it has a
-  dispute to judge, so a clock-only checkpoint costs it no copy, and it
-  can still read that view after the chain has dropped the state.
+  one read-only ``Registry``.  An oracle keeps the checkpoint when it
+  syncs and reads its view only when it has a dispute to judge, so a
+  clock-only checkpoint costs it no copy, and the checkpoint's own state
+  lets it read that view after the chain has dropped the checkpoint.
 
-Finalized state is kept only while some oracle could still accept it.
-``sync`` refuses a checkpoint older than the oracle's ``default_wsp``
-before it reads the snapshot, and worlds set that to the chain's
-schedule, so ``_finalize`` drops every checkpoint's state more than
-``WspSchedule.longest()`` slots behind the clock.  The latest checkpoint
-is always kept.  Retention is therefore bounded by the period, not by
-the length of the run.
+One slot-ordered map, ``snapshots``, holds the retained checkpoints; the
+latest finalized is its last entry.  A checkpoint is kept only while
+some oracle could still accept it.  ``sync`` refuses a checkpoint older
+than the oracle's ``default_wsp`` before it reads the snapshot, and
+worlds set that to the chain's schedule, so ``_finalize`` drops every
+checkpoint more than ``WspSchedule.longest()`` slots behind the clock,
+with its state.  The latest checkpoint is always kept.  Retention is
+therefore bounded by the period, not by the length of the run: at most
+``longest() // finality_interval + 2`` checkpoints.
 """
 
 from __future__ import annotations
@@ -59,11 +66,48 @@ class DestChainError(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class FinalizedCheckpoint:
-    slot: int
-    state_digest: str
-    timestamp: int
+    """A finalized slot, its timestamp and the digest of its state.
+
+    A checkpoint the chain finalizes holds that state, ``(body, clock)``,
+    and hashes it the first time ``state_digest`` is read; one built with
+    an explicit digest, as a forged or transported checkpoint is, holds
+    none.  Equal by value: slot, digest and timestamp."""
+
+    __slots__ = ("slot", "timestamp", "state", "_digest")
+
+    def __init__(
+        self,
+        slot: int,
+        state_digest: str | None,
+        timestamp: int,
+        state: tuple[_Body, int] | None = None,
+    ):
+        self.slot = slot
+        self.timestamp = timestamp
+        self.state = state
+        self._digest = state_digest
+
+    @property
+    def state_digest(self) -> str:
+        if self._digest is None:
+            body, clock = self.state
+            self._digest = body.digest(clock)
+        return self._digest
+
+    def _value(self) -> tuple[int, str, int]:
+        return self.slot, self.state_digest, self.timestamp
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FinalizedCheckpoint):
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self) -> int:
+        return hash(self._value())
+
+    def __repr__(self) -> str:
+        return "FinalizedCheckpoint(slot=%d, state_digest=%r, timestamp=%d)" % self._value()
 
     def encode(self) -> bytes:
         return (
@@ -154,9 +198,8 @@ class DestChain:
         self.finality_interval = finality_interval
         self.wsp_schedule = wsp_schedule or WspSchedule(base=DEFAULT_WSP_SLOTS)
         self.slot = 0
-        self.finalized: list[FinalizedCheckpoint] = []
-        # finalized slot -> (body, clock), within the period
-        self.snapshots: dict[int, tuple[_Body, int]] = {}
+        # finalized slot -> its checkpoint, which holds the state; within the period
+        self.snapshots: dict[int, FinalizedCheckpoint] = {}
         self._body: _Body | None = None  # the body last rendered
         self._view: tuple[int, Registry] | None = None  # most recent view
         registry.current_slot = 0
@@ -167,8 +210,8 @@ class DestChain:
         return self.wsp_schedule.at(self.slot)
 
     def _finalize(self, slots: list[int]) -> list[FinalizedCheckpoint]:
-        """Finalize ``slots`` with the current state: one digest, shared by
-        every checkpoint, and one render only if the body changed."""
+        """Finalize ``slots`` with the current state: one render, shared by
+        every checkpoint, only if the body changed, and no hash."""
         if not slots:
             return []
         clock = self.registry.current_slot
@@ -187,13 +230,10 @@ class DestChain:
                 head,
                 snapshot[len(head) + len(b"%d" % clock):],
             )
-        body = self._body
-        digest = body.digest(clock)
-        new = [FinalizedCheckpoint(slot=s, state_digest=digest, timestamp=s) for s in slots]
-        self.finalized.extend(new)
-        for slot in slots:
-            self.snapshots[slot] = (body, clock)
-        # Snapshots are inserted in slot order, so the expired ones are a prefix.
+        state = (self._body, clock)
+        new = [FinalizedCheckpoint(s, None, s, state) for s in slots]
+        self.snapshots.update((cp.slot, cp) for cp in new)
+        # Checkpoints are inserted in slot order, so the expired ones are a prefix.
         horizon = min(self.slot - self.wsp_schedule.longest(), slots[-1])
         for slot in list(itertools.takewhile(lambda s: s < horizon, self.snapshots)):
             del self.snapshots[slot]
@@ -212,30 +252,29 @@ class DestChain:
         return self._finalize(list(range(first, self.slot + 1, self.finality_interval)))
 
     def latest_finalized(self) -> FinalizedCheckpoint:
-        return self.finalized[-1]
+        return next(reversed(self.snapshots.values()))
 
-    def state_at(self, cp: FinalizedCheckpoint) -> tuple[_Body, int]:
-        """The finalized state of ``cp`` while the chain retains it."""
+    def checkpoint_at(self, slot: int) -> FinalizedCheckpoint:
+        """The checkpoint finalized at ``slot``, while the chain retains it."""
         try:
-            return self.snapshots[cp.slot]
+            return self.snapshots[slot]
         except KeyError:
-            raise DestChainError(f"no snapshot for slot {cp.slot}")
+            raise DestChainError(f"no snapshot for slot {slot}")
 
     def snapshot_at(self, cp: FinalizedCheckpoint) -> str:
-        body, clock = self.state_at(cp)
+        body, clock = self.checkpoint_at(cp.slot).state
         return body.text(clock)
 
-    def view_at(self, cp: FinalizedCheckpoint, state: tuple[_Body, int] | None = None) -> Registry:
-        """The registry state finalized at ``cp``, shared by every caller
-        until another slot is viewed.  Read-only.  A body is parsed once;
-        each checkpoint's view is a fresh copy of that parse with its own
+    def view_at(self, cp: FinalizedCheckpoint) -> Registry:
+        """The registry state ``cp`` holds, shared by every caller until
+        another slot is viewed.  Read-only.  A body is parsed once; each
+        checkpoint's view is a fresh copy of that parse with its own
         clock, so views of different checkpoints share no mutable object.
         The copy is a pickle round trip, about a quarter of the cost of a
-        parse or of ``copy.deepcopy``.  ``state`` is ``cp``'s state as
-        ``state_at`` gave it, for a reader that kept it and may come after
-        the chain has dropped it."""
+        parse or of ``copy.deepcopy``.  It needs no retained checkpoint,
+        so a reader that kept ``cp`` can view it after the chain dropped it."""
         if self._view is None or self._view[0] != cp.slot:
-            body, clock = self.state_at(cp) if state is None else state
+            body, clock = cp.state
             if body.parsed is None:
                 body.parsed = pickle.dumps(Registry.import_snapshot(body.text(clock)))
             view = pickle.loads(body.parsed)

@@ -3,7 +3,9 @@ against an independently written decision function, the status-based
 signing rules, light-client resync boundaries, key custody, and version
 governance gates."""
 
+import gc
 import hashlib
+import types
 
 import pytest
 
@@ -29,6 +31,7 @@ from bsa_sim.destchain import (
     SignedCheckpoint,
     TO_SIGNER,
     WspSchedule,
+    _Body,
     sign_checkpoint,
 )
 from bsa_sim.keys import (
@@ -538,7 +541,27 @@ def test_snapshots_are_retained_for_the_longest_period_only():
         latest = w.dest.latest_finalized().slot
         assert len(slots) <= bound
         assert slots[-1] == latest and slots[0] >= latest - window
+        # No list beside the map keeps a checkpoint, or the body it holds.
+        held = reachable(w.dest, (FinalizedCheckpoint, _Body))
+        checkpoints = [o for o in held if isinstance(o, FinalizedCheckpoint)]
+        assert sorted(map(id, checkpoints)) == sorted(map(id, w.dest.snapshots.values()))
+        assert len(held) - len(checkpoints) <= bound
     assert w.dest.slot > 10 * window
+
+
+def reachable(root, kinds) -> list:
+    """The instances of ``kinds`` reachable from ``root`` through object
+    references, not through classes, modules or functions."""
+    seen, found, todo = set(), [], [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, kinds):
+            found.append(obj)
+        todo.extend(gc.get_referents(obj))
+    return found
 
 
 def test_latest_snapshot_is_kept_when_the_interval_exceeds_the_period():
@@ -650,6 +673,23 @@ def test_view_is_read_after_the_chain_dropped_its_checkpoint():
     assert synced.slot not in w.dest.snapshots
     assert oracle.view.state_digest() == synced.state_digest
     assert oracle.view.current_slot == synced.slot
+
+
+def test_offline_oracle_attests_its_checkpoint_after_the_chain_dropped_it():
+    w = make_sync_world()
+    oracle = w.oracle
+    w.registry.ledger.mint("acct:other", 5)  # a body nothing has hashed
+    w.dest.advance(1)
+    oracle.sync(w.dest)
+    synced = w.dest.latest_finalized()
+    text = w.dest.snapshot_at(synced)
+    w.registry.ledger.mint("acct:other", 7)  # the registry changes while it is offline
+    w.dest.advance(w.dest.wsp_schedule.longest() + 1)
+    assert synced.slot not in w.dest.snapshots
+    att = oracle.produce_attestation()
+    assert att.checkpoint_slot == synced.slot
+    assert att.checkpoint_digest == hashlib.sha256(text.encode()).hexdigest()
+    assert att.checkpoint_digest != w.dest.latest_finalized().state_digest
 
 
 def test_advance_across_two_boundaries_exports_once(monkeypatch):

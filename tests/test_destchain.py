@@ -9,7 +9,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsa_sim.destchain import DestChain, WspSchedule
+from bsa_sim.destchain import DestChain, WspSchedule, _Body
 from bsa_sim.keys import TweakData, key_address_id, keypair_from_seed, sign_digest
 from bsa_sim.registry import (
     REQUIRED_PSBT_SLOTS,
@@ -227,8 +227,9 @@ def run_steps(steps) -> tuple[DestChain, dict[int, str]]:
 @given(steps=STEPS)
 def test_every_retained_checkpoint_is_its_fresh_export(steps):
     dest, exported = run_steps(steps)
-    retained = [cp for cp in dest.finalized if cp.slot in dest.snapshots]
-    assert retained[-1] == dest.latest_finalized()
+    retained = list(dest.snapshots.values())
+    assert [cp.slot for cp in retained] == sorted(dest.snapshots)
+    assert retained[-1] is dest.latest_finalized()
     for cp in retained:
         text = exported[cp.slot]
         assert cp.state_digest == hashlib.sha256(text.encode()).hexdigest()
@@ -240,3 +241,31 @@ def test_every_retained_checkpoint_is_its_fresh_export(steps):
         view = dest.view_at(later)
         assert view.export_snapshot() == exported[later.slot]
         assert view.state_digest() == later.state_digest
+
+
+def test_digest_is_hashed_once_and_only_when_read(monkeypatch):
+    """Advances hash nothing; the first read of a checkpoint's digest
+    hashes the text finalized then, whatever the registry did since, and
+    later reads hash nothing."""
+    hashed = []
+    digest = _Body.digest
+
+    def counted(body, clock):
+        hashed.append(clock)
+        return digest(body, clock)
+
+    monkeypatch.setattr(_Body, "digest", counted)
+    reg = Registry(4, 6, 30, 2, TO.public)
+    dest = DestChain(reg, finality_interval=INTERVAL, wsp_schedule=WspSchedule(WSP))
+    reg.store_tweak_data(TWEAKS[0])  # the body changes
+    dest.advance(INTERVAL)
+    text = reg.export_snapshot()
+    cp = dest.latest_finalized()
+    for n in (1, INTERVAL, 3 * INTERVAL):  # clock-only advances
+        dest.advance(n)
+    assert hashed == []
+    reg.store_tweak_data(TWEAKS[1])  # the registry changes before the read
+    dest.advance(INTERVAL)
+    assert cp.state_digest == hashlib.sha256(text.encode()).hexdigest()
+    assert len(hashed) == 1
+    assert cp.state_digest == cp.state_digest and len(hashed) == 1
