@@ -116,6 +116,15 @@ class DepositorBehavior:
             raise ValueError(
                 f"leak_tokens_at = {self.leak_tokens_at}: no leak_token_amount is set"
             )
+        # a key that qualifies a height is read only once that height comes
+        for key, value, default, height in (
+            ("leak_token_amount", self.leak_token_amount, 0, "leak_tokens_at"),
+            ("exit_deposit_index", self.exit_deposit_index, None, "exit_at"),
+            ("burn_before_exit", self.burn_before_exit, True, "exit_at"),
+            ("use_leaked_key", self.use_leaked_key, False, "exit_at"),
+        ):
+            if value != default and getattr(self, height) is None:
+                raise ValueError(f"{key} = {str(value).lower()}: no {height} is set")
 
 
 @dataclass

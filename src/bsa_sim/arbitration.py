@@ -19,15 +19,16 @@ view, or an expired version each independently block signing.
 
 ``sync`` keeps the checkpoint it synced to, and copies and hashes
 nothing: the checkpoint holds its finalized state and is the oracle's
-handle on it.  ``view`` is the checkpoint's registry, read on first use
-through ``DestChain.view_at``: the chain parses each finalized state
-once per change and gives every checkpoint its own copy, shared by every
-oracle that reads that checkpoint.  Because the checkpoint holds its
-state, the view can be read, and its digest attested, after the chain
-has dropped the checkpoint.  The view is read-only: nothing here writes
-to it, and only tests that model a corrupted view do, which then
-reaches no other checkpoint.  The oracle attests the checkpoint's own
-digest, which the checkpoint hashes the first time it is read.
+one handle on it.  ``view`` is the checkpoint's own ``view``, read the
+first time any oracle asks for it and kept on the checkpoint, so every
+oracle synced to one checkpoint shares one view.  Each finalized state
+is parsed once per change, and each checkpoint reads its own copy.
+Because the checkpoint holds its state, the view can be read, and its
+digest attested, after the chain has dropped the checkpoint.  The view
+is read-only: nothing here writes to it, and only tests that model a
+corrupted view do, which then reaches no other checkpoint.  The oracle
+attests the checkpoint's own digest, which the checkpoint hashes the
+first time it is read.
 
 Dispute check
 -------------
@@ -68,7 +69,7 @@ dispute delay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .attestation import (
     Attestation,
@@ -80,7 +81,6 @@ from .chain import Outpoint, SimTx, TxRejected, check_witness
 from .destchain import (
     DEFAULT_WSP_SLOTS,
     DestChain,
-    DestChainError,
     FinalizedCheckpoint,
     SignedCheckpoint,
     TO_SIGNER,
@@ -134,6 +134,8 @@ class VerifiedContext:
     Only ``ArbitrationOracle._verify_dispute`` constructs these; the
     resolve methods refuse any context issued by a different
     oracle instance, so signing is impossible without verification.
+    ``instance`` is the one the check built and matched against the
+    record's tweak digest; the resolution signs against it.
     """
 
     kind: str  # "unbond" | "rebalance"
@@ -143,6 +145,7 @@ class VerifiedContext:
     spend_txid: str  # txid whose output 0 the resolution spends
     spend_value: int
     issuer_id: int
+    instance: ProtocolInstance = field(compare=False)
 
 
 class ArbitrationOracle:
@@ -170,8 +173,6 @@ class ArbitrationOracle:
         self.encrypted_secret: bytes | None = None
 
         self.checkpoint: FinalizedCheckpoint | None = None  # the checkpoint synced to
-        self._dest: DestChain | None = None
-        self._view: Registry | None = None  # read from the checkpoint on first use
         self.last_seen_slot = 0
         self.wsp_known = default_wsp
 
@@ -251,20 +252,17 @@ class ArbitrationOracle:
                     f"checkpoint is {dest.slot - cp.slot} slots old, "
                     f"limit {self.default_wsp}"
                 )
-            try:
-                served = dest.checkpoint_at(cp.slot)
-            except DestChainError:
+            served = dest.snapshots.get(cp.slot)
+            if served is None:
                 raise StaleCheckpoint(
                     f"slot {cp.slot} was never finalized or is no longer served"
-                ) from None
+                )
             if served.state_digest != cp.state_digest:
                 raise StaleCheckpoint("checkpoint digest does not match state")
-            if dest.view_at(served).to_pubkey != to_checkpoint.signer_public:
+            if served.view.to_pubkey != to_checkpoint.signer_public:
                 raise StaleCheckpoint("checkpoint signer is not the operator")
 
-        latest = dest.latest_finalized()
-        if latest is not self.checkpoint:
-            self.checkpoint, self._dest, self._view = latest, dest, None
+        self.checkpoint = dest.latest_finalized()
         self.last_seen_slot = dest.slot
         self.wsp_known = dest.wsp_current
 
@@ -272,9 +270,7 @@ class ArbitrationOracle:
     def view(self) -> Registry | None:
         """The registry finalized at the synced checkpoint, or ``None``
         before the first sync."""
-        if self._view is None and self.checkpoint is not None:
-            self._view = self._dest.view_at(self.checkpoint)
-        return self._view
+        return None if self.checkpoint is None else self.checkpoint.view
 
     @property
     def last_synced_slot(self) -> int | None:
@@ -379,6 +375,7 @@ class ArbitrationOracle:
             spend_txid=last.txid,
             spend_value=last.outputs[0].value,
             issuer_id=id(self),
+            instance=instance,
         )
 
     # -- rebalance ----------------------------------------------------------------
@@ -436,9 +433,8 @@ class ArbitrationOracle:
     def _sign_stored(
         self, ctx: VerifiedContext, transition: Transition
     ) -> PsbtTemplate | None:
-        record = self.view.records.get(ctx.outpoint)
-        instance = ProtocolInstance(TweakData.from_dict(self.view.tweaks[record.tweak_digest]))
-        text = record.psbts.get(transition.value)
+        instance = ctx.instance
+        text = self.view.records.get(ctx.outpoint).psbts.get(transition.value)
         if text is None:
             return None
         try:

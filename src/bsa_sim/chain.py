@@ -227,25 +227,36 @@ class KeyAddress:
         return key_address_id(self.public)
 
 
-@dataclass
-class FeeSchedule:
-    """Step function of block height; rate is sats per weight unit."""
+@dataclass(frozen=True)
+class StepSchedule:
+    """A step function: ``base`` until the first step, then the value of
+    the last step that starts at or below the point.  The fee rate (sats
+    per weight unit) by block height and the weak subjectivity period by
+    slot are schedules.  The steps are sorted once, when it is built."""
 
-    base_rate: int = 1
-    steps: list[tuple[int, int]] = field(default_factory=list)  # (from_height, rate)
+    base: int
+    steps: tuple[tuple[int, int], ...] = ()  # (from, value)
 
-    def rate_at(self, height: int) -> int:
-        rate = self.base_rate
-        for from_height, step_rate in sorted(self.steps):
-            if height >= from_height:
-                rate = step_rate
-        return rate
+    def __post_init__(self):
+        object.__setattr__(self, "steps", tuple(sorted(self.steps)))
+
+    def at(self, point: int) -> int:
+        value = self.base
+        for start, step in self.steps:
+            if point < start:
+                break
+            value = step
+        return value
+
+    def largest(self) -> int:
+        """The largest value the schedule takes at any point."""
+        return max([self.base, *(value for _, value in self.steps)])
 
 
 class BtcChain:
-    def __init__(self, fee_schedule: FeeSchedule | None = None):
+    def __init__(self, fee_schedule: StepSchedule | None = None):
         self.height = 0
-        self.fee_schedule = fee_schedule or FeeSchedule()
+        self.fee_schedule = fee_schedule or StepSchedule(1)
         self.utxo_set: dict[Outpoint, Utxo] = {}
         self.mempool: dict[str, SimTx] = {}
         self.mempool_arrival: dict[str, int] = {}
@@ -297,7 +308,7 @@ class BtcChain:
 
     def next_rate(self) -> int:
         """The feerate the next block asks for."""
-        return self.fee_schedule.rate_at(self.height + 1)
+        return self.fee_schedule.at(self.height + 1)
 
     # -- input validation ---------------------------------------------------
 
@@ -399,7 +410,7 @@ class BtcChain:
         own or anchor-package feerate meets the schedule."""
         self.height += 1
         height = self.height
-        rate = self.fee_schedule.rate_at(height)
+        rate = self.fee_schedule.at(height)
         chosen: dict[str, SimTx] = {}  # in confirmation order
         order = sorted(self.mempool, key=lambda t: (self.mempool_arrival[t], t))
 

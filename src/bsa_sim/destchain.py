@@ -26,25 +26,26 @@ when its digest is read, and parsed at most once per change:
   oracle attests it or an operator signs the checkpoint, and then kept.
   The bytes it hashes were captured at finalization, never the live
   registry, so a late read gives the digest of the state finalized then.
-* One parse per change, and only when read.  ``view_at`` parses a body
-  the first time a checkpoint with it is viewed; each checkpoint's view
-  is a fresh copy of that parse with its own ``current_slot``, so a
-  corrupted view never leaks into another checkpoint.  Only the most
-  recent view is kept, so every oracle that reads one checkpoint shares
-  one read-only ``Registry``.  An oracle keeps the checkpoint when it
-  syncs and reads its view only when it has a dispute to judge, so a
-  clock-only checkpoint costs it no copy, and the checkpoint's own state
-  lets it read that view after the chain has dropped the checkpoint.
+* One parse per change, and only when read.  A checkpoint's ``view``
+  is read the first time it is asked for, and then kept on the
+  checkpoint, as its digest is.  The body is parsed the first time a
+  checkpoint that holds it is viewed; each checkpoint's view is a fresh
+  copy of that parse with its own ``current_slot``, so a corrupted view
+  never leaks into another checkpoint, and every oracle that reads one
+  checkpoint shares its one read-only ``Registry``.  An oracle keeps the
+  checkpoint when it syncs and reads its view only when it has a
+  dispute to judge, so a clock-only checkpoint costs it no copy, and it
+  can read that view after the chain has dropped the checkpoint.
 
 One slot-ordered map, ``snapshots``, holds the retained checkpoints; the
 latest finalized is its last entry.  A checkpoint is kept only while
 some oracle could still accept it.  ``sync`` refuses a checkpoint older
 than the oracle's ``default_wsp`` before it reads the snapshot, and
 worlds set that to the chain's schedule, so ``_finalize`` drops every
-checkpoint more than ``WspSchedule.longest()`` slots behind the clock,
-with its state.  The latest checkpoint is always kept.  Retention is
-therefore bounded by the period, not by the length of the run: at most
-``longest() // finality_interval + 2`` checkpoints.
+checkpoint more than ``wsp_schedule.largest()`` slots behind the clock,
+with its state and view.  The latest checkpoint is always kept.
+Retention is therefore bounded by the period, not by the length of the
+run: at most ``largest() // finality_interval + 2`` checkpoints.
 """
 
 from __future__ import annotations
@@ -52,8 +53,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .chain import StepSchedule
 from .keys import Keypair, Point, sign_digest, verify_signature
 from .registry import Registry
 
@@ -70,11 +72,12 @@ class FinalizedCheckpoint:
     """A finalized slot, its timestamp and the digest of its state.
 
     A checkpoint the chain finalizes holds that state, ``(body, clock)``,
-    and hashes it the first time ``state_digest`` is read; one built with
-    an explicit digest, as a forged or transported checkpoint is, holds
-    none.  Equal by value: slot, digest and timestamp."""
+    hashes it the first time ``state_digest`` is read and parses it the
+    first time ``view`` is; one built with an explicit digest, as a
+    forged or transported checkpoint is, holds none.  Equal by value:
+    slot, digest and timestamp."""
 
-    __slots__ = ("slot", "timestamp", "state", "_digest")
+    __slots__ = ("slot", "timestamp", "state", "_digest", "_view")
 
     def __init__(
         self,
@@ -87,6 +90,7 @@ class FinalizedCheckpoint:
         self.timestamp = timestamp
         self.state = state
         self._digest = state_digest
+        self._view: Registry | None = None
 
     @property
     def state_digest(self) -> str:
@@ -94,6 +98,21 @@ class FinalizedCheckpoint:
             body, clock = self.state
             self._digest = body.digest(clock)
         return self._digest
+
+    @property
+    def view(self) -> Registry:
+        """The registry state this checkpoint holds.  Read-only.  The
+        body is parsed once; each checkpoint's view is a fresh copy of
+        that parse with its own clock, so views of different checkpoints
+        share no mutable object.  The copy is a pickle round trip, about
+        a quarter of the cost of a parse or of ``copy.deepcopy``."""
+        if self._view is None:
+            body, clock = self.state
+            if body.parsed is None:
+                body.parsed = pickle.dumps(Registry.import_snapshot(body.text(clock)))
+            self._view = pickle.loads(body.parsed)
+            self._view.current_slot = clock
+        return self._view
 
     def _value(self) -> tuple[int, str, int]:
         return self.slot, self.state_digest, self.timestamp
@@ -146,25 +165,6 @@ def sign_checkpoint(cp: FinalizedCheckpoint, keypair: Keypair, signer_kind: str)
 
 
 @dataclass
-class WspSchedule:
-    """Weak subjectivity period as a step function of slot."""
-
-    base: int
-    steps: list[tuple[int, int]] = field(default_factory=list)  # (from_slot, wsp)
-
-    def at(self, slot: int) -> int:
-        wsp = self.base
-        for from_slot, value in sorted(self.steps):
-            if slot >= from_slot:
-                wsp = value
-        return wsp
-
-    def longest(self) -> int:
-        """The largest period the schedule can take at any slot."""
-        return max([self.base, *(wsp for _, wsp in self.steps)])
-
-
-@dataclass
 class _Body:
     """One finalized state without its clock, shared by every checkpoint
     finalized while the registry's body was the same: its snapshot is
@@ -190,18 +190,17 @@ class DestChain:
         self,
         registry,
         finality_interval: int = 32,
-        wsp_schedule: WspSchedule | None = None,
+        wsp_schedule: StepSchedule | None = None,  # weak subjectivity period by slot
     ):
         if finality_interval <= 0:
             raise DestChainError("finality interval must be positive")
         self.registry = registry
         self.finality_interval = finality_interval
-        self.wsp_schedule = wsp_schedule or WspSchedule(base=DEFAULT_WSP_SLOTS)
+        self.wsp_schedule = wsp_schedule or StepSchedule(DEFAULT_WSP_SLOTS)
         self.slot = 0
         # finalized slot -> its checkpoint, which holds the state; within the period
         self.snapshots: dict[int, FinalizedCheckpoint] = {}
         self._body: _Body | None = None  # the body last rendered
-        self._view: tuple[int, Registry] | None = None  # most recent view
         registry.current_slot = 0
         self._finalize([0])
 
@@ -234,7 +233,7 @@ class DestChain:
         new = [FinalizedCheckpoint(s, None, s, state) for s in slots]
         self.snapshots.update((cp.slot, cp) for cp in new)
         # Checkpoints are inserted in slot order, so the expired ones are a prefix.
-        horizon = min(self.slot - self.wsp_schedule.longest(), slots[-1])
+        horizon = min(self.slot - self.wsp_schedule.largest(), slots[-1])
         for slot in list(itertools.takewhile(lambda s: s < horizon, self.snapshots)):
             del self.snapshots[slot]
         return new
@@ -253,31 +252,3 @@ class DestChain:
 
     def latest_finalized(self) -> FinalizedCheckpoint:
         return next(reversed(self.snapshots.values()))
-
-    def checkpoint_at(self, slot: int) -> FinalizedCheckpoint:
-        """The checkpoint finalized at ``slot``, while the chain retains it."""
-        try:
-            return self.snapshots[slot]
-        except KeyError:
-            raise DestChainError(f"no snapshot for slot {slot}")
-
-    def snapshot_at(self, cp: FinalizedCheckpoint) -> str:
-        body, clock = self.checkpoint_at(cp.slot).state
-        return body.text(clock)
-
-    def view_at(self, cp: FinalizedCheckpoint) -> Registry:
-        """The registry state ``cp`` holds, shared by every caller until
-        another slot is viewed.  Read-only.  A body is parsed once; each
-        checkpoint's view is a fresh copy of that parse with its own
-        clock, so views of different checkpoints share no mutable object.
-        The copy is a pickle round trip, about a quarter of the cost of a
-        parse or of ``copy.deepcopy``.  It needs no retained checkpoint,
-        so a reader that kept ``cp`` can view it after the chain dropped it."""
-        if self._view is None or self._view[0] != cp.slot:
-            body, clock = cp.state
-            if body.parsed is None:
-                body.parsed = pickle.dumps(Registry.import_snapshot(body.text(clock)))
-            view = pickle.loads(body.parsed)
-            view.current_slot = clock
-            self._view = (cp.slot, view)
-        return self._view[1]

@@ -50,8 +50,8 @@ from .actors import (
 )
 from .arbitration import ArbitrationOracle
 from .attestation import EnclaveImage, MockAttestationAuthority, MockKms
-from .chain import BtcChain, FeeSchedule, Outpoint
-from .destchain import DestChain, TO_SIGNER, WspSchedule, sign_checkpoint
+from .chain import BtcChain, Outpoint, StepSchedule
+from .destchain import DestChain, TO_SIGNER, sign_checkpoint
 from .keys import keypair_from_seed, sign_digest
 from .psbt import AoIdentity, VerificationFailed, run_setup_ceremony
 from .registry import Registry, UtxoStatus
@@ -84,7 +84,7 @@ def build_world(config: ScenarioConfig, sar_tamper=None) -> World:
     """Assemble chain, destination chain, registry, a registered oracle
     version, funded wallets, synced oracles, and actors, and run the
     deposit setup ceremony."""
-    chain = BtcChain(FeeSchedule(config.fee_base, list(config.fee_steps)))
+    chain = BtcChain(StepSchedule(config.fee_base, config.fee_steps))
     to_keypair = keypair_from_seed(b"operator")
     registry = Registry(
         t1=config.t1,
@@ -96,7 +96,7 @@ def build_world(config: ScenarioConfig, sar_tamper=None) -> World:
     dest = DestChain(
         registry,
         finality_interval=config.finality_interval,
-        wsp_schedule=WspSchedule(base=config.wsp_slots),
+        wsp_schedule=StepSchedule(config.wsp_slots),
     )
     authority = MockAttestationAuthority()
     kms = MockKms()

@@ -54,10 +54,12 @@ tweak data stores the count in two bytes), a ``t3`` that does not exceed
 (``registry.check_timelocks``), a negative height (``exit_at``,
 ``leak_tokens_at``, ``rebalance_at``, ``false_rebalance_at``,
 ``dest_halted_at``, or one in ``fee_steps``) or rate in ``fee_steps``,
-a ``fee_steps`` height given twice, a ``leak_tokens_at`` without a
-``leak_token_amount``, an empty ``owner``, an ``offline``
-window that starts below 0 or does not end after it starts, an
-``exit_deposit_index`` that names no deposit, and ``amounts`` that are
+a ``fee_steps`` height given twice, a ``leak_tokens_at`` or
+``leak_token_amount`` without the other, an ``exit_deposit_index``,
+``burn_before_exit = false`` or ``use_leaked_key = true`` without an
+``exit_at`` (nothing reads them before that height), an empty
+``owner``, an ``offline`` window that starts below 0 or does not end
+after it starts, an ``exit_deposit_index`` that names no deposit, and ``amounts`` that are
 empty or hold one below ``psbt.MIN_DEPOSIT``, too small to pay the base
 fees and anchors of its pre-signed rows.  So is a file that is not
 UTF-8 text.

@@ -20,7 +20,7 @@ from bsa_sim.actors import (
     send_btc,
     spendable_utxos,
 )
-from bsa_sim.chain import BtcChain, FeeSchedule, Outpoint
+from bsa_sim.chain import BtcChain, Outpoint, StepSchedule
 from bsa_sim.harness import (
     MATRIX_DIR,
     build_world,
@@ -45,7 +45,7 @@ SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def funded_chain(value=10_000):
-    chain = BtcChain(FeeSchedule(1))
+    chain = BtcChain(StepSchedule(1))
     kp = keypair_from_seed(b"wallet")
     addr = chain.ensure_key_address(kp.public)
     chain.seed_utxo(addr, value)

@@ -5,6 +5,7 @@ governance gates."""
 
 import gc
 import hashlib
+import pickle
 import types
 
 import pytest
@@ -23,14 +24,13 @@ from bsa_sim.attestation import (
     MockAttestationAuthority,
     MockKms,
 )
-from bsa_sim.chain import BtcChain, FeeSchedule, Outpoint, SighashFlag, SimTx, TxInput, TxOutput
+from bsa_sim.chain import BtcChain, Outpoint, SighashFlag, SimTx, StepSchedule, TxInput, TxOutput
 from bsa_sim.destchain import (
     AO_SELF_SIGNER,
     DestChain,
     FinalizedCheckpoint,
     SignedCheckpoint,
     TO_SIGNER,
-    WspSchedule,
     _Body,
     sign_checkpoint,
 )
@@ -65,11 +65,11 @@ ALL_STATUSES = (
 
 class ArbWorld:
     def __init__(self, n_oracles=2, t1=4, t2=6, t3=40, wsp=64, interval=4, version_expiry=4_000):
-        self.chain = BtcChain(FeeSchedule(1))
+        self.chain = BtcChain(StepSchedule(1))
         self.dep = keypair_from_seed(b"arb-dep")
         self.to = keypair_from_seed(b"arb-to")
         self.registry = Registry(t1, t2, t3, 1, self.to.public)
-        self.dest = DestChain(self.registry, finality_interval=interval, wsp_schedule=WspSchedule(wsp))
+        self.dest = DestChain(self.registry, finality_interval=interval, wsp_schedule=StepSchedule(wsp))
         self.authority = MockAttestationAuthority()
         self.kms = MockKms()
         self.registry.set_version_expiry(
@@ -415,6 +415,7 @@ def test_resolution_requires_context_from_same_oracle(world):
         spend_txid=tx.txid,
         spend_value=tx.outputs[0].value,
         issuer_id=id(object()),
+        instance=world.instance,
     )
     with pytest.raises(NotVerified):
         a.resolve_rebalance(forged)
@@ -531,21 +532,25 @@ def test_tampered_digest_rejected_after_another_oracle_parsed_the_slot():
 
 def test_snapshots_are_retained_for_the_longest_period_only():
     w = ArbWorld(n_oracles=1, wsp=16, interval=4)
-    w.dest.wsp_schedule.steps.append((60, 24))  # the longest period is 24 slots
-    window = w.dest.wsp_schedule.longest()
+    w.dest.wsp_schedule = StepSchedule(16, [(60, 24)])  # the longest period is 24 slots
+    window = w.dest.wsp_schedule.largest()
     assert window == 24
     bound = window // w.dest.finality_interval + 2
     for n in (1, 3, 4, 7, 13, 40, 2) * 4:  # single slots, whole intervals, many at once
         w.dest.advance(n)
+        for cp in w.dest.snapshots.values():
+            cp.view  # read, and kept on the checkpoint
         slots = list(w.dest.snapshots)
         latest = w.dest.latest_finalized().slot
         assert len(slots) <= bound
         assert slots[-1] == latest and slots[0] >= latest - window
-        # No list beside the map keeps a checkpoint, or the body it holds.
-        held = reachable(w.dest, (FinalizedCheckpoint, _Body))
+        # No list beside the map keeps a checkpoint, the body it holds or its view.
+        held = reachable(w.dest, (FinalizedCheckpoint, _Body, Registry))
         checkpoints = [o for o in held if isinstance(o, FinalizedCheckpoint)]
         assert sorted(map(id, checkpoints)) == sorted(map(id, w.dest.snapshots.values()))
-        assert len(held) - len(checkpoints) <= bound
+        assert len([o for o in held if isinstance(o, _Body)]) <= bound
+        views = [o for o in held if isinstance(o, Registry) and o is not w.dest.registry]
+        assert len(views) <= bound
     assert w.dest.slot > 10 * window
 
 
@@ -568,9 +573,9 @@ def test_latest_snapshot_is_kept_when_the_interval_exceeds_the_period():
     w = ArbWorld(n_oracles=1, wsp=4, interval=8)
     w.dest.advance(13)  # finalizes one checkpoint and ends 5 slots past it
     latest = w.dest.latest_finalized()
-    assert w.dest.slot - latest.slot > w.dest.wsp_schedule.longest()
+    assert w.dest.slot - latest.slot > w.dest.wsp_schedule.largest()
     assert list(w.dest.snapshots) == [latest.slot]
-    assert w.dest.view_at(latest).state_digest() == latest.state_digest
+    assert latest.view.state_digest() == latest.state_digest
 
 
 @pytest.mark.parametrize("step", [1, None], ids=["slot-by-slot", "one-advance"])
@@ -578,9 +583,9 @@ def test_latest_snapshot_is_kept_when_the_interval_exceeds_the_period():
 def test_checkpoint_default_wsp_old_rebootstraps_and_one_older_is_refused(step, later_wsp):
     for extra in (0, 1):
         w = make_sync_world()  # period 16
-        w.dest.wsp_schedule.steps.append((w.dest.slot + 4, later_wsp))
+        w.dest.wsp_schedule = StepSchedule(w.dest.wsp_schedule.base, [(w.dest.slot + 4, later_wsp)])
         oracle = w.oracle
-        oracle.default_wsp = w.dest.wsp_schedule.longest()  # as build_world sets it
+        oracle.default_wsp = w.dest.wsp_schedule.largest()  # as build_world sets it
         old = w.dest.latest_finalized()
         age = oracle.default_wsp + extra
         for n in [step] * age if step else [age]:
@@ -598,9 +603,9 @@ def test_checkpoint_default_wsp_old_rebootstraps_and_one_older_is_refused(step, 
 def test_evicted_checkpoint_within_a_longer_oracle_period_is_not_served():
     w = make_sync_world()
     oracle = w.oracle
-    assert oracle.default_wsp > w.dest.wsp_schedule.longest()
+    assert oracle.default_wsp > w.dest.wsp_schedule.largest()
     old = w.dest.latest_finalized()
-    w.dest.advance(w.dest.wsp_schedule.longest() + 1)
+    w.dest.advance(w.dest.wsp_schedule.largest() + 1)
     with pytest.raises(StaleCheckpoint, match="no longer served"):
         oracle.sync(w.dest, to_checkpoint=sign_checkpoint(old, w.to, TO_SIGNER))
 
@@ -633,7 +638,7 @@ def test_oracles_at_one_checkpoint_share_one_parse(monkeypatch):
     assert len(imports) == 0  # sync alone parses nothing
     assert w.oracles[0].view is w.oracles[1].view
     assert len(imports) == 1
-    assert w.oracles[0].view is w.dest.view_at(w.dest.latest_finalized())
+    assert w.oracles[0].view is w.dest.latest_finalized().view
     changed = w.oracles[0].view
     w.dest.advance(w.dest.finality_interval)  # only the clock moves
     for oracle in w.oracles[:2]:
@@ -650,7 +655,7 @@ def test_clock_only_checkpoints_copy_nothing(monkeypatch):
     calls = [
         count_calls(monkeypatch, Registry, "export_snapshot"),
         count_calls(monkeypatch, Registry, "import_snapshot"),
-        count_calls(monkeypatch, DestChain, "view_at"),
+        count_calls(monkeypatch, pickle, "loads"),  # copies of a parse
     ]
     start = w.dest.latest_finalized().slot
     for n in (w.dest.finality_interval, 1, 3 * w.dest.finality_interval):
@@ -669,7 +674,7 @@ def test_view_is_read_after_the_chain_dropped_its_checkpoint():
     w.dest.advance(1)
     oracle.sync(w.dest)  # the view is not read
     synced = w.dest.latest_finalized()
-    w.dest.advance(w.dest.wsp_schedule.longest() + 1)
+    w.dest.advance(w.dest.wsp_schedule.largest() + 1)
     assert synced.slot not in w.dest.snapshots
     assert oracle.view.state_digest() == synced.state_digest
     assert oracle.view.current_slot == synced.slot
@@ -682,9 +687,9 @@ def test_offline_oracle_attests_its_checkpoint_after_the_chain_dropped_it():
     w.dest.advance(1)
     oracle.sync(w.dest)
     synced = w.dest.latest_finalized()
-    text = w.dest.snapshot_at(synced)
+    text = w.registry.export_snapshot()  # what the checkpoint holds: the interval is 1
     w.registry.ledger.mint("acct:other", 7)  # the registry changes while it is offline
-    w.dest.advance(w.dest.wsp_schedule.longest() + 1)
+    w.dest.advance(w.dest.wsp_schedule.largest() + 1)
     assert synced.slot not in w.dest.snapshots
     att = oracle.produce_attestation()
     assert att.checkpoint_slot == synced.slot
@@ -699,12 +704,10 @@ def test_advance_across_two_boundaries_exports_once(monkeypatch):
     first, second = w.dest.advance(2 * w.dest.finality_interval)
     assert len(exports) == 1
     assert second.slot == first.slot + w.dest.finality_interval
-    assert w.dest.snapshot_at(first) == w.dest.snapshot_at(second)
     (third,) = w.dest.advance(w.dest.finality_interval)  # only the clock moves
     assert len(exports) == 1
     fresh = w.registry.export_snapshot()
     assert third.state_digest == hashlib.sha256(fresh.encode()).hexdigest()
-    assert w.dest.snapshot_at(third) == fresh
     assert first.state_digest == second.state_digest != third.state_digest
 
 

@@ -9,12 +9,12 @@ from bsa_sim.chain import (
     BadSignature,
     BtcChain,
     DoubleSpend,
-    FeeSchedule,
     InvalidValue,
     MalformedWitness,
     Outpoint,
     SighashFlag,
     SimTx,
+    StepSchedule,
     TimelockNotExpired,
     TxInput,
     TxOutput,
@@ -40,7 +40,7 @@ def keypair(name: str):
 
 
 def fresh_chain(base_rate=1, steps=()):
-    return BtcChain(FeeSchedule(base_rate, list(steps)))
+    return BtcChain(StepSchedule(base_rate, steps))
 
 
 def key_spend(chain, utxo, outputs, kp, flag=SighashFlag.ALL):
@@ -297,12 +297,14 @@ def test_timelock_checked_even_for_same_block_parent():
 
 
 def test_fee_schedule_steps():
-    sched = FeeSchedule(1, [(20, 3), (30, 1)])
-    assert sched.rate_at(1) == 1
-    assert sched.rate_at(19) == 1
-    assert sched.rate_at(20) == 3
-    assert sched.rate_at(29) == 3
-    assert sched.rate_at(30) == 1
+    sched = StepSchedule(1, [(30, 1), (20, 3)])
+    assert sched.steps == ((20, 3), (30, 1))  # sorted once, when built
+    assert sched.at(1) == 1
+    assert sched.at(19) == 1
+    assert sched.at(20) == 3
+    assert sched.at(29) == 3
+    assert sched.at(30) == 1
+    assert sched.largest() == 3
 
 
 def test_underpaying_tx_waits_for_cheaper_blocks():

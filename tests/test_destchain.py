@@ -9,7 +9,8 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsa_sim.destchain import DestChain, WspSchedule, _Body
+from bsa_sim.chain import StepSchedule
+from bsa_sim.destchain import DestChain, _Body
 from bsa_sim.keys import TweakData, key_address_id, keypair_from_seed, sign_digest
 from bsa_sim.registry import (
     REQUIRED_PSBT_SLOTS,
@@ -208,7 +209,7 @@ def run_steps(steps) -> tuple[DestChain, dict[int, str]]:
     registry at every checkpoint, taken when it was finalized."""
     reg = Registry(4, 6, 30, 2, TO.public)
     reg.store_tweak_data(TWEAKS[0])
-    dest = DestChain(reg, finality_interval=INTERVAL, wsp_schedule=WspSchedule(WSP))
+    dest = DestChain(reg, finality_interval=INTERVAL, wsp_schedule=StepSchedule(WSP))
     exported = {0: reg.export_snapshot()}
     for (name, *args), slots in steps:
         try:
@@ -233,12 +234,12 @@ def test_every_retained_checkpoint_is_its_fresh_export(steps):
     for cp in retained:
         text = exported[cp.slot]
         assert cp.state_digest == hashlib.sha256(text.encode()).hexdigest()
-        assert dest.snapshot_at(cp) == text
-        assert dest.view_at(cp).export_snapshot() == text
-    # A corrupted view reaches no later checkpoint's view.
+    # Each view is read after the one before it was corrupted, and a
+    # corrupted view reaches no later checkpoint's view.
+    assert retained[0].view.export_snapshot() == exported[retained[0].slot]
     for earlier, later in itertools.pairwise(retained):
-        corrupt(dest.view_at(earlier))
-        view = dest.view_at(later)
+        corrupt(earlier.view)
+        view = later.view
         assert view.export_snapshot() == exported[later.slot]
         assert view.state_digest() == later.state_digest
 
@@ -256,7 +257,7 @@ def test_digest_is_hashed_once_and_only_when_read(monkeypatch):
 
     monkeypatch.setattr(_Body, "digest", counted)
     reg = Registry(4, 6, 30, 2, TO.public)
-    dest = DestChain(reg, finality_interval=INTERVAL, wsp_schedule=WspSchedule(WSP))
+    dest = DestChain(reg, finality_interval=INTERVAL, wsp_schedule=StepSchedule(WSP))
     reg.store_tweak_data(TWEAKS[0])  # the body changes
     dest.advance(INTERVAL)
     text = reg.export_snapshot()

@@ -148,8 +148,8 @@ def test_parse_rejections():
 @pytest.mark.parametrize(
     "text, where",
     [
-        ("[deposit]\namounts = 7000, 3000\n[depositor]\nexit_deposit_index = 2\n",
-         "[depositor] exit_deposit_index"),
+        ("[deposit]\namounts = 7000, 3000\n[depositor]\nexit_at = 8\nexit_deposit_index = 2\n",
+         "[depositor] exit_deposit_index = 2: there are 2 deposits"),
         ("[depositor]\nexit_deposit_index = -1\n", "[depositor] exit_deposit_index"),
         ("[oracle.1]\noffline = 12..12\n", "[oracle.1] offline"),
         ("[oracle.0]\noffline = 20..12\n", "[oracle.0] offline"),
@@ -183,6 +183,14 @@ def test_parse_rejections():
         ("[depositor]\nleak_tokens_at = -1\n", "[depositor] leak_tokens_at"),
         ("[depositor]\nleak_tokens_at = 5\n",
          "[depositor] leak_tokens_at = 5: no leak_token_amount is set"),
+        ("[depositor]\nleak_token_amount = 6000\n",
+         "[depositor] leak_token_amount = 6000: no leak_tokens_at is set"),
+        ("[depositor]\nexit_deposit_index = 0\n",
+         "[depositor] exit_deposit_index = 0: no exit_at is set"),
+        ("[depositor]\nburn_before_exit = false\n",
+         "[depositor] burn_before_exit = false: no exit_at is set"),
+        ("[depositor]\nuse_leaked_key = true\n",
+         "[depositor] use_leaked_key = true: no exit_at is set"),
         ("[operator]\nrebalance_at = -1\n", "[operator] rebalance_at"),
         ("[operator]\nfalse_rebalance_at = -1\n", "[operator] false_rebalance_at"),
         ("[deposit]\namounts = 10, -3\n",
@@ -202,6 +210,8 @@ def test_parse_rejections():
         "oracle-section-far-past-two-bytes",
         "negative-dest-halted-at", "negative-leak-amount", "zero-leak-amount",
         "negative-exit-at", "negative-leak-tokens-at", "leak-without-amount",
+        "amount-without-leak", "exit-index-without-exit", "no-burn-without-exit",
+        "leaked-key-without-exit",
         "negative-rebalance-at",
         "negative-false-rebalance-at", "negative-amount", "amount-below-min-deposit",
         "empty-owner",
@@ -217,6 +227,26 @@ def test_a_leak_of_nothing_is_refused_when_built():
     behaviour built in code too, where it would leak nothing."""
     with pytest.raises(ValueError, match="leak_tokens_at = 5: no leak_token_amount is set"):
         DepositorBehavior(leak_tokens_at=5)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"leak_token_amount": 6000}, "leak_token_amount = 6000: no leak_tokens_at is set"),
+        ({"exit_deposit_index": 0}, "exit_deposit_index = 0: no exit_at is set"),
+        ({"burn_before_exit": False}, "burn_before_exit = false: no exit_at is set"),
+        ({"use_leaked_key": True}, "use_leaked_key = true: no exit_at is set"),
+    ],
+    ids=["amount-without-leak", "exit-index-without-exit", "no-burn-without-exit",
+         "leaked-key-without-exit"],
+)
+def test_a_key_without_its_height_is_refused_when_built(kwargs, message):
+    """A key read only once its trigger height comes would do nothing
+    without that height, in code as in a scenario file."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        DepositorBehavior(**kwargs)
+    height = "leak_tokens_at" if "leak_token_amount" in kwargs else "exit_at"
+    DepositorBehavior(**kwargs, **{height: 8})  # with its height it is accepted
 
 
 def test_parse_accepts_as_many_oracles_as_tweak_data_holds():

@@ -12,9 +12,9 @@ from bsa_sim.attestation import EnclaveImage, MockAttestationAuthority
 from bsa_sim.chain import (
     BadSignature,
     BtcChain,
-    FeeSchedule,
     Outpoint,
     SighashFlag,
+    StepSchedule,
     TxOutput,
     verify_spend,
 )
@@ -72,7 +72,7 @@ def op(outpoint_str: str) -> Outpoint:
 
 class World:
     def __init__(self, amounts=(10_000,), n_oracles=2, t1=4, t2=6, t3=30, base_rate=1):
-        self.chain = BtcChain(FeeSchedule(base_rate))
+        self.chain = BtcChain(StepSchedule(base_rate))
         self.dep = keypair_from_seed(b"unit-dep")
         self.to = keypair_from_seed(b"unit-to")
         self.oracles = [
@@ -512,7 +512,7 @@ def test_required_child_fee_formula():
 def test_cpfp_bump_confirms_underpaying_request(world):
     # raise the prevailing rate after the templates were pre-signed
     chain = world.chain
-    chain.fee_schedule.steps.append((chain.height + 1, 4))
+    chain.fee_schedule = StepSchedule(chain.fee_schedule.base, [(chain.height + 1, 4)])
     inst = world.instance
     outpoint_str, _ = next(iter(inst.deposits.items()))
     stored = PsbtTemplate.from_text(
@@ -523,7 +523,7 @@ def test_cpfp_bump_confirms_underpaying_request(world):
     assert parent.txid not in chain.mine_block()  # 3 sat fee vs 12 required
 
     fee_utxo = chain.seed_utxo(inst.return_address_id, 200)
-    rate = chain.fee_schedule.rate_at(chain.height + 1)
+    rate = chain.fee_schedule.at(chain.height + 1)
     child_weight = 2 + 1  # two inputs, one change output
     target = required_child_fee(stored.fee, rate * parent.weight, rate * child_weight)
     child = attach_cpfp_child(parent, fee_utxo, target, world.dep, chain)

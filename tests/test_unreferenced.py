@@ -32,7 +32,6 @@ ALLOWED = {
     "chain.verify_spend": "tests check a spend at a chosen height without mining",
     "curve.is_on_curve": "ROADMAP item 5; the curve tests call it",
     "curve.point_mul": "perfbench/tracer.py TARGETS; the key and curve tests call it",
-    "destchain.DestChain.snapshot_at": "destchain and arbitration tests read a served text",
     "harness.SweepRow.consistent": "test_c10 and perfbench's run_sweep read it",
     "harness.liquidation_spans": "ROADMAP items 9 and 16 propose to grade it; tests call it",
     "harness.trust_model_sweep": "test_c10 runs it",
