@@ -402,9 +402,9 @@ def finalize_to_tx(
 ) -> SimTx:
     """Countersign as the executor and spend through the first of the
     row's leaves that holds the executor's key and whose other keys have
-    all signed; return the broadcastable transaction.  Every check runs
-    before the executor signs, so a refused call leaves ``partial_sigs``
-    as it was."""
+    all signed; return the broadcastable transaction.  The executor's
+    signature goes into the witness only (a stored one is reused), so
+    ``psbt`` is left as it was whether the call refuses or succeeds."""
     leaves = [
         leaf for leaf in _row_leaves(psbt, instance) if executor.public in leaf.policy.keys()
     ]
@@ -417,9 +417,10 @@ def finalize_to_tx(
     else:
         raise MissingCounterpartySig(f"no signature for a leaf key on {psbt.transition.value}")
 
-    if executor.public_hex not in psbt.partial_sigs:
-        psbt.partial_sigs[executor.public_hex] = sign_digest(executor, psbt.sighash())
-    witness = [psbt.partial_sigs[k] for k in leaf_keys]
+    sigs = dict(psbt.partial_sigs)
+    if executor.public_hex not in sigs:
+        sigs[executor.public_hex] = sign_digest(executor, psbt.sighash())
+    witness = [sigs[k] for k in leaf_keys]
     return SimTx(
         inputs=[TxInput(psbt.outpoint, leaf.path_id, psbt.flag, witness)],
         outputs=list(psbt.outputs),

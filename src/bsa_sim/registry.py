@@ -7,7 +7,9 @@ with delayed governance upgrades.
 
 Status lifecycle: the rows of ``_TRANSITIONS``; any other move is
 refused.  A record enters as Registered through ``register_deposit`` and
-is never removed.  Each row has one entry point, the only place a
+is never removed, so ``records`` is in registration order, which is the
+seizure order unless the owner sets a permutation
+(``active_records``).  Each row has one entry point, the only place a
 status changes, which checks the row (``_check_move``) and then applies
 the row's ledger effect:
 
@@ -249,7 +251,6 @@ class Registry:
         self.claimable: dict[str, int] = {}  # owner -> over-seizure owed
         self.claim_paid: dict[str, int] = {}
         self.rebalance_events: list[RebalanceEvent] = []
-        self._position_counter: dict[str, int] = {}  # owner -> next registration index
 
     # -- deposits ------------------------------------------------------------
 
@@ -270,8 +271,8 @@ class Registry:
             raise MissingPsbt(", ".join(missing))
         if record.tweak_digest not in self.tweaks:
             raise UnknownRecord("tweak data must be stored before registering")
-        record.rebalance_position = self._position_counter.get(record.owner, 0)
-        self._position_counter[record.owner] = record.rebalance_position + 1
+        # no record is ever removed: the owner's count is the next index
+        record.rebalance_position = sum(r.owner == record.owner for r in self.records.values())
         self.records[record.outpoint] = record
 
     def get_record(self, outpoint: str) -> UtxoRecord:
@@ -308,13 +309,19 @@ class Registry:
     # -- imbalance and rebalancing ------------------------------------------
 
     def active_records(self, owner: str) -> list[UtxoRecord]:
+        """The owner's Active records in seizure order: the owner's
+        permutation when it orders exactly that many, else registration
+        order, which is the order of ``records``."""
         records = [
             r
             for r in self.records.values()
             if r.owner == owner and r.status is UtxoStatus.ACTIVE
         ]
-        records.sort(key=lambda r: r.rebalance_position)
-        return records
+        perm = self.orders.get(owner)
+        if perm is None or len(perm) != len(records):
+            # stale or absent permutation: registration order applies
+            return records
+        return [records[i] for i in perm]
 
     def perimeter_balance(self, owner: str) -> tuple[int, int]:
         personal = self.ledger.balance(owner)
@@ -337,20 +344,12 @@ class Registry:
             raise NotAPermutation(str(permutation))
         self.orders[owner] = list(permutation)
 
-    def ordered_active_records(self, owner: str) -> list[UtxoRecord]:
-        records = self.active_records(owner)
-        perm = self.orders.get(owner)
-        if perm is None or len(perm) != len(records):
-            # stale or absent permutation: registration order applies
-            return records
-        return [records[i] for i in perm]
-
     def select_for_rebalance(self, owner: str, delta: int) -> list[UtxoRecord]:
         """Shortest prefix of the owner-ordered active records whose sum
         covers delta."""
         selected: list[UtxoRecord] = []
         covered = 0
-        for record in self.ordered_active_records(owner):
+        for record in self.active_records(owner):
             selected.append(record)
             covered += record.amount
             if covered >= delta:
@@ -527,13 +526,12 @@ class Registry:
             to_pubkey=decode_point(bytes.fromhex(d["to_pubkey"])),
         )
         reg.current_slot = d["current_slot"]
+        # the text lists records by outpoint; restore registration order
+        records = sorted(d["records"].values(), key=lambda v: v["rebalance_position"])
         reg.records = {
-            k: UtxoRecord(**{**v, "status": UtxoStatus(v["status"])})
-            for k, v in d["records"].items()
+            v["outpoint"]: UtxoRecord(**{**v, "status": UtxoStatus(v["status"])})
+            for v in records
         }
-        for rec in reg.records.values():
-            nxt = reg._position_counter.get(rec.owner, 0)
-            reg._position_counter[rec.owner] = max(nxt, rec.rebalance_position + 1)
         reg.tweaks = d["tweaks"]
         reg.orders = d["orders"]
         reg.adapters = {k: Adapter(**a) for k, a in d["adapters"].items()}

@@ -332,7 +332,7 @@ def test_c05_selection_exhaustive_and_over_seizure_repaid():
         for values in itertools.combinations_with_replacement(range(1, 21), size):
             multisets += 1
             reg = _selection_registry(values, to.public, tweak, outpoints)
-            records = reg.ordered_active_records("acct:sweep")
+            records = reg.active_records("acct:sweep")
             sums = list(itertools.accumulate(values))
             total = sums[-1]
             deltas = {1, total, total + 1, rng.randrange(1, total + 1)}

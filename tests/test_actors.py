@@ -364,11 +364,12 @@ def slow_arbitration_theft() -> ScenarioConfig:
     return config
 
 
-SCRIPTED = [
+GRADED = [
     load_scenario(str(path))
     for directory in (SCENARIO_DIR, MATRIX_DIR)
     for path in sorted(directory.glob("*.scn"))
-] + [slow_arbitration_theft()]
+]
+SCRIPTED = GRADED + [slow_arbitration_theft()]
 
 
 def swap_in_fresh_actors(world) -> None:
@@ -396,12 +397,12 @@ def swap_in_fresh_actors(world) -> None:
 @pytest.mark.parametrize("config", SCRIPTED, ids=lambda c: c.name)
 def test_fresh_depositor_and_operator_continue_the_same_run(config):
     """The chain and the registry are the actors' memory: fresh actors
-    swapped in mid-run finish it exactly as the originals would."""
+    swapped in before every block finish the run exactly as the
+    originals would."""
     reference = run_scenario(config)
     world = build_world(config)
     for _ in range(config.horizon_blocks):
-        if world.chain.height in (9, 11, 13, 17):
-            swap_in_fresh_actors(world)
+        swap_in_fresh_actors(world)
         world.tick()
     assert world.trace == reference.trace
     assert world.registry.state_digest() == reference.snapshot_digest
@@ -410,6 +411,25 @@ def test_fresh_depositor_and_operator_continue_the_same_run(config):
         reference.verdicts.triple(),
         reference.verdicts.reasons,
     )
+
+
+@pytest.mark.parametrize("config", GRADED, ids=lambda c: c.name)
+def test_a_run_leaves_the_operators_rows_as_the_ceremony_made_them(config):
+    """Executing a stored row signs the transaction, not the row: every
+    ``to_psbts`` row ends the run with the text ``build_world`` gave it."""
+    world = build_world(config)
+
+    def texts():
+        return [
+            row.to_text()
+            for instance in world.instances
+            for rows in instance.to_psbts.values()
+            for row in rows.values()
+        ]
+
+    built = texts()
+    world.run(config.horizon_blocks)
+    assert texts() == built
 
 
 def test_the_ledger_is_read_once_a_block(monkeypatch):

@@ -423,9 +423,12 @@ def test_finalize_refuses_each_missing_leaf_key(transition, n_oracles):
     template = build_psbt(transition, inst, spent)
     for pub_hex in others:
         sign_psbt(template, parties[pub_hex], inst)
+    before = dict(template.partial_sigs)
     tx = finalize_to_tx(template, executor, inst)
     assert tx.inputs[0].path_id == path_id
     assert len(tx.inputs[0].witness) == len(others) + 1
+    # the executor signs the transaction, not the template
+    assert template.partial_sigs == before
 
 
 RESOLVE_ROWS = [Transition.UNBOND_RESOLVE, Transition.REBALANCE_RESOLVE]

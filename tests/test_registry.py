@@ -274,7 +274,7 @@ def selection_matches(values, delta) -> bool:
     reg = make_registry()
     for i, v in enumerate(values):
         add_active(reg, f"m{i:02d}:0", v)
-    records = reg.ordered_active_records(OWNER)
+    records = reg.active_records(OWNER)
     selected = reg.select_for_rebalance(OWNER, delta)
     k = oracle_selection(list(values), delta)
     return selected == records[:k]
@@ -315,7 +315,7 @@ def test_stale_permutation_falls_back_to_registration_order():
         add_active(reg, f"s{i}:0", v)
     reg.set_rebalance_order(OWNER, [1, 0], caller=OWNER)
     add_active(reg, "s2:0", 7)
-    assert [r.amount for r in reg.ordered_active_records(OWNER)] == [5, 6, 7]
+    assert [r.amount for r in reg.active_records(OWNER)] == [5, 6, 7]
 
 
 def test_mark_rebalance_records_over_seizure():
@@ -551,7 +551,7 @@ def test_status_machine_keeps_supply_with_its_moves(steps):
     registration adds a record and none is ever removed, every status
     change is a table row made by the caller the row names, a refused
     operation changes nothing, supply follows the moves, and the snapshot
-    round-trips byte for byte."""
+    round-trips byte for byte into a view that keeps registration order."""
     reg = make_registry()
     reached_active = withdrawn = 0
     for name, *args in steps:
@@ -580,4 +580,13 @@ def test_status_machine_keeps_supply_with_its_moves(steps):
         assert ledger.total_burned == withdrawn
         assert sum(ledger.balances.values()) == ledger.total_minted - ledger.total_burned
     text = reg.export_snapshot()
-    assert Registry.import_snapshot(text).export_snapshot() == text
+    view = Registry.import_snapshot(text)
+    assert view.export_snapshot() == text
+    # ``records`` is in registration order, live and imported alike, so
+    # both seize an owner's deposits in the same order
+    for owner in OWNERS:
+        for r in (reg, view):
+            positions = [rec.rebalance_position for rec in r.records.values() if rec.owner == owner]
+            assert positions == list(range(len(positions))), owner
+        seized = [[rec.outpoint for rec in r.active_records(owner)] for r in (reg, view)]
+        assert seized[0] == seized[1], owner
