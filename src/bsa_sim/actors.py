@@ -371,7 +371,7 @@ class TokenOperatorActor:
             )
             if instance is None:
                 continue
-            tx = send_btc(world.chain, self.keypair, instance.return_address_id, owed)
+            tx = send_btc(world.chain, self.keypair, instance.address_ids["dep_return"], owed)
             if tx is not None:
                 registry.record_claim_paid(owner, owed, caller="to")
                 world.log(self.name, "over_seizure_repaid", owner=owner, amount=owed)

@@ -174,7 +174,6 @@ class ArbitrationOracle:
 
         self.checkpoint: FinalizedCheckpoint | None = None  # the checkpoint synced to
         self.last_seen_slot = 0
-        self.wsp_known = default_wsp
 
     # -- key lifecycle ----------------------------------------------------
 
@@ -230,18 +229,16 @@ class ArbitrationOracle:
     ) -> None:
         """Move to the latest finalized checkpoint.
 
-        Downtime strictly shorter than the last known weak subjectivity
+        Downtime strictly shorter than the chain's weak subjectivity
         period lets the oracle extend its own prior state.  Anything
         longer requires an operator-signed checkpoint no older than the
         protocol default period; without one the oracle stays unsynced.
         The view of the new checkpoint is read only when ``view`` is.
         """
         downtime = dest.slot - self.last_seen_slot
-        if downtime >= self.wsp_known or self.checkpoint is None:
+        if downtime >= dest.wsp or self.checkpoint is None:
             if to_checkpoint is None:
-                raise StaleCheckpoint(
-                    f"offline {downtime} slots with period {self.wsp_known}"
-                )
+                raise StaleCheckpoint(f"offline {downtime} slots with period {dest.wsp}")
             if to_checkpoint.signer_kind != TO_SIGNER:
                 raise StaleCheckpoint("re-bootstrap requires an operator signature")
             if not to_checkpoint.verify():
@@ -264,7 +261,6 @@ class ArbitrationOracle:
 
         self.checkpoint = dest.latest_finalized()
         self.last_seen_slot = dest.slot
-        self.wsp_known = dest.wsp_current
 
     @property
     def view(self) -> Registry | None:

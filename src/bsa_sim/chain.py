@@ -230,9 +230,9 @@ class KeyAddress:
 @dataclass(frozen=True)
 class StepSchedule:
     """A step function: ``base`` until the first step, then the value of
-    the last step that starts at or below the point.  The fee rate (sats
-    per weight unit) by block height and the weak subjectivity period by
-    slot are schedules.  The steps are sorted once, when it is built."""
+    the last step that starts at or below the point.  It schedules the
+    fee rate (sats per weight unit) by block height.  The steps are
+    sorted once, when it is built."""
 
     base: int
     steps: tuple[tuple[int, int], ...] = ()  # (from, value)
@@ -247,10 +247,6 @@ class StepSchedule:
                 break
             value = step
         return value
-
-    def largest(self) -> int:
-        """The largest value the schedule takes at any point."""
-        return max([self.base, *(value for _, value in self.steps)])
 
 
 class BtcChain:

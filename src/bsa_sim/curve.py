@@ -42,20 +42,19 @@ affine representation, so results are byte-identical to any other correct
 implementation; ``tests/test_curve.py`` checks them against a plain affine
 double-and-add.
 
-``decode_point`` is memoised in a bounded LRU cache
-(``DECODE_CACHE_SIZE`` entries) keyed by the encoded bytes; a miss costs
-a modular square root.  Snapshot imports and parsed tweak data decode
-the same few public keys again.  A batch signature check decodes every
-nonce point but the first through it too, and each of those is seen
-once.  On the benchmark streams of seed 41 (the cache cleared before
-each workload): sweep 3,127 hits and 14 misses in 120 scenarios;
-hold 15 hits and 185 misses in 8 worlds; ceremony 47 hits and 577
-misses in 48 ceremonies.  In hold and ceremony every miss but the first
-is a nonce point, these fill all 64 entries, and the hits are the
-operator key of each snapshot import.  The function is pure and its
-results are immutable ``Point`` values, so a cached answer is the answer
-a fresh call would give.  Exceptions are not cached, so a malformed
-encoding raises ``CurveError`` on every call.
+``decode_point`` is ``decode_point_uncached`` memoised in a bounded LRU
+cache (``DECODE_CACHE_SIZE`` entries) keyed by the encoded bytes; a miss
+costs a modular square root.  Snapshot imports and parsed tweak data
+decode the same few public keys again through the memo.  A batch
+signature check decodes every nonce point but the first, each seen once,
+with ``decode_point_uncached``, so nonces never evict those keys.  On the
+benchmark streams of seed 41 (the cache cleared before each workload):
+sweep 3,127 hits and 5 misses in 120 scenarios; hold 15 hits and 1 miss
+in 8 worlds; ceremony 47 hits and 1 miss in 48 ceremonies.  In hold and
+ceremony the hits are the operator key of each snapshot import.  The
+function is pure and its results are immutable ``Point`` values, so a
+cached answer is the answer a fresh call would give.  Exceptions are not
+cached, so a malformed encoding raises ``CurveError`` on every call.
 """
 
 from __future__ import annotations
@@ -117,17 +116,20 @@ def lift_x(x: int) -> Point:
     return Point(x, y)
 
 
-DECODE_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=DECODE_CACHE_SIZE)
-def decode_point(data: bytes) -> Point:
+def decode_point_uncached(data: bytes) -> Point:
+    """The point a 33-byte compressed encoding names, decoded afresh:
+    for a point seen once, such as a batch signature's nonce."""
     if len(data) != 33 or data[0] not in (2, 3):
         raise CurveError("bad compressed point encoding")
     pt = lift_x(int.from_bytes(data[1:], "big"))
     if (pt.y % 2 == 0) != (data[0] == 2):
         pt = Point(pt.x, P - pt.y)
     return pt
+
+
+DECODE_CACHE_SIZE = 64
+
+decode_point = lru_cache(maxsize=DECODE_CACHE_SIZE)(decode_point_uncached)
 
 
 # Jacobian helpers: (X, Y, Z) with x = X/Z^2, y = Y/Z^3.  Zero Z encodes

@@ -41,11 +41,11 @@ One slot-ordered map, ``snapshots``, holds the retained checkpoints; the
 latest finalized is its last entry.  A checkpoint is kept only while
 some oracle could still accept it.  ``sync`` refuses a checkpoint older
 than the oracle's ``default_wsp`` before it reads the snapshot, and
-worlds set that to the chain's schedule, so ``_finalize`` drops every
-checkpoint more than ``wsp_schedule.largest()`` slots behind the clock,
-with its state and view.  The latest checkpoint is always kept.
-Retention is therefore bounded by the period, not by the length of the
-run: at most ``largest() // finality_interval + 2`` checkpoints.
+worlds set that to the chain's period, so ``_finalize`` drops every
+checkpoint more than ``wsp`` slots behind the clock, with its state and
+view.  The latest checkpoint is always kept.  Retention is therefore
+bounded by the period, not by the length of the run: at most
+``wsp // finality_interval + 2`` checkpoints.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ import itertools
 import pickle
 from dataclasses import dataclass
 
-from .chain import StepSchedule
 from .keys import Keypair, Point, sign_digest, verify_signature
 from .registry import Registry
 
@@ -190,23 +189,19 @@ class DestChain:
         self,
         registry,
         finality_interval: int = 32,
-        wsp_schedule: StepSchedule | None = None,  # weak subjectivity period by slot
+        wsp: int = DEFAULT_WSP_SLOTS,  # weak subjectivity period, in slots
     ):
         if finality_interval <= 0:
             raise DestChainError("finality interval must be positive")
         self.registry = registry
         self.finality_interval = finality_interval
-        self.wsp_schedule = wsp_schedule or StepSchedule(DEFAULT_WSP_SLOTS)
+        self.wsp = wsp
         self.slot = 0
         # finalized slot -> its checkpoint, which holds the state; within the period
         self.snapshots: dict[int, FinalizedCheckpoint] = {}
         self._body: _Body | None = None  # the body last rendered
         registry.current_slot = 0
         self._finalize([0])
-
-    @property
-    def wsp_current(self) -> int:
-        return self.wsp_schedule.at(self.slot)
 
     def _finalize(self, slots: list[int]) -> list[FinalizedCheckpoint]:
         """Finalize ``slots`` with the current state: one render, shared by
@@ -233,7 +228,7 @@ class DestChain:
         new = [FinalizedCheckpoint(s, None, s, state) for s in slots]
         self.snapshots.update((cp.slot, cp) for cp in new)
         # Checkpoints are inserted in slot order, so the expired ones are a prefix.
-        horizon = min(self.slot - self.wsp_schedule.largest(), slots[-1])
+        horizon = min(self.slot - self.wsp, slots[-1])
         for slot in list(itertools.takewhile(lambda s: s < horizon, self.snapshots)):
             del self.snapshots[slot]
         return new

@@ -93,11 +93,7 @@ def build_world(config: ScenarioConfig, sar_tamper=None) -> World:
         slots_per_block=config.slots_per_block,
         to_pubkey=to_keypair.public,
     )
-    dest = DestChain(
-        registry,
-        finality_interval=config.finality_interval,
-        wsp_schedule=StepSchedule(config.wsp_slots),
-    )
+    dest = DestChain(registry, finality_interval=config.finality_interval, wsp=config.wsp_slots)
     authority = MockAttestationAuthority()
     kms = MockKms()
     image = EnclaveImage(

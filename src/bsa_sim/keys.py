@@ -107,6 +107,7 @@ from .curve import (
     CurveError,
     Point,
     decode_point,
+    decode_point_uncached,
     generator_mul,
     multi_mul_add,
     point_add,
@@ -219,7 +220,8 @@ def _verify(triples: tuple[tuple[Point, bytes, bytes], ...]) -> bool:
     """Whether every (public, digest, sig) triple verifies, by the one
     multi-scalar check the module docstring gives; with one triple it is
     s*G - e*P compared with R.  R_1 is never decoded, and every later R_i
-    is, so one with no curve point rejects the batch."""
+    is, so one with no curve point rejects the batch.  Each R_i is a fresh
+    nonce, so it bypasses the ``decode_point`` memo."""
     parsed = [_challenge(*triple) for triple in triples]
     if not parsed or None in parsed:
         return False
@@ -233,7 +235,7 @@ def _verify(triples: tuple[tuple[Point, bytes, bytes], ...]) -> bool:
         key_scalars[public] = key_scalars.get(public, 0) + a * e
         if i:
             try:
-                r_point = decode_point(sig[:33])
+                r_point = decode_point_uncached(sig[:33])
             except CurveError:
                 return False
             pairs.append((Point(r_point.x, P - r_point.y), a))

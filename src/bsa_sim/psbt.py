@@ -292,8 +292,6 @@ class ProtocolInstance:
     addresses: InstanceAddresses = field(init=False)
     tweak_digest: str = field(init=False)
     owner: str = field(init=False)  # depositor's destination-chain account
-    return_address_id: str = field(init=False)
-    to_key_address_id: str = field(init=False)
     address_ids: dict[str, str] = field(init=False)  # catalogue address kind -> id
     address_kinds: dict[str, str] = field(init=False)  # id -> catalogue address kind
 
@@ -302,11 +300,9 @@ class ProtocolInstance:
         self.addresses = build_protocol_addresses(tweak)
         self.tweak_digest = tweak.digest_hex()
         self.owner = tweak.destination_chain_address.decode()
-        self.return_address_id = tweak.return_address.decode()
-        self.to_key_address_id = key_address_id(tweak.to_pk)
         self.address_ids = {addr.kind: addr.address_id for addr in self.addresses.all()}
-        self.address_ids["dep_return"] = self.return_address_id
-        self.address_ids["to_key"] = self.to_key_address_id
+        self.address_ids["dep_return"] = tweak.return_address.decode()
+        self.address_ids["to_key"] = key_address_id(tweak.to_pk)
         self.address_kinds = {aid: kind for kind, aid in self.address_ids.items()}
 
 

@@ -500,14 +500,14 @@ def test_c08_version_expiry_resync_boundary_and_key_policy(arbworld):
         world.set_status(UtxoStatus.ACTIVE)
 
     below = arb.make_sync_world()
-    below.dest.advance(below.oracle.wsp_known - 1)
+    below.dest.advance(below.dest.wsp - 1)
     below.oracle.sync(below.dest)
     below_ok = below.oracle.last_seen_slot == below.dest.slot
 
     boundary_ok = []
     for extra in (0, 1):
         w = arb.make_sync_world()
-        w.dest.advance(w.oracle.wsp_known + extra)
+        w.dest.advance(w.dest.wsp + extra)
         try:
             w.oracle.sync(w.dest)
             boundary_ok.append(False)

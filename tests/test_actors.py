@@ -129,7 +129,7 @@ def test_honest_exit_confirms_exactly_after_t1(t1):
     assert conf[finalize_txid] == request_conf + t1
     finalize = world.chain.tx_index[finalize_txid]
     instance = world.instances[0]
-    assert finalize.outputs[0].address_id == instance.return_address_id
+    assert finalize.outputs[0].address_id == instance.address_ids["dep_return"]
     assert any(e["action"] == "exit_complete" for e in world.trace)
     assert result.verdicts.depositor_safe
     assert result.verdicts.triple() == (True, True, True)
@@ -154,7 +154,7 @@ def test_unfairly_challenged_exit_resolved_by_oracles():
     resolve = world.chain.tx_index[resolve_txid]
     instance = world.instances[0]
 
-    assert resolve.outputs[0].address_id == instance.return_address_id
+    assert resolve.outputs[0].address_id == instance.address_ids["dep_return"]
     assert resolve.inputs[0].path_id.startswith("dep_ao_")
     assert any(e["action"] == "unbond_resolved" for e in world.trace)
     # resolved well before the operator's timeout leaf would unlock
@@ -182,7 +182,7 @@ def test_theft_is_challenged_and_liquidated_on_timeout():
     refusals = [e for e in world.trace if e["action"] == "resolution_refused"]
     assert refusals and all(e["status"] == "active" for e in refusals)
     assert claim.inputs[0].path_id == "to_delay"
-    assert claim.outputs[0].address_id == instance.to_key_address_id
+    assert claim.outputs[0].address_id == instance.address_ids["to_key"]
     assert conf[claim_txid] == conf[challenge_txid] + t2
     assert result.verdicts.operator_safe
     assert result.verdicts.protocol_safe

@@ -69,7 +69,7 @@ class ArbWorld:
         self.dep = keypair_from_seed(b"arb-dep")
         self.to = keypair_from_seed(b"arb-to")
         self.registry = Registry(t1, t2, t3, 1, self.to.public)
-        self.dest = DestChain(self.registry, finality_interval=interval, wsp_schedule=StepSchedule(wsp))
+        self.dest = DestChain(self.registry, finality_interval=interval, wsp=wsp)
         self.authority = MockAttestationAuthority()
         self.kms = MockKms()
         self.registry.set_version_expiry(
@@ -455,7 +455,7 @@ def make_sync_world(wsp=16):
 def test_downtime_one_below_period_syncs_without_checkpoint():
     w = make_sync_world()
     oracle = w.oracle
-    w.dest.advance(oracle.wsp_known - 1)
+    w.dest.advance(w.dest.wsp - 1)
     oracle.sync(w.dest)  # no checkpoint needed
     assert oracle.last_seen_slot == w.dest.slot
 
@@ -463,7 +463,7 @@ def test_downtime_one_below_period_syncs_without_checkpoint():
 def test_downtime_at_period_needs_operator_checkpoint():
     w = make_sync_world()
     oracle = w.oracle
-    w.dest.advance(oracle.wsp_known)
+    w.dest.advance(w.dest.wsp)
     with pytest.raises(StaleCheckpoint):
         oracle.sync(w.dest)
     cp = sign_checkpoint(w.dest.latest_finalized(), w.to, TO_SIGNER)
@@ -474,7 +474,7 @@ def test_downtime_at_period_needs_operator_checkpoint():
 def test_self_signed_checkpoint_cannot_rebootstrap():
     w = make_sync_world()
     oracle = w.oracle
-    w.dest.advance(oracle.wsp_known + 1)
+    w.dest.advance(w.dest.wsp + 1)
     cp = sign_checkpoint(w.dest.latest_finalized(), oracle.keypair, AO_SELF_SIGNER)
     with pytest.raises(StaleCheckpoint):
         oracle.sync(w.dest, to_checkpoint=cp)
@@ -483,7 +483,7 @@ def test_self_signed_checkpoint_cannot_rebootstrap():
 def test_checkpoint_from_non_operator_key_rejected():
     w = make_sync_world()
     oracle = w.oracle
-    w.dest.advance(oracle.wsp_known + 1)
+    w.dest.advance(w.dest.wsp + 1)
     cp = sign_checkpoint(w.dest.latest_finalized(), w.dep, TO_SIGNER)
     with pytest.raises(StaleCheckpoint):
         oracle.sync(w.dest, to_checkpoint=cp)
@@ -494,7 +494,7 @@ def test_checkpoint_older_than_default_period_rejected():
     oracle = w.oracle
     oracle.default_wsp = 8
     old = w.dest.latest_finalized()
-    w.dest.advance(oracle.wsp_known + 9)
+    w.dest.advance(w.dest.wsp + 9)
     cp = sign_checkpoint(old, w.to, TO_SIGNER)
     with pytest.raises(StaleCheckpoint):
         oracle.sync(w.dest, to_checkpoint=cp)
@@ -503,7 +503,7 @@ def test_checkpoint_older_than_default_period_rejected():
 def test_checkpoint_with_tampered_digest_rejected():
     w = make_sync_world()
     oracle = w.oracle
-    w.dest.advance(oracle.wsp_known)
+    w.dest.advance(w.dest.wsp)
     latest = w.dest.latest_finalized()
     forged_digest = FinalizedCheckpoint(latest.slot, "ab" * 32, latest.timestamp)
     # a slot the chain never finalized fails closed too, naming the slot
@@ -518,7 +518,7 @@ def test_checkpoint_with_tampered_digest_rejected():
 def test_tampered_digest_rejected_after_another_oracle_parsed_the_slot():
     w = ArbWorld(n_oracles=2, wsp=16, interval=1)
     late, honest = w.oracles
-    w.dest.advance(late.wsp_known)
+    w.dest.advance(w.dest.wsp)
     latest = w.dest.latest_finalized()
     honest.sync(w.dest, sign_checkpoint(latest, w.to, TO_SIGNER))  # parses latest.slot
     forged = FinalizedCheckpoint(latest.slot, "ab" * 32, latest.timestamp)
@@ -531,10 +531,8 @@ def test_tampered_digest_rejected_after_another_oracle_parsed_the_slot():
 
 
 def test_snapshots_are_retained_for_the_longest_period_only():
-    w = ArbWorld(n_oracles=1, wsp=16, interval=4)
-    w.dest.wsp_schedule = StepSchedule(16, [(60, 24)])  # the longest period is 24 slots
-    window = w.dest.wsp_schedule.largest()
-    assert window == 24
+    w = ArbWorld(n_oracles=1, wsp=24, interval=4)
+    window = w.dest.wsp
     bound = window // w.dest.finality_interval + 2
     for n in (1, 3, 4, 7, 13, 40, 2) * 4:  # single slots, whole intervals, many at once
         w.dest.advance(n)
@@ -573,19 +571,18 @@ def test_latest_snapshot_is_kept_when_the_interval_exceeds_the_period():
     w = ArbWorld(n_oracles=1, wsp=4, interval=8)
     w.dest.advance(13)  # finalizes one checkpoint and ends 5 slots past it
     latest = w.dest.latest_finalized()
-    assert w.dest.slot - latest.slot > w.dest.wsp_schedule.largest()
+    assert w.dest.slot - latest.slot > w.dest.wsp
     assert list(w.dest.snapshots) == [latest.slot]
     assert latest.view.state_digest() == latest.state_digest
 
 
 @pytest.mark.parametrize("step", [1, None], ids=["slot-by-slot", "one-advance"])
-@pytest.mark.parametrize("later_wsp", [8, 24], ids=["period-shrinks", "period-grows"])
-def test_checkpoint_default_wsp_old_rebootstraps_and_one_older_is_refused(step, later_wsp):
+@pytest.mark.parametrize("wsp", [8, 24], ids=["period-8", "period-24"])
+def test_checkpoint_default_wsp_old_rebootstraps_and_one_older_is_refused(step, wsp):
     for extra in (0, 1):
-        w = make_sync_world()  # period 16
-        w.dest.wsp_schedule = StepSchedule(w.dest.wsp_schedule.base, [(w.dest.slot + 4, later_wsp)])
+        w = make_sync_world(wsp)
         oracle = w.oracle
-        oracle.default_wsp = w.dest.wsp_schedule.largest()  # as build_world sets it
+        oracle.default_wsp = w.dest.wsp  # as build_world sets it
         old = w.dest.latest_finalized()
         age = oracle.default_wsp + extra
         for n in [step] * age if step else [age]:
@@ -603,9 +600,9 @@ def test_checkpoint_default_wsp_old_rebootstraps_and_one_older_is_refused(step, 
 def test_evicted_checkpoint_within_a_longer_oracle_period_is_not_served():
     w = make_sync_world()
     oracle = w.oracle
-    assert oracle.default_wsp > w.dest.wsp_schedule.largest()
+    assert oracle.default_wsp > w.dest.wsp
     old = w.dest.latest_finalized()
-    w.dest.advance(w.dest.wsp_schedule.largest() + 1)
+    w.dest.advance(w.dest.wsp + 1)
     with pytest.raises(StaleCheckpoint, match="no longer served"):
         oracle.sync(w.dest, to_checkpoint=sign_checkpoint(old, w.to, TO_SIGNER))
 
@@ -674,7 +671,7 @@ def test_view_is_read_after_the_chain_dropped_its_checkpoint():
     w.dest.advance(1)
     oracle.sync(w.dest)  # the view is not read
     synced = w.dest.latest_finalized()
-    w.dest.advance(w.dest.wsp_schedule.largest() + 1)
+    w.dest.advance(w.dest.wsp + 1)
     assert synced.slot not in w.dest.snapshots
     assert oracle.view.state_digest() == synced.state_digest
     assert oracle.view.current_slot == synced.slot
@@ -689,7 +686,7 @@ def test_offline_oracle_attests_its_checkpoint_after_the_chain_dropped_it():
     synced = w.dest.latest_finalized()
     text = w.registry.export_snapshot()  # what the checkpoint holds: the interval is 1
     w.registry.ledger.mint("acct:other", 7)  # the registry changes while it is offline
-    w.dest.advance(w.dest.wsp_schedule.largest() + 1)
+    w.dest.advance(w.dest.wsp + 1)
     assert synced.slot not in w.dest.snapshots
     att = oracle.produce_attestation()
     assert att.checkpoint_slot == synced.slot

@@ -4,6 +4,8 @@ anchor-package fee rule checked against integer arithmetic."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsa_sim.chain import (
     BadSignature,
@@ -28,6 +30,7 @@ from bsa_sim.keys import (
     SingleAfterDelay,
     SpendPath,
     TwoOfTwo,
+    key_address_id,
     keypair_from_seed,
     sign_digest,
     taproot_output_key,
@@ -304,7 +307,6 @@ def test_fee_schedule_steps():
     assert sched.at(20) == 3
     assert sched.at(29) == 3
     assert sched.at(30) == 1
-    assert sched.largest() == 3
 
 
 def test_underpaying_tx_waits_for_cheaper_blocks():
@@ -457,3 +459,152 @@ def test_verify_spend_helper():
     tx.inputs[0].witness = [b"\x00" * 32]
     with pytest.raises(BadSignature):
         verify_spend(tx, chain)
+
+
+# -- ledger invariants over random histories ------------------------------------
+
+WALLETS = [keypair(f"wallet-{i}") for i in range(3)]
+HOLDERS = {key_address_id(kp.public): kp for kp in WALLETS}  # address -> its key
+ADDRS = list(HOLDERS)
+SEEDS_PER_WALLET = (2_000, 1_500)
+ANCHOR_VALUE = 10
+
+CHAIN_STEPS = st.lists(
+    st.one_of(
+        # (kind, payer, pick, payee, percent paid, fee, anchor output)
+        st.tuples(
+            st.just("pay"), st.integers(0, 2), st.integers(0, 99), st.integers(0, 2),
+            st.integers(1, 99), st.integers(0, 16), st.booleans(),
+        ),
+        # (kind, pick of an unspent anchor, pick of the funding output, fee)
+        st.tuples(st.just("cpfp"), st.integers(0, 99), st.integers(0, 99), st.integers(0, 24)),
+        st.tuples(st.just("mine")),
+    ),
+    min_size=6,
+    max_size=24,
+)
+FEE_STEPS = st.lists(
+    st.tuples(st.integers(1, 12), st.integers(1, 4)), max_size=3, unique_by=lambda s: s[0]
+)
+
+
+def unspent_outputs(chain, addr) -> list[Outpoint]:
+    """Outputs at ``addr``, confirmed or in the mempool, that no
+    transaction spends yet; anchors are left to CPFP children."""
+    held = [op for op, u in chain.utxo_set.items() if u.address_id == addr]
+    for tx in chain.mempool.values():
+        held += [
+            Outpoint(tx.txid, i) for i, out in enumerate(tx.outputs)
+            if out.address_id == addr and i != tx.anchor_index
+        ]
+    return sorted((op for op in held if chain.spender(op) is None), key=str)
+
+
+def signed(chain, inputs, outputs, anchor_index=None) -> SimTx:
+    """A key-path spend of ``inputs``, each signed by its output's holder."""
+    tx = SimTx([TxInput(op, "key") for op in inputs], outputs, anchor_index)
+    for i, op in enumerate(inputs):
+        utxo = chain.utxo_set.get(op)
+        addr = utxo.address_id if utxo else chain.mempool[op.txid].outputs[op.index].address_id
+        tx.inputs[i].witness = [sign_digest(HOLDERS[addr], tx.sighash(i))]
+    return tx
+
+
+def step_tx(chain, values, step) -> SimTx | None:
+    """The transaction a ``pay`` or ``cpfp`` step submits, or None when
+    the step does not fit the wallets' outputs."""
+    if step[0] == "pay":
+        _, payer, pick, payee, percent, fee, anchor = step
+        owned = unspent_outputs(chain, ADDRS[payer])
+        if not owned:
+            return None
+        op = owned[pick % len(owned)]
+        paid = values[op] * percent // 100
+        change = values[op] - paid - fee - (ANCHOR_VALUE if anchor else 0)
+        if paid < 1 or change < 1:
+            return None
+        outputs = [TxOutput(ADDRS[payee], paid), TxOutput(ADDRS[payer], change)]
+        if anchor:
+            outputs.append(TxOutput(ADDRS[payer], ANCHOR_VALUE))
+        return signed(chain, [op], outputs, 2 if anchor else None)
+    _, pick, fund_pick, fee = step
+    anchors = [
+        Outpoint(tx.txid, tx.anchor_index) for tx in chain.mempool.values()
+        if tx.anchor_index is not None and chain.spender(Outpoint(tx.txid, tx.anchor_index)) is None
+    ]
+    if not anchors:
+        return None
+    anchor = anchors[pick % len(anchors)]
+    addr = chain.mempool[anchor.txid].outputs[anchor.index].address_id
+    owned = unspent_outputs(chain, addr)
+    if not owned:
+        return None
+    fund = owned[fund_pick % len(owned)]
+    kept = values[anchor] + values[fund] - fee
+    if kept < 1:
+        return None
+    return signed(chain, [anchor, fund], [TxOutput(addr, kept)])
+
+
+def check_ledger(chain, values, seeded) -> None:
+    fees = {
+        txid: sum(values[inp.outpoint] for inp in tx.inputs) - tx.output_sum()
+        for txid, tx in chain.tx_index.items()
+    }
+    # value conservation
+    assert seeded == sum(u.value for u in chain.utxo_set.values()) + sum(fees.values())
+    # one spender per confirmed input, and nothing both unspent and spent
+    assert not chain.utxo_set.keys() & chain.spent_by.keys()
+    for txid, tx in chain.tx_index.items():
+        for inp in tx.inputs:
+            assert chain.spent_by[inp.outpoint] == txid
+    order = {txid: n for n, txid in enumerate(chain.confirmed_at)}
+    for txid, tx in chain.tx_index.items():
+        height = chain.confirmed_at[txid]
+        # a parent confirms before its child
+        for inp in tx.inputs:
+            if inp.outpoint.txid in order:
+                assert order[inp.outpoint.txid] < order[txid]
+                assert chain.confirmed_at[inp.outpoint.txid] <= height
+        # the feerate of its block, alone or as a same-block anchor package
+        rate = chain.fee_schedule.at(height)
+        if fees[txid] >= rate * tx.weight:
+            continue
+        pairs = []
+        if tx.anchor_index is not None:
+            child = chain.spent_by.get(Outpoint(txid, tx.anchor_index))
+            pairs.append((tx, child and chain.tx_index[child]))
+        parent = chain.tx_index.get(tx.inputs[0].outpoint.txid)
+        if parent is not None and parent.anchor_index == tx.inputs[0].outpoint.index:
+            pairs.append((parent, tx))
+        assert any(
+            child is not None
+            and chain.confirmed_at[parent.txid] == chain.confirmed_at[child.txid] == height
+            and fees[parent.txid] + fees[child.txid] >= rate * (parent.weight + child.weight)
+            for parent, child in pairs
+        ), txid
+    # no mempool transaction spends a confirmed-spent outpoint
+    for tx in chain.mempool.values():
+        assert not any(inp.outpoint in chain.spent_by for inp in tx.inputs)
+
+
+@settings(derandomize=True, deadline=None)
+@given(base=st.integers(1, 3), fee_steps=FEE_STEPS, steps=CHAIN_STEPS)
+def test_ledger_invariants_hold_over_random_payments_packages_and_blocks(base, fee_steps, steps):
+    chain = fresh_chain(base, fee_steps)
+    values: dict[Outpoint, int] = {}
+    for kp in WALLETS:
+        for value in SEEDS_PER_WALLET:
+            utxo = chain.seed_utxo(chain.ensure_key_address(kp.public), value)
+            values[utxo.outpoint] = value
+    seeded = sum(values.values())
+    for step in steps:
+        if step[0] == "mine":
+            chain.mine_block()
+        else:
+            tx = step_tx(chain, values, step)
+            if tx is None:
+                continue
+            chain.submit_tx(tx)
+            values.update((Outpoint(tx.txid, i), out.value) for i, out in enumerate(tx.outputs))
+        check_ledger(chain, values, seeded)

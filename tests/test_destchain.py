@@ -3,13 +3,14 @@ between advances, every retained checkpoint carries the digest, the text
 and the parsed view of a full export taken when it was finalized, and
 views of different checkpoints share nothing mutable."""
 
+import dataclasses
 import hashlib
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsa_sim.chain import StepSchedule
 from bsa_sim.destchain import DestChain, _Body
 from bsa_sim.keys import TweakData, key_address_id, keypair_from_seed, sign_digest
 from bsa_sim.registry import (
@@ -209,7 +210,7 @@ def run_steps(steps) -> tuple[DestChain, dict[int, str]]:
     registry at every checkpoint, taken when it was finalized."""
     reg = Registry(4, 6, 30, 2, TO.public)
     reg.store_tweak_data(TWEAKS[0])
-    dest = DestChain(reg, finality_interval=INTERVAL, wsp_schedule=StepSchedule(WSP))
+    dest = DestChain(reg, finality_interval=INTERVAL, wsp=WSP)
     exported = {0: reg.export_snapshot()}
     for (name, *args), slots in steps:
         try:
@@ -257,7 +258,7 @@ def test_digest_is_hashed_once_and_only_when_read(monkeypatch):
 
     monkeypatch.setattr(_Body, "digest", counted)
     reg = Registry(4, 6, 30, 2, TO.public)
-    dest = DestChain(reg, finality_interval=INTERVAL, wsp_schedule=StepSchedule(WSP))
+    dest = DestChain(reg, finality_interval=INTERVAL, wsp=WSP)
     reg.store_tweak_data(TWEAKS[0])  # the body changes
     dest.advance(INTERVAL)
     text = reg.export_snapshot()
@@ -270,3 +271,33 @@ def test_digest_is_hashed_once_and_only_when_read(monkeypatch):
     assert cp.state_digest == hashlib.sha256(text.encode()).hexdigest()
     assert len(hashed) == 1
     assert cp.state_digest == cp.state_digest and len(hashed) == 1
+
+
+def changed(value):
+    """A different value of the same type, for any ``UtxoRecord`` field."""
+    if isinstance(value, UtxoStatus):
+        return next(status for status in UtxoStatus if status != value)
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        return value + "0"
+    if isinstance(value, dict):
+        return {**value, "extra": '{"row":"extra"}'}
+    raise TypeError(f"no changed value for {value!r}")
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(UtxoRecord)])
+def test_a_change_to_any_record_field_is_finalized(name):
+    """Finality re-renders only when ``body_key`` changes, so every
+    record field must be in it: a change to any one of them alone
+    reaches the next checkpoint."""
+    reg = Registry(4, 6, 30, 2, TO.public)
+    dest = DestChain(reg, finality_interval=INTERVAL, wsp=WSP)
+    reg.store_tweak_data(TWEAKS[0])
+    register(reg, 0, OWNERS[0], 700)
+    dest.advance(INTERVAL)
+    record = reg.records[outpoint(0)]
+    setattr(record, name, changed(getattr(record, name)))
+    dest.advance(INTERVAL)
+    fresh = hashlib.sha256(reg.export_snapshot().encode()).hexdigest()
+    assert dest.latest_finalized().state_digest == fresh

@@ -267,6 +267,17 @@ def test_empty_batch_verifies_nothing():
     assert verify_signatures(()) is False
 
 
+def test_batch_nonce_points_leave_the_decode_memo_alone():
+    # Each nonce point is seen once, so caching it would only evict the
+    # public keys that snapshot imports decode again.
+    kp = keypair_from_seed(b"nonce-memo")
+    digests = [sha(b"nonce-memo-%d" % i) for i in range(4)]
+    triples = tuple((kp.public, d, sign_digest(kp, d)) for d in digests)
+    before = decode_point.cache_info()
+    assert verify_signatures(triples) is True
+    assert decode_point.cache_info() == before
+
+
 def test_keypair_memo_returns_one_object_per_seed():
     kp = keypair_from_seed(b"memo-keypair")
     assert keypair_from_seed(b"memo-keypair") is kp

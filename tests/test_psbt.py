@@ -143,8 +143,8 @@ def test_instance_public_half_derives_from_tweak_data(world):
         a.address_id for a in inst.addresses.all()
     ]
     assert view.owner == inst.owner == "acct:unit"
-    assert view.return_address_id == inst.return_address_id == key_address_id(world.dep.public)
-    assert view.to_key_address_id == inst.to_key_address_id == key_address_id(world.to.public)
+    assert view.address_ids["dep_return"] == inst.address_ids["dep_return"] == key_address_id(world.dep.public)
+    assert view.address_ids["to_key"] == inst.address_ids["to_key"] == key_address_id(world.to.public)
     assert (view.funding_txid, view.deposits, view.to_psbts) == ("", {}, {})
 
 
@@ -158,7 +158,7 @@ def test_build_psbt_shapes(world):
     assert req.anchor_index == 1
     assert req.outputs[0].address_id == inst.addresses.uta.address_id
     assert req.outputs[1].value == ANCHOR_VALUE
-    assert req.outputs[1].address_id == inst.return_address_id  # executor dep
+    assert req.outputs[1].address_id == inst.address_ids["dep_return"]  # executor dep
     assert req.fee == BASE_FEE_RATE * 3
 
     resolve = build_psbt(
@@ -168,7 +168,7 @@ def test_build_psbt_shapes(world):
     )
     assert resolve.flag is SighashFlag.ALL_ANYONECANPAY
     assert resolve.anchor_index is None
-    assert resolve.outputs[0].address_id == inst.return_address_id
+    assert resolve.outputs[0].address_id == inst.address_ids["dep_return"]
     assert resolve.fee == BASE_FEE_RATE * 2
 
     with pytest.raises(InsufficientFunds):
@@ -525,7 +525,7 @@ def test_cpfp_bump_confirms_underpaying_request(world):
     chain.submit_tx(parent)
     assert parent.txid not in chain.mine_block()  # 3 sat fee vs 12 required
 
-    fee_utxo = chain.seed_utxo(inst.return_address_id, 200)
+    fee_utxo = chain.seed_utxo(inst.address_ids["dep_return"], 200)
     rate = chain.fee_schedule.at(chain.height + 1)
     child_weight = 2 + 1  # two inputs, one change output
     target = required_child_fee(stored.fee, rate * parent.weight, rate * child_weight)
@@ -580,7 +580,7 @@ def test_add_fee_input_refuses_all_flag(world):
         world.registry.get_stored_psbt(outpoint_str, "unbond_request")
     )
     tx = finalize_to_tx(stored, world.dep, inst)
-    fee_utxo = world.chain.seed_utxo(inst.return_address_id, 40)
+    fee_utxo = world.chain.seed_utxo(inst.address_ids["dep_return"], 40)
     with pytest.raises(FlagViolation):
         add_fee_input(tx, fee_utxo, world.dep)
 
