@@ -20,11 +20,10 @@ from .harness import (
     run_matrix,
     run_scenario,
 )
-from .keys import build_protocol_addresses
+from .keys import Transition, build_protocol_addresses
 from .psbt import (
     ProtocolInstance,
     PsbtTemplate,
-    Transition,
     build_psbt,
     run_setup_ceremony,
 )

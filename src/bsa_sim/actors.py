@@ -42,12 +42,10 @@ from dataclasses import dataclass
 from .arbitration import ArbitrationOracle, Rejection, StaleCheckpoint
 from .chain import BtcChain, Outpoint, SighashFlag, SimTx, TxInput, TxOutput, TxRejected, Utxo
 from .destchain import DestChain, TO_SIGNER, sign_checkpoint
-from .keys import Keypair, sign_digest
+from .keys import TRANSITION_SPECS, Keypair, Transition, sign_digest
 from .psbt import (
-    TRANSITION_SPECS,
     ProtocolInstance,
     PsbtTemplate,
-    Transition,
     add_fee_input,
     attach_cpfp_child,
     build_psbt,

@@ -36,7 +36,7 @@ Dispute check
 broadcast rows of a dispute, from the vault onward: the rebalance
 request, or the unbond request and the unbond challenge.  One walk,
 ``_verify_dispute``, reads each row's source address, leaf and
-destination from ``psbt.TRANSITION_SPECS`` and stops at the first gate
+destination from ``keys.TRANSITION_SPECS`` and stops at the first gate
 that fails, returning a ``Rejection`` with the gate's number.  The
 gates, in order:
 
@@ -86,16 +86,17 @@ from .destchain import (
     TO_SIGNER,
 )
 from .keys import (
+    TRANSITION_SPECS,
     Keypair,
+    Transition,
     TweakData,
     keypair_from_secret,
     keypair_from_seed,
 )
 from .psbt import (
-    TRANSITION_SPECS,
+    PsbtError,
     PsbtTemplate,
     ProtocolInstance,
-    Transition,
     sign_psbt,
     verify_psbt_against_instance,
 )
@@ -345,7 +346,7 @@ class ArbitrationOracle:
             elif inp.path_id != spec.path:
                 err = f"path {inp.path_id!r} is not the {spec.path} leaf"
             else:
-                leaf = instance.addresses.by_kind(spec.source).leaf(spec.path)
+                (leaf,) = instance.addresses.rows[transition]
                 try:
                     check_witness(leaf.policy.keys(), tx.sighash(0), inp.witness, spec.path)
                 except TxRejected as exc:
@@ -435,7 +436,7 @@ class ArbitrationOracle:
             return None
         try:
             template = PsbtTemplate.from_text(text)
-        except (ValueError, KeyError):
+        except PsbtError:
             return None
         if template.transition is not transition:
             return None

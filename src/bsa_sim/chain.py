@@ -284,9 +284,6 @@ class BtcChain:
         self.utxo_set[utxo.outpoint] = utxo
         return utxo
 
-    def balance_of(self, address_id: str) -> int:
-        return sum(u.value for u in self.utxo_set.values() if u.address_id == address_id)
-
     def utxos_at(self, address_id: str) -> list[Utxo]:
         out = [u for u in self.utxo_set.values() if u.address_id == address_id]
         out.sort(key=lambda u: (u.confirmed_height, str(u.outpoint)))

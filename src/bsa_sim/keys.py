@@ -1,5 +1,6 @@
-"""Keys, signatures, provably unspendable internal keys, and the four
-script addresses every protocol instance derives from its parameters.
+"""Keys, signatures, provably unspendable internal keys, the four
+script addresses every protocol instance derives from its parameters,
+and the transition catalogue that names the leaf each row spends.
 
 Signatures
 ----------
@@ -59,8 +60,8 @@ LRU caches, so a repeated check costs a lookup:
   callers can share them.  Its one caller is ``psbt.ProtocolInstance``:
   the setup ceremony builds one instance, and an oracle builds one from
   its view's parameters for each dispute check and each resolution it
-  signs.  Every step on a template reads the instance's addresses
-  instead of deriving them again.
+  signs.  Every step on a template reads the instance's addresses and
+  row leaves instead of deriving them again.
 * ``keypair_from_seed`` (``KEYPAIR_CACHE_SIZE`` entries), keyed by the
   seed.  Worlds derive their operator, authority, oracle and depositor
   keys from fixed seeds; the ``Keypair`` is frozen, so callers share it.
@@ -92,12 +93,40 @@ distinct unspendable point H + r*G where r commits to the address kind
 and the full instance parameters; the output key commits additionally to
 the script tree, so no key-path spend can ever exist and signing always
 targets a named script leaf.
+
+Transition catalogue
+--------------------
+Each pre-signed row: source -> destination address kind (Dep is
+``dep_return`` and TO is ``to_key``), the leaf it spends and its keys,
+who executes it and how its fee is topped up:
+
+  unbond_request             VA  -> UTA     dep_to    Dep & TO     exec Dep anchor
+  unbond_finalize            UTA -> Dep     dep_delay Dep after t1          self
+  unbond_challenge           UTA -> UCA     dep_to    Dep & TO     exec TO  anchor
+  unbond_resolve             UCA -> Dep     dep_ao_*  Dep & AO     exec AO  acp fee input
+  unbond_resolve_expired     UCA -> TO      to_delay  TO after t2           self
+  rebalance_request          VA  -> RCA     dep_to    Dep & TO     exec TO  anchor
+  rebalance_resolve          RCA -> Dep     dep_ao_*  Dep & AO     exec AO  acp fee input
+  rebalance_resolve_expired  RCA -> TO      to_delay  TO after t2           self
+  cooperative_unbond         VA  -> Dep     dep_to    Dep & TO     exec Dep anchor
+
+The catalogue is the one place that says which rows guard a deposit,
+who pre-signs each and who keeps it (``stored_on``): ``DEPOSIT_ROWS``,
+``SAR_ROWS`` (the registry's) and ``TO_ROWS`` (the operator's) are
+derived from it.  ``build_protocol_addresses`` derives, once per
+instance, the leaves each row spends (``InstanceAddresses.rows``): those
+its ``path`` names on its ``source`` address, in tree order
+(``dep_ao_*`` names every oracle's leaf).  Their keys may sign the row;
+the address tree the chain checks witnesses against is the one
+statement of that rule.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from enum import Enum
+from fnmatch import fnmatchcase
 from functools import lru_cache
 
 from .curve import (
@@ -458,15 +487,77 @@ def key_address_id(public: Point) -> str:
     return "key:" + public.compressed().hex()
 
 
+# ---------------------------------------------------------------------------
+# transition catalogue
+
+
+class Transition(Enum):
+    UNBOND_REQUEST = "unbond_request"
+    UNBOND_FINALIZE = "unbond_finalize"
+    UNBOND_CHALLENGE = "unbond_challenge"
+    UNBOND_RESOLVE = "unbond_resolve"
+    UNBOND_RESOLVE_EXPIRED = "unbond_resolve_expired"
+    REBALANCE_REQUEST = "rebalance_request"
+    REBALANCE_RESOLVE = "rebalance_resolve"
+    REBALANCE_RESOLVE_EXPIRED = "rebalance_resolve_expired"
+    COOPERATIVE_UNBOND = "cooperative_unbond"
+
+
+@dataclass(frozen=True)
+class TransitionSpec:
+    source: str  # address kind the spent output must sit on
+    dest: str  # address kind the main outputs pay to
+    path: str  # leaf id; "dep_ao_*" names every oracle leaf, and a spend takes one
+    creator: str | None
+    stored_on: str | None  # "sar" | "to" | None
+    executor: str  # "dep"|"to"|"ao"
+    fee_mode: str  # "anchor"|"acp"|"self"
+
+
+TRANSITION_SPECS: dict[Transition, TransitionSpec] = {
+    Transition.UNBOND_REQUEST: TransitionSpec(
+        "VA", "UTA", "dep_to", "to", "sar", "dep", "anchor"
+    ),
+    Transition.UNBOND_FINALIZE: TransitionSpec(
+        "UTA", "dep_return", "dep_delay", None, None, "dep", "self"
+    ),
+    Transition.UNBOND_CHALLENGE: TransitionSpec(
+        "UTA", "UCA", "dep_to", "dep", "to", "to", "anchor"
+    ),
+    Transition.UNBOND_RESOLVE: TransitionSpec(
+        "UCA", "dep_return", "dep_ao_*", "dep", "sar", "ao", "acp"
+    ),
+    Transition.UNBOND_RESOLVE_EXPIRED: TransitionSpec(
+        "UCA", "to_key", "to_delay", None, None, "to", "self"
+    ),
+    Transition.REBALANCE_REQUEST: TransitionSpec(
+        "VA", "RCA", "dep_to", "dep", "to", "to", "anchor"
+    ),
+    Transition.REBALANCE_RESOLVE: TransitionSpec(
+        "RCA", "dep_return", "dep_ao_*", "dep", "sar", "ao", "acp"
+    ),
+    Transition.REBALANCE_RESOLVE_EXPIRED: TransitionSpec(
+        "RCA", "to_key", "to_delay", None, None, "to", "self"
+    ),
+    Transition.COOPERATIVE_UNBOND: TransitionSpec(
+        "VA", "dep_return", "dep_to", "to", None, "dep", "anchor"
+    ),
+}
+
+# the rows pre-signed for every deposit, in catalog order, and who keeps them
+DEPOSIT_ROWS = tuple(t for t, s in TRANSITION_SPECS.items() if s.stored_on is not None)
+SAR_ROWS = tuple(t for t in DEPOSIT_ROWS if TRANSITION_SPECS[t].stored_on == "sar")
+TO_ROWS = tuple(t for t in DEPOSIT_ROWS if TRANSITION_SPECS[t].stored_on == "to")
+
+
 @dataclass(frozen=True)
 class InstanceAddresses:
     va: ProtocolAddress
     uta: ProtocolAddress
     uca: ProtocolAddress
     rca: ProtocolAddress
-
-    def by_kind(self, kind: str) -> ProtocolAddress:
-        return {"VA": self.va, "UTA": self.uta, "UCA": self.uca, "RCA": self.rca}[kind]
+    # catalogue row -> the leaves its ``path`` names on its ``source``, in tree order
+    rows: dict[Transition, tuple[SpendPath, ...]] = field(compare=False)
 
     def all(self) -> tuple[ProtocolAddress, ...]:
         return (self.va, self.uta, self.uca, self.rca)
@@ -477,7 +568,8 @@ ADDRESS_CACHE_SIZE = 64
 
 @lru_cache(maxsize=ADDRESS_CACHE_SIZE)
 def build_protocol_addresses(tweak_data: TweakData) -> InstanceAddresses:
-    """Derive the four per-instance script addresses.
+    """Derive the four per-instance script addresses and, for each
+    catalogue row, the leaves it spends (``InstanceAddresses.rows``).
 
     Leaf layout:
       VA   cooperative 2-of-2 (depositor, operator)
@@ -506,4 +598,8 @@ def build_protocol_addresses(tweak_data: TweakData) -> InstanceAddresses:
         internal = derive_nums_point(kind, tweak_data)
         output_key, root = taproot_output_key(internal, leaves)
         out[kind] = ProtocolAddress(kind, internal, leaves, root, output_key)
-    return InstanceAddresses(va=out["VA"], uta=out["UTA"], uca=out["UCA"], rca=out["RCA"])
+    rows = {
+        t: tuple(leaf for leaf in out[s.source].leaves if fnmatchcase(leaf.path_id, s.path))
+        for t, s in TRANSITION_SPECS.items()
+    }
+    return InstanceAddresses(out["VA"], out["UTA"], out["UCA"], out["RCA"], rows)

@@ -2,41 +2,16 @@
 setup ceremony, and the fee machinery (anchor children, appended fee
 inputs).
 
-Transition catalog (source -> destination, leaf spent and its keys,
-who executes, how fees are topped up):
-
-  unbond_request             VA  -> UTA     dep_to    Dep & TO     exec Dep anchor
-  unbond_finalize            UTA -> Dep     dep_delay Dep after t1          self
-  unbond_challenge           UTA -> UCA     dep_to    Dep & TO     exec TO  anchor
-  unbond_resolve             UCA -> Dep     dep_ao_*  Dep & AO     exec AO  acp fee input
-  unbond_resolve_expired     UCA -> TO      to_delay  TO after t2           self
-  rebalance_request          VA  -> RCA     dep_to    Dep & TO     exec TO  anchor
-  rebalance_resolve          RCA -> Dep     dep_ao_*  Dep & AO     exec AO  acp fee input
-  rebalance_resolve_expired  RCA -> TO      to_delay  TO after t2           self
-  cooperative_unbond         VA  -> Dep     dep_to    Dep & TO     exec Dep anchor
-
-Address kinds have one spelling: the four script addresses are ``VA``,
-``UTA``, ``UCA`` and ``RCA`` (``ProtocolAddress.kind``), and the two key
-addresses are ``dep_return`` and ``to_key``.  Both catalogue columns
-name them that way, ``ProtocolInstance.address_ids`` maps each kind
-to its address id and ``ProtocolInstance.address_kinds`` maps back.
-
 Every step on a template (build, sign, verify, finalize) takes the
-``ProtocolInstance`` and reads the addresses it derived once; none
-derives them again from the ``TweakData``.  One leaf rule serves all of
-them: a row's leaves are those its catalogue ``path`` names on its
-source address (``dep_ao_*`` names every oracle's leaf).  The keys of
-those leaves may sign the row (``allowed_signers``), and the executor
-spends through the first of them that holds its key and whose other
-keys have all signed (``finalize_to_tx``): the address tree the chain
-checks witnesses against is the one statement of that rule.
-
-The setup ceremony pre-signs, for each deposit, the catalog rows that
-have a keeper (``stored_on``): the registry keeps the unbond request and
-the two resolve rows, the operator keeps the challenge and the rebalance
-request.  ``DEPOSIT_ROWS``, ``SAR_ROWS`` and ``TO_ROWS`` are derived from
-the catalog, so it is the one place that says which rows guard a
-deposit, who pre-signs each and who keeps it.
+``ProtocolInstance`` and reads what it derived once: the address id of
+each catalogue address kind (``address_ids``, and ``address_kinds``
+back) and the leaves of each row (``addresses.rows``), keyed by the
+template's catalogue transition, never by its ``path_id``, so a
+tampered template cannot widen the signer set.  The executor spends
+through the first of the row's leaves that holds its key and whose
+other keys have all signed (``finalize_to_tx``).  The setup ceremony
+pre-signs the rows of ``keys.DEPOSIT_ROWS`` for each deposit and hands
+out those of ``SAR_ROWS`` to the registry, ``TO_ROWS`` to the operator.
 
 Templates commit the exact input value minus a base fee of
 ``BASE_FEE_RATE`` sat per weight unit, a protocol constant like
@@ -54,8 +29,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from enum import Enum
-from fnmatch import fnmatchcase
 
 from .attestation import Attestation, MockAttestationAuthority
 from .chain import (
@@ -68,10 +41,15 @@ from .chain import (
     Utxo,
 )
 from .keys import (
+    DEPOSIT_ROWS,
+    SAR_ROWS,
+    TO_ROWS,
+    TRANSITION_SPECS,
     InstanceAddresses,
     Keypair,
     Point,
-    SpendPath,
+    Transition,
+    TransitionSpec,
     TweakData,
     build_protocol_addresses,
     key_address_id,
@@ -119,65 +97,6 @@ class InsufficientFunds(PsbtError):
 
 class VerificationFailed(PsbtError):
     pass
-
-
-class Transition(Enum):
-    UNBOND_REQUEST = "unbond_request"
-    UNBOND_FINALIZE = "unbond_finalize"
-    UNBOND_CHALLENGE = "unbond_challenge"
-    UNBOND_RESOLVE = "unbond_resolve"
-    UNBOND_RESOLVE_EXPIRED = "unbond_resolve_expired"
-    REBALANCE_REQUEST = "rebalance_request"
-    REBALANCE_RESOLVE = "rebalance_resolve"
-    REBALANCE_RESOLVE_EXPIRED = "rebalance_resolve_expired"
-    COOPERATIVE_UNBOND = "cooperative_unbond"
-
-
-@dataclass(frozen=True)
-class TransitionSpec:
-    source: str  # address kind the spent output must sit on
-    dest: str  # address kind the main outputs pay to
-    path: str  # leaf id; "dep_ao_*" names every oracle leaf, and a spend takes one
-    creator: str | None
-    stored_on: str | None  # "sar" | "to" | None
-    executor: str  # "dep"|"to"|"ao"
-    fee_mode: str  # "anchor"|"acp"|"self"
-
-
-TRANSITION_SPECS: dict[Transition, TransitionSpec] = {
-    Transition.UNBOND_REQUEST: TransitionSpec(
-        "VA", "UTA", "dep_to", "to", "sar", "dep", "anchor"
-    ),
-    Transition.UNBOND_FINALIZE: TransitionSpec(
-        "UTA", "dep_return", "dep_delay", None, None, "dep", "self"
-    ),
-    Transition.UNBOND_CHALLENGE: TransitionSpec(
-        "UTA", "UCA", "dep_to", "dep", "to", "to", "anchor"
-    ),
-    Transition.UNBOND_RESOLVE: TransitionSpec(
-        "UCA", "dep_return", "dep_ao_*", "dep", "sar", "ao", "acp"
-    ),
-    Transition.UNBOND_RESOLVE_EXPIRED: TransitionSpec(
-        "UCA", "to_key", "to_delay", None, None, "to", "self"
-    ),
-    Transition.REBALANCE_REQUEST: TransitionSpec(
-        "VA", "RCA", "dep_to", "dep", "to", "to", "anchor"
-    ),
-    Transition.REBALANCE_RESOLVE: TransitionSpec(
-        "RCA", "dep_return", "dep_ao_*", "dep", "sar", "ao", "acp"
-    ),
-    Transition.REBALANCE_RESOLVE_EXPIRED: TransitionSpec(
-        "RCA", "to_key", "to_delay", None, None, "to", "self"
-    ),
-    Transition.COOPERATIVE_UNBOND: TransitionSpec(
-        "VA", "dep_return", "dep_to", "to", None, "dep", "anchor"
-    ),
-}
-
-# the rows pre-signed for every deposit, in catalog order, and who keeps them
-DEPOSIT_ROWS = tuple(t for t, s in TRANSITION_SPECS.items() if s.stored_on is not None)
-SAR_ROWS = tuple(t for t in DEPOSIT_ROWS if TRANSITION_SPECS[t].stored_on == "sar")
-TO_ROWS = tuple(t for t in DEPOSIT_ROWS if TRANSITION_SPECS[t].stored_on == "to")
 
 
 def _base_cost(spec: TransitionSpec) -> tuple[int, int]:
@@ -261,19 +180,23 @@ class PsbtTemplate:
 
     @classmethod
     def from_text(cls, text: str) -> "PsbtTemplate":
-        d = json.loads(text)
-        return cls(
-            transition=Transition(d["transition"]),
-            outpoint=Outpoint(d["outpoint"][0], d["outpoint"][1]),
-            input_value=d["input_value"],
-            path_id=d["path_id"],
-            flag=SighashFlag(d["flag"]),
-            outputs=[TxOutput(a, v) for a, v in d["outputs"]],
-            anchor_index=d["anchor_index"],
-            creator=d["creator"],
-            intended_executor=d["intended_executor"],
-            partial_sigs={k: bytes.fromhex(v) for k, v in d["partial_sigs"].items()},
-        )
+        """Parse ``to_text``'s form; ``PsbtError`` for any other text."""
+        try:
+            d = json.loads(text)
+            return cls(
+                transition=Transition(d["transition"]),
+                outpoint=Outpoint(d["outpoint"][0], d["outpoint"][1]),
+                input_value=d["input_value"],
+                path_id=d["path_id"],
+                flag=SighashFlag(d["flag"]),
+                outputs=[TxOutput(a, v) for a, v in d["outputs"]],
+                anchor_index=d["anchor_index"],
+                creator=d["creator"],
+                intended_executor=d["intended_executor"],
+                partial_sigs={k: bytes.fromhex(v) for k, v in d["partial_sigs"].items()},
+            )
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise PsbtError(f"not a template: {exc!r}") from exc
 
 
 @dataclass
@@ -349,23 +272,9 @@ def build_psbt(
     )
 
 
-def _row_leaves(psbt: PsbtTemplate, instance: ProtocolInstance) -> list[SpendPath]:
-    """The leaves the row's catalogue ``path`` names on its source
-    address; the catalogue, not the template's ``path_id``, names them,
-    so a tampered template cannot widen the signer set."""
-    spec = TRANSITION_SPECS[psbt.transition]
-    source = instance.addresses.by_kind(spec.source)
-    return [leaf for leaf in source.leaves if fnmatchcase(leaf.path_id, spec.path)]
-
-
-def allowed_signers(psbt: PsbtTemplate, instance: ProtocolInstance) -> list[Point]:
-    """The keys of the row's leaves, each once."""
-    leaves = _row_leaves(psbt, instance)
-    return list(dict.fromkeys(pk for leaf in leaves for pk in leaf.policy.keys()))
-
-
 def sign_psbt(psbt: PsbtTemplate, keypair: Keypair, instance: ProtocolInstance) -> None:
-    if all(keypair.public != pk for pk in allowed_signers(psbt, instance)):
+    leaves = instance.addresses.rows[psbt.transition]
+    if all(keypair.public not in leaf.policy.keys() for leaf in leaves):
         raise NotASigner(f"{keypair.public_hex[:16]}... on {psbt.transition.value}")
     if keypair.public_hex in psbt.partial_sigs:
         raise AlreadySigned(psbt.transition.value)
@@ -378,7 +287,8 @@ def _signed_triples(
     """``(key, sighash, signature)`` for each stored partial signature, or
     None when there is none or one is stored under a key that may not sign
     the row."""
-    allowed = {pk.compressed().hex(): pk for pk in allowed_signers(psbt, instance)}
+    leaves = instance.addresses.rows[psbt.transition]
+    allowed = {pk.compressed().hex(): pk for leaf in leaves for pk in leaf.policy.keys()}
     if not psbt.partial_sigs or any(pub_hex not in allowed for pub_hex in psbt.partial_sigs):
         return None
     digest = psbt.sighash()
@@ -401,9 +311,8 @@ def finalize_to_tx(
     all signed; return the broadcastable transaction.  The executor's
     signature goes into the witness only (a stored one is reused), so
     ``psbt`` is left as it was whether the call refuses or succeeds."""
-    leaves = [
-        leaf for leaf in _row_leaves(psbt, instance) if executor.public in leaf.policy.keys()
-    ]
+    row = instance.addresses.rows[psbt.transition]
+    leaves = [leaf for leaf in row if executor.public in leaf.policy.keys()]
     if not leaves:
         raise NotASigner("executor is not a signer of this transition")
     for leaf in leaves:

@@ -33,7 +33,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .keys import Point, TweakData, decode_point, verify_signature
+from .keys import SAR_ROWS, Point, TweakData, decode_point, verify_signature
 
 # one canonical encoder for every snapshot text (``json.dumps`` with
 # arguments builds a new encoder on each call); a stored object is
@@ -114,10 +114,8 @@ _TRANSITIONS = {
 # the statuses under which the contract authorises a depositor's exit
 EXIT_STATUSES = frozenset({UtxoStatus.WITHDRAWN, UtxoStatus.REJECTED})
 
-# the three stored rows that protect the depositor / enable arbitration:
-# the values of ``psbt.SAR_ROWS``, spelled out because psbt imports this
-# module (a test pins the two equal)
-REQUIRED_PSBT_SLOTS = ("unbond_request", "unbond_resolve", "rebalance_resolve")
+# the three stored rows that protect the depositor / enable arbitration
+REQUIRED_PSBT_SLOTS = tuple(t.value for t in SAR_ROWS)
 
 
 def _check_move(record: UtxoRecord, new_status: UtxoStatus, caller: str) -> None:

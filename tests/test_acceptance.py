@@ -33,10 +33,9 @@ from bsa_sim.chain import Outpoint
 from bsa_sim.curve import NUMS_BASE, NUMS_X
 from bsa_sim.destchain import TO_SIGNER, sign_checkpoint
 from bsa_sim.harness import run_matrix, run_scenario, trust_model_sweep
-from bsa_sim.keys import build_protocol_addresses, key_address_id, keypair_from_seed
+from bsa_sim.keys import Transition, build_protocol_addresses, key_address_id, keypair_from_seed
 from bsa_sim.psbt import (
     PsbtTemplate,
-    Transition,
     TxOutput,
     add_fee_input,
     finalize_to_tx,

@@ -28,8 +28,8 @@ from bsa_sim.harness import (
     liquidation_spans,
     run_scenario,
 )
-from bsa_sim.keys import keypair_from_seed
-from bsa_sim.psbt import PsbtTemplate, Transition, finalize_to_tx
+from bsa_sim.keys import Transition, keypair_from_seed
+from bsa_sim.psbt import PsbtTemplate, finalize_to_tx
 from bsa_sim.scenario import (
     DepositorBehavior,
     OperatorBehavior,
@@ -72,8 +72,8 @@ def test_send_btc_with_change():
     tx = send_btc(chain, kp, other, 1_000)
     assert tx is not None
     chain.mine_block()
-    assert chain.balance_of(other) == 1_000
-    assert chain.balance_of(addr) == 10_000 - 1_000 - 3
+    assert sum(u.value for u in chain.utxos_at(other)) == 1_000
+    assert sum(u.value for u in chain.utxos_at(addr)) == 10_000 - 1_000 - 3
     assert send_btc(chain, kp, other, 10_000) is None
 
 

@@ -35,6 +35,7 @@ from bsa_sim.destchain import (
     sign_checkpoint,
 )
 from bsa_sim.keys import (
+    Transition,
     TweakData,
     build_protocol_addresses,
     key_address_id,
@@ -44,7 +45,6 @@ from bsa_sim.keys import (
 )
 from bsa_sim.psbt import (
     AoIdentity,
-    Transition,
     finalize_to_tx,
     run_setup_ceremony,
     sign_psbt,
@@ -154,7 +154,7 @@ class ArbWorld:
             outputs=[TxOutput(dest_addr, value)],
         )
         digest = tx.sighash(0)
-        addr = self.instance.addresses.by_kind(source_kind)
+        addr = next(a for a in self.instance.addresses.all() if a.kind == source_kind)
         witness = []
         for key in addr.leaf("dep_to").policy.keys():
             kp = self.dep if key == self.dep.public else self.to
@@ -431,14 +431,27 @@ def test_unsynced_oracle_refuses_to_verify(world):
         fresh.verify_rebalance_inputs(world.outpoint, world.rebalance_request_tx())
 
 
-def test_sign_stored_rejects_swapped_registry_row(world):
+# what a corrupted view holds in the rebalance resolve slot, from the
+# stored rows: another row, or text that is no template at all
+STORED_ROW_REWRITES = {
+    "swapped-row": lambda psbts: psbts["unbond_resolve"],
+    "not-json": lambda psbts: "not json",
+    "json-list": lambda psbts: "[]",
+    "outpoint-not-a-pair": lambda psbts: '{"transition":"rebalance_resolve","outpoint":5}',
+}
+
+
+@pytest.mark.parametrize(
+    "rewrite", STORED_ROW_REWRITES.values(), ids=list(STORED_ROW_REWRITES)
+)
+def test_sign_stored_rejects_swapped_registry_row(world, rewrite):
     world.set_status(UtxoStatus.ACTIVE)
     oracle = world.oracle
     tx = world.rebalance_request_tx()
     ctx = oracle.verify_rebalance_inputs(world.outpoint, tx)
     assert isinstance(ctx, VerifiedContext)
     record = oracle.view.records[world.outpoint]
-    record.psbts["rebalance_resolve"] = record.psbts["unbond_resolve"]
+    record.psbts["rebalance_resolve"] = rewrite(record.psbts)
     assert oracle.resolve_rebalance(ctx) is None
     world.resync()  # restore an honest view
     ctx = oracle.verify_rebalance_inputs(world.outpoint, tx)

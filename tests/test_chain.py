@@ -76,8 +76,8 @@ def test_key_spend_round_trip():
     assert tx.txid in chain.mempool
     mined = chain.mine_block()
     assert tx.txid in mined
-    assert chain.balance_of(b_addr) == 998
-    assert chain.balance_of(a_addr) == 0
+    assert sum(u.value for u in chain.utxos_at(b_addr)) == 998
+    assert sum(u.value for u in chain.utxos_at(a_addr)) == 0
     assert chain.spent_by[utxo.outpoint] == tx.txid
     assert chain.confirmed_at == {tx.txid: 1}
 

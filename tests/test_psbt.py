@@ -20,9 +20,12 @@ from bsa_sim.chain import (
 )
 from bsa_sim import psbt as psbt_module
 from bsa_sim.keys import (
+    SAR_ROWS,
+    TO_ROWS,
+    TRANSITION_SPECS,
     Keypair,
+    Transition,
     TweakData,
-    build_protocol_addresses,
     key_address_id,
     keypair_from_seed,
     sign_digest,
@@ -38,13 +41,8 @@ from bsa_sim.psbt import (
     NotASigner,
     ProtocolInstance,
     PsbtTemplate,
-    SAR_ROWS,
-    TO_ROWS,
-    TRANSITION_SPECS,
-    Transition,
     VerificationFailed,
     add_fee_input,
-    allowed_signers,
     attach_cpfp_child,
     build_deposit_psbt_set,
     build_psbt,
@@ -56,7 +54,6 @@ from bsa_sim.psbt import (
     verify_psbt_against_instance,
 )
 from bsa_sim.registry import (
-    REQUIRED_PSBT_SLOTS,
     Registry,
     TimelockRelationViolated,
     UtxoStatus,
@@ -191,7 +188,7 @@ def test_template_text_round_trip(world):
 def test_ceremony_funds_and_registers(world):
     inst = world.instance
     va = inst.addresses.va.address_id
-    assert world.chain.balance_of(va) == 10_000
+    assert sum(u.value for u in world.chain.utxos_at(va)) == 10_000
     assert world.registry.ledger.balance("acct:unit") == 10_000
     for outpoint_str, value in inst.deposits.items():
         record = world.registry.get_record(outpoint_str)
@@ -385,18 +382,20 @@ def row_leaf_ids(transition: Transition, n_oracles: int) -> list[str]:
 @pytest.mark.parametrize("n_oracles", range(1, 6))
 @pytest.mark.parametrize("transition", list(Transition))
 def test_allowed_signers_are_the_row_leaf_keys(transition, n_oracles):
-    inst, _ = leaf_instance(n_oracles)
+    inst, parties = leaf_instance(n_oracles)
     spec = TRANSITION_SPECS[transition]
-    source = build_protocol_addresses(inst.tweak_data).by_kind(spec.source)
-    expected = {
-        pk
-        for path_id in row_leaf_ids(transition, n_oracles)
-        for pk in source.leaf(path_id).policy.keys()
-    }
-    template = build_psbt(transition, inst, (Outpoint("ab" * 32, 0), 10_000))
-    signers = allowed_signers(template, inst)
-    assert len(signers) == len(set(signers))
-    assert set(signers) == expected
+    dep, to = parties["dep"].public, parties["to"].public
+    oracles = inst.tweak_data.ao_pks
+    # the leaf layout written out again, independently of ``build_protocol_addresses``
+    keys_of = {"dep_to": (dep, to), "dep_delay": (dep,), "to_delay": (to,)}
+    keys_of.update((f"dep_ao_{i}", (dep, ao)) for i, ao in enumerate(oracles))
+    leaves = inst.addresses.rows[transition]
+    assert [leaf.path_id for leaf in leaves] == row_leaf_ids(transition, n_oracles)
+    assert [leaf.policy.keys() for leaf in leaves] == [
+        keys_of[path_id] for path_id in row_leaf_ids(transition, n_oracles)
+    ]
+    source = next(a for a in inst.addresses.all() if a.kind == spec.source)
+    assert all(leaf in source.leaves for leaf in leaves)
 
 
 @pytest.mark.parametrize("n_oracles", range(1, 6))
@@ -407,7 +406,7 @@ def test_finalize_refuses_each_missing_leaf_key(transition, n_oracles):
     executor = parties[spec.executor]
     # an oracle executes through its own leaf
     path_id = row_leaf_ids(transition, n_oracles)[-1]
-    leaf = inst.addresses.by_kind(spec.source).leaf(path_id)
+    leaf = inst.addresses.rows[transition][-1]
     others = [pk.compressed().hex() for pk in leaf.policy.keys()]
     others.remove(executor.public_hex)
     spent = (Outpoint("ab" * 32, 0), 10_000)
@@ -465,6 +464,25 @@ def test_depositor_resolve_refusals_leave_signatures_unchanged(transition):
     assert template.partial_sigs == before
 
 
+def test_rewritten_path_id_does_not_widen_the_signers():
+    """The catalogue row, not the template's ``path_id``, names the leaves
+    a row's signers come from."""
+    inst, parties = leaf_instance(2)
+    spent = (Outpoint("ab" * 32, 0), 10_000)
+    resolve = build_psbt(Transition.UNBOND_RESOLVE, inst, spent)
+    resolve.path_id = "to_delay"  # the operator's own leaf on the same address
+    with pytest.raises(NotASigner):
+        sign_psbt(resolve, parties["to"], inst)
+    sign_psbt(resolve, parties["dep"], inst)
+    with pytest.raises(NotASigner):
+        finalize_to_tx(resolve, parties["to"], inst)
+    request = build_psbt(Transition.UNBOND_REQUEST, inst, spent)
+    request.path_id = "dep_delay"  # a leaf the depositor spends alone
+    with pytest.raises(MissingCounterpartySig):
+        finalize_to_tx(request, parties["dep"], inst)
+    assert request.partial_sigs == {}
+
+
 def test_psbt_steps_derive_no_addresses(monkeypatch):
     inst, parties = leaf_instance(2)
 
@@ -476,7 +494,6 @@ def test_psbt_steps_derive_no_addresses(monkeypatch):
     template = build_psbt(Transition.UNBOND_RESOLVE, inst, spent)
     sign_psbt(template, parties["dep"], inst)
     sign_psbt(template, parties["ao"], inst)
-    assert allowed_signers(template, inst)
     assert verify_partial_sigs(template, inst)
     assert verify_psbt_against_instance(template, inst, *spent)
     tx = finalize_to_tx(template, parties["ao"], inst)
@@ -492,7 +509,8 @@ def test_unbond_request_round_trip(world):
     tx = finalize_to_tx(stored, world.dep, inst)
     world.chain.submit_tx(tx)
     assert tx.txid in world.chain.mine_block()
-    assert world.chain.balance_of(inst.addresses.uta.address_id) == tx.outputs[0].value
+    uta = inst.addresses.uta.address_id
+    assert sum(u.value for u in world.chain.utxos_at(uta)) == tx.outputs[0].value
 
 
 # -- fee machinery ------------------------------------------------------------
@@ -673,8 +691,6 @@ def test_row_sets_follow_the_catalog():
         Transition.REBALANCE_RESOLVE,
     )
     assert TO_ROWS == (Transition.UNBOND_CHALLENGE, Transition.REBALANCE_REQUEST)
-    # the registry cannot import psbt (psbt imports it), so it spells them out
-    assert REQUIRED_PSBT_SLOTS == tuple(t.value for t in SAR_ROWS)
 
 
 def test_deposit_set_has_one_presignature_per_row(world):

@@ -6,6 +6,12 @@ benchmark or an open ROADMAP item keep, or dead code.  The list below
 names each kept one and why; a new unreferenced function fails the test
 until it is deleted or listed, and an entry that is referenced again, or
 gone, fails it until the entry is removed.
+
+The check is by name, so a name defined twice counts as referenced when
+either definition is called, and an unused twin goes unseen.  One is
+known: ``availability.UptimeSchedule.is_online``, which nothing in
+``src/`` calls, is hidden by the called ``actors.OracleActor.is_online``;
+it is kept for ROADMAP item 3.
 """
 
 import ast

@@ -16,7 +16,16 @@ it refuses.
   ``verify_signature``, at admission and again at mining): no graded
   actor forges a signature or signs another role's leaf;
 - the oracle's version gate (``ArbitrationOracle.version_ok``): no graded
-  oracle image has an expired version.
+  oracle image has an expired version;
+- the signature gates of the oracle's dispute check (``check_witness`` in
+  ``ArbitrationOracle._verify_dispute``): no graded actor forges a request
+  or a challenge signature, and the chain has already checked the same
+  witnesses before an oracle reads the rows;
+- the oracle's check of the stored row it co-signs
+  (``verify_psbt_against_instance`` in ``ArbitrationOracle._sign_stored``):
+  no graded registry holds a row other than the one the ceremony stored,
+  so only unit tests (a swapped or malformed stored row, one changed
+  field) show it refusing.
 
 When a new graded file gives one of these a witness, its row moves from
 ``UNWITNESSED`` to ``WITNESSED``.
@@ -27,7 +36,7 @@ from test_golden_digests import CONFIGS, GOLDEN
 
 from bsa_sim import actors, arbitration, chain
 from bsa_sim.harness import run_scenario
-from bsa_sim.psbt import Transition
+from bsa_sim.keys import Transition
 from bsa_sim.registry import UtxoStatus
 
 # each graded file's pinned (verdict triple, reasons)
@@ -93,6 +102,8 @@ UNWITNESSED = [
     ("relative timelock", (chain, "SingleAfterDelay", type("NoDelayLeaf", (), {}))),
     ("witness signature check", (chain, "verify_signature", lambda *args: True)),
     ("oracle version gate", (arbitration.ArbitrationOracle, "version_ok", lambda self: True)),
+    ("dispute signature gate", (arbitration, "check_witness", lambda *args: None)),
+    ("stored-row check", (arbitration, "verify_psbt_against_instance", lambda *args: True)),
 ]
 
 
