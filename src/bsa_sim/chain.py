@@ -36,9 +36,12 @@ Spend facts have one source each.  ``BtcChain.spender`` returns the
 transaction spending an outpoint: the confirmed one, else the mempool
 one, else None; admission's double-spend check, the anchor-package rule
 and the actors' wallet ask it.  ``confirmed_at`` maps each confirmed
-txid to its height, in confirmation order.  ``BtcChain.spine_end``
-follows a deposit's spine, its confirmed spends through output 0, to
-the outpoint its value rests on, for the grader and the operator.
+txid to its height, in confirmation order, and ``spent_by`` each spent
+outpoint to its confirmed spender, in the order blocks spent them;
+``BtcChain.spent_since`` reads the newest of those outpoints.
+``BtcChain.spine_end`` follows a deposit's spine, its confirmed spends
+through output 0, to the outpoint its value rests on, for the grader
+and the actors.
 ``Outpoint.parse`` reads the ``txid:index`` spelling, and
 ``BtcChain.next_rate`` is the feerate the next block asks for.
 """
@@ -46,6 +49,7 @@ the outpoint its value rests on, for the grader and the operator.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -259,7 +263,8 @@ class BtcChain:
         self.addresses: dict[str, ProtocolAddress | KeyAddress] = {}
         self.confirmed_at: dict[str, int] = {}  # txid -> height, in confirmation order
         self.tx_index: dict[str, SimTx] = {}
-        self.spent_by: dict[Outpoint, str] = {}  # outpoint -> spending txid (confirmed)
+        # outpoint -> spending txid (confirmed), in the order blocks spent them
+        self.spent_by: dict[Outpoint, str] = {}
         self._seed_counter = 0
 
     # -- address and utxo management -------------------------------------
@@ -298,6 +303,11 @@ class BtcChain:
             outpoint = Outpoint(txid, 0)
             moved_at = self.confirmed_at[txid]
         return outpoint, moved_at
+
+    def spent_since(self, count: int) -> list[Outpoint]:
+        """The outpoints confirmed blocks spent after the first ``count``,
+        in the order they were spent; reads only those."""
+        return list(itertools.islice(reversed(self.spent_by), len(self.spent_by) - count))[::-1]
 
     def next_rate(self) -> int:
         """The feerate the next block asks for."""

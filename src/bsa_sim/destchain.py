@@ -51,7 +51,6 @@ bounded by the period, not by the length of the run: at most
 from __future__ import annotations
 
 import hashlib
-import itertools
 import pickle
 from dataclasses import dataclass
 
@@ -227,10 +226,11 @@ class DestChain:
         state = (self._body, clock)
         new = [FinalizedCheckpoint(s, None, s, state) for s in slots]
         self.snapshots.update((cp.slot, cp) for cp in new)
-        # Checkpoints are inserted in slot order, so the expired ones are a prefix.
+        # Checkpoints are inserted in slot order, so the expired ones are a
+        # prefix; the last one finalized is never in it.
         horizon = min(self.slot - self.wsp, slots[-1])
-        for slot in list(itertools.takewhile(lambda s: s < horizon, self.snapshots)):
-            del self.snapshots[slot]
+        while (oldest := next(iter(self.snapshots))) < horizon:
+            del self.snapshots[oldest]
         return new
 
     def advance(self, n_slots: int) -> list[FinalizedCheckpoint]:

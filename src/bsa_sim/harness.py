@@ -16,8 +16,10 @@ state rather than from the actors' own claims:
 Deposits are traced at face value to the end of their spine, the chain
 of confirmed spends through output 0 that ``BtcChain.spine_end`` walks,
 which makes the verdicts independent of fee noise.  The grader reads
-where each deposit rests as the actors do: ``World.vaults`` for the
-deposits and one ``World.read_resting()`` after the last block.  A moved
+where each deposit rests as the actors do, from ``World.vaults`` and
+the spine ends, but afresh: one ``World.read_resting()`` after the last
+block follows every deposit's spine, where the actors read the
+``World.resting`` that the world keeps across blocks.  A moved
 deposit is graded by the address kind it rests on, and its exit
 completed at that output's confirmed height; a deposit the reading
 leaves out rests on its vault; one that does neither is untracked.

@@ -442,6 +442,8 @@ class Registry:
         return effective_at
 
     def apply_due_upgrades(self) -> None:
+        if not self.pending_upgrades:
+            return
         due = [u for u in self.pending_upgrades if self.current_slot >= u[1]]
         for change, _ in _in_effect_order(due):
             self.t1 = change.get("t1", self.t1)

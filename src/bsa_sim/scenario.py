@@ -61,8 +61,11 @@ a ``fee_steps`` height given twice, a ``leak_tokens_at`` or
 ``owner``, an ``offline`` window that starts below 0 or does not end
 after it starts, an ``exit_deposit_index`` that names no deposit, and ``amounts`` that are
 empty or hold one below ``psbt.MIN_DEPOSIT``, too small to pay the base
-fees and anchors of its pre-signed rows.  So is a file that is not
-UTF-8 text.
+fees and anchors of its pre-signed rows.  So is a value of the wrong
+shape: an ``offline`` window not written ``start..until``, a
+``fee_steps`` item not written ``height:rate``, or an empty item in the
+comma list of ``amounts`` or ``fee_steps`` (``2000,,3000``, ``5:2,``).
+So is a file that is not UTF-8 text.
 """
 
 from __future__ import annotations
@@ -129,8 +132,28 @@ def _bool(value: str) -> bool:
     raise ScenarioError(f"not a boolean: {value!r}")
 
 
+def _items(value: str) -> list[str]:
+    """The items of a comma list, none of them empty; an empty value is
+    an empty list."""
+    if not value.strip():
+        return []
+    items = [part.strip() for part in value.split(",")]
+    if "" in items:
+        raise ValueError("an item of the list is empty")
+    return items
+
+
+def _int_pair(text: str, sep: str, shape: str) -> tuple[int, int]:
+    """Two integers written ``left{sep}right``; ``shape`` names them."""
+    left, _, right = text.partition(sep)
+    try:
+        return int(left), int(right)
+    except ValueError:
+        raise ValueError(f"expected {shape}, got {text!r}") from None
+
+
 def _amounts(value: str) -> list[int]:
-    amounts = [int(part.strip()) for part in value.split(",") if part.strip()]
+    amounts = [int(part) for part in _items(value)]
     if not amounts or min(amounts) <= 0:
         raise ValueError("deposit amounts must be positive")
     if min(amounts) < MIN_DEPOSIT:
@@ -167,12 +190,8 @@ def _oracle_count(value: str) -> int:
 
 def _step_list(value: str) -> list[tuple[int, int]]:
     steps = []
-    for part in value.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        left, right = part.split(":")
-        height, rate = int(left), int(right)
+    for part in _items(value):
+        height, rate = _int_pair(part, ":", "height:rate")
         if height < 0 or rate < 0:
             raise ValueError("heights and rates must not be negative")
         if any(height == h for h, _ in steps):
@@ -185,8 +204,7 @@ def _range(value: str) -> tuple[int, int] | None:
     value = value.strip().lower()
     if value in ("", "none", "-"):
         return None
-    start, end = value.split("..")
-    start, end = int(start), int(end)
+    start, end = _int_pair(value, "..", "start..until")
     if start < 0:
         raise ValueError("a window must not start below 0")
     if end <= start:

@@ -7,6 +7,7 @@ import importlib.util
 import itertools
 import json
 import pathlib
+import random
 import sys
 
 import pytest
@@ -16,6 +17,7 @@ from bsa_sim.actors import (
     OracleActor,
     OracleBehavior,
     TokenOperatorActor,
+    World,
     carve_fee_utxo,
     send_btc,
     spendable_utxos,
@@ -26,6 +28,7 @@ from bsa_sim.harness import (
     build_world,
     compute_verdicts,
     liquidation_spans,
+    random_adversarial_config,
     run_scenario,
 )
 from bsa_sim.keys import Transition, keypair_from_seed
@@ -432,25 +435,22 @@ def test_a_run_leaves_the_operators_rows_as_the_ceremony_made_them(config):
     assert texts() == built
 
 
-def test_the_ledger_is_read_once_a_block(monkeypatch):
-    """In a dispute-free world of 16 deposits and 5 oracles, each tick
-    follows every deposit's spine once, never scans the UTXO set and
-    parses no outpoint text; the grader makes the same one reading."""
-    config = ScenarioConfig(
-        amounts=[2_000] * 16,
-        n_oracles=5,
-        depositor=DepositorBehavior(exit_at=8, exit_deposit_index=0),
-    )
-    world = build_world(config)
+def count_ledger_reads(monkeypatch) -> collections.Counter:
+    """Count calls of ``BtcChain.utxos_at`` and ``spine_end``, of
+    ``Outpoint.parse`` and of ``OracleActor._scan_challenges``."""
     calls = collections.Counter()
-    for name in ("utxos_at", "spine_end"):
-        method = getattr(BtcChain, name)
+    for owner, name in (
+        (BtcChain, "utxos_at"),
+        (BtcChain, "spine_end"),
+        (OracleActor, "_scan_challenges"),
+    ):
+        method = getattr(owner, name)
 
         def counted(self, *args, _name=name, _method=method):
             calls[_name] += 1
             return _method(self, *args)
 
-        monkeypatch.setattr(BtcChain, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     parse = Outpoint.parse
 
     def counted_parse(cls, text):
@@ -458,19 +458,112 @@ def test_the_ledger_is_read_once_a_block(monkeypatch):
         return parse(text)
 
     monkeypatch.setattr(Outpoint, "parse", classmethod(counted_parse))
+    return calls
+
+
+def test_the_ledger_is_read_once_a_block(monkeypatch):
+    """In a world of 16 deposits and 5 oracles where one deposit exits,
+    a tick follows only a spine whose end the last block spent, once;
+    it never scans the UTXO set, parses no outpoint text and scans for
+    no challenge.  The grader's one reading follows all 16."""
+    config = ScenarioConfig(
+        amounts=[2_000] * 16,
+        n_oracles=5,
+        depositor=DepositorBehavior(exit_at=8, exit_deposit_index=0),
+    )
+    world = build_world(config)
+    calls = count_ledger_reads(monkeypatch)
+    walks = {}
     for _ in range(24):
         calls.clear()
+        height = world.chain.height
         world.tick()
-        assert (calls["utxos_at"], calls["spine_end"], calls["parse"]) == (0, 16, 0)
-    # the reading saw the one exit through to the depositor's key
+        assert (calls["utxos_at"], calls["parse"], calls["_scan_challenges"]) == (0, 0, 0)
+        walks[height] = calls["spine_end"]
+    # each hop of the exiting deposit's spine is followed by the next tick
+    chain = world.chain
     deposit = next(iter(world.instances[0].deposits))
+    hops, end = [], Outpoint.parse(deposit)
+    while end in chain.spent_by:
+        hops.append(chain.confirmed_at[chain.spent_by[end]])
+        end = Outpoint(chain.spent_by[end], 0)
+    assert len(hops) == 2 and hops[-1] < chain.height  # unbond_request and finalize
+    assert walks == {h: int(h in hops) for h in walks}
+    # the reading saw the one exit through to the depositor's key
+    calls.clear()
     assert [(op, kind) for op, (_, _, kind) in world.resting.items()] == [
         (deposit, "dep_return")
     ]
     assert any(e["action"] == "exit_complete" for e in world.trace)
-    calls.clear()
+    assert calls["spine_end"] == 0
     assert compute_verdicts(world, config).triple() == (True, True, True)
     assert (calls["utxos_at"], calls["spine_end"], calls["parse"]) == (0, 16, 0)
+
+
+@pytest.mark.parametrize("n_deposits", [4, 16, 64])
+def test_a_quiet_block_costs_the_same_at_any_deposit_count(monkeypatch, n_deposits):
+    """With nothing moving, a tick follows no spine and scans for no
+    challenge, however many deposits the world holds."""
+    world = build_world(ScenarioConfig(amounts=[2_000] * n_deposits, n_oracles=5))
+    world.run(2)
+    calls = count_ledger_reads(monkeypatch)
+    world.tick()
+    assert (calls["spine_end"], calls["_scan_challenges"]) == (0, 0)
+    assert world.resting == world.read_resting() == {}
+
+
+def assert_resting_is_kept(world, step, blocks: int) -> int:
+    """Run ``blocks`` blocks of ``world``, one ``step(world)`` each, and
+    check after every block that the kept ``resting`` is a fresh reading,
+    items and order, and that ``challenge_rests`` says whether a challenge
+    is among them.  Returns how many blocks first moved a deposit listed
+    before one that had moved already, so that the order was at stake."""
+    position = {deposit: i for i, deposit in enumerate(world.vaults)}
+    out_of_order, moved = 0, set()
+    for _ in range(blocks):
+        step(world)
+        fresh = world.read_resting()
+        assert list(world.resting.items()) == list(fresh.items())
+        kinds = [kind for _, _, kind in fresh.values()]
+        assert world.challenge_rests == ("UCA" in kinds or "RCA" in kinds)
+        last = max((position[d] for d in moved), default=-1)
+        out_of_order += any(position[d] < last for d in fresh.keys() - moved)
+        moved |= fresh.keys()
+    return out_of_order
+
+
+def mine_outside_tick(world) -> None:
+    """The actors step, then the chain mines a block and finality
+    advances, all outside ``World.tick``."""
+    for actor in [*world.depositors, world.operator, *world.oracles]:
+        actor.step(world)
+    world.chain.mine_block()
+    world.dest.advance(world.registry.slots_per_block)
+
+
+def _kept_resting_worlds() -> list[ScenarioConfig]:
+    rng = random.Random(29)
+    sample = [random_adversarial_config(rng, i) for i in range(24)]
+    # deposit 2 exits before deposit 0 is seized: a later deposit moves first
+    late_first = ScenarioConfig(
+        name="late-deposit-moves-first",
+        amounts=[5000, 2500, 2500],
+        depositor=DepositorBehavior(exit_at=8, exit_deposit_index=2),
+        operator=OperatorBehavior(challenge_legitimate=True, false_rebalance_at=9),
+    )
+    return GRADED + sample + [late_first]
+
+
+@pytest.mark.parametrize("outside", [False, True], ids=["tick", "mined-outside-tick"])
+def test_the_kept_resting_matches_a_fresh_reading(outside):
+    """``World.resting``, kept across blocks, equals ``read_resting()``
+    after every block of every graded run and of 24 random adversarial
+    worlds, also when the chain mines the blocks outside ``World.tick``."""
+    out_of_order = 0
+    for config in _kept_resting_worlds():
+        step = mine_outside_tick if outside else World.tick
+        out_of_order += assert_resting_is_kept(build_world(config), step, config.horizon_blocks)
+    assert out_of_order > 0
 
 
 def trace_liquidation_spans(world) -> list[tuple[int, int]]:

@@ -197,6 +197,19 @@ def test_parse_rejections():
          "[deposit] amounts = '10, -3': deposit amounts must be positive"),
         ("[deposit]\namounts = 7000, 668\n", "[deposit] amounts = '7000, 668': "),
         ("[deposit]\nowner =\n", "[deposit] owner = '': must not be empty"),
+        ("[oracle.0]\noffline = 3\n",
+         "[oracle.0] offline = '3': expected start..until, got '3'"),
+        ("[oracle.0]\noffline = 1..2..3\n",
+         "[oracle.0] offline = '1..2..3': expected start..until"),
+        ("[params]\nfee_steps = 5:2, 7\n",
+         "[params] fee_steps = '5:2, 7': expected height:rate, got '7'"),
+        ("[params]\nfee_steps = 5:2:1\n", "[params] fee_steps = '5:2:1': expected height:rate"),
+        ("[deposit]\namounts = 2000,,3000\n",
+         "[deposit] amounts = '2000,,3000': an item of the list is empty"),
+        ("[deposit]\namounts = 2000,\n",
+         "[deposit] amounts = '2000,': an item of the list is empty"),
+        ("[params]\nfee_steps = 5:2,\n",
+         "[params] fee_steps = '5:2,': an item of the list is empty"),
     ],
     ids=[
         "exit-index-past-end", "exit-index-negative", "empty-window", "reversed-window",
@@ -214,7 +227,9 @@ def test_parse_rejections():
         "leaked-key-without-exit",
         "negative-rebalance-at",
         "negative-false-rebalance-at", "negative-amount", "amount-below-min-deposit",
-        "empty-owner",
+        "empty-owner", "window-without-dots", "window-of-three", "fee-step-without-colon",
+        "fee-step-of-three", "amounts-empty-item", "amounts-trailing-comma",
+        "fee-steps-trailing-comma",
     ],
 )
 def test_parse_rejects_out_of_range_values(text, where):
