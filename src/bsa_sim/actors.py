@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 from .arbitration import ArbitrationOracle, Rejection, StaleCheckpoint
 from .chain import BtcChain, Outpoint, SighashFlag, SimTx, TxInput, TxOutput, TxRejected, Utxo
-from .destchain import DestChain, TO_SIGNER, sign_checkpoint
+from .destchain import DestChain, sign_checkpoint
 from .keys import TRANSITION_SPECS, Keypair, Point, Transition, sign_digest
 from .psbt import (
     ProtocolInstance,
@@ -267,7 +267,7 @@ class TokenOperatorActor:
         self._false_rebalanced: set[str] = set()  # seizure attempts, admitted or not
 
     def signed_checkpoint(self, dest: DestChain):
-        return sign_checkpoint(dest.latest_finalized(), self.keypair, TO_SIGNER)
+        return sign_checkpoint(dest.latest_finalized(), self.keypair)
 
     def step(self, world: "World") -> None:
         if self.behavior.challenge_thefts:

@@ -9,8 +9,8 @@ The oracle trusts only:
 * its own enclave identity (a keypair whose secret is wrapped by a KMS
   policy bound to the image signer measurement),
 * finalized destination-chain checkpoints it witnessed while online, and
-* operator-signed checkpoints no older than the default weak
-  subjectivity period, used only to re-bootstrap after long downtime.
+* checkpoints no older than the chain's weak subjectivity period and
+  signed by the operator key in their own state, only to re-bootstrap.
 
 Every resolution decision is computed from an imported finalized
 snapshot, never from live mutable state.  All checks fail closed: a
@@ -78,13 +78,7 @@ from .attestation import (
     MockKms,
 )
 from .chain import Outpoint, SimTx, TxRejected, check_witness
-from .destchain import (
-    DEFAULT_WSP_SLOTS,
-    DestChain,
-    FinalizedCheckpoint,
-    SignedCheckpoint,
-    TO_SIGNER,
-)
+from .destchain import DestChain, FinalizedCheckpoint, SignedCheckpoint
 from .keys import (
     TRANSITION_SPECS,
     Keypair,
@@ -160,14 +154,12 @@ class ArbitrationOracle:
         authority: MockAttestationAuthority,
         kms: MockKms,
         seed: bytes,
-        default_wsp: int = DEFAULT_WSP_SLOTS,
     ):
         self.name = name
         self.image = image
         self.authority = authority
         self.kms = kms
         self.seed = seed
-        self.default_wsp = default_wsp
 
         self.keypair: Keypair | None = None
         self.key_id: str | None = None
@@ -230,26 +222,21 @@ class ArbitrationOracle:
     ) -> None:
         """Move to the latest finalized checkpoint.
 
-        Downtime strictly shorter than the chain's weak subjectivity
-        period lets the oracle extend its own prior state.  Anything
-        longer requires an operator-signed checkpoint no older than the
-        protocol default period; without one the oracle stays unsynced.
+        Downtime strictly shorter than the chain's period ``dest.wsp``
+        lets the oracle extend its own prior state.  Anything longer, or
+        a first sync, needs ``to_checkpoint`` at most ``dest.wsp`` slots
+        old, served by the chain with the same digest, and signed by the
+        operator key in that served state; else ``StaleCheckpoint``.
         The view of the new checkpoint is read only when ``view`` is.
         """
         downtime = dest.slot - self.last_seen_slot
         if downtime >= dest.wsp or self.checkpoint is None:
             if to_checkpoint is None:
                 raise StaleCheckpoint(f"offline {downtime} slots with period {dest.wsp}")
-            if to_checkpoint.signer_kind != TO_SIGNER:
-                raise StaleCheckpoint("re-bootstrap requires an operator signature")
-            if not to_checkpoint.verify():
-                raise StaleCheckpoint("checkpoint signature does not verify")
             cp = to_checkpoint.checkpoint
-            if dest.slot - cp.slot > self.default_wsp:
-                raise StaleCheckpoint(
-                    f"checkpoint is {dest.slot - cp.slot} slots old, "
-                    f"limit {self.default_wsp}"
-                )
+            age = dest.slot - cp.slot
+            if age > dest.wsp:
+                raise StaleCheckpoint(f"checkpoint is {age} slots old, limit {dest.wsp}")
             served = dest.snapshots.get(cp.slot)
             if served is None:
                 raise StaleCheckpoint(
@@ -257,8 +244,8 @@ class ArbitrationOracle:
                 )
             if served.state_digest != cp.state_digest:
                 raise StaleCheckpoint("checkpoint digest does not match state")
-            if served.view.to_pubkey != to_checkpoint.signer_public:
-                raise StaleCheckpoint("checkpoint signer is not the operator")
+            if not to_checkpoint.verify(served.view.to_pubkey):
+                raise StaleCheckpoint("checkpoint is not signed by the operator")
 
         self.checkpoint = dest.latest_finalized()
         self.last_seen_slot = dest.slot

@@ -11,7 +11,7 @@ Four subcommands:
   shipped in the package as ``bsa_sim/matrix/NN_<name>.scn``, and exits
   nonzero on any mismatch.
 * ``avail`` prints the duty-cycle bounds an arbitration oracle must
-  meet for the given timing parameters.
+  meet for the given timing parameters, or exits 2 naming a bad flag.
 * ``ceremony --demo`` narrates the deposit setup ceremony, including
   the rejection of a tampered registry copy.
 """
@@ -85,7 +85,25 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+def _avail_problem(args: argparse.Namespace) -> str | None:
+    """The first bad ``avail`` flag, in one line that names it, or ``None``."""
+    for flag in ("--t1", "--t2", "--t3", "--t-op", "--t-check", "--wsp"):
+        value = getattr(args, flag[2:].replace("-", "_"))
+        least = 0 if flag == "--t-op" else 1
+        if value < least:
+            return f"{flag} {value}: must be at least {least}"
+    if args.t2 <= args.t_op:
+        return f"--t2 {args.t2}: must exceed --t-op {args.t_op}"
+    if args.t_check > args.wsp:
+        return f"--t-check {args.t_check}: must not exceed --wsp {args.wsp}"
+    return None
+
+
 def _cmd_avail(args: argparse.Namespace) -> int:
+    problem = _avail_problem(args)
+    if problem is not None:
+        print(f"bsa-sim: avail: {problem}", file=sys.stderr)
+        return 2
     report = availability_report(
         t1=args.t1,
         t2=args.t2,

@@ -4,8 +4,8 @@ The contract registry lives on this chain.  Every ``finality_interval``
 slots the chain emits a finalized checkpoint carrying a digest and a full
 canonical snapshot of registry state; light clients (the arbitration
 oracles) only ever read registry state through one of these snapshots.
-Trusted checkpoints used for light-client resync are the same data
-wrapped with an operator or self-attested signature.
+A checkpoint that re-bootstraps an oracle is one of these, a slot and
+a digest, signed by the operator.
 
 Each finalized state is rendered once per change of state, hashed only
 when its digest is read, and parsed at most once per change:
@@ -39,13 +39,12 @@ when its digest is read, and parsed at most once per change:
 
 One slot-ordered map, ``snapshots``, holds the retained checkpoints; the
 latest finalized is its last entry.  A checkpoint is kept only while
-some oracle could still accept it.  ``sync`` refuses a checkpoint older
-than the oracle's ``default_wsp`` before it reads the snapshot, and
-worlds set that to the chain's period, so ``_finalize`` drops every
-checkpoint more than ``wsp`` slots behind the clock, with its state and
-view.  The latest checkpoint is always kept.  Retention is therefore
-bounded by the period, not by the length of the run: at most
-``wsp // finality_interval + 2`` checkpoints.
+some oracle could still accept it.  ``sync`` refuses a checkpoint more
+than the chain's ``wsp`` slots old before it reads the snapshot, so
+``_finalize`` drops every checkpoint more than ``wsp`` slots behind the
+clock, with its state and view.  The latest checkpoint is always kept.
+Retention is therefore bounded by the period, not by the length of the
+run: at most ``wsp // finality_interval + 2`` checkpoints.
 """
 
 from __future__ import annotations
@@ -67,25 +66,18 @@ class DestChainError(Exception):
 
 
 class FinalizedCheckpoint:
-    """A finalized slot, its timestamp and the digest of its state.
+    """A finalized slot and the digest of its state.
 
     A checkpoint the chain finalizes holds that state, ``(body, clock)``,
     hashes it the first time ``state_digest`` is read and parses it the
     first time ``view`` is; one built with an explicit digest, as a
     forged or transported checkpoint is, holds none.  Equal by value:
-    slot, digest and timestamp."""
+    slot and digest."""
 
-    __slots__ = ("slot", "timestamp", "state", "_digest", "_view")
+    __slots__ = ("slot", "state", "_digest", "_view")
 
-    def __init__(
-        self,
-        slot: int,
-        state_digest: str | None,
-        timestamp: int,
-        state: tuple[_Body, int] | None = None,
-    ):
+    def __init__(self, slot: int, state_digest: str | None, state: tuple[_Body, int] | None = None):
         self.slot = slot
-        self.timestamp = timestamp
         self.state = state
         self._digest = state_digest
         self._view: Registry | None = None
@@ -112,8 +104,8 @@ class FinalizedCheckpoint:
             self._view.current_slot = clock
         return self._view
 
-    def _value(self) -> tuple[int, str, int]:
-        return self.slot, self.state_digest, self.timestamp
+    def _value(self) -> tuple[int, str]:
+        return self.slot, self.state_digest
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FinalizedCheckpoint):
@@ -124,42 +116,30 @@ class FinalizedCheckpoint:
         return hash(self._value())
 
     def __repr__(self) -> str:
-        return "FinalizedCheckpoint(slot=%d, state_digest=%r, timestamp=%d)" % self._value()
+        return "FinalizedCheckpoint(slot=%d, state_digest=%r)" % self._value()
 
     def encode(self) -> bytes:
-        return (
-            self.slot.to_bytes(8, "big")
-            + bytes.fromhex(self.state_digest)
-            + self.timestamp.to_bytes(8, "big")
-        )
-
-
-TO_SIGNER = "token_operator"
-AO_SELF_SIGNER = "ao_self_attested"
+        return self.slot.to_bytes(8, "big") + bytes.fromhex(self.state_digest)
 
 
 @dataclass(frozen=True)
 class SignedCheckpoint:
+    """A checkpoint and a signature, checked against the key ``verify`` is given."""
+
     checkpoint: FinalizedCheckpoint
-    signer_kind: str  # TO_SIGNER | AO_SELF_SIGNER
-    signer_public: Point
     signature: bytes
 
-    def verify(self) -> bool:
-        digest = _checkpoint_digest(self.checkpoint, self.signer_kind)
-        return verify_signature(self.signer_public, digest, self.signature)
+    def verify(self, signer: Point) -> bool:
+        return verify_signature(signer, _checkpoint_digest(self.checkpoint), self.signature)
 
 
-def _checkpoint_digest(cp: FinalizedCheckpoint, signer_kind: str) -> bytes:
-    """What a checkpoint signer signs: the checkpoint under its kind."""
-    return hashlib.sha256(b"checkpoint" + signer_kind.encode() + cp.encode()).digest()
+def _checkpoint_digest(cp: FinalizedCheckpoint) -> bytes:
+    """What a checkpoint signer signs: the checkpoint under its domain tag."""
+    return hashlib.sha256(b"checkpoint" + cp.encode()).digest()
 
 
-def sign_checkpoint(cp: FinalizedCheckpoint, keypair: Keypair, signer_kind: str) -> SignedCheckpoint:
-    if signer_kind not in (TO_SIGNER, AO_SELF_SIGNER):
-        raise DestChainError(f"unknown signer kind {signer_kind!r}")
-    digest = _checkpoint_digest(cp, signer_kind)
-    return SignedCheckpoint(cp, signer_kind, keypair.public, sign_digest(keypair, digest))
+def sign_checkpoint(cp: FinalizedCheckpoint, keypair: Keypair) -> SignedCheckpoint:
+    return SignedCheckpoint(cp, sign_digest(keypair, _checkpoint_digest(cp)))
 
 
 @dataclass
@@ -224,7 +204,7 @@ class DestChain:
                 snapshot[len(head) + len(b"%d" % clock):],
             )
         state = (self._body, clock)
-        new = [FinalizedCheckpoint(s, None, s, state) for s in slots]
+        new = [FinalizedCheckpoint(s, None, state) for s in slots]
         self.snapshots.update((cp.slot, cp) for cp in new)
         # Checkpoints are inserted in slot order, so the expired ones are a
         # prefix; the last one finalized is never in it.

@@ -53,9 +53,9 @@ from .actors import (
 from .arbitration import ArbitrationOracle
 from .attestation import EnclaveImage, MockAttestationAuthority, MockKms
 from .chain import BtcChain, Outpoint, StepSchedule
-from .destchain import DestChain, TO_SIGNER, sign_checkpoint
+from .destchain import DestChain, sign_checkpoint
 from .keys import keypair_from_seed, sign_digest
-from .psbt import AoIdentity, VerificationFailed, run_setup_ceremony
+from .psbt import ACTIVATION_DEPTH, AoIdentity, VerificationFailed, run_setup_ceremony
 from .registry import Registry, UtxoStatus
 from .scenario import ScenarioConfig, parse_scenario
 
@@ -116,10 +116,9 @@ def build_world(config: ScenarioConfig, sar_tamper=None) -> World:
             authority=authority,
             kms=kms,
             seed=f"oracle-seed-{i}".encode(),
-            default_wsp=config.wsp_slots,
         )
         oracle.key_init()
-        oracle.sync(dest, sign_checkpoint(dest.latest_finalized(), to_keypair, TO_SIGNER))
+        oracle.sync(dest, sign_checkpoint(dest.latest_finalized(), to_keypair))
         oracle_actors.append(OracleActor(oracle.name, oracle, behavior, config.t_op_blocks))
 
     dep_keypair = keypair_from_seed(b"depositor-" + config.owner.encode())
@@ -152,7 +151,7 @@ def build_world(config: ScenarioConfig, sar_tamper=None) -> World:
         expected_pcr0=image.pcr0,
         sar_tamper=sar_tamper,
     )
-    dest.advance(6 * config.slots_per_block)
+    dest.advance(ACTIVATION_DEPTH * config.slots_per_block)  # the blocks the ceremony mined
 
     world = World(
         chain=chain,

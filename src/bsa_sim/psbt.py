@@ -61,6 +61,7 @@ from .registry import Registry, UtxoRecord, UtxoStatus, check_timelocks
 
 BASE_FEE_RATE = 1  # sats per weight unit committed at template time
 ANCHOR_VALUE = 330  # dust value carried by anchor outputs
+ACTIVATION_DEPTH = 6  # blocks the ceremony mines over the funding before activation
 
 
 class PsbtError(Exception):
@@ -472,8 +473,8 @@ def run_setup_ceremony(
          unbond request and the two resolve rows to the registry
       3. depositor verifies the registry rows match what they signed
       4. depositor broadcasts the funding transaction
-      5. after 6 confirmations the operator activates the records and
-         mints the wrapped amount
+      5. after ``ACTIVATION_DEPTH`` confirmations the operator activates
+         the records and mints the wrapped amount
 
     Any verification failure aborts before step 4, so an aborted ceremony
     leaves nothing spendable at the vault.
@@ -578,7 +579,7 @@ def run_setup_ceremony(
     }
 
     # step 5: confirmations, activation, mint
-    for _ in range(6):
+    for _ in range(ACTIVATION_DEPTH):
         chain.mine_block()
     for op in instance.deposits:
         registry.activate_on_mint(op, caller="to")

@@ -59,13 +59,16 @@ a ``fee_steps`` height given twice, a ``leak_tokens_at`` or
 ``burn_before_exit = false`` or ``use_leaked_key = true`` without an
 ``exit_at`` (nothing reads them before that height), an empty
 ``owner``, an ``offline`` window that starts below 0 or does not end
-after it starts, an ``exit_deposit_index`` that names no deposit, and ``amounts`` that are
-empty or hold one below ``psbt.MIN_DEPOSIT``, too small to pay the base
-fees and anchors of its pre-signed rows.  So is a value of the wrong
-shape: an ``offline`` window not written ``start..until``, a
-``fee_steps`` item not written ``height:rate``, or an empty item in the
-comma list of ``amounts`` or ``fee_steps`` (``2000,,3000``, ``5:2,``).
-So is a file that is not UTF-8 text.
+after it starts, an ``exit_deposit_index`` that names no deposit,
+``amounts`` that are empty or hold one below ``psbt.MIN_DEPOSIT``, too
+small to pay the base fees and anchors of its pre-signed rows, and an
+``[expect]`` ``protocol_safe`` other than ``depositor_safe and
+operator_safe``, which a missing one defaults to (a missing other key
+defaults to true).  So is a value of the wrong shape: an ``offline``
+window not written ``start..until``, a ``fee_steps`` item not written
+``height:rate``, or an empty item in the comma list of ``amounts`` or
+``fee_steps`` (``2000,,3000``, ``5:2,``).  So is a file that is not
+UTF-8 text.
 """
 
 from __future__ import annotations
@@ -312,8 +315,15 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
     expected_verdicts = None
     if parser.has_section("expect"):
-        verdicts = {**dict.fromkeys(_EXPECT, True), **_values(parser, "expect", _EXPECT)}
-        expected_verdicts = tuple(verdicts[key] for key in _EXPECT)
+        given = _values(parser, "expect", _EXPECT)
+        dep_safe, to_safe = given.get("depositor_safe", True), given.get("operator_safe", True)
+        protocol_safe = dep_safe and to_safe  # as the grader derives it
+        if given.get("protocol_safe", protocol_safe) != protocol_safe:
+            raise ScenarioError(
+                f"[expect] protocol_safe = {str(not protocol_safe).lower()}: a run is"
+                " protocol-safe exactly when it is depositor-safe and operator-safe"
+            )
+        expected_verdicts = (dep_safe, to_safe, protocol_safe)
 
     try:
         depositor = DepositorBehavior(**_values(parser, "depositor", _DEPOSITOR))

@@ -31,7 +31,7 @@ from bsa_sim.availability import (
 )
 from bsa_sim.chain import Outpoint
 from bsa_sim.curve import NUMS_BASE, NUMS_X
-from bsa_sim.destchain import TO_SIGNER, sign_checkpoint
+from bsa_sim.destchain import sign_checkpoint
 from bsa_sim.harness import run_matrix, run_scenario, trust_model_sweep
 from bsa_sim.keys import Transition, build_protocol_addresses, key_address_id, keypair_from_seed
 from bsa_sim.psbt import (
@@ -513,7 +513,7 @@ def test_c08_version_expiry_resync_boundary_and_key_policy(arbworld):
             continue
         except StaleCheckpoint:
             pass
-        cp = sign_checkpoint(w.dest.latest_finalized(), w.to, TO_SIGNER)
+        cp = sign_checkpoint(w.dest.latest_finalized(), w.to)
         w.oracle.sync(w.dest, to_checkpoint=cp)
         boundary_ok.append(w.oracle.last_seen_slot == w.dest.slot)
 

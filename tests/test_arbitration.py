@@ -3,6 +3,7 @@ against an independently written decision function, the status-based
 signing rules, light-client resync boundaries, key custody, and version
 governance gates."""
 
+import copy
 import gc
 import hashlib
 import pickle
@@ -26,11 +27,8 @@ from bsa_sim.attestation import (
 )
 from bsa_sim.chain import BtcChain, Outpoint, SighashFlag, SimTx, StepSchedule, TxInput, TxOutput
 from bsa_sim.destchain import (
-    AO_SELF_SIGNER,
     DestChain,
     FinalizedCheckpoint,
-    SignedCheckpoint,
-    TO_SIGNER,
     _Body,
     sign_checkpoint,
 )
@@ -101,7 +99,7 @@ class ArbWorld:
 
     def resync(self):
         self.dest.advance(self.dest.finality_interval)
-        bootstrap = sign_checkpoint(self.dest.latest_finalized(), self.to, TO_SIGNER)
+        bootstrap = sign_checkpoint(self.dest.latest_finalized(), self.to)
         for oracle in self.oracles:
             if oracle.checkpoint is None:
                 oracle.sync(self.dest, bootstrap)
@@ -389,7 +387,7 @@ def test_outside_oracle_is_rejected_at_the_record_gate(world):
         "outsider", IMAGE, world.authority, world.kms, seed=b"arb-outsider"
     )
     outsider.key_init()
-    outsider.sync(world.dest, sign_checkpoint(world.dest.latest_finalized(), world.to, TO_SIGNER))
+    outsider.sync(world.dest, sign_checkpoint(world.dest.latest_finalized(), world.to))
     tx = world.rebalance_request_tx()
     got = run_rebalance(outsider, world.outpoint, tx)
     assert got == ("reject", 1)
@@ -479,7 +477,7 @@ def test_downtime_at_period_needs_operator_checkpoint():
     w.dest.advance(w.dest.wsp)
     with pytest.raises(StaleCheckpoint):
         oracle.sync(w.dest)
-    cp = sign_checkpoint(w.dest.latest_finalized(), w.to, TO_SIGNER)
+    cp = sign_checkpoint(w.dest.latest_finalized(), w.to)
     oracle.sync(w.dest, to_checkpoint=cp)
     assert oracle.last_seen_slot == w.dest.slot
 
@@ -488,7 +486,7 @@ def test_self_signed_checkpoint_cannot_rebootstrap():
     w = make_sync_world()
     oracle = w.oracle
     w.dest.advance(w.dest.wsp + 1)
-    cp = sign_checkpoint(w.dest.latest_finalized(), oracle.keypair, AO_SELF_SIGNER)
+    cp = sign_checkpoint(w.dest.latest_finalized(), oracle.keypair)
     with pytest.raises(StaleCheckpoint):
         oracle.sync(w.dest, to_checkpoint=cp)
 
@@ -497,7 +495,7 @@ def test_checkpoint_from_non_operator_key_rejected():
     w = make_sync_world()
     oracle = w.oracle
     w.dest.advance(w.dest.wsp + 1)
-    cp = sign_checkpoint(w.dest.latest_finalized(), w.dep, TO_SIGNER)
+    cp = sign_checkpoint(w.dest.latest_finalized(), w.dep)
     with pytest.raises(StaleCheckpoint):
         oracle.sync(w.dest, to_checkpoint=cp)
 
@@ -505,10 +503,9 @@ def test_checkpoint_from_non_operator_key_rejected():
 def test_checkpoint_older_than_default_period_rejected():
     w = make_sync_world()
     oracle = w.oracle
-    oracle.default_wsp = 8
     old = w.dest.latest_finalized()
     w.dest.advance(w.dest.wsp + 9)
-    cp = sign_checkpoint(old, w.to, TO_SIGNER)
+    cp = sign_checkpoint(old, w.to)
     with pytest.raises(StaleCheckpoint):
         oracle.sync(w.dest, to_checkpoint=cp)
 
@@ -518,11 +515,11 @@ def test_checkpoint_with_tampered_digest_rejected():
     oracle = w.oracle
     w.dest.advance(w.dest.wsp)
     latest = w.dest.latest_finalized()
-    forged_digest = FinalizedCheckpoint(latest.slot, "ab" * 32, latest.timestamp)
+    forged_digest = FinalizedCheckpoint(latest.slot, "ab" * 32)
     # a slot the chain never finalized fails closed too, naming the slot
-    forged_slot = FinalizedCheckpoint(latest.slot + 1, latest.state_digest, latest.timestamp + 1)
+    forged_slot = FinalizedCheckpoint(latest.slot + 1, latest.state_digest)
     for forged, reason in ((forged_digest, "digest"), (forged_slot, f"slot {latest.slot + 1}")):
-        cp = sign_checkpoint(forged, w.to, TO_SIGNER)
+        cp = sign_checkpoint(forged, w.to)
         with pytest.raises(StaleCheckpoint, match=reason):
             oracle.sync(w.dest, to_checkpoint=cp)
     assert oracle.last_seen_slot < w.dest.slot
@@ -533,11 +530,48 @@ def test_tampered_digest_rejected_after_another_oracle_parsed_the_slot():
     late, honest = w.oracles
     w.dest.advance(w.dest.wsp)
     latest = w.dest.latest_finalized()
-    honest.sync(w.dest, sign_checkpoint(latest, w.to, TO_SIGNER))  # parses latest.slot
-    forged = FinalizedCheckpoint(latest.slot, "ab" * 32, latest.timestamp)
+    honest.sync(w.dest, sign_checkpoint(latest, w.to))  # parses latest.slot
+    forged = FinalizedCheckpoint(latest.slot, "ab" * 32)
     with pytest.raises(StaleCheckpoint, match="digest"):
-        late.sync(w.dest, to_checkpoint=sign_checkpoint(forged, w.to, TO_SIGNER))
+        late.sync(w.dest, to_checkpoint=sign_checkpoint(forged, w.to))
     assert late.view is not honest.view
+
+
+def test_rebootstrap_accepts_exactly_a_served_operator_checkpoint_within_the_period():
+    """Every signer, every age from one slot ahead to twice the period,
+    true and forged digests: ``sync`` succeeds exactly when the operator
+    signed a checkpoint of a finalized slot at most ``wsp`` slots old with
+    the digest the chain finalized, and every refusal leaves the oracle
+    as it was."""
+    w = ArbWorld(n_oracles=1, wsp=8, interval=2)
+    finalized = {cp.slot: cp.state_digest for cp in w.dest.snapshots.values()}
+    for _ in range(3 * w.dest.wsp):  # odd slots are never finalized
+        finalized.update((cp.slot, cp.state_digest) for cp in w.dest.advance(1))
+    now, wsp = w.dest.slot, w.dest.wsp
+    offline = w.oracle
+    assert now - offline.last_seen_slot >= wsp
+    signers = {"operator": w.to, "oracle": offline.keypair, "depositor": w.dep}
+    accepted = 0
+    for age in range(-1, 2 * wsp + 1):
+        slot = now - age
+        true_digest = finalized.get(slot, finalized[max(s for s in finalized if s <= slot)])
+        for forged in (False, True):
+            digest = "ab" * 32 if forged else true_digest
+            for name, keypair in signers.items():
+                oracle = copy.copy(offline)
+                signed = sign_checkpoint(FinalizedCheckpoint(slot, digest), keypair)
+                case = (age, forged, name)
+                if name == "operator" and 0 <= age <= wsp and slot in finalized and not forged:
+                    oracle.sync(w.dest, to_checkpoint=signed)
+                    assert oracle.checkpoint is w.dest.latest_finalized(), case
+                    assert oracle.last_seen_slot == now, case
+                    accepted += 1
+                else:
+                    with pytest.raises(StaleCheckpoint):
+                        oracle.sync(w.dest, to_checkpoint=signed)
+                    assert oracle.checkpoint is offline.checkpoint, case
+                    assert oracle.last_seen_slot == offline.last_seen_slot, case
+    assert accepted == wsp // w.dest.finality_interval + 1
 
 
 # -- finalized-state retention ------------------------------------------------
@@ -595,12 +629,11 @@ def test_checkpoint_default_wsp_old_rebootstraps_and_one_older_is_refused(step, 
     for extra in (0, 1):
         w = make_sync_world(wsp)
         oracle = w.oracle
-        oracle.default_wsp = w.dest.wsp  # as build_world sets it
         old = w.dest.latest_finalized()
-        age = oracle.default_wsp + extra
+        age = w.dest.wsp + extra
         for n in [step] * age if step else [age]:
             w.dest.advance(n)
-        cp = sign_checkpoint(old, w.to, TO_SIGNER)
+        cp = sign_checkpoint(old, w.to)
         if extra == 0:
             oracle.sync(w.dest, to_checkpoint=cp)
             assert oracle.last_seen_slot == w.dest.slot
@@ -608,16 +641,6 @@ def test_checkpoint_default_wsp_old_rebootstraps_and_one_older_is_refused(step, 
             assert old.slot not in w.dest.snapshots
             with pytest.raises(StaleCheckpoint, match=f"{age} slots old"):
                 oracle.sync(w.dest, to_checkpoint=cp)
-
-
-def test_evicted_checkpoint_within_a_longer_oracle_period_is_not_served():
-    w = make_sync_world()
-    oracle = w.oracle
-    assert oracle.default_wsp > w.dest.wsp
-    old = w.dest.latest_finalized()
-    w.dest.advance(w.dest.wsp + 1)
-    with pytest.raises(StaleCheckpoint, match="no longer served"):
-        oracle.sync(w.dest, to_checkpoint=sign_checkpoint(old, w.to, TO_SIGNER))
 
 
 # -- one render and one parse per change of state -----------------------------

@@ -210,6 +210,13 @@ def test_parse_rejections():
          "[deposit] amounts = '2000,': an item of the list is empty"),
         ("[params]\nfee_steps = 5:2,\n",
          "[params] fee_steps = '5:2,': an item of the list is empty"),
+        ("[expect]\ndepositor_safe = false\nprotocol_safe = true\n",
+         "[expect] protocol_safe = true: a run is protocol-safe exactly when"),
+        ("[expect]\noperator_safe = false\nprotocol_safe = true\n",
+         "[expect] protocol_safe = true: "),
+        ("[expect]\nprotocol_safe = false\n", "[expect] protocol_safe = false: "),
+        ("[expect]\ndepositor_safe = true\noperator_safe = true\nprotocol_safe = false\n",
+         "[expect] protocol_safe = false: "),
     ],
     ids=[
         "exit-index-past-end", "exit-index-negative", "empty-window", "reversed-window",
@@ -229,12 +236,31 @@ def test_parse_rejections():
         "negative-false-rebalance-at", "negative-amount", "amount-below-min-deposit",
         "empty-owner", "window-without-dots", "window-of-three", "fee-step-without-colon",
         "fee-step-of-three", "amounts-empty-item", "amounts-trailing-comma",
-        "fee-steps-trailing-comma",
+        "fee-steps-trailing-comma", "expect-protocol-safe-depositor-not",
+        "expect-protocol-safe-operator-not", "expect-protocol-unsafe-by-default",
+        "expect-protocol-unsafe-both-safe",
     ],
 )
 def test_parse_rejects_out_of_range_values(text, where):
     with pytest.raises(ScenarioError, match=re.escape(where)):
         parse_scenario(text)
+
+
+@pytest.mark.parametrize(
+    "text, triple",
+    [
+        ("[expect]\n", (True, True, True)),
+        ("[expect]\ndepositor_safe = false\n", (False, True, False)),
+        ("[expect]\noperator_safe = false\n", (True, False, False)),
+        ("[expect]\ndepositor_safe = false\noperator_safe = false\n", (False, False, False)),
+        ("[expect]\noperator_safe = false\nprotocol_safe = false\n", (True, False, False)),
+    ],
+    ids=["empty", "depositor-unsafe", "operator-unsafe", "both-unsafe", "all-given"],
+)
+def test_a_missing_expected_protocol_verdict_follows_the_other_two(text, triple):
+    """The grader derives protocol safety from the other two verdicts,
+    so a file expects only what a run can produce."""
+    assert parse_scenario(text).expected_verdicts == triple
 
 
 def test_a_leak_of_nothing_is_refused_when_built():
@@ -413,13 +439,14 @@ def test_cli_run_graded_ok(capsys):
 
 def test_cli_run_mismatch_exits_nonzero(tmp_path, capsys):
     text = (SCENARIO_DIR / "honest_exit.scn").read_text()
+    text = text.replace("depositor_safe = true", "depositor_safe = false")
     text = text.replace("protocol_safe = true", "protocol_safe = false")
     path = tmp_path / "wrong.scn"
     path.write_text(text)
     code = main(["run", str(path)])
     out = capsys.readouterr().out
     assert code == 1
-    assert "MISMATCH: expected Y/Y/N, got Y/Y/Y" in out
+    assert "MISMATCH: expected N/Y/N, got Y/Y/Y" in out
 
 
 def test_cli_run_malformed_file_exits_two_naming_the_key(tmp_path, capsys):
@@ -477,6 +504,41 @@ def test_cli_avail_prints_report(capsys):
     assert code == 0
     assert "challenge-response uptime bound: 0.934722" in out
     assert "required uptime:                 0.934722" in out
+
+
+AVAIL = {"--t1": "24", "--t2": "48", "--t3": "720", "--t-op": "1", "--t-check": "4", "--wsp": "1344"}
+
+
+@pytest.mark.parametrize(
+    "changed, flag",
+    [
+        ({"--t1": "0"}, "--t1"),
+        ({"--t1": "-24", "--t-op": "-1"}, "--t1"),
+        ({"--t2": "0"}, "--t2"),
+        ({"--t3": "-5"}, "--t3"),
+        ({"--t-op": "-1"}, "--t-op"),
+        ({"--t-check": "0"}, "--t-check"),
+        ({"--wsp": "0"}, "--wsp"),
+        ({"--t2": "1", "--t-op": "1"}, "--t2"),
+        ({"--t-check": "1345"}, "--t-check"),
+    ],
+    ids=["zero-t1", "negative-t1-and-t-op", "zero-t2", "negative-t3", "negative-t-op",
+         "zero-t-check", "zero-wsp", "t2-not-above-t-op", "t-check-above-wsp"],
+)
+def test_cli_avail_bad_value_exits_two_naming_the_flag(changed, flag, capsys):
+    argv = ["avail"] + [item for pair in {**AVAIL, **changed}.items() for item in pair]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"bsa-sim: avail: {flag} ")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_avail_accepts_the_edges(capsys):
+    """``t_op`` may be 0, ``t2`` one above it, and ``t_check`` the whole period."""
+    edges = {"--t1": "1", "--t2": "1", "--t3": "1", "--t-op": "0", "--t-check": "7", "--wsp": "7"}
+    assert main(["avail"] + [item for pair in edges.items() for item in pair]) == 0
+    assert "sync uptime bound:               1.000000" in capsys.readouterr().out
 
 
 def test_cli_ceremony_demo(capsys):
