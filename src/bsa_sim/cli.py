@@ -24,6 +24,7 @@ import sys
 
 from .availability import availability_report
 from .harness import ceremony_demo, run_matrix, run_scenario
+from .registry import TimelockRelationViolated, check_timelocks
 from .scenario import ScenarioError, load_scenario
 
 
@@ -96,6 +97,10 @@ def _avail_problem(args: argparse.Namespace) -> str | None:
         return f"--t2 {args.t2}: must exceed --t-op {args.t_op}"
     if args.t_check > args.wsp:
         return f"--t-check {args.t_check}: must not exceed --wsp {args.wsp}"
+    try:
+        check_timelocks(args.t1, args.t2, args.t3, slots_per_block=1)
+    except TimelockRelationViolated as exc:
+        return f"--t3 {args.t3}: {exc}"
     return None
 
 

@@ -175,6 +175,9 @@ class TokenLedger:
     total_burned: int = 0
     log: list[dict] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        self.writes = 0  # mint, burn and transfer calls that succeeded; not exported
+
     def balance(self, account: str) -> int:
         return self.balances.get(account, 0)
 
@@ -184,6 +187,7 @@ class TokenLedger:
         self.balances[account] = self.balance(account) + amount
         self.total_minted += amount
         self.log.append({"op": "mint", "account": account, "amount": amount})
+        self.writes += 1
 
     def burn(self, account: str, amount: int) -> None:
         if amount <= 0:
@@ -193,6 +197,7 @@ class TokenLedger:
         self.balances[account] -= amount
         self.total_burned += amount
         self.log.append({"op": "burn", "account": account, "amount": amount})
+        self.writes += 1
 
     def transfer(self, src: str, dst: str, amount: int) -> None:
         if amount <= 0:
@@ -202,6 +207,7 @@ class TokenLedger:
         self.balances[src] -= amount
         self.balances[dst] = self.balance(dst) + amount
         self.log.append({"op": "transfer", "src": src, "dst": dst, "amount": amount})
+        self.writes += 1
 
     def outstanding(self) -> int:
         return self.total_minted - self.total_burned
@@ -231,8 +237,13 @@ def _in_effect_order(upgrades: list[tuple[dict, int]]) -> list[tuple[dict, int]]
 
 
 class Registry:
+    """The contract's state.  It changes only through these methods and
+    the ledger's; each that writes exported state counts a success in its
+    object's ``writes``, and the destination chain renders when one moves."""
+
     def __init__(self, t1: int, t2: int, t3: int, slots_per_block: int, to_pubkey: Point):
         check_timelocks(t1, t2, t3, slots_per_block)
+        self.writes = 0
         self.t1 = t1
         self.t2 = t2
         self.t3 = t3
@@ -255,6 +266,7 @@ class Registry:
     def store_tweak_data(self, tweak_data: TweakData) -> str:
         digest = tweak_data.digest_hex()
         self.tweaks[digest] = tweak_data.to_dict()
+        self.writes += 1
         return digest
 
     def register_deposit(self, record: UtxoRecord, caller: str) -> None:
@@ -272,6 +284,7 @@ class Registry:
         # no record is ever removed: the owner's count is the next index
         record.rebalance_position = sum(r.owner == record.owner for r in self.records.values())
         self.records[record.outpoint] = record
+        self.writes += 1
 
     def get_record(self, outpoint: str) -> UtxoRecord:
         if outpoint not in self.records:
@@ -288,6 +301,7 @@ class Registry:
         _check_move(record, UtxoStatus.ACTIVE, caller)
         self.ledger.mint(record.owner, record.amount)
         record.status = UtxoStatus.ACTIVE
+        self.writes += 1
 
     def burn_deposit(self, outpoint: str, caller: str) -> None:
         """Full per-UTXO burn: burns exactly the record amount and flips the
@@ -297,12 +311,14 @@ class Registry:
         _check_move(record, UtxoStatus.WITHDRAWN, caller)
         self.ledger.burn(record.owner, record.amount)
         record.status = UtxoStatus.WITHDRAWN
+        self.writes += 1
 
     def reject_deposit(self, outpoint: str, caller: str) -> None:
         """Owner exits before activation; nothing was minted."""
         record = self.get_record(outpoint)
         _check_move(record, UtxoStatus.REJECTED, caller)
         record.status = UtxoStatus.REJECTED
+        self.writes += 1
 
     # -- imbalance and rebalancing ------------------------------------------
 
@@ -341,6 +357,7 @@ class Registry:
         if sorted(permutation) != list(range(len(permutation))):
             raise NotAPermutation(str(permutation))
         self.orders[owner] = list(permutation)
+        self.writes += 1
 
     def select_for_rebalance(self, owner: str, delta: int) -> list[UtxoRecord]:
         """Shortest prefix of the owner-ordered active records whose sum
@@ -376,6 +393,7 @@ class Registry:
             over_seizure=over,
         )
         self.rebalance_events.append(event)
+        self.writes += 1
         return event
 
     def record_claim_paid(self, owner: str, amount: int, caller: str) -> None:
@@ -387,6 +405,7 @@ class Registry:
             raise RegistryError(f"claim payment {amount} vs owed {owed}")
         self.claimable[owner] = owed - amount
         self.claim_paid[owner] = self.claim_paid.get(owner, 0) + amount
+        self.writes += 1
 
     # -- adapters --------------------------------------------------------------
 
@@ -404,6 +423,7 @@ class Registry:
             adapter.removal_effective_at = self.current_slot + self.t3
         else:
             raise RegistryError(f"unknown adapter action {action!r}")
+        self.writes += 1
 
     # -- enclave versions --------------------------------------------------------
 
@@ -417,6 +437,7 @@ class Registry:
         if not verify_signature(self.to_pubkey, self.version_payload(pcr0, expiry), signature):
             raise SignatureInvalid("version expiry needs a valid operator signature")
         self.versions[pcr0] = (expiry, signature.hex())
+        self.writes += 1
 
     def get_version_expiry(self, pcr0: str) -> int | None:
         entry = self.versions.get(pcr0)
@@ -439,12 +460,13 @@ class Registry:
             t3 = pending.get("t3", t3)
             check_timelocks(t1, t2, t3, self.slots_per_block)
         self.pending_upgrades = queued
+        self.writes += 1
         return effective_at
 
     def apply_due_upgrades(self) -> None:
-        if not self.pending_upgrades:
-            return
         due = [u for u in self.pending_upgrades if self.current_slot >= u[1]]
+        if not due:
+            return
         for change, _ in _in_effect_order(due):
             self.t1 = change.get("t1", self.t1)
             self.t2 = change.get("t2", self.t2)
@@ -452,6 +474,7 @@ class Registry:
         self.pending_upgrades = [
             u for u in self.pending_upgrades if self.current_slot < u[1]
         ]
+        self.writes += 1
 
     # -- canonical snapshot ---------------------------------------------------
 
@@ -479,23 +502,6 @@ class Registry:
             # a retired section, kept empty so every digest stays as it was
             "collaborative_pending": {},
         }
-
-    def body_key(self) -> tuple[list, dict]:
-        """Everything the canonical snapshot holds but its clock, as field
-        values that are cheap to build and compare: one tuple of each
-        record's fields, and ``_sections()``.  Equal keys give equal
-        snapshots at equal ``current_slot``.  The record tuples are new
-        and hold only immutable values, but the sections are the
-        registry's own objects, so a caller that keeps a key must copy
-        them.  The records are a list: ``tuple()`` over a generator
-        resizes its result, and CPython then keeps every dropped key on
-        its tuple free list."""
-        records = [
-            (k, r.outpoint, r.owner, r.amount, r.status, r.tweak_digest,
-             tuple(r.psbts.items()), r.rebalance_position)
-            for k, r in self.records.items()
-        ]
-        return records, self._sections()
 
     def export_snapshot(self) -> str:
         """The canonical state: sorted keys, no whitespace."""

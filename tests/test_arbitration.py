@@ -112,10 +112,12 @@ class ArbWorld:
 
     def set_status(self, status: UtxoStatus):
         self.registry.records[self.outpoint].status = status
+        self.registry.writes += 1  # no registry method made the write, so declare it
         self.resync()
 
     def set_version_expiry(self, expiry: int):
         self.registry.versions.pop(IMAGE.pcr0, None)
+        self.registry.writes += 1  # no registry method made the write, so declare it
         if expiry is not None:
             self.registry.set_version_expiry(
                 IMAGE.pcr0, expiry,

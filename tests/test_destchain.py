@@ -1,17 +1,27 @@
 """Finalized state on the destination chain: whatever the registry does
 between advances, every retained checkpoint carries the digest, the text
 and the parsed view of a full export taken when it was finalized, and
-views of different checkpoints share nothing mutable."""
+views of different checkpoints share nothing mutable.
+
+The chain renders only when a write count moved, so every method of
+``Registry`` and ``TokenLedger`` is listed here as a counted writer or
+as a reader, and whole graded runs check each new checkpoint against a
+fresh export.  A test that writes a field in place declares the write
+(``reg.writes += 1``)."""
 
 import dataclasses
 import hashlib
 import itertools
+import json
+import pathlib
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsa_sim.destchain import DestChain, _Body
+from bsa_sim.harness import MATRIX_DIR, random_adversarial_config, run_scenario
 from bsa_sim.keys import TweakData, key_address_id, keypair_from_seed, sign_digest
 from bsa_sim.registry import (
     REQUIRED_PSBT_SLOTS,
@@ -19,9 +29,11 @@ from bsa_sim.registry import (
     RebalanceEvent,
     Registry,
     RegistryError,
+    TokenLedger,
     UtxoRecord,
     UtxoStatus,
 )
+from bsa_sim.scenario import load_scenario
 
 # The example count comes from the Hypothesis profile (tests/conftest.py).
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None)
@@ -46,6 +58,7 @@ TWEAKS = [
 ]
 PCR0S = ("aa" * 48, "bb" * 48)
 ADAPTERS = ("pool-1", "pool-2")
+SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def outpoint(i: int) -> str:
@@ -104,6 +117,7 @@ def rebalance(reg: Registry, owner: str, moved: int) -> None:
 def rewrite_row(reg: Registry, i: int, slot: str) -> None:
     """A stored row rewritten in place, as a tampered record would be."""
     nth_record(reg, i).psbts[slot] = f'{{"row":"rewritten","step":{i}}}'
+    reg.writes += 1  # no registry method made the write, so declare it
 
 
 def pay_claim(reg: Registry, owner: str, amount: int) -> None:
@@ -115,6 +129,11 @@ def reorder(reg: Registry, owner: str, shift: int) -> None:
     """``owner`` orders their active records, rotated by ``shift``."""
     positions = list(range(len(reg.active_records(owner))))
     reg.set_rebalance_order(owner, positions[shift:] + positions[:shift], caller=owner)
+
+
+def rewrite(reg: Registry, section: str, n: int) -> None:
+    REWRITES[section](reg, n)
+    reg.writes += 1  # no registry method made the write, so declare it
 
 
 # sections that no registry method writes alone, each rewritten in place
@@ -154,7 +173,7 @@ OPERATIONS = {
         st.sampled_from(ADAPTERS),
     ),
     "rewrite": (
-        lambda reg, section, n: REWRITES[section](reg, n),
+        rewrite,
         st.sampled_from(sorted(REWRITES)),
         st.integers(1, 40),
     ),
@@ -288,9 +307,8 @@ def changed(value):
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(UtxoRecord)])
 def test_a_change_to_any_record_field_is_finalized(name):
-    """Finality re-renders only when ``body_key`` changes, so every
-    record field must be in it: a change to any one of them alone
-    reaches the next checkpoint."""
+    """A change to any one record field, written in place and declared
+    as a write, reaches the next checkpoint."""
     reg = Registry(4, 6, 30, 2, TO.public)
     dest = DestChain(reg, finality_interval=INTERVAL, wsp=WSP)
     reg.store_tweak_data(TWEAKS[0])
@@ -298,6 +316,162 @@ def test_a_change_to_any_record_field_is_finalized(name):
     dest.advance(INTERVAL)
     record = reg.records[outpoint(0)]
     setattr(record, name, changed(getattr(record, name)))
+    reg.writes += 1  # no registry method made the write, so declare it
     dest.advance(INTERVAL)
     fresh = hashlib.sha256(reg.export_snapshot().encode()).hexdigest()
     assert dest.latest_finalized().state_digest == fresh
+
+
+def populated() -> Registry:
+    """A registry on which each call in ``WRITERS`` succeeds: a registered
+    record (3), active records of every owner, an imbalance of
+    ``acct:b``'s, over-seizure owed to ``acct:c``, an adapter and an
+    upgrade due at slot 30."""
+    reg = Registry(4, 6, 30, 2, TO.public)
+    reg.store_tweak_data(TWEAKS[0])
+    for i, (owner, amount) in enumerate(
+        [(OWNERS[0], 700), (OWNERS[0], 300), (OWNERS[1], 500), (OWNERS[0], 200), (OWNERS[2], 600)]
+    ):
+        register(reg, i, owner, amount)
+    for i in (0, 1, 2, 4):
+        reg.activate_on_mint(outpoint(i), caller="to")
+    reg.ledger.transfer(OWNERS[1], "acct:pool", 200)
+    reg.ledger.transfer(OWNERS[2], "acct:pool", 100)
+    reg.mark_rebalance(OWNERS[2], 100, caller="to")
+    reg.adapter_admin("add", ADAPTERS[0], caller="to")
+    reg.schedule_upgrade({"t3": 31}, caller="to")
+    return reg
+
+
+def due_upgrade(reg: Registry) -> None:
+    reg.current_slot = 30  # the chain's clock, which is not a write
+    reg.apply_due_upgrades()
+
+
+# every method that writes exported state -> a call of it that succeeds
+# on ``populated()``; each must add to its object's ``writes``
+WRITERS = {
+    "Registry.store_tweak_data": lambda reg: reg.store_tweak_data(TWEAKS[1]),
+    "Registry.register_deposit": lambda reg: register(reg, 9, OWNERS[1], 400),
+    "Registry.activate_on_mint": lambda reg: reg.activate_on_mint(outpoint(3), caller="to"),
+    "Registry.burn_deposit": lambda reg: reg.burn_deposit(outpoint(0), caller=OWNERS[0]),
+    "Registry.reject_deposit": lambda reg: reg.reject_deposit(outpoint(3), caller=OWNERS[0]),
+    "Registry.set_rebalance_order": lambda reg: reorder(reg, OWNERS[0], 1),
+    "Registry.mark_rebalance": lambda reg: reg.mark_rebalance(OWNERS[1], 200, caller="to"),
+    "Registry.record_claim_paid": lambda reg: reg.record_claim_paid(OWNERS[2], 100, caller="to"),
+    "Registry.adapter_admin": lambda reg: reg.adapter_admin("remove", ADAPTERS[0], caller="to"),
+    "Registry.set_version_expiry": lambda reg: set_expiry(reg, PCR0S[0], 100),
+    "Registry.schedule_upgrade": lambda reg: reg.schedule_upgrade({"t3": 32}, caller="to"),
+    "Registry.apply_due_upgrades": due_upgrade,
+    "TokenLedger.mint": lambda reg: reg.ledger.mint(OWNERS[0], 5),
+    "TokenLedger.burn": lambda reg: reg.ledger.burn(OWNERS[0], 5),
+    "TokenLedger.transfer": lambda reg: reg.ledger.transfer(OWNERS[0], "acct:pool", 5),
+}
+
+# every other public method -> a call of it; none may write
+READERS = {
+    "Registry.get_record": lambda reg: reg.get_record(outpoint(0)),
+    "Registry.get_stored_psbt": lambda reg: reg.get_stored_psbt(outpoint(0), REQUIRED_PSBT_SLOTS[0]),
+    "Registry.active_records": lambda reg: reg.active_records(OWNERS[0]),
+    "Registry.perimeter_balance": lambda reg: reg.perimeter_balance(OWNERS[1]),
+    "Registry.detect_imbalance": lambda reg: reg.detect_imbalance(OWNERS[1]),
+    "Registry.select_for_rebalance": lambda reg: reg.select_for_rebalance(OWNERS[0], 800),
+    "Registry.version_payload": lambda reg: reg.version_payload(PCR0S[0], 100),
+    "Registry.get_version_expiry": lambda reg: reg.get_version_expiry(PCR0S[0]),
+    "Registry.export_snapshot": lambda reg: reg.export_snapshot(),
+    "Registry.snapshot_head": lambda reg: reg.snapshot_head(),
+    "Registry.state_digest": lambda reg: reg.state_digest(),
+    "Registry.import_snapshot": lambda reg: Registry.import_snapshot(reg.export_snapshot()),
+    "TokenLedger.balance": lambda reg: reg.ledger.balance(OWNERS[0]),
+    "TokenLedger.outstanding": lambda reg: reg.ledger.outstanding(),
+}
+
+
+def public_methods(cls: type) -> set[str]:
+    return {
+        f"{cls.__name__}.{name}"
+        for name in vars(cls)
+        if not name.startswith("_") and callable(getattr(cls, name))
+    }
+
+
+def counts(reg: Registry) -> tuple[int, int]:
+    return reg.writes, reg.ledger.writes
+
+
+def body(reg: Registry) -> dict:
+    """The exported state without its clock."""
+    state = json.loads(reg.export_snapshot())
+    del state["current_slot"]
+    return state
+
+
+def test_every_public_method_is_a_counted_writer_or_a_reader():
+    """A new method fails here until it is listed as a writer, which
+    must count its writes, or as a reader."""
+    assert not set(WRITERS) & set(READERS)
+    assert set(WRITERS) | set(READERS) == public_methods(Registry) | public_methods(TokenLedger)
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_a_writer_that_succeeds_counts_its_write(name):
+    reg = populated()
+    counter = reg.ledger if name.startswith("TokenLedger.") else reg
+    before, state = counter.writes, body(reg)
+    WRITERS[name](reg)
+    assert counter.writes == before + 1
+    assert body(reg) != state
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_a_reader_writes_nothing(name):
+    reg = populated()
+    before, state = counts(reg), body(reg)
+    READERS[name](reg)
+    assert counts(reg) == before
+    assert body(reg) == state
+
+
+def test_an_advance_renders_only_when_a_count_moved():
+    """Advances before the queued upgrade is due count no write and keep
+    the body; the advance that applies it counts one and renders."""
+    reg = populated()
+    dest = DestChain(reg, finality_interval=INTERVAL, wsp=WSP)
+    before, rendered = counts(reg), dest._body
+    for _ in range(7):  # to slot 28; the upgrade is due at 30
+        dest.advance(INTERVAL)
+        assert counts(reg) == before and dest._body is rendered
+    dest.advance(INTERVAL)
+    assert counts(reg) == (before[0] + 1, before[1]) and dest._body is not rendered
+    assert dest.latest_finalized().view.t3 == 31
+
+
+def whole_runs() -> list:
+    """The graded scenario files, then the first 20 draws of the
+    trust-model sweep (seed 7)."""
+    files = sorted(SCENARIO_DIR.glob("*.scn")) + sorted(MATRIX_DIR.glob("*.scn"))
+    rng = random.Random(7)
+    return [load_scenario(str(path)) for path in files] + [
+        random_adversarial_config(rng, i) for i in range(20)
+    ]
+
+
+@pytest.mark.parametrize("config", whole_runs(), ids=lambda config: config.name)
+def test_every_checkpoint_of_a_whole_run_is_its_fresh_export(config, monkeypatch):
+    """No write path in ``src/`` goes uncounted: block by block, after
+    every advance that finalizes, the newest checkpoint's digest is that
+    of a fresh export of the registry."""
+    advance = DestChain.advance
+    checked_slots = []
+
+    def checked(dest: DestChain, n_slots: int):
+        new = advance(dest, n_slots)
+        if new:
+            fresh = hashlib.sha256(dest.registry.export_snapshot().encode()).hexdigest()
+            assert dest.latest_finalized().state_digest == fresh
+            checked_slots.append(dest.slot)
+        return new
+
+    monkeypatch.setattr(DestChain, "advance", checked)
+    run_scenario(config)
+    assert checked_slots

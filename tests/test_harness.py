@@ -521,9 +521,12 @@ AVAIL = {"--t1": "24", "--t2": "48", "--t3": "720", "--t-op": "1", "--t-check": 
         ({"--wsp": "0"}, "--wsp"),
         ({"--t2": "1", "--t-op": "1"}, "--t2"),
         ({"--t-check": "1345"}, "--t-check"),
+        ({"--t3": "60"}, "--t3"),
+        ({"--t3": "72"}, "--t3"),
     ],
     ids=["zero-t1", "negative-t1-and-t-op", "zero-t2", "negative-t3", "negative-t-op",
-         "zero-t-check", "zero-wsp", "t2-not-above-t-op", "t-check-above-wsp"],
+         "zero-t-check", "zero-wsp", "t2-not-above-t-op", "t-check-above-wsp",
+         "t3-below-t1-plus-t2", "t3-equal-to-t1-plus-t2"],
 )
 def test_cli_avail_bad_value_exits_two_naming_the_flag(changed, flag, capsys):
     argv = ["avail"] + [item for pair in {**AVAIL, **changed}.items() for item in pair]
@@ -535,8 +538,9 @@ def test_cli_avail_bad_value_exits_two_naming_the_flag(changed, flag, capsys):
 
 
 def test_cli_avail_accepts_the_edges(capsys):
-    """``t_op`` may be 0, ``t2`` one above it, and ``t_check`` the whole period."""
-    edges = {"--t1": "1", "--t2": "1", "--t3": "1", "--t-op": "0", "--t-check": "7", "--wsp": "7"}
+    """``t_op`` may be 0, ``t2`` one above it, ``t3`` one above ``t1 + t2``
+    and ``t_check`` the whole period."""
+    edges = {"--t1": "1", "--t2": "1", "--t3": "3", "--t-op": "0", "--t-check": "7", "--wsp": "7"}
     assert main(["avail"] + [item for pair in edges.items() for item in pair]) == 0
     assert "sync uptime bound:               1.000000" in capsys.readouterr().out
 
