@@ -20,19 +20,17 @@ No actor keeps a record of where a deposit stands.  ``World.vaults``
 holds each deposit's instance and vault ``Outpoint``, parsed once.
 ``World.resting`` maps each moved deposit to the output its spine
 (``BtcChain.spine_end``) rests on and that output's address kind
-(``ProtocolInstance.address_kinds``).  The world keeps it across
-blocks: it maps each deposit's spine end to the deposit, and when the
-chain has spent an outpoint since the last reading
-(``BtcChain.spent_since``) it follows again only the spines that ended
-there, however the block was mined.  A quiet block therefore follows no
-spine.  ``World.read_resting`` makes the same reading afresh, for the
-grader after the last block and for the tests.  The operator challenges
-an unbonding output whose record still holds tokens and claims a
-challenge output older than t2, and the depositor finalizes or watches
-its exit.  The oracles arbitrate challenge outputs: each scans the
-instances that list its key (``World.instances_of``, built once), and
-only while a challenge output rests (``World.challenge_rests``); it
-syncs to the latest checkpoint every block.  A burn or token leak that
+(``ProtocolInstance.address_kinds``).  It is ``World.read_resting()``,
+the one reading the grader makes after the last block too, kept until
+the count of the chain's spent outpoints (``BtcChain.spent_by``) moves,
+however the block was mined; then every spine is read again.  A quiet
+block therefore follows no spine.  The operator challenges an unbonding
+output whose record still holds tokens and claims a challenge output
+older than t2, and the depositor finalizes or watches its exit.  The
+oracles arbitrate challenge outputs: each scans the instances that list
+its key (``World.instances_of``, built once), and only while a
+challenge output rests (``World.challenge_rests``); it syncs to the
+latest checkpoint every block.  A burn or token leak that
 the ledger refuses moves nothing: the depositor logs ``burn_refused``
 or ``leak_refused`` and tries again the next block.
 What actors keep records attempts, not outcomes, since a request the
@@ -515,15 +513,7 @@ class World:
         for instance in instances:
             for key in dict.fromkeys(instance.tweak_data.ao_pks):
                 self.instances_of.setdefault(key, []).append(instance)
-        # what ``resting`` keeps across blocks: the reading, each spine end ->
-        # the deposits whose spine ends there, and how many of the chain's
-        # spent outpoints it has followed
-        self._resting: dict[str, tuple[ProtocolInstance, Utxo, str | None]] = {}
-        self._ends: dict[Outpoint, list[str]] = {
-            vault: [deposit] for deposit, (_, vault) in self.vaults.items()
-        }
-        self._spent_read = 0
-        self._catch_up()
+        self._reread()  # ``resting``, read again once a block has spent
         self.dest_halted_at: int | None = None  # height after which finality stalls
         self.leaked_oracle_keypair: Keypair | None = None
         for actor in oracles:
@@ -597,50 +587,33 @@ class World:
         chain = self.chain
         resting = {}
         for deposit, (instance, vault) in self.vaults.items():
-            end, moved_at = chain.spine_end(vault)
-            utxo = None if moved_at is None else chain.utxo_set.get(end)
+            end = chain.spine_end(vault)
+            utxo = None if end == vault else chain.utxo_set.get(end)
             if utxo is not None:
                 resting[deposit] = (instance, utxo, instance.address_kinds.get(utxo.address_id))
         return resting
 
     @property
     def resting(self) -> dict[str, tuple[ProtocolInstance, Utxo, str | None]]:
-        """``read_resting()`` as of the last confirmed block, in the same
-        order, kept across blocks: only a deposit whose spine end a block
-        spent is followed again, from that end, however the block was
-        mined.  Read-only."""
+        """``read_resting()`` as of the last confirmed block, read again
+        only once a block has spent an outpoint, however it was mined.
+        Read-only."""
         if len(self.chain.spent_by) != self._spent_read:
-            self._catch_up()
+            self._reread()
         return self._resting
 
     @property
     def challenge_rests(self) -> bool:
         """Whether a UCA or RCA challenge output is in ``resting``."""
         if len(self.chain.spent_by) != self._spent_read:
-            self._catch_up()
+            self._reread()
         return self._challenge_rests
 
-    def _catch_up(self) -> None:
-        """Follow again, from its old end, each spine whose end a block
-        spent since the last reading."""
-        chain = self.chain
-        spent = chain.spent_since(self._spent_read)
-        self._spent_read += len(spent)
-        first_move = False
-        for outpoint in spent:
-            for deposit in self._ends.pop(outpoint, ()):
-                end, _ = chain.spine_end(outpoint)
-                self._ends.setdefault(end, []).append(deposit)
-                utxo = chain.utxo_set.get(end)
-                if utxo is None:
-                    self._resting.pop(deposit, None)
-                    continue
-                first_move |= deposit not in self._resting
-                instance = self.vaults[deposit][0]
-                kind = instance.address_kinds.get(utxo.address_id)
-                self._resting[deposit] = (instance, utxo, kind)
-        if first_move:  # a new entry went last; put it back in deposit order
-            self._resting = {d: self._resting[d] for d in self.vaults if d in self._resting}
+    def _reread(self) -> None:
+        """Read ``resting`` afresh at the chain's count of spent outpoints,
+        which only grows: the reading is current while the count stands."""
+        self._spent_read = len(self.chain.spent_by)
+        self._resting = self.read_resting()
         kinds = {kind for _, _, kind in self._resting.values()}
         self._challenge_rests = "UCA" in kinds or "RCA" in kinds
 

@@ -37,8 +37,8 @@ transaction spending an outpoint: the confirmed one, else the mempool
 one, else None; admission's double-spend check, the anchor-package rule
 and the actors' wallet ask it.  ``confirmed_at`` maps each confirmed
 txid to its height, in confirmation order, and ``spent_by`` each spent
-outpoint to its confirmed spender, in the order blocks spent them;
-``BtcChain.spent_since`` reads the newest of those outpoints.
+outpoint to its confirmed spender, in the order blocks spent them; it
+only grows, so its length tells a reader whether a block has spent.
 ``BtcChain.spine_end`` follows a deposit's spine, its confirmed spends
 through output 0, to the outpoint its value rests on, for the grader
 and the actors.
@@ -49,7 +49,6 @@ and the actors.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -148,6 +147,10 @@ class TxInput:
     path_id: str
     flag: SighashFlag = SighashFlag.ALL
     witness: list[bytes] = field(default_factory=list)
+
+
+MAX_VALUE = 0xFFFF_FFFF_FFFF_FFFF  # ``TxOutput.encode`` writes a value in eight bytes
+MAX_OUTPUTS = 0xFFFF  # ``SimTx.txid`` writes the input and the output count in two bytes
 
 
 @dataclass(frozen=True)
@@ -294,20 +297,13 @@ class BtcChain:
         out.sort(key=lambda u: (u.confirmed_height, str(u.outpoint)))
         return out
 
-    def spine_end(self, outpoint: Outpoint) -> tuple[Outpoint, int | None]:
-        """Follow the output-0 spine of confirmed spends from ``outpoint``;
-        return the outpoint it rests on and the height of the last hop
-        (None when ``outpoint`` itself is unspent)."""
-        moved_at = None
+    def spine_end(self, outpoint: Outpoint) -> Outpoint:
+        """Follow the output-0 spine of confirmed spends from ``outpoint``
+        and return the outpoint it rests on (``outpoint`` itself when it
+        is unspent)."""
         while (txid := self.spent_by.get(outpoint)) is not None:
             outpoint = Outpoint(txid, 0)
-            moved_at = self.confirmed_at[txid]
-        return outpoint, moved_at
-
-    def spent_since(self, count: int) -> list[Outpoint]:
-        """The outpoints confirmed blocks spent after the first ``count``,
-        in the order they were spent; reads only those."""
-        return list(itertools.islice(reversed(self.spent_by), len(self.spent_by) - count))[::-1]
+        return outpoint
 
     def next_rate(self) -> int:
         """The feerate the next block asks for."""

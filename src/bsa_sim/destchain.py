@@ -64,14 +64,16 @@ class DestChainError(Exception):
     pass
 
 
+MAX_SLOT = 0xFFFF_FFFF_FFFF_FFFF  # ``FinalizedCheckpoint.encode`` writes a slot in eight bytes
+
+
 class FinalizedCheckpoint:
     """A finalized slot and the digest of its state.
 
     A checkpoint the chain finalizes holds that state, ``(body, clock)``,
     hashes it the first time ``state_digest`` is read and parses it the
     first time ``view`` is; one built with an explicit digest, as a
-    forged or transported checkpoint is, holds none.  Equal by value:
-    slot and digest."""
+    forged or transported checkpoint is, holds none."""
 
     __slots__ = ("slot", "state", "_digest", "_view")
 
@@ -102,20 +104,6 @@ class FinalizedCheckpoint:
             self._view = pickle.loads(body.parsed)
             self._view.current_slot = clock
         return self._view
-
-    def _value(self) -> tuple[int, str]:
-        return self.slot, self.state_digest
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FinalizedCheckpoint):
-            return NotImplemented
-        return self._value() == other._value()
-
-    def __hash__(self) -> int:
-        return hash(self._value())
-
-    def __repr__(self) -> str:
-        return "FinalizedCheckpoint(slot=%d, state_digest=%r)" % self._value()
 
     def encode(self) -> bytes:
         return self.slot.to_bytes(8, "big") + bytes.fromhex(self.state_digest)

@@ -16,13 +16,13 @@ state rather than from the actors' own claims:
 Deposits are traced at face value to the end of their spine, the chain
 of confirmed spends through output 0 that ``BtcChain.spine_end`` walks,
 which makes the verdicts independent of fee noise.  The grader reads
-where each deposit rests as the actors do, from ``World.vaults`` and
-the spine ends, but afresh: one ``World.read_resting()`` after the last
-block follows every deposit's spine, where the actors read the
-``World.resting`` that the world keeps across blocks.  A moved
-deposit is graded by the address kind it rests on, and its exit
-completed at that output's confirmed height; a deposit the reading
-leaves out rests on its vault; one that does neither is untracked.
+where each deposit rests with the reading the actors use: one
+``World.read_resting()`` after the last block follows every deposit's
+spine from ``World.vaults``, as ``World.resting`` does whenever a block
+has spent.  A moved deposit is graded by the address kind it rests on,
+and its exit completed at that output's confirmed height; a deposit
+the reading leaves out rests on its vault; one that does neither is
+untracked.
 
 The failure matrix re-runs eight scripted scenarios spanning honest
 operation, a lying operator, depositor theft (with and without a leaked
@@ -57,7 +57,7 @@ from .destchain import DestChain, sign_checkpoint
 from .keys import keypair_from_seed, sign_digest
 from .psbt import ACTIVATION_DEPTH, AoIdentity, VerificationFailed, run_setup_ceremony
 from .registry import Registry, UtxoStatus
-from .scenario import ScenarioConfig, parse_scenario
+from .scenario import VERSION_LIFETIME, ScenarioConfig, parse_scenario
 
 
 @dataclass
@@ -101,7 +101,7 @@ def build_world(config: ScenarioConfig, sar_tamper=None) -> World:
     image = EnclaveImage(
         code_id=b"arbiter-v1", config=b"standard", signer_cert=b"oracle-vendor"
     )
-    expiry = config.t3 * 10
+    expiry = config.t3 * VERSION_LIFETIME
     registry.set_version_expiry(
         image.pcr0,
         expiry,

@@ -340,6 +340,9 @@ class SpendPath:
 # instance parameters
 
 MAX_ORACLES = 0xFFFF  # ``TweakData.serialize`` writes the oracle count in two bytes
+# ``TweakData.serialize`` writes t1 and t2, and ``SingleAfterDelay.encode``
+# a delay, in four bytes
+MAX_DELAY = 0xFFFF_FFFF
 
 
 @dataclass(frozen=True)

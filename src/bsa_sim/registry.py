@@ -117,6 +117,9 @@ EXIT_STATUSES = frozenset({UtxoStatus.WITHDRAWN, UtxoStatus.REJECTED})
 # the three stored rows that protect the depositor / enable arbitration
 REQUIRED_PSBT_SLOTS = tuple(t.value for t in SAR_ROWS)
 
+# ``Registry.version_payload`` writes an expiry slot in eight bytes
+MAX_EXPIRY = 0xFFFF_FFFF_FFFF_FFFF
+
 
 def _check_move(record: UtxoRecord, new_status: UtxoStatus, caller: str) -> None:
     """Raise unless ``_TRANSITIONS`` lets ``caller`` move ``record`` to

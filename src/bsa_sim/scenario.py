@@ -64,11 +64,18 @@ after it starts, an ``exit_deposit_index`` that names no deposit,
 small to pay the base fees and anchors of its pre-signed rows, and an
 ``[expect]`` ``protocol_safe`` other than ``depositor_safe and
 operator_safe``, which a missing one defaults to (a missing other key
-defaults to true).  So is a value of the wrong shape: an ``offline``
-window not written ``start..until``, a ``fee_steps`` item not written
-``height:rate``, or an empty item in the comma list of ``amounts`` or
-``fee_steps`` (``2000,,3000``, ``5:2,``).  So is a file that is not
-UTF-8 text.
+defaults to true).  So is a value wider than the field its encoder
+writes it in, each bound named beside that encoder: a ``t1`` or ``t2``
+above ``keys.MAX_DELAY``, a ``t3`` above ``registry.MAX_EXPIRY`` //
+``VERSION_LIFETIME``, ``amounts`` that total more than
+``chain.MAX_VALUE`` sat or count more than ``chain.MAX_OUTPUTS``, a
+``fee_funds`` for which the wallets it funds and the deposits hold more
+than ``chain.MAX_VALUE``, and a ``horizon_blocks`` that runs past slot
+``destchain.MAX_SLOT``.  So is a value of the wrong shape: an
+``offline`` window not written ``start..until``, a ``fee_steps`` item
+not written ``height:rate``, or an empty item in the comma list of
+``amounts`` or ``fee_steps`` (``2000,,3000``, ``5:2,``).  So is a file
+that is not UTF-8 text.
 """
 
 from __future__ import annotations
@@ -77,10 +84,13 @@ import configparser
 from dataclasses import dataclass, field
 
 from .actors import DepositorBehavior, OperatorBehavior, OracleBehavior
-from .destchain import DEFAULT_WSP_SLOTS
-from .keys import MAX_ORACLES
-from .psbt import MIN_DEPOSIT
-from .registry import TimelockRelationViolated, check_timelocks
+from .chain import MAX_OUTPUTS, MAX_VALUE
+from .destchain import DEFAULT_WSP_SLOTS, MAX_SLOT
+from .keys import MAX_DELAY, MAX_ORACLES
+from .psbt import ACTIVATION_DEPTH, MIN_DEPOSIT
+from .registry import MAX_EXPIRY, TimelockRelationViolated, check_timelocks
+
+VERSION_LIFETIME = 10  # a world's enclave version expires at slot t3 * VERSION_LIFETIME
 
 
 class ScenarioError(Exception):
@@ -161,6 +171,10 @@ def _amounts(value: str) -> list[int]:
         raise ValueError("deposit amounts must be positive")
     if min(amounts) < MIN_DEPOSIT:
         raise ValueError(f"a deposit below {MIN_DEPOSIT} cannot pay its pre-signed rows")
+    if sum(amounts) > MAX_VALUE:
+        raise ValueError(f"they total {sum(amounts)} sat, above {MAX_VALUE}")
+    if len(amounts) > MAX_OUTPUTS:
+        raise ValueError(f"at most {MAX_OUTPUTS} deposits, one funding output each")
     return amounts
 
 
@@ -184,11 +198,16 @@ def _non_negative_int(value: str) -> int:
     return number
 
 
-def _oracle_count(value: str) -> int:
-    number = _non_negative_int(value)
-    if number > MAX_ORACLES:
-        raise ValueError(f"at most {MAX_ORACLES} oracles")
-    return number
+def _at_most(bound: int, unit: str, convert=_positive_int):
+    """``convert``, refusing a number above ``bound``, counted in ``unit``."""
+
+    def checked(value: str) -> int:
+        number = convert(value)
+        if number > bound:
+            raise ValueError(f"at most {bound} {unit}")
+        return number
+
+    return checked
 
 
 def _step_list(value: str) -> list[tuple[int, int]]:
@@ -223,11 +242,13 @@ def _keys(convert, *keys: str) -> dict:
 _SCENARIO = _keys(str, "name")
 _PARAMS = {
     **_keys(
-        _positive_int, "t1", "t2", "t3", "slots_per_block", "finality_interval",
-        "fee_funds", "horizon_blocks", "t_op_blocks", "wsp_slots",
+        _positive_int, "slots_per_block", "finality_interval", "fee_funds",
+        "horizon_blocks", "t_op_blocks", "wsp_slots",
     ),
+    **_keys(_at_most(MAX_DELAY, "blocks"), "t1", "t2"),
+    **_keys(_at_most(MAX_EXPIRY // VERSION_LIFETIME, "slots"), "t3"),
     **_keys(_non_negative_int, "fee_base", "margin_blocks"),
-    **_keys(_oracle_count, "n_oracles"),
+    **_keys(_at_most(MAX_ORACLES, "oracles", _non_negative_int), "n_oracles"),
     **_keys(_step_list, "fee_steps"),
     **_keys(_opt_non_negative_int, "dest_halted_at"),
 }
@@ -342,6 +363,21 @@ def parse_scenario(text: str) -> ScenarioConfig:
         check_timelocks(config.t1, config.t2, config.t3, config.slots_per_block)
     except TimelockRelationViolated as exc:
         raise ScenarioError(f"[params] t3: {exc}") from exc
+    # ``build_world`` funds the depositor, the operator and each oracle with
+    # fee_funds, and a transaction can gather those and the deposits in one output
+    wallets = 2 + len(config.oracles)
+    held = sum(config.amounts) + wallets * config.fee_funds
+    if held > MAX_VALUE:
+        raise ScenarioError(
+            f"[params] fee_funds = {config.fee_funds}: {wallets} wallets and the deposits"
+            f" hold {held} sat, above {MAX_VALUE}"
+        )
+    last_slot = (ACTIVATION_DEPTH + config.horizon_blocks) * config.slots_per_block
+    if last_slot > MAX_SLOT:
+        raise ScenarioError(
+            f"[params] horizon_blocks = {config.horizon_blocks}: the run reaches slot"
+            f" {last_slot}, above {MAX_SLOT}"
+        )
     index = config.depositor.exit_deposit_index
     if index is not None and not 0 <= index < len(config.amounts):
         raise ScenarioError(

@@ -558,11 +558,9 @@ def check_ledger(chain, values, seeded) -> None:
     for txid, tx in chain.tx_index.items():
         for inp in tx.inputs:
             assert chain.spent_by[inp.outpoint] == txid
-    # spent outpoints in the order blocks spent them, read from any count on
+    # spent outpoints in the order blocks spent them
     spent = [inp.outpoint for txid in chain.confirmed_at for inp in chain.tx_index[txid].inputs]
     assert list(chain.spent_by) == spent
-    for count in range(len(spent) + 1):
-        assert chain.spent_since(count) == spent[count:]
     order = {txid: n for n, txid in enumerate(chain.confirmed_at)}
     for txid, tx in chain.tx_index.items():
         height = chain.confirmed_at[txid]

@@ -32,6 +32,8 @@ SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 SCENARIO_FILES = sorted(SCENARIO_DIR.glob("*.scn"))
 # every graded run: the scenario files, then the failure matrix rows
 GRADED_FILES = SCENARIO_FILES + sorted(MATRIX_DIR.glob("*.scn"))
+# one deposit more than a funding transaction can hold
+TOO_MANY_DEPOSITS = ", ".join(["669"] * 65536)
 
 
 def test_scenario_files_present():
@@ -217,6 +219,28 @@ def test_parse_rejections():
         ("[expect]\nprotocol_safe = false\n", "[expect] protocol_safe = false: "),
         ("[expect]\ndepositor_safe = true\noperator_safe = true\nprotocol_safe = false\n",
          "[expect] protocol_safe = false: "),
+        ("[deposit]\namounts = 20000000000000000000\n",
+         "[deposit] amounts = '20000000000000000000': they total 20000000000000000000 sat,"
+         " above 18446744073709551615"),
+        ("[deposit]\namounts = 10000000000000000000, 10000000000000000000\n",
+         "[deposit] amounts = '10000000000000000000, 10000000000000000000': they total"),
+        ("[params]\nt1 = 5000000000\nt3 = 999999999999999\n",
+         "[params] t1 = '5000000000': at most 4294967295 blocks"),
+        ("[params]\nt2 = 5000000000\nt3 = 999999999999999\n",
+         "[params] t2 = '5000000000': at most 4294967295 blocks"),
+        ("[params]\nt3 = 2000000000000000000\n",
+         "[params] t3 = '2000000000000000000': at most 1844674407370955161 slots"),
+        ("[params]\nfee_funds = 20000000000000000000\nfee_steps = 9:4\n[depositor]\nexit_at = 8\n",
+         "[params] fee_funds = 20000000000000000000: 5 wallets and the deposits hold"),
+        ("[params]\nfee_funds = 3689348814741910323\n",
+         "[params] fee_funds = 3689348814741910323: 5 wallets and the deposits hold"
+         " 18446744073709561615 sat, above 18446744073709551615"),
+        ("[params]\nslots_per_block = 100000000000000000\nt3 = 1700000000000000000\n"
+         "horizon_blocks = 200\n",
+         "[params] horizon_blocks = 200: the run reaches slot 20600000000000000000,"
+         " above 18446744073709551615"),
+        (f"[deposit]\namounts = {TOO_MANY_DEPOSITS}\n",
+         f"[deposit] amounts = '{TOO_MANY_DEPOSITS}': at most 65535 deposits"),
     ],
     ids=[
         "exit-index-past-end", "exit-index-negative", "empty-window", "reversed-window",
@@ -238,7 +262,11 @@ def test_parse_rejections():
         "fee-step-of-three", "amounts-empty-item", "amounts-trailing-comma",
         "fee-steps-trailing-comma", "expect-protocol-safe-depositor-not",
         "expect-protocol-safe-operator-not", "expect-protocol-unsafe-by-default",
-        "expect-protocol-unsafe-both-safe",
+        "expect-protocol-unsafe-both-safe", "amount-past-eight-bytes",
+        "amounts-total-past-eight-bytes", "t1-past-four-bytes", "t2-past-four-bytes",
+        "t3-expiry-past-eight-bytes", "fee-funds-past-eight-bytes",
+        "fee-funds-with-deposits-past-eight-bytes", "horizon-slot-past-eight-bytes",
+        "deposit-count-past-two-bytes",
     ],
 )
 def test_parse_rejects_out_of_range_values(text, where):
@@ -295,6 +323,33 @@ def test_parse_accepts_as_many_oracles_as_tweak_data_holds():
     for text in ("[params]\nn_oracles = 65535\n", "[oracle.65534]\nrefuse = true\n"):
         assert len(parse_scenario(text).oracles) == MAX_ORACLES == 65535
     assert parse_scenario("[oracle.0]\noffline = 0..5\n").oracles[0].offline == (0, 5)
+
+
+def test_parse_accepts_values_at_the_widths_they_are_stored_in():
+    """Each bound the parser sets on a value is the largest its encoder
+    writes: an output count in two bytes, a delay in four, an expiry, an
+    output value and a checkpoint slot in eight.  Parsed only: no world
+    is built."""
+    most = 2**64 - 1
+    assert (scenario.MAX_DELAY, scenario.MAX_VALUE, scenario.MAX_EXPIRY, scenario.MAX_SLOT) == (
+        2**32 - 1, most, most, most,
+    )
+    assert scenario.MAX_OUTPUTS == 2**16 - 1
+    widest = ", ".join(["669"] * scenario.MAX_OUTPUTS)
+    assert len(parse_scenario(f"[deposit]\namounts = {widest}\n").amounts) == 65535
+    bound_t3 = most // scenario.VERSION_LIFETIME
+    config = parse_scenario(
+        f"[params]\nt1 = {2**32 - 1}\nt2 = {2**32 - 1}\nt3 = {bound_t3}\n"
+        f"fee_funds = 1000\n[deposit]\namounts = {most - 5 * 1000}\n"
+    )
+    assert (config.t1, config.t2, config.t3) == (2**32 - 1, 2**32 - 1, bound_t3)
+    assert sum(config.amounts) + 5 * config.fee_funds == most
+    spb = 10**17
+    config = parse_scenario(
+        f"[params]\nslots_per_block = {spb}\nt3 = {17 * spb}\n"
+        f"horizon_blocks = {most // spb - 6}\n"
+    )
+    assert (6 + config.horizon_blocks) * spb <= most
 
 
 def test_smallest_deposit_builds_every_row():
