@@ -21,8 +21,8 @@ view, or an expired version each independently block signing.
 nothing: the checkpoint holds its finalized state and is the oracle's
 one handle on it.  ``view`` is the checkpoint's own ``view``, read the
 first time any oracle asks for it and kept on the checkpoint, so every
-oracle synced to one checkpoint shares one view.  Each finalized state
-is parsed once per change, and each checkpoint reads its own copy.
+oracle synced to one checkpoint shares one view.  Each viewed
+checkpoint parses its own text once, so no two checkpoints share a view.
 Because the checkpoint holds its state, the view can be read, and its
 digest attested, after the chain has dropped the checkpoint.  The view
 is read-only: nothing here writes to it, and only tests that model a

@@ -66,44 +66,44 @@ class ChainError(Exception):
 
 
 class TxRejected(ChainError):
-    def __init__(self, reason: str, detail: str = ""):
-        self.reason = reason
-        super().__init__(f"{reason}: {detail}" if detail else reason)
+    """A refused transaction; the message is the refusal's class name
+    and the detail."""
+
+    def __init__(self, detail: str = ""):
+        name = type(self).__name__
+        super().__init__(f"{name}: {detail}" if detail else name)
 
 
 class UnknownInput(TxRejected):
-    def __init__(self, detail: str = ""):
-        super().__init__("UnknownInput", detail)
+    pass
 
 
 class DoubleSpend(TxRejected):
-    def __init__(self, detail: str = ""):
-        super().__init__("DoubleSpend", detail)
+    pass
+
+
+class Duplicate(TxRejected):
+    pass
 
 
 class MalformedWitness(TxRejected):
-    def __init__(self, detail: str = ""):
-        super().__init__("MalformedWitness", detail)
+    pass
 
 
 class BadSignature(TxRejected):
-    def __init__(self, detail: str = ""):
-        super().__init__("BadSignature", detail)
+    pass
 
 
 class TimelockNotExpired(TxRejected):
-    def __init__(self, detail: str = ""):
-        super().__init__("TimelockNotExpired", detail)
+    pass
 
 
 class UnknownPath(TxRejected):
-    def __init__(self, detail: str = ""):
-        super().__init__("UnknownPath", detail)
+    pass
 
 
 class InvalidValue(TxRejected):
-    def __init__(self, detail: str = ""):
-        super().__init__("InvalidValue", detail)
+    pass
 
 
 def check_witness(
@@ -379,7 +379,7 @@ class BtcChain:
         are only checked at mining time since they can mature later.
         """
         if tx.txid in self.mempool or tx.txid in self.tx_index:
-            raise TxRejected("Duplicate", tx.txid)
+            raise Duplicate(tx.txid)
         spends: set[Outpoint] = set()
         for inp in tx.inputs:
             if inp.outpoint in spends:

@@ -49,7 +49,7 @@ decode the same few public keys again through the memo.  A batch
 signature check decodes every nonce point but the first, each seen once,
 with ``decode_point_uncached``, so nonces never evict those keys.  On the
 benchmark streams of seed 41 (the cache cleared before each workload):
-sweep 3,127 hits and 5 misses in 120 scenarios; hold 15 hits and 1 miss
+sweep 3,446 hits and 5 misses in 120 scenarios; hold 23 hits and 1 miss
 in 8 worlds; ceremony 47 hits and 1 miss in 48 ceremonies.  In hold and
 ceremony the hits are the operator key of each snapshot import.  The
 function is pure and its results are immutable ``Point`` values, so a

@@ -8,7 +8,7 @@ A checkpoint that re-bootstraps an oracle is one of these, a slot and
 a digest, signed by the operator.
 
 Each finalized state is rendered once per change of state, hashed only
-when its digest is read, and parsed at most once per change:
+when its digest is read, and parsed only when its view is read:
 
 * One render per change.  The canonical snapshot is
   ``{...,"current_slot":N,...}`` with sorted keys, so it is a head, the
@@ -25,16 +25,15 @@ when its digest is read, and parsed at most once per change:
   oracle attests it or an operator signs the checkpoint, and then kept.
   The bytes it hashes were captured at finalization, never the live
   registry, so a late read gives the digest of the state finalized then.
-* One parse per change, and only when read.  A checkpoint's ``view``
-  is read the first time it is asked for, and then kept on the
-  checkpoint, as its digest is.  The body is parsed the first time a
-  checkpoint that holds it is viewed; each checkpoint's view is a fresh
-  copy of that parse with its own ``current_slot``, so a corrupted view
+* One parse per viewed checkpoint, and only when read.  A checkpoint's
+  ``view`` is parsed from its own text the first time it is asked for,
+  and then kept on the checkpoint, as its digest is, so a corrupted view
   never leaks into another checkpoint, and every oracle that reads one
   checkpoint shares its one read-only ``Registry``.  An oracle keeps the
   checkpoint when it syncs and reads its view only when it has a
-  dispute to judge, so a clock-only checkpoint costs it no copy, and it
-  can read that view after the chain has dropped the checkpoint.
+  dispute to judge, so a checkpoint no oracle judges from is never
+  parsed, and an oracle can read that view after the chain has dropped
+  the checkpoint.
 
 One slot-ordered map, ``snapshots``, holds the retained checkpoints; the
 latest finalized is its last entry.  A checkpoint is kept only while
@@ -49,7 +48,6 @@ run: at most ``wsp // finality_interval + 2`` checkpoints.
 from __future__ import annotations
 
 import hashlib
-import pickle
 from dataclasses import dataclass
 
 from .keys import Keypair, Point, sign_digest, verify_signature
@@ -92,17 +90,13 @@ class FinalizedCheckpoint:
 
     @property
     def view(self) -> Registry:
-        """The registry state this checkpoint holds.  Read-only.  The
-        body is parsed once; each checkpoint's view is a fresh copy of
-        that parse with its own clock, so views of different checkpoints
-        share no mutable object.  The copy is a pickle round trip, about
-        a quarter of the cost of a parse or of ``copy.deepcopy``."""
+        """The registry state this checkpoint holds.  Read-only.  Each
+        checkpoint's view is its own parse of its own text, clock
+        included, so views of different checkpoints share no mutable
+        object."""
         if self._view is None:
             body, clock = self.state
-            if body.parsed is None:
-                body.parsed = pickle.dumps(Registry.import_snapshot(body.text(clock)))
-            self._view = pickle.loads(body.parsed)
-            self._view.current_slot = clock
+            self._view = Registry.import_snapshot(body.text(clock))
         return self._view
 
     def encode(self) -> bytes:
@@ -138,7 +132,6 @@ class _Body:
     writes: tuple[int, int]  # the registry's and its ledger's write counts when rendered
     head: bytes
     tail: bytes
-    parsed: bytes | None = None  # pickle of the first parse, the template of every view
 
     def digest(self, clock: int) -> str:
         hasher = hashlib.sha256(self.head)

@@ -255,7 +255,6 @@ def compute_verdicts(world: World, config: ScenarioConfig) -> Verdicts:
         record.amount
         for outpoint, record in registry.records.items()
         if locations.get(outpoint) == "instance"
-        and record.status is not UtxoStatus.REJECTED
     )
     to_gain = sum(
         record.amount

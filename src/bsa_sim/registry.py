@@ -24,6 +24,13 @@ An exit is authorised only in ``EXIT_STATUSES`` (Withdrawn, Rejected).
 
 Timelock units: t1 and t2 are Bitcoin blocks, t3 is destination-chain
 slots; ``slots_per_block`` converts when the three are compared.
+
+The canonical snapshot is written by one table and read back by one
+parse: ``_SECTIONS`` names each section of state that a ``Registry``
+attribute holds, with how ``import_snapshot`` rebuilds it from the
+parsed text.  ``export_snapshot`` encodes those sections, the
+parameters, the operator key and the clock in one call, so a new
+section of state is one entry in the table.
 """
 
 from __future__ import annotations
@@ -237,6 +244,33 @@ def _in_effect_order(upgrades: list[tuple[dict, int]]) -> list[tuple[dict, int]]
     """Queued upgrades in the order they take effect: by effective slot,
     ties in the order they were scheduled."""
     return sorted(upgrades, key=lambda upgrade: upgrade[1])
+
+
+def _as_read(value):
+    return value
+
+
+# section name, which is also the ``Registry`` attribute that holds it ->
+# how ``import_snapshot`` rebuilds it from the parsed text
+_SECTIONS = {
+    # the text lists records by outpoint; registration order is restored
+    "records": lambda records: {
+        v["outpoint"]: UtxoRecord(**{**v, "status": UtxoStatus(v["status"])})
+        for v in sorted(records.values(), key=lambda v: v["rebalance_position"])
+    },
+    "tweaks": _as_read,
+    "orders": _as_read,
+    "adapters": lambda adapters: {k: Adapter(**a) for k, a in adapters.items()},
+    "versions": lambda versions: {k: tuple(v) for k, v in versions.items()},
+    "pending_upgrades": lambda upgrades: [tuple(u) for u in upgrades],
+    "ledger": lambda ledger: TokenLedger(**ledger),
+    "claimable": _as_read,
+    "claim_paid": _as_read,
+    "rebalance_events": lambda events: [
+        RebalanceEvent(**{**e, "selected": [tuple(s) for s in e["selected"]]})
+        for e in events
+    ],
+}
 
 
 class Registry:
@@ -482,36 +516,24 @@ class Registry:
     # -- canonical snapshot ---------------------------------------------------
 
     def _sections(self) -> dict:
-        """Every section of the canonical state but ``records`` and
-        ``current_slot``, as the live objects: the encoder sorts every
-        key and encodes an object as its fields."""
-        return {
-            "params": {
-                "t1": self.t1,
-                "t2": self.t2,
-                "t3": self.t3,
-                "slots_per_block": self.slots_per_block,
-            },
-            "to_pubkey": self.to_pubkey.compressed().hex(),
-            "tweaks": self.tweaks,
-            "orders": self.orders,
-            "adapters": self.adapters,
-            "versions": self.versions,
-            "pending_upgrades": self.pending_upgrades,
-            "ledger": self.ledger,
-            "claimable": self.claimable,
-            "claim_paid": self.claim_paid,
-            "rebalance_events": self.rebalance_events,
-            # a retired section, kept empty so every digest stays as it was
-            "collaborative_pending": {},
+        """Every section of the canonical state, as the live objects: the
+        encoder sorts every key and encodes an object as its fields."""
+        sections = {name: getattr(self, name) for name in _SECTIONS}
+        sections["params"] = {
+            "t1": self.t1,
+            "t2": self.t2,
+            "t3": self.t3,
+            "slots_per_block": self.slots_per_block,
         }
+        sections["to_pubkey"] = self.to_pubkey.compressed().hex()
+        sections["current_slot"] = self.current_slot
+        # a retired section, kept empty so every digest stays as it was
+        sections["collaborative_pending"] = {}
+        return sections
 
     def export_snapshot(self) -> str:
         """The canonical state: sorted keys, no whitespace."""
-        texts = {name: _ENCODER.encode(value) for name, value in self._sections().items()}
-        texts["current_slot"] = str(self.current_slot)
-        texts["records"] = _ENCODER.encode(self.records)
-        return "{" + ",".join(f'"{name}":{texts[name]}' for name in sorted(texts)) + "}"
+        return _ENCODER.encode(self._sections())
 
     def snapshot_head(self) -> str:
         """The text of ``export_snapshot()`` up to the value of
@@ -526,31 +548,8 @@ class Registry:
     @classmethod
     def import_snapshot(cls, snapshot: str) -> "Registry":
         d = json.loads(snapshot)
-        params = d["params"]
-        reg = cls(
-            t1=params["t1"],
-            t2=params["t2"],
-            t3=params["t3"],
-            slots_per_block=params["slots_per_block"],
-            to_pubkey=decode_point(bytes.fromhex(d["to_pubkey"])),
-        )
+        reg = cls(**d["params"], to_pubkey=decode_point(bytes.fromhex(d["to_pubkey"])))
         reg.current_slot = d["current_slot"]
-        # the text lists records by outpoint; restore registration order
-        records = sorted(d["records"].values(), key=lambda v: v["rebalance_position"])
-        reg.records = {
-            v["outpoint"]: UtxoRecord(**{**v, "status": UtxoStatus(v["status"])})
-            for v in records
-        }
-        reg.tweaks = d["tweaks"]
-        reg.orders = d["orders"]
-        reg.adapters = {k: Adapter(**a) for k, a in d["adapters"].items()}
-        reg.versions = {k: (v[0], v[1]) for k, v in d["versions"].items()}
-        reg.pending_upgrades = [(c, e) for c, e in d["pending_upgrades"]]
-        reg.ledger = TokenLedger(**d["ledger"])
-        reg.claimable = d["claimable"]
-        reg.claim_paid = d["claim_paid"]
-        reg.rebalance_events = [
-            RebalanceEvent(**{**e, "selected": [tuple(s) for s in e["selected"]]})
-            for e in d["rebalance_events"]
-        ]
+        for name, rebuild in _SECTIONS.items():
+            setattr(reg, name, rebuild(d[name]))
         return reg

@@ -661,7 +661,7 @@ def count_calls(monkeypatch, cls, name) -> list:
     return calls
 
 
-def test_oracles_at_one_checkpoint_share_one_parse(monkeypatch):
+def test_each_viewed_checkpoint_parses_once_for_all_its_oracles(monkeypatch):
     w = ArbWorld(n_oracles=3)
     offline = w.oracles[2]
     old_view = offline.view
@@ -679,7 +679,7 @@ def test_oracles_at_one_checkpoint_share_one_parse(monkeypatch):
     for oracle in w.oracles[:2]:
         oracle.sync(w.dest)
     assert w.oracles[0].view is w.oracles[1].view
-    assert len(imports) == 1
+    assert len(imports) == 2  # one parse per viewed checkpoint
     assert w.oracles[0].view is not changed
     assert w.oracles[0].view.current_slot == w.dest.slot == changed.current_slot + w.dest.finality_interval
     assert offline.view is old_view and old_view is not changed

@@ -460,15 +460,20 @@ def whole_runs() -> list:
 def test_every_checkpoint_of_a_whole_run_is_its_fresh_export(config, monkeypatch):
     """No write path in ``src/`` goes uncounted: block by block, after
     every advance that finalizes, the newest checkpoint's digest is that
-    of a fresh export of the registry."""
+    of a fresh export of the registry, and its view, parsed from the
+    checkpoint's text, exports that same text."""
     advance = DestChain.advance
     checked_slots = []
 
     def checked(dest: DestChain, n_slots: int):
         new = advance(dest, n_slots)
         if new:
-            fresh = hashlib.sha256(dest.registry.export_snapshot().encode()).hexdigest()
-            assert dest.latest_finalized().state_digest == fresh
+            fresh = dest.registry.export_snapshot()
+            checkpoint = dest.latest_finalized()
+            assert checkpoint.state_digest == hashlib.sha256(fresh.encode()).hexdigest()
+            assert checkpoint.view.export_snapshot() == fresh
+            # the clock a checkpoint holds is the chain's when it was finalized
+            assert checkpoint.view.current_slot == dest.slot
             checked_slots.append(dest.slot)
         return new
 

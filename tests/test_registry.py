@@ -3,6 +3,7 @@ detection, rebalance selection against a brute-force oracle, enclave
 version table, governance delays, and canonical snapshots."""
 
 import itertools
+import json
 import random
 from bisect import bisect_left
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsa_sim.keys import TweakData, key_address_id, keypair_from_seed
+from bsa_sim.keys import TweakData, key_address_id, keypair_from_seed, sign_digest
 from bsa_sim.registry import (
     DuplicateOutpoint,
     LedgerError,
@@ -28,6 +29,7 @@ from bsa_sim.registry import (
     UnknownRecord,
     UtxoRecord,
     UtxoStatus,
+    _SECTIONS,
     _TRANSITIONS,
     check_timelocks,
     timelock_relation_holds,
@@ -364,8 +366,6 @@ def test_version_expiry_requires_operator_signature():
     to = keypair_from_seed(b"reg-to")
     outsider = keypair_from_seed(b"reg-outsider")
     pcr0 = "ab" * 32
-    from bsa_sim.keys import sign_digest
-
     payload = Registry.version_payload(pcr0, 900)
     with pytest.raises(SignatureInvalid):
         reg.set_version_expiry(pcr0, 900, sign_digest(outsider, payload))
@@ -452,11 +452,25 @@ def test_snapshot_round_trip():
         add_active(reg, f"r{i}:0", v)
     reg.ledger.transfer(OWNER, "thief", 6)
     reg.mark_rebalance(OWNER, 6, caller="to")
+    reg.set_rebalance_order(OWNER, [2, 0, 1], caller=OWNER)
     reg.adapter_admin("add", "pool", caller="to")
+    pcr0 = "ab" * 32
+    payload = Registry.version_payload(pcr0, 900)
+    reg.set_version_expiry(pcr0, 900, sign_digest(keypair_from_seed(b"reg-to"), payload))
+    reg.schedule_upgrade({"t3": 40}, caller="to")
     reg.current_slot = 17
     snapshot = reg.export_snapshot()
     clone = Registry.import_snapshot(snapshot)
     assert clone.state_digest() == reg.state_digest()
+    # every section the table names comes back equal, type for type (a
+    # tuple is never equal to a list), and nothing is exported that is
+    # not imported
+    for name in _SECTIONS:
+        assert getattr(clone, name) == getattr(reg, name), name
+    assert set(json.loads(snapshot)) == {
+        *_SECTIONS, "params", "to_pubkey", "current_slot", "collaborative_pending"
+    }
+    assert list(clone.records) == list(reg.records)
     assert clone.get_record("r1:0").status is UtxoStatus.SPENT_ON_REBALANCE
     assert clone.claimable[OWNER] == 7
     assert clone.ledger.balance("thief") == 6

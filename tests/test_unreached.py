@@ -35,7 +35,6 @@ _IMPORT = "runs at import, before the pass"
 _AVAILABILITY = "ROADMAP item 3: availability in the loop; bsa-sim avail and tests call it"
 _UPGRADES = "ROADMAP item 5: enclave upgrades and expiry, which no run reaches"
 _ADAPTERS = "ROADMAP item 20: adapters and rebalance order; registry tests call it"
-_REFUSALS = "ROADMAP item 19: no graded run is refused for this; chain tests raise it"
 _CLI = "the bsa-sim console script; test_harness calls it"
 _MATRIX = "bsa-sim matrix and test_c01 run the failure matrix"
 
@@ -64,12 +63,6 @@ ALLOWED = {
     "availability.serves_all_challenges": _AVAILABILITY,
     "availability.stays_synced": _AVAILABILITY,
     "availability.sync_uptime_bound": _AVAILABILITY,
-    "chain.BadSignature.__init__": _REFUSALS,
-    "chain.InvalidValue.__init__": _REFUSALS,
-    "chain.MalformedWitness.__init__": _REFUSALS,
-    "chain.TimelockNotExpired.__init__": _REFUSALS,
-    "chain.UnknownInput.__init__": _REFUSALS,
-    "chain.UnknownPath.__init__": _REFUSALS,
     "chain.verify_spend": "tests check a spend at a chosen height without mining",
     "cli._avail_problem": _CLI,
     "cli._cmd_avail": _CLI,
