@@ -13,8 +13,8 @@ an ``anchor`` row (requests, challenges, cooperative exits) gets a child
 spending its anchor; an ``acp`` row (oracle resolutions) gets a fee
 input carved to the exact missing amount, whose carving parent confirms
 in the same block; a ``self`` row (finalizes, timelocked claims) goes
-out as it is, matures in the mempool and confirms at the first legal
-height.
+out as it is from the block before its leaf's delay has passed
+(``World.spend_after_delay``) and confirms at the first legal height.
 
 No actor keeps a record of where a deposit stands.  ``World.vaults``
 holds each deposit's instance and vault ``Outpoint``, parsed once.
@@ -223,12 +223,11 @@ class DepositorActor:
         height = chain.height
         if kind == "UTA":
             spender = chain.spender(utxo.outpoint)
-            if spender is None and height >= utxo.confirmed_height + instance.tweak_data.t1 - 1:
-                spent = (utxo.outpoint, utxo.value)
-                fee = chain.next_rate() * 2
-                template = build_psbt(Transition.UNBOND_FINALIZE, instance, spent, fee=fee)
-                world.execute(template, self.keypair, instance, self.name)
-            elif spender is not None and spender.inputs[0].path_id != _FINALIZE_PATH:
+            if spender is None:
+                world.spend_after_delay(
+                    Transition.UNBOND_FINALIZE, instance, utxo, self.keypair, self.name
+                )
+            elif spender.inputs[0].path_id != _FINALIZE_PATH:
                 if chain.mempool_arrival[spender.txid] == height - 1:
                     world.log(self.name, "saw_challenge", outpoint=outpoint)
         elif kind == "dep_return":
@@ -346,20 +345,9 @@ class TokenOperatorActor:
     # -- duty: collect expired challenge outputs -----------------------------
 
     def _claim_expired(self, world: "World") -> None:
-        chain = world.chain
         for instance, utxo, kind in world.resting.values():
-            expiry = utxo.confirmed_height + instance.tweak_data.t2 - 1
-            if kind not in _CLAIM_ROWS or chain.height < expiry:
-                continue
-            if chain.spender(utxo.outpoint) is not None:
-                continue
-            template = build_psbt(
-                _CLAIM_ROWS[kind],
-                instance,
-                (utxo.outpoint, utxo.value),
-                fee=chain.next_rate() * 2,
-            )
-            world.execute(template, self.keypair, instance, self.name)
+            if kind in _CLAIM_ROWS:
+                world.spend_after_delay(_CLAIM_ROWS[kind], instance, utxo, self.keypair, self.name)
 
     # -- duty: repay over-seized value ----------------------------------------
 
@@ -576,6 +564,21 @@ class World:
                 return tx
         self.log(actor, "cpfp_no_funds", parent=tx.txid)
         return tx
+
+    def spend_after_delay(
+        self, row: Transition, instance: ProtocolInstance, utxo: Utxo, executor: Keypair, actor: str
+    ) -> None:
+        """Broadcast ``row``, a timelocked row that pays its own fee, on
+        ``utxo`` while it is unspent, from the block before the delay of
+        the row's leaf (the one the chain enforces) has passed, so it
+        confirms at the first legal height."""
+        (leaf,) = instance.addresses.rows[row]
+        due = utxo.confirmed_height + leaf.policy.delay_blocks - 1
+        if self.chain.spender(utxo.outpoint) is not None or self.chain.height < due:
+            return
+        spent = (utxo.outpoint, utxo.value)
+        template = build_psbt(row, instance, spent, fee=self.chain.next_rate() * 2)
+        self.execute(template, executor, instance, actor)
 
     # -- the clock ---------------------------------------------------------
 

@@ -136,7 +136,6 @@ class VerifiedContext:
     kind: str  # "unbond" | "rebalance"
     outpoint: str
     status: UtxoStatus
-    tweak_digest: str
     spend_txid: str  # txid whose output 0 the resolution spends
     spend_value: int
     issuer_id: int
@@ -355,7 +354,6 @@ class ArbitrationOracle:
             kind=kind,
             outpoint=outpoint,
             status=record.status,
-            tweak_digest=record.tweak_digest,
             spend_txid=last.txid,
             spend_value=last.outputs[0].value,
             issuer_id=id(self),

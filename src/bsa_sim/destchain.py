@@ -17,10 +17,11 @@ when its digest is read, and parsed only when its view is read:
   render, and calls ``export_snapshot`` only when they differ, so a
   clock-only advance encodes nothing and costs the same at 4 records as
   at 64 (3.2 and 3.6 µs on a 2-core machine, Python 3.11).  Every
-  checkpoint holds that body and its clock.  ``advance`` moves the clock
-  before it finalizes, so the checkpoints it crosses share one text.
+  checkpoint holds that body and its slot, and its text is the registry
+  at its slot: ``advance`` sets the clock to each slot it crosses and
+  applies the upgrades due by then before it finalizes that slot.
 * One hash per checkpoint, and only when read.  A checkpoint's digest
-  is the sha256 of head, clock and tail, the digest of the full text.
+  is the sha256 of head, slot and tail, the digest of the full text.
   It is computed the first time ``state_digest`` is read, when an
   oracle attests it or an operator signs the checkpoint, and then kept.
   The bytes it hashes were captured at finalization, never the live
@@ -36,13 +37,12 @@ when its digest is read, and parsed only when its view is read:
   the checkpoint.
 
 One slot-ordered map, ``snapshots``, holds the retained checkpoints; the
-latest finalized is its last entry.  A checkpoint is kept only while
-some oracle could still accept it.  ``sync`` refuses a checkpoint more
+latest finalized is its last entry.  ``sync`` refuses a checkpoint more
 than the chain's ``wsp`` slots old before it reads the snapshot, so
 ``_finalize`` drops every checkpoint more than ``wsp`` slots behind the
-clock, with its state and view.  The latest checkpoint is always kept.
+one it finalizes, with its view: no oracle can accept it any more.
 Retention is therefore bounded by the period, not by the length of the
-run: at most ``wsp // finality_interval + 2`` checkpoints.
+run: at most ``wsp // finality_interval + 1`` checkpoints.
 """
 
 from __future__ import annotations
@@ -68,24 +68,23 @@ MAX_SLOT = 0xFFFF_FFFF_FFFF_FFFF  # ``FinalizedCheckpoint.encode`` writes a slot
 class FinalizedCheckpoint:
     """A finalized slot and the digest of its state.
 
-    A checkpoint the chain finalizes holds that state, ``(body, clock)``,
-    hashes it the first time ``state_digest`` is read and parses it the
+    A checkpoint the chain finalizes holds its body, hashes its text at
+    its slot the first time ``state_digest`` is read and parses it the
     first time ``view`` is; one built with an explicit digest, as a
     forged or transported checkpoint is, holds none."""
 
-    __slots__ = ("slot", "state", "_digest", "_view")
+    __slots__ = ("slot", "body", "_digest", "_view")
 
-    def __init__(self, slot: int, state_digest: str | None, state: tuple[_Body, int] | None = None):
+    def __init__(self, slot: int, state_digest: str | None, body: _Body | None = None):
         self.slot = slot
-        self.state = state
+        self.body = body
         self._digest = state_digest
         self._view: Registry | None = None
 
     @property
     def state_digest(self) -> str:
         if self._digest is None:
-            body, clock = self.state
-            self._digest = body.digest(clock)
+            self._digest = self.body.digest(self.slot)
         return self._digest
 
     @property
@@ -95,8 +94,7 @@ class FinalizedCheckpoint:
         included, so views of different checkpoints share no mutable
         object."""
         if self._view is None:
-            body, clock = self.state
-            self._view = Registry.import_snapshot(body.text(clock))
+            self._view = Registry.import_snapshot(self.body.text(self.slot))
         return self._view
 
     def encode(self) -> bytes:
@@ -126,21 +124,21 @@ def sign_checkpoint(cp: FinalizedCheckpoint, keypair: Keypair) -> SignedCheckpoi
 @dataclass
 class _Body:
     """One finalized state without its clock, shared by every checkpoint
-    finalized while the registry's body was the same: its snapshot is
-    ``head + str(clock) + tail``, kept as ASCII bytes for hashing."""
+    finalized while the registry's body was the same: its snapshot at a
+    slot is ``head + str(slot) + tail``, kept as ASCII bytes for hashing."""
 
     writes: tuple[int, int]  # the registry's and its ledger's write counts when rendered
     head: bytes
     tail: bytes
 
-    def digest(self, clock: int) -> str:
+    def digest(self, slot: int) -> str:
         hasher = hashlib.sha256(self.head)
-        hasher.update(b"%d" % clock)
+        hasher.update(b"%d" % slot)
         hasher.update(self.tail)
         return hasher.hexdigest()
 
-    def text(self, clock: int) -> str:
-        return (self.head + b"%d" % clock + self.tail).decode()
+    def text(self, slot: int) -> str:
+        return (self.head + b"%d" % slot + self.tail).decode()
 
 
 class DestChain:
@@ -156,44 +154,41 @@ class DestChain:
         self.finality_interval = finality_interval
         self.wsp = wsp
         self.slot = 0
-        # finalized slot -> its checkpoint, which holds the state; within the period
+        # finalized slot -> its checkpoint, which holds its body; within the period
         self.snapshots: dict[int, FinalizedCheckpoint] = {}
         self._body: _Body | None = None  # the body last rendered
-        registry.current_slot = 0
-        self._finalize([0])
+        self._finalize(0)
 
-    def _finalize(self, slots: list[int]) -> list[FinalizedCheckpoint]:
-        """Finalize ``slots`` with the current state: one render, shared by
-        every checkpoint, only if a write count moved, and no hash."""
-        if not slots:
-            return []
-        clock = self.registry.current_slot
+    def _finalize(self, slot: int) -> FinalizedCheckpoint:
+        """Set the registry's clock to ``slot``, apply the upgrades due by
+        then and finalize that state: a render only if a write count
+        moved, and no hash."""
+        self.registry.current_slot = slot
+        self.registry.apply_due_upgrades()
         writes = (self.registry.writes, self.registry.ledger.writes)
         if self._body is None or self._body.writes != writes:
             snapshot = self.registry.export_snapshot().encode()
             head = self.registry.snapshot_head().encode()
-            self._body = _Body(writes, head, snapshot[len(head) + len(b"%d" % clock):])
-        state = (self._body, clock)
-        new = [FinalizedCheckpoint(s, None, state) for s in slots]
-        self.snapshots.update((cp.slot, cp) for cp in new)
+            self._body = _Body(writes, head, snapshot[len(head) + len(b"%d" % slot):])
+        checkpoint = self.snapshots[slot] = FinalizedCheckpoint(slot, None, self._body)
         # Checkpoints are inserted in slot order, so the expired ones are a
-        # prefix; the last one finalized is never in it.
-        horizon = min(self.slot - self.wsp, slots[-1])
-        while (oldest := next(iter(self.snapshots))) < horizon:
+        # prefix, and the one just finalized is not in it.
+        while (oldest := next(iter(self.snapshots))) < slot - self.wsp:
             del self.snapshots[oldest]
-        return new
+        return checkpoint
 
     def advance(self, n_slots: int) -> list[FinalizedCheckpoint]:
-        """Move the slot clock forward, emitting one finalized checkpoint
-        per finality interval crossed."""
+        """Move the slot clock forward, finalizing each finality interval
+        it crosses at its own slot, then set the registry's clock to the
+        end and apply the upgrades due there."""
         if n_slots < 1:
             raise DestChainError("advance needs at least one slot")
-        start = self.slot
+        first = (self.slot // self.finality_interval + 1) * self.finality_interval
         self.slot += n_slots
+        new = [self._finalize(s) for s in range(first, self.slot + 1, self.finality_interval)]
         self.registry.current_slot = self.slot
         self.registry.apply_due_upgrades()
-        first = (start // self.finality_interval + 1) * self.finality_interval
-        return self._finalize(list(range(first, self.slot + 1, self.finality_interval)))
+        return new
 
     def latest_finalized(self) -> FinalizedCheckpoint:
         return next(reversed(self.snapshots.values()))

@@ -1,7 +1,7 @@
 """Finalized state on the destination chain: whatever the registry does
 between advances, every retained checkpoint carries the digest, the text
-and the parsed view of a full export taken when it was finalized, and
-views of different checkpoints share nothing mutable.
+and the parsed view of a full export of the registry at its own slot,
+and views of different checkpoints share nothing mutable.
 
 The chain renders only when a write count moved, so every method of
 ``Registry`` and ``TokenLedger`` is listed here as a counted writer or
@@ -9,6 +9,7 @@ as a reader, and whole graded runs check each new checkpoint against a
 fresh export.  A test that writes a field in place declares the write
 (``reg.writes += 1``)."""
 
+import copy
 import dataclasses
 import hashlib
 import itertools
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsa_sim.destchain import DestChain, _Body
+from bsa_sim.destchain import DestChain, FinalizedCheckpoint, _Body
 from bsa_sim.harness import MATRIX_DIR, random_adversarial_config, run_scenario
 from bsa_sim.keys import TweakData, key_address_id, keypair_from_seed, sign_digest
 from bsa_sim.registry import (
@@ -224,9 +225,29 @@ def corrupt(view: Registry) -> None:
     view.rebalance_events.append(RebalanceEvent(0, "acct:corrupt", 1, [], 0))
 
 
+def advance_checked(
+    dest: DestChain, n_slots: int, advance=DestChain.advance
+) -> list[tuple[FinalizedCheckpoint, str]]:
+    """Advance ``dest`` by ``advance``, the method as defined here even
+    where a test patches it, and pair each checkpoint it finalized with a
+    fresh export of the registry at that checkpoint's slot: a copy taken
+    before the advance, its clock set to the slot and the upgrades due by
+    then applied.  The live registry must then be the copy moved on to
+    the chain's slot."""
+    copied = copy.deepcopy(dest.registry)
+    new = advance(dest, n_slots)
+    exported = []
+    for slot in [cp.slot for cp in new] + [dest.slot]:
+        copied.current_slot = slot
+        copied.apply_due_upgrades()
+        exported.append(copied.export_snapshot())
+    assert exported.pop() == dest.registry.export_snapshot()
+    return list(zip(new, exported))
+
+
 def run_steps(steps) -> tuple[DestChain, dict[int, str]]:
     """Apply ``steps``, returning the chain and a fresh export of the
-    registry at every checkpoint, taken when it was finalized."""
+    registry at every checkpoint, at the checkpoint's own slot."""
     reg = Registry(4, 6, 30, 2, TO.public)
     reg.store_tweak_data(TWEAKS[0])
     dest = DestChain(reg, finality_interval=INTERVAL, wsp=WSP)
@@ -237,10 +258,7 @@ def run_steps(steps) -> tuple[DestChain, dict[int, str]]:
         except RegistryError:
             pass  # refused
         if slots:
-            new = dest.advance(slots)
-            if new:
-                text = reg.export_snapshot()
-                exported.update((cp.slot, text) for cp in new)
+            exported.update((cp.slot, text) for cp, text in advance_checked(dest, slots))
     return dest, exported
 
 
@@ -271,9 +289,9 @@ def test_digest_is_hashed_once_and_only_when_read(monkeypatch):
     hashed = []
     digest = _Body.digest
 
-    def counted(body, clock):
-        hashed.append(clock)
-        return digest(body, clock)
+    def counted(body, slot):
+        hashed.append(slot)
+        return digest(body, slot)
 
     monkeypatch.setattr(_Body, "digest", counted)
     reg = Registry(4, 6, 30, 2, TO.public)
@@ -446,6 +464,26 @@ def test_an_advance_renders_only_when_a_count_moved():
     assert dest.latest_finalized().view.t3 == 31
 
 
+def test_an_upgrade_due_between_crossed_slots_reaches_the_later_checkpoint_only(monkeypatch):
+    """One advance crosses two boundaries and an upgrade falls due between
+    them: each checkpoint is the registry at its own slot, so the upgrade
+    is in the later one's view only, and the one export the advance makes
+    is the later one's, the earlier sharing the body rendered before."""
+    reg = Registry(4, 6, 30, 2, TO.public)
+    dest = DestChain(reg, finality_interval=INTERVAL, wsp=WSP)
+    assert reg.schedule_upgrade({"t3": 31}, caller="to") == 30
+    dest.advance(26)  # renders the queued upgrade
+    exports = []
+    export = Registry.export_snapshot
+    monkeypatch.setattr(Registry, "export_snapshot", lambda reg: exports.append(reg) or export(reg))
+    earlier, later = dest.advance(2 * INTERVAL)  # to slot 34, crossing 28 and 32
+    assert len(exports) == 1
+    assert (earlier.slot, later.slot, reg.current_slot, reg.t3) == (28, 32, 34, 31)
+    assert [cp.view.current_slot for cp in (earlier, later)] == [earlier.slot, later.slot]
+    assert (earlier.view.t3, earlier.view.pending_upgrades) == (30, [({"t3": 31}, 30)])
+    assert (later.view.t3, later.view.pending_upgrades) == (31, [])
+
+
 def whole_runs() -> list:
     """The graded scenario files, then the first 20 draws of the
     trust-model sweep (seed 7)."""
@@ -458,24 +496,20 @@ def whole_runs() -> list:
 
 @pytest.mark.parametrize("config", whole_runs(), ids=lambda config: config.name)
 def test_every_checkpoint_of_a_whole_run_is_its_fresh_export(config, monkeypatch):
-    """No write path in ``src/`` goes uncounted: block by block, after
-    every advance that finalizes, the newest checkpoint's digest is that
-    of a fresh export of the registry, and its view, parsed from the
-    checkpoint's text, exports that same text."""
-    advance = DestChain.advance
+    """No write path in ``src/`` goes uncounted: block by block, each
+    checkpoint an advance finalizes holds the registry at its own slot,
+    its digest that of a fresh export at that slot and its view, parsed
+    from the checkpoint's text, that same export."""
     checked_slots = []
 
     def checked(dest: DestChain, n_slots: int):
-        new = advance(dest, n_slots)
-        if new:
-            fresh = dest.registry.export_snapshot()
-            checkpoint = dest.latest_finalized()
+        new = advance_checked(dest, n_slots)
+        for checkpoint, fresh in new:
             assert checkpoint.state_digest == hashlib.sha256(fresh.encode()).hexdigest()
             assert checkpoint.view.export_snapshot() == fresh
-            # the clock a checkpoint holds is the chain's when it was finalized
-            assert checkpoint.view.current_slot == dest.slot
-            checked_slots.append(dest.slot)
-        return new
+            assert checkpoint.view.current_slot == checkpoint.slot
+            checked_slots.append(checkpoint.slot)
+        return [checkpoint for checkpoint, _ in new]
 
     monkeypatch.setattr(DestChain, "advance", checked)
     run_scenario(config)
