@@ -83,7 +83,6 @@ from .keys import (
     TRANSITION_SPECS,
     Keypair,
     Transition,
-    TweakData,
     keypair_from_secret,
     keypair_from_seed,
 )
@@ -311,10 +310,10 @@ class ArbitrationOracle:
         record = self.view.records.get(outpoint)
         if record is None:
             return Rejection(1, "record", "no registry record for this outpoint")
-        tweak_dict = self.view.tweaks.get(record.tweak_digest)
-        if tweak_dict is None:
+        tweak_data = self.view.tweaks.get(record.tweak_digest)
+        if tweak_data is None:
             return Rejection(1, "record", "record references unknown instance parameters")
-        instance = ProtocolInstance(TweakData.from_dict(tweak_dict))
+        instance = ProtocolInstance(tweak_data)
         if instance.tweak_digest != record.tweak_digest:
             return Rejection(1, "record", "instance parameters fail their own digest")
         if all(self.keypair.public != pk for pk in instance.tweak_data.ao_pks):

@@ -36,7 +36,6 @@ expectation.  Its rows are scenario files shipped with the package,
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from dataclasses import dataclass, field
 from importlib import resources
@@ -56,7 +55,7 @@ from .chain import BtcChain, Outpoint, StepSchedule
 from .destchain import DestChain, sign_checkpoint
 from .keys import keypair_from_seed, sign_digest
 from .psbt import ACTIVATION_DEPTH, AoIdentity, VerificationFailed, run_setup_ceremony
-from .registry import Registry, UtxoStatus
+from .registry import Registry, UtxoStatus, encode
 from .scenario import VERSION_LIFETIME, ScenarioConfig, parse_scenario
 
 
@@ -299,12 +298,11 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     world = build_world(config)
     world.run(config.horizon_blocks)
     verdicts = compute_verdicts(world, config)
-    canonical = json.dumps(world.trace, sort_keys=True, separators=(",", ":"))
     return ScenarioResult(
         name=config.name,
         verdicts=verdicts,
         trace=world.trace,
-        trace_digest=hashlib.sha256(canonical.encode()).hexdigest(),
+        trace_digest=hashlib.sha256(encode(world.trace).encode()).hexdigest(),
         final_height=world.chain.height,
         snapshot_digest=world.registry.state_digest(),
         world=world,

@@ -135,7 +135,6 @@ from .curve import (
     P,
     CurveError,
     Point,
-    decode_point,
     decode_point_uncached,
     generator_mul,
     multi_mul_add,
@@ -380,29 +379,6 @@ class TweakData:
 
     def digest_hex(self) -> str:
         return _sha(b"tweakdata" + self.serialize()).hex()
-
-    def to_dict(self) -> dict:
-        return {
-            "dep_pk": self.dep_pk.compressed().hex(),
-            "to_pk": self.to_pk.compressed().hex(),
-            "ao_pks": [pk.compressed().hex() for pk in self.ao_pks],
-            "t1": self.t1,
-            "t2": self.t2,
-            "destination_chain_address": self.destination_chain_address.hex(),
-            "return_address": self.return_address.hex(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TweakData":
-        return cls(
-            dep_pk=decode_point(bytes.fromhex(d["dep_pk"])),
-            to_pk=decode_point(bytes.fromhex(d["to_pk"])),
-            ao_pks=tuple(decode_point(bytes.fromhex(h)) for h in d["ao_pks"]),
-            t1=d["t1"],
-            t2=d["t2"],
-            destination_chain_address=bytes.fromhex(d["destination_chain_address"]),
-            return_address=bytes.fromhex(d["return_address"]),
-        )
 
 
 # ---------------------------------------------------------------------------

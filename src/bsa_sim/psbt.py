@@ -57,7 +57,7 @@ from .keys import (
     verify_signature,
     verify_signatures,
 )
-from .registry import Registry, UtxoRecord, UtxoStatus, check_timelocks
+from .registry import Registry, UtxoRecord, UtxoStatus, check_timelocks, encode, from_fields
 
 BASE_FEE_RATE = 1  # sats per weight unit committed at template time
 ANCHOR_VALUE = 330  # dust value carried by anchor outputs
@@ -160,42 +160,13 @@ class PsbtTemplate:
         raise PsbtError("template has no main output")
 
     def to_text(self) -> str:
-        return json.dumps(
-            {
-                "transition": self.transition.value,
-                "outpoint": [self.outpoint.txid, self.outpoint.index],
-                "input_value": self.input_value,
-                "path_id": self.path_id,
-                "flag": self.flag.value,
-                "outputs": [[o.address_id, o.value] for o in self.outputs],
-                "anchor_index": self.anchor_index,
-                "creator": self.creator,
-                "intended_executor": self.intended_executor,
-                "partial_sigs": {
-                    k: v.hex() for k, v in sorted(self.partial_sigs.items())
-                },
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return encode(self)
 
     @classmethod
     def from_text(cls, text: str) -> "PsbtTemplate":
         """Parse ``to_text``'s form; ``PsbtError`` for any other text."""
         try:
-            d = json.loads(text)
-            return cls(
-                transition=Transition(d["transition"]),
-                outpoint=Outpoint(d["outpoint"][0], d["outpoint"][1]),
-                input_value=d["input_value"],
-                path_id=d["path_id"],
-                flag=SighashFlag(d["flag"]),
-                outputs=[TxOutput(a, v) for a, v in d["outputs"]],
-                anchor_index=d["anchor_index"],
-                creator=d["creator"],
-                intended_executor=d["intended_executor"],
-                partial_sigs={k: bytes.fromhex(v) for k, v in d["partial_sigs"].items()},
-            )
+            return from_fields(cls, json.loads(text))
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
             raise PsbtError(f"not a template: {exc!r}") from exc
 
@@ -542,26 +513,27 @@ def run_setup_ceremony(
                 if not verify_partial_sigs(per[transition], instance):
                     raise VerificationFailed(f"bad depositor signature on {transition.value}")
 
-    # step 2b: operator stores the registry rows
+    # step 2b: operator stores the registry rows, each written once
     registry.store_tweak_data(tweak_data)
-    for outpoint, amount, per in zip(outpoints, amounts, psbt_sets):
+    sar_texts = [{t.value: per[t].to_text() for t in SAR_ROWS} for per in psbt_sets]
+    for outpoint, amount, texts in zip(outpoints, amounts, sar_texts):
         record = UtxoRecord(
             outpoint=str(outpoint),
             owner=instance.owner,
             amount=amount,
             status=UtxoStatus.REGISTERED,
             tweak_digest=instance.tweak_digest,
-            psbts={t.value: per[t].to_text() for t in SAR_ROWS},
+            psbts=dict(texts),
         )
         if sar_tamper is not None:
             record.psbts = sar_tamper(record.outpoint, record.psbts)
         registry.register_deposit(record, caller="to")
 
     # step 3: depositor verifies the registry rows byte for byte
-    for outpoint, per in zip(outpoints, psbt_sets):
+    for outpoint, texts in zip(outpoints, sar_texts):
         for transition in SAR_ROWS:
             stored_text = registry.get_stored_psbt(str(outpoint), transition.value)
-            if stored_text != per[transition].to_text():
+            if stored_text != texts[transition.value]:
                 for rejected in outpoints:
                     registry.reject_deposit(str(rejected), owner_account)
                 raise VerificationFailed(

@@ -40,21 +40,29 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .keys import SAR_ROWS, Point, TweakData, decode_point, verify_signature
+from .chain import Outpoint, SighashFlag, TxOutput
+from .curve import decode_point
+from .keys import SAR_ROWS, Point, Transition, TweakData, verify_signature
 
-# one canonical encoder for every snapshot text (``json.dumps`` with
-# arguments builds a new encoder on each call); a stored object is
-# encoded as its dataclass fields, read with getattr because asking for
-# an instance's ``__dict__`` makes later attribute reads slower on
-# CPython 3.11
-_ENCODER = json.JSONEncoder(
+# the one canonical encoder of every stored text: the snapshot, a stored
+# template and the trace digest (``json.dumps`` with arguments builds a
+# new encoder on each call).  It writes an Enum as its value, bytes and a
+# point as hex, an outpoint or an output as the array of its fields and
+# any other dataclass as its fields, read with getattr because asking
+# for an instance's ``__dict__`` makes later attribute reads slower on
+# CPython 3.11; ``from_fields`` reads each back.
+encode = json.JSONEncoder(
     sort_keys=True,
     separators=(",", ":"),
     default=lambda o: (
         o.value if isinstance(o, Enum)
+        else o.hex() if isinstance(o, bytes)
+        else o.compressed().hex() if isinstance(o, Point)
+        else [getattr(o, name) for name in o.__dataclass_fields__]
+        if isinstance(o, (Outpoint, TxOutput))
         else {name: getattr(o, name) for name in o.__dataclass_fields__}
     ),
-)
+).encode
 
 
 class RegistryError(Exception):
@@ -250,26 +258,63 @@ def _as_read(value):
     return value
 
 
+def _read_point(text: str) -> Point:
+    return decode_point(bytes.fromhex(text))
+
+
+def _from_array(cls, values: list):
+    """``cls`` from the array of its fields that ``encode`` writes."""
+    if not isinstance(values, list):
+        raise TypeError(f"{cls.__name__} is written as an array, not {values!r}")
+    return cls(*values)
+
+
+# a field's declared type -> how ``from_fields`` reads it back from what
+# ``encode`` wrote; a field of any other type is used as read
+_READ = {
+    "bytes": bytes.fromhex,
+    "Point": _read_point,
+    "tuple[Point, ...]": lambda texts: tuple(map(_read_point, texts)),
+    "UtxoStatus": UtxoStatus,
+    "Transition": Transition,
+    "SighashFlag": SighashFlag,
+    "Outpoint": lambda values: _from_array(Outpoint, values),
+    "list[TxOutput]": lambda outputs: [_from_array(TxOutput, o) for o in outputs],
+    "dict[str, bytes]": lambda texts: {k: bytes.fromhex(v) for k, v in texts.items()},
+    "list[tuple[str, int]]": lambda pairs: list(map(tuple, pairs)),
+}
+
+
+def from_fields(cls, fields: dict):
+    """The dataclass ``cls`` built from the parsed ``fields`` that
+    ``encode`` wrote, each read through ``_READ`` by its declared type;
+    ``TypeError`` unless ``fields`` names every field and no other."""
+    declared = cls.__dataclass_fields__
+    if fields.keys() != declared.keys():
+        raise TypeError(f"{cls.__name__} has fields {sorted(declared)}, not {sorted(fields)}")
+    return cls(**{
+        name: _READ[f.type](fields[name]) if f.type in _READ else fields[name]
+        for name, f in declared.items()
+    })
+
+
 # section name, which is also the ``Registry`` attribute that holds it ->
 # how ``import_snapshot`` rebuilds it from the parsed text
 _SECTIONS = {
     # the text lists records by outpoint; registration order is restored
     "records": lambda records: {
-        v["outpoint"]: UtxoRecord(**{**v, "status": UtxoStatus(v["status"])})
+        v["outpoint"]: from_fields(UtxoRecord, v)
         for v in sorted(records.values(), key=lambda v: v["rebalance_position"])
     },
-    "tweaks": _as_read,
+    "tweaks": lambda tweaks: {k: from_fields(TweakData, t) for k, t in tweaks.items()},
     "orders": _as_read,
-    "adapters": lambda adapters: {k: Adapter(**a) for k, a in adapters.items()},
+    "adapters": lambda adapters: {k: from_fields(Adapter, a) for k, a in adapters.items()},
     "versions": lambda versions: {k: tuple(v) for k, v in versions.items()},
     "pending_upgrades": lambda upgrades: [tuple(u) for u in upgrades],
-    "ledger": lambda ledger: TokenLedger(**ledger),
+    "ledger": lambda ledger: from_fields(TokenLedger, ledger),
     "claimable": _as_read,
     "claim_paid": _as_read,
-    "rebalance_events": lambda events: [
-        RebalanceEvent(**{**e, "selected": [tuple(s) for s in e["selected"]]})
-        for e in events
-    ],
+    "rebalance_events": lambda events: [from_fields(RebalanceEvent, e) for e in events],
 }
 
 
@@ -288,7 +333,7 @@ class Registry:
         self.to_pubkey = to_pubkey
         self.current_slot = 0
         self.records: dict[str, UtxoRecord] = {}
-        self.tweaks: dict[str, dict] = {}  # digest -> TweakData.to_dict()
+        self.tweaks: dict[str, TweakData] = {}  # digest -> the instance parameters
         self.orders: dict[str, list[int]] = {}  # owner -> permutation
         self.adapters: dict[str, Adapter] = {}
         self.versions: dict[str, tuple[int, str]] = {}  # pcr0 -> (expiry slot, sig hex)
@@ -302,7 +347,7 @@ class Registry:
 
     def store_tweak_data(self, tweak_data: TweakData) -> str:
         digest = tweak_data.digest_hex()
-        self.tweaks[digest] = tweak_data.to_dict()
+        self.tweaks[digest] = tweak_data
         self.writes += 1
         return digest
 
@@ -525,7 +570,7 @@ class Registry:
             "t3": self.t3,
             "slots_per_block": self.slots_per_block,
         }
-        sections["to_pubkey"] = self.to_pubkey.compressed().hex()
+        sections["to_pubkey"] = self.to_pubkey
         sections["current_slot"] = self.current_slot
         # a retired section, kept empty so every digest stays as it was
         sections["collaborative_pending"] = {}
@@ -533,14 +578,14 @@ class Registry:
 
     def export_snapshot(self) -> str:
         """The canonical state: sorted keys, no whitespace."""
-        return _ENCODER.encode(self._sections())
+        return encode(self._sections())
 
     def snapshot_head(self) -> str:
         """The text of ``export_snapshot()`` up to the value of
         ``current_slot``: the sections that sort before it, which always
         exist, without their closing brace."""
         head = {name: v for name, v in self._sections().items() if name < "current_slot"}
-        return _ENCODER.encode(head)[:-1] + ',"current_slot":'
+        return encode(head)[:-1] + ',"current_slot":'
 
     def state_digest(self) -> str:
         return hashlib.sha256(self.export_snapshot().encode()).hexdigest()
@@ -548,7 +593,7 @@ class Registry:
     @classmethod
     def import_snapshot(cls, snapshot: str) -> "Registry":
         d = json.loads(snapshot)
-        reg = cls(**d["params"], to_pubkey=decode_point(bytes.fromhex(d["to_pubkey"])))
+        reg = cls(**d["params"], to_pubkey=_read_point(d["to_pubkey"]))
         reg.current_slot = d["current_slot"]
         for name, rebuild in _SECTIONS.items():
             setattr(reg, name, rebuild(d[name]))

@@ -127,6 +127,34 @@ class ScenarioConfig:
             self.oracles.append(OracleBehavior())
         if len(self.oracles) > self.n_oracles:
             self.n_oracles = len(self.oracles)
+        # the checks that relate one value to others, made on a config
+        # built in code as on a parsed one
+        try:
+            check_timelocks(self.t1, self.t2, self.t3, self.slots_per_block)
+        except TimelockRelationViolated as exc:
+            raise ScenarioError(f"[params] t3: {exc}") from exc
+        # ``build_world`` funds the depositor, the operator and each oracle with
+        # fee_funds, and a transaction can gather those and the deposits in one output
+        wallets = 2 + len(self.oracles)
+        held = sum(self.amounts) + wallets * self.fee_funds
+        if held > MAX_VALUE:
+            raise ScenarioError(
+                f"[params] fee_funds = {self.fee_funds}: {wallets} wallets and the deposits"
+                f" hold {held} sat, above {MAX_VALUE}"
+            )
+        last_slot = (ACTIVATION_DEPTH + self.horizon_blocks) * self.slots_per_block
+        if last_slot > MAX_SLOT:
+            raise ScenarioError(
+                f"[params] horizon_blocks = {self.horizon_blocks}: the run reaches slot"
+                f" {last_slot}, above {MAX_SLOT}"
+            )
+        index = self.depositor.exit_deposit_index
+        if index is not None and not 0 <= index < len(self.amounts):
+            raise ScenarioError(
+                f"[depositor] exit_deposit_index = {index}: there are {len(self.amounts)} deposits"
+            )
+        if not self.oracles:
+            raise ScenarioError("[params] n_oracles: a scenario needs at least one oracle")
 
 
 def _opt_non_negative_int(value: str) -> int | None:
@@ -350,7 +378,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         depositor = DepositorBehavior(**_values(parser, "depositor", _DEPOSITOR))
     except ValueError as exc:
         raise ScenarioError(f"[depositor] {exc}") from exc
-    config = ScenarioConfig(
+    return ScenarioConfig(
         **_values(parser, "scenario", _SCENARIO),
         **_values(parser, "params", _PARAMS),
         **_values(parser, "deposit", _DEPOSIT),
@@ -359,33 +387,6 @@ def parse_scenario(text: str) -> ScenarioConfig:
         oracles=_oracles(parser),
         expected_verdicts=expected_verdicts,
     )
-    try:
-        check_timelocks(config.t1, config.t2, config.t3, config.slots_per_block)
-    except TimelockRelationViolated as exc:
-        raise ScenarioError(f"[params] t3: {exc}") from exc
-    # ``build_world`` funds the depositor, the operator and each oracle with
-    # fee_funds, and a transaction can gather those and the deposits in one output
-    wallets = 2 + len(config.oracles)
-    held = sum(config.amounts) + wallets * config.fee_funds
-    if held > MAX_VALUE:
-        raise ScenarioError(
-            f"[params] fee_funds = {config.fee_funds}: {wallets} wallets and the deposits"
-            f" hold {held} sat, above {MAX_VALUE}"
-        )
-    last_slot = (ACTIVATION_DEPTH + config.horizon_blocks) * config.slots_per_block
-    if last_slot > MAX_SLOT:
-        raise ScenarioError(
-            f"[params] horizon_blocks = {config.horizon_blocks}: the run reaches slot"
-            f" {last_slot}, above {MAX_SLOT}"
-        )
-    index = config.depositor.exit_deposit_index
-    if index is not None and not 0 <= index < len(config.amounts):
-        raise ScenarioError(
-            f"[depositor] exit_deposit_index = {index}: there are {len(config.amounts)} deposits"
-        )
-    if not config.oracles:
-        raise ScenarioError("[params] n_oracles: a scenario needs at least one oracle")
-    return config
 
 
 def load_scenario(path: str) -> ScenarioConfig:

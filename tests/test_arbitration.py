@@ -33,7 +33,6 @@ from bsa_sim.destchain import (
 )
 from bsa_sim.keys import (
     Transition,
-    TweakData,
     build_protocol_addresses,
     key_address_id,
     keypair_from_seed,
@@ -205,7 +204,7 @@ def expect_rebalance(view, oracle_pub, pcr0, now, outpoint, request_tx):
     record = view.records.get(outpoint)
     if record is None or record.tweak_digest not in view.tweaks:
         return ("reject", 1)
-    tweak = TweakData.from_dict(view.tweaks[record.tweak_digest])
+    tweak = view.tweaks[record.tweak_digest]
     if all(oracle_pub != pk for pk in tweak.ao_pks):
         return ("reject", 1)
     addrs = build_protocol_addresses(tweak)
@@ -225,7 +224,7 @@ def expect_unbond(view, oracle_pub, pcr0, now, outpoint, request_tx, challenge_t
     record = view.records.get(outpoint)
     if record is None or record.tweak_digest not in view.tweaks:
         return ("reject", 1)
-    tweak = TweakData.from_dict(view.tweaks[record.tweak_digest])
+    tweak = view.tweaks[record.tweak_digest]
     if all(oracle_pub != pk for pk in tweak.ao_pks):
         return ("reject", 1)
     addrs = build_protocol_addresses(tweak)
@@ -580,7 +579,7 @@ def test_rebootstrap_accepts_exactly_a_served_operator_checkpoint_within_the_per
 def test_snapshots_are_retained_for_the_longest_period_only():
     w = ArbWorld(n_oracles=1, wsp=24, interval=4)
     window = w.dest.wsp
-    bound = window // w.dest.finality_interval + 2
+    bound = window // w.dest.finality_interval + 1
     for n in (1, 3, 4, 7, 13, 40, 2) * 4:  # single slots, whole intervals, many at once
         w.dest.advance(n)
         for cp in w.dest.snapshots.values():

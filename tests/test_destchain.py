@@ -200,8 +200,8 @@ def corrupt(view: Registry) -> None:
     for record in view.records.values():
         record.status = UtxoStatus.REJECTED
         record.psbts[REQUIRED_PSBT_SLOTS[0]] = "{}"
-    for tweak in view.tweaks.values():
-        tweak["t1"] = 99
+    for digest, tweak in view.tweaks.items():  # frozen: replaced, not written
+        view.tweaks[digest] = dataclasses.replace(tweak, t1=99)
     for order in view.orders.values():
         order.append(99)
     view.orders["acct:corrupt"] = [0]

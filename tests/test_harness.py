@@ -318,6 +318,28 @@ def test_a_key_without_its_height_is_refused_when_built(kwargs, message):
     DepositorBehavior(**kwargs, **{height: 8})  # with its height it is accepted
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"t3": 100}, "[params] t3: t3=100 slots must exceed"),
+        ({"fee_funds": 3689348814741910323},
+         "[params] fee_funds = 3689348814741910323: 5 wallets and the deposits hold"),
+        ({"slots_per_block": 10**17, "t3": 17 * 10**17, "horizon_blocks": 200},
+         "[params] horizon_blocks = 200: the run reaches slot 20600000000000000000"),
+        ({"amounts": [10_000], "depositor": DepositorBehavior(exit_at=10, exit_deposit_index=3)},
+         "[depositor] exit_deposit_index = 3: there are 1 deposits"),
+        ({"n_oracles": 0}, "[params] n_oracles: a scenario needs at least one oracle"),
+    ],
+    ids=["t3-within-dispute-window", "fee-funds-with-deposits-past-eight-bytes",
+         "horizon-slot-past-eight-bytes", "exit-index-past-end", "no-oracle"],
+)
+def test_a_config_whose_values_do_not_fit_together_is_refused_when_built(kwargs, message):
+    """The checks that relate one value to others hold for a config built
+    in code as for a parsed one, with the parser's messages."""
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        ScenarioConfig(**kwargs)
+
+
 def test_parse_accepts_as_many_oracles_as_tweak_data_holds():
     # parsed only: no world is built with this many oracles
     for text in ("[params]\nn_oracles = 65535\n", "[oracle.65534]\nrefuse = true\n"):
@@ -504,13 +526,53 @@ def test_cli_run_mismatch_exits_nonzero(tmp_path, capsys):
     assert "MISMATCH: expected N/Y/N, got Y/Y/Y" in out
 
 
-def test_cli_run_malformed_file_exits_two_naming_the_key(tmp_path, capsys):
-    path = tmp_path / "misspelt.scn"
-    path.write_text("[params]\nt_one = 6\n")
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[params]\nt_one = 6\n", "[params] t_one: unknown key"),
+        ("[params]\nt3 = 100\n",
+         "[params] t3: t3=100 slots must exceed (t1+t2)=16 blocks * 50 slots/block"),
+        ("[deposit]\namounts = 500\n",
+         "[deposit] amounts = '500': a deposit below 669 cannot pay its pre-signed rows"),
+        ("[params]\nfee_steps = 20:3, 20:1\n",
+         "[params] fee_steps = '20:3, 20:1': height 20 is given twice"),
+        ("[deposit]\nowner =\n", "[deposit] owner = '': must not be empty"),
+        ("[params]\nn_oracles = 65536\n", "[params] n_oracles = '65536': at most 65535 oracles"),
+        ("[depositor]\nleak_tokens_at = 5\n",
+         "[depositor] leak_tokens_at = 5: no leak_token_amount is set"),
+        ("[depositor]\nuse_leaked_key = true\n",
+         "[depositor] use_leaked_key = true: no exit_at is set"),
+        ("[oracle.0]\noffline = 3\n",
+         "[oracle.0] offline = '3': expected start..until, got '3'"),
+        ("[deposit]\namounts = 2000,,3000\n",
+         "[deposit] amounts = '2000,,3000': an item of the list is empty"),
+        ("[expect]\noperator_safe = false\nprotocol_safe = true\n",
+         "[expect] protocol_safe = true: a run is protocol-safe exactly when it is"
+         " depositor-safe and operator-safe"),
+        ("[deposit]\namounts = 20000000000000000000\n",
+         "[deposit] amounts = '20000000000000000000': they total 20000000000000000000 sat,"
+         " above 18446744073709551615"),
+        ("[params]\nt1 = 5000000000\nt3 = 999999999999999\n",
+         "[params] t1 = '5000000000': at most 4294967295 blocks"),
+        ("[params]\nt3 = 2000000000000000000\n",
+         "[params] t3 = '2000000000000000000': at most 1844674407370955161 slots"),
+        ("[params]\nfee_funds = 20000000000000000000\nfee_steps = 9:4\n[depositor]\nexit_at = 8\n",
+         "[params] fee_funds = 20000000000000000000: 5 wallets and the deposits hold"
+         " 100000000000000010000 sat, above 18446744073709551615"),
+    ],
+    ids=["misspelt", "short-t3", "tiny-deposit", "fee-step-twice", "blank-owner",
+         "too-many-oracles", "leak-without-amount", "leaked-key-without-exit",
+         "window-without-dots", "amounts-empty-item", "expect-contradictory",
+         "amount-past-eight-bytes", "t1-past-four-bytes", "t3-expiry-past-eight-bytes",
+         "fee-funds-past-eight-bytes"],
+)
+def test_cli_run_malformed_file_exits_two_naming_the_key(tmp_path, capsys, text, message):
+    path = tmp_path / "malformed.scn"
+    path.write_text(text)
     assert main(["run", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"bsa-sim: {path}: [params] t_one: unknown key\n"
+    assert captured.err == f"bsa-sim: {path}: {message}\n"
 
 
 def test_cli_run_missing_file_exits_two(tmp_path, capsys):

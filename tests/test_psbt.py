@@ -4,6 +4,8 @@ ANYONECANPAY inputs can be added without breaking signatures, and any
 output change breaks every prior signature."""
 
 import dataclasses
+import json
+import pathlib
 import random
 
 import pytest
@@ -19,6 +21,7 @@ from bsa_sim.chain import (
     verify_spend,
 )
 from bsa_sim import psbt as psbt_module
+from bsa_sim.harness import MATRIX_DIR, run_scenario
 from bsa_sim.keys import (
     SAR_ROWS,
     TO_ROWS,
@@ -40,6 +43,7 @@ from bsa_sim.psbt import (
     NoAnchor,
     NotASigner,
     ProtocolInstance,
+    PsbtError,
     PsbtTemplate,
     VerificationFailed,
     add_fee_input,
@@ -57,7 +61,10 @@ from bsa_sim.registry import (
     Registry,
     TimelockRelationViolated,
     UtxoStatus,
+    encode,
+    from_fields,
 )
+from bsa_sim.scenario import load_scenario
 
 IMAGE = EnclaveImage(b"arbiter-v1", b"standard", b"oracle-vendor")
 
@@ -180,6 +187,68 @@ def test_template_text_round_trip(world):
     assert psbt.to_text() == stored
     assert psbt.transition is Transition.UNBOND_RESOLVE
     assert verify_partial_sigs(psbt, inst)
+
+
+# -- the stored-text codec ----------------------------------------------------
+
+GRADED_FILES = sorted(
+    (pathlib.Path(__file__).resolve().parent.parent / "scenarios").glob("*.scn")
+) + sorted(MATRIX_DIR.glob("*.scn"))
+
+
+@pytest.mark.parametrize("path", GRADED_FILES, ids=lambda path: path.stem)
+def test_every_stored_text_of_a_graded_run_reads_back_as_written(path):
+    """Every stored row, every operator row and the instance parameters
+    in the registry and in every view of a graded run: the text reads
+    back to the same value, and that value writes the same text."""
+    world = run_scenario(load_scenario(str(path))).world
+    stored = [text for r in world.registry.records.values() for text in r.psbts.values()]
+    held = [
+        row.to_text()
+        for instance in world.instances
+        for rows in instance.to_psbts.values()
+        for row in rows.values()
+    ]
+    assert stored and held
+    for text in stored + held:
+        row = PsbtTemplate.from_text(text)
+        assert row.to_text() == text
+        assert PsbtTemplate.from_text(row.to_text()) == row
+    views = [world.registry] + [cp.view for cp in world.dest.snapshots.values()]
+    views += [actor.oracle.view for actor in world.oracles if actor.oracle.view is not None]
+    tweaks = [item for view in views for item in view.tweaks.items()]
+    assert tweaks
+    for digest, tweak in tweaks:
+        text = encode(tweak)
+        assert from_fields(TweakData, json.loads(text)) == tweak
+        assert encode(from_fields(TweakData, json.loads(text))) == text
+        assert tweak.digest_hex() == digest
+
+
+def stored_fields(world) -> dict:
+    outpoint_str = next(iter(world.instance.deposits))
+    return json.loads(world.registry.get_stored_psbt(outpoint_str, "unbond_resolve"))
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PsbtTemplate)])
+def test_template_text_without_a_field_is_refused(world, name):
+    fields = stored_fields(world)
+    del fields[name]
+    with pytest.raises(PsbtError):
+        PsbtTemplate.from_text(json.dumps(fields))
+
+
+def test_template_text_with_an_extra_field_is_refused(world):
+    fields = stored_fields(world)
+    fields["fee"] = 1
+    with pytest.raises(PsbtError):
+        PsbtTemplate.from_text(json.dumps(fields))
+
+
+@pytest.mark.parametrize("text", ["not json", "[]", '"text"', "5", "null", "true"])
+def test_text_that_is_no_json_object_is_no_template(text):
+    with pytest.raises(PsbtError):
+        PsbtTemplate.from_text(text)
 
 
 # -- ceremony -----------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Functions that no graded run enters, kept as an exact list.
 
-``tests/test_unreferenced.py`` works by name, so it cannot see a
-function that ``src/`` calls only on a path no run takes.  This test
-runs the 17 graded scenario files and the first 20 draws of the
-trust-model sweep (seed 7) under ``sys.setprofile`` and records every
-function in ``src/`` that is entered.  The six ``curve`` and ``keys``
+A function that nothing in ``src/`` references is never entered, and
+neither is one that ``src/`` calls only on a path no run takes, so the
+list holds both.  This test runs the 17 graded scenario files and the
+first 20 draws of the trust-model sweep (seed 7) under
+``sys.setprofile`` and records every function in ``src/`` that is
+entered.  The six ``curve`` and ``keys``
 memos are cleared first, since a memo hit skips the body it caches.
 
 A function is matched to its ``def`` by name and line, so that a
