@@ -42,10 +42,10 @@ challenge (``OracleActor.first_seen``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .arbitration import ArbitrationOracle, Rejection, StaleCheckpoint
-from .chain import BtcChain, Outpoint, SighashFlag, SimTx, TxInput, TxOutput, TxRejected, Utxo
+from .chain import (
+    BtcChain, Outpoint, SighashFlag, SimTx, TxInput, TxOutput, TxRejected, Utxo, weight,
+)
 from .destchain import DestChain, sign_checkpoint
 from .keys import TRANSITION_SPECS, Keypair, Point, Transition, sign_digest
 from .psbt import (
@@ -58,6 +58,7 @@ from .psbt import (
     required_child_fee,
 )
 from .registry import EXIT_STATUSES, LedgerError, Registry, UtxoStatus
+from .scenario import DepositorBehavior, OperatorBehavior, OracleBehavior
 
 # ---------------------------------------------------------------------------
 # wallet helpers
@@ -85,7 +86,7 @@ def send_btc(
 ) -> SimTx | None:
     """Plain key-spend payment with change."""
     address_id = chain.ensure_key_address(keypair.public)
-    fee = chain.next_rate() * 3
+    fee = chain.next_rate() * weight(1, 2)  # priced with its change output
     for utxo in spendable_utxos(chain, address_id):
         if utxo.value < amount + fee:
             continue
@@ -98,54 +99,6 @@ def send_btc(
         chain.submit_tx(tx)
         return tx
     return None
-
-
-# ---------------------------------------------------------------------------
-# behaviors
-
-
-@dataclass
-class DepositorBehavior:
-    exit_at: int | None = None  # height at which to start a unilateral exit
-    exit_deposit_index: int | None = None  # which funding output to exit (None = all)
-    burn_before_exit: bool = True  # False models an exit without giving up tokens
-    use_leaked_key: bool = False  # resolve own challenge with a leaked oracle secret
-    leak_tokens_at: int | None = None  # move tokens outside the tracked perimeter
-    leak_token_amount: int = 0
-
-    def __post_init__(self):
-        # a leak of nothing is one the ledger refuses every block
-        if self.leak_tokens_at is not None and self.leak_token_amount == 0:
-            raise ValueError(
-                f"leak_tokens_at = {self.leak_tokens_at}: no leak_token_amount is set"
-            )
-        # a key that qualifies a height is read only once that height comes
-        for key, value, default, height in (
-            ("leak_token_amount", self.leak_token_amount, 0, "leak_tokens_at"),
-            ("exit_deposit_index", self.exit_deposit_index, None, "exit_at"),
-            ("burn_before_exit", self.burn_before_exit, True, "exit_at"),
-            ("use_leaked_key", self.use_leaked_key, False, "exit_at"),
-        ):
-            if value != default and getattr(self, height) is None:
-                raise ValueError(f"{key} = {str(value).lower()}: no {height} is set")
-
-
-@dataclass
-class OperatorBehavior:
-    challenge_thefts: bool = True
-    challenge_legitimate: bool = False  # dispute even burned exits (malicious)
-    claim_expired: bool = True
-    rebalance_at: int | None = None  # height to run imbalance detection
-    false_rebalance_at: int | None = None  # seize without marking the registry
-    pay_over_seizure: bool = True
-    provide_checkpoints: bool = True
-
-
-@dataclass
-class OracleBehavior:
-    offline: tuple[int, int] | None = None  # [from_height, until_height)
-    refuse_resolutions: bool = False  # verifies but never signs (corrupted)
-    leak_secret: bool = False  # identity key handed to the adversary at setup
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +490,8 @@ class World:
         sent, action = tx, "broadcast" if mode == "acp" else template.transition.value
         if mode == "acp" and short:
             payer = fee_payer or executor
-            fee_utxo = carve_fee_utxo(self.chain, payer, rate * (tx.weight + 1) - template.fee)
+            with_input = rate * weight(len(tx.inputs) + 1, len(tx.outputs))
+            fee_utxo = carve_fee_utxo(self.chain, payer, with_input - template.fee)
             if fee_utxo is None:
                 self.log(actor, "fee_input_no_funds", txid=tx.txid)
                 return None
@@ -550,7 +504,8 @@ class World:
         self.log(actor, action, txid=sent.txid)
         if mode != "anchor" or not short:
             return tx
-        target = required_child_fee(template.fee, rate * tx.weight, rate * 3)
+        # the child spends the anchor and one wallet output into one change output
+        target = required_child_fee(template.fee, rate * tx.weight, rate * weight(2, 1))
         address_id = self.chain.ensure_key_address(executor.public)
         anchor_value = tx.outputs[tx.anchor_index].value if tx.anchor_index is not None else 0
         for utxo in spendable_utxos(self.chain, address_id):
@@ -577,7 +532,7 @@ class World:
         if self.chain.spender(utxo.outpoint) is not None or self.chain.height < due:
             return
         spent = (utxo.outpoint, utxo.value)
-        template = build_psbt(row, instance, spent, fee=self.chain.next_rate() * 2)
+        template = build_psbt(row, instance, spent, rate=self.chain.next_rate())
         self.execute(template, executor, instance, actor)
 
     # -- the clock ---------------------------------------------------------

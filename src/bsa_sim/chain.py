@@ -2,7 +2,8 @@
 timelocks, a height-indexed fee market, and parent+child package
 confirmation.
 
-Weight is modeled as input_count + output_count.  A transaction id
+Weight is modeled as input_count + output_count (``weight``, the one
+count every fee is priced by).  A transaction id
 commits to inputs (outpoints, path ids, sighash flags) and outputs but
 not witnesses, so chained pre-signed transactions can reference each
 other before any signature exists.
@@ -153,6 +154,11 @@ MAX_VALUE = 0xFFFF_FFFF_FFFF_FFFF  # ``TxOutput.encode`` writes a value in eight
 MAX_OUTPUTS = 0xFFFF  # ``SimTx.txid`` writes the input and the output count in two bytes
 
 
+def weight(n_inputs: int, n_outputs: int) -> int:
+    """The weight of a transaction with this many inputs and outputs."""
+    return n_inputs + n_outputs
+
+
 @dataclass(frozen=True)
 class TxOutput:
     address_id: str
@@ -181,7 +187,7 @@ class SimTx:
 
     @property
     def weight(self) -> int:
-        return len(self.inputs) + len(self.outputs)
+        return weight(len(self.inputs), len(self.outputs))
 
     @property
     def txid(self) -> str:

@@ -40,15 +40,7 @@ import random
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .actors import (
-    DepositorActor,
-    DepositorBehavior,
-    OperatorBehavior,
-    OracleActor,
-    OracleBehavior,
-    TokenOperatorActor,
-    World,
-)
+from .actors import DepositorActor, OracleActor, TokenOperatorActor, World
 from .arbitration import ArbitrationOracle
 from .attestation import EnclaveImage, MockAttestationAuthority, MockKms
 from .chain import BtcChain, Outpoint, StepSchedule
@@ -56,7 +48,10 @@ from .destchain import DestChain, sign_checkpoint
 from .keys import keypair_from_seed, sign_digest
 from .psbt import ACTIVATION_DEPTH, AoIdentity, VerificationFailed, run_setup_ceremony
 from .registry import Registry, UtxoStatus, encode
-from .scenario import VERSION_LIFETIME, ScenarioConfig, parse_scenario
+from .scenario import (
+    VERSION_LIFETIME, DepositorBehavior, OperatorBehavior, OracleBehavior, ScenarioConfig,
+    parse_scenario,
+)
 
 
 @dataclass

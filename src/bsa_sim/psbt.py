@@ -39,6 +39,7 @@ from .chain import (
     TxInput,
     TxOutput,
     Utxo,
+    weight,
 )
 from .keys import (
     DEPOSIT_ROWS,
@@ -100,11 +101,12 @@ class VerificationFailed(PsbtError):
     pass
 
 
-def _base_cost(spec: TransitionSpec) -> tuple[int, int]:
-    """The base fee and the anchor dust a row takes off its input value:
-    the fee pays for one input, one main output and the anchor if any."""
+def _base_cost(spec: TransitionSpec, rate: int = BASE_FEE_RATE) -> tuple[int, int]:
+    """The fee at ``rate`` and the anchor dust a row takes off its input
+    value: the fee pays for one input, one main output and the anchor if
+    any."""
     has_anchor = spec.fee_mode == "anchor"
-    return BASE_FEE_RATE * (2 + has_anchor), ANCHOR_VALUE * has_anchor
+    return rate * weight(1, 1 + has_anchor), ANCHOR_VALUE * has_anchor
 
 
 def _min_deposit() -> int:
@@ -205,20 +207,18 @@ def build_psbt(
     transition: Transition,
     instance: ProtocolInstance,
     spent: tuple[Outpoint, int],
-    fee: int | None = None,
+    rate: int = BASE_FEE_RATE,
 ) -> PsbtTemplate:
     """Construct an unsigned template for one transition spending
     ``spent``, an ``(outpoint, value)`` pair on the row's source address.
 
     The committed outputs are the transition's destination address for
-    the full input value minus the base fee (and minus the anchor dust
-    when the row carries an anchor).
+    the full input value minus the fee at ``rate`` (and minus the anchor
+    dust when the row carries an anchor).
     """
     spec = TRANSITION_SPECS[transition]
     outpoint, value = spent
-    base_fee, anchor_value = _base_cost(spec)
-    if fee is None:
-        fee = base_fee
+    fee, anchor_value = _base_cost(spec, rate)
     main_value = value - fee - anchor_value
     if main_value <= 0:
         raise InsufficientFunds(f"{transition.value} on value {value} leaves no output")

@@ -41,41 +41,39 @@ rate is above it, executors top up with anchor children or fee inputs.
 Section ``[oracle.N]`` sets oracle N (N is a decimal number; each N
 may appear once).  There are max(``n_oracles``, highest N + 1) oracles,
 at least one, ``n_oracles`` defaulting to 3, and every oracle without a
-section is honest.  An unknown section or key is a ``ScenarioError``
-naming it, so a misspelt key cannot silently fall back to its default.
-So is a value out of its range: ``t1``, ``t2``, ``t3``,
-``slots_per_block``, ``finality_interval``, ``fee_funds``,
-``horizon_blocks``, ``t_op_blocks``, ``wsp_slots`` or
-``leak_token_amount`` below 1, a negative ``fee_base``,
-``margin_blocks`` or ``n_oracles``, more than ``keys.MAX_ORACLES``
-(65,535) oracles by ``n_oracles`` or by an ``[oracle.N]`` section (the
-tweak data stores the count in two bytes), a ``t3`` that does not exceed
-(``t1`` + ``t2``) blocks of ``slots_per_block`` slots
-(``registry.check_timelocks``), a negative height (``exit_at``,
-``leak_tokens_at``, ``rebalance_at``, ``false_rebalance_at``,
-``dest_halted_at``, or one in ``fee_steps``) or rate in ``fee_steps``,
-a ``fee_steps`` height given twice, a ``leak_tokens_at`` or
-``leak_token_amount`` without the other, an ``exit_deposit_index``,
-``burn_before_exit = false`` or ``use_leaked_key = true`` without an
-``exit_at`` (nothing reads them before that height), an empty
-``owner``, an ``offline`` window that starts below 0 or does not end
-after it starts, an ``exit_deposit_index`` that names no deposit,
-``amounts`` that are empty or hold one below ``psbt.MIN_DEPOSIT``, too
-small to pay the base fees and anchors of its pre-signed rows, and an
-``[expect]`` ``protocol_safe`` other than ``depositor_safe and
-operator_safe``, which a missing one defaults to (a missing other key
-defaults to true).  So is a value wider than the field its encoder
-writes it in, each bound named beside that encoder: a ``t1`` or ``t2``
-above ``keys.MAX_DELAY``, a ``t3`` above ``registry.MAX_EXPIRY`` //
-``VERSION_LIFETIME``, ``amounts`` that total more than
-``chain.MAX_VALUE`` sat or count more than ``chain.MAX_OUTPUTS``, a
-``fee_funds`` for which the wallets it funds and the deposits hold more
-than ``chain.MAX_VALUE``, and a ``horizon_blocks`` that runs past slot
-``destchain.MAX_SLOT``.  So is a value of the wrong shape: an
-``offline`` window not written ``start..until``, a ``fee_steps`` item
-not written ``height:rate``, or an empty item in the comma list of
-``amounts`` or ``fee_steps`` (``2000,,3000``, ``5:2,``).  So is a file
-that is not UTF-8 text.
+section is honest.
+
+Each value is checked once, in the ``__post_init__`` of the dataclass
+that holds it, so a config or a behaviour built in code is refused as a
+parsed one is: by a ``ScenarioError`` that reads ``[section] key =
+value: reason`` (a behaviour built in code names no section; the parser
+adds it).  ``BOUNDS`` gives each number its least and its most value; a
+most is the width the value's encoder writes.  Besides, ``amounts`` are
+not empty, each is at least ``psbt.MIN_DEPOSIT`` (less cannot pay the
+base fees and anchors of its pre-signed rows), and there are at most
+``chain.MAX_OUTPUTS`` of them totalling at most ``chain.MAX_VALUE`` sat;
+no ``fee_steps`` height or rate is negative and no height is given
+twice; ``owner`` is not empty; an ``offline`` window starts at 0 or
+later and ends after it starts; ``[expect]`` ``protocol_safe`` is
+``depositor_safe and operator_safe``, which a missing one defaults to (a
+missing other key defaults to true); ``leak_tokens_at`` and
+``leak_token_amount`` come together, and ``exit_deposit_index``,
+``burn_before_exit = false`` and ``use_leaked_key = true`` need an
+``exit_at`` (nothing reads them before that height).  Last, the values
+are checked against each other: ``t3`` exceeds (``t1`` + ``t2``) blocks
+of ``slots_per_block`` slots (``registry.check_timelocks``), the
+deposits and the wallets funded with ``fee_funds`` hold at most
+``chain.MAX_VALUE``, the run ends by slot ``destchain.MAX_SLOT``,
+``exit_deposit_index`` names a deposit, and there is an oracle.
+
+The parser only reads text, each key by its field's declared type
+(``_READ``).  It refuses an unknown section or key, naming it, so a
+misspelt key cannot silently fall back to its default; an oracle section
+not named ``oracle.N``, numbered past ``keys.MAX_ORACLES`` or given
+twice; a value that does not read as its type, such as an ``offline``
+window not written ``start..until``, a ``fee_steps`` item not written
+``height:rate`` or an empty item in a comma list (``2000,,3000``,
+``5:2,``); and a file that is not UTF-8 text.
 """
 
 from __future__ import annotations
@@ -83,7 +81,6 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field
 
-from .actors import DepositorBehavior, OperatorBehavior, OracleBehavior
 from .chain import MAX_OUTPUTS, MAX_VALUE
 from .destchain import DEFAULT_WSP_SLOTS, MAX_SLOT
 from .keys import MAX_DELAY, MAX_ORACLES
@@ -92,9 +89,111 @@ from .registry import MAX_EXPIRY, TimelockRelationViolated, check_timelocks
 
 VERSION_LIFETIME = 10  # a world's enclave version expires at slot t3 * VERSION_LIFETIME
 
+# field -> (least value, most value or None, unit) of every number a
+# scenario holds; a most is the width the value's encoder writes
+BOUNDS = {
+    "t1": (1, MAX_DELAY, "blocks"),
+    "t2": (1, MAX_DELAY, "blocks"),
+    "t3": (1, MAX_EXPIRY // VERSION_LIFETIME, "slots"),
+    "slots_per_block": (1, None, "slots"),
+    "t_op_blocks": (1, None, "blocks"),
+    "margin_blocks": (0, None, "blocks"),
+    "horizon_blocks": (1, None, "blocks"),
+    "fee_base": (0, None, "sat per weight unit"),
+    "finality_interval": (1, None, "slots"),
+    "wsp_slots": (1, None, "slots"),
+    "n_oracles": (0, MAX_ORACLES, "oracles"),
+    "fee_funds": (1, None, "sat"),
+    "dest_halted_at": (0, None, "height"),
+    "exit_at": (0, None, "height"),
+    "exit_deposit_index": (0, None, "deposit index"),
+    "leak_tokens_at": (0, None, "height"),
+    "leak_token_amount": (0, None, "tokens"),
+    "rebalance_at": (0, None, "height"),
+    "false_rebalance_at": (0, None, "height"),
+}
 
-class ScenarioError(Exception):
+
+class ScenarioError(ValueError):
     pass
+
+
+def _refusal(key: str, value, reason: str, section: str = "") -> ScenarioError:
+    """The one form of a refused value, ``[section] key = value: reason``,
+    with the value written as a scenario file writes it: a window as
+    ``start..until`` and a list with commas, a fee step as ``height:rate``."""
+    if isinstance(value, tuple):
+        value = "..".join(map(str, value))
+    elif isinstance(value, list):
+        value = ", ".join(":".join(map(str, v)) if isinstance(v, tuple) else str(v) for v in value)
+    elif isinstance(value, bool):
+        value = str(value).lower()
+    where = f"[{section}] " if section else ""
+    return ScenarioError(f"{where}{key} = {value}: {reason}")
+
+
+def _check_bounds(values, section: str = "") -> None:
+    """Refuse a number of the dataclass ``values`` outside its ``BOUNDS``."""
+    for name in values.__dataclass_fields__:
+        if name not in BOUNDS or (number := getattr(values, name)) is None:
+            continue
+        least, most, unit = BOUNDS[name]
+        if number < least:
+            reason = f"must be at least {least}" if least else "must not be negative"
+            raise _refusal(name, number, reason, section)
+        if most is not None and number > most:
+            raise _refusal(name, number, f"at most {most} {unit}", section)
+
+
+@dataclass
+class DepositorBehavior:
+    exit_at: int | None = None  # height at which to start a unilateral exit
+    exit_deposit_index: int | None = None  # which funding output to exit (None = all)
+    burn_before_exit: bool = True  # False models an exit without giving up tokens
+    use_leaked_key: bool = False  # resolve own challenge with a leaked oracle secret
+    leak_tokens_at: int | None = None  # move tokens outside the tracked perimeter
+    leak_token_amount: int = 0
+
+    def __post_init__(self):
+        _check_bounds(self)
+        # a leak of nothing is one the ledger refuses every block
+        if self.leak_tokens_at is not None and self.leak_token_amount == 0:
+            raise _refusal("leak_tokens_at", self.leak_tokens_at, "no leak_token_amount is set")
+        # a key that qualifies a height is read only once that height comes
+        for key, height in (("leak_token_amount", "leak_tokens_at"),
+                            ("exit_deposit_index", "exit_at"), ("burn_before_exit", "exit_at"),
+                            ("use_leaked_key", "exit_at")):
+            value = getattr(self, key)
+            if value != self.__dataclass_fields__[key].default and getattr(self, height) is None:
+                raise _refusal(key, value, f"no {height} is set")
+
+
+@dataclass
+class OperatorBehavior:
+    challenge_thefts: bool = True
+    challenge_legitimate: bool = False  # dispute even burned exits (malicious)
+    claim_expired: bool = True
+    rebalance_at: int | None = None  # height to run imbalance detection
+    false_rebalance_at: int | None = None  # seize without marking the registry
+    pay_over_seizure: bool = True
+    provide_checkpoints: bool = True
+
+    def __post_init__(self):
+        _check_bounds(self)
+
+
+@dataclass
+class OracleBehavior:
+    offline: tuple[int, int] | None = None  # [from_height, until_height)
+    refuse_resolutions: bool = False  # verifies but never signs (corrupted)
+    leak_secret: bool = False  # identity key handed to the adversary at setup
+
+    def __post_init__(self):
+        start, until = self.offline or (0, 1)  # None: never offline
+        if start < 0:
+            raise _refusal("offline", self.offline, "a window must not start below 0")
+        if until <= start:
+            raise _refusal("offline", self.offline, "a window must end after it starts")
 
 
 @dataclass
@@ -122,13 +221,38 @@ class ScenarioConfig:
     expected_verdicts: tuple[bool, bool, bool] | None = None
 
     def __post_init__(self):
+        _check_bounds(self, "params")  # first, so nothing is built from a value out of bounds
+        if not self.owner:
+            raise _refusal("owner", self.owner, "must not be empty", "deposit")
+        amounts, reason = self.amounts, None
+        if not amounts or min(amounts) <= 0:
+            reason = "deposit amounts must be positive"
+        elif min(amounts) < MIN_DEPOSIT:
+            reason = f"a deposit below {MIN_DEPOSIT} cannot pay its pre-signed rows"
+        elif sum(amounts) > MAX_VALUE:
+            reason = f"they total {sum(amounts)} sat, above {MAX_VALUE}"
+        elif len(amounts) > MAX_OUTPUTS:
+            reason = f"at most {MAX_OUTPUTS} deposits, one funding output each"
+        if reason:
+            raise _refusal("amounts", amounts, reason, "deposit")
+        heights = set()
+        for height, rate in self.fee_steps:
+            if height < 0 or rate < 0:
+                reason = "heights and rates must not be negative"
+            elif height in heights:
+                reason = f"height {height} is given twice"
+            if reason:
+                raise _refusal("fee_steps", self.fee_steps, reason, "params")
+            heights.add(height)
+        if self.expected_verdicts is not None:
+            depositor_safe, operator_safe, protocol_safe = self.expected_verdicts
+            if protocol_safe != (depositor_safe and operator_safe):  # as the grader derives it
+                raise _refusal("protocol_safe", protocol_safe, "a run is protocol-safe exactly"
+                               " when it is depositor-safe and operator-safe", "expect")
         # n_oracles is a floor: oracles beyond the list are honest
-        while len(self.oracles) < self.n_oracles:
-            self.oracles.append(OracleBehavior())
-        if len(self.oracles) > self.n_oracles:
-            self.n_oracles = len(self.oracles)
-        # the checks that relate one value to others, made on a config
-        # built in code as on a parsed one
+        self.oracles.extend(OracleBehavior() for _ in range(self.n_oracles - len(self.oracles)))
+        self.n_oracles = len(self.oracles)
+        # the checks that relate one value to others
         try:
             check_timelocks(self.t1, self.t2, self.t3, self.slots_per_block)
         except TimelockRelationViolated as exc:
@@ -138,39 +262,27 @@ class ScenarioConfig:
         wallets = 2 + len(self.oracles)
         held = sum(self.amounts) + wallets * self.fee_funds
         if held > MAX_VALUE:
-            raise ScenarioError(
-                f"[params] fee_funds = {self.fee_funds}: {wallets} wallets and the deposits"
-                f" hold {held} sat, above {MAX_VALUE}"
-            )
+            raise _refusal("fee_funds", self.fee_funds, f"{wallets} wallets and the deposits"
+                           f" hold {held} sat, above {MAX_VALUE}", "params")
         last_slot = (ACTIVATION_DEPTH + self.horizon_blocks) * self.slots_per_block
         if last_slot > MAX_SLOT:
-            raise ScenarioError(
-                f"[params] horizon_blocks = {self.horizon_blocks}: the run reaches slot"
-                f" {last_slot}, above {MAX_SLOT}"
-            )
+            raise _refusal("horizon_blocks", self.horizon_blocks, f"the run reaches slot"
+                           f" {last_slot}, above {MAX_SLOT}", "params")
         index = self.depositor.exit_deposit_index
         if index is not None and not 0 <= index < len(self.amounts):
-            raise ScenarioError(
-                f"[depositor] exit_deposit_index = {index}: there are {len(self.amounts)} deposits"
-            )
+            raise _refusal("exit_deposit_index", index, f"there are {len(self.amounts)} deposits",
+                           "depositor")
         if not self.oracles:
             raise ScenarioError("[params] n_oracles: a scenario needs at least one oracle")
 
 
-def _opt_non_negative_int(value: str) -> int | None:
-    value = value.strip().lower()
-    if value in ("", "none", "never", "-"):
-        return None
-    return _non_negative_int(value)
-
-
-def _bool(value: str) -> bool:
-    value = value.strip().lower()
+def _bool(text: str) -> bool:
+    value = text.strip().lower()
     if value in ("true", "yes", "on", "1"):
         return True
     if value in ("false", "no", "off", "0"):
         return False
-    raise ScenarioError(f"not a boolean: {value!r}")
+    raise ValueError(f"not a boolean: {value!r}")
 
 
 def _items(value: str) -> list[str]:
@@ -193,112 +305,45 @@ def _int_pair(text: str, sep: str, shape: str) -> tuple[int, int]:
         raise ValueError(f"expected {shape}, got {text!r}") from None
 
 
-def _amounts(value: str) -> list[int]:
-    amounts = [int(part) for part in _items(value)]
-    if not amounts or min(amounts) <= 0:
-        raise ValueError("deposit amounts must be positive")
-    if min(amounts) < MIN_DEPOSIT:
-        raise ValueError(f"a deposit below {MIN_DEPOSIT} cannot pay its pre-signed rows")
-    if sum(amounts) > MAX_VALUE:
-        raise ValueError(f"they total {sum(amounts)} sat, above {MAX_VALUE}")
-    if len(amounts) > MAX_OUTPUTS:
-        raise ValueError(f"at most {MAX_OUTPUTS} deposits, one funding output each")
-    return amounts
+def _or_none(read):
+    """``read``, but an empty value, ``none``, ``never`` or ``-`` reads as None."""
+    return lambda text: None if text.strip().lower() in ("", "none", "never", "-") else read(text)
 
 
-def _nonempty(value: str) -> str:
-    if not value:
-        raise ValueError("must not be empty")
-    return value
-
-
-def _positive_int(value: str) -> int:
-    number = int(value)
-    if number < 1:
-        raise ValueError("must be at least 1")
-    return number
-
-
-def _non_negative_int(value: str) -> int:
-    number = int(value)
-    if number < 0:
-        raise ValueError("must not be negative")
-    return number
-
-
-def _at_most(bound: int, unit: str, convert=_positive_int):
-    """``convert``, refusing a number above ``bound``, counted in ``unit``."""
-
-    def checked(value: str) -> int:
-        number = convert(value)
-        if number > bound:
-            raise ValueError(f"at most {bound} {unit}")
-        return number
-
-    return checked
-
-
-def _step_list(value: str) -> list[tuple[int, int]]:
-    steps = []
-    for part in _items(value):
-        height, rate = _int_pair(part, ":", "height:rate")
-        if height < 0 or rate < 0:
-            raise ValueError("heights and rates must not be negative")
-        if any(height == h for h, _ in steps):
-            raise ValueError(f"height {height} is given twice")
-        steps.append((height, rate))
-    return steps
-
-
-def _range(value: str) -> tuple[int, int] | None:
-    value = value.strip().lower()
-    if value in ("", "none", "-"):
-        return None
-    start, end = _int_pair(value, "..", "start..until")
-    if start < 0:
-        raise ValueError("a window must not start below 0")
-    if end <= start:
-        raise ValueError("a window must end after it starts")
-    return (start, end)
-
-
-def _keys(convert, *keys: str) -> dict:
-    return {key: (key, convert) for key in keys}
-
-
-# Per section: key -> (attribute it sets, converter of the text value).
-_SCENARIO = _keys(str, "name")
-_PARAMS = {
-    **_keys(
-        _positive_int, "slots_per_block", "finality_interval", "fee_funds",
-        "horizon_blocks", "t_op_blocks", "wsp_slots",
-    ),
-    **_keys(_at_most(MAX_DELAY, "blocks"), "t1", "t2"),
-    **_keys(_at_most(MAX_EXPIRY // VERSION_LIFETIME, "slots"), "t3"),
-    **_keys(_non_negative_int, "fee_base", "margin_blocks"),
-    **_keys(_at_most(MAX_ORACLES, "oracles", _non_negative_int), "n_oracles"),
-    **_keys(_step_list, "fee_steps"),
-    **_keys(_opt_non_negative_int, "dest_halted_at"),
+# a field's declared type -> how a scenario file's text reads as that type
+_READ = {
+    "str": str,
+    "int": int,
+    "bool": _bool,
+    "int | None": _or_none(int),
+    "tuple[int, int] | None": _or_none(lambda text: _int_pair(text, "..", "start..until")),
+    "list[int]": lambda text: [int(item) for item in _items(text)],
+    "list[tuple[int, int]]": lambda text: [
+        _int_pair(item, ":", "height:rate") for item in _items(text)
+    ],
 }
-_DEPOSIT = {**_keys(_nonempty, "owner"), **_keys(_amounts, "amounts")}
-_DEPOSITOR = {
-    **_keys(_opt_non_negative_int, "exit_at", "exit_deposit_index", "leak_tokens_at"),
-    **_keys(_bool, "burn_before_exit", "use_leaked_key"),
-    **_keys(_positive_int, "leak_token_amount"),
-}
-_OPERATOR = {
-    **_keys(
-        _bool, "challenge_thefts", "challenge_legitimate", "claim_expired",
-        "pay_over_seizure", "provide_checkpoints",
-    ),
-    **_keys(_opt_non_negative_int, "rebalance_at", "false_rebalance_at"),
-}
-_ORACLE = {
-    "offline": ("offline", _range),
-    "refuse": ("refuse_resolutions", _bool),
-    "leak": ("leak_secret", _bool),
-}
-_EXPECT = _keys(_bool, "depositor_safe", "operator_safe", "protocol_safe")
+
+
+def _keys(cls, *keys: str, **renamed: str) -> dict:
+    """key -> (the field of ``cls`` it sets, the reader of that field's
+    declared type), for ``keys`` named as their field and ``renamed`` keys."""
+    fields = cls.__dataclass_fields__
+    named = {**{key: key for key in keys}, **renamed}
+    return {key: (name, _READ[fields[name].type]) for key, name in named.items()}
+
+
+# Per section: key -> (field it sets, reader of its text).
+_SCENARIO = _keys(ScenarioConfig, "name")
+_PARAMS = _keys(
+    ScenarioConfig, "t1", "t2", "t3", "slots_per_block", "t_op_blocks", "margin_blocks",
+    "horizon_blocks", "fee_base", "fee_steps", "finality_interval", "wsp_slots", "n_oracles",
+    "fee_funds", "dest_halted_at",
+)
+_DEPOSIT = _keys(ScenarioConfig, "owner", "amounts")
+_DEPOSITOR = _keys(DepositorBehavior, *DepositorBehavior.__dataclass_fields__)
+_OPERATOR = _keys(OperatorBehavior, *OperatorBehavior.__dataclass_fields__)
+_ORACLE = _keys(OracleBehavior, "offline", refuse="refuse_resolutions", leak="leak_secret")
+_EXPECT = {key: (key, _bool) for key in ("depositor_safe", "operator_safe", "protocol_safe")}
 
 
 def _reject_unknown_sections(parser: configparser.ConfigParser) -> None:
@@ -311,20 +356,29 @@ def _reject_unknown_sections(parser: configparser.ConfigParser) -> None:
 
 
 def _values(parser: configparser.ConfigParser, name: str, table: dict) -> dict:
-    """The attributes that the keys of section ``name`` set, converted;
-    a key that ``table`` does not list is a ``ScenarioError``."""
+    """The fields that the keys of section ``name`` set, read from their
+    text; a key that ``table`` does not list is a ``ScenarioError``."""
     if not parser.has_section(name):
         return {}
     values = {}
     for key, text in parser[name].items():
         if key not in table:
             raise ScenarioError(f"[{name}] {key}: unknown key")
-        attr, convert = table[key]
+        attr, read = table[key]
         try:
-            values[attr] = convert(text)
-        except (ValueError, ScenarioError) as exc:
+            values[attr] = read(text)
+        except ValueError as exc:
             raise ScenarioError(f"[{name}] {key} = {text!r}: {exc}") from exc
     return values
+
+
+def _behavior(cls, parser: configparser.ConfigParser, section: str, table: dict):
+    """``cls`` as section ``section`` sets it, naming the section in its refusal."""
+    values = _values(parser, section, table)
+    try:
+        return cls(**values)
+    except ScenarioError as exc:
+        raise ScenarioError(f"[{section}] {exc}") from exc
 
 
 def _oracle_number(section: str) -> int:
@@ -349,7 +403,7 @@ def _oracles(parser: configparser.ConfigParser) -> list[OracleBehavior]:
         sections[number] = section
     oracles = [OracleBehavior() for _ in range(max(sections, default=-1) + 1)]
     for number, section in sections.items():
-        oracles[number] = OracleBehavior(**_values(parser, section, _ORACLE))
+        oracles[number] = _behavior(OracleBehavior, parser, section, _ORACLE)
     return oracles
 
 
@@ -365,25 +419,15 @@ def parse_scenario(text: str) -> ScenarioConfig:
     expected_verdicts = None
     if parser.has_section("expect"):
         given = _values(parser, "expect", _EXPECT)
-        dep_safe, to_safe = given.get("depositor_safe", True), given.get("operator_safe", True)
-        protocol_safe = dep_safe and to_safe  # as the grader derives it
-        if given.get("protocol_safe", protocol_safe) != protocol_safe:
-            raise ScenarioError(
-                f"[expect] protocol_safe = {str(not protocol_safe).lower()}: a run is"
-                " protocol-safe exactly when it is depositor-safe and operator-safe"
-            )
-        expected_verdicts = (dep_safe, to_safe, protocol_safe)
+        safe = given.get("depositor_safe", True), given.get("operator_safe", True)
+        expected_verdicts = (*safe, given.get("protocol_safe", all(safe)))
 
-    try:
-        depositor = DepositorBehavior(**_values(parser, "depositor", _DEPOSITOR))
-    except ValueError as exc:
-        raise ScenarioError(f"[depositor] {exc}") from exc
     return ScenarioConfig(
         **_values(parser, "scenario", _SCENARIO),
         **_values(parser, "params", _PARAMS),
         **_values(parser, "deposit", _DEPOSIT),
-        depositor=depositor,
-        operator=OperatorBehavior(**_values(parser, "operator", _OPERATOR)),
+        depositor=_behavior(DepositorBehavior, parser, "depositor", _DEPOSITOR),
+        operator=_behavior(OperatorBehavior, parser, "operator", _OPERATOR),
         oracles=_oracles(parser),
         expected_verdicts=expected_verdicts,
     )

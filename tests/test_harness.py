@@ -156,11 +156,11 @@ def test_parse_rejections():
         ("[oracle.1]\noffline = 12..12\n", "[oracle.1] offline"),
         ("[oracle.0]\noffline = 20..12\n", "[oracle.0] offline"),
         ("[oracle.0]\noffline = -3..5\n",
-         "[oracle.0] offline = '-3..5': a window must not start below 0"),
+         "[oracle.0] offline = -3..5: a window must not start below 0"),
         ("[params]\nfee_steps = 20:-3\n", "[params] fee_steps"),
         ("[params]\nfee_steps = 20:3, -1:1\n", "[params] fee_steps"),
-        ("[params]\nfee_steps = 20:1, 20:3\n", "[params] fee_steps = '20:1, 20:3': height 20"),
-        ("[params]\nfee_steps = 20:3, 20:1\n", "[params] fee_steps = '20:3, 20:1': height 20"),
+        ("[params]\nfee_steps = 20:1, 20:3\n", "[params] fee_steps = 20:1, 20:3: height 20"),
+        ("[params]\nfee_steps = 20:3, 20:1\n", "[params] fee_steps = 20:3, 20:1: height 20"),
         ("[params]\nhorizon_blocks = 0\n", "[params] horizon_blocks"),
         ("[params]\nt1 = 0\n", "[params] t1"),
         ("[params]\nslots_per_block = 0\n", "[params] slots_per_block"),
@@ -173,14 +173,14 @@ def test_parse_rejections():
         ("[params]\nt_op_blocks = -2\n", "[params] t_op_blocks"),
         ("[params]\nmargin_blocks = -50\n", "[params] margin_blocks"),
         ("[params]\nn_oracles = -1\n", "[params] n_oracles"),
-        ("[params]\nn_oracles = 65536\n", "[params] n_oracles = '65536': at most 65535 oracles"),
+        ("[params]\nn_oracles = 65536\n", "[params] n_oracles = 65536: at most 65535 oracles"),
         ("[oracle.65535]\nrefuse = true\n", "[oracle.65535]: at most 65535 oracles"),
         ("[oracle.70000]\n", "[oracle.70000]: at most 65535 oracles"),
         ("[params]\ndest_halted_at = -1\n", "[params] dest_halted_at"),
         ("[depositor]\nleak_tokens_at = 8\nleak_token_amount = -5\n",
          "[depositor] leak_token_amount"),
         ("[depositor]\nleak_tokens_at = 8\nleak_token_amount = 0\n",
-         "[depositor] leak_token_amount"),
+         "[depositor] leak_tokens_at = 8: no leak_token_amount is set"),
         ("[depositor]\nexit_at = -3\n", "[depositor] exit_at"),
         ("[depositor]\nleak_tokens_at = -1\n", "[depositor] leak_tokens_at"),
         ("[depositor]\nleak_tokens_at = 5\n",
@@ -196,9 +196,9 @@ def test_parse_rejections():
         ("[operator]\nrebalance_at = -1\n", "[operator] rebalance_at"),
         ("[operator]\nfalse_rebalance_at = -1\n", "[operator] false_rebalance_at"),
         ("[deposit]\namounts = 10, -3\n",
-         "[deposit] amounts = '10, -3': deposit amounts must be positive"),
-        ("[deposit]\namounts = 7000, 668\n", "[deposit] amounts = '7000, 668': "),
-        ("[deposit]\nowner =\n", "[deposit] owner = '': must not be empty"),
+         "[deposit] amounts = 10, -3: deposit amounts must be positive"),
+        ("[deposit]\namounts = 7000, 668\n", "[deposit] amounts = 7000, 668: "),
+        ("[deposit]\nowner =\n", "[deposit] owner = : must not be empty"),
         ("[oracle.0]\noffline = 3\n",
          "[oracle.0] offline = '3': expected start..until, got '3'"),
         ("[oracle.0]\noffline = 1..2..3\n",
@@ -220,16 +220,16 @@ def test_parse_rejections():
         ("[expect]\ndepositor_safe = true\noperator_safe = true\nprotocol_safe = false\n",
          "[expect] protocol_safe = false: "),
         ("[deposit]\namounts = 20000000000000000000\n",
-         "[deposit] amounts = '20000000000000000000': they total 20000000000000000000 sat,"
+         "[deposit] amounts = 20000000000000000000: they total 20000000000000000000 sat,"
          " above 18446744073709551615"),
         ("[deposit]\namounts = 10000000000000000000, 10000000000000000000\n",
-         "[deposit] amounts = '10000000000000000000, 10000000000000000000': they total"),
+         "[deposit] amounts = 10000000000000000000, 10000000000000000000: they total"),
         ("[params]\nt1 = 5000000000\nt3 = 999999999999999\n",
-         "[params] t1 = '5000000000': at most 4294967295 blocks"),
+         "[params] t1 = 5000000000: at most 4294967295 blocks"),
         ("[params]\nt2 = 5000000000\nt3 = 999999999999999\n",
-         "[params] t2 = '5000000000': at most 4294967295 blocks"),
+         "[params] t2 = 5000000000: at most 4294967295 blocks"),
         ("[params]\nt3 = 2000000000000000000\n",
-         "[params] t3 = '2000000000000000000': at most 1844674407370955161 slots"),
+         "[params] t3 = 2000000000000000000: at most 1844674407370955161 slots"),
         ("[params]\nfee_funds = 20000000000000000000\nfee_steps = 9:4\n[depositor]\nexit_at = 8\n",
          "[params] fee_funds = 20000000000000000000: 5 wallets and the deposits hold"),
         ("[params]\nfee_funds = 3689348814741910323\n",
@@ -240,7 +240,7 @@ def test_parse_rejections():
          "[params] horizon_blocks = 200: the run reaches slot 20600000000000000000,"
          " above 18446744073709551615"),
         (f"[deposit]\namounts = {TOO_MANY_DEPOSITS}\n",
-         f"[deposit] amounts = '{TOO_MANY_DEPOSITS}': at most 65535 deposits"),
+         f"[deposit] amounts = {TOO_MANY_DEPOSITS}: at most 65535 deposits"),
     ],
     ids=[
         "exit-index-past-end", "exit-index-negative", "empty-window", "reversed-window",
@@ -338,6 +338,182 @@ def test_a_config_whose_values_do_not_fit_together_is_refused_when_built(kwargs,
     in code as for a parsed one, with the parser's messages."""
     with pytest.raises(ScenarioError, match=re.escape(message)):
         ScenarioConfig(**kwargs)
+
+
+# -- a file and a built config take one path ----------------------------------
+
+MOST = scenario.MAX_VALUE
+# the section whose keys set each bounded field, and the dataclass holding it
+HOLDER = {
+    **{attr: ("params", ScenarioConfig) for attr, _ in scenario._PARAMS.values()},
+    **{attr: ("depositor", DepositorBehavior) for attr, _ in scenario._DEPOSITOR.values()},
+    **{attr: ("operator", OperatorBehavior) for attr, _ in scenario._OPERATOR.values()},
+}
+# what else an edge value needs to be accepted: (more file text, more fields)
+EDGE_CONTEXT = {
+    "t1": ("t3 = 1000000000000000\n", {"t3": 10**15}),
+    "t2": ("t3 = 1000000000000000\n", {"t3": 10**15}),
+    "n_oracles": ("[oracle.0]\n", {"oracles": [OracleBehavior()]}),
+    "exit_deposit_index": ("exit_at = 8\n", {"exit_at": 8}),
+    "leak_tokens_at": ("leak_token_amount = 100\n", {"leak_token_amount": 100}),
+}
+# t3's least is below what the timelock relation allows with t1, t2 and
+# slots_per_block at their least, so that relation refuses the edge
+T3_LEAST_EDGE = "[params] t3: t3=1 slots must exceed (t1+t2)=16 blocks * 50 slots/block"
+
+
+def _bound_cases():
+    """One case for each end of each ``BOUNDS`` entry: the value just
+    outside it, then the edge value, each as file text and as a build."""
+    for name, (least, most, unit) in scenario.BOUNDS.items():
+        section, cls = HOLDER[name]
+        more_text, more = EDGE_CONTEXT.get(name, ("", {}))
+        ends = [("least", least - 1, least,
+                 f"must be at least {least}" if least else "must not be negative")]
+        if most is not None:
+            ends.append(("most", most + 1, most, f"at most {most} {unit}"))
+        for end, outside, edge, reason in ends:
+            lacks = "" if cls is ScenarioConfig else section
+            yield pytest.param(
+                lacks,
+                f"[{section}]\n{name} = {outside}\n{more_text}",
+                lambda cls=cls, kwargs={**more, name: outside}: cls(**kwargs),
+                ("" if lacks else f"[{section}] ") + f"{name} = {outside}: {reason}",
+                f"[{section}]\n{name} = {edge}\n{more_text}",
+                lambda cls=cls, kwargs={**more, name: edge}: cls(**kwargs),
+                T3_LEAST_EDGE if (name, end) == ("t3", "least") else None,
+                id=f"{name}-{end}",
+            )
+
+
+WINDOW_END = "a window must end after it starts"
+# Each rule that is not a bound, and each value that a config built in
+# code ran with before its dataclass refused it: the section a built
+# behaviour's refusal lacks, the refused value's file text, its build and
+# the build's message, then the accepted edge's file text and build.
+RULE_CASES = {
+    "amounts-empty": (
+        "", "[deposit]\namounts =\n", lambda: ScenarioConfig(amounts=[]),
+        "[deposit] amounts = : deposit amounts must be positive",
+        "[deposit]\namounts = 669\n", lambda: ScenarioConfig(amounts=[669])),
+    "amounts-negative": (
+        "", "[deposit]\namounts = 7000, -3\n", lambda: ScenarioConfig(amounts=[7000, -3]),
+        "[deposit] amounts = 7000, -3: deposit amounts must be positive", None, None),
+    "amounts-below-min-deposit": (
+        "", "[deposit]\namounts = 7000, 668\n", lambda: ScenarioConfig(amounts=[7000, 668]),
+        "[deposit] amounts = 7000, 668: a deposit below 669 cannot pay its pre-signed rows",
+        "[deposit]\namounts = 7000, 669\n", lambda: ScenarioConfig(amounts=[7000, 669])),
+    "amounts-tiny": (
+        "", "[deposit]\namounts = 500\n", lambda: ScenarioConfig(amounts=[500]),
+        "[deposit] amounts = 500: a deposit below 669 cannot pay its pre-signed rows", None, None),
+    "amounts-total-past-eight-bytes": (
+        "", f"[deposit]\namounts = {MOST + 1}\n", lambda: ScenarioConfig(amounts=[MOST + 1]),
+        f"[deposit] amounts = {MOST + 1}: they total {MOST + 1} sat, above {MOST}",
+        f"[params]\nfee_funds = 1\n[deposit]\namounts = {MOST - 5}\n",
+        lambda: ScenarioConfig(fee_funds=1, amounts=[MOST - 5])),
+    "deposit-count-past-two-bytes": (
+        "", f"[deposit]\namounts = {TOO_MANY_DEPOSITS}\n",
+        lambda: ScenarioConfig(amounts=[669] * 65536),
+        f"[deposit] amounts = {TOO_MANY_DEPOSITS}: at most 65535 deposits, one funding output each",
+        f"[deposit]\namounts = {TOO_MANY_DEPOSITS[5:]}\n",
+        lambda: ScenarioConfig(amounts=[669] * 65535)),
+    "fee-step-negative-rate": (
+        "", "[params]\nfee_steps = 20:-1\n", lambda: ScenarioConfig(fee_steps=[(20, -1)]),
+        "[params] fee_steps = 20:-1: heights and rates must not be negative",
+        "[params]\nfee_steps = 20:0\n", lambda: ScenarioConfig(fee_steps=[(20, 0)])),
+    "fee-step-negative-height": (
+        "", "[params]\nfee_steps = 5:2, -1:1\n",
+        lambda: ScenarioConfig(fee_steps=[(5, 2), (-1, 1)]),
+        "[params] fee_steps = 5:2, -1:1: heights and rates must not be negative",
+        "[params]\nfee_steps = 5:2, 0:1\n", lambda: ScenarioConfig(fee_steps=[(5, 2), (0, 1)])),
+    "fee-step-height-twice": (
+        "", "[params]\nfee_steps = 9:4, 9:1\n", lambda: ScenarioConfig(fee_steps=[(9, 4), (9, 1)]),
+        "[params] fee_steps = 9:4, 9:1: height 9 is given twice",
+        "[params]\nfee_steps = 9:4, 10:1\n",
+        lambda: ScenarioConfig(fee_steps=[(9, 4), (10, 1)])),
+    "empty-owner": (
+        "", "[deposit]\nowner =\n", lambda: ScenarioConfig(owner=""),
+        "[deposit] owner = : must not be empty",
+        "[deposit]\nowner = a\n", lambda: ScenarioConfig(owner="a")),
+    "window-starts-below-zero": (
+        "oracle.0", "[oracle.0]\noffline = -1..5\n", lambda: OracleBehavior(offline=(-1, 5)),
+        "offline = -1..5: a window must not start below 0",
+        "[oracle.0]\noffline = 0..5\n", lambda: OracleBehavior(offline=(0, 5))),
+    "empty-window": (
+        "oracle.0", "[oracle.0]\noffline = 9..9\n", lambda: OracleBehavior(offline=(9, 9)),
+        f"offline = 9..9: {WINDOW_END}",
+        "[oracle.0]\noffline = 9..10\n", lambda: OracleBehavior(offline=(9, 10))),
+    "reversed-window": (
+        "oracle.2", "[oracle.2]\noffline = 9..3\n", lambda: OracleBehavior(offline=(9, 3)),
+        f"offline = 9..3: {WINDOW_END}", None, None),
+    "expect-protocol-safe-operator-not": (
+        "", "[expect]\noperator_safe = false\nprotocol_safe = true\n",
+        lambda: ScenarioConfig(expected_verdicts=(True, False, True)),
+        "[expect] protocol_safe = true: a run is protocol-safe exactly when it is"
+        " depositor-safe and operator-safe",
+        "[expect]\noperator_safe = false\nprotocol_safe = false\n",
+        lambda: ScenarioConfig(expected_verdicts=(True, False, False))),
+    "t1-past-four-bytes": (
+        "", "[params]\nt1 = 5000000000\nt3 = 1000000000000000\n",
+        lambda: ScenarioConfig(t1=5_000_000_000, t3=10**15),
+        "[params] t1 = 5000000000: at most 4294967295 blocks", None, None),
+    "zero-finality-interval": (
+        "", "[params]\nfinality_interval = 0\n", lambda: ScenarioConfig(finality_interval=0),
+        "[params] finality_interval = 0: must be at least 1", None, None),
+    "negative-horizon": (
+        "", "[params]\nhorizon_blocks = -3\n", lambda: ScenarioConfig(horizon_blocks=-3),
+        "[params] horizon_blocks = -3: must be at least 1", None, None),
+    "zero-horizon": (
+        "", "[params]\nhorizon_blocks = 0\n", lambda: ScenarioConfig(horizon_blocks=0),
+        "[params] horizon_blocks = 0: must be at least 1", None, None),
+}
+
+
+def _refusal_of(build) -> str | None:
+    """The message of the ``ScenarioError`` that ``build`` raises, or None."""
+    try:
+        build()
+    except ScenarioError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "section, text, build, message, edge_text, edge_build, edge_refusal",
+    [
+        *_bound_cases(),
+        *(pytest.param(*case, None, id=case_id) for case_id, case in RULE_CASES.items()),
+    ],
+)
+def test_a_file_and_a_built_config_are_refused_alike(
+    section, text, build, message, edge_text, edge_build, edge_refusal
+):
+    """Every value the dataclasses refuse is refused from a file and from
+    a config built in code, with one message (a behaviour built in code
+    names no section, which the parser adds), and the edge value is
+    accepted by both."""
+    assert _refusal_of(build) == message
+    named = (f"[{section}] " if section else "") + message
+    assert _refusal_of(lambda: parse_scenario(text)) == named
+    if edge_text is not None:
+        assert _refusal_of(lambda: parse_scenario(edge_text)) == edge_refusal
+        assert _refusal_of(edge_build) == edge_refusal
+
+
+def test_an_oracle_count_past_two_bytes_is_refused_before_any_oracle_is_built(monkeypatch):
+    built = []
+    post_init = OracleBehavior.__post_init__
+    monkeypatch.setattr(
+        OracleBehavior, "__post_init__", lambda self: built.append(self) or post_init(self)
+    )
+    message = "[params] n_oracles = 65536: at most 65535 oracles"
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        ScenarioConfig(n_oracles=65536)
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        parse_scenario("[params]\nn_oracles = 65536\n")
+    assert built == []
+    ScenarioConfig(n_oracles=2)  # the count sees the oracles a config pads with
+    assert len(built) == 2
 
 
 def test_parse_accepts_as_many_oracles_as_tweak_data_holds():
@@ -533,11 +709,11 @@ def test_cli_run_mismatch_exits_nonzero(tmp_path, capsys):
         ("[params]\nt3 = 100\n",
          "[params] t3: t3=100 slots must exceed (t1+t2)=16 blocks * 50 slots/block"),
         ("[deposit]\namounts = 500\n",
-         "[deposit] amounts = '500': a deposit below 669 cannot pay its pre-signed rows"),
+         "[deposit] amounts = 500: a deposit below 669 cannot pay its pre-signed rows"),
         ("[params]\nfee_steps = 20:3, 20:1\n",
-         "[params] fee_steps = '20:3, 20:1': height 20 is given twice"),
-        ("[deposit]\nowner =\n", "[deposit] owner = '': must not be empty"),
-        ("[params]\nn_oracles = 65536\n", "[params] n_oracles = '65536': at most 65535 oracles"),
+         "[params] fee_steps = 20:3, 20:1: height 20 is given twice"),
+        ("[deposit]\nowner =\n", "[deposit] owner = : must not be empty"),
+        ("[params]\nn_oracles = 65536\n", "[params] n_oracles = 65536: at most 65535 oracles"),
         ("[depositor]\nleak_tokens_at = 5\n",
          "[depositor] leak_tokens_at = 5: no leak_token_amount is set"),
         ("[depositor]\nuse_leaked_key = true\n",
@@ -550,12 +726,12 @@ def test_cli_run_mismatch_exits_nonzero(tmp_path, capsys):
          "[expect] protocol_safe = true: a run is protocol-safe exactly when it is"
          " depositor-safe and operator-safe"),
         ("[deposit]\namounts = 20000000000000000000\n",
-         "[deposit] amounts = '20000000000000000000': they total 20000000000000000000 sat,"
+         "[deposit] amounts = 20000000000000000000: they total 20000000000000000000 sat,"
          " above 18446744073709551615"),
         ("[params]\nt1 = 5000000000\nt3 = 999999999999999\n",
-         "[params] t1 = '5000000000': at most 4294967295 blocks"),
+         "[params] t1 = 5000000000: at most 4294967295 blocks"),
         ("[params]\nt3 = 2000000000000000000\n",
-         "[params] t3 = '2000000000000000000': at most 1844674407370955161 slots"),
+         "[params] t3 = 2000000000000000000: at most 1844674407370955161 slots"),
         ("[params]\nfee_funds = 20000000000000000000\nfee_steps = 9:4\n[depositor]\nexit_at = 8\n",
          "[params] fee_funds = 20000000000000000000: 5 wallets and the deposits hold"
          " 100000000000000010000 sat, above 18446744073709551615"),

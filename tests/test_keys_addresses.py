@@ -38,7 +38,6 @@ from bsa_sim.keys import (
     keypair_from_seed,
     merkle_root,
     sign_digest,
-    taproot_output_key,
     verify_signature,
     verify_signatures,
 )

@@ -40,7 +40,6 @@ from bsa_sim.psbt import (
     FlagViolation,
     InsufficientFunds,
     MissingCounterpartySig,
-    NoAnchor,
     NotASigner,
     ProtocolInstance,
     PsbtError,
