@@ -18,24 +18,24 @@ out as it is from the block before its leaf's delay has passed
 
 No actor keeps a record of where a deposit stands.  ``World.vaults``
 holds each deposit's instance and vault ``Outpoint``, parsed once.
-``World.resting`` maps each moved deposit to the output its spine
-(``BtcChain.spine_end``) rests on and that output's address kind
-(``ProtocolInstance.address_kinds``).  It is ``World.read_resting()``,
-the one reading the grader makes after the last block too, kept until
-the count of the chain's spent outpoints (``BtcChain.spent_by``) moves,
-however the block was mined; then every spine is read again.  A quiet
-block therefore follows no spine.  The operator challenges an unbonding
-output whose record still holds tokens and claims a challenge output
-older than t2, and the depositor finalizes or watches its exit.  The
-oracles arbitrate challenge outputs: each scans the instances that list
-its key (``World.instances_of``, built once), and only while a
-challenge output rests (``World.challenge_rests``); it syncs to the
-latest checkpoint every block.  A burn or token leak that
-the ledger refuses moves nothing: the depositor logs ``burn_refused``
-or ``leak_refused`` and tries again the next block.
-What actors keep records attempts, not outcomes, since a request the
-mempool refused leaves nothing on the chain to read: the depositor's
-``exit_started_at`` and leak flag, the operator's ``_rebalanced`` and
+``World.resting`` maps each moved deposit to the output its spine rests
+on, that output's address kind (``ProtocolInstance.address_kinds``) and
+its path, the confirmed rows from the vault that ``BtcChain.spine``, the
+one spine walk, returns.  It is ``World.read_resting()``, the one
+reading the grader makes after the last block too, kept until the count
+of the chain's spent outpoints (``BtcChain.spent_by``) moves, however
+the block was mined.  A quiet block therefore follows no spine.  The
+operator challenges an unbonding output whose record still holds tokens
+and claims a challenge output older than t2; the depositor finalizes or
+watches its exit.  The oracles judge each challenge output from its
+deposit and its path (the request, then any challenge): each scans the
+instances that list its key (``World.instances_of``) while a challenge
+output rests (``World.challenge_rests``), and syncs every block.  A burn
+or token leak that the ledger refuses moves nothing and is tried again
+the next block; a leak shows as the outside account's balance.  What
+actors keep records attempts, not outcomes, since a request the mempool
+refused leaves nothing on the chain to read: the depositor's
+``exit_started_at``, the operator's ``_rebalanced`` and
 ``_false_rebalanced``; and each oracle keeps its own sight of each
 challenge (``OracleActor.first_seen``).
 """
@@ -105,6 +105,8 @@ def send_btc(
 # actors
 
 
+Resting = tuple[ProtocolInstance, Utxo, str | None, list[SimTx]]  # see World.read_resting
+
 # the leaf of the depositor's own spend of its unbonding output after t1
 _FINALIZE_PATH = TRANSITION_SPECS[Transition.UNBOND_FINALIZE].path
 
@@ -116,18 +118,17 @@ class DepositorActor:
         self.owner = owner
         self.behavior = behavior
         self.exit_started_at: dict[str, int] = {}  # deposit outpoint -> height of the request
-        self._leaked = False
 
     def step(self, world: "World") -> None:
         b = self.behavior
         height = world.chain.height
-        if not self._leaked and b.leak_tokens_at is not None and height >= b.leak_tokens_at:
+        leak_due = b.leak_tokens_at is not None and height >= b.leak_tokens_at
+        if leak_due and not world.registry.ledger.balance("outside-perimeter"):  # not leaked
             try:
                 world.registry.ledger.transfer(self.owner, "outside-perimeter", b.leak_token_amount)
             except LedgerError as exc:
                 world.log(self.name, "leak_refused", amount=b.leak_token_amount, reason=str(exc))
             else:
-                self._leaked = True
                 world.log(self.name, "tokens_left_perimeter", amount=b.leak_token_amount)
         if not self.exit_started_at and (b.exit_at is None or height < b.exit_at):
             return  # no exit started and none due yet; past here exit_at has come
@@ -139,7 +140,7 @@ class DepositorActor:
             if deposit not in self.exit_started_at:
                 self._start_exit(world, instance, deposit)
             elif deposit in world.resting:
-                self._follow_exit(world, deposit, *world.resting[deposit])
+                self._follow_exit(world, deposit)
 
     def _start_exit(self, world: "World", instance: ProtocolInstance, outpoint: str) -> None:
         b = self.behavior
@@ -164,14 +165,13 @@ class DepositorActor:
             txid=template.txid,
         )
 
-    def _follow_exit(
-        self, world: "World", outpoint: str, instance: ProtocolInstance, utxo: Utxo, kind: str
-    ) -> None:
+    def _follow_exit(self, world: "World", outpoint: str) -> None:
         """Act on where an exiting deposit rests: on the unbonding output,
         finalize after t1 unless a challenge spends it (noted the block
-        after it arrives); on the return address, note a finalize that has
-        just confirmed; on a challenge output, resolve it with a leaked
-        oracle key from the block after it confirms."""
+        after it arrives); on the return address, note a finalize (the
+        path's last row) that has just confirmed; on a challenge output,
+        resolve it with a leaked oracle key from the block after it confirms."""
+        instance, utxo, kind, path = world.resting[outpoint]
         chain = world.chain
         height = chain.height
         if kind == "UTA":
@@ -184,8 +184,7 @@ class DepositorActor:
                 if chain.mempool_arrival[spender.txid] == height - 1:
                     world.log(self.name, "saw_challenge", outpoint=outpoint)
         elif kind == "dep_return":
-            finalize = chain.tx_index[utxo.outpoint.txid]
-            if utxo.confirmed_height == height and finalize.inputs[0].path_id == _FINALIZE_PATH:
+            if utxo.confirmed_height == height and path[-1].inputs[0].path_id == _FINALIZE_PATH:
                 world.log(self.name, "exit_complete", outpoint=outpoint, height=height)
         elif kind == "UCA" and self.behavior.use_leaked_key:
             leaked = world.leaked_oracle_keypair
@@ -234,7 +233,7 @@ class TokenOperatorActor:
     # -- duty: challenge unbond requests that keep tokens alive -------------
 
     def _challenge_thefts(self, world: "World") -> None:
-        for outpoint, (instance, utxo, kind) in world.resting.items():
+        for outpoint, (instance, utxo, kind, _path) in world.resting.items():
             if kind != "UTA":
                 continue
             record = world.registry.records.get(outpoint)
@@ -298,7 +297,7 @@ class TokenOperatorActor:
     # -- duty: collect expired challenge outputs -----------------------------
 
     def _claim_expired(self, world: "World") -> None:
-        for instance, utxo, kind in world.resting.values():
+        for instance, utxo, kind, _path in world.resting.values():
             if kind in _CLAIM_ROWS:
                 world.spend_after_delay(_CLAIM_ROWS[kind], instance, utxo, self.keypair, self.name)
 
@@ -327,6 +326,14 @@ class OracleActor:
     height it first saw it): ``t_op_blocks`` runs from when the oracle
     wakes and sees a challenge, not from when the challenge confirmed, as
     in ``availability.response_time``, so the chain cannot stand in."""
+
+    # per challenge output kind: the oracle's verifier and resolver, by name
+    # so that each call looks them up on the oracle, the number of rows from
+    # the vault to the output, and the action logged once a resolution is sent
+    _DISPUTES = {
+        "UCA": ("verify_unbond_inputs", "resolve_unbond_challenge", 2, "unbond_resolved"),
+        "RCA": ("verify_rebalance_inputs", "resolve_rebalance", 1, "rebalance_resolved"),
+    }
 
     def __init__(
         self,
@@ -375,49 +382,40 @@ class OracleActor:
         RCA, each kind oldest first."""
         chain = world.chain
         challenges = [
-            (kind, utxo)
-            for owner, utxo, kind in world.resting.values()
-            if owner is instance and kind in ("UCA", "RCA")
+            (kind, utxo, deposit)
+            for deposit, (owner, utxo, kind, _) in world.resting.items()
+            if owner is instance and kind in self._DISPUTES
         ]
         challenges.sort(key=lambda c: (c[0] == "RCA", c[1].confirmed_height, str(c[1].outpoint)))
-        for kind, utxo in challenges:
+        for kind, utxo, deposit in challenges:
             if chain.spender(utxo.outpoint) is not None:
                 continue
             seen = self.first_seen.setdefault(utxo.outpoint.txid, chain.height)
             if chain.height - seen < self.t_op_blocks - 1:
                 continue
-            self._arbitrate(world, instance, kind, utxo)
+            self._arbitrate(world, deposit)
 
-    def _arbitrate(self, world: "World", instance: ProtocolInstance, kind: str, utxo: Utxo):
-        chain = world.chain
-        challenge_tx = chain.tx_index[utxo.outpoint.txid]
-        if kind == "RCA":
-            request_tx = challenge_tx
-            deposit_op = request_tx.inputs[0].outpoint
-            outcome = self.oracle.verify_rebalance_inputs(str(deposit_op), request_tx)
-            resolve, action = self.oracle.resolve_rebalance, "rebalance_resolved"
-        else:
-            request_tx = chain.tx_index[challenge_tx.inputs[0].outpoint.txid]
-            deposit_op = request_tx.inputs[0].outpoint
-            outcome = self.oracle.verify_unbond_inputs(
-                str(deposit_op), request_tx, challenge_tx
-            )
-            resolve, action = self.oracle.resolve_unbond_challenge, "unbond_resolved"
+    def _arbitrate(self, world: "World", deposit: str) -> None:
+        """Verify the dispute over the challenge output ``deposit`` rests
+        on from its path, the rows from the vault (the request, then for
+        UCA the challenge), and broadcast the resolution signed."""
+        instance, _, kind, path = world.resting[deposit]
+        verify, resolve, n_rows, action = self._DISPUTES[kind]
+        if len(path) != n_rows:
+            return  # a co-signed spend, not the dispute's rows, paid the output
+        outcome = getattr(self.oracle, verify)(deposit, *path)
         if isinstance(outcome, Rejection):
             world.log(self.name, "verify_rejected", step=outcome.step, check=outcome.check)
             return
-        template = resolve(outcome)
+        template = getattr(self.oracle, resolve)(outcome)
         if template is None:
             world.log(
-                self.name,
-                "resolution_refused",
-                outpoint=str(deposit_op),
-                status=outcome.status.value,
+                self.name, "resolution_refused", outpoint=deposit, status=outcome.status.value
             )
             return
         tx = world.execute(template, self.oracle.keypair, instance, self.name)
         if tx is not None:
-            world.log(self.name, action, outpoint=str(deposit_op), txid=tx.txid)
+            world.log(self.name, action, outpoint=deposit, txid=tx.txid)
 
 
 # ---------------------------------------------------------------------------
@@ -537,22 +535,24 @@ class World:
 
     # -- the clock ---------------------------------------------------------
 
-    def read_resting(self) -> dict[str, tuple[ProtocolInstance, Utxo, str | None]]:
-        """``deposit -> (instance, utxo, kind)`` for each deposit whose vault
-        output has a confirmed spend: the unspent output at the end of its
-        spine and that output's catalogue address kind (None for an
-        address outside the instance's catalogue)."""
+    def read_resting(self) -> dict[str, Resting]:
+        """``deposit -> (instance, utxo, kind, path)`` for each deposit
+        whose vault output has a confirmed spend: its path, the spine's
+        rows from the vault (``BtcChain.spine``), the unspent output 0 of
+        the last row (left out when there is none) and that output's
+        catalogue address kind (None for an address outside it)."""
         chain = self.chain
         resting = {}
         for deposit, (instance, vault) in self.vaults.items():
-            end = chain.spine_end(vault)
-            utxo = None if end == vault else chain.utxo_set.get(end)
+            path = chain.spine(vault)
+            utxo = chain.utxo_set.get(Outpoint(path[-1].txid, 0)) if path else None
             if utxo is not None:
-                resting[deposit] = (instance, utxo, instance.address_kinds.get(utxo.address_id))
+                kind = instance.address_kinds.get(utxo.address_id)
+                resting[deposit] = (instance, utxo, kind, path)
         return resting
 
     @property
-    def resting(self) -> dict[str, tuple[ProtocolInstance, Utxo, str | None]]:
+    def resting(self) -> dict[str, Resting]:
         """``read_resting()`` as of the last confirmed block, read again
         only once a block has spent an outpoint, however it was mined.
         Read-only."""
@@ -572,7 +572,7 @@ class World:
         which only grows: the reading is current while the count stands."""
         self._spent_read = len(self.chain.spent_by)
         self._resting = self.read_resting()
-        kinds = {kind for _, _, kind in self._resting.values()}
+        kinds = {kind for _, _, kind, _ in self._resting.values()}
         self._challenge_rests = "UCA" in kinds or "RCA" in kinds
 
     def tick(self) -> None:

@@ -13,7 +13,9 @@ duties bound how little an arbitration oracle may be online:
   subjectivity period, and each resync costs ``t_check`` online time,
   for a floor of ``t_check / wsp``.
 
-The binding requirement is the larger of the two.
+The binding requirement is the larger of the two.  ``check_parameters``
+holds every rule on the parameters, which the bounds and the report
+apply, so that a refusal names its parameter.
 """
 
 from __future__ import annotations
@@ -21,22 +23,44 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .registry import timelock_relation_holds
+
 
 class AvailabilityError(Exception):
-    pass
+    """A refused schedule, or a refused ``param`` and its ``value``."""
+
+    def __init__(self, reason: str, param: str | None = None, value: int | None = None):
+        super().__init__(reason if param is None else f"{param} = {value}: {reason}")
+        self.reason, self.param, self.value = reason, param, value
+
+
+def check_parameters(**p: int) -> None:
+    """Raise ``AvailabilityError`` for the first of the given parameters
+    that breaks a rule, each rule checked when all it names are given:
+    each at least 1 (``t_op`` at least 0), ``t2`` above ``t_op``,
+    ``t_check`` at most ``wsp``, and ``t3`` above ``t1 + t2``, the
+    scenario rule at one slot per block."""
+    for name, value in p.items():
+        if value < (least := 0 if name == "t_op" else 1):
+            raise AvailabilityError(f"must be at least {least}", name, value)
+    if {"t2", "t_op"} <= p.keys() and p["t2"] <= p["t_op"]:
+        raise AvailabilityError(f"must exceed t_op = {p['t_op']}", "t2", p["t2"])
+    if {"t_check", "wsp"} <= p.keys() and p["t_check"] > p["wsp"]:
+        raise AvailabilityError(f"must not exceed wsp = {p['wsp']}", "t_check", p["t_check"])
+    t1, t2, t3 = p.get("t1"), p.get("t2"), p.get("t3")
+    if None not in (t1, t2, t3) and not timelock_relation_holds(t1, t2, t3, slots_per_block=1):
+        raise AvailabilityError(f"must exceed t1 + t2 = {t1 + t2}", "t3", t3)
 
 
 def challenge_uptime_bound(t2: int, t3: int, t_op: int) -> Fraction:
     """Infimum uptime fraction that still serves every challenge."""
-    if t3 <= 0 or t2 <= t_op:
-        raise AvailabilityError("need t3 > 0 and t2 > t_op")
+    check_parameters(t2=t2, t3=t3, t_op=t_op)
     return Fraction(t3 - (t2 - t_op), t3)
 
 
 def sync_uptime_bound(t_check: int, wsp: int) -> Fraction:
     """Infimum uptime fraction that keeps the light client synced."""
-    if wsp <= 0 or t_check <= 0 or t_check > wsp:
-        raise AvailabilityError("need 0 < t_check <= wsp")
+    check_parameters(t_check=t_check, wsp=wsp)
     return Fraction(t_check, wsp)
 
 
@@ -165,6 +189,7 @@ class AvailabilityReport:
 def availability_report(
     t1: int, t2: int, t3: int, t_op: int, t_check: int, wsp: int
 ) -> AvailabilityReport:
+    check_parameters(t1=t1, t2=t2, t3=t3, t_op=t_op, t_check=t_check, wsp=wsp)
     return AvailabilityReport(
         challenge_bound=challenge_uptime_bound(t2, t3, t_op),
         sync_bound=sync_uptime_bound(t_check, wsp),

@@ -40,9 +40,9 @@ and the actors' wallet ask it.  ``confirmed_at`` maps each confirmed
 txid to its height, in confirmation order, and ``spent_by`` each spent
 outpoint to its confirmed spender, in the order blocks spent them; it
 only grows, so its length tells a reader whether a block has spent.
-``BtcChain.spine_end`` follows a deposit's spine, its confirmed spends
-through output 0, to the outpoint its value rests on, for the grader
-and the actors.
+``BtcChain.spine`` is the one walk of a deposit's spine, its confirmed
+spends through output 0, for the reading the actors and the grader
+share (``World.read_resting``).
 ``Outpoint.parse`` reads the ``txid:index`` spelling, and
 ``BtcChain.next_rate`` is the feerate the next block asks for.
 """
@@ -303,13 +303,15 @@ class BtcChain:
         out.sort(key=lambda u: (u.confirmed_height, str(u.outpoint)))
         return out
 
-    def spine_end(self, outpoint: Outpoint) -> Outpoint:
-        """Follow the output-0 spine of confirmed spends from ``outpoint``
-        and return the outpoint it rests on (``outpoint`` itself when it
-        is unspent)."""
+    def spine(self, outpoint: Outpoint) -> list[SimTx]:
+        """The confirmed spends along the output-0 spine from ``outpoint``,
+        in order: its spender, then the spender of that one's output 0,
+        and so on, empty when ``outpoint`` is unspent."""
+        path = []
         while (txid := self.spent_by.get(outpoint)) is not None:
+            path.append(self.tx_index[txid])
             outpoint = Outpoint(txid, 0)
-        return outpoint
+        return path
 
     def next_rate(self) -> int:
         """The feerate the next block asks for."""

@@ -22,9 +22,8 @@ import argparse
 import json
 import sys
 
-from .availability import availability_report
+from .availability import AvailabilityError, availability_report
 from .harness import ceremony_demo, run_matrix, run_scenario
-from .registry import TimelockRelationViolated, check_timelocks
 from .scenario import ScenarioError, load_scenario
 
 
@@ -86,37 +85,13 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _avail_problem(args: argparse.Namespace) -> str | None:
-    """The first bad ``avail`` flag, in one line that names it, or ``None``."""
-    for flag in ("--t1", "--t2", "--t3", "--t-op", "--t-check", "--wsp"):
-        value = getattr(args, flag[2:].replace("-", "_"))
-        least = 0 if flag == "--t-op" else 1
-        if value < least:
-            return f"{flag} {value}: must be at least {least}"
-    if args.t2 <= args.t_op:
-        return f"--t2 {args.t2}: must exceed --t-op {args.t_op}"
-    if args.t_check > args.wsp:
-        return f"--t-check {args.t_check}: must not exceed --wsp {args.wsp}"
-    try:
-        check_timelocks(args.t1, args.t2, args.t3, slots_per_block=1)
-    except TimelockRelationViolated as exc:
-        return f"--t3 {args.t3}: {exc}"
-    return None
-
-
 def _cmd_avail(args: argparse.Namespace) -> int:
-    problem = _avail_problem(args)
-    if problem is not None:
-        print(f"bsa-sim: avail: {problem}", file=sys.stderr)
+    try:
+        report = availability_report(args.t1, args.t2, args.t3, args.t_op, args.t_check, args.wsp)
+    except AvailabilityError as exc:  # a flag is its parameter's name with dashes
+        flag = "--" + exc.param.replace("_", "-")
+        print(f"bsa-sim: avail: {flag} {exc.value}: {exc.reason}", file=sys.stderr)
         return 2
-    report = availability_report(
-        t1=args.t1,
-        t2=args.t2,
-        t3=args.t3,
-        t_op=args.t_op,
-        t_check=args.t_check,
-        wsp=args.wsp,
-    )
     for line in report.lines():
         print(line)
     return 0

@@ -14,7 +14,7 @@ state rather than from the actors' own claims:
 * protocol safety: both of the above.
 
 Deposits are traced at face value to the end of their spine, the chain
-of confirmed spends through output 0 that ``BtcChain.spine_end`` walks,
+of confirmed spends through output 0 that ``BtcChain.spine`` walks,
 which makes the verdicts independent of fee noise.  The grader reads
 where each deposit rests with the reading the actors use: one
 ``World.read_resting()`` after the last block follows every deposit's
@@ -22,7 +22,8 @@ spine from ``World.vaults``, as ``World.resting`` does whenever a block
 has spent.  A moved deposit is graded by the address kind it rests on,
 and its exit completed at that output's confirmed height; a deposit
 the reading leaves out rests on its vault; one that does neither is
-untracked.
+untracked.  ``liquidation_spans`` reads the first two rows of each path
+the reading keeps.
 
 The failure matrix re-runs eight scripted scenarios spanning honest
 operation, a lying operator, depositor theft (with and without a leaked
@@ -43,7 +44,7 @@ from importlib import resources
 from .actors import DepositorActor, OracleActor, TokenOperatorActor, World
 from .arbitration import ArbitrationOracle
 from .attestation import EnclaveImage, MockAttestationAuthority, MockKms
-from .chain import BtcChain, Outpoint, StepSchedule
+from .chain import BtcChain, StepSchedule
 from .destchain import DestChain, sign_checkpoint
 from .keys import keypair_from_seed, sign_digest
 from .psbt import ACTIVATION_DEPTH, AoIdentity, VerificationFailed, run_setup_ceremony
@@ -196,7 +197,7 @@ def compute_verdicts(world: World, config: ScenarioConfig) -> Verdicts:
         if record.status is UtxoStatus.REJECTED:
             continue
         # a deposit not in the reading rests on its vault, if that is unspent
-        _, utxo, kind = resting.get(outpoint) or (instance, chain.utxo_set.get(vault), "VA")
+        _, utxo, kind, *_ = resting.get(outpoint) or (instance, chain.utxo_set.get(vault), "VA")
         attacked = _deposit_attacked(config, vault.index)
         if utxo is None:
             locations[outpoint] = "other"
@@ -273,20 +274,15 @@ def compute_verdicts(world: World, config: ScenarioConfig) -> Verdicts:
 
 def liquidation_spans(world: World) -> list[tuple[int, int]]:
     """(request confirmed, challenge output spent) height pairs for every
-    rebalance request that confirmed and whose RCA output was then spent,
-    by the operator's claim after the challenge timeout or by an oracle's
-    resolution."""
-    chain = world.chain
-    spans = []
-    for instance, vault in world.vaults.values():
-        request = chain.spent_by.get(vault)
-        rca = instance.address_ids["RCA"]
-        if request is None or chain.tx_index[request].outputs[0].address_id != rca:
-            continue
-        claim = chain.spent_by.get(Outpoint(request, 0))
-        if claim is not None:
-            spans.append((chain.confirmed_at[request], chain.confirmed_at[claim]))
-    return spans
+    deposit whose path in ``World.resting`` starts with a rebalance
+    request to its RCA output and goes on with that output's spend, by
+    the operator's claim after the timeout or an oracle's resolution."""
+    confirmed_at = world.chain.confirmed_at
+    return [
+        (confirmed_at[path[0].txid], confirmed_at[path[1].txid])
+        for instance, _, _, path in world.resting.values()
+        if len(path) > 1 and path[0].outputs[0].address_id == instance.address_ids["RCA"]
+    ]
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:

@@ -11,6 +11,7 @@ import random
 import sys
 
 import pytest
+from test_harness import co_sign_the_first_vault
 
 from bsa_sim.actors import (
     DepositorActor,
@@ -22,6 +23,7 @@ from bsa_sim.actors import (
     send_btc,
     spendable_utxos,
 )
+from bsa_sim.arbitration import ArbitrationOracle
 from bsa_sim.chain import BtcChain, Outpoint, StepSchedule
 from bsa_sim.harness import (
     MATRIX_DIR,
@@ -383,7 +385,6 @@ def swap_in_fresh_actors(world) -> None:
     old = world.depositors[0]
     depositor = DepositorActor(old.name, old.keypair, old.owner, old.behavior)
     depositor.exit_started_at = dict(old.exit_started_at)
-    depositor._leaked = old._leaked
     world.depositors = [depositor]
     old = world.operator
     world.operator = TokenOperatorActor(old.name, old.keypair, old.behavior)
@@ -436,12 +437,12 @@ def test_a_run_leaves_the_operators_rows_as_the_ceremony_made_them(config):
 
 
 def count_ledger_reads(monkeypatch) -> collections.Counter:
-    """Count calls of ``BtcChain.utxos_at`` and ``spine_end``, of
+    """Count calls of ``BtcChain.utxos_at`` and ``spine``, of
     ``Outpoint.parse`` and of ``OracleActor._scan_challenges``."""
     calls = collections.Counter()
     for owner, name in (
         (BtcChain, "utxos_at"),
-        (BtcChain, "spine_end"),
+        (BtcChain, "spine"),
         (OracleActor, "_scan_challenges"),
     ):
         method = getattr(owner, name)
@@ -482,7 +483,7 @@ def test_the_ledger_is_read_once_a_block(monkeypatch):
         spent[height] = len(chain.spent_by)
         world.tick()
         assert (calls["utxos_at"], calls["parse"], calls["_scan_challenges"]) == (0, 0, 0)
-        walks[height] = calls["spine_end"]
+        walks[height] = calls["spine"]
     # the block mined at the end of one tick is read at the start of the next
     grew = {h for h in walks if h - 1 in spent and spent[h] > spent[h - 1]}
     assert walks == {h: len(world.vaults) * (h in grew) for h in walks}
@@ -496,13 +497,13 @@ def test_the_ledger_is_read_once_a_block(monkeypatch):
     assert set(hops) <= grew
     # the reading saw the one exit through to the depositor's key
     calls.clear()
-    assert [(op, kind) for op, (_, _, kind) in world.resting.items()] == [
+    assert [(op, kind) for op, (_, _, kind, _) in world.resting.items()] == [
         (deposit, "dep_return")
     ]
     assert any(e["action"] == "exit_complete" for e in world.trace)
-    assert calls["spine_end"] == 0
+    assert calls["spine"] == 0
     assert compute_verdicts(world, config).triple() == (True, True, True)
-    assert (calls["utxos_at"], calls["spine_end"], calls["parse"]) == (0, 16, 0)
+    assert (calls["utxos_at"], calls["spine"], calls["parse"]) == (0, 16, 0)
 
 
 @pytest.mark.parametrize("n_deposits", [4, 16, 64])
@@ -513,7 +514,7 @@ def test_a_quiet_block_costs_the_same_at_any_deposit_count(monkeypatch, n_deposi
     world.run(2)
     calls = count_ledger_reads(monkeypatch)
     world.tick()
-    assert (calls["spine_end"], calls["_scan_challenges"]) == (0, 0)
+    assert (calls["spine"], calls["_scan_challenges"]) == (0, 0)
     assert world.resting == world.read_resting() == {}
 
 
@@ -529,7 +530,7 @@ def assert_resting_is_kept(world, step, blocks: int) -> int:
         step(world)
         fresh = world.read_resting()
         assert list(world.resting.items()) == list(fresh.items())
-        kinds = [kind for _, _, kind in fresh.values()]
+        kinds = [kind for _, _, kind, _ in fresh.values()]
         assert world.challenge_rests == ("UCA" in kinds or "RCA" in kinds)
         last = max((position[d] for d in moved), default=-1)
         out_of_order += any(position[d] < last for d in fresh.keys() - moved)
@@ -638,9 +639,10 @@ def test_oracles_take_challenges_in_utxo_set_order(monkeypatch):
         scans.append((expected, []))
         scan(self, world, instance)
 
-    def recording_arbitrate(self, world, instance, kind, utxo):
+    def recording_arbitrate(self, world, deposit):
+        _, utxo, kind, _ = world.resting[deposit]
         scans[-1][1].append((kind, utxo))
-        return arbitrate(self, world, instance, kind, utxo)
+        return arbitrate(self, world, deposit)
 
     monkeypatch.setattr(OracleActor, "_scan_challenges", recording_scan)
     monkeypatch.setattr(OracleActor, "_arbitrate", recording_arbitrate)
@@ -656,3 +658,64 @@ def test_oracles_take_challenges_in_utxo_set_order(monkeypatch):
     assert max(len(expected) for expected, _ in scans) == 3
     for expected, arbitrated in scans:
         assert arbitrated == expected
+
+
+def walk_back(chain, challenge, kind) -> tuple[str, list]:
+    """The reference reading of a dispute, backwards from its challenge
+    output through ``tx_index`` and each row's input 0: the deposit the
+    first row spends and the rows from it, the request and for UCA the
+    challenge."""
+    rows = [chain.tx_index[challenge.outpoint.txid]]
+    if kind == "UCA":
+        rows.insert(0, chain.tx_index[rows[0].inputs[0].outpoint.txid])
+    return str(rows[0].inputs[0].outpoint), rows
+
+
+@pytest.mark.parametrize(
+    "configs",
+    [GRADED, _sweep_stream_configs(1, 48)],
+    ids=["graded-runs", "sweep-stream-seed-1"],
+)
+def test_every_arbitration_verifies_the_rows_a_walk_back_finds(monkeypatch, configs):
+    """Every verifier call an oracle makes gets the deposit and rows that
+    a walk back from the challenge output it arbitrates finds, on runs
+    with unbond and with rebalance disputes.  The verifiers are patched on
+    the class after import, as a tracer patches them, and still called."""
+    arbitrate = OracleActor._arbitrate
+    expected, given = [], []
+
+    def recording_arbitrate(self, world, deposit):
+        _, challenge, kind, _ = world.resting[deposit]
+        expected.append(walk_back(world.chain, challenge, kind))
+        return arbitrate(self, world, deposit)
+
+    def recording(method):
+        def verify(self, outpoint, *rows):
+            given.append((outpoint, list(rows)))
+            return method(self, outpoint, *rows)
+
+        return verify
+
+    monkeypatch.setattr(OracleActor, "_arbitrate", recording_arbitrate)
+    for name in ("verify_unbond_inputs", "verify_rebalance_inputs"):
+        monkeypatch.setattr(ArbitrationOracle, name, recording(getattr(ArbitrationOracle, name)))
+    for config in configs:
+        run_scenario(config)
+    assert given == expected
+    assert {len(rows) for _, rows in given} == {1, 2}
+
+
+def test_a_challenge_output_paid_without_the_dispute_rows_is_left_to_its_timeout(monkeypatch):
+    """The depositor and the operator can co-sign the vault's ``dep_to``
+    leaf straight to the UCA address.  No request row precedes that
+    output, so no oracle has rows to verify, and the operator claims it
+    after t2 as any challenge output nobody resolved."""
+    verified = []
+    monkeypatch.setattr(ArbitrationOracle, "verify_unbond_inputs", lambda *a: verified.append(a))
+    config = ScenarioConfig()
+    world = build_world(config)
+    co_sign_the_first_vault(lambda world: world.instances[0].address_ids["UCA"])(world)
+    world.run(config.horizon_blocks)
+    assert verified == []
+    assert [kind for _, _, kind, _ in world.resting.values()] == ["to_key"]
+    assert any(e["action"] == "unbond_resolve_expired" for e in world.trace)

@@ -73,6 +73,54 @@ def test_bound_guards():
         sync_uptime_bound(101, 100)
 
 
+REPORT = {"t1": 24, "t2": 48, "t3": 720, "t_op": 1, "t_check": 4, "wsp": 1344}
+
+
+@pytest.mark.parametrize(
+    "changed, message",
+    [
+        ({"t1": 0}, "t1 = 0: must be at least 1"),
+        ({"t1": -24, "t_op": -1}, "t1 = -24: must be at least 1"),
+        ({"t2": 0}, "t2 = 0: must be at least 1"),
+        ({"t3": -5}, "t3 = -5: must be at least 1"),
+        ({"t_op": -1}, "t_op = -1: must be at least 0"),
+        ({"t_check": 0}, "t_check = 0: must be at least 1"),
+        ({"wsp": 0}, "wsp = 0: must be at least 1"),
+        ({"t2": 1, "t_op": 1}, "t2 = 1: must exceed t_op = 1"),
+        ({"t_check": 1345}, "t_check = 1345: must not exceed wsp = 1344"),
+        ({"t3": 60}, "t3 = 60: must exceed t1 + t2 = 72"),
+        ({"t3": 72}, "t3 = 72: must exceed t1 + t2 = 72"),
+    ],
+    ids=["zero-t1", "negative-t1-and-t-op", "zero-t2", "negative-t3", "negative-t-op",
+         "zero-t-check", "zero-wsp", "t2-not-above-t-op", "t-check-above-wsp",
+         "t3-below-t1-plus-t2", "t3-equal-to-t1-plus-t2"],
+)
+def test_the_report_refuses_a_bad_parameter_naming_it(changed, message):
+    """``availability_report`` refuses what ``bsa-sim avail`` refuses,
+    naming the first parameter that breaks a rule and its value; before,
+    ``t3 = 60`` gave a dispute slack of -12 and ``t1 = 0`` and
+    ``t_op = -1`` were accepted."""
+    with pytest.raises(AvailabilityError) as refused:
+        availability_report(**{**REPORT, **changed})
+    param = message.split(" = ")[0]
+    assert (refused.value.param, refused.value.value) == (param, {**REPORT, **changed}[param])
+    assert str(refused.value) == message
+
+
+def test_the_report_accepts_the_edges():
+    """``t_op`` may be 0, ``t2`` one above it, ``t3`` one above
+    ``t1 + t2`` and ``t_check`` the whole period."""
+    report = availability_report(t1=1, t2=1, t3=3, t_op=0, t_check=7, wsp=7)
+    assert (report.sync_bound, report.slack) == (1, 1)
+
+
+def test_a_bound_names_the_parameter_it_refuses():
+    with pytest.raises(AvailabilityError, match=r"^t3 = 0: must be at least 1$"):
+        challenge_uptime_bound(5, 0, 1)
+    with pytest.raises(AvailabilityError, match=r"^t_check = 101: must not exceed wsp = 100$"):
+        sync_uptime_bound(101, 100)
+
+
 def test_window_arithmetic():
     assert dispute_slack(24, 48, 720) == 648
     assert last_exit_start(1_000, 24, 48) == 928

@@ -8,15 +8,18 @@ import re
 
 import pytest
 
+from bsa_sim.chain import SimTx, TxInput, TxOutput
 from bsa_sim.cli import main
 from bsa_sim.harness import (
     MATRIX_DIR,
+    build_world,
     ceremony_demo,
+    compute_verdicts,
     matrix_scenarios,
     run_scenario,
 )
 from bsa_sim import scenario
-from bsa_sim.keys import MAX_ORACLES
+from bsa_sim.keys import MAX_ORACLES, keypair_from_seed, sign_digest
 from bsa_sim.psbt import MIN_DEPOSIT
 from bsa_sim.scenario import (
     DepositorBehavior,
@@ -623,6 +626,92 @@ def test_failed_verdicts_carry_reasons():
     assert result.verdicts.triple() == (False, False, False)
     assert result.verdicts.reasons
     assert all(isinstance(reason, str) and reason for reason in result.verdicts.reasons)
+
+
+def co_sign_the_first_vault(address=None):
+    """Before the run, the depositor and the operator co-sign the first
+    vault's ``dep_to`` leaf to ``address(world)`` or, with no address, to
+    a transaction with no outputs."""
+
+    def act(world):
+        vault = next(iter(world.vaults.values()))[1]
+        outputs = []
+        if address is not None:
+            outputs = [TxOutput(address(world), world.chain.utxo_set[vault].value - 2)]
+        tx = SimTx([TxInput(vault, "dep_to")], outputs)
+        signers = (world.depositors[0].keypair, world.operator.keypair)
+        tx.inputs[0].witness = [sign_digest(kp, tx.sighash(0)) for kp in signers]
+        world.chain.submit_tx(tx)
+
+    return act
+
+
+def outside_key(world) -> str:
+    return world.chain.ensure_key_address(keypair_from_seed(b"outside").public)
+
+
+def griefed_exit(**oracle) -> ScenarioConfig:
+    """An honest exit at 10 that the operator challenges and never
+    claims, its deadline 10 + t1 + t2 + margin = 32, with three oracles
+    that each behave as ``oracle`` says."""
+    return ScenarioConfig(
+        horizon_blocks=50,
+        depositor=DepositorBehavior(exit_at=10),
+        operator=OperatorBehavior(challenge_legitimate=True, claim_expired=False),
+        oracles=[OracleBehavior(**oracle) for _ in range(3)],
+    )
+
+
+def _graded(name: str) -> ScenarioConfig:
+    return load_scenario(str(GRADED_FILES[[p.stem for p in GRADED_FILES].index(name)]))
+
+
+# (a world, what is done to it before the run, one reason the grader gives)
+GRADER_REASONS = {
+    "untracked": (
+        ScenarioConfig(), co_sign_the_first_vault(), "{deposit}: value untracked at horizon"
+    ),
+    "not-finished": (
+        griefed_exit(refuse_resolutions=True), None, "{deposit}: exit not finished by height 32"
+    ),
+    "completed-late": (
+        griefed_exit(offline=(0, 36)), None, "{deposit}: exit completed at 37, deadline 32"
+    ),
+    "seized": (
+        _graded("griefing_challenge_unprotected"),
+        None,
+        "{deposit}: seized by the operator with status withdrawn",
+    ),
+    "left-the-protocol": (
+        ScenarioConfig(), co_sign_the_first_vault(outside_key), "{deposit}: value left the protocol"
+    ),
+    "over-seizure-unpaid": (
+        dataclasses.replace(
+            _graded("legitimate_rebalance"),
+            operator=OperatorBehavior(rebalance_at=10, pay_over_seizure=False),
+        ),
+        None,
+        "over-seizure unpaid: {{'alice': 1000}}",
+    ),
+    "perimeter": (
+        _graded("04_oracle_key_leak"),
+        None,
+        "perimeter supply 10000 exceeds backing 0 locked + 0 gained - 0 repaid",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", GRADER_REASONS)
+def test_every_grader_reason_has_a_witness(case):
+    """Each reason ``compute_verdicts`` can give is given by some run;
+    ``{deposit}`` is the first deposit."""
+    config, act, reason = GRADER_REASONS[case]
+    world = build_world(config)
+    if act is not None:
+        act(world)
+    world.run(config.horizon_blocks)
+    deposit = next(iter(world.vaults))
+    assert reason.format(deposit=deposit) in compute_verdicts(world, config).reasons
 
 
 def test_runs_are_deterministic():

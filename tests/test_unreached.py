@@ -46,6 +46,7 @@ ALLOWED = {
     "arbitration.ArbitrationOracle.key_restore": _UPGRADES,
     "attestation.MockKms.decrypt": _UPGRADES,
     "attestation.MockKms.update_policy": _UPGRADES,
+    "availability.AvailabilityError.__init__": _AVAILABILITY,
     "availability.AvailabilityReport.lines": _AVAILABILITY,
     "availability.UptimeSchedule.__post_init__": _AVAILABILITY,
     "availability.UptimeSchedule.is_online": _AVAILABILITY,
@@ -55,6 +56,7 @@ ALLOWED = {
     "availability.UptimeSchedule.uptime_fraction": _AVAILABILITY,
     "availability.availability_report": _AVAILABILITY,
     "availability.challenge_uptime_bound": _AVAILABILITY,
+    "availability.check_parameters": _AVAILABILITY,
     "availability.dispute_slack": _AVAILABILITY,
     "availability.exit_window_open": _AVAILABILITY,
     "availability.gap_condition": _AVAILABILITY,
@@ -65,7 +67,6 @@ ALLOWED = {
     "availability.stays_synced": _AVAILABILITY,
     "availability.sync_uptime_bound": _AVAILABILITY,
     "chain.verify_spend": "tests check a spend at a chosen height without mining",
-    "cli._avail_problem": _CLI,
     "cli._cmd_avail": _CLI,
     "cli._cmd_ceremony": _CLI,
     "cli._cmd_matrix": _CLI,
