@@ -15,6 +15,10 @@ input carved to the exact missing amount, whose carving parent confirms
 in the same block; a ``self`` row (finalizes, timelocked claims) goes
 out as it is from the block before its leaf's delay has passed
 (``World.spend_after_delay``) and confirms at the first legal height.
+Every top-up is paid from the party's own key wallet, and ``pay`` is
+the one routine that builds, signs and submits a key-wallet spend: the
+anchor child, the carve of a fee input (``carve_fee_utxo``) and the
+operator's over-seizure repayment (``send_btc``).
 
 No actor keeps a record of where a deposit stands.  ``World.vaults``
 holds each deposit's instance and vault ``Outpoint``, parsed once.
@@ -52,7 +56,6 @@ from .psbt import (
     ProtocolInstance,
     PsbtTemplate,
     add_fee_input,
-    attach_cpfp_child,
     build_psbt,
     finalize_to_tx,
     required_child_fee,
@@ -70,10 +73,41 @@ def spendable_utxos(chain: BtcChain, address_id: str) -> list[Utxo]:
     return [u for u in chain.utxos_at(address_id) if chain.spender(u.outpoint) is None]
 
 
+def pay(
+    chain: BtcChain,
+    keypair: Keypair,
+    outputs: list[TxOutput],
+    fee: int,
+    spend: tuple[tuple[Outpoint, int], ...] = (),
+) -> SimTx | None:
+    """The one key-wallet spend: the ``spend`` inputs, each an
+    ``(Outpoint, value)`` the key can sign for, then the first spendable
+    output at the key's address that with them covers ``outputs`` and
+    ``fee``, paying ``outputs`` and then any change back to that address.
+    Signs every input with the key, submits the transaction and returns
+    it, or None when no output covers it; a refusal raises ``TxRejected``."""
+    address_id = chain.ensure_key_address(keypair.public)
+    need = sum(o.value for o in outputs) + fee - sum(value for _, value in spend)
+    for utxo in spendable_utxos(chain, address_id):
+        change = utxo.value - need
+        if change < 0:
+            continue
+        spent = [outpoint for outpoint, _ in spend] + [utxo.outpoint]
+        tx = SimTx(
+            inputs=[TxInput(outpoint, "key", SighashFlag.ALL) for outpoint in spent],
+            outputs=[*outputs, TxOutput(address_id, change)] if change else list(outputs),
+        )
+        for i, inp in enumerate(tx.inputs):
+            inp.witness = [sign_digest(keypair, tx.sighash(i))]
+        chain.submit_tx(tx)
+        return tx
+    return None
+
+
 def carve_fee_utxo(chain: BtcChain, keypair: Keypair, amount: int) -> Utxo | None:
     """Create an exact-value output at the signer's key address by
-    splitting one of its confirmed outputs.  The carving parent sits in
-    the mempool, so a child appended in the same tick confirms with it."""
+    paying it to itself.  The carving parent sits in the mempool, so a
+    child appended in the same tick confirms with it."""
     address_id = chain.ensure_key_address(keypair.public)
     parent = send_btc(chain, keypair, address_id, amount)
     if parent is None:
@@ -84,21 +118,9 @@ def carve_fee_utxo(chain: BtcChain, keypair: Keypair, amount: int) -> Utxo | Non
 def send_btc(
     chain: BtcChain, keypair: Keypair, dest_address_id: str, amount: int
 ) -> SimTx | None:
-    """Plain key-spend payment with change."""
-    address_id = chain.ensure_key_address(keypair.public)
-    fee = chain.next_rate() * weight(1, 2)  # priced with its change output
-    for utxo in spendable_utxos(chain, address_id):
-        if utxo.value < amount + fee:
-            continue
-        outputs = [TxOutput(dest_address_id, amount)]
-        change = utxo.value - amount - fee
-        if change > 0:
-            outputs.append(TxOutput(address_id, change))
-        tx = SimTx(inputs=[TxInput(utxo.outpoint, "key", SighashFlag.ALL)], outputs=outputs)
-        tx.inputs[0].witness = [sign_digest(keypair, tx.sighash(0))]
-        chain.submit_tx(tx)
-        return tx
-    return None
+    """Plain key-spend payment, priced with its change output."""
+    fee = chain.next_rate() * weight(1, 2)
+    return pay(chain, keypair, [TxOutput(dest_address_id, amount)], fee)
 
 
 # ---------------------------------------------------------------------------
@@ -504,18 +526,16 @@ class World:
             return tx
         # the child spends the anchor and one wallet output into one change output
         target = required_child_fee(template.fee, rate * tx.weight, rate * weight(2, 1))
-        address_id = self.chain.ensure_key_address(executor.public)
-        anchor_value = tx.outputs[tx.anchor_index].value if tx.anchor_index is not None else 0
-        for utxo in spendable_utxos(self.chain, address_id):
-            if utxo.value + anchor_value >= target:
-                try:
-                    attach_cpfp_child(tx, utxo, target, executor, self.chain)
-                except TxRejected as exc:
-                    self.log(actor, "cpfp_rejected", reason=type(exc).__name__)
-                    return tx
-                self.log(actor, "cpfp_child", parent=tx.txid, fee=target)
-                return tx
-        self.log(actor, "cpfp_no_funds", parent=tx.txid)
+        anchor = (Outpoint(tx.txid, tx.anchor_index), tx.outputs[tx.anchor_index].value)
+        try:
+            child = pay(self.chain, executor, [], target, spend=(anchor,))
+        except TxRejected as exc:
+            self.log(actor, "cpfp_rejected", reason=type(exc).__name__)
+            return tx
+        if child is None:
+            self.log(actor, "cpfp_no_funds", parent=tx.txid)
+        else:
+            self.log(actor, "cpfp_child", parent=tx.txid, fee=target)
         return tx
 
     def spend_after_delay(

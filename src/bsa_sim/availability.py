@@ -14,8 +14,8 @@ duties bound how little an arbitration oracle may be online:
   for a floor of ``t_check / wsp``.
 
 The binding requirement is the larger of the two.  ``check_parameters``
-holds every rule on the parameters, which the bounds and the report
-apply, so that a refusal names its parameter.
+holds every rule on the parameters, which each function here applies
+to the ones it takes, so that a refusal names its parameter.
 """
 
 from __future__ import annotations
@@ -70,6 +70,7 @@ def required_uptime(t2: int, t3: int, t_op: int, t_check: int, wsp: int) -> Frac
 
 def dispute_slack(t1: int, t2: int, t3: int) -> int:
     """How much of the governance delay remains after a full dispute."""
+    check_parameters(t1=t1, t2=t2, t3=t3)
     return t3 - (t1 + t2)
 
 
@@ -78,12 +79,14 @@ def exit_window_open(
 ) -> bool:
     """A depositor can still start a unilateral exit and finish any
     dispute before both the governance delay and the version expiry."""
+    check_parameters(t1=t1, t2=t2, t_op=t_op, t3=t3)
     window = t1 + t2 + t_op
     return window < t3 and now + window < version_expiry
 
 
 def last_exit_start(version_expiry: int, t1: int, t2: int) -> int:
     """Latest time an exit can begin and still resolve pre-expiry."""
+    check_parameters(t1=t1, t2=t2)
     return version_expiry - (t1 + t2)
 
 
@@ -146,12 +149,14 @@ class UptimeSchedule:
 def response_time(schedule: UptimeSchedule, challenge_at: int, t_op: int) -> int:
     """Delay from challenge to resolution: wait for the oracle to wake,
     then one processing pass."""
+    check_parameters(t_op=t_op)
     wake = schedule.next_online_time(challenge_at)
     return (wake - challenge_at) + t_op
 
 
 def serves_all_challenges(schedule: UptimeSchedule, t2: int, t_op: int) -> bool:
     """Brute force over every integer challenge offset in one cycle."""
+    check_parameters(t2=t2, t_op=t_op)
     return all(
         response_time(schedule, c, t_op) <= t2 for c in range(schedule.period)
     )
@@ -159,12 +164,14 @@ def serves_all_challenges(schedule: UptimeSchedule, t2: int, t_op: int) -> bool:
 
 def gap_condition(schedule: UptimeSchedule, t2: int, t_op: int) -> bool:
     """Closed-form equivalent of :func:`serves_all_challenges`."""
+    check_parameters(t2=t2, t_op=t_op)
     return schedule.max_offline_gap() <= t2 - t_op
 
 
 def stays_synced(schedule: UptimeSchedule, wsp: int) -> bool:
     """Self-resync stays possible while every offline stretch is shorter
     than the weak subjectivity period."""
+    check_parameters(wsp=wsp)
     return schedule.max_offline_gap() < wsp
 
 

@@ -1,6 +1,8 @@
 """Covenant emulation: pre-signed transaction templates, the deposit
-setup ceremony, and the fee machinery (anchor children, appended fee
-inputs).
+setup ceremony, and the fee arithmetic of a top-up (the fee an anchor
+child must pay, an appended ANYONECANPAY fee input).  The wallet spends
+that pay for top-ups, anchor children among them, are built by
+``actors.pay``.
 
 Every step on a template (build, sign, verify, finalize) takes the
 ``ProtocolInstance`` and reads what it derived once: the address id of
@@ -19,8 +21,8 @@ Templates commit the exact input value minus a base fee of
 same rate, and the executor tops up whatever the network asks beyond
 it.  Rows executed by an arbitration oracle carry ANYONECANPAY|ALL
 signatures so a fee input can be appended without re-signing;
-multi-party rows carry an anchor output of ``ANCHOR_VALUE`` dust,
-spendable by the executor for child-pays-for-parent bumps.
+multi-party rows carry an anchor output of ``ANCHOR_VALUE`` dust at
+the executor's key, which a child-pays-for-parent bump spends.
 A template's transaction id never covers witnesses, which is what lets
 the ceremony chain templates off unbroadcast parents.
 """
@@ -86,10 +88,6 @@ class MissingCounterpartySig(PsbtError):
 
 
 class FlagViolation(PsbtError):
-    pass
-
-
-class NoAnchor(PsbtError):
     pass
 
 
@@ -312,39 +310,6 @@ def finalize_to_tx(
 def required_child_fee(f0: int, f_required: int, f_tilde_required: int) -> int:
     """Fee an anchor child must pay so parent and child clear together."""
     return max(0, f_required + f_tilde_required - f0)
-
-
-def attach_cpfp_child(
-    parent: SimTx,
-    executor_utxo: Utxo,
-    target_fee: int,
-    executor: Keypair,
-    chain: BtcChain,
-) -> SimTx:
-    """Spend the parent's anchor plus one executor-owned output, burning
-    ``target_fee`` as fees; submits the child and returns it."""
-    if parent.anchor_index is None:
-        raise NoAnchor("parent carries no anchor output")
-    anchor_out = parent.outputs[parent.anchor_index]
-    executor_addr = key_address_id(executor.public)
-    if anchor_out.address_id != executor_addr:
-        raise NotASigner("anchor is not spendable by this executor")
-    total_in = anchor_out.value + executor_utxo.value
-    change = total_in - target_fee
-    if change < 0:
-        raise InsufficientFunds(f"need {target_fee}, inputs total {total_in}")
-    outputs = [TxOutput(executor_addr, change)] if change > 0 else []
-    child = SimTx(
-        inputs=[
-            TxInput(Outpoint(parent.txid, parent.anchor_index), "key", SighashFlag.ALL),
-            TxInput(executor_utxo.outpoint, "key", SighashFlag.ALL),
-        ],
-        outputs=outputs,
-    )
-    for i in range(len(child.inputs)):
-        child.inputs[i].witness = [sign_digest(executor, child.sighash(i))]
-    chain.submit_tx(child)
-    return child
 
 
 def add_fee_input(tx: SimTx, fee_utxo: Utxo, keypair: Keypair) -> SimTx:

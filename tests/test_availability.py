@@ -3,6 +3,7 @@ brute-force/closed-form equivalence on randomized schedules, and the
 schedule helpers."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,29 @@ def test_a_bound_names_the_parameter_it_refuses():
         challenge_uptime_bound(5, 0, 1)
     with pytest.raises(AvailabilityError, match=r"^t_check = 101: must not exceed wsp = 100$"):
         sync_uptime_bound(101, 100)
+
+
+HALF_ON = UptimeSchedule(10, ((0, 5),))
+
+
+@pytest.mark.parametrize(
+    "function, args, message",
+    [
+        (dispute_slack, (24, 48, 60), "t3 = 60: must exceed t1 + t2 = 72"),
+        (exit_window_open, (0, 24, 48, -5, 60, 1_000), "t_op = -5: must be at least 0"),
+        (last_exit_start, (1_000, 24, 0), "t2 = 0: must be at least 1"),
+        (response_time, (HALF_ON, 0, -3), "t_op = -3: must be at least 0"),
+        (serves_all_challenges, (HALF_ON, 2, 2), "t2 = 2: must exceed t_op = 2"),
+        (gap_condition, (HALF_ON, 2, 2), "t2 = 2: must exceed t_op = 2"),
+        (stays_synced, (HALF_ON, 0), "wsp = 0: must be at least 1"),
+    ],
+    ids=lambda value: getattr(value, "__name__", ""),
+)
+def test_a_window_or_schedule_function_names_the_parameter_it_refuses(function, args, message):
+    """Called on its own, each applies the report's rules to the
+    parameters it takes."""
+    with pytest.raises(AvailabilityError, match=f"^{re.escape(message)}$"):
+        function(*args)
 
 
 def test_window_arithmetic():

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from bsa_sim.actors import pay
 from bsa_sim.attestation import EnclaveImage, MockAttestationAuthority
 from bsa_sim.chain import (
     BadSignature,
@@ -19,6 +20,7 @@ from bsa_sim.chain import (
     StepSchedule,
     TxOutput,
     verify_spend,
+    weight,
 )
 from bsa_sim import psbt as psbt_module
 from bsa_sim.harness import MATRIX_DIR, run_scenario
@@ -46,7 +48,6 @@ from bsa_sim.psbt import (
     PsbtTemplate,
     VerificationFailed,
     add_fee_input,
-    attach_cpfp_child,
     build_deposit_psbt_set,
     build_psbt,
     finalize_to_tx,
@@ -598,6 +599,11 @@ def test_required_child_fee_formula():
         assert f0 + need >= fr + ft or need == 0
 
 
+def anchor_of(parent):
+    """The ``(Outpoint, value)`` of a row's anchor output."""
+    return Outpoint(parent.txid, parent.anchor_index), parent.outputs[parent.anchor_index].value
+
+
 def test_cpfp_bump_confirms_underpaying_request(world):
     # raise the prevailing rate after the templates were pre-signed
     chain = world.chain
@@ -612,26 +618,27 @@ def test_cpfp_bump_confirms_underpaying_request(world):
     assert parent.txid not in chain.mine_block()  # 3 sat fee vs 12 required
 
     fee_utxo = chain.seed_utxo(inst.address_ids["dep_return"], 200)
-    rate = chain.fee_schedule.at(chain.height + 1)
-    child_weight = 2 + 1  # two inputs, one change output
-    target = required_child_fee(stored.fee, rate * parent.weight, rate * child_weight)
-    child = attach_cpfp_child(parent, fee_utxo, target, world.dep, chain)
+    rate = chain.next_rate()
+    target = required_child_fee(stored.fee, rate * parent.weight, rate * weight(2, 1))
+    child = pay(chain, world.dep, [], target, spend=(anchor_of(parent),))
+    assert [i.outpoint for i in child.inputs] == [anchor_of(parent)[0], fee_utxo.outpoint]
     mined = chain.mine_block()
     assert parent.txid in mined and child.txid in mined
 
 
-def test_attach_cpfp_rejects_foreign_anchor(world):
+def test_the_chain_refuses_a_child_that_spends_another_keys_anchor(world):
     inst = world.instance
+    chain = world.chain
     outpoint_str, _ = next(iter(inst.deposits.items()))
     stored = PsbtTemplate.from_text(
         world.registry.get_stored_psbt(outpoint_str, "unbond_request")
     )
-    parent = finalize_to_tx(stored, world.dep, inst)
-    fee_utxo = world.chain.seed_utxo(
-        world.chain.ensure_key_address(world.to.public), 100
-    )
-    with pytest.raises(NotASigner):
-        attach_cpfp_child(parent, fee_utxo, 5, world.to, world.chain)
+    parent = finalize_to_tx(stored, world.dep, inst)  # its anchor pays the depositor
+    chain.submit_tx(parent)
+    chain.seed_utxo(chain.ensure_key_address(world.to.public), 100)
+    with pytest.raises(BadSignature):
+        pay(chain, world.to, [], 5, spend=(anchor_of(parent),))
+    assert list(chain.mempool) == [parent.txid]
 
 
 def test_add_fee_input_preserves_acp_signatures(world):
