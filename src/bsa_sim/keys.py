@@ -10,10 +10,12 @@ BIP-340: the nonce is derived from the secret and the digest, and a
 run, test and benchmark signs and verifies with this one scheme.
 
 A check is one pass, s*G - e*P = ``curve.multi_mul_add(s, [(public,
--e)])``: one variable-base chain, the fixed-base table added into the
-same accumulator, and one inversion.  R is never decoded: the check
-accepts when the result's x equals R's x and its y has the parity that
-R's 02/03 prefix names, and an x with no curve point can equal no result.
+-e)])``: one variable-base chain, G's comb added into the same
+accumulator, and one inversion; under a key that has earned a comb of
+its own, both terms are comb additions and there is no chain.  R is
+never decoded: the check accepts when the result's x equals R's x and
+its y has the parity that R's 02/03 prefix names, and an x with no
+curve point can equal no result.
 The explicit rejections (length, prefix, x outside (0, P), s >= N) give
 every triple the verdict a decode-then-compare check would.
 
@@ -80,6 +82,15 @@ LRU caches, so a repeated check costs a lookup:
   that sign fresh templates.  The signer does not seed the verify memo:
   every signature is still checked on its own at admission, when mining
   and by the oracles.
+
+Below the verify memo, ``curve`` keeps a comb for each verification key
+that recurs: the key's ``COMB_AFTER``-th uncached single check builds
+it, and from then on a check under it runs no doublings.  The operator
+key, which signs every checkpoint an oracle re-bootstraps from, and the
+oracles' keys live as long as the deployment and earn one; a fresh
+depositor key checked once does not.  The combs and the counts are
+bounded LRU memos owned by ``curve`` and keyed by the ``Point``, so this
+module calls ``multi_mul_add`` as before.
 
 Signing reads the public key from the ``Keypair`` rather than
 recomputing ``secret * G``, so a fresh signature costs one scalar

@@ -1,5 +1,7 @@
 """Curve arithmetic checked against an independent affine implementation."""
 
+import contextlib
+import functools
 import hashlib
 import random
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bsa_sim import curve
 from bsa_sim.curve import (
     BETA,
     GX,
@@ -209,29 +212,65 @@ def test_mul_add_matches_reference_property(s, base, k):
 NEG_G = Point(GX, P - GY)
 # Scalars of both kinds the chain reads: below 2**128 as they are, others split.
 CHAIN_SCALARS = st.one_of(st.integers(min_value=0, max_value=2**128 - 1), SCALARS)
+COMBABLE = [G, NEG_G, NUMS_BASE, DERIVED]
+_built_comb = functools.lru_cache(maxsize=16)(curve._build_comb)
+
+
+@contextlib.contextmanager
+def combs_for(points):
+    """Within the block exactly ``points`` have combs and no single check
+    is counted yet; both memos are restored afterwards."""
+    memos = (curve._combs, curve._check_counts)
+    saved = [dict(memo) for memo in memos]
+    for memo in memos:
+        memo.clear()
+    curve._combs.update((pt, _built_comb(pt)) for pt in points)
+    try:
+        yield
+    finally:
+        for memo, entries in zip(memos, saved):
+            memo.clear()
+            memo.update(entries)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(
     s=SCALARS,
     pairs=st.lists(
-        st.tuples(st.sampled_from([G, NEG_G, NUMS_BASE, DERIVED, None]), CHAIN_SCALARS),
+        st.tuples(st.sampled_from([*COMBABLE, None]), CHAIN_SCALARS),
         min_size=0,
         max_size=4,
     ),
+    combed=st.sets(st.sampled_from(COMBABLE)),
 )
-@example(s=0, pairs=[])
-@example(s=0, pairs=[(G, 2**128 - 1), (NUMS_BASE, 2**128)])
+@example(s=0, pairs=[], combed=set())
+@example(s=0, pairs=[(G, 2**128 - 1), (NUMS_BASE, 2**128)], combed=set())
 # equal and opposite points in one chain: the accumulator meets a table point
-@example(s=0, pairs=[(G, 5), (G, 5)])
-@example(s=0, pairs=[(G, 2**100 + 7), (NEG_G, 2**100 + 7)])
-@example(s=3, pairs=[(G, N - 3)])
-@example(s=1, pairs=[(DERIVED, from_halves(*GLV_HALVES[0])), (NUMS_BASE, 15), (None, 9), (G, 0)])
-def test_multi_scalar_chain_matches_reference_sum(s, pairs):
+@example(s=0, pairs=[(G, 5), (G, 5)], combed=set())
+@example(s=0, pairs=[(G, 2**100 + 7), (NEG_G, 2**100 + 7)], combed=set())
+@example(s=3, pairs=[(G, N - 3)], combed=set())
+@example(
+    s=1,
+    pairs=[(DERIVED, from_halves(*GLV_HALVES[0])), (NUMS_BASE, 15), (None, 9), (G, 0)],
+    combed=set(),
+)
+# Combed points: each side of 2**128, whose second GLV half is nonzero
+# only past it, and halves whose 7-bit chunks carry into the next row.
+@example(s=0, pairs=[(DERIVED, 2**128 - 1), (NUMS_BASE, 2**128)], combed={DERIVED, NUMS_BASE})
+@example(s=5, pairs=[(G, 0), (NEG_G, 1), (DERIVED, N - 1), (NUMS_BASE, LAMBDA)], combed=set(COMBABLE))
+@example(s=0, pairs=[(DERIVED, from_halves(*GEN_HALVES[3]))], combed={DERIVED})
+@example(s=1, pairs=[(NUMS_BASE, from_halves(*GEN_HALVES[4]))], combed={NUMS_BASE})
+@example(s=0, pairs=[(NEG_G, from_halves(*GEN_HALVES[1])), (G, 2**128 + 1)], combed={NEG_G, G})
+# a combed pair and the chain meet at equal and opposite points
+@example(s=0, pairs=[(G, 2**100 + 7), (NEG_G, 2**100 + 7)], combed={G})
+@example(s=3, pairs=[(DERIVED, 2**129), (DERIVED, N - 2**129)], combed={DERIVED})
+def test_multi_scalar_chain_matches_reference_sum(s, pairs, combed):
+    # A point in ``combed`` is read through its comb, any other through the chain.
     expected = affine_mul(s, G)
     for base, k in pairs:
         expected = affine_add(expected, affine_mul(k, base) if base is not None else None)
-    assert multi_mul_add(s, pairs) == expected
+    with combs_for(combed):
+        assert multi_mul_add(s, pairs) == expected
 
 
 def test_mixed_addition_handles_equal_and_opposite_points():

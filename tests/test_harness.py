@@ -18,7 +18,7 @@ from bsa_sim.harness import (
     matrix_scenarios,
     run_scenario,
 )
-from bsa_sim import scenario
+from bsa_sim import curve, keys, scenario
 from bsa_sim.keys import MAX_ORACLES, keypair_from_seed, sign_digest
 from bsa_sim.psbt import MIN_DEPOSIT
 from bsa_sim.scenario import (
@@ -30,6 +30,7 @@ from bsa_sim.scenario import (
     load_scenario,
     parse_scenario,
 )
+from test_curve import combs_for
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 SCENARIO_FILES = sorted(SCENARIO_DIR.glob("*.scn"))
@@ -724,6 +725,44 @@ def test_runs_are_deterministic():
     assert a.snapshot_digest == b.snapshot_digest == c.snapshot_digest
     assert a.final_height == b.final_height == c.final_height
     assert a.trace == b.trace
+
+
+COMB_RUNS = [
+    # oracles re-bootstrap from operator checkpoints 3 times
+    MATRIX_DIR / "02_all_oracles_offline_honest_operator.scn",
+    SCENARIO_DIR / "griefing_challenge_defended.scn",
+]
+
+
+@pytest.mark.parametrize("path", COMB_RUNS, ids=lambda p: p.stem)
+def test_results_do_not_depend_on_which_keys_have_combs(path):
+    """A run gives the same digests and verdicts whether no key has a comb
+    when it starts or every key of its world has one: a comb changes what
+    a check costs, never its result."""
+
+    def run(points):
+        keys.verify_signature.cache_clear()
+        keys.verify_signatures.cache_clear()
+        with combs_for(points):
+            result = run_scenario(load_scenario(str(path)))
+            # every check under a key that had a comb read it
+            assert curve._combs.keys() >= set(points)
+            assert not curve._check_counts.keys() & set(points)
+        return result
+
+    first = run(())
+    world = first.world
+    world_keys = [
+        world.operator.keypair.public,
+        *(actor.keypair.public for actor in world.depositors),
+        *(actor.oracle.keypair.public for actor in world.oracles),
+        world.oracles[0].oracle.authority.public,
+    ]
+    assert len(world_keys) <= curve.COMB_CACHE_SIZE
+    second = run(world_keys)
+    assert first.trace_digest == second.trace_digest
+    assert first.snapshot_digest == second.snapshot_digest
+    assert first.verdicts == second.verdicts
 
 
 def test_ceremony_demo_narrative():

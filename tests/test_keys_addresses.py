@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,8 @@ from bsa_sim.keys import (
     verify_signature,
     verify_signatures,
 )
+
+from test_curve import combs_for
 
 GOLDEN = Path(__file__).parent / "golden" / "addresses.txt"
 
@@ -257,9 +260,53 @@ def test_batch_verify_agrees_with_single_checks(secrets, rows):
             triple = BATCH_CORRUPTIONS[corruption](*triple)
         triples.append(triple)
     triples = tuple(triples)
-    expected = all(verify_signature.__wrapped__(*triple) for triple in triples)
+    singles = [verify_signature.__wrapped__(*triple) for triple in triples]
+    expected = all(singles)
     assert verify_signatures.__wrapped__(triples) is expected
     assert verify_signatures(triples) is expected
+    # A key's comb changes what a check costs, never its verdict.
+    with combs_for(kp.public for kp in kps):
+        assert [verify_signature.__wrapped__(*triple) for triple in triples] == singles
+        assert verify_signatures.__wrapped__(triples) is expected
+
+
+def test_a_key_earns_its_comb_at_its_comb_after_th_single_check():
+    kp = keypair_from_seed(b"comb-policy")
+    digests = [sha(b"comb-policy-%d" % i) for i in range(curve.COMB_AFTER)]
+    triples = [(kp.public, digest, sign_digest(kp, digest)) for digest in digests]
+    with combs_for(()):
+        # A batch keeps the doublings for its nonces, so it never counts.
+        for _ in range(curve.COMB_AFTER):
+            assert verify_signatures.__wrapped__(tuple(triples[:2]))
+        assert not curve._check_counts and not curve._combs
+        for count, triple in enumerate(triples[:-1], 1):
+            assert verify_signature.__wrapped__(*triple)
+            assert curve._check_counts[kp.public] == count
+            assert not curve._combs
+        assert verify_signature.__wrapped__(*triples[-1])
+        assert list(curve._combs) == [kp.public]
+        assert kp.public not in curve._check_counts
+        # From then on the key's checks read its comb and count nothing.
+        assert verify_signature.__wrapped__(*triples[0])
+        assert verify_signatures.__wrapped__(tuple(triples[:2]))
+        assert not curve._check_counts and list(curve._combs) == [kp.public]
+
+
+def test_the_comb_memos_stay_within_their_bounds():
+    points = [generator_mul(i) for i in range(2, curve.COMB_CACHE_SIZE + 4)]
+    with combs_for(()):
+        for pt in points:
+            for _ in range(curve.COMB_AFTER):
+                curve.multi_mul_add(1, [(pt, 3)])
+            assert len(curve._combs) <= curve.COMB_CACHE_SIZE
+            curve.multi_mul_add(1, [(points[0], 3)])  # the first comb stays in use
+        # the least recently used combs went: points[1] and points[2]
+        assert list(curve._combs) == [*points[3:], points[0]]
+        for i in range(curve.CHECK_COUNT_SIZE + 3):
+            curve.multi_mul_add(1, [(generator_mul(1000 + i), 3)])
+            assert len(curve._check_counts) <= curve.CHECK_COUNT_SIZE
+        assert generator_mul(1000) not in curve._check_counts
+        assert generator_mul(1000 + curve.CHECK_COUNT_SIZE + 2) in curve._check_counts
 
 
 def test_empty_batch_verifies_nothing():
@@ -350,6 +397,18 @@ def test_every_memo_is_bounded():
         "verify_signatures": keys.BATCH_VERIFY_CACHE_SIZE,
         "build_protocol_addresses": keys.ADDRESS_CACHE_SIZE,
     }  # an unbounded memo reports maxsize None and fails here
+    # The comb memo and the check counts are OrderedDicts that the comb
+    # policy trims to these bounds; test_the_comb_memos_stay_within_their_bounds
+    # fills both past them.
+    trimmed = {
+        name: len(obj)
+        for module in (curve, keys)
+        for name, obj in vars(module).items()
+        if isinstance(obj, OrderedDict)
+    }
+    bounds = {"_combs": curve.COMB_CACHE_SIZE, "_check_counts": curve.CHECK_COUNT_SIZE}
+    assert trimmed.keys() == bounds.keys()
+    assert all(trimmed[name] <= bound for name, bound in bounds.items())
 
 
 def test_signatures_match_fixed_vectors():

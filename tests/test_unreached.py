@@ -5,8 +5,10 @@ neither is one that ``src/`` calls only on a path no run takes, so the
 list holds both.  This test runs the 17 graded scenario files and the
 first 20 draws of the trust-model sweep (seed 7) under
 ``sys.setprofile`` and records every function in ``src/`` that is
-entered.  The six ``curve`` and ``keys``
-memos are cleared first, since a memo hit skips the body it caches.
+entered.  The seven ``curve`` and ``keys``
+memos are cleared first, since a memo hit skips the body it caches, and
+so are the counts of single checks under each key, which decide when a
+key's comb is built.
 
 A function is matched to its ``def`` by name and line, so that a
 decorated function, whose code starts at its first decorator, and a
@@ -73,7 +75,6 @@ ALLOWED = {
     "cli._cmd_run": _CLI,
     "cli._fmt_triple": _CLI,
     "cli.main": _CLI,
-    "curve._build_gen_table": _IMPORT,
     "curve.is_on_curve": "ROADMAP item 5; the curve tests call it",
     "curve.point_mul": "perfbench/tracer.py TARGETS; the key and curve tests call it",
     "harness.MatrixRow.ok": _MATRIX,
@@ -127,6 +128,8 @@ def _clear_memos() -> None:
         keys.build_protocol_addresses,
     ):
         memo.cache_clear()
+    curve._combs.clear()
+    curve._check_counts.clear()
 
 
 def _graded_runs() -> None:
