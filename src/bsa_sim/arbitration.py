@@ -11,6 +11,8 @@ The oracle trusts only:
 * finalized destination-chain checkpoints it witnessed while online, and
 * checkpoints no older than the chain's weak subjectivity period and
   signed by the operator key in their own state, only to re-bootstrap.
+  That key is the one the served checkpoint's body kept when it was
+  rendered, the key its text holds, so a re-bootstrap parses no view.
 
 Every resolution decision is computed from an imported finalized
 snapshot, never from live mutable state.  All checks fail closed: a
@@ -53,6 +55,22 @@ address, 4 version, and an unbond has 1 record, 2 request signatures,
 3 challenge signatures, 4 request address, 5 challenge address,
 6 version.
 
+A dispute is judged once per finalized body.  The outcome of the gates
+before the version gate, the ``Rejection`` or the record's status with
+the ``ProtocolInstance`` the check built, is kept under a key of all
+they read: the deposit outpoint, the oracle's public key and, for each
+row, its transition, its txid and its inputs' witness bytes, which a
+txid does not commit to.  Every checkpoint of one body holds the same
+registry state, so a dispute standing over many blocks is judged again
+only when the body, the rows or the oracle's key change, and a later
+checkpoint of an unchanged body is judged without parsing its view.
+Only the synced checkpoint's body is kept: the memo is emptied when the
+body changes, so it holds at most one body's judgments, and nothing is
+kept for a checkpoint with no body.  ``version_ok`` runs on every
+judgment that reaches it: it reads the image's registered expiry once
+per body, under its ``pcr0``, and compares it with the synced slot each
+time, since the clock moves on within one body.
+
 Resolution rules
 ----------------
 * An unbond challenge resolves for the depositor only when the deposit
@@ -78,7 +96,7 @@ from .attestation import (
     MockKms,
 )
 from .chain import Outpoint, SimTx, TxRejected, check_witness
-from .destchain import DestChain, FinalizedCheckpoint, SignedCheckpoint
+from .destchain import DestChain, FinalizedCheckpoint, SignedCheckpoint, _Body
 from .keys import (
     TRANSITION_SPECS,
     Keypair,
@@ -165,6 +183,10 @@ class ArbitrationOracle:
 
         self.checkpoint: FinalizedCheckpoint | None = None  # the checkpoint synced to
         self.last_seen_slot = 0
+        # what was judged from ``_judged_body``: each dispute check's outcome
+        # under its key, and each image's registered expiry under its pcr0
+        self._judged_body: _Body | None = None
+        self._judged: dict = {}
 
     # -- key lifecycle ----------------------------------------------------
 
@@ -225,7 +247,9 @@ class ArbitrationOracle:
         a first sync, needs ``to_checkpoint`` at most ``dest.wsp`` slots
         old, served by the chain with the same digest, and signed by the
         operator key in that served state; else ``StaleCheckpoint``.
-        The view of the new checkpoint is read only when ``view`` is.
+        The operator key is the one the served checkpoint's body holds, so
+        a re-bootstrap parses no view: the view of the new checkpoint is
+        read only when ``view`` is.
         """
         downtime = dest.slot - self.last_seen_slot
         if downtime >= dest.wsp or self.checkpoint is None:
@@ -242,7 +266,7 @@ class ArbitrationOracle:
                 )
             if served.state_digest != cp.state_digest:
                 raise StaleCheckpoint("checkpoint digest does not match state")
-            if not to_checkpoint.verify(served.view.to_pubkey):
+            if not to_checkpoint.verify(served.body.to_pubkey):
                 raise StaleCheckpoint("checkpoint is not signed by the operator")
 
         self.checkpoint = dest.latest_finalized()
@@ -271,10 +295,15 @@ class ArbitrationOracle:
 
     def version_ok(self) -> bool:
         """The running image must have an unexpired operator-registered
-        version."""
-        if self.view is None:
+        version.  The expiry is read once per body; the clock it is
+        compared with is the synced slot's."""
+        if self.checkpoint is None:
             return False
-        expiry = self.view.get_version_expiry(self.image.pcr0)
+        judged = self._judgments()
+        pcr0 = self.image.pcr0
+        if pcr0 not in judged:
+            judged[pcr0] = self.view.get_version_expiry(pcr0)
+        expiry = judged[pcr0]
         return expiry is not None and expiry > self.now_slot
 
     def accepts_initial_version(self) -> bool:
@@ -298,15 +327,60 @@ class ArbitrationOracle:
 
     # -- the dispute check ------------------------------------------------------
 
+    def _judgments(self) -> dict:
+        """What was judged from the synced checkpoint's body, emptied when
+        the body changes.  A checkpoint with no body keeps nothing."""
+        body = self.checkpoint.body
+        if body is None:
+            return {}
+        if body is not self._judged_body:
+            self._judged_body, self._judged = body, {}
+        return self._judged
+
     def _verify_dispute(
         self, kind: str, outpoint: str, rows: tuple[tuple[Transition, SimTx], ...]
     ) -> VerifiedContext | Rejection:
         """Walk the broadcast ``rows`` from the vault onward through the
         gates listed in the module docstring: record, one signature gate
-        per row, one address gate per row, version."""
+        per row and one address gate per row, judged once per body and
+        key, then version, judged every time."""
         if not self.is_operational():
             raise NotSynced(self.name)
+        judged = self._judgments()
+        key = (
+            outpoint,
+            self.keypair.public,
+            tuple(
+                (transition, tx.txid, tuple(tuple(inp.witness) for inp in tx.inputs))
+                for transition, tx in rows
+            ),
+        )
+        outcome = judged.get(key)
+        if outcome is None:
+            outcome = judged[key] = self._check_rows(outpoint, rows)
+        if isinstance(outcome, Rejection):
+            return outcome
+        if not self.version_ok():
+            return Rejection(2 + 2 * len(rows), "version", "running version expired or unknown")
 
+        status, instance = outcome
+        last = rows[-1][1]
+        return VerifiedContext(
+            kind=kind,
+            outpoint=outpoint,
+            status=status,
+            spend_txid=last.txid,
+            spend_value=last.outputs[0].value,
+            issuer_id=id(self),
+            instance=instance,
+        )
+
+    def _check_rows(
+        self, outpoint: str, rows: tuple[tuple[Transition, SimTx], ...]
+    ) -> tuple[UtxoStatus, ProtocolInstance] | Rejection:
+        """The gates before the version gate, read from the view: the
+        record's status and the instance the check built, or the first
+        gate that failed."""
         record = self.view.records.get(outpoint)
         if record is None:
             return Rejection(1, "record", "no registry record for this outpoint")
@@ -344,20 +418,7 @@ class ArbitrationOracle:
             dest = TRANSITION_SPECS[transition].dest
             if not tx.outputs or tx.outputs[0].address_id != instance.address_ids[dest]:
                 return Rejection(step, f"{transition.value}_address", f"output 0 is not the {dest}")
-
-        if not self.version_ok():
-            return Rejection(2 + 2 * len(rows), "version", "running version expired or unknown")
-
-        last = rows[-1][1]
-        return VerifiedContext(
-            kind=kind,
-            outpoint=outpoint,
-            status=record.status,
-            spend_txid=last.txid,
-            spend_value=last.outputs[0].value,
-            issuer_id=id(self),
-            instance=instance,
-        )
+        return record.status, instance
 
     # -- rebalance ----------------------------------------------------------------
 

@@ -32,9 +32,12 @@ when its digest is read, and parsed only when its view is read:
   never leaks into another checkpoint, and every oracle that reads one
   checkpoint shares its one read-only ``Registry``.  An oracle keeps the
   checkpoint when it syncs and reads its view only when it has a
-  dispute to judge, so a checkpoint no oracle judges from is never
-  parsed, and an oracle can read that view after the chain has dropped
-  the checkpoint.
+  dispute to judge that it has not judged from the same body, so a
+  checkpoint no oracle judges from is never parsed, and an oracle can
+  read that view after the chain has dropped the checkpoint.  A
+  re-bootstrap parses none: each body keeps the operator key it
+  rendered, ``to_pubkey``, and the signed checkpoint is checked under
+  the key of the served checkpoint's body.
 
 One slot-ordered map, ``snapshots``, holds the retained checkpoints; the
 latest finalized is its last entry.  ``sync`` refuses a checkpoint more
@@ -125,11 +128,13 @@ def sign_checkpoint(cp: FinalizedCheckpoint, keypair: Keypair) -> SignedCheckpoi
 class _Body:
     """One finalized state without its clock, shared by every checkpoint
     finalized while the registry's body was the same: its snapshot at a
-    slot is ``head + str(slot) + tail``, kept as ASCII bytes for hashing."""
+    slot is ``head + str(slot) + tail``, kept as ASCII bytes for hashing,
+    and ``to_pubkey`` is the operator key that text holds."""
 
     writes: tuple[int, int]  # the registry's and its ledger's write counts when rendered
     head: bytes
     tail: bytes
+    to_pubkey: Point
 
     def digest(self, slot: int) -> str:
         hasher = hashlib.sha256(self.head)
@@ -169,7 +174,8 @@ class DestChain:
         if self._body is None or self._body.writes != writes:
             snapshot = self.registry.export_snapshot().encode()
             head = self.registry.snapshot_head().encode()
-            self._body = _Body(writes, head, snapshot[len(head) + len(b"%d" % slot):])
+            tail = snapshot[len(head) + len(b"%d" % slot):]
+            self._body = _Body(writes, head, tail, self.registry.to_pubkey)
         checkpoint = self.snapshots[slot] = FinalizedCheckpoint(slot, None, self._body)
         # Checkpoints are inserted in slot order, so the expired ones are a
         # prefix, and the one just finalized is not in it.

@@ -1,15 +1,18 @@
 """Arbitration oracle: both verification pipelines checked gate by gate
 against an independently written decision function, the status-based
-signing rules, light-client resync boundaries, key custody, and version
-governance gates."""
+signing rules, light-client resync boundaries, one judgment per body
+and rows, key custody, and version governance gates."""
 
 import copy
 import gc
 import hashlib
 import types
+from collections import Counter
 
 import pytest
+from test_destchain import whole_runs
 
+from bsa_sim import arbitration
 from bsa_sim.arbitration import (
     ArbitrationOracle,
     NotSynced,
@@ -31,6 +34,7 @@ from bsa_sim.destchain import (
     _Body,
     sign_checkpoint,
 )
+from bsa_sim.harness import run_scenario
 from bsa_sim.keys import (
     Transition,
     build_protocol_addresses,
@@ -529,7 +533,8 @@ def test_tampered_digest_rejected_after_another_oracle_parsed_the_slot():
     late, honest = w.oracles
     w.dest.advance(w.dest.wsp)
     latest = w.dest.latest_finalized()
-    honest.sync(w.dest, sign_checkpoint(latest, w.to))  # parses latest.slot
+    honest.sync(w.dest, sign_checkpoint(latest, w.to))
+    honest.view  # parses latest.slot
     forged = FinalizedCheckpoint(latest.slot, "ab" * 32)
     with pytest.raises(StaleCheckpoint, match="digest"):
         late.sync(w.dest, to_checkpoint=sign_checkpoint(forged, w.to))
@@ -571,6 +576,22 @@ def test_rebootstrap_accepts_exactly_a_served_operator_checkpoint_within_the_per
                     assert oracle.checkpoint is offline.checkpoint, case
                     assert oracle.last_seen_slot == offline.last_seen_slot, case
     assert accepted == wsp // w.dest.finality_interval + 1
+
+
+def test_rebootstrap_parses_no_view_and_refuses_other_signers(monkeypatch):
+    w = make_sync_world()
+    oracle = w.oracle
+    w.registry.ledger.mint("acct:other", 5)  # a body no view has parsed
+    w.dest.advance(w.dest.wsp)
+    imports = count_calls(monkeypatch, Registry, "import_snapshot")
+    latest = w.dest.latest_finalized()
+    for signer in (w.dep, oracle.keypair):
+        with pytest.raises(StaleCheckpoint, match="not signed by the operator"):
+            oracle.sync(w.dest, to_checkpoint=sign_checkpoint(latest, signer))
+    oracle.sync(w.dest, to_checkpoint=sign_checkpoint(latest, w.to))
+    assert oracle.checkpoint is latest
+    assert len(imports) == 0
+    assert latest.body.to_pubkey == w.to.public == latest.view.to_pubkey
 
 
 # -- finalized-state retention ------------------------------------------------
@@ -753,6 +774,153 @@ def test_attested_digest_is_the_checkpoint_digest():
     att = oracle.produce_attestation()
     assert att.checkpoint_slot == latest.slot
     assert att.checkpoint_digest == latest.state_digest == oracle.view.state_digest()
+
+
+# -- one judgment per body and rows ------------------------------------------
+
+
+def clock_only_resync(w: ArbWorld) -> None:
+    """Resync ``w`` to a later checkpoint of the body it is synced to."""
+    body = w.dest.latest_finalized().body
+    w.resync()
+    assert w.dest.latest_finalized().body is body
+
+
+def test_a_standing_dispute_is_judged_once_per_body(monkeypatch):
+    w = ArbWorld(n_oracles=1)
+    oracle = w.oracle
+    request, challenge = w.unbond_pair()
+    disputes = [(request, challenge), (request, flip_byte(challenge))]
+    first = [oracle.verify_unbond_inputs(w.outpoint, *rows) for rows in disputes]
+    assert isinstance(first[0], VerifiedContext) and first[0].status is UtxoStatus.ACTIVE
+    assert first[1].step == 3
+    assert oracle.resolve_unbond_challenge(first[0]) is None  # refused: not burned
+    imports = count_calls(monkeypatch, Registry, "import_snapshot")
+    witnesses = count_calls(monkeypatch, arbitration, "check_witness")
+    clock_only_resync(w)
+    again = [oracle.verify_unbond_inputs(w.outpoint, *rows) for rows in disputes]
+    assert again == first
+    assert again[0].instance is first[0].instance
+    assert oracle.resolve_unbond_challenge(again[0]) is None
+    assert (len(imports), len(witnesses)) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "row, gate",
+    [(0, (2, "unbond_request_signatures")), (1, (3, "unbond_challenge_signatures"))],
+    ids=["request", "challenge"],
+)
+def test_a_changed_witness_byte_is_judged_afresh(row, gate):
+    w = ArbWorld(n_oracles=1)
+    rows = list(w.unbond_pair())
+    assert isinstance(w.oracle.verify_unbond_inputs(w.outpoint, *rows), VerifiedContext)
+    txid = rows[row].txid
+    rows[row] = flip_byte(rows[row])
+    assert rows[row].txid == txid  # a txid commits to no witness
+    clock_only_resync(w)
+    got = w.oracle.verify_unbond_inputs(w.outpoint, *rows)
+    assert (got.step, got.check) == gate
+
+
+def test_a_burn_after_a_refused_resolution_is_judged_from_the_new_body():
+    w = ArbWorld(n_oracles=1)
+    oracle = w.oracle
+    request, challenge = w.unbond_pair()
+    refused = oracle.verify_unbond_inputs(w.outpoint, request, challenge)
+    assert oracle.resolve_unbond_challenge(refused) is None
+    body = oracle.checkpoint.body
+    w.registry.burn_deposit(w.outpoint, caller="acct:arb")
+    w.resync()
+    assert oracle.checkpoint.body is not body
+    ctx = oracle.verify_unbond_inputs(w.outpoint, request, challenge)
+    assert ctx.status is UtxoStatus.WITHDRAWN
+    template = oracle.resolve_unbond_challenge(ctx)
+    assert template is not None and verify_partial_sigs(template, w.instance)
+
+
+def test_an_expiry_passing_within_one_body_is_refused_at_the_version_gate():
+    w = ArbWorld(n_oracles=1)
+    oracle = w.oracle
+    w.set_version_expiry(oracle.now_slot + 2 * w.dest.finality_interval)
+    tx = w.rebalance_request_tx()
+    assert isinstance(oracle.verify_rebalance_inputs(w.outpoint, tx), VerifiedContext)
+    clock_only_resync(w)  # the clock reaches the expiry
+    got = oracle.verify_rebalance_inputs(w.outpoint, tx)
+    assert (got.step, got.check) == (4, "version")
+    assert not oracle.version_ok()
+
+
+def test_no_judgment_of_an_earlier_body_survives_a_body_change(monkeypatch):
+    w = ArbWorld(n_oracles=1)
+    oracle = w.oracle
+    request, challenge = w.unbond_pair()
+    rebalance = w.rebalance_request_tx()
+    oracle.verify_unbond_inputs(w.outpoint, request, challenge)
+    oracle.verify_rebalance_inputs(w.outpoint, rebalance)
+    earlier = dict(oracle._judged)
+    assert len(earlier) == 3  # two disputes and the image's expiry
+    w.registry.ledger.mint("acct:other", 5)  # the body changes
+    w.resync()
+    oracle.verify_rebalance_inputs(w.outpoint, rebalance)
+    assert oracle._judged_body is oracle.checkpoint.body
+    assert len(oracle._judged) == 2
+    assert all(oracle._judged[key] is not earlier[key] for key in oracle._judged)
+    witnesses = count_calls(monkeypatch, arbitration, "check_witness")
+    oracle.verify_unbond_inputs(w.outpoint, request, challenge)
+    assert len(witnesses) == 2  # judged afresh: one check per row
+
+
+def test_a_checkpoint_with_no_body_is_judged_afresh_every_time(monkeypatch):
+    w = ArbWorld(n_oracles=1)
+    oracle = w.oracle
+    tx = w.rebalance_request_tx()
+    latest = oracle.checkpoint
+    transported = FinalizedCheckpoint(latest.slot, latest.state_digest)
+    transported._view = latest.view
+    oracle.checkpoint = transported
+    witnesses = count_calls(monkeypatch, arbitration, "check_witness")
+    outcomes = [oracle.verify_rebalance_inputs(w.outpoint, tx) for _ in range(2)]
+    assert outcomes[0] == outcomes[1] and isinstance(outcomes[0], VerifiedContext)
+    assert len(witnesses) == 2
+    assert oracle._judged == {}
+
+
+@pytest.mark.parametrize("config", whole_runs(), ids=lambda config: config.name)
+def test_every_judgment_of_a_whole_run_equals_a_fresh_check(config, monkeypatch):
+    """At every judgment of a whole run, the outcome equals the same
+    check made with nothing kept, and a run in which one oracle refuses
+    one deposit's resolution at two blocks judges some dispute from what
+    it kept.  (In ``04_oracle_key_leak.scn`` each oracle refuses once, so
+    it has nothing to re-judge.)"""
+    verify, check = ArbitrationOracle._verify_dispute, ArbitrationOracle._check_rows
+    checks, hits = [], []
+
+    def counted(self, *args):
+        checks.append(args)
+        return check(self, *args)
+
+    def compared(self, kind, outpoint, rows):
+        before = len(checks)
+        outcome = verify(self, kind, outpoint, rows)
+        hits.append(len(checks) == before)
+        kept = self._judged_body, self._judged
+        self._judged_body = None
+        fresh = verify(self, kind, outpoint, rows)
+        self._judged_body, self._judged = kept
+        assert outcome == fresh
+        if isinstance(outcome, VerifiedContext):
+            assert outcome.instance.tweak_digest == fresh.instance.tweak_digest
+        return outcome
+
+    monkeypatch.setattr(ArbitrationOracle, "_check_rows", counted)
+    monkeypatch.setattr(ArbitrationOracle, "_verify_dispute", compared)
+    refusals = Counter(
+        (entry["actor"], entry["outpoint"])
+        for entry in run_scenario(config).trace
+        if entry["action"] == "resolution_refused"
+    )
+    if any(n > 1 for n in refusals.values()):
+        assert any(hits)
 
 
 # -- key custody --------------------------------------------------------------

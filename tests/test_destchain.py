@@ -1,7 +1,7 @@
 """Finalized state on the destination chain: whatever the registry does
-between advances, every retained checkpoint carries the digest, the text
-and the parsed view of a full export of the registry at its own slot,
-and views of different checkpoints share nothing mutable.
+between advances, every retained checkpoint carries the digest, the text,
+the operator key and the parsed view of a full export of the registry at
+its own slot, and views of different checkpoints share nothing mutable.
 
 The chain renders only when a write count moved, so every method of
 ``Registry`` and ``TokenLedger`` is listed here as a counted writer or
@@ -272,6 +272,7 @@ def test_every_retained_checkpoint_is_its_fresh_export(steps):
     for cp in retained:
         text = exported[cp.slot]
         assert cp.state_digest == hashlib.sha256(text.encode()).hexdigest()
+        assert cp.body.to_pubkey.compressed().hex() == json.loads(text)["to_pubkey"]
     # Each view is read after the one before it was corrupted, and a
     # corrupted view reaches no later checkpoint's view.
     assert retained[0].view.export_snapshot() == exported[retained[0].slot]
